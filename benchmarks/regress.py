@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Wall-clock regression runner: measure the hot paths, emit ``BENCH_8.json``.
+"""Wall-clock regression runner: measure the hot paths, emit ``BENCH_9.json``.
 
 Runs a fixed set of experiment workloads (the E1–E11 sweeps' building
 blocks plus the known hot spots), times each one, and writes a JSON report
@@ -9,7 +9,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/regress.py                 # full sizes
     PYTHONPATH=src python benchmarks/regress.py --small         # CI-sized
-    PYTHONPATH=src python benchmarks/regress.py --out BENCH_8.json
+    PYTHONPATH=src python benchmarks/regress.py --out BENCH_9.json
 
 Point ``PYTHONPATH`` at any other source tree (for example a seed-commit
 worktree) to measure the same workloads on older code: the baseline
@@ -534,6 +534,15 @@ def experiments(small: bool) -> list[tuple[str, Callable[[], dict[str, Any]]]]:
                 ("kernel_ba_rush_n32_t10",
                  lambda: _kernel_delivery("e12-ba", 32, 10, "rush", 2))
             )
+            if HAS_SUCCINCT_ENGINE:
+                # Jitter breaks level-unanimity, so every node resolves
+                # through the full sweep over 238k leaves: the frontier
+                # the columnar store opened (13.5 s / 948 MiB with
+                # per-path filing and lookup).
+                suite.append(
+                    ("kernel_oral_bounded2_n64_t3",
+                     lambda: _kernel_delivery("e12-oral", 64, 3, "bounded:2", 0))
+                )
         if HAS_ADVERSARY_PLANE:
             # Full-size unreliable points: the heartbeat flood scales as
             # n²·timeout, so n=32 is where the drop bookkeeping earns
@@ -621,14 +630,16 @@ def experiments(small: bool) -> list[tuple[str, Callable[[], dict[str, Any]]]]:
         if HAS_BATCH_ARRIVALS:
             # The arrival-columned grid: the same mux under degraded
             # calendars, which before this plane silently fell back to
-            # per-envelope objects.  t=1 keeps the points
+            # per-envelope objects.  t=1 keeps the engine pairs
             # messaging-dominated — at t>=2 degraded delivery breaks
-            # EIG level-unanimity and the (engine-independent) dense
-            # resolve sweep dominates both engines, drowning the engine
+            # EIG level-unanimity and the (mux-engine-independent)
+            # resolve sweep joins both engines' bill, diluting the
             # comparison the ``*_object`` twins exist for.  The n=128
             # columnar-vs-object pairs are the gated speedup evidence
             # (see scripts/bench_check.py --ratios); the n=64 points
-            # extend the grid at best-of-repeats cost.
+            # extend the grid at best-of-repeats cost, and
+            # ``akd_loss_n32_t2`` records one degraded t=2 point — n
+            # trees all resolving by sweep.
             suite.append(
                 ("akd_bounded3_n64_t1",
                  lambda: _akd(64, 1, delivery="bounded:3"))
@@ -636,6 +647,10 @@ def experiments(small: bool) -> list[tuple[str, Callable[[], dict[str, Any]]]]:
             suite.append(
                 ("akd_loss_n64_t1",
                  lambda: _akd(64, 1, delivery="loss:0.05:2"))
+            )
+            suite.append(
+                ("akd_loss_n32_t2",
+                 lambda: _akd(32, 2, delivery="loss:0.05:2"))
             )
             suite.append(
                 ("akd_bounded3_n128_t1",

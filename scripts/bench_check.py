@@ -1,16 +1,19 @@
 #!/usr/bin/env python
-"""Benchmark gate: refresh ``BENCH_8.json`` and fail loudly on regressions.
+"""Benchmark gate: check a fresh run against ``BENCH_9.json``, read-only.
 
 Runs the trimmed (``standard_sizes(small=True)``) regression suite from
-``benchmarks/regress.py``, compares it against the committed
-``BENCH_8.json`` when one exists, and rewrites the file.  A fresh small
-run more than ``--threshold`` (default 20%) slower than the committed
-small numbers on any experiment exits non-zero — the loud failure CI
-wants.
+``benchmarks/regress.py`` and compares it against the committed
+``BENCH_9.json``.  A fresh small run more than ``--threshold`` (default
+20%) slower than the committed small numbers on any experiment — or with
+any count changed — exits non-zero: the loud failure CI wants.  A gate
+run never touches the baseline file; ``--refresh`` is the explicit
+request to rewrite it with the fresh measurements (refused on a red
+gate, so a regression cannot become the new baseline by accident).
 
 Usage::
 
-    PYTHONPATH=src python scripts/bench_check.py                  # gate + refresh
+    PYTHONPATH=src python scripts/bench_check.py                  # gate (read-only)
+    PYTHONPATH=src python scripts/bench_check.py --refresh        # gate, then rewrite
     PYTHONPATH=src python scripts/bench_check.py --quick          # pre-PR smoke
     PYTHONPATH=src python scripts/bench_check.py --full           # also full sizes
     PYTHONPATH=src python scripts/bench_check.py --memory         # also memory gate
@@ -20,9 +23,9 @@ Usage::
 ``--quick`` is the smoke mode ``scripts/check.sh`` runs before every PR:
 the small-n suite once (``--repeats 1``), gating only the *count*
 determinism contract — counts must match the committed baseline exactly —
-while skipping the wall-clock threshold (single-shot timings are noise),
-the memory probes and the baseline rewrite.  It answers "did I change
-observable behaviour?" in a couple of seconds; the full gate stays the
+while skipping the wall-clock threshold (single-shot timings are noise)
+and the memory probes.  It answers "did I change observable
+behaviour?" in a couple of seconds; the full gate stays the
 pre-merge answer to "did I slow anything down?".  Alongside the counts
 gate it prints the baseline-vs-fresh wall time per experiment — advisory
 only (single shots), but enough to spot an accidental 10x on the spot.
@@ -52,22 +55,26 @@ the cells where the static horizon is wrong, the adaptive adversary
 driving the static FD, partition equivocation); ``BENCH_6.json`` (PR 7)
 recorded the columnar mux engine's wall-clock on an unchanged
 experiment set — the akd grid points dropped ~10x and ``akd_n128_t3``
-left ``HEAVY_EXPERIMENTS``; this PR's gate file is ``BENCH_7.json``,
-which adds the arrival-columned grid: mux points under lossy-jittered
+left ``HEAVY_EXPERIMENTS``; ``BENCH_7.json`` (PR 8)
+adds the arrival-columned grid: mux points under lossy-jittered
 and bounded-jitter calendars (small and n=64/128), with n=128
 columnar-vs-``*_object`` engine pairs whose wall-clock ratio the
 ``--full`` gate enforces (``--min-engine-ratio``, default 3x) and
 whose counts must agree bit-for-bit, plus E13/E14 grid cells promoted
-past their historical n=32 pin; this PR's gate file is
-``BENCH_8.json``, which adds the warm-started sweep twins: timeout-axis
-sweeps run prefix-shared via kernel checkpoint/resume
+past their historical n=32 pin; ``BENCH_8.json`` (PR 10, still read
+by the end-to-end benchmark's oracle) adds the warm-started sweep
+twins: timeout-axis sweeps run prefix-shared via kernel checkpoint/resume
 (``repro.harness.sweep_prefix_shared``) next to ``*_straight``
 cold-re-run twins, with the straight/warm wall-clock ratio enforced by
 the ``--full`` gate (``--min-warm-ratio``, default 2x) and the twins'
-counts required to agree bit-for-bit.  Experiment names are stable
-across files, so shared counts are directly comparable (every BENCH_6
-count was verified bit-identical when BENCH_7 was established, and
-every BENCH_7 count when BENCH_8 was).
+counts required to agree bit-for-bit; the live gate file is
+``BENCH_9.json`` (PR 12), which records the columnar EIG store's
+frontier — ``kernel_oral_bounded2_n64_t3`` and the degraded t=2 mux
+point ``akd_loss_n32_t2``.  Experiment names are stable across files, so
+shared counts are directly comparable (every BENCH_6 count was verified
+bit-identical when BENCH_7 was established, every BENCH_7 count when
+BENCH_8 was, and every BENCH_8 count when BENCH_9 was — ``--full`` now
+gates the full section's counts the same way).
 
 Wall-clock baselines are machine-relative: after moving to new hardware,
 regenerate the baseline before trusting the gate.
@@ -284,7 +291,15 @@ def speedups(baseline: dict, current: dict) -> dict[str, float]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--out", default=str(REPO_ROOT / "BENCH_8.json"), help="report path"
+        "--out",
+        default=str(REPO_ROOT / "BENCH_9.json"),
+        help="baseline path (read; written only with --refresh)",
+    )
+    parser.add_argument(
+        "--refresh",
+        action="store_true",
+        help="after a green gate, rewrite the baseline with the fresh "
+        "measurements (without it the baseline is never touched)",
     )
     parser.add_argument("--threshold", type=float, default=0.20)
     parser.add_argument("--repeats", type=int, default=3)
@@ -292,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
         "--quick",
         action="store_true",
         help="pre-PR smoke: small suite once, gate counts only, no "
-        "memory probes, no baseline rewrite",
+        "memory probes",
     )
     parser.add_argument(
         "--quick-out",
@@ -303,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
         "counts gate trips; the committed baseline is never touched",
     )
     parser.add_argument(
-        "--full", action="store_true", help="also refresh the full-size section"
+        "--full", action="store_true", help="also run the full-size section"
     )
     parser.add_argument(
         "--memory",
@@ -346,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="EXPERIMENT",
         help="cProfile one named experiment (top 20 by cumulative time) "
-        "and exit; no gating, no baseline touch",
+        "and exit; no gating",
     )
     args = parser.parse_args(argv)
 
@@ -357,6 +372,9 @@ def main(argv: list[str] | None = None) -> int:
     committed = json.loads(out_path.read_text()) if out_path.exists() else {}
 
     if args.quick:
+        if args.refresh:
+            parser.error("--quick measures once and gates counts only; "
+                         "refresh from a full gate run")
         print("== bench_check --quick: small-n smoke (counts gate only) ==")
         fresh_small = regress.run_suite(small=True, repeats=1)
         for name, entry in fresh_small["experiments"].items():
@@ -432,6 +450,15 @@ def main(argv: list[str] | None = None) -> int:
                 else ""
             )
             print(f"  {name}: {entry['seconds']:.5f}s{engine}{snap}")
+        if committed.get("full"):
+            # Counts only: full-size wall-clock is recorded, not gated.
+            _, moved = compare_runs(committed["full"], merged["full"], float("inf"))
+            if moved:
+                print("== FAIL: full-size counts diverged ==", file=sys.stderr)
+                print("\n".join(moved), file=sys.stderr)
+                status = 1
+            else:
+                print(f"== full-size counts match committed {out_path.name} ==")
         ratios = engine_ratios(merged["full"])
         if ratios:
             print("== columnar-vs-object engine pairs ==")
@@ -505,7 +532,9 @@ def main(argv: list[str] | None = None) -> int:
             )
         print(json.dumps(merged["speedup_vs_baseline_src"], indent=1))
 
-    if status == 0 or not out_path.exists():
+    if not args.refresh:
+        print(f"{out_path.name} left untouched (read-only gate; --refresh rewrites it)")
+    elif status == 0 or not out_path.exists():
         out_path.write_text(json.dumps(merged, indent=1, sort_keys=True) + "\n")
         print(f"wrote {out_path}")
     else:

@@ -8,7 +8,7 @@
 #   2. the tier-1 test suite        — semantics (ROADMAP.md's verify line),
 #                                     with --durations=10 so creeping slow
 #                                     tests are visible in every run;
-#   3. bench_check --quick          — count determinism vs BENCH_8.json
+#   3. bench_check --quick          — count determinism vs BENCH_9.json
 #                                     (smoke wall-clock, no --memory);
 #                                     emits bench_quick_fresh.json for CI
 #                                     to attach on failure;
@@ -18,6 +18,9 @@
 #                                     simulated-hmac secret registry, is
 #                                     invisible to in-process tests).
 #
+# The last line printed is a one-line summary of each step's wall seconds,
+# so gate-time creep shows up in every run's scrollback.
+#
 # The full wall-clock/memory gate (scripts/bench_check.py --memory, and
 # --full for the n=128 grid) stays a pre-merge step; this script is the
 # fast loop.  See PERFORMANCE.md ("Measuring and gating").
@@ -25,16 +28,18 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== check: compileall =="
-python -m compileall -q src
+timings=""
+step() {  # step NAME COMMAND... — run one gate step and record its seconds
+    local name="$1" start="$SECONDS"
+    shift
+    echo "== check: $name =="
+    "$@"
+    timings+=" $name=$((SECONDS - start))s"
+}
 
-echo "== check: tier-1 tests =="
-python -m pytest -x -q --durations=10
+step compileall python -m compileall -q src
+step tier-1 python -m pytest -x -q --durations=10
+step bench-smoke python scripts/bench_check.py --quick
+step resume-gate python scripts/resume_gate.py
 
-echo "== check: bench smoke =="
-python scripts/bench_check.py --quick
-
-echo "== check: cross-process resume equivalence =="
-python scripts/resume_gate.py
-
-echo "== check: all green =="
+echo "== check: all green;$timings =="

@@ -16,6 +16,7 @@ bit-for-bit reproducible.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -54,6 +55,52 @@ def path_set(n: int, sender: NodeId, length: int) -> frozenset[Path]:
     ``True`` compares equal to ``1``, exactly as it did as a tree key).
     """
     return frozenset(paths_of_length(n, sender, length))
+
+
+@lru_cache(maxsize=None)
+def last_id_column(n: int, sender: NodeId, length: int) -> "bytes | array[int]":
+    """The last id of every path in ``paths_of_length(n, sender, length)``,
+    in the same canonical order, as a packed read-only sequence of ints
+    (``bytes`` while ids fit one byte, else a two-byte ``array``; both
+    iterate as ints and support ``index(value, start)``).
+
+    This is all the succinct engine needs of a level: the paths ending in
+    relayer ``q`` appear in the canonical order of their parents (the
+    ``length - 1`` paths avoiding ``q``), which is the order of ``q``'s
+    report, so one pass over this column zips every relayer's report into
+    level order.  Built from the ``length - 1`` table, so the exponential
+    leaf level costs one packed column and never a tuple per path.
+    Memoized per ``(n, sender, length)`` and shared — callers must not
+    mutate it.
+
+    :raises OverflowError: if ``n`` exceeds the two-byte id range.
+    """
+    if length <= 1:
+        ids = [sender]
+    else:
+        ids = [
+            node
+            for path in paths_of_length(n, sender, length - 1)
+            for node in range(n)
+            if node not in path
+        ]
+    return bytes(ids) if n <= 256 else array("H", ids)
+
+
+def path_index(n: int, path: Path) -> int:
+    """Position of a valid ``path`` in ``paths_of_length(n, path[0],
+    len(path))``, computed from its ids alone.
+
+    Level ``k + 1`` is generated from level ``k`` parent-major with child
+    ids ascending, so a path's index is its parent's index times the fan-out
+    ``n - k`` plus the rank of its last id among the ids not in the parent.
+    """
+    index = 0
+    for k in range(1, len(path)):
+        node = path[k]
+        rank = node - sum(1 for prior in path[:k] if prior < node)
+        index = index * (n - k) + rank
+    return index
 
 
 class LevelWireStats(NamedTuple):
@@ -122,14 +169,21 @@ def level_wire_stats(n: int, sender: NodeId, length: int) -> LevelWireStats:
     )
 
 
+#: Every memoized table of this module; :func:`clear_path_tables` and
+#: :func:`path_table_info` walk it (``tests/agreement/test_paths.py``
+#: fails on a memo that is missing here).
+_TABLES = (paths_of_length, path_set, level_wire_stats, last_id_column)
+
+
 def clear_path_tables() -> None:
     """Drop every memoized table (tests / long-lived processes)."""
-    paths_of_length.cache_clear()
-    path_set.cache_clear()
-    level_wire_stats.cache_clear()
+    for table in _TABLES:
+        table.cache_clear()
 
 
 def path_table_info() -> dict[str, int]:
-    """Cache diagnostics: entry count and total paths held."""
+    """Cache diagnostics: ``entries`` counts the memoized tables of every
+    kind, ``hits``/``misses`` are the path tables' own."""
     info = paths_of_length.cache_info()
-    return {"entries": info.currsize, "hits": info.hits, "misses": info.misses}
+    entries = sum(table.cache_info().currsize for table in _TABLES)
+    return {"entries": entries, "hits": info.hits, "misses": info.misses}

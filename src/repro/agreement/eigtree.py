@@ -6,11 +6,13 @@ The dense EIG formulation (:mod:`repro.agreement.oral` with
 construction, which caps oral runs around n=32.  This module provides the
 *succinct* representation that makes n=128 feasible:
 
-* **storage** — a node's received values at level ``L`` are a per-relayer
-  "uniform" entry (one relayer's whole report was a single value — the
-  failure-free case) plus a sparse ``overrides`` dict for paths whose
-  value deviates.  A failure-free run stores O(n·t) values per node
-  instead of O(n^t).
+* **storage** — columnar: a node's received values at level ``L`` are
+  one entry per relayer — a "uniform" value (the relayer's whole report
+  was a single value — the failure-free case) or the report's own *run
+  column* (a multi-run report, held by reference, never expanded per
+  path) — plus a sparse ``overrides`` dict for the dense items Byzantine
+  nodes and the dense engine still speak.  A failure-free run stores
+  O(n·t) values per node instead of O(n^t); a degraded one O(#runs).
 * **wire form** — reports travel as :class:`RleReport`: run-length
   encoded values over the canonical path order, decoded transparently by
   the receiving engine.  A unanimous report is a single run regardless of
@@ -18,9 +20,12 @@ construction, which caps oral runs around n=32.  This module provides the
 * **resolution** — the bottom-up majority walk short-circuits: when every
   stored value agrees with the root value (checked per level against the
   uniform entries, O(n·t) total), the decision is that value without
-  touching the exponential leaf level.  Any deviation falls back to the
-  level-synchronous sweep over the shared path tables, which is exactly
-  the dense engine's algorithm reading values through this store.
+  touching the exponential leaf level.  Any deviation falls back to
+  :func:`resolve_sweep`, the level-synchronous sweep both engines share:
+  the store hands it whole levels as small-integer value codes, zipped
+  from the relayers' columns in one pass over the level's last-id column
+  (:func:`repro.agreement._paths.last_id_column`), so ``repr`` runs once
+  per run and the votes count ints.
 
 Observable equivalence contract
 -------------------------------
@@ -44,11 +49,19 @@ accounting exact; the property tests cross-check it.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Iterator
+from itertools import chain, groupby, repeat
+from typing import Any, Callable, Iterator
 
 from ..crypto.encoding import byte_size, uvarint_size
 from ..types import NodeId
-from ._paths import Path, level_wire_stats, path_set, paths_of_length
+from ._paths import (
+    Path,
+    last_id_column,
+    level_wire_stats,
+    path_index,
+    path_set,
+    paths_of_length,
+)
 
 #: Payload kind shared with the dense wire form — metrics breakdowns must
 #: not distinguish the engines (see ``repro.sim.message.payload_kind``).
@@ -73,6 +86,34 @@ def _repr_key(value: Any) -> str:
     return repr(value)
 
 
+class _ValueCodes:
+    """Small-integer codes for values, interned by :func:`_repr_key`: two
+    values share a code exactly when the engines' votes treat them as
+    equal.  ``values[code]`` is the first value interned under the code.
+    One instance lives for one level read or one sweep."""
+
+    __slots__ = ("_codes", "values")
+
+    def __init__(self) -> None:
+        self._codes: dict[str, int] = {}
+        self.values: list[Any] = []
+
+    def code(self, value: Any) -> int:
+        """The code of ``value``, allocating the next one if it is new."""
+        key = _repr_key(value)
+        code = self._codes.get(key)
+        if code is None:
+            code = self._codes[key] = len(self.values)
+            self.values.append(value)
+        return code
+
+
+#: A level reader: ``read(length, code)`` returns the stored value (or the
+#: default) of every level-``length`` path in canonical order, each passed
+#: through ``code`` (a :meth:`_ValueCodes.code`).
+LevelReader = Callable[[int, Callable[[Any], int]], "list[int]"]
+
+
 class RleReport:
     """A run-length encoded EIG report: the succinct wire form.
 
@@ -94,7 +135,7 @@ class RleReport:
     other node's run result.
     """
 
-    __slots__ = ("n", "sender", "level", "exclude", "runs", "_dense_size")
+    __slots__ = ("n", "sender", "level", "exclude", "runs", "item_count", "_dense_size")
 
     kind = OM_REPORT  # payload-kind hook for metrics breakdowns
 
@@ -119,12 +160,10 @@ class RleReport:
         self.level = level
         self.exclude = exclude
         self.runs = tuple((count, value) for count, value in runs)
+        #: Number of dense ``(path, value)`` items this report stands for
+        #: (summed once: every receiver's validity check reads it).
+        self.item_count = sum(count for count, _ in self.runs)
         self._dense_size = self._compute_dense_size()
-
-    @property
-    def item_count(self) -> int:
-        """Number of dense ``(path, value)`` items this report stands for."""
-        return sum(count for count, _ in self.runs)
 
     def values(self) -> Iterator[Any]:
         """The dense value sequence, in canonical path order."""
@@ -180,21 +219,41 @@ class RleReport:
 
 
 class SuccinctEigStore:
-    """Per-node succinct EIG tree: uniform-per-relayer entries + overrides.
+    """Per-node succinct EIG tree: one entry per relayer + overrides.
 
     The invariant mirrored from the dense dict: a path ``σ + (q,)`` at
     level ``L`` holds the *first* value relayer ``q`` reported for ``σ``
-    (``setdefault`` semantics), or nothing.  Lookup order realises that:
-    an explicit override (filed earlier or from a partial report) wins
-    over the relayer's uniform entry, and a uniform entry, once set,
-    blocks later overrides for that relayer.
+    (``setdefault`` semantics), or nothing.  A relayer's run-length
+    report covers every path ending in it, so the first one filed per
+    ``(level, relayer)`` wins — as a ``uniform`` value (one run) or a
+    run column (several) — and blocks later overrides for that relayer.
+    Lookup order realises the rest: an explicit override (filed earlier,
+    from a partial dense report) wins over the relayer's report, and a
+    column, which is only ever filed before a uniform value, wins over
+    that.
+
+    A run column is a report's ``runs`` tuple, shared with every other
+    receiver of the report: the values of the level-``L - 1`` paths
+    avoiding ``q`` in canonical order, i.e. of the level-``L`` paths
+    ending in ``q`` in *their* canonical order.  It includes paths
+    through the owning node; the sweep reads those positionally and never
+    consumes them.
 
     Contract: :meth:`get` is only ever asked about structurally valid
     paths that avoid the owning node — the same paths the dense dict
     could contain.
     """
 
-    __slots__ = ("n", "t", "sender", "default", "root", "uniform", "overrides")
+    __slots__ = (
+        "n",
+        "t",
+        "sender",
+        "default",
+        "root",
+        "uniform",
+        "columns",
+        "overrides",
+    )
 
     def __init__(self, n: int, t: int, sender: NodeId, default: Any) -> None:
         self.n = n
@@ -202,8 +261,12 @@ class SuccinctEigStore:
         self.sender = sender
         self.default = default
         self.root: Any = _MISSING
-        # level -> {relayer: value} / {path: value}, levels 2 .. t+1.
+        # level -> {relayer: value} / {relayer: runs} / {path: value},
+        # levels 2 .. t+1.
         self.uniform: dict[int, dict[NodeId, Any]] = {
+            level: {} for level in range(2, t + 2)
+        }
+        self.columns: dict[int, dict[NodeId, tuple[tuple[int, Any], ...]]] = {
             level: {} for level in range(2, t + 2)
         }
         self.overrides: dict[int, dict[Path, Any]] = {
@@ -219,33 +282,95 @@ class SuccinctEigStore:
 
     def file_uniform(self, level: int, relayer: NodeId, value: Any) -> None:
         """File "relayer ``q`` reported ``value`` for every valid path" —
-        first uniform report per (level, relayer) wins."""
+        first uniform report per (level, relayer) wins.  (Filed after a
+        column it is kept but never read: the column wins.)"""
         self.uniform[level].setdefault(relayer, value)
+
+    def file_column(
+        self, level: int, relayer: NodeId, runs: tuple[tuple[int, Any], ...]
+    ) -> None:
+        """File relayer ``q``'s multi-run report as one run column — first
+        report per (level, relayer) wins.  ``runs`` must cover exactly the
+        level-``level`` paths ending in ``relayer`` (the ingest's
+        :func:`_classify_rle` checks it)."""
+        if relayer not in self.uniform[level]:
+            self.columns[level].setdefault(relayer, runs)
 
     def file_override(self, level: int, path: Path, value: Any) -> None:
         """File one path value with the dense ``setdefault`` semantics."""
-        if path[-1] in self.uniform[level]:
+        relayer = path[-1]
+        if relayer in self.uniform[level] or relayer in self.columns[level]:
             return  # every path ending in this relayer is already set
         self.overrides[level].setdefault(path, value)
 
     # -- lookup ----------------------------------------------------------
 
     def get(self, path: Path) -> Any:
-        """The stored value for ``path``, or the protocol default."""
+        """The stored value for ``path``, or the protocol default.
+
+        A point lookup into a run column reads the whole level: the
+        engine itself only reads levels (:meth:`level_codes`); this is
+        the diagnostics / reference-recursion path.
+        """
         if len(path) == 1:
             return self.default if self.root is _MISSING else self.root
         level = len(path)
         value = self.overrides[level].get(path, _MISSING)
         if value is not _MISSING:
             return value
+        if path[-1] in self.columns[level]:
+            codes = _ValueCodes()
+            return codes.values[
+                self.level_codes(level, codes.code)[path_index(self.n, path)]
+            ]
         value = self.uniform[level].get(path[-1], _MISSING)
         return self.default if value is _MISSING else value
 
+    def level_codes(self, level: int, code: Callable[[Any], int]) -> list[int]:
+        """This store's :data:`LevelReader`: the whole level in canonical
+        path order, ``code`` applied once per run, uniform entry and
+        override instead of once per path.
+
+        One pass over the level's last-id column pulls each path's value
+        from its relayer's reader — an endless repeat for a uniform or
+        missing report, the expanded runs for a column.  Paths through
+        the owning node read whatever their relayer reported (or the
+        default): callers never consume them.
+
+        :raises ValueError: if a filed column is shorter than its level.
+        """
+        if level == 1:
+            return [code(self.default if self.root is _MISSING else self.root)]
+        readers: list[Iterator[int]] = [repeat(code(self.default))] * self.n
+        for relayer, value in self.uniform[level].items():
+            readers[relayer] = repeat(code(value))
+        for relayer, runs in self.columns[level].items():
+            # ``code`` once per distinct object (a sender's runs share one
+            # object per value); the per-run work stays in C.
+            counts, values = zip(*runs)
+            by_id = {
+                key: code(value)
+                for key, value in dict(zip(map(id, values), values)).items()
+            }
+            readers[relayer] = chain.from_iterable(
+                map(repeat, map(by_id.__getitem__, map(id, values)), counts)
+            )
+        last_ids = last_id_column(self.n, self.sender, level)
+        codes = list(map(next, map(readers.__getitem__, last_ids)))
+        if len(codes) != len(last_ids):
+            # An exhausted reader ends the map silently.
+            raise ValueError(f"level-{level} run column shorter than the level")
+        for path, value in self.overrides[level].items():
+            codes[path_index(self.n, path)] = code(value)
+        return codes
+
     def stored_entries(self) -> int:
-        """Number of explicit entries held (diagnostics / memory tests)."""
+        """Number of explicit entries held (diagnostics / memory tests);
+        a run column counts one per run."""
         return (
             (0 if self.root is _MISSING else 1)
             + sum(len(d) for d in self.uniform.values())
+            + sum(len(runs) for d in self.columns.values() for runs in d.values())
             + sum(len(d) for d in self.overrides.values())
         )
 
@@ -261,7 +386,7 @@ class SuccinctEigStore:
         """
         if level == 1:
             return self.get((self.sender,))
-        if self.overrides[level]:
+        if self.overrides[level] or self.columns[level]:
             return _MISSING
         uniform = self.uniform[level]
         # Protocol-filed uniform keys can only be valid relayers — never
@@ -290,9 +415,9 @@ class SuccinctEigStore:
         Fast path: if every level (2 .. t+1) is unanimously the root
         value, the whole tree collapses and the decision is that value —
         O(n·t), never touching the leaf level.  Any deviation falls back
-        to the dense engine's level-synchronous sweep reading values
-        through :meth:`get` (exponential in t, like the dense engine —
-        Byzantine runs at large n pay the dense price either way).
+        to :func:`resolve_sweep` reading levels through
+        :meth:`level_codes` (exponential in t, like the dense engine, but
+        a few C-level passes per level rather than per-path Python work).
         """
         root = self.get((self.sender,))
         root_key = _repr_key(root)
@@ -301,14 +426,16 @@ class SuccinctEigStore:
             if value is _MISSING or (
                 value is not root and _repr_key(value) != root_key
             ):
-                return self._resolve_sweep(me)
+                return resolve_sweep(
+                    self.n,
+                    self.t,
+                    self.sender,
+                    self.default,
+                    self.level_codes,
+                    me,
+                    (self.sender,),
+                )
         return root
-
-    def _resolve_sweep(self, me: NodeId) -> Any:
-        """Reference bottom-up majority sweep, reading through the store."""
-        return resolve_sweep(
-            self.n, self.t, self.sender, self.default, self.get, me, (self.sender,)
-        )
 
 
 def resolve_sweep(
@@ -316,63 +443,72 @@ def resolve_sweep(
     t: int,
     sender: NodeId,
     default: Any,
-    lookup: Any,
+    read_level: LevelReader,
     me: NodeId,
     path: Path,
 ) -> Any:
     """Level-synchronous bottom-up majority over the EIG tree: the one
-    resolution sweep both engines share (so their slot arithmetic cannot
-    drift; the vote itself is :func:`majority_value`).
+    resolution sweep both engines share (so their slot arithmetic and
+    their votes cannot drift).
 
-    ``lookup(path)`` returns the stored value or the default — a dict
-    ``get`` closure for the dense engine, :meth:`SuccinctEigStore.get`
-    for the succinct one.  Level L+1 of the shared table is generated
+    ``read_level`` is the engine's :data:`LevelReader` — a dict
+    comprehension over the path table for the dense engine,
+    :meth:`SuccinctEigStore.level_codes` for the succinct one — so the
+    sweep itself only ever sees integer codes.  Level L+1 is generated
     from level L parent-major with child ids ascending, so the children
     of parent index ``i`` occupy the slice ``[i*(n-L), (i+1)*(n-L))`` —
     values align by index, no per-path dict or membership tests needed.
-    At each parent not containing ``me``, ``me``'s child slot (its rank
-    among the ids not in the parent) is substituted with the parent's own
-    stored value — classical EIG's "own value" substitution, needed for
-    the n > 3t margin.  Values for paths through ``me`` are computed but
-    never consumed, because their parents substitute first.
+    At each parent not containing ``me``, ``me``'s child slot is
+    substituted with the parent's own stored value — classical EIG's "own
+    value" substitution, needed for the n > 3t margin.  Those slots are
+    exactly the positions of ``me`` in the child level's last-id column
+    (a parent containing ``me`` has no such child), and position ``j``
+    belongs to parent ``j // (n-L)``.  Values for paths through ``me``
+    are computed but never consumed, because their parents substitute
+    first.
 
     Requires ``me not in path`` and ``len(path) <= t + 1`` (the callers'
     degenerate cases fall back to plain recursion before reaching here).
     """
     depth = t + 1
-    start = len(path)
-    values = [lookup(p) for p in paths_of_length(n, sender, depth)]
-    for length in range(depth - 1, start - 1, -1):
-        table = paths_of_length(n, sender, length)
+    codes = _ValueCodes()
+    default_code = codes.code(default)
+    values = read_level(depth, codes.code)
+    for length in range(depth - 1, len(path) - 1, -1):
+        own = read_level(length, codes.code)
         width = n - length
-        parent_values = []
-        for i, p in enumerate(table):
-            children = values[i * width : (i + 1) * width]
-            if me not in p:
-                slot = me
-                for node in p:
-                    if node < me:
-                        slot -= 1
-                children[slot] = lookup(p)
-            parent_values.append(majority_value(children, default))
-        values = parent_values
-    if start == 1:
-        return values[0]
-    return values[paths_of_length(n, sender, start).index(path)]
+        child_ids = last_id_column(n, sender, length + 1)
+        at = -1
+        try:
+            while True:
+                at = child_ids.index(me, at + 1)
+                values[at] = own[at // width]
+        except ValueError:
+            pass  # no further child slot of ``me``
+        values = [
+            _strict_majority(values[i : i + width], default_code)
+            for i in range(0, len(values), width)
+        ]
+    return codes.values[values[path_index(n, path)]]
+
+
+def _strict_majority(keys: list, fallback: Any) -> Any:
+    """The key more than half of ``keys`` hold, else ``fallback``."""
+    first = keys[0]
+    total = len(keys)
+    if keys.count(first) * 2 > total:
+        return first
+    best, best_count = Counter(keys).most_common(1)[0]
+    return best if best_count * 2 > total else fallback
 
 
 def majority_value(children: list[Any], default: Any) -> Any:
     """Strict majority of ``children`` by ``repr``; ties fall to the
-    default.  Shared by both engines so their votes cannot drift."""
+    default.  The reference recursion's vote; the sweep runs the same
+    :func:`_strict_majority` over interned codes."""
     reprs = [repr(value) for value in children]
-    first = reprs[0]
-    total = len(children)
-    if reprs.count(first) == total:
-        return children[0]
-    best, best_count = Counter(reprs).most_common(1)[0]
-    if best_count * 2 > total:
-        return children[reprs.index(best)]
-    return default
+    winner = _strict_majority(reprs, None)
+    return default if winner is None else children[reprs.index(winner)]
 
 
 # -- wire form: encode -----------------------------------------------------
@@ -384,8 +520,10 @@ def encode_report(store: SuccinctEigStore, me: NodeId, level: int) -> RleReport 
     Returns ``None`` when there is nothing to report (every path contains
     ``me`` — i.e. ``me`` is the sender), matching the dense engine's
     skipped broadcast.  A fully uniform level emits a single run without
-    enumerating paths; otherwise runs are built over the canonical
-    filtered order (levels are <= t, polynomially sized).
+    enumerating paths; otherwise the level is read once
+    (:meth:`SuccinctEigStore.level_codes`) and equal neighbours in the
+    canonical filtered order are grouped into runs (levels are <= t,
+    polynomially sized).
     """
     n, sender = store.n, store.sender
     stats = level_wire_stats(n, sender, level)
@@ -395,22 +533,18 @@ def encode_report(store: SuccinctEigStore, me: NodeId, level: int) -> RleReport 
     value = store._level_uniform_value(level, me)
     if value is not _MISSING:
         return RleReport(n, sender, level, me, ((count, value),))
-    runs: list[tuple[int, Any]] = []
-    run_value: Any = _MISSING
-    run_key = None
-    run_count = 0
-    for path in paths_of_length(n, sender, level):
-        if me in path:
-            continue
-        held = store.get(path)
-        if run_count and (held is run_value or _repr_key(held) == run_key):
-            run_count += 1
-            continue
-        if run_count:
-            runs.append((run_count, run_value))
-        run_value, run_key, run_count = held, _repr_key(held), 1
-    runs.append((run_count, run_value))
-    return RleReport(n, sender, level, me, tuple(runs))
+    codes = _ValueCodes()
+    kept = [
+        held
+        for path, held in zip(
+            paths_of_length(n, sender, level), store.level_codes(level, codes.code)
+        )
+        if me not in path
+    ]
+    runs = tuple(
+        (sum(1 for _ in run), codes.values[held]) for held, run in groupby(kept)
+    )
+    return RleReport(n, sender, level, me, runs)
 
 
 # -- wire form: decode / ingest ---------------------------------------------
@@ -455,22 +589,6 @@ def _classify_rle(
     return _RLE_MULTI
 
 
-def _file_runs(
-    store: SuccinctEigStore, report: RleReport, relayer: NodeId, me: NodeId, level: int
-) -> None:
-    """File a valid multi-run report: per-path overrides for the paths
-    avoiding ``me``, in canonical order."""
-    n, sender = store.n, store.sender
-    values = report.values()
-    file_override = store.file_override
-    for path in paths_of_length(n, sender, level):
-        if relayer in path:
-            continue
-        value = next(values)
-        if me not in path:
-            file_override(level + 1, path + (relayer,), value)
-
-
 def ingest_rle(
     store: SuccinctEigStore, report: Any, relayer: NodeId, me: NodeId, round_: int
 ) -> None:
@@ -480,7 +598,9 @@ def ingest_rle(
 
     Validity: the report must describe level ``round_ - 1`` (a report
     relayed in round ``round_ - 1`` and received now) — see
-    :func:`_classify_rle` for the full check.
+    :func:`_classify_rle` for the full check.  Filing is
+    receiver-independent (``me`` only matters to the dense-item ingest):
+    a report is kept whole, by reference.
     """
     if not isinstance(report, RleReport):
         return
@@ -494,7 +614,7 @@ def ingest_rle(
         # Unanimous report: one uniform entry covers the whole level.
         store.file_uniform(level + 1, relayer, report.runs[0][1])
     elif verdict == _RLE_MULTI:
-        _file_runs(store, report, relayer, me, level)
+        store.file_column(level + 1, relayer, report.runs)
 
 
 def ingest_rle_batch(
@@ -582,7 +702,7 @@ def ingest_rle_batch(
                 rest = []
             rest.append((entry_sender, payloads[i]))
         elif kind == _RLE_MULTI:
-            _file_runs(store, payloads[i], entry_sender, me, level)
+            store.file_column(level + 1, entry_sender, payloads[i].runs)
     return rest
 
 

@@ -303,11 +303,11 @@ class OralAgreementProtocol(Protocol):
         :meth:`repro.agreement.eigtree.SuccinctEigStore.resolve` — a
         failure-free run short-circuits in O(n·t).  Dense engine (and
         succinct non-root calls): the shared level-synchronous sweep
-        :func:`repro.agreement.eigtree.resolve_sweep`, reading values
-        through this engine's :meth:`_lookup` — leaves (length t+1)
-        first, then each shorter length from the values computed for the
-        one below; no per-path recursion, each path's value computed
-        exactly once.
+        :func:`repro.agreement.eigtree.resolve_sweep`, reading levels
+        through this engine's :meth:`_level_reader` — leaves (length
+        t+1) first, then each shorter length from the values computed
+        for the one below; no per-path recursion, each path's value
+        computed exactly once.
         """
         if self._store is not None and path == (self._sender,) and me not in path:
             return self._store.resolve(me)
@@ -315,10 +315,25 @@ class OralAgreementProtocol(Protocol):
             # Degenerate calls (never made by the protocol itself): the
             # substitution rule cannot apply, fall back to plain recursion.
             return self._resolve_recursive(path, me)
-        lookup = self._lookup()
         return eigtree.resolve_sweep(
-            self._n, self._t, self._sender, self._default, lookup, me, path
+            self._n,
+            self._t,
+            self._sender,
+            self._default,
+            self._level_reader(),
+            me,
+            path,
         )
+
+    def _level_reader(self) -> eigtree.LevelReader:
+        """The engine's whole-level reader for the shared sweep."""
+        if self._store is not None:
+            return self._store.level_codes
+        tree, default = self._tree, self._default
+        n, sender = self._n, self._sender
+        return lambda length, code: [
+            code(tree.get(p, default)) for p in paths_of_length(n, sender, length)
+        ]
 
     def _lookup(self):
         """The engine's (path -> stored value or default) reader."""

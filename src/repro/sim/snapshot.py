@@ -65,7 +65,9 @@ if TYPE_CHECKING:
 
 #: Snapshot format version.  Bumped whenever the kernel's pickled shape
 #: changes incompatibly; :func:`restore_kernel` refuses other versions.
-SNAPSHOT_VERSION = 1
+#: History: 2 — ``SuccinctEigStore`` gained its per-relayer run columns
+#: (a version-1 store would resume and then fail at its first resolve).
+SNAPSHOT_VERSION = 2
 
 #: Conventional checkpoint-file suffix (documentation only — loading
 #: validates content, never the name).

@@ -9,6 +9,8 @@ counters all match bit-for-bit, for honest runs and under arbitrary
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from repro.agreement.eigtree import (
     RleReport,
     SuccinctEigStore,
     encode_report,
+    ingest_dense_items,
     ingest_rle,
 )
 from repro.agreement.oral import OM_REPORT, OM_VALUE, OralAgreementProtocol
@@ -342,3 +345,196 @@ class TestEngineConfig:
             _Ctx(), [Envelope(sender=2, recipient=1, payload=payload, round_sent=1)], 2
         )
         assert protocol._store.stored_entries() == 0
+
+
+# -- columnar store: first-wins filing and the level sweep --------------------
+
+
+def reference_majority(children, default):
+    """Strict majority by ``repr``, written out independently of the
+    engines' shared vote."""
+    tally = {}
+    for value in children:
+        tally[repr(value)] = tally.get(repr(value), 0) + 1
+    for value in children:
+        if tally[repr(value)] * 2 > len(children):
+            return value
+    return default
+
+
+def reference_resolve(tree, n, t, sender, default, me, path=None):
+    """The seed recursion over a dense dict: the oracle that shares no
+    code with the level sweep."""
+    path = (sender,) if path is None else path
+    if len(path) == t + 1:
+        return tree.get(path, default)
+    children = [
+        tree.get(path, default)
+        if node == me
+        else reference_resolve(tree, n, t, sender, default, me, path + (node,))
+        for node in range(n)
+        if node not in path
+    ]
+    return reference_majority(children, default)
+
+
+def file_both(store, tree, n, sender, me, relayer, payload, round_):
+    """File one received payload into the succinct ``store`` through the
+    engine's ingest, and into the dense dict ``tree`` with the dense
+    engine's per-item ``setdefault`` semantics written out."""
+    level = round_ - 1
+    if isinstance(payload, RleReport):
+        ingest_rle(store, payload, relayer, me, round_)
+        if payload.level != level:
+            return  # a late / early report is dropped whole
+        paths = [p for p in paths_of_length(n, sender, level) if relayer not in p]
+        items = list(zip(paths, payload.values()))
+    else:
+        ingest_dense_items(store, payload, relayer, me, round_)
+        items = payload
+    for path, value in items:
+        if me not in path:
+            tree.setdefault(path + (relayer,), value)
+
+
+def assert_store_matches_tree(store, tree, n, t, sender, default, me):
+    """``get``, ``encode_report`` and ``resolve`` all read the store the
+    way the dense engine reads its dict."""
+    for level in range(1, t + 2):
+        visible = [p for p in paths_of_length(n, sender, level) if me not in p]
+        held = [tree.get(p, default) for p in visible]
+        assert [repr(store.get(p)) for p in visible] == [repr(v) for v in held]
+        if level <= t:
+            report = encode_report(store, me, level)
+            assert [repr(v) for v in report.values()] == [repr(v) for v in held]
+            assert report.dense_byte_size() == byte_size(
+                (OM_REPORT, tuple(zip(visible, held)))
+            )
+    expected = reference_resolve(tree, n, t, sender, default, me)
+    assert repr(store.resolve(me)) == repr(expected)
+    if n > 3 * t:
+        dense = OralAgreementProtocol(n, t, default=default, sender=sender, engine="dense")
+        dense._tree = tree
+        assert repr(dense._resolve((sender,), me)) == repr(expected)
+
+
+class TestFirstFiledReportWins:
+    """One relayer, one level, every filing order of the three wire
+    shapes: the store must hold what the dense ``setdefault`` dict holds."""
+
+    N, T, ME, RELAYER, ROUND = 10, 3, 1, 4, 3
+
+    def payloads(self):
+        n, q = self.N, self.RELAYER
+        covered = [p for p in paths_of_length(n, 0, 2) if q not in p]
+        count = len(covered)
+        return [
+            # dense items: partial, one path through ``me``, one repeated
+            ((covered[2], "d1"), (covered[0], "d2"), (covered[5], "d3"), (covered[2], "dd")),
+            (((0, 7), "e1"), ((0, 2), "e2")),
+            RleReport(n, 0, 2, q, ((count, "u"),)),
+            RleReport(n, 0, 2, q, ((count, "uu"),)),
+            RleReport(n, 0, 2, q, ((2, "m1"), (3, "m2"), (count - 5, "m1"))),
+            RleReport(n, 0, 2, q, ((1, "k"), (count - 1, "v"))),
+        ]
+
+    def filed(self, order):
+        """Store and dict after the relayer's payloads arrive in
+        ``order``, on a background of other relayers' reports."""
+        n, t, me = self.N, self.T, self.ME
+        store, tree = SuccinctEigStore(n, t, 0, "d"), {}
+        store.set_root("v")
+        tree[(0,)] = "v"
+        background = {
+            2: RleReport(n, 0, 2, 2, ((8, "v"),)),
+            5: RleReport(n, 0, 2, 5, ((3, "v"), (5, "w"))),
+            6: (((0, 3), "x"),),
+        }
+        for relayer, payload in background.items():
+            file_both(store, tree, n, 0, me, relayer, payload, self.ROUND)
+        payloads = self.payloads()
+        for index in order:
+            file_both(store, tree, n, 0, me, self.RELAYER, payloads[index], self.ROUND)
+        return store, tree
+
+    @pytest.mark.parametrize(
+        "order",
+        list(itertools.permutations(range(6), 3)) + [(i, i) for i in range(6)],
+        ids=lambda order: "".join("ddUUMM"[i] + str(i) for i in order),
+    )
+    def test_every_order_matches_dense(self, order):
+        store, tree = self.filed(order)
+        assert_store_matches_tree(store, tree, self.N, self.T, 0, "d", self.ME)
+
+    def test_multi_run_report_is_one_entry_not_one_per_path(self):
+        store, _ = self.filed((4,))
+        assert self.RELAYER in store.columns[3]
+        assert not any(path[-1] == self.RELAYER for path in store.overrides[3])
+
+    def test_short_hand_filed_column_is_an_error_not_a_truncated_level(self):
+        store = SuccinctEigStore(7, 2, 0, "d")
+        store.file_column(3, 2, ((2, "x"), (1, "y")))
+        with pytest.raises(ValueError, match="shorter"):
+            store.resolve(1)
+
+
+VALUE_POOL = ["a", "b", "d", None, 0]
+
+
+@st.composite
+def filing_scenarios(draw):
+    """A tree shape plus, per round, a list of ``(relayer, payload)``
+    arrivals: uniform and multi-run reports, partial dense item lists,
+    duplicates of any of them, and reports for the wrong level."""
+    t = draw(st.integers(1, 3))
+    n = draw(st.integers(t + 3, 9))
+    sender = draw(st.integers(0, n - 1))
+    values = st.sampled_from(VALUE_POOL)
+    rounds = {}
+    for round_ in range(2, t + 2):
+        arrivals = []
+        for _ in range(draw(st.integers(0, 2 * n))):
+            relayer = draw(st.integers(0, n - 1).filter(lambda q: q != sender))
+            kind = draw(st.sampled_from(["uniform", "multi", "dense", "late"]))
+            level = round_ - 1 if kind != "late" else draw(st.integers(1, t))
+            covered = [p for p in paths_of_length(n, sender, level) if relayer not in p]
+            if kind == "dense":
+                items = draw(st.lists(st.tuples(st.sampled_from(covered), values), max_size=6))
+                arrivals.append((relayer, tuple(items)))
+                continue
+            if kind == "uniform":
+                column = [draw(values)] * len(covered)
+            else:
+                column = draw(st.lists(values, min_size=len(covered), max_size=len(covered)))
+            runs = tuple(
+                (len(list(group)), value)
+                for value, group in itertools.groupby(column)
+            )
+            arrivals.append((relayer, RleReport(n, sender, level, relayer, runs)))
+        rounds[round_] = arrivals
+    root = draw(st.one_of(st.none(), values))
+    return n, t, sender, root, rounds
+
+
+class TestColumnarSweepEqualsDense:
+    @given(scenario=filing_scenarios())
+    @settings(max_examples=150, deadline=None)
+    def test_every_node_resolves_like_the_dense_engine(self, scenario):
+        """Random partial, late and duplicate reports, seen from every
+        ``me``: the columnar store answers exactly like a dense dict
+        filled item by item.  Run columns carry values for paths through
+        ``me`` that the dict never files — equality here is the proof
+        that the sweep never consumes them."""
+        n, t, sender, root, rounds = scenario
+        for me in range(n):
+            if me == sender:
+                continue
+            store, tree = SuccinctEigStore(n, t, sender, "d"), {}
+            if root is not None:
+                store.set_root(root)
+                tree[(sender,)] = root
+            for round_, arrivals in rounds.items():
+                for relayer, payload in arrivals:
+                    if relayer != me:  # a node never receives its own relay
+                        file_both(store, tree, n, sender, me, relayer, payload, round_)
+            assert_store_matches_tree(store, tree, n, t, sender, "d", me)

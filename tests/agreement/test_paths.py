@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from repro.agreement import _paths
 from repro.agreement._paths import (
     clear_path_tables,
+    last_id_column,
+    path_index,
     path_set,
     path_table_info,
     paths_of_length,
@@ -66,6 +69,54 @@ class TestTableProperties:
         assert path_table_info()["entries"] == 0
         paths_of_length(4, 0, 2)
         assert path_table_info()["entries"] >= 1
+
+    def test_clear_and_info_cover_every_memo(self):
+        """Every memoized table of the module is counted by the info and
+        dropped by the clear: a memo left out of either fails here."""
+        memos = {
+            name: fn for name, fn in vars(_paths).items() if hasattr(fn, "cache_clear")
+        }
+        assert {"paths_of_length", "path_set", "level_wire_stats", "last_id_column"} <= (
+            memos.keys()
+        )
+        clear_path_tables()
+        for fn in memos.values():
+            fn(5, 0, 3)
+        held = {name: fn.cache_info().currsize for name, fn in memos.items()}
+        assert all(held.values()), held
+        assert path_table_info()["entries"] == sum(held.values())
+        clear_path_tables()
+        assert {name: fn.cache_info().currsize for name, fn in memos.items()} == (
+            dict.fromkeys(memos, 0)
+        )
+        assert path_table_info()["entries"] == 0
+
+    def test_last_id_column_is_the_path_tables_last_ids(self):
+        for n, sender in ((4, 0), (5, 2), (8, 0)):
+            for length in range(1, 5):
+                table = paths_of_length(n, sender, length)
+                assert list(last_id_column(n, sender, length)) == [p[-1] for p in table]
+        assert last_id_column(8, 0, 3) is last_id_column(8, 0, 3)
+
+    def test_last_id_column_past_one_byte_ids(self):
+        """Ids above 255 switch the packing, not the interface."""
+        small, wide = last_id_column(256, 0, 2), last_id_column(300, 7, 2)
+        assert isinstance(small, bytes) and not isinstance(wide, bytes)
+        assert list(wide) == [p[-1] for p in paths_of_length(300, 7, 2)]
+        assert small.index(255, 10) == 254 and wide.index(299, 10) == 298
+
+    def test_leaf_column_never_builds_the_leaf_path_table(self):
+        """The column of level L is built from table L-1: the succinct
+        engine's leaf level costs two bytes per path, not a tuple."""
+        clear_path_tables()
+        last_id_column(9, 0, 4)
+        assert paths_of_length.cache_info().currsize == 3  # lengths 1..3
+
+    def test_path_index_is_the_canonical_position(self):
+        for n, sender in ((4, 0), (5, 2), (8, 0)):
+            for length in range(1, 5):
+                for index, path in enumerate(paths_of_length(n, sender, length)):
+                    assert path_index(n, path) == index
 
 
 class TestByzantineReportNoise:

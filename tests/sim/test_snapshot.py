@@ -16,6 +16,7 @@ import pickle
 
 import pytest
 
+from repro.agreement import make_oral_agreement_protocols
 from repro.auth import trusted_dealer_setup
 from repro.crypto import simulated
 from repro.errors import ConfigurationError, ProtocolViolationError
@@ -28,6 +29,7 @@ from repro.harness import (
 from repro.sim import (
     COLUMNAR_ENGINE,
     OBJECT_ENGINE,
+    SNAPSHOT_VERSION,
     EventKernel,
     KernelSnapshot,
     Protocol,
@@ -476,6 +478,24 @@ class TestSnapshotFiles:
         path = tmp_path / "stale.ckpt"
         path.write_bytes(pickle.dumps(stale))
         with pytest.raises(ConfigurationError, match="version"):
+            load_snapshot(path)
+
+    def test_version_1_snapshot_refused_by_name(self, tmp_path):
+        """Version 1 predates the succinct EIG store's run columns: such
+        a snapshot must be refused up front with the named version error
+        — in memory and from disk — not resumed into an
+        ``AttributeError`` at the first resolve."""
+        assert SNAPSHOT_VERSION == 2
+        runner = Runner(make_oral_agreement_protocols(7, 2, "v"), seed=0)
+        runner.run(until_tick=2)
+        stale = dataclasses.replace(runner.snapshot(), version=1)
+        with pytest.raises(ConfigurationError, match="snapshot version 1 does not"):
+            restore_kernel(stale)
+        with pytest.raises(ConfigurationError, match="snapshot version 1 does not"):
+            EventKernel.resume(stale)
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(pickle.dumps(stale))
+        with pytest.raises(ConfigurationError, match="has snapshot version 1,"):
             load_snapshot(path)
 
 
