@@ -85,9 +85,7 @@ def test_e6_attack_run_wallclock(benchmark):
             scheme=SWEEP_SCHEME,
             seed=1,
             kd_adversaries=scenario.kd_adversaries(),
-            fd_adversary_factory=lambda kp, dirs: scenario.fd_adversary_factory(
-                N, T, kp, dirs
-            ),
+            adversary=scenario.adversary,
             faulty=scenario.faulty,
         )
 

@@ -16,7 +16,6 @@ Run:  python examples/byzantine_agreement.py
 
 from repro.agreement import OUTPUT_PATH, evaluate_ba
 from repro.analysis import render_table, sm_messages
-from repro.faults import SilentProtocol
 from repro.harness import GLOBAL, run_ba_scenario
 
 
@@ -33,7 +32,7 @@ def main() -> None:
 
     crashed = run_ba_scenario(
         n, t, value, protocol="extension", auth=GLOBAL, seed=2,
-        ba_adversary_factory=lambda kp, dirs: {1: SilentProtocol()},
+        adversary="1=silent",
     )
     assert crashed.ba.ok, crashed.ba.detail
     paths = {

@@ -19,7 +19,9 @@
 #                                     invisible to in-process tests).
 #
 # The last line printed is a one-line summary of each step's wall seconds,
-# so gate-time creep shows up in every run's scrollback.
+# so gate-time creep shows up in every run's scrollback, plus src_lines=N
+# (tracked src/*.py lines) so ROADMAP aim 2's "net src/ lines go down" is
+# visible in every gate run.
 #
 # The full wall-clock/memory gate (scripts/bench_check.py --memory, and
 # --full for the n=128 grid) stays a pre-merge step; this script is the
@@ -42,4 +44,5 @@ step tier-1 python -m pytest -x -q --durations=10
 step bench-smoke python scripts/bench_check.py --quick
 step resume-gate python scripts/resume_gate.py
 
-echo "== check: all green;$timings =="
+src_lines=$(git ls-files 'src/*.py' | xargs wc -l | tail -n 1 | awk '{print $1}')
+echo "== check: all green;$timings src_lines=$src_lines =="

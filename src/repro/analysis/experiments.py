@@ -170,9 +170,7 @@ def e6_attacks(n: int = 8, t: int = 2, seeds: int = 4) -> ExperimentTable:
             outcome = run_fd_scenario(
                 n, t, "v", auth=LOCAL, scheme=COUNT_SCHEME, seed=seed,
                 kd_adversaries=scenario.kd_adversaries(),
-                fd_adversary_factory=lambda kp, dirs: scenario.fd_adversary_factory(
-                    n, t, kp, dirs
-                ),
+                adversary=scenario.adversary,
                 faulty=scenario.faulty,
             )
             conditions += outcome.fd.ok

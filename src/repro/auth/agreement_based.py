@@ -40,13 +40,13 @@ workload).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..agreement.oral import OM_REPORT, OM_VALUE, OralAgreementProtocol
 from ..crypto import DEFAULT_SCHEME
 from ..crypto.keys import KeyPair, TestPredicate, get_scheme
 from ..errors import ConfigurationError
-from ..faults.adversary import AdversarySpec, Behavior
+from ..faults.adversary import AdversarySpec, Behavior, make_adversary
 from ..faults.behaviors import RandomNoiseProtocol, SilentProtocol
 from ..sim import (
     InstanceAggregate,
@@ -65,7 +65,7 @@ from .directory import KeyDirectory
 #: Wire-tag channel shared by all agreement-based key distribution muxes.
 AKD_CHANNEL = "akd"
 
-#: Byzantine behaviour names accepted by the picklable ``byzantine`` spec.
+#: Behaviour kinds :func:`akd_byzantine_protocol` builds itself.
 BYZANTINE_KINDS = ("silent", "noise")
 
 
@@ -262,27 +262,6 @@ class AgreementKeyDistributionResult:
         return None
 
 
-def _byzantine_spec(
-    byzantine: Mapping[NodeId, str] | Iterable[tuple[NodeId, str]] | None,
-    t: int,
-) -> AdversarySpec | None:
-    """The picklable ``byzantine=`` pairs as an adversary-plane spec.
-
-    The AKD entry point re-layers onto :class:`AdversarySpec`: the same
-    ``(node, kind)`` pairs shard workers ship keep working, but parsing,
-    normalisation and the ``≤ t`` corruption budget now come from the
-    one adversary vocabulary instead of a private code path.
-    """
-    if byzantine is None:
-        return None
-    pairs = tuple(
-        byzantine.items() if isinstance(byzantine, Mapping) else byzantine
-    )
-    if not pairs:
-        return None
-    return AdversarySpec(corrupt=pairs, t=t)
-
-
 def _akd_behavior_builder(
     n: int, instance_ids: Sequence[int], engine: "str | None" = None
 ):
@@ -306,23 +285,24 @@ def run_agreement_key_distribution(
     n: int,
     t: int,
     scheme: str = DEFAULT_SCHEME,
-    adversaries: dict[NodeId, Protocol] | None = None,
     seed: int | str = 0,
-    byzantine: Mapping[NodeId, str] | Iterable[tuple[NodeId, str]] | None = None,
+    adversary: "str | AdversarySpec | Mapping[NodeId, str | Behavior] | None" = None,
     instances: Sequence[int] | None = None,
     delivery: "str | None" = None,
     engine: "str | None" = None,
 ) -> AgreementKeyDistributionResult:
     """Distribute all n public keys via n concurrent OM(t) instances.
 
-    :param adversaries: node -> arbitrary Byzantine :class:`Protocol`
-        (in-process use; takes precedence over ``byzantine``).
-    :param byzantine: picklable adversary pairs, node -> behaviour kind
-        — re-layered through :class:`~repro.faults.AdversarySpec`, so
-        any declarative plane behaviour works (``noise`` is rebuilt
-        mux-aware, see :func:`akd_byzantine_protocol`) and the ``≤ t``
-        corruption budget is enforced.  This is the form shard workers
-        rebuild in another process.
+    :param adversary: the run's adversary, as anything
+        :func:`repro.faults.make_adversary` accepts — a spec string
+        (``"6=noise;2=silent"``, the picklable form shard workers
+        rebuild in another process), a ``{node: behaviour}`` mapping, or
+        a ready :class:`~repro.faults.AdversarySpec` (arbitrary
+        in-process protocols ride in its ``overrides``).  Any
+        declarative plane behaviour works (``noise`` is rebuilt
+        mux-aware, see :func:`akd_byzantine_protocol`), the ``≤ t``
+        corruption budget is enforced, and the spec's delivery power
+        applies when ``delivery`` is unset.
     :param instances: optional instance subset (shard slice); the full
         run is the default.
     :param delivery: optional delivery model or spec for the run (see
@@ -335,36 +315,22 @@ def run_agreement_key_distribution(
         result's ``engine_used`` reports what actually ran.
     :raises ConfigurationError: when ``n <= 3t`` — the feasibility boundary
         the paper contrasts local authentication against — or when the
-        byzantine pairs exceed the fault budget.
+        adversary names a node twice or exceeds the fault budget.
     """
-    adversaries = adversaries or {}
-    spec = _byzantine_spec(byzantine, t)
     instance_ids = validate_akd_instances(n, instances)
     protocols: list[Protocol] = [
-        adversaries.get(
-            node,
-            AgreementKeyDistributionProtocol(
-                n, t, scheme, instances=instance_ids, engine=engine
-            ),
+        AgreementKeyDistributionProtocol(
+            n, t, scheme, instances=instance_ids, engine=engine
         )
-        for node in range(n)
+        for _ in range(n)
     ]
+    spec = make_adversary(adversary, t=t)
     if spec is not None:
-        # In-process `adversaries` take precedence over the picklable
-        # pairs (the documented facade contract): drop shadowed entries
-        # before installing the plane's corruptions.
-        if spec.faulty & set(adversaries):
-            spec = AdversarySpec(
-                corrupt=tuple(
-                    (node, behavior)
-                    for node, behavior in spec.corrupt
-                    if node not in adversaries
-                ),
-                t=spec.t,
-            )
         protocols = spec.protocols_for(
             protocols, builder=_akd_behavior_builder(n, instance_ids, engine=engine)
         )
+        if delivery is None:
+            delivery = spec.delivery
     run = run_protocols(protocols, seed=seed, delivery=make_delivery(delivery))
     result = AgreementKeyDistributionResult(
         run=run,

@@ -323,7 +323,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         scheme=args.scheme,
         seed=args.seed,
         kd_adversaries=scenario.kd_adversaries(),
-        adversary=scenario.adversary(args.n, args.t),
+        adversary=scenario.adversary,
         faulty=scenario.faulty,
         delivery=args.delivery,
     )
@@ -411,12 +411,17 @@ def _cmd_list_workloads(args: argparse.Namespace) -> int:
 
 
 def _parse_workload_params(raw: Sequence[str]) -> dict[str, object]:
-    """``key=value`` pairs with int/float/bool coercion (else string)."""
+    """``key=value`` pairs with int/float/bool coercion (else string).
+
+    :raises ConfigurationError: for an item that is not ``key=value``.
+    """
+    from .errors import ConfigurationError
+
     params: dict[str, object] = {}
     for item in raw:
         key, sep, value = item.partition("=")
         if not sep or not key:
-            raise SystemExit(f"--param expects key=value, got {item!r}")
+            raise ConfigurationError(f"--param expects key=value, got {item!r}")
         if value.lower() in ("true", "false"):
             params[key] = value.lower() == "true"
             continue
@@ -439,10 +444,10 @@ def _cmd_run_workload(args: argparse.Namespace) -> int:
 
     try:
         fn = get_workload(args.workload)
+        params = _parse_workload_params(args.param)
     except ConfigurationError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    params = _parse_workload_params(args.param)
     if args.trace:
         if "trace" not in inspect.signature(fn).parameters:
             print(

@@ -1,16 +1,16 @@
 """The adversary plane: one declarative object naming a run's adversary.
 
-Before this module, "node 3 is faulty" could be said three incompatible
-ways — a hand-built :class:`~repro.sim.node.Protocol` replacement dict,
-a scenario factory closure over key material, or the agreement-based
-key-distribution ``byzantine=`` pair spec — none of which could be
-combined with a delivery power or checked against the paper's fault
-budget.  An :class:`AdversarySpec` subsumes all three:
+An :class:`AdversarySpec` is the one vocabulary for "node 3 is faulty":
+every protocol-run entry point — the scenario runners, amortized
+sessions, the attack catalogue, agreement-based key distribution —
+takes it as ``adversary=`` and has no other corruption knob (only the
+key-distribution phase's ``kd_adversaries``, a different run, stays
+outside the plane).  One object names:
 
 * **who is corrupt** — ``corrupt`` pairs each node id with a
   :class:`Behavior` (or its spec string): ``silent``, ``crash@r`` /
   ``crash@r-s`` (crash-recovery), ``noise``, ``rush``, ``drop@p``,
-  ``tamper@p``, ``ack-lie``, ``equivocate``, ``scripted`` — subsuming
+  ``tamper@p``, ``ack-lie``, ``equivocate``, ``scripted`` — built from
   the generic wrappers of :mod:`repro.faults.behaviors` (the grammar
   is the :data:`BEHAVIOR_GRAMMAR` parse table);
 * **adaptive corruption** — ``strategy`` names a registered
@@ -18,8 +18,10 @@ budget.  An :class:`AdversarySpec` subsumes all three:
   the run online and commits corruptions lazily, budget-checked at
   commitment time by the :class:`AdaptiveCoordinator`;
 * **custom corruption** — ``overrides`` pairs node ids with ready
-  :class:`~repro.sim.node.Protocol` instances, the escape hatch the
-  attack scenarios (which need key material) re-layer through;
+  :class:`~repro.sim.node.Protocol` instances, the escape hatch for
+  behaviours that need key material (the attack scenarios hand the
+  runners a deferred ``(keypairs, directories) -> AdversarySpec``
+  factory that fills them in once authentication has run);
 * **which delivery power the run grants** — ``delivery`` carries a
   :func:`repro.sim.make_delivery` spec string, so one object names the
   whole adversary: corruptions *and* scheduling/network power;

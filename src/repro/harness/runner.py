@@ -5,11 +5,19 @@ layers in the order the paper prescribes: establish authentication (local
 key distribution or global trusted dealer), then run a Failure Discovery
 or agreement protocol on the resulting key material, then evaluate the
 F1-F3 / BA conditions.
+
+There is one copy of that pipeline, :func:`_run_scenario`; the public
+runners and :meth:`repro.harness.session.AmortizedSession.run` differ
+only in the protocol table they name and in whether the key material
+already exists.  ``adversary=`` is the only way to corrupt the protocol
+run (``kd_adversaries`` corrupts the key-distribution phase, a different
+run the adversary plane does not cover).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 from ..agreement import (
@@ -27,7 +35,7 @@ from ..auth import (
 from ..crypto import DEFAULT_SCHEME
 from ..crypto.keys import KeyPair
 from ..errors import ConfigurationError
-from ..faults.adversary import AdaptiveCoordinator, AdversarySpec, make_adversary
+from ..faults.adversary import AdaptiveCoordinator, make_adversary
 from ..fd import (
     FDEvaluation,
     evaluate_fd,
@@ -42,12 +50,10 @@ from ..sim import (
     EventKernel,
     KernelSnapshot,
     Protocol,
-    Runner,
     RunResult,
     capture_kernel,
     make_delivery,
     retune_protocols,
-    run_protocols,
 )
 from ..types import NodeId
 
@@ -55,16 +61,37 @@ from ..types import NodeId
 LOCAL = "local"
 GLOBAL = "global"
 
-# Given the authentication outputs, build the faulty nodes' behaviours.
-AdversaryFactory = Callable[
-    [dict[NodeId, KeyPair], dict[NodeId, KeyDirectory]], dict[NodeId, Protocol]
-]
-
-#: The ``adversary=`` parameter of the scenario runners: a spec string, a
-#: ready :class:`~repro.faults.AdversarySpec`, or a deferred factory
+#: The ``adversary=`` parameter of every scenario entry: a spec string, a
+#: ``{node: behaviour}`` mapping, a ready
+#: :class:`~repro.faults.AdversarySpec`, or a deferred factory
 #: ``(keypairs, directories) -> AdversarySpec`` for corruption that needs
 #: key material (the attack scenarios).
 AdversaryInput = Any
+
+
+#: FD protocol name -> ``(n, t, value, keypairs, directories,
+#: adversaries=, **protocol_params)`` factory.
+FD_PROTOCOLS: dict[str, Callable[..., list[Protocol]]] = {
+    "chain": make_chain_fd_protocols,
+    # The non-authenticated baseline consumes no key material.
+    "echo": lambda n, t, value, keypairs, directories, **params: (
+        make_echo_fd_protocols(n, t, value, **params)
+    ),
+    "timeout": make_timeout_fd_protocols,
+    "adaptive": make_adaptive_fd_protocols,
+    "smallrange": make_small_range_protocols,
+    "smallrange-optimistic": partial(make_small_range_protocols, optimistic=True),
+}
+
+#: BA protocol name -> factory, same shape as :data:`FD_PROTOCOLS`.
+BA_PROTOCOLS: dict[str, Callable[..., list[Protocol]]] = {
+    "extension": make_extended_protocols,
+    "signed": make_signed_agreement_protocols,
+}
+
+#: Scenario kind -> (protocol table, evaluator of the run's conditions).
+FD, BA = "fd", "ba"
+_KINDS = {FD: (FD_PROTOCOLS, evaluate_fd), BA: (BA_PROTOCOLS, evaluate_ba)}
 
 
 @dataclass
@@ -124,115 +151,180 @@ def setup_authentication(
     raise ConfigurationError(f"unknown auth mode {auth!r}")
 
 
-def _resolve_adversary(
-    adversary: "str | AdversarySpec | None",
-    t: int,
-    legacy_adversaries: set[NodeId],
+def _resume(
+    snapshot: KernelSnapshot,
+    given: dict[str, Any],
     delivery: "str | DeliveryModel | None",
-) -> tuple[AdversarySpec | None, "str | DeliveryModel | None"]:
-    """Fold the adversary plane into a scenario's legacy knobs.
+    retunes: dict[str, Any] | None,
+) -> tuple[EventKernel, set[NodeId], KeyDistributionResult | None]:
+    """Rebuild the kernel of a prefix snapshot for the caller's scenario.
 
-    One resolution rule for both scenario runners: parse the spec
-    (budget enforced against ``t``), refuse corruption collisions with
-    the legacy factory path *of the same protocol run* (kd-phase
-    adversaries may legitimately corrupt the same nodes again — that is
-    a different run), and let the spec's delivery power apply when the
-    caller named none.
+    Validates the snapshot's fingerprint against ``given`` (mismatched
+    forks fail fast instead of silently evaluating the wrong run) and
+    retunes ``retunes`` onto the resumed protocols (the warm-started
+    sweep axis).  Returns the kernel with the evaluation inputs the
+    prefix recorded: its faulty set and key-distribution result.
     """
-    spec = make_adversary(adversary, t=t)
-    if spec is None:
-        return None, delivery
-    collisions = legacy_adversaries & spec.faulty
-    if collisions:
+    scenario = snapshot.extras.get("scenario")
+    if not isinstance(scenario, dict) or scenario.get("kind") != given["kind"]:
         raise ConfigurationError(
-            f"nodes {sorted(collisions)} are corrupted by both the adversary "
-            "spec and a legacy adversary factory — name each corruption once"
+            f"snapshot does not carry an {given['kind'].upper()} scenario "
+            "fingerprint — resume_from expects a snapshot made by the same "
+            "scenario runner with checkpoint_at=T"
         )
-    if delivery is None and spec.delivery is not None:
-        delivery = spec.delivery
-    return spec, delivery
+    if isinstance(delivery, str) and isinstance(scenario.get("delivery"), str):
+        # The delivery model is part of the shared prefix, not a fork axis.
+        given = {**given, "delivery": delivery}
+    for name, value in given.items():
+        if scenario.get(name) != value:
+            raise ConfigurationError(
+                f"resume mismatch: snapshot was taken with "
+                f"{name}={scenario.get(name)!r}, this call passes {value!r}"
+            )
+    kernel = EventKernel.resume(snapshot)
+    if retunes:
+        retune_protocols(kernel.protocols, **retunes)
+    return kernel, set(scenario["faulty"]), snapshot.extras.get("kd")
 
 
-def _find_coordinator(protocols: list[Protocol]) -> AdaptiveCoordinator | None:
-    """The adaptive coordinator shared by a run's wrapper protocols, if
-    any — recovered from a resumed kernel's protocol list (the
-    single-pickle snapshot preserves the sharing, so the first wrapper's
-    coordinator *is* every wrapper's coordinator)."""
-    for protocol in protocols:
+def _outcome(
+    kernel: EventKernel, run: RunResult, kind: str, value: Any,
+    faulty: set[NodeId], kd: KeyDistributionResult | None,
+) -> ScenarioOutcome:
+    """Judge a finished run: the one evaluation every entry shares.
+
+    The adaptive coordinator is recovered from the kernel's protocols
+    (a resumed kernel has no other handle on it; the single-pickle
+    snapshot preserves the sharing, so the first wrapper's coordinator
+    *is* every wrapper's).  Its corruptions exist only now the run has
+    happened, so the correct set is recomputed from them before the
+    conditions are judged.
+    """
+    committed: tuple[tuple[NodeId, str], ...] = ()
+    for protocol in kernel.protocols:
         coordinator = getattr(protocol, "_coordinator", None)
         if isinstance(coordinator, AdaptiveCoordinator):
-            return coordinator
-    return None
+            committed = tuple(
+                (node, behavior.spec())
+                for node, behavior in sorted(coordinator.committed.items())
+            )
+            break
+    correct = set(range(kernel.n)) - faulty - {node for node, _ in committed}
+    _, evaluate = _KINDS[kind]
+    verdict = evaluate(run, correct, sender=0, sender_value=value)
+    fd, ba = (verdict, None) if kind == FD else (None, verdict)
+    return ScenarioOutcome(
+        kd=kd, run=run, fd=fd, ba=ba, correct=correct, committed=committed
+    )
 
 
-def _resume_fd_scenario(
-    snapshot: KernelSnapshot,
-    *,
+def _run_scenario(
+    kind: str,
     n: int,
     t: int,
     value: Any,
     protocol: str,
-    seed: int | str,
-    delivery: "str | DeliveryModel | None",
-    protocol_params: dict[str, Any] | None,
-) -> ScenarioOutcome:
-    """Finish an FD scenario from a prefix snapshot and evaluate it.
+    *,
+    auth: str = GLOBAL,
+    scheme: str = DEFAULT_SCHEME,
+    seed: int | str = 0,
+    kd_adversaries: dict[NodeId, Protocol] | None = None,
+    keys: tuple | None = None,
+    faulty: set[NodeId] | None = None,
+    delivery: str | DeliveryModel | None = None,
+    adversary: AdversaryInput = None,
+    record_trace: bool = False,
+    protocol_params: dict[str, Any] | None = None,
+    checkpoint_at: int | None = None,
+    resume_from: KernelSnapshot | None = None,
+) -> "ScenarioOutcome | KernelSnapshot":
+    """The scenario pipeline: keys, adversary, protocols, kernel, verdict.
 
-    The suffix half of :func:`run_fd_scenario`'s ``resume_from`` mode:
-    validates the snapshot against the caller's scenario parameters
-    (mismatched forks fail fast instead of silently evaluating the
-    wrong run), retunes any ``protocol_params`` onto the resumed
-    protocols (the warm-started sweep axis), runs to completion, and
-    evaluates exactly as the straight path would.
+    :param kind: :data:`FD` or :data:`BA` — which protocol table and
+        evaluator apply.
+    :param keys: a :func:`setup_authentication` result established
+        earlier (an amortized session); ``None`` establishes it now.
+
+    Every other parameter is documented on :func:`run_fd_scenario`.
     """
-    scenario = snapshot.extras.get("scenario")
-    if not isinstance(scenario, dict) or scenario.get("kind") != "fd":
-        raise ConfigurationError(
-            "snapshot does not carry an FD scenario fingerprint — "
-            "resume_from expects a snapshot made by run_fd_scenario(..., "
-            "checkpoint_at=T)"
-        )
-    for name, given in (
-        ("n", n), ("t", t), ("protocol", protocol), ("seed", seed)
-    ):
-        if scenario.get(name) != given:
+    factories, _ = _KINDS[kind]
+    if protocol not in factories:
+        raise ConfigurationError(f"unknown {kind.upper()} protocol {protocol!r}")
+    given = {"kind": kind, "n": n, "t": t, "protocol": protocol, "seed": seed}
+    if resume_from is not None:
+        if checkpoint_at is not None:
             raise ConfigurationError(
-                f"resume mismatch: snapshot was taken with "
-                f"{name}={scenario.get(name)!r}, this call passes {given!r}"
+                "checkpoint_at and resume_from are mutually exclusive: a "
+                "call either captures a prefix or finishes one"
             )
-    recorded = scenario.get("delivery")
-    if (
-        isinstance(delivery, str)
-        and isinstance(recorded, str)
-        and delivery != recorded
+        kernel, faulty, kd = _resume(resume_from, given, delivery, protocol_params)
+        return _outcome(kernel, kernel.run(), kind, value, faulty, kd)
+
+    if keys is not None:
+        keypairs, directories, kd = keys
+    elif (
+        protocol == "echo"
+        and auth == GLOBAL
+        and not kd_adversaries
+        and not callable(adversary)
     ):
+        # The echo baseline is non-authenticated: no protocol or
+        # declarative adversary consumes key material, and a global
+        # dealer contributes neither messages nor rounds — skip its
+        # (expensive) key generation.
+        keypairs, directories, kd = {}, {}, None
+    else:
+        keypairs, directories, kd = setup_authentication(
+            n, auth=auth, scheme=scheme, seed=seed, kd_adversaries=kd_adversaries
+        )
+    if callable(adversary):
+        # Deferred spec: corruption that needs key material (the attack
+        # scenarios) supplies a factory resolved once authentication ran.
+        adversary = adversary(keypairs, directories)
+    spec = make_adversary(adversary, t=t)  # the <= t budget is enforced here
+    faulty = set(kd_adversaries or ()) if faulty is None else set(faulty)
+    overrides: dict[NodeId, Protocol] = {}
+    if spec is not None:
+        faulty |= spec.faulty
+        # Overrides may corrupt nodes whose key material never existed
+        # (kd-phase casualties), so they enter through the factories'
+        # skip path; declarative behaviours wrap the honest protocol
+        # after construction.
+        overrides = dict(spec.overrides)
+        if delivery is None:
+            delivery = spec.delivery
+    protocols = factories[protocol](
+        n, t, value, keypairs, directories,
+        adversaries=overrides, **(protocol_params or {}),
+    )
+    if spec is not None:
+        protocols, _ = spec.adaptive_protocols_for(protocols)
+    kernel = EventKernel(
+        protocols,
+        seed=seed,
+        delivery=make_delivery(delivery, rushing=faulty),
+        record_trace=record_trace,
+    )
+    if checkpoint_at is None:
+        return _outcome(kernel, kernel.run(), kind, value, faulty, kd)
+    finished = kernel.run(until_tick=checkpoint_at)
+    if finished is not None:
         raise ConfigurationError(
-            f"resume mismatch: snapshot was taken under delivery "
-            f"{recorded!r}, this call passes {delivery!r} — the delivery "
-            "model is part of the shared prefix, not a fork axis"
+            f"run completed after {finished.rounds_executed} ticks, "
+            f"before the checkpoint tick {checkpoint_at} — a prefix "
+            "snapshot must precede completion"
         )
-    kernel = EventKernel.resume(snapshot)
-    if protocol_params:
-        retune_protocols(kernel.protocols, **protocol_params)
-    run = kernel.run()
-    faulty = set(scenario["faulty"])
-    committed: tuple[tuple[NodeId, str], ...] = ()
-    coordinator = _find_coordinator(kernel.protocols)
-    if coordinator is not None and coordinator.committed:
-        committed = tuple(
-            (node, behavior.spec())
-            for node, behavior in sorted(coordinator.committed.items())
-        )
-        faulty |= coordinator.committed_nodes
-    correct = set(range(n)) - faulty
-    fd_eval = evaluate_fd(run, correct, sender=0, sender_value=value)
-    return ScenarioOutcome(
-        kd=snapshot.extras.get("kd"),
-        run=run,
-        fd=fd_eval,
-        ba=None,
-        correct=correct,
-        committed=committed,
+    return capture_kernel(
+        kernel,
+        extras={
+            "scenario": {
+                **given,
+                "delivery": delivery if isinstance(delivery, str) else None,
+                "adversary": spec.spec() if spec is not None else None,
+                "faulty": sorted(faulty),
+            },
+            "kd": kd,
+        },
     )
 
 
@@ -245,7 +337,6 @@ def run_fd_scenario(
     scheme: str = DEFAULT_SCHEME,
     seed: int | str = 0,
     kd_adversaries: dict[NodeId, Protocol] | None = None,
-    fd_adversary_factory: AdversaryFactory | None = None,
     faulty: set[NodeId] | None = None,
     delivery: str | DeliveryModel | None = None,
     adversary: AdversaryInput = None,
@@ -256,30 +347,30 @@ def run_fd_scenario(
 ) -> "ScenarioOutcome | KernelSnapshot":
     """Run one Failure Discovery scenario end to end.
 
-    :param protocol: ``"chain"`` (paper Fig. 2), ``"echo"`` (non-auth
-        baseline), ``"smallrange"`` / ``"smallrange-optimistic"`` (binary
-        variants), ``"timeout"`` (heartbeat/timeout FD for the weak
-        delivery models, :mod:`repro.fd.timeout`), ``"adaptive"``
-        (adaptive-timeout FD with measured deadlines,
-        :mod:`repro.fd.adaptive`).
-    :param kd_adversaries: Byzantine behaviours during key distribution.
-    :param fd_adversary_factory: builds the FD-phase Byzantine behaviours
-        once key material exists (legacy path; kept as a facade over the
-        adversary plane).
-    :param faulty: the faulty-node set for evaluation; inferred from the
-        adversary collections when omitted.
+    :param protocol: a :data:`FD_PROTOCOLS` name — ``"chain"`` (paper
+        Fig. 2), ``"echo"`` (non-auth baseline), ``"smallrange"`` /
+        ``"smallrange-optimistic"`` (binary variants), ``"timeout"``
+        (heartbeat/timeout FD for the weak delivery models,
+        :mod:`repro.fd.timeout`), ``"adaptive"`` (adaptive-timeout FD
+        with measured deadlines, :mod:`repro.fd.adaptive`).
+    :param kd_adversaries: Byzantine behaviours during key distribution
+        (a separate lock-step run; the FD run's own corruption is
+        ``adversary``).
+    :param faulty: the faulty-node set for evaluation (default: the
+        key-distribution adversaries); the ``adversary`` spec's nodes
+        are always added.
     :param delivery: delivery model for the FD run — an instance or a
         spec string (see :func:`repro.sim.make_delivery`); a ``"rush"``
         spec without an explicit node list rushes the faulty set.  The
         key-distribution phase always runs lock-step (it establishes the
         baseline the paper assumes); only the FD phase is skewed.
-    :param adversary: the declarative adversary plane —
-        an :class:`~repro.faults.AdversarySpec`, its spec string (see
-        :func:`repro.faults.make_adversary`), or a deferred factory
-        ``(keypairs, directories) -> AdversarySpec`` for corruption that
-        needs key material.  Budget-checked against ``t``; its
-        corruptions are installed over the honest protocols and its
-        delivery power applies when ``delivery`` is unset.
+    :param adversary: the FD run's adversary, the only way to corrupt
+        it — an :class:`~repro.faults.AdversarySpec`, its spec string or
+        mapping (see :func:`repro.faults.make_adversary`), or a deferred
+        factory ``(keypairs, directories) -> AdversarySpec`` for
+        corruption that needs key material.  Budget-checked against
+        ``t``; its corruptions are installed over the honest protocols
+        and its delivery power applies when ``delivery`` is unset.
     :param record_trace: capture the FD run's structured event log.
     :param protocol_params: extra keyword arguments for the protocol
         factory (e.g. ``timeout`` / ``retransmit_every`` for
@@ -297,143 +388,12 @@ def run_fd_scenario(
         must match the snapshot's fingerprint, and ``protocol_params``
         become the fork's retunes.
     """
-    if resume_from is not None:
-        if checkpoint_at is not None:
-            raise ConfigurationError(
-                "checkpoint_at and resume_from are mutually exclusive: a "
-                "call either captures a prefix or finishes one"
-            )
-        return _resume_fd_scenario(
-            resume_from,
-            n=n,
-            t=t,
-            value=value,
-            protocol=protocol,
-            seed=seed,
-            delivery=delivery,
-            protocol_params=protocol_params,
-        )
-    if (
-        protocol == "echo"
-        and auth == GLOBAL
-        and fd_adversary_factory is None
-        and not kd_adversaries
-    ):
-        # The echo baseline is non-authenticated: no protocol or adversary
-        # consumes key material, and a global dealer contributes neither
-        # messages nor rounds — skip its (expensive) key generation.
-        keypairs, directories, kd = {}, {}, None
-    else:
-        keypairs, directories, kd = setup_authentication(
-            n, auth=auth, scheme=scheme, seed=seed, kd_adversaries=kd_adversaries
-        )
-    fd_adversaries = (
-        fd_adversary_factory(keypairs, directories)
-        if fd_adversary_factory is not None
-        else {}
-    )
-    if callable(adversary) and not isinstance(adversary, (str, AdversarySpec)):
-        # Deferred spec: corruption that needs key material (the attack
-        # scenarios) supplies a factory resolved once authentication ran.
-        adversary = adversary(keypairs, directories)
-    spec, delivery = _resolve_adversary(
-        adversary, t, set(fd_adversaries), delivery
-    )
-    if faulty is None:
-        faulty = set(kd_adversaries or {}) | set(fd_adversaries)
-    if spec is not None:
-        faulty = set(faulty) | spec.faulty
-        # Overrides may corrupt nodes whose key material never existed
-        # (kd-phase casualties), so they enter through the factories'
-        # skip path; declarative behaviours wrap the honest protocol
-        # after construction.
-        fd_adversaries = {**fd_adversaries, **dict(spec.overrides)}
-    correct = set(range(n)) - faulty
-    params = protocol_params or {}
-
-    if protocol == "chain":
-        protocols = make_chain_fd_protocols(
-            n, t, value, keypairs, directories, adversaries=fd_adversaries, **params
-        )
-    elif protocol == "echo":
-        protocols = make_echo_fd_protocols(
-            n, t, value, adversaries=fd_adversaries, **params
-        )
-    elif protocol == "timeout":
-        protocols = make_timeout_fd_protocols(
-            n, t, value, keypairs, directories, adversaries=fd_adversaries, **params
-        )
-    elif protocol == "adaptive":
-        protocols = make_adaptive_fd_protocols(
-            n, t, value, keypairs, directories, adversaries=fd_adversaries, **params
-        )
-    elif protocol in ("smallrange", "smallrange-optimistic"):
-        protocols = make_small_range_protocols(
-            n,
-            t,
-            value,
-            keypairs,
-            directories,
-            adversaries=fd_adversaries,
-            optimistic=protocol.endswith("optimistic"),
-            **params,
-        )
-    else:
-        raise ConfigurationError(f"unknown FD protocol {protocol!r}")
-    coordinator = None
-    if spec is not None and (spec.corrupt or spec.strategy is not None):
-        protocols, coordinator = spec.adaptive_protocols_for(protocols)
-
-    if checkpoint_at is not None:
-        runner = Runner(
-            protocols,
-            seed=seed,
-            delivery=make_delivery(delivery, rushing=faulty),
-            record_trace=record_trace,
-        )
-        partial = runner.run(until_tick=checkpoint_at)
-        if partial is not None:
-            raise ConfigurationError(
-                f"run completed after {partial.rounds_executed} ticks, "
-                f"before the checkpoint tick {checkpoint_at} — a prefix "
-                "snapshot must precede completion"
-            )
-        return capture_kernel(
-            runner,
-            extras={
-                "scenario": {
-                    "kind": "fd",
-                    "n": n,
-                    "t": t,
-                    "protocol": protocol,
-                    "seed": seed,
-                    "delivery": delivery if isinstance(delivery, str) else None,
-                    "adversary": spec.spec() if spec is not None else None,
-                    "faulty": sorted(faulty),
-                },
-                "kd": kd,
-            },
-        )
-
-    run = run_protocols(
-        protocols,
-        seed=seed,
-        delivery=make_delivery(delivery, rushing=faulty),
-        record_trace=record_trace,
-    )
-    committed: tuple[tuple[NodeId, str], ...] = ()
-    if coordinator is not None and coordinator.committed:
-        # Adaptive corruptions exist only now the run has happened —
-        # recompute the evaluation sets before judging F1-F3.
-        committed = tuple(
-            (node, behavior.spec())
-            for node, behavior in sorted(coordinator.committed.items())
-        )
-        faulty = set(faulty) | coordinator.committed_nodes
-        correct = set(range(n)) - faulty
-    fd_eval = evaluate_fd(run, correct, sender=0, sender_value=value)
-    return ScenarioOutcome(
-        kd=kd, run=run, fd=fd_eval, ba=None, correct=correct, committed=committed
+    return _run_scenario(
+        FD, n, t, value, protocol, auth=auth, scheme=scheme, seed=seed,
+        kd_adversaries=kd_adversaries, faulty=faulty, delivery=delivery,
+        adversary=adversary, record_trace=record_trace,
+        protocol_params=protocol_params, checkpoint_at=checkpoint_at,
+        resume_from=resume_from,
     )
 
 
@@ -446,7 +406,6 @@ def run_ba_scenario(
     scheme: str = DEFAULT_SCHEME,
     seed: int | str = 0,
     kd_adversaries: dict[NodeId, Protocol] | None = None,
-    ba_adversary_factory: AdversaryFactory | None = None,
     faulty: set[NodeId] | None = None,
     delivery: str | DeliveryModel | None = None,
     adversary: AdversaryInput = None,
@@ -454,63 +413,17 @@ def run_ba_scenario(
 ) -> ScenarioOutcome:
     """Run one Byzantine Agreement scenario end to end.
 
-    :param protocol: ``"extension"`` (FD→BA) or ``"signed"`` (SM(t)).
+    :param protocol: a :data:`BA_PROTOCOLS` name — ``"extension"``
+        (FD→BA) or ``"signed"`` (SM(t)).
     :param delivery: delivery model for the BA run (instance or spec
         string; ``"rush"`` without node list rushes the faulty set).
-    :param adversary: declarative adversary plane spec (string or
-        :class:`~repro.faults.AdversarySpec`), budget-checked against
-        ``t`` — see :func:`run_fd_scenario`.
+    :param adversary: the BA run's adversary (spec, string, mapping or
+        deferred factory), budget-checked against ``t`` — see
+        :func:`run_fd_scenario`.
     :param record_trace: capture the BA run's structured event log.
     """
-    keypairs, directories, kd = setup_authentication(
-        n, auth=auth, scheme=scheme, seed=seed, kd_adversaries=kd_adversaries
-    )
-    ba_adversaries = (
-        ba_adversary_factory(keypairs, directories)
-        if ba_adversary_factory is not None
-        else {}
-    )
-    if callable(adversary) and not isinstance(adversary, (str, AdversarySpec)):
-        adversary = adversary(keypairs, directories)
-    spec, delivery = _resolve_adversary(
-        adversary, t, set(ba_adversaries), delivery
-    )
-    if faulty is None:
-        faulty = set(kd_adversaries or {}) | set(ba_adversaries)
-    if spec is not None:
-        faulty = set(faulty) | spec.faulty
-        ba_adversaries = {**ba_adversaries, **dict(spec.overrides)}
-    correct = set(range(n)) - faulty
-
-    if protocol == "extension":
-        protocols = make_extended_protocols(
-            n, t, value, keypairs, directories, adversaries=ba_adversaries
-        )
-    elif protocol == "signed":
-        protocols = make_signed_agreement_protocols(
-            n, t, value, keypairs, directories, adversaries=ba_adversaries
-        )
-    else:
-        raise ConfigurationError(f"unknown BA protocol {protocol!r}")
-    coordinator = None
-    if spec is not None and (spec.corrupt or spec.strategy is not None):
-        protocols, coordinator = spec.adaptive_protocols_for(protocols)
-
-    run = run_protocols(
-        protocols,
-        seed=seed,
-        delivery=make_delivery(delivery, rushing=faulty),
-        record_trace=record_trace,
-    )
-    committed: tuple[tuple[NodeId, str], ...] = ()
-    if coordinator is not None and coordinator.committed:
-        committed = tuple(
-            (node, behavior.spec())
-            for node, behavior in sorted(coordinator.committed.items())
-        )
-        faulty = set(faulty) | coordinator.committed_nodes
-        correct = set(range(n)) - faulty
-    ba_eval = evaluate_ba(run, correct, sender=0, sender_value=value)
-    return ScenarioOutcome(
-        kd=kd, run=run, fd=None, ba=ba_eval, correct=correct, committed=committed
+    return _run_scenario(
+        BA, n, t, value, protocol, auth=auth, scheme=scheme, seed=seed,
+        kd_adversaries=kd_adversaries, faulty=faulty, delivery=delivery,
+        adversary=adversary, record_trace=record_trace,
     )

@@ -5,19 +5,15 @@ during key distribution and/or the FD run, and what the paper's theorems
 predict about the outcome.  The E6 benchmark and the integration tests
 iterate this catalogue.
 
-Scenarios are re-layered onto the adversary plane
-(:mod:`repro.faults.adversary`): :meth:`AttackScenario.adversary` turns
-a scenario's FD-phase corruption into a deferred
-:class:`~repro.faults.AdversarySpec` factory the scenario runners
-consume — one corruption vocabulary for the whole library, with the
-``≤ t`` budget enforced when the spec is built.  The raw
-``fd_adversary_factory`` field remains the thin facade the existing
-call sites keep using.
+A scenario's FD-phase corruption is its ``adversary`` field: a deferred
+:class:`~repro.faults.AdversarySpec` factory the scenario runners accept
+as ``adversary=`` — one corruption vocabulary for the whole library,
+with the ``≤ t`` budget enforced when the spec is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..auth.directory import KeyDirectory
@@ -38,17 +34,20 @@ from ..sim import Protocol
 from ..types import NodeId
 
 
-def _no_fd_adversaries(n, t, keypairs, directories):
-    """Default FD-phase adversary factory: no replacements."""
-    return {}
-
-
 @dataclass
 class AttackScenario:
     """A named Byzantine scenario against key distribution + chain FD.
 
     :ivar name: stable identifier used in reports.
     :ivar faulty: the Byzantine node set.
+    :ivar kd_adversaries: builds the key-distribution phase's Byzantine
+        behaviours (fresh per run).
+    :ivar adversary: the FD-phase corruption — the ``(keypairs,
+        directories) -> AdversarySpec`` factory the scenario runners
+        accept as ``adversary=``.  The key-material-dependent behaviours
+        ride in the spec's ``overrides``, and building the spec enforces
+        the ``≤ t`` corruption budget: a scenario cannot claim a
+        resilience its faulty set exceeds.
     :ivar expects_discovery: whether, per the paper's theorems, at least
         one correct node must discover a failure in the FD run (scenarios
         that merely corrupt the *directories* without touching the FD run
@@ -60,36 +59,11 @@ class AttackScenario:
     name: str
     faulty: set[NodeId]
     kd_adversaries: Callable[[], dict[NodeId, Protocol]]
-    fd_adversary_factory: Callable[
-        [int, int, dict[NodeId, KeyPair], dict[NodeId, KeyDirectory]],
-        dict[NodeId, Protocol],
-    ] = field(default=_no_fd_adversaries)
+    adversary: Callable[
+        [dict[NodeId, KeyPair], dict[NodeId, KeyDirectory]], AdversarySpec
+    ]
     expects_discovery: bool = True
     description: str = ""
-
-    def adversary(
-        self, n: int, t: int
-    ) -> Callable[
-        [dict[NodeId, KeyPair], dict[NodeId, KeyDirectory]], AdversarySpec
-    ]:
-        """The FD-phase corruption as a deferred adversary-plane spec.
-
-        Returns the ``(keypairs, directories) -> AdversarySpec`` factory
-        the scenario runners accept as ``adversary=``: the scenario's
-        key-material-dependent behaviours ride in the spec's
-        ``overrides``, and building the spec enforces the ``≤ t``
-        corruption budget — a scenario can no longer claim a resilience
-        its faulty set exceeds.
-        """
-
-        def build(
-            keypairs: dict[NodeId, KeyPair],
-            directories: dict[NodeId, KeyDirectory],
-        ) -> AdversarySpec:
-            overrides = self.fd_adversary_factory(n, t, keypairs, directories)
-            return AdversarySpec(overrides=tuple(overrides.items()), t=t)
-
-        return build
 
 
 def _shared_key_chain_scenario(n: int, t: int) -> AttackScenario:
@@ -107,18 +81,18 @@ def _shared_key_chain_scenario(n: int, t: int) -> AttackScenario:
             b: SharedKeyAttack(coordination, "shared"),
         }
 
-    def fd(n_, t_, keypairs, directories) -> dict[NodeId, Protocol]:
+    def fd(keypairs, directories) -> AdversarySpec:
         shared = coordination.known_keypairs()["shared"]
-        return {
-            a: ImpersonatingChainNode(n_, t_, shared),
-            b: SilentProtocol(),
-        }
+        return AdversarySpec(
+            overrides={a: ImpersonatingChainNode(n, t, shared), b: SilentProtocol()},
+            t=t,
+        )
 
     return AttackScenario(
         name="shared-key-chain",
         faulty={a, b},
         kd_adversaries=kd,
-        fd_adversary_factory=fd,
+        adversary=fd,
         # Key sharing is the benign case of the paper's G3 discussion:
         # "still all correct recipients of the signed message assign it to
         # the same node" — every correct node makes the same
@@ -147,18 +121,18 @@ def _cross_claim_scenario(n: int, t: int) -> AttackScenario:
             b: CrossClaimAttack(coordination, group_one, "y", "x"),
         }
 
-    def fd(n_, t_, keypairs, directories) -> dict[NodeId, Protocol]:
+    def fd(keypairs, directories) -> AdversarySpec:
         key_x = coordination.known_keypairs()["x"]
-        return {
-            a: ImpersonatingChainNode(n_, t_, key_x),
-            b: SilentProtocol(),
-        }
+        return AdversarySpec(
+            overrides={a: ImpersonatingChainNode(n, t, key_x), b: SilentProtocol()},
+            t=t,
+        )
 
     return AttackScenario(
         name="cross-claim-chain",
         faulty={a, b},
         kd_adversaries=kd,
-        fd_adversary_factory=fd,
+        adversary=fd,
         expects_discovery=True,
         description=(
             "cooperating faulty nodes distribute predicates in a mixed "
@@ -179,15 +153,17 @@ def _mixed_predicate_scenario(n: int, t: int) -> AttackScenario:
     def kd() -> dict[NodeId, Protocol]:
         return {a: MixedPredicateAttack(coordination, group_one, "p", "q")}
 
-    def fd(n_, t_, keypairs, directories) -> dict[NodeId, Protocol]:
+    def fd(keypairs, directories) -> AdversarySpec:
         key_p = coordination.known_keypairs()["p"]
-        return {a: ImpersonatingChainNode(n_, t_, key_p)}
+        return AdversarySpec(
+            overrides={a: ImpersonatingChainNode(n, t, key_p)}, t=t
+        )
 
     return AttackScenario(
         name="mixed-predicate-chain",
         faulty={a},
         kd_adversaries=kd,
-        fd_adversary_factory=fd,
+        adversary=fd,
         expects_discovery=True,
         description=(
             "faulty node distributes different test predicates to correct "
@@ -197,46 +173,47 @@ def _mixed_predicate_scenario(n: int, t: int) -> AttackScenario:
 
 
 def _withholding_scenario(n: int, t: int) -> AttackScenario:
-    def fd(n_, t_, keypairs, directories) -> dict[NodeId, Protocol]:
-        return {
-            1: withholding_chain_node(
-                n_, t_, keypairs[1], directories[1], withhold_from={2}
-            )
-        }
+    def fd(keypairs, directories) -> AdversarySpec:
+        node = withholding_chain_node(
+            n, t, keypairs[1], directories[1], withhold_from={2}
+        )
+        return AdversarySpec(overrides={1: node}, t=t)
 
     return AttackScenario(
         name="withholding-chain-node",
         faulty={1},
         kd_adversaries=dict,
-        fd_adversary_factory=fd,
+        adversary=fd,
         expects_discovery=True,
         description="chain node drops the chain message to its successor",
     )
 
 
 def _garbling_scenario(n: int, t: int) -> AttackScenario:
-    def fd(n_, t_, keypairs, directories) -> dict[NodeId, Protocol]:
-        return {1: garbling_chain_node(n_, t_, keypairs[1], directories[1])}
+    def fd(keypairs, directories) -> AdversarySpec:
+        node = garbling_chain_node(n, t, keypairs[1], directories[1])
+        return AdversarySpec(overrides={1: node}, t=t)
 
     return AttackScenario(
         name="garbling-chain-node",
         faulty={1},
         kd_adversaries=dict,
-        fd_adversary_factory=fd,
+        adversary=fd,
         expects_discovery=True,
         description="chain node forwards the chain with a corrupted signature",
     )
 
 
 def _fabricating_scenario(n: int, t: int) -> AttackScenario:
-    def fd(n_, t_, keypairs, directories) -> dict[NodeId, Protocol]:
-        return {1: FabricatingChainNode(n_, t_, keypairs[1], "forged-value")}
+    def fd(keypairs, directories) -> AdversarySpec:
+        node = FabricatingChainNode(n, t, keypairs[1], "forged-value")
+        return AdversarySpec(overrides={1: node}, t=t)
 
     return AttackScenario(
         name="fabricating-chain-node",
         faulty={1},
         kd_adversaries=dict,
-        fd_adversary_factory=fd,
+        adversary=fd,
         expects_discovery=True,
         description=(
             "chain node discards the chain and restarts it from its own "
@@ -246,14 +223,14 @@ def _fabricating_scenario(n: int, t: int) -> AttackScenario:
 
 
 def _crash_scenario(n: int, t: int) -> AttackScenario:
-    def fd(n_, t_, keypairs, directories) -> dict[NodeId, Protocol]:
-        return {1: SilentProtocol()}
+    def fd(keypairs, directories) -> AdversarySpec:
+        return AdversarySpec(overrides={1: SilentProtocol()}, t=t)
 
     return AttackScenario(
         name="crashed-chain-node",
         faulty={1},
         kd_adversaries=dict,
-        fd_adversary_factory=fd,
+        adversary=fd,
         expects_discovery=True,
         description="chain node crashed before the run",
     )

@@ -14,12 +14,16 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..analysis import fd_nonauth_messages
-from ..auth import run_key_distribution, trusted_dealer_setup
 from ..crypto import DEFAULT_SCHEME
-from ..fd import evaluate_fd, make_chain_fd_protocols
-from ..sim import Protocol, make_delivery, run_protocols
 from ..types import NodeId, validate_fault_budget
-from .runner import GLOBAL, LOCAL, AdversaryFactory, ScenarioOutcome
+from .runner import (
+    FD,
+    LOCAL,
+    AdversaryInput,
+    ScenarioOutcome,
+    _run_scenario,
+    setup_authentication,
+)
 
 
 @dataclass(frozen=True)
@@ -71,21 +75,9 @@ class AmortizedSession:
         #: (the key-distribution investment stays lock-step — it is the
         #: paper's baseline being amortized).
         self.delivery = delivery
-        if auth == LOCAL:
-            self._kd = run_key_distribution(n, scheme=scheme, seed=seed)
-            self.keypairs = self._kd.keypairs
-            self.directories = self._kd.directories
-            self.setup_messages = self._kd.messages
-        elif auth == GLOBAL:
-            self._kd = None
-            self.keypairs, self.directories = trusted_dealer_setup(
-                n, scheme=scheme, seed=seed
-            )
-            self.setup_messages = 0
-        else:
-            from ..errors import ConfigurationError
-
-            raise ConfigurationError(f"unknown auth mode {auth!r}")
+        self._keys = setup_authentication(n, auth=auth, scheme=scheme, seed=seed)
+        self.keypairs, self.directories, kd = self._keys
+        self.setup_messages = kd.messages if kd is not None else 0
         self._fd_messages = 0
         self.ledger: list[LedgerEntry] = []
 
@@ -93,26 +85,20 @@ class AmortizedSession:
         self,
         value: Any,
         seed: int | str = 0,
-        adversary_factory: AdversaryFactory | None = None,
+        adversary: AdversaryInput = None,
         faulty: set[NodeId] | None = None,
     ) -> ScenarioOutcome:
-        """Run one chain-FD instance over the session's key material."""
-        adversaries: dict[NodeId, Protocol] = (
-            adversary_factory(self.keypairs, self.directories)
-            if adversary_factory is not None
-            else {}
+        """Run one chain-FD instance over the session's key material.
+
+        The scenario pipeline of :func:`repro.harness.run_fd_scenario`
+        with authentication already paid for; ``adversary`` and
+        ``faulty`` mean what they mean there.
+        """
+        outcome = _run_scenario(
+            FD, self.n, self.t, value, "chain", keys=self._keys, seed=seed,
+            adversary=adversary, faulty=faulty, delivery=self.delivery,
         )
-        if faulty is None:
-            faulty = set(adversaries)
-        correct = set(range(self.n)) - faulty
-        protocols = make_chain_fd_protocols(
-            self.n, self.t, value, self.keypairs, self.directories,
-            adversaries=adversaries,
-        )
-        run = run_protocols(
-            protocols, seed=seed, delivery=make_delivery(self.delivery)
-        )
-        self._fd_messages += run.metrics.messages_total
+        self._fd_messages += outcome.run.metrics.messages_total
         self.ledger.append(
             LedgerEntry(
                 runs=len(self.ledger) + 1,
@@ -121,13 +107,7 @@ class AmortizedSession:
                 * fd_nonauth_messages(self.n, self.t),
             )
         )
-        return ScenarioOutcome(
-            kd=self._kd,
-            run=run,
-            fd=evaluate_fd(run, correct, sender=0, sender_value=value),
-            ba=None,
-            correct=correct,
-        )
+        return outcome
 
     def crossover_run(self) -> int | None:
         """The run index at which the session first beat the baseline."""

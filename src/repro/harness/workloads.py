@@ -20,6 +20,7 @@ never degrade to the serial fallback.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..agreement import make_oral_agreement_protocols
@@ -42,18 +43,26 @@ from .session import AmortizedSession
 #: measured quantities are scheme-independent; benchmark E10 verifies that).
 COUNT_SCHEME = "simulated-hmac"
 
-#: name -> point function.  Populated by :func:`workload`.
-WORKLOADS: dict[str, Callable[..., dict[str, Any]]] = {}
 
-#: name -> benchmark suite label (e.g. ``"E11"``).  Populated alongside
-#: :data:`WORKLOADS`; surfaced by ``repro-fd list-workloads``.
-WORKLOAD_SUITES: dict[str, str] = {}
+@dataclass(frozen=True)
+class WorkloadEntry:
+    """One registry row.
 
-#: name -> delivery-model spec names the workload supports.  Workloads
-#: without a ``delivery`` parameter run lock-step only (``("sync",)``);
-#: the E12 sweeps accept any registered spec.  Surfaced by
-#: ``repro-fd list-workloads``.
-WORKLOAD_DELIVERIES: dict[str, tuple[str, ...]] = {}
+    :ivar fn: the point function.
+    :ivar suite: the benchmark suite label (e.g. ``"E11"``).
+    :ivar deliveries: delivery-model spec names the workload supports.
+        Workloads without a ``delivery`` parameter run lock-step only
+        (``("sync",)``); the E12 sweeps accept any registered spec.
+    """
+
+    fn: Callable[..., dict[str, Any]]
+    suite: str
+    deliveries: tuple[str, ...]
+
+
+#: name -> registry row.  Populated by :func:`workload`; suite and
+#: deliveries are surfaced by ``repro-fd list-workloads``.
+WORKLOADS: dict[str, WorkloadEntry] = {}
 
 
 def workload(
@@ -71,9 +80,7 @@ def workload(
     def register(fn: Callable) -> Callable:
         if name in WORKLOADS:
             raise ConfigurationError(f"workload {name!r} registered twice")
-        WORKLOADS[name] = fn
-        WORKLOAD_SUITES[name] = suite
-        WORKLOAD_DELIVERIES[name] = tuple(deliveries)
+        WORKLOADS[name] = WorkloadEntry(fn, suite, tuple(deliveries))
         return fn
 
     return register
@@ -84,20 +91,8 @@ def available_workloads() -> list[str]:
     return sorted(WORKLOADS)
 
 
-def workload_suite(name: str) -> str:
-    """The suite label a workload was registered under."""
-    get_workload(name)  # raise uniformly for unknown names
-    return WORKLOAD_SUITES.get(name, "-")
-
-
-def workload_deliveries(name: str) -> tuple[str, ...]:
-    """The delivery-model specs a workload supports."""
-    get_workload(name)  # raise uniformly for unknown names
-    return WORKLOAD_DELIVERIES.get(name, ("sync",))
-
-
-def get_workload(name: str) -> Callable[..., dict[str, Any]]:
-    """Look up a registered point function.
+def _entry(name: str) -> WorkloadEntry:
+    """The registry row for ``name``.
 
     :raises ConfigurationError: for unknown names.
     """
@@ -107,6 +102,24 @@ def get_workload(name: str) -> Callable[..., dict[str, Any]]:
         raise ConfigurationError(
             f"unknown workload {name!r}; available: {', '.join(available_workloads())}"
         ) from None
+
+
+def workload_suite(name: str) -> str:
+    """The suite label a workload was registered under."""
+    return _entry(name).suite
+
+
+def workload_deliveries(name: str) -> tuple[str, ...]:
+    """The delivery-model specs a workload supports."""
+    return _entry(name).deliveries
+
+
+def get_workload(name: str) -> Callable[..., dict[str, Any]]:
+    """Look up a registered point function.
+
+    :raises ConfigurationError: for unknown names.
+    """
+    return _entry(name).fn
 
 
 def resolve_workload(fn: str | Callable) -> Callable:
@@ -246,15 +259,15 @@ def e5_optimistic_point(
 ) -> dict[str, Any]:
     """One optimistic binary chain run; ``withhold=True`` reproduces the
     documented F2 break (disseminator sends to low ids only)."""
-    factory = None
+    adversary = None
     if withhold:
 
-        def factory(keypairs, directories):
+        def adversary(keypairs, directories):
             disseminator = TamperingProtocol(
                 OptimisticBinaryChainProtocol(n, t, keypairs[t], directories[t]),
                 should_send=lambda rnd, to, payload: to < t + 3,
             )
-            return {t: disseminator}
+            return AdversarySpec(overrides={t: disseminator}, t=t)
 
     outcome = run_fd_scenario(
         n,
@@ -263,7 +276,7 @@ def e5_optimistic_point(
         protocol="smallrange-optimistic",
         scheme=scheme,
         seed=seed,
-        fd_adversary_factory=factory,
+        adversary=adversary,
     )
     return {
         "n": n,
@@ -282,8 +295,8 @@ def e6_scenario_point(n: int, t: int, scenario: str, seed: int | str = 0) -> dic
     """One (attack scenario, seed) cell of the E6 discovery matrix.
 
     The scenario's FD-phase corruption enters through the adversary
-    plane (:meth:`~repro.harness.scenarios.AttackScenario.adversary`),
-    so the run is budget-checked like every other adversarial run.
+    plane (the scenario's deferred ``adversary`` spec factory), so the
+    run is budget-checked like every other adversarial run.
     """
     match = [s for s in attack_catalogue(n, t) if s.name == scenario]
     if not match:
@@ -297,7 +310,7 @@ def e6_scenario_point(n: int, t: int, scenario: str, seed: int | str = 0) -> dic
         scheme=COUNT_SCHEME,
         seed=seed,
         kd_adversaries=sc.kd_adversaries(),
-        adversary=sc.adversary(n, t),
+        adversary=sc.adversary,
         faulty=sc.faulty,
     )
     genuine = {
@@ -347,11 +360,6 @@ def e7_fallback_point(
     scheme: str = COUNT_SCHEME,
 ) -> dict[str, Any]:
     """Extension cost profile: failure-free vs a crashed chain node."""
-    factory = None
-    if silent_node is not None:
-        def factory(keypairs, directories):
-            return {silent_node: SilentProtocol()}
-
     outcome = run_ba_scenario(
         n,
         t,
@@ -360,7 +368,7 @@ def e7_fallback_point(
         auth=GLOBAL,
         scheme=scheme,
         seed=seed,
-        ba_adversary_factory=factory,
+        adversary=None if silent_node is None else {silent_node: "silent"},
     )
     return {
         "n": n,
@@ -560,6 +568,22 @@ def _mirror_spec(mirrors: tuple[int, ...], t: int) -> AdversarySpec | None:
     )
 
 
+def _with_trace(result: dict[str, Any], run, trace: bool) -> dict[str, Any]:
+    """``result``, plus the run's formatted event log when asked for."""
+    if trace and run.trace is not None:
+        result["trace"] = run.trace.format()
+    return result
+
+
+def _half_partition(n: int, heal: int, defer: bool) -> str:
+    """Delivery spec splitting ``{0 .. n//2-1}`` from ``{n//2 .. n-1}``
+    at tick 0 and healing at ``heal``; ``defer`` parks cross-partition
+    traffic until then instead of dropping it."""
+    split = n // 2
+    mode = "/defer" if defer else ""
+    return f"partition:0-{split - 1}|{split}-{n - 1}@{heal}{mode}"
+
+
 def _e12_result(
     run, n: int, t: int, delivery: str, faulty: int, trace: bool, **outcome: Any
 ) -> dict[str, Any]:
@@ -576,9 +600,7 @@ def _e12_result(
         "messages": run.metrics.messages_total,
         "mean_lag": round(run.metrics.mean_delivery_lag, 4),
     }
-    if trace and run.trace is not None:
-        result["trace"] = run.trace.format()
-    return result
+    return _with_trace(result, run, trace)
 
 
 @workload("e12-oral", suite="E12/regress", deliveries=("sync", "bounded", "rush"))
@@ -779,9 +801,7 @@ def e13_loss_point(
         "loss_rate": round(run.metrics.loss_rate, 4),
         "rounds": run.metrics.rounds_used,
     }
-    if trace and run.trace is not None:
-        result["trace"] = run.trace.format()
-    return result
+    return _with_trace(result, run, trace)
 
 
 @workload(
@@ -858,9 +878,7 @@ def e13_timeout_fd_point(
         "drops": run.metrics.drops_total,
         "rounds": run.metrics.rounds_used,
     }
-    if trace and run.trace is not None:
-        result["trace"] = run.trace.format()
-    return result
+    return _with_trace(result, run, trace)
 
 
 @workload("e13-partition", suite="E13/regress", deliveries=("partition",))
@@ -886,13 +904,10 @@ def e13_partition_point(
     heal falls inside the protocol's ``timeout`` horizon — versus the
     chain protocol, which has no second chance.
     """
-    split = n // 2
-    mode = "/defer" if defer else ""
-    delivery = f"partition:0-{split - 1}|{split}-{n - 1}@{heal}{mode}"
     result = e13_timeout_fd_point(
         n,
         t,
-        delivery=delivery,
+        delivery=_half_partition(n, heal, defer),
         protocol=protocol,
         faulty=0,
         seed=seed,
@@ -1007,9 +1022,7 @@ def e14_adaptive_point(
         "drops": run.metrics.drops_total,
         "rounds": run.metrics.rounds_used,
     }
-    if trace and run.trace is not None:
-        result["trace"] = run.trace.format()
-    return result
+    return _with_trace(result, run, trace)
 
 
 @workload("e14-equivocation", suite="E14/regress", deliveries=("partition",))
@@ -1032,13 +1045,10 @@ def e14_equivocation_point(
     deferrals.  Measured: whether the FD under test still converges on
     the sender's value and whether anyone catches the equivocator.
     """
-    split = n // 2
-    mode = "/defer" if defer else ""
-    delivery = f"partition:0-{split - 1}|{split}-{n - 1}@{heal}{mode}"
     return e14_adaptive_point(
         n,
         t,
-        delivery=delivery,
+        delivery=_half_partition(n, heal, defer),
         protocol=protocol,
         attack="equivocate",
         seed=seed,
@@ -1057,7 +1067,7 @@ def akd_shard_point(
     seed: int | str = 0,
     scheme: str = COUNT_SCHEME,
     instances: tuple[int, ...] | None = None,
-    byzantine: tuple[tuple[int, str], ...] = (),
+    adversary: "str | None" = None,
     delivery: "str | None" = None,
     engine: "str | None" = None,
 ) -> dict[int, Any]:
@@ -1067,8 +1077,9 @@ def akd_shard_point(
     processes: runs the full n-node simulation restricted to the given
     instance subset and returns each instance's
     :class:`~repro.sim.multiplex.InstanceAggregate` (settled metrics —
-    picklable, value-comparable).  ``byzantine`` is the picklable
-    adversary spec of :func:`repro.auth.agreement_based.akd_byzantine_protocol`.
+    picklable, value-comparable).  ``adversary`` is an adversary-plane
+    spec string (:func:`repro.faults.make_adversary`) — the picklable
+    form each worker rebuilds its corruptions from.
     Unlike the other registry entries this returns aggregates rather than
     a flat count dict — it is executor plumbing, not a sweep point.
     """
@@ -1077,7 +1088,7 @@ def akd_shard_point(
         t,
         scheme=scheme,
         seed=seed,
-        byzantine=byzantine,
+        adversary=adversary,
         instances=instances,
         delivery=delivery,
         engine=engine,
@@ -1096,7 +1107,7 @@ def akd_point(
     seed: int | str = 0,
     scheme: str = COUNT_SCHEME,
     shard_workers: int = 0,
-    byzantine: tuple[tuple[int, str], ...] = (),
+    adversary: "str | None" = None,
     delivery: "str | None" = None,
     engine: "str | None" = None,
 ) -> dict[str, Any]:
@@ -1115,37 +1126,27 @@ def akd_point(
     ``loss:0.05:2``, ``partition:...``) — the arrival-columned batch
     plane keeps the columnar engine engaged on all of them.
     """
+    run = {
+        "n": n,
+        "t": t,
+        "seed": seed,
+        "scheme": scheme,
+        "adversary": adversary,
+        "delivery": delivery,
+        "engine": engine,
+    }
     if shard_workers and shard_workers > 1:
         from .parallel import run_mux_shards
 
         per_instance = run_mux_shards(
-            "akd-shard",
-            {
-                "n": n,
-                "t": t,
-                "seed": seed,
-                "scheme": scheme,
-                "byzantine": byzantine,
-                "delivery": delivery,
-                "engine": engine,
-            },
-            range(n),
-            workers=shard_workers,
+            "akd-shard", run, range(n), workers=shard_workers
         )
         # Shard workers run in other processes; all resolve the same
         # configured engine, and none of these runs records, so the
         # resolution is the engine used.
         engine_used = default_mux_engine() if engine is None else engine
     else:
-        result = run_agreement_key_distribution(
-            n,
-            t,
-            scheme=scheme,
-            seed=seed,
-            byzantine=byzantine,
-            delivery=delivery,
-            engine=engine,
-        )
+        result = run_agreement_key_distribution(**run)
         per_instance = result.per_instance
         engine_used = result.engine_used
     messages = [agg.messages for agg in per_instance.values()]

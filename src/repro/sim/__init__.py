@@ -6,12 +6,12 @@ delivery model (:mod:`repro.sim.network`).  The default model is the
 paper's: lock-step rounds with reliable next-round delivery (N1, bound
 known); ``BoundedDelay`` and ``AdversarialOrder`` relax the timing half
 for the E12 experiments.  See :mod:`repro.sim.kernel` for the semantics
-and the determinism contract; :mod:`repro.sim.scheduler` keeps the
-pre-kernel ``Runner`` API as a facade.
+and the determinism contract, and for :func:`run_protocols`, the
+one-shot lock-step-by-default entry.
 """
 
 from .batch import BatchPlane, BatchRecord, ChannelBatch
-from .kernel import EventKernel
+from .kernel import EventKernel, RunResult, run_protocols
 from .message import Envelope, mux_unwrap, mux_wrap, payload_kind
 from .metrics import Metrics
 from .multiplex import (
@@ -40,7 +40,6 @@ from .network import (
 )
 from .node import NodeContext, NodeState, Protocol
 from .rng import instance_rng, node_rng
-from .scheduler import Runner, RunResult, run_protocols
 from .snapshot import (
     SNAPSHOT_VERSION,
     KernelSnapshot,
@@ -82,7 +81,6 @@ __all__ = [
     "Protocol",
     "ReceivedMessage",
     "RunResult",
-    "Runner",
     "SNAPSHOT_VERSION",
     "SynchronousRounds",
     "Trace",

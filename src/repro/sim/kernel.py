@@ -34,11 +34,12 @@ Under :class:`~repro.sim.network.SynchronousRounds` this collapses to
 the old scheduler's guarantee: all arrivals are "next tick", activations
 ascend by node id, so every inbox is born sender-sorted — and the kernel
 runs a batched lock-step fast path that is *bit-for-bit identical* to
-the pre-kernel ``Runner`` in decisions, rounds and per-kind
-message/byte counters (``tests/sim/test_kernel.py`` keeps a verbatim
-copy of the old runner as the reference oracle and property-tests the
-equivalence under random Byzantine behaviour; the benchmark gate checks
-the whole grid's counts against ``BENCH_3.json``).
+the pre-kernel lock-step loop in decisions, rounds and per-kind
+message/byte counters (``tests/sim/_reference_runner.py`` keeps a
+verbatim copy of that loop as the reference oracle and
+``tests/sim/test_kernel.py`` property-tests the equivalence under random
+Byzantine behaviour; ``scripts/bench_check.py`` checks the whole grid's
+counts against the committed ``BENCH_9.json``).
 
 Causality
 ---------
@@ -200,8 +201,7 @@ class EventKernel:
 
     @property
     def round(self) -> Round:
-        """Alias of :attr:`tick` — the API the contexts and the old
-        ``Runner`` call sites read."""
+        """Alias of :attr:`tick` — the name the contexts read."""
         return self.tick
 
     @property
@@ -602,3 +602,26 @@ class EventKernel:
             self._trace.record_discover(self.tick, node, state.discovered)
         if state.halted and not was_halted:
             self._trace.record_halt(self.tick, node)
+
+
+def run_protocols(
+    protocols: Sequence[Protocol],
+    seed: int | str = 0,
+    max_rounds: int = 10_000,
+    record_views: bool = False,
+    record_trace: bool = False,
+    delivery: DeliveryModel | None = None,
+) -> RunResult:
+    """Convenience one-shot: build an :class:`EventKernel` and run it.
+
+    :param delivery: optional :class:`~repro.sim.network.DeliveryModel`;
+        ``None`` keeps the paper's synchronous rounds.
+    """
+    return EventKernel(
+        protocols,
+        seed=seed,
+        max_rounds=max_rounds,
+        record_views=record_views,
+        record_trace=record_trace,
+        delivery=delivery,
+    ).run()

@@ -33,7 +33,7 @@ the dense-vs-compressed gap separately).
 The trade is time for memory: until the byte counters are read (or the
 Metrics object is released with its run result), the deferred list keeps
 every payload alive — the same order of retention as view recording,
-and freed wholesale with the :class:`~repro.sim.scheduler.RunResult`.
+and freed wholesale with the :class:`~repro.sim.kernel.RunResult`.
 Callers that accumulate many run results and want the bytes anyway can
 simply read ``bytes_total`` to settle and drop the references early.
 
@@ -41,7 +41,7 @@ Per-instance attribution
 ------------------------
 A run hosting multiplexed protocol instances
 (:mod:`repro.sim.multiplex`) carries one run-level ``Metrics`` (this
-module, owned by the scheduler, charging the mux-wrapped wire payloads)
+module, owned by the kernel, charging the mux-wrapped wire payloads)
 plus one ``Metrics`` *per instance*, fed by the mux with the instances'
 inner envelopes at their dense-equivalent sizes.  :meth:`Metrics.merge`
 folds per-instance instruments across nodes — or across shards of a

@@ -85,11 +85,11 @@ from ..errors import ConfigurationError
 from ..types import NodeId
 from .batch import ChannelBatch
 from .compose import PhaseOutcome
+from .kernel import RunResult
 from .message import Envelope, mux_unwrap, mux_wrap
 from .metrics import Metrics
 from .node import NodeContext, Protocol
 from .rng import instance_rng
-from .scheduler import RunResult
 
 #: Key under which a completed mux publishes its per-instance outcomes in
 #: ``NodeState.outputs``.

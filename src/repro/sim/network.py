@@ -9,7 +9,7 @@ and fixes the per-tick node activation order.  Three models ship:
 * :class:`SynchronousRounds` — the paper's model (N1 with the delivery
   bound *known* and equal to one round, lock-step activations).  This is
   the default and is required to be bit-for-bit identical to the
-  pre-kernel ``Runner``: same decisions, same round counts, same
+  pre-kernel lock-step loop: same decisions, same round counts, same
   per-kind message/byte counters, across the whole benchmark grid
   (``tests/sim/test_kernel.py`` property-tests the equivalence under
   random Byzantine behaviour).

@@ -33,7 +33,7 @@ def world():
 @pytest.mark.parametrize("seed", [0, 7])
 def test_extension_reaches_ba_under_attack(world, scenario, seed):
     keypairs, directories = world
-    adversaries = scenario.fd_adversary_factory(N, T, keypairs, directories)
+    adversaries = dict(scenario.adversary(keypairs, directories).overrides)
     protocols = make_extended_protocols(
         N, T, "the-value", keypairs, directories, adversaries=adversaries
     )
@@ -47,7 +47,7 @@ def test_extension_reaches_ba_under_attack(world, scenario, seed):
 def test_correct_nodes_never_split_paths(world, scenario):
     """The Dolev-Strong all-or-none property under every attack."""
     keypairs, directories = world
-    adversaries = scenario.fd_adversary_factory(N, T, keypairs, directories)
+    adversaries = dict(scenario.adversary(keypairs, directories).overrides)
     protocols = make_extended_protocols(
         N, T, "v", keypairs, directories, adversaries=adversaries
     )
@@ -67,7 +67,7 @@ def test_discovering_scenarios_fall_back(world, scenario):
     if not scenario.expects_discovery:
         pytest.skip("scenario completes cleanly; fd path expected")
     keypairs, directories = world
-    adversaries = scenario.fd_adversary_factory(N, T, keypairs, directories)
+    adversaries = dict(scenario.adversary(keypairs, directories).overrides)
     protocols = make_extended_protocols(
         N, T, "v", keypairs, directories, adversaries=adversaries
     )

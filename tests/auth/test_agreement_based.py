@@ -15,7 +15,7 @@ from repro.auth import (
 )
 from repro.auth.agreement_based import akd_byzantine_protocol, validate_akd_instances
 from repro.errors import ConfigurationError
-from repro.faults import SilentProtocol
+from repro.faults import AdversarySpec, SilentProtocol
 
 
 class TestHonestRuns:
@@ -114,7 +114,7 @@ class TestByzantineSpecs:
     def test_noise_spec_within_budget_preserves_agreement(self):
         n, t = 7, 2
         result = run_agreement_key_distribution(
-            n, t, seed=3, byzantine={6: "noise"}
+            n, t, seed=3, adversary={6: "noise"}
         )
         correct = set(range(n)) - {6}
         for observer in correct:
@@ -123,24 +123,24 @@ class TestByzantineSpecs:
                     result.keypairs[subject].predicate,
                 )
 
-    def test_explicit_adversaries_override_spec(self):
-        n, t = 7, 2
-        result = run_agreement_key_distribution(
-            n,
-            t,
-            seed=3,
-            byzantine={5: "noise"},
-            adversaries={5: SilentProtocol()},
+    def test_node_named_twice_rejected(self):
+        """One vocabulary, one rule: the plane's duplicate-node error —
+        there is no second knob for a precedence rule to arbitrate."""
+        with pytest.raises(ConfigurationError, match="corrupted more than once"):
+            run_agreement_key_distribution(7, 2, adversary="5=noise;5=silent")
+
+    def test_spec_delivery_power_applies_when_delivery_unset(self):
+        lossy = run_agreement_key_distribution(
+            7, 2, seed=3, adversary="6=silent;delivery=loss:0.3"
         )
-        # A silent node sends nothing: no envelope carries sender 5.
-        assert result.run.metrics.messages_per_sender[5] == 0
+        assert lossy.run.metrics.drops_total > 0
 
 
 class TestFaultTolerance:
     def test_silent_node_within_budget(self):
         n, t = 7, 2
         result = run_agreement_key_distribution(
-            n, t, adversaries={5: SilentProtocol()}, seed=2
+            n, t, adversary=AdversarySpec(overrides={5: SilentProtocol()}, t=t), seed=2
         )
         correct = set(range(n)) - {5}
         # Correct nodes still agree on each other's genuine predicates.

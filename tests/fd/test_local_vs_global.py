@@ -56,9 +56,7 @@ class TestLemma3AndTheorem4:
             auth=LOCAL,
             seed=42,
             kd_adversaries=scenario.kd_adversaries(),
-            fd_adversary_factory=lambda kp, dirs: scenario.fd_adversary_factory(
-                N, T, kp, dirs
-            ),
+            adversary=scenario.adversary,
             faulty=scenario.faulty,
         )
         assert outcome.fd.ok, f"{scenario.name}: {outcome.fd.detail}"
@@ -80,9 +78,7 @@ class TestLemma3AndTheorem4:
                 "v",
                 auth=auth,
                 seed=7,
-                fd_adversary_factory=lambda kp, dirs: scenario.fd_adversary_factory(
-                    N, T, kp, dirs
-                ),
+                adversary=scenario.adversary,
                 faulty=scenario.faulty,
             )
             verdicts[auth] = (outcome.fd.ok, outcome.fd.any_discovery)
@@ -102,9 +98,7 @@ class TestLemma3AndTheorem4:
             auth=LOCAL,
             seed=seed,
             kd_adversaries=scenario.kd_adversaries(),
-            fd_adversary_factory=lambda kp, dirs: scenario.fd_adversary_factory(
-                N, T, kp, dirs
-            ),
+            adversary=scenario.adversary,
             faulty=scenario.faulty,
         )
         assert outcome.fd.ok

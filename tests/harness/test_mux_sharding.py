@@ -24,16 +24,16 @@ N, T = 7, 2
 SCHEME = "simulated-hmac"
 
 
-def full_run(seed, byzantine=()):
+def full_run(seed, adversary=None):
     return run_agreement_key_distribution(
-        N, T, scheme=SCHEME, seed=seed, byzantine=byzantine
+        N, T, scheme=SCHEME, seed=seed, adversary=adversary
     )
 
 
-def sharded(seed, byzantine=(), workers=3, in_process=True):
+def sharded(seed, adversary=None, workers=3, in_process=True):
     return run_mux_shards(
         "akd-shard",
-        {"n": N, "t": T, "seed": seed, "scheme": SCHEME, "byzantine": byzantine},
+        {"n": N, "t": T, "seed": seed, "scheme": SCHEME, "adversary": adversary},
         range(N),
         workers=workers,
         in_process=in_process,
@@ -41,17 +41,18 @@ def sharded(seed, byzantine=(), workers=3, in_process=True):
 
 
 @st.composite
-def byzantine_specs(draw):
-    """Up to T faulty nodes, each silent or mux-noise — as picklable
-    (node, kind) pairs, the form shard workers rebuild from."""
+def adversary_specs(draw):
+    """Up to T faulty nodes, each silent or mux-noise — as an
+    adversary-plane spec string, the picklable form shard workers
+    rebuild from (``None`` for the failure-free run)."""
     faulty = draw(
         st.sets(st.integers(min_value=0, max_value=N - 1), max_size=T)
     )
-    kinds = [
-        (node, draw(st.sampled_from(["silent", "noise"])))
+    items = [
+        f"{node}={draw(st.sampled_from(['silent', 'noise']))}"
         for node in sorted(faulty)
     ]
-    return tuple(kinds)
+    return ";".join(items) or None
 
 
 class TestShardInstances:
@@ -66,25 +67,25 @@ class TestShardInstances:
 
 
 class TestEquivalenceProperty:
-    @given(spec=byzantine_specs(), seed=st.integers(0, 2**16),
+    @given(spec=adversary_specs(), seed=st.integers(0, 2**16),
            workers=st.integers(2, 5))
     @settings(max_examples=60, deadline=None)
     def test_sharded_equals_in_process_mux(self, spec, seed, workers):
         """The engine-equivalence property: decisions, rounds and
         per-instance envelope/byte metrics, bit-for-bit, under random
         Byzantine behaviour and any shard count."""
-        full = full_run(seed, byzantine=spec)
-        shards = sharded(seed, byzantine=spec, workers=workers)
+        full = full_run(seed, adversary=spec)
+        shards = sharded(seed, adversary=spec, workers=workers)
         assert shards == full.per_instance, (
-            f"shard divergence; byzantine={spec}, workers={workers}"
+            f"shard divergence; adversary {spec!r}, workers={workers}"
         )
 
     def test_process_pool_transport_is_value_preserving(self):
         """One pooled run (skipped gracefully where pools cannot start):
         crossing the process boundary changes no value."""
-        spec = ((2, "noise"), (5, "silent"))
-        full = full_run(31, byzantine=spec)
-        pooled = sharded(31, byzantine=spec, workers=3, in_process=False)
+        spec = "2=noise;5=silent"
+        full = full_run(31, adversary=spec)
+        pooled = sharded(31, adversary=spec, workers=3, in_process=False)
         assert pooled == full.per_instance
 
     def test_every_shard_count_gives_the_same_merge(self):

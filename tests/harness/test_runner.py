@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.experiments import e6_attacks
 from repro.errors import ConfigurationError
-from repro.faults import SilentProtocol
+from repro.faults import AdversarySpec, SilentProtocol
 from repro.harness import (
     GLOBAL,
     LOCAL,
+    AmortizedSession,
+    AttackScenario,
     run_ba_scenario,
     run_fd_scenario,
     setup_authentication,
@@ -75,7 +78,9 @@ class TestRunFdScenario:
             1,
             "v",
             seed=5,
-            fd_adversary_factory=lambda kp, dirs: {1: SilentProtocol()},
+            adversary=lambda kp, dirs: AdversarySpec(
+                overrides={1: SilentProtocol()}, t=1
+            ),
         )
         assert outcome.correct == {0, 2, 3, 4, 5}
         assert outcome.fd.ok and outcome.fd.any_discovery
@@ -100,3 +105,86 @@ class TestRunBaScenario:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ConfigurationError):
             run_ba_scenario(6, 1, "v", protocol="quantum")
+
+
+def _observables(outcome):
+    metrics = outcome.run.metrics
+    return (
+        metrics.messages_total,
+        metrics.drops_total,
+        outcome.run.decisions(),
+        outcome.correct,
+        outcome.committed,
+    )
+
+
+class TestOnePipeline:
+    """Every scenario entry is the same pipeline: the straight run, the
+    ``checkpoint_at`` + ``resume_from`` pair and (chain) an amortized
+    session run agree on messages, drops, decisions, ``correct`` and
+    ``committed``."""
+
+    N, T, SEED = 8, 2, 3
+
+    @pytest.mark.parametrize("delivery", [None, "loss:0.2"])
+    @pytest.mark.parametrize("adversary", [None, "5=silent", "adaptive:gag-sender"])
+    @pytest.mark.parametrize("protocol", ["chain", "timeout", "adaptive"])
+    def test_entries_agree(self, protocol, adversary, delivery):
+        scenario = dict(
+            protocol=protocol, seed=self.SEED, adversary=adversary, delivery=delivery
+        )
+        straight = run_fd_scenario(self.N, self.T, "v", **scenario)
+        expected = _observables(straight)
+        if adversary == "adaptive:gag-sender":
+            assert straight.committed == ((0, "ack-lie"),)
+            assert 0 not in straight.correct
+
+        prefix = run_fd_scenario(self.N, self.T, "v", checkpoint_at=1, **scenario)
+        resumed = run_fd_scenario(self.N, self.T, "v", resume_from=prefix, **scenario)
+        assert _observables(resumed) == expected
+
+        if protocol == "chain":
+            session = AmortizedSession(
+                self.N, self.T, auth=GLOBAL, seed=self.SEED, delivery=delivery
+            )
+            via_session = session.run("v", seed=self.SEED, adversary=adversary)
+            assert _observables(via_session) == expected
+
+
+class TestBudgetOnEveryEntry:
+    """A deferred factory whose spec exceeds ``t`` never runs — whichever
+    entry it came in through."""
+
+    @staticmethod
+    def over_budget(keypairs, directories):
+        return AdversarySpec(
+            overrides={1: SilentProtocol(), 2: SilentProtocol()}, t=1
+        )
+
+    def test_fd_ba_and_session_refuse(self):
+        with pytest.raises(ConfigurationError, match="fault budget is t=1"):
+            run_fd_scenario(6, 1, "v", adversary=self.over_budget)
+        with pytest.raises(ConfigurationError, match="fault budget is t=1"):
+            run_ba_scenario(6, 1, "v", adversary=self.over_budget)
+        session = AmortizedSession(6, 1, auth=GLOBAL)
+        with pytest.raises(ConfigurationError, match="fault budget is t=1"):
+            session.run("v", adversary=self.over_budget)
+        assert session.ledger == []
+
+    def test_e6_report_path_refuses(self, monkeypatch):
+        """The E6 *report* hands the scenario's deferred factory to the
+        runner like the E6 workload does, so a catalogue entry claiming
+        more corruption than ``t`` is refused there too."""
+        rogue = AttackScenario(
+            name="over-budget",
+            faulty={1, 2, 3},
+            kd_adversaries=dict,
+            adversary=lambda kp, dirs: AdversarySpec(
+                overrides={node: SilentProtocol() for node in (1, 2, 3)}, t=2
+            ),
+        )
+        monkeypatch.setattr(
+            "repro.analysis.experiments.attack_catalogue", lambda n, t: [rogue]
+        )
+        with pytest.raises(ConfigurationError, match="fault budget is t=2"):
+            e6_attacks(n=8, t=2, seeds=1)

@@ -6,8 +6,7 @@ import pytest
 
 from repro.analysis import crossover_runs, keydist_messages
 from repro.errors import ConfigurationError
-from repro.faults import SilentProtocol
-from repro.harness import GLOBAL, LOCAL, AmortizedSession
+from repro.harness import GLOBAL, LOCAL, AmortizedSession, run_fd_scenario
 
 
 class TestSessionSetup:
@@ -58,10 +57,21 @@ class TestRepeatedRuns:
 
     def test_faulty_runs_still_counted_and_evaluated(self):
         session = AmortizedSession(n=8, t=2, auth=LOCAL, seed=6)
-        outcome = session.run(
-            "v",
-            seed=1,
-            adversary_factory=lambda kp, dirs: {1: SilentProtocol()},
-        )
+        outcome = session.run("v", seed=1, adversary="1=silent")
         assert outcome.fd.ok and outcome.fd.any_discovery
+        assert outcome.correct == set(range(8)) - {1}
         assert session.ledger[-1].runs == 1
+
+    def test_bare_rush_delivery_rushes_the_faulty_set(self):
+        """A session run is the scenario pipeline with the keys already
+        paid for, so ``rush`` without a node list rushes the faulty set
+        exactly as :func:`run_fd_scenario` does (the session's own copy
+        of the pipeline used to forget ``rushing=faulty``)."""
+        n, t, adversary = 8, 2, {7: "rush"}
+        session = AmortizedSession(n=n, t=t, auth=GLOBAL, seed=1, delivery="rush")
+        via_session = session.run("v", seed=1, adversary=adversary)
+        straight = run_fd_scenario(
+            n, t, "v", auth=GLOBAL, seed=1, delivery="rush", adversary=adversary
+        )
+        assert len(straight.run.discoverers()) == 6
+        assert via_session.run.discoverers() == straight.run.discoverers()

@@ -108,7 +108,7 @@ class TestRegistry:
 
         with pytest.raises(ConfigurationError, match="registered twice"):
             workload("fd")(lambda: None)
-        assert WORKLOADS["fd"] is get_workload("fd")
+        assert WORKLOADS["fd"].fn is get_workload("fd")
 
 
 class TestPointFunctions:

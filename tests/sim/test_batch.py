@@ -193,10 +193,10 @@ class TestColumnarObjectEquivalence:
 
     def test_akd_random_byzantine(self):
         """The full key-distribution facade, engine-parametrised."""
-        for seed, byzantine in [(0, ((3, "noise"),)), (1, ((2, "silent"), (5, "noise"))), (2, ())]:
+        for seed, adversary in [(0, "3=noise"), (1, "2=silent;5=noise"), (2, None)]:
             results = {
                 engine: run_agreement_key_distribution(
-                    7, 2, seed=seed, byzantine=byzantine, engine=engine
+                    7, 2, seed=seed, adversary=adversary, engine=engine
                 )
                 for engine in ENGINES
             }
@@ -209,13 +209,13 @@ class TestColumnarObjectEquivalence:
         """``loss:p`` at the jitter-free bound is batch-capable: the
         columnar drop schedule must replay the object path's per-link
         draws bit-for-bit (drop totals included)."""
-        for seed, p, byzantine in [(1, 0.25, ()), (2, 0.5, ((3, "noise"),)), (3, 0.1, ((1, "silent"),))]:
+        for seed, p, adversary in [(1, 0.25, None), (2, 0.5, "3=noise"), (3, 0.1, "1=silent")]:
             results = {
                 engine: run_agreement_key_distribution(
                     7,
                     2,
                     seed=seed,
-                    byzantine=byzantine,
+                    adversary=adversary,
                     delivery=f"loss:{p}",
                     engine=engine,
                 )

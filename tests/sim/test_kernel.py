@@ -3,7 +3,7 @@
 The acceptance property of the kernel refactor, in the mould of the
 dense-vs-succinct engine equivalence tests: running any protocol set
 under :class:`~repro.sim.network.SynchronousRounds` on the event kernel
-is *bit-for-bit identical* to the pre-kernel ``Runner`` — decisions,
+is *bit-for-bit identical* to the pre-kernel lock-step loop — decisions,
 rounds, per-round/per-sender/per-kind message counters, byte counters,
 trace events and recorded views — including under random Byzantine
 behaviour.  ``tests/sim/_reference_runner.py`` keeps the old loop
@@ -32,7 +32,6 @@ from repro.sim import (
     DeliveryModel,
     EventKernel,
     Protocol,
-    Runner,
     SynchronousRounds,
     run_protocols,
 )
@@ -108,12 +107,12 @@ class TestSyncKernelEqualsReferenceRunner:
     def test_bit_for_bit_under_random_byzantine_behaviour(
         self, spec, seed, recording
     ):
-        """The headline property: kernel + SynchronousRounds == old Runner."""
+        """The headline property: kernel + SynchronousRounds == the old loop."""
         reference = ReferenceRunner(
             build_protocols(spec), seed=seed,
             record_views=recording, record_trace=recording,
         ).run()
-        kernel = Runner(
+        kernel = EventKernel(
             build_protocols(spec), seed=seed,
             record_views=recording, record_trace=recording,
         ).run()
@@ -327,15 +326,17 @@ class TestTraceTransitionsUnderSkew:
 
 
 class TestRunnerFacade:
+    """What the retired ``Runner`` facade promised is the kernel's own
+    default: synchronous rounds and a single clock."""
+
     def test_runner_is_an_event_kernel(self):
         class Halter(Protocol):
             def on_round(self, ctx, inbox):
                 ctx.halt()
 
-        runner = Runner([Halter(), Halter()])
-        assert isinstance(runner, EventKernel)
-        assert isinstance(runner.delivery, SynchronousRounds)
-        result = runner.run()
-        # One source of truth: the facade's round, the kernel's tick and
+        kernel = EventKernel([Halter(), Halter()])
+        assert isinstance(kernel.delivery, SynchronousRounds)
+        result = kernel.run()
+        # One source of truth: the contexts' round, the kernel's tick and
         # the result's rounds_executed are the same counter.
-        assert runner.round == runner.tick == result.rounds_executed == 1
+        assert kernel.round == kernel.tick == result.rounds_executed == 1

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError, ProtocolViolationError, SimulationError
-from repro.sim import Envelope, NodeContext, Protocol, Runner, run_protocols
+from repro.sim import Envelope, EventKernel, NodeContext, Protocol, run_protocols
 
 
 class Halter(Protocol):
@@ -134,7 +134,7 @@ class TestContracts:
 
     def test_bad_max_rounds_rejected(self):
         with pytest.raises(ConfigurationError):
-            Runner([Halter(), Halter()], max_rounds=0)
+            EventKernel([Halter(), Halter()], max_rounds=0)
 
 
 class TestDeterminism:

@@ -33,7 +33,6 @@ from repro.sim import (
     EventKernel,
     KernelSnapshot,
     Protocol,
-    Runner,
     capture_kernel,
     clear_checkpoint_policy,
     load_snapshot,
@@ -202,7 +201,7 @@ class TestEngineCoverage:
     @pytest.mark.parametrize("engine", [COLUMNAR_ENGINE, OBJECT_ENGINE])
     def test_mux_run_resumes_bit_for_bit(self, engine):
         def build():
-            return Runner(
+            return EventKernel(
                 om_mux_protocols(5, 1, engine),
                 seed="snap-mux",
                 delivery=make_delivery("loss:0.2:2"),
@@ -399,19 +398,19 @@ class _StuckProtocol(Protocol):
 
 class TestSnapshotMachinery:
     def test_until_tick_stops_before_processing(self):
-        runner = Runner([_HookedCounter() for _ in range(3)], seed=0)
+        runner = EventKernel([_HookedCounter() for _ in range(3)], seed=0)
         assert runner.run(until_tick=2) is None
         assert runner.tick == 2
         assert all(p.count == 2 for p in runner._protocols)
 
     def test_until_tick_already_reached_returns_immediately(self):
-        runner = Runner([_HookedCounter() for _ in range(3)], seed=0)
+        runner = EventKernel([_HookedCounter() for _ in range(3)], seed=0)
         runner.run(until_tick=2)
         assert runner.run(until_tick=1) is None
         assert runner.tick == 2
 
     def test_hooked_protocols_round_trip(self):
-        runner = Runner([_HookedCounter() for _ in range(3)], seed=0)
+        runner = EventKernel([_HookedCounter() for _ in range(3)], seed=0)
         runner.run(until_tick=2)
         snap = runner.snapshot()
         # The live kernel keeps its real protocols after capture.
@@ -423,13 +422,13 @@ class TestSnapshotMachinery:
         assert result.rounds_executed == runner.run().rounds_executed
 
     def test_unpicklable_protocol_fails_fast(self):
-        runner = Runner([_StuckProtocol() for _ in range(2)], seed=0)
+        runner = EventKernel([_StuckProtocol() for _ in range(2)], seed=0)
         with pytest.raises(ConfigurationError, match="snapshot_state"):
             runner.run(until_tick=0)
             capture_kernel(runner)
 
     def test_version_mismatch_refused(self):
-        runner = Runner([_HookedCounter() for _ in range(2)], seed=0)
+        runner = EventKernel([_HookedCounter() for _ in range(2)], seed=0)
         runner.run(until_tick=1)
         snap = dataclasses.replace(runner.snapshot(), version=999)
         with pytest.raises(ConfigurationError, match="version"):
@@ -440,7 +439,7 @@ class TestSnapshotMachinery:
             restore_kernel({"tick": 3})
 
     def test_size_bytes(self):
-        runner = Runner([_HookedCounter() for _ in range(2)], seed=0)
+        runner = EventKernel([_HookedCounter() for _ in range(2)], seed=0)
         runner.run(until_tick=1)
         snap = runner.snapshot()
         assert snap.size_bytes == len(snap.payload) > 0
@@ -448,7 +447,7 @@ class TestSnapshotMachinery:
 
 class TestSnapshotFiles:
     def test_round_trip(self, tmp_path):
-        runner = Runner([_HookedCounter() for _ in range(2)], seed=0)
+        runner = EventKernel([_HookedCounter() for _ in range(2)], seed=0)
         runner.run(until_tick=1)
         path = save_snapshot(runner.snapshot(), tmp_path / "deep" / "a.ckpt")
         loaded = load_snapshot(path)
@@ -472,7 +471,7 @@ class TestSnapshotFiles:
             load_snapshot(path)
 
     def test_version_mismatch(self, tmp_path):
-        runner = Runner([_HookedCounter() for _ in range(2)], seed=0)
+        runner = EventKernel([_HookedCounter() for _ in range(2)], seed=0)
         runner.run(until_tick=1)
         stale = dataclasses.replace(runner.snapshot(), version=0)
         path = tmp_path / "stale.ckpt"
@@ -486,7 +485,7 @@ class TestSnapshotFiles:
         — in memory and from disk — not resumed into an
         ``AttributeError`` at the first resolve."""
         assert SNAPSHOT_VERSION == 2
-        runner = Runner(make_oral_agreement_protocols(7, 2, "v"), seed=0)
+        runner = EventKernel(make_oral_agreement_protocols(7, 2, "v"), seed=0)
         runner.run(until_tick=2)
         stale = dataclasses.replace(runner.snapshot(), version=1)
         with pytest.raises(ConfigurationError, match="snapshot version 1 does not"):

@@ -145,9 +145,11 @@ class TestRunWorkload:
         ) == 1
         assert "bogus" in capsys.readouterr().err
 
-    def test_malformed_param_exits_nonzero(self):
-        with pytest.raises(SystemExit):
-            main(["run", "--workload", "keydist", "--param", "n5"])
+    def test_malformed_param_exits_nonzero(self, capsys):
+        """A usage error like the others: message on stderr, exit 2 —
+        not a ``SystemExit(str)`` escaping ``main`` with status 1."""
+        assert main(["run", "--workload", "keydist", "--param", "n5"]) == 2
+        assert "--param expects key=value, got 'n5'" in capsys.readouterr().err
 
     def test_trace_dumps_structured_event_log(self, capsys):
         assert main(
