@@ -457,15 +457,6 @@ def _cmd_run_workload(args: argparse.Namespace) -> int:
             )
             return 2
         params["trace"] = True
-    if args.engine is not None:
-        if "engine" not in inspect.signature(fn).parameters:
-            print(
-                f"workload {args.workload} does not support --engine "
-                "(no 'engine' parameter)",
-                file=sys.stderr,
-            )
-            return 2
-        params["engine"] = args.engine
     policy = None
     if args.checkpoint_every is not None or args.checkpoint_dir is not None:
         # Fail fast on half-configured checkpointing: a run that looked
@@ -659,13 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="dump the run's structured event log (workloads with a "
         "'trace' parameter, e.g. the E12 delivery sweeps)",
-    )
-    p.add_argument(
-        "--engine",
-        choices=["columnar", "object"],
-        help="mux execution engine for workloads with an 'engine' "
-        "parameter (columnar batch plane vs per-envelope object "
-        "reference) — a one-command columnar-vs-object A/B",
     )
     p.add_argument(
         "--checkpoint-every",

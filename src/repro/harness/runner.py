@@ -24,6 +24,7 @@ from ..agreement import (
     BAEvaluation,
     evaluate_ba,
     make_extended_protocols,
+    make_oral_agreement_protocols,
     make_signed_agreement_protocols,
 )
 from ..auth import (
@@ -73,7 +74,6 @@ AdversaryInput = Any
 #: adversaries=, **protocol_params)`` factory.
 FD_PROTOCOLS: dict[str, Callable[..., list[Protocol]]] = {
     "chain": make_chain_fd_protocols,
-    # The non-authenticated baseline consumes no key material.
     "echo": lambda n, t, value, keypairs, directories, **params: (
         make_echo_fd_protocols(n, t, value, **params)
     ),
@@ -87,7 +87,14 @@ FD_PROTOCOLS: dict[str, Callable[..., list[Protocol]]] = {
 BA_PROTOCOLS: dict[str, Callable[..., list[Protocol]]] = {
     "extension": make_extended_protocols,
     "signed": make_signed_agreement_protocols,
+    "oral": lambda n, t, value, keypairs, directories, **params: (
+        make_oral_agreement_protocols(n, t, value, **params)
+    ),
 }
+
+#: The non-authenticated protocols: their factories consume no key
+#: material, so a global dealer's (expensive) key generation is skipped.
+_KEY_FREE = frozenset({"echo", "oral"})
 
 #: Scenario kind -> (protocol table, evaluator of the run's conditions).
 FD, BA = "fd", "ba"
@@ -263,15 +270,13 @@ def _run_scenario(
     if keys is not None:
         keypairs, directories, kd = keys
     elif (
-        protocol == "echo"
+        protocol in _KEY_FREE
         and auth == GLOBAL
         and not kd_adversaries
         and not callable(adversary)
     ):
-        # The echo baseline is non-authenticated: no protocol or
-        # declarative adversary consumes key material, and a global
-        # dealer contributes neither messages nor rounds — skip its
-        # (expensive) key generation.
+        # No protocol or declarative adversary consumes key material,
+        # and a global dealer contributes neither messages nor rounds.
         keypairs, directories, kd = {}, {}, None
     else:
         keypairs, directories, kd = setup_authentication(
@@ -414,7 +419,7 @@ def run_ba_scenario(
     """Run one Byzantine Agreement scenario end to end.
 
     :param protocol: a :data:`BA_PROTOCOLS` name — ``"extension"``
-        (FD→BA) or ``"signed"`` (SM(t)).
+        (FD→BA), ``"signed"`` (SM(t)) or ``"oral"`` (OM(t), key-free).
     :param delivery: delivery model for the BA run (instance or spec
         string; ``"rush"`` without node list rushes the faulty set).
     :param adversary: the BA run's adversary (spec, string, mapping or

@@ -34,7 +34,7 @@ from ..auth import (
 from ..errors import ConfigurationError
 from ..faults import AdversarySpec, SilentProtocol, TamperingProtocol, make_adversary
 from ..fd.smallrange import OptimisticBinaryChainProtocol
-from ..sim import KernelSnapshot, default_mux_engine, make_delivery, run_protocols
+from ..sim import KernelSnapshot, default_mux_engine, run_protocols
 from .runner import GLOBAL, LOCAL, run_ba_scenario, run_fd_scenario
 from .scenarios import attack_catalogue
 from .session import AmortizedSession
@@ -544,27 +544,24 @@ def e11_feasibility_point(
     }
 
 
-def _mirror_nodes(n: int, faulty: int) -> tuple[int, ...]:
-    """The conventional E12 Byzantine set: the ``faulty`` highest ids
-    (never node 0 — the commander/disseminator stays honest)."""
+def _fault_load(n: int, t: int, faulty: int, behavior: str) -> AdversarySpec | None:
+    """The conventional E12/E13 corruption as an adversary-plane spec:
+    ``behavior`` (E12's rushing ``"rush"`` mirrors, E13's ``"silent"``
+    crash case every FD protocol must catch) on the ``faulty`` highest
+    ids — never node 0, the commander/disseminator stays honest — or
+    None for a failure-free run.
+
+    The budget is checked against ``max(t, faulty)`` rather than ``t``
+    alone: the sweeps deliberately let the ``faulty`` axis exceed small
+    fault budgets to map where the guarantees actually crack.
+    """
     if faulty < 0 or faulty >= n:
         raise ConfigurationError(f"faulty must be in 0..{n - 1}, got {faulty}")
-    return tuple(range(n - faulty, n))
-
-
-def _mirror_spec(mirrors: tuple[int, ...], t: int) -> AdversarySpec | None:
-    """The conventional E12/E13 corruption as an adversary-plane spec:
-    rushing mirrors on the given nodes, or None for a failure-free run.
-
-    The budget is checked against ``max(t, len(mirrors))`` rather than
-    ``t`` alone: the sweeps deliberately let the ``faulty`` axis exceed
-    small fault budgets to map where the guarantees actually crack.
-    """
-    if not mirrors:
+    if not faulty:
         return None
     return AdversarySpec(
-        corrupt=tuple((node, "rush") for node in mirrors),
-        t=max(t, len(mirrors)),
+        corrupt=tuple((node, behavior) for node in range(n - faulty, n)),
+        t=max(t, faulty),
     )
 
 
@@ -621,25 +618,25 @@ def e12_oral_point(
     specs, so outcome divergence is attributable to network timing
     alone.  Under ``rush`` the mirrors are the rushing set.
     """
-    protocols = make_oral_agreement_protocols(n, t, value)
-    mirrors = _mirror_nodes(n, faulty)
-    spec = _mirror_spec(mirrors, t)
-    if spec is not None:
-        protocols = spec.protocols_for(protocols)
-    run = run_protocols(
-        protocols,
+    outcome = run_ba_scenario(
+        n,
+        t,
+        value,
+        protocol="oral",
         seed=seed,
-        delivery=make_delivery(delivery, rushing=mirrors),
+        adversary=_fault_load(n, t, faulty, "rush"),
+        delivery=delivery,
         record_trace=trace,
     )
+    run = outcome.run
     honest = {
         node: val
         for node, val in run.decisions().items()
-        if node not in mirrors
+        if node in outcome.correct
     }
     return _e12_result(
         run, n, t, delivery, faulty, trace,
-        agreed=len(set(map(repr, honest.values()))) == 1,
+        agreed=outcome.ba.agreement,
         decision=repr(min(honest.items())[1]) if honest else None,
         decided=len(honest),
     )
@@ -661,7 +658,6 @@ def e12_fd_point(
     under ``bounded:d`` even failure-free runs deliver chain links late
     and honest nodes discover "failures" that are really network skew.
     """
-    mirrors = _mirror_nodes(n, faulty)
     outcome = run_fd_scenario(
         n,
         t,
@@ -670,7 +666,7 @@ def e12_fd_point(
         auth=GLOBAL,
         scheme=COUNT_SCHEME,
         seed=seed,
-        adversary=_mirror_spec(mirrors, t),
+        adversary=_fault_load(n, t, faulty, "rush"),
         delivery=delivery,
         record_trace=trace,
     )
@@ -699,7 +695,6 @@ def e12_ba_point(
     interesting measurement is how far its agreement survives skew and
     rushing relative to oral agreement and chain FD.
     """
-    mirrors = _mirror_nodes(n, faulty)
     outcome = run_ba_scenario(
         n,
         t,
@@ -708,7 +703,7 @@ def e12_ba_point(
         auth=GLOBAL,
         scheme=COUNT_SCHEME,
         seed=seed,
-        adversary=_mirror_spec(mirrors, t),
+        adversary=_fault_load(n, t, faulty, "rush"),
         delivery=delivery,
         record_trace=trace,
     )
@@ -716,18 +711,6 @@ def e12_ba_point(
         outcome.run, n, t, delivery, faulty, trace,
         ba_ok=outcome.ba.ok,
         agreement=outcome.ba.agreement,
-    )
-
-
-def _silent_spec(n: int, t: int, faulty: int) -> "AdversarySpec | None":
-    """The conventional E13 fault load: ``faulty`` silent nodes on the
-    highest ids (the crash case every FD protocol must catch)."""
-    nodes = _mirror_nodes(n, faulty)
-    if not nodes:
-        return None
-    return AdversarySpec(
-        corrupt=tuple((node, "silent") for node in nodes),
-        t=max(t, len(nodes)),
     )
 
 
@@ -751,51 +734,25 @@ def e13_loss_point(
     nodes stop agreeing (and how much of the sent traffic the network
     ate, now first-class in the metrics).
     """
-    delivery = f"loss:{loss}"
-    spec = _silent_spec(n, t, faulty)
-    mirrors = _mirror_nodes(n, faulty)
-    if protocol == "oral":
-        protocols = make_oral_agreement_protocols(n, t, value)
-        if spec is not None:
-            protocols = spec.protocols_for(protocols)
-        run = run_protocols(
-            protocols,
-            seed=seed,
-            delivery=make_delivery(delivery),
-            record_trace=trace,
-        )
-        honest = {
-            node: val
-            for node, val in run.decisions().items()
-            if node not in mirrors
-        }
-        outcome = {
-            "agreed": len(set(map(repr, honest.values()))) == 1 and bool(honest),
-            "decided": len(honest),
-        }
-    elif protocol == "ba":
-        scenario = run_ba_scenario(
-            n, t, value, protocol="signed", auth=GLOBAL, scheme=COUNT_SCHEME,
-            seed=seed, adversary=spec, delivery=delivery, record_trace=trace,
-        )
-        run = scenario.run
-        outcome = {
-            "agreed": scenario.ba.agreement,
-            "decided": sum(
-                1 for node in scenario.correct if run.states[node].decided
-            ),
-        }
-    else:
+    names = {"oral": "oral", "ba": "signed"}
+    if protocol not in names:
         raise ConfigurationError(
             f"e13-loss protocol must be 'oral' or 'ba', got {protocol!r}"
         )
+    scenario = run_ba_scenario(
+        n, t, value, protocol=names[protocol], auth=GLOBAL, scheme=COUNT_SCHEME,
+        seed=seed, adversary=_fault_load(n, t, faulty, "silent"),
+        delivery=f"loss:{loss}", record_trace=trace,
+    )
+    run = scenario.run
     result = {
         "n": n,
         "t": t,
         "protocol": protocol,
         "loss": loss,
         "faulty": faulty,
-        **outcome,
+        "agreed": scenario.ba.agreement,
+        "decided": sum(1 for node in scenario.correct if run.states[node].decided),
         "messages": run.metrics.messages_total,
         "drops": run.metrics.drops_total,
         "loss_rate": round(run.metrics.loss_rate, 4),
@@ -852,7 +809,7 @@ def e13_timeout_fd_point(
         auth=GLOBAL,
         scheme=COUNT_SCHEME,
         seed=seed,
-        adversary=_silent_spec(n, t, faulty),
+        adversary=_fault_load(n, t, faulty, "silent"),
         delivery=delivery,
         record_trace=trace,
         protocol_params=params,
@@ -967,7 +924,7 @@ def e14_adaptive_point(
     if attack == "none":
         adversary: AdversarySpec | None = None
     elif attack == "silent":
-        adversary = _silent_spec(n, t, 1)
+        adversary = _fault_load(n, t, 1, "silent")
     elif attack == "ack-lie":
         adversary = AdversarySpec(corrupt=((n - 1, "ack-lie"),), t=t)
     elif attack == "equivocate":

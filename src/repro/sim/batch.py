@@ -126,15 +126,6 @@ class BatchRecord:
             return 1
         return len(target)
 
-    def covers(self, node: NodeId) -> bool:
-        """Whether ``node`` is among this record's recipients."""
-        target = self.target
-        if target is None:
-            return node != self.sender
-        if type(target) is int:
-            return target == node
-        return node in target
-
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (
             f"BatchRecord({self.channel}/{self.instance} from {self.sender} "

@@ -30,13 +30,21 @@ bit-for-bit reproducible.  The event-level argument:
 4. node randomness is seed-derived per node (:func:`repro.sim.rng.node_rng`)
    exactly as before.
 
-Under :class:`~repro.sim.network.SynchronousRounds` this collapses to
-the old scheduler's guarantee: all arrivals are "next tick", activations
-ascend by node id, so every inbox is born sender-sorted — and the kernel
-runs a batched lock-step fast path that is *bit-for-bit identical* to
-the pre-kernel lock-step loop in decisions, rounds and per-kind
-message/byte counters (``tests/sim/_reference_runner.py`` keeps a
-verbatim copy of that loop as the reference oracle and
+One loop
+--------
+:meth:`EventKernel.run` is the paper's loop, spelled once: per tick, one
+drain of what arrived (plain envelopes and batch records alike, in
+emission order) and one activation pass over the nodes; recording views
+or a trace adds what the pass *keeps*, never a second pass.  Lock-step
+models vary exactly one thing: the arrivals come from the single pending
+list instead of a calendar bucket, and the drain's ``metrics`` is
+``None`` — every arrival is "next tick" at zero lag, so no delivery is
+recorded and no plain envelope is captured into the batch groups.  Under
+:class:`~repro.sim.network.SynchronousRounds` activations ascend by node
+id, so every inbox is born sender-sorted and the run is *bit-for-bit
+identical* to the pre-kernel lock-step loop in decisions, rounds and
+per-kind message/byte counters (``tests/sim/_reference_runner.py`` keeps
+a verbatim copy of that loop as the reference oracle and
 ``tests/sim/test_kernel.py`` property-tests the equivalence under random
 Byzantine behaviour; ``scripts/bench_check.py`` checks the whole grid's
 counts against the committed ``BENCH_9.json``).
@@ -308,87 +316,76 @@ class EventKernel:
         consumers that successfully registered with the batch plane, so
         ``self._batch`` is always present here.
 
-        Returns the number of envelopes the send stands for.
+        Returns the number of envelopes the send stands for; a send to
+        nobody returns 0 and moves no counter, as zero per-recipient
+        :meth:`enqueue` calls would.
         """
         tick = self.tick
-        n = self.n
-        wrapped = mux_wrap(channel, instance, payload)
-        count = n - 1 if recipients is None else len(recipients)
-        self._metrics.record_broadcast(sender, tick, wrapped, count)
-        if self._lockstep:
-            pending = self._pending
-            if recipients is None:
-                pending.append(
-                    BatchRecord(channel, instance, sender, payload, wrapped, None, tick)
-                )
-            else:
-                for recipient in recipients:
-                    pending.append(
-                        BatchRecord(
-                            channel, instance, sender, payload, wrapped, recipient, tick
-                        )
-                    )
-            return count
         broadcast_all = recipients is None
-        if broadcast_all:
-            recipients = self._others.get(sender)
-            if recipients is None:
-                recipients = self._others[sender] = [
-                    node for node in range(n) if node != sender
-                ]
-        # One bulk pricing call instead of per-envelope arrival_tick:
-        # the model draws per-recipient latency/drop decisions from the
-        # same per-link streams, in recipient order == the object path's
-        # emission order, so the calendar it produces is bit-identical.
-        arrivals = self._delivery.batch_arrivals(sender, recipients, tick)
-        calendar = self._calendar
-        dropped = 0
-        if broadcast_all:
-            # Split the logical broadcast into one record per arrival
-            # tick.  Appending during this call keeps each bucket in
-            # emission order relative to other senders' traffic.
-            buckets: dict[Round, list[NodeId]] = {}
-            for recipient, arrival in zip(recipients, arrivals):
-                if arrival is None:
-                    dropped += 1
-                else:
-                    buckets.setdefault(arrival, []).append(recipient)
-            if dropped:
-                self._metrics.record_drops(sender, tick, dropped)
-            full = count
-            for arrival in sorted(buckets):
-                members = buckets[arrival]
-                target: "NodeId | frozenset[NodeId] | None"
-                if len(members) == full:
-                    target = None
-                elif len(members) == 1:
-                    target = members[0]
-                else:
-                    target = frozenset(members)
-                bucket = calendar.get(arrival)
-                if bucket is None:
-                    bucket = calendar[arrival] = []
-                bucket.append(
-                    BatchRecord(channel, instance, sender, payload, wrapped, target, tick)
-                )
+        count = self.n - 1 if broadcast_all else len(recipients)
+        if not count:
+            return 0
+        wrapped = mux_wrap(channel, instance, payload)
+        self._metrics.record_broadcast(sender, tick, wrapped, count)
+        lockstep = self._lockstep
+        # Price the send once: one (arrival tick, target) pair per record
+        # to file, in filing order.
+        placed: "list[tuple[Round, NodeId | frozenset[NodeId] | None]]"
+        if lockstep:
+            # Every copy arrives next tick and none is dropped, so there
+            # is nothing to ask the model.
+            targets = (None,) if broadcast_all else recipients
+            placed = [(tick + 1, target) for target in targets]
         else:
-            # Explicit recipient lists keep one single-target record per
-            # surviving copy (duplicate recipients get duplicate copies,
-            # as the object path would deliver them).
-            for recipient, arrival in zip(recipients, arrivals):
-                if arrival is None:
-                    dropped += 1
-                    continue
-                bucket = calendar.get(arrival)
-                if bucket is None:
-                    bucket = calendar[arrival] = []
-                bucket.append(
-                    BatchRecord(
-                        channel, instance, sender, payload, wrapped, recipient, tick
-                    )
-                )
+            if broadcast_all:
+                recipients = self._others.get(sender)
+                if recipients is None:
+                    recipients = self._others[sender] = [
+                        node for node in range(self.n) if node != sender
+                    ]
+            # One bulk pricing call instead of per-envelope arrival_tick:
+            # the model draws per-recipient latency/drop decisions from the
+            # same per-link streams, in recipient order == the object path's
+            # emission order, so the calendar it produces is bit-identical.
+            arrivals = self._delivery.batch_arrivals(sender, recipients, tick)
+            dropped = arrivals.count(None)
             if dropped:
                 self._metrics.record_drops(sender, tick, dropped)
+            if broadcast_all:
+                # Split the logical broadcast into one record per arrival
+                # tick: no per-recipient structure when every copy shares
+                # it, the id for a lone survivor, the subset otherwise.
+                buckets: dict[Round, list[NodeId]] = {}
+                for recipient, arrival in zip(recipients, arrivals):
+                    if arrival is not None:
+                        buckets.setdefault(arrival, []).append(recipient)
+                placed = []
+                for arrival in sorted(buckets):
+                    members = buckets[arrival]
+                    if len(members) == count:
+                        placed.append((arrival, None))
+                    elif len(members) == 1:
+                        placed.append((arrival, members[0]))
+                    else:
+                        placed.append((arrival, frozenset(members)))
+            else:
+                # Explicit recipient lists keep one single-target record
+                # per surviving copy (duplicate recipients get duplicate
+                # copies, as the object path would deliver them).
+                placed = [
+                    (arrival, recipient)
+                    for arrival, recipient in zip(arrivals, recipients)
+                    if arrival is not None
+                ]
+        # Filing during this call keeps each bucket in emission order
+        # relative to other senders' traffic.
+        for arrival, target in placed:
+            bucket = (
+                self._pending if lockstep else self._calendar.setdefault(arrival, [])
+            )
+            bucket.append(
+                BatchRecord(channel, instance, sender, payload, wrapped, target, tick)
+            )
         return count
 
     def snapshot(self) -> "Any":
@@ -439,11 +436,17 @@ class EventKernel:
 
         policy = active_checkpoint_policy()
         n = self.n
-        recording = self._record_views or self._trace is not None
+        record_views = self._record_views
+        trace = self._trace
+        acted_at = self._acted_at
         # Early-exit bookkeeping: count halted nodes incrementally instead
         # of re-scanning every context each tick.
         halted = sum(1 for ctx in contexts if ctx.state.halted)
         lockstep = self._lockstep
+        # The lock-step variation of the drain below: every arrival is
+        # "next tick" at zero lag, so no delivery is recorded, and plain
+        # envelopes need no capture (inboxes are born sender-sorted).
+        metrics = None if lockstep else self._metrics
         order = list(self._delivery.activation_order(n))
         if sorted(order) != list(range(n)):
             raise ConfigurationError(
@@ -452,9 +455,10 @@ class EventKernel:
             )
 
         while halted < n:
-            if until_tick is not None and self.tick >= until_tick:
+            tick = self.tick
+            if until_tick is not None and tick >= until_tick:
                 return None
-            if self.tick >= self._max_rounds:
+            if tick >= self._max_rounds:
                 raise SimulationError(self._horizon_report())
             plane = self._batch
             batching = plane is not None and plane.used
@@ -463,75 +467,53 @@ class EventKernel:
                 # buffer *before* any delivery of this tick is filed.
                 plane.begin_tick()
             if lockstep:
-                # Per-recipient buckets filled in emission order.  Senders
-                # act in ascending id order, so each bucket is born
-                # sender-sorted — no per-inbox sort, same as the
+                # Fresh per-recipient buckets filled in emission order.
+                # Senders act in ascending id order, so each bucket is
+                # born sender-sorted — no per-inbox sort, same as the
                 # pre-kernel fast path.
                 inboxes: list[list[Envelope]] = [[] for _ in range(n)]
-                if batching:
-                    for item in self._pending:
-                        if type(item) is Envelope:
-                            inboxes[item.recipient].append(item)
-                        else:
-                            plane.deliver(item, inboxes, None, self.tick)
-                else:
-                    for envelope in self._pending:
-                        inboxes[envelope.recipient].append(envelope)
-                self._pending = []
+                arrived, self._pending = self._pending, []
             else:
                 inboxes = self._inboxes
-                metrics = self._metrics
-                tick = self.tick
-                if batching:
-                    for item in self._calendar.pop(tick, ()):
-                        if type(item) is Envelope:
-                            # Plain wrapped traffic to a consumer is
-                            # captured into the group arrays at its
-                            # calendar position, preserving the object
-                            # path's arrival interleave under jitter.
-                            if plane.capture(item, metrics, tick):
-                                continue
-                            metrics.record_delivery(item, tick)
-                            inboxes[item.recipient].append(item)
-                        else:
-                            plane.deliver(item, inboxes, metrics, tick)
+                arrived = self._calendar.pop(tick, ())
+            for item in arrived:
+                if type(item) is Envelope:
+                    if metrics is not None:
+                        # Plain wrapped traffic to a consumer is captured
+                        # into the group arrays at its calendar position,
+                        # preserving the object path's arrival interleave
+                        # under jitter.
+                        if batching and plane.capture(item, metrics, tick):
+                            continue
+                        metrics.record_delivery(item, tick)
+                    inboxes[item.recipient].append(item)
                 else:
-                    for envelope in self._calendar.pop(tick, ()):
-                        metrics.record_delivery(envelope, tick)
-                        inboxes[envelope.recipient].append(envelope)
+                    plane.deliver(item, inboxes, metrics, tick)
 
-            if not recording:
-                for node in order:
-                    ctx = contexts[node]
-                    state = ctx.state
-                    inbox = inboxes[node]
-                    if not lockstep:
-                        if inbox:
-                            inboxes[node] = []
-                        self._acted_at[node] = self.tick
+            for node in order:
+                ctx = contexts[node]
+                state = ctx.state
+                inbox = inboxes[node]
+                if not lockstep:
+                    if inbox:
+                        inboxes[node] = []
+                    acted_at[node] = tick
+                if state.halted:
+                    continue
+                if record_views:
+                    self._views[node].record_round(inbox)
+                decided, discovered = state.decided, state.discovered
+                protocols[node].on_activate(ctx, inbox)
+                if trace is not None:
+                    # Log the transitions this activation made.
+                    if state.decided and not decided:
+                        trace.record_decide(tick, node, state.decision)
+                    if state.discovered is not None and discovered is None:
+                        trace.record_discover(tick, node, state.discovered)
                     if state.halted:
-                        continue
-                    protocols[node].on_activate(ctx, inbox)
-                    if state.halted:
-                        halted += 1
-            else:
-                for node in order:
-                    ctx = contexts[node]
-                    inbox = inboxes[node]
-                    if not lockstep:
-                        if inbox:
-                            inboxes[node] = []
-                        self._acted_at[node] = self.tick
-                    if self._record_views and not ctx.state.halted:
-                        self._views[node].record_round(inbox)
-                    if ctx.state.halted:
-                        continue
-                    before = (ctx.state.decided, ctx.state.discovered, ctx.state.halted)
-                    protocols[node].on_activate(ctx, inbox)
-                    if self._trace is not None:
-                        self._record_transitions(node, before, ctx.state)
-                    if ctx.state.halted:
-                        halted += 1
+                        trace.record_halt(tick, node)
+                if state.halted:
+                    halted += 1
 
             self.tick += 1
             if (
@@ -587,21 +569,6 @@ class EventKernel:
             f"{len(stuck)} of {self.n} nodes had not halted "
             f"(node:protocol = {shown}{more})"
         )
-
-    def _record_transitions(
-        self,
-        node: NodeId,
-        before: tuple[bool, str | None, bool],
-        state: NodeState,
-    ) -> None:
-        """Log decide/discover/halt transitions made during this tick."""
-        was_decided, was_discovered, was_halted = before
-        if state.decided and not was_decided:
-            self._trace.record_decide(self.tick, node, state.decision)
-        if state.discovered is not None and was_discovered is None:
-            self._trace.record_discover(self.tick, node, state.discovered)
-        if state.halted and not was_halted:
-            self._trace.record_halt(self.tick, node)
 
 
 def run_protocols(

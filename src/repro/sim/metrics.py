@@ -161,24 +161,18 @@ class Metrics:
         self.dropped_per_round[envelope.round_sent] += 1
         self.dropped_per_sender[envelope.sender] += 1
 
-    def record_deliveries(
-        self, tick: Round, count: int, round_sent: "Round | None" = None
-    ) -> None:
+    def record_deliveries(self, tick: Round, count: int, round_sent: Round) -> None:
         """Account ``count`` deliveries arriving at ``tick`` in bulk.
 
         The batch plane's mirror of :meth:`record_delivery`.  A batch
         record arrives as one bucket — every envelope it stands for
         shares the same emission round and arrival tick, so its lag
         (``tick - round_sent - 1``) is charged ``count`` times in one
-        addition.  ``round_sent=None`` (the legacy next-tick call shape)
-        skips the lag accumulator, which is exact only when arrival is
-        one tick after emission; the batch plane always passes the
-        record's emission round now that jittered calendars batch too.
+        addition.
         """
         self.delivered_per_tick[tick] += count
         self.deliveries_total += count
-        if round_sent is not None:
-            self.delivery_lag_total += (tick - round_sent - 1) * count
+        self.delivery_lag_total += (tick - round_sent - 1) * count
 
     def record_drops(self, sender: NodeId, round_sent: Round, count: int) -> None:
         """Account ``count`` dropped envelopes from one batch send."""

@@ -60,7 +60,12 @@ changes execution strategy only: decisions, per-instance outcomes and
 all metrics counters are bit-for-bit identical either way
 (``tests/sim/test_batch.py`` property-tests this under random Byzantine
 behaviour, jittered/lossy/partitioned delivery and adaptive
-adversaries).
+adversaries).  The engines share their code wherever they share their
+behaviour: one instance context, whose ``broadcast`` picks the wire form
+from the engine :meth:`InstanceMux.setup` settled on and charges the
+per-instance mirror in one place, and one stepping loop, which hands an
+instance its batch group when one arrived (plain traffic beside it
+spliced in first) and its plain inbox otherwise.
 
 Composition
 -----------
@@ -174,21 +179,27 @@ class _MuxInstanceContext:
     """One instance's window onto the node: tagged sends, namespaced rng.
 
     The mirror of :class:`repro.sim.compose._PhaseProxyContext`, per
-    instance instead of per phase: sends are wrapped in the mux envelope
-    extension (and mirrored into the instance's metrics), ``rng`` is the
+    instance instead of per phase: sends travel on the instance's tagged
+    stream (and are mirrored into the instance's metrics), ``rng`` is the
     instance's namespaced stream, and decide / discover / halt are
     captured in the :class:`InstanceOutcome` instead of the node state.
     Rounds pass through unshifted — all instances share the mux's round
     frame (shift the whole mux with a ``PhaseHost`` if needed).
+
+    ``columnar`` is the engine :meth:`InstanceMux.setup` settled on; it
+    picks the wire form of a send and nothing else.
     """
 
-    __slots__ = ("_ctx", "_channel", "_outcome", "_rng")
+    __slots__ = ("_ctx", "_channel", "_outcome", "_rng", "_columnar")
 
-    def __init__(self, ctx, channel: str, outcome: InstanceOutcome, rng) -> None:
+    def __init__(
+        self, ctx, channel: str, outcome: InstanceOutcome, rng, columnar: bool
+    ) -> None:
         self._ctx = ctx
         self._channel = channel
         self._outcome = outcome
         self._rng = rng
+        self._columnar = columnar
 
     def __getattr__(self, item: str) -> Any:
         return getattr(self._ctx, item)
@@ -225,26 +236,32 @@ class _MuxInstanceContext:
 
     def send(self, to: NodeId, payload: Any) -> None:
         """Send ``payload`` on this instance's tagged stream."""
-        self._ctx.send(to, mux_wrap(self._channel, self._outcome.instance, payload))
-        self._outcome.metrics.record(
-            Envelope(self._ctx.node, to, payload, self._ctx.round)
-        )
+        self.broadcast(payload, (to,))
 
     def broadcast(self, payload: Any, to: list[NodeId] | None = None) -> None:
         """Broadcast on this instance's stream.
 
-        Wraps once and hands every recipient the same wrapper object, so
-        the run-level lazy byte meters still deduplicate the encode by
-        identity (see :mod:`repro.sim.metrics`); the per-instance mirror
-        records the one shared inner payload per recipient likewise.
+        Columnar: one kernel batch record — the kernel wraps the payload
+        once and charges run metrics for the full recipient count.
+        Object: wrap once and hand every recipient the same wrapper
+        object, so the run-level lazy byte meters still deduplicate the
+        encode by identity (see :mod:`repro.sim.metrics`).  Either way
+        the per-instance mirror is charged here, once, with the one
+        shared inner payload at the same (possibly phase-shifted) round;
+        a send to nobody moves no counter.
         """
-        wrapped = mux_wrap(self._channel, self._outcome.instance, payload)
         ctx = self._ctx
-        record = self._outcome.metrics.record
-        node, round_ = ctx.node, ctx.round
-        for recipient in ctx.others() if to is None else to:
-            ctx.send(recipient, wrapped)
-            record(Envelope(node, recipient, payload, round_))
+        outcome = self._outcome
+        if self._columnar:
+            count = ctx.send_batch(self._channel, outcome.instance, payload, to)
+        else:
+            wrapped = mux_wrap(self._channel, outcome.instance, payload)
+            recipients = ctx.others() if to is None else to
+            for recipient in recipients:
+                ctx.send(recipient, wrapped)
+            count = len(recipients)
+        if count:
+            outcome.metrics.record_broadcast(ctx.node, ctx.round, payload, count)
 
     def decide(self, value: Any) -> None:
         """Capture the instance's decision."""
@@ -259,32 +276,6 @@ class _MuxInstanceContext:
     def halt(self) -> None:
         """Mark the instance finished; the mux stops stepping it."""
         self._outcome.halted = True
-
-
-class _ColumnarInstanceContext(_MuxInstanceContext):
-    """The columnar twin of :class:`_MuxInstanceContext`: sends travel
-    as kernel batch records instead of per-recipient wrapped envelopes.
-
-    Everything observable is preserved — the kernel wraps the payload
-    once, charges run metrics for the full recipient count, and the
-    per-instance mirror records the same inner payload at the same
-    (possibly phase-shifted) round; only the per-envelope object churn
-    is gone.
-    """
-
-    __slots__ = ()
-
-    def send(self, to: NodeId, payload: Any) -> None:
-        ctx = self._ctx
-        outcome = self._outcome
-        ctx.send_batch(self._channel, outcome.instance, payload, (to,))
-        outcome.metrics.record_broadcast(ctx.node, ctx.round, payload, 1)
-
-    def broadcast(self, payload: Any, to: list[NodeId] | None = None) -> None:
-        ctx = self._ctx
-        outcome = self._outcome
-        count = ctx.send_batch(self._channel, outcome.instance, payload, to)
-        outcome.metrics.record_broadcast(ctx.node, ctx.round, payload, count)
 
 
 def _batch_envelopes(group: ChannelBatch, me: NodeId) -> list[Envelope]:
@@ -315,40 +306,21 @@ def _batch_envelopes(group: ChannelBatch, me: NodeId) -> list[Envelope]:
     return envelopes
 
 
-def _merge_by_sender(batched: list[Envelope], plain: list[Envelope]) -> list[Envelope]:
-    """Merge two sender-ascending envelope lists, batched first on ties.
-
-    A sender ties with itself only if it sent both batch records and
-    plain wrapped envelopes in one tick (a hand-crafted adversary); the
-    batch-first rule is the documented order for that corner.
-    """
-    if not batched:
-        return plain
-    if not plain:
-        return batched
-    merged = []
-    i = 0
-    total = len(batched)
-    for env in plain:
-        sender = env.sender
-        while i < total and batched[i].sender <= sender:
-            merged.append(batched[i])
-            i += 1
-        merged.append(env)
-    merged.extend(batched[i:])
-    return merged
-
-
 def _merge_plain_into_batch(
     group: ChannelBatch, plain: list[Envelope]
 ) -> ChannelBatch:
     """Splice demuxed plain envelopes into a copy of a batch group.
 
-    Used when a batch-ingesting instance also received plain wrapped
-    traffic (object-engine peers, Byzantine forgeries): the protocol
-    still sees one sender-ascending columnar view.  The copy gets a
-    fresh ``shared`` scratch (entry indices shift), which is fine — the
-    plain-traffic case is the rare one.
+    Used when an instance received plain wrapped traffic beside its
+    batch group (object-engine peers, Byzantine forgeries): the protocol
+    still sees one sender-ascending view, batched first on ties — a
+    sender ties with itself only if it sent both batch records and plain
+    wrapped envelopes in one tick (a hand-crafted adversary).  Both only
+    ever coexist lock-step (a jittered calendar's plain envelopes are
+    captured into the group at their calendar position), where each side
+    is born sender-sorted.  The copy gets a fresh ``shared`` scratch
+    (entry indices shift), which is fine — the plain-traffic case is the
+    rare one.
     """
     merged = ChannelBatch()
     senders = merged.senders
@@ -508,7 +480,7 @@ class InstanceMux(Protocol):
             slot = _MuxSlot(self._protocols[instance], outcome, rng)
             self._slots[instance] = slot
             slot.protocol.setup(
-                _MuxInstanceContext(ctx, self._channel, outcome, rng)
+                _MuxInstanceContext(ctx, self._channel, outcome, rng, self._columnar)
             )  # type: ignore[arg-type]
         # An instance may already have halted inside its setup (a
         # config-validating or crashed-from-start behaviour): count only
@@ -532,55 +504,31 @@ class InstanceMux(Protocol):
                     Envelope(env.sender, env.recipient, inner, env.round_sent)
                 )
         columnar = self._columnar
-        groups = ctx.batch_groups(channel) if columnar else None
-        if groups is None:
-            # Object path: either the object engine, or a columnar mux
-            # whose run has no batch plane this tick.  A columnar mux
-            # still *sends* through the plane when registered, hence the
-            # engine-dependent proxy class.
-            proxy_cls = _ColumnarInstanceContext if columnar else _MuxInstanceContext
-            for instance in sorted(slots):
-                slot = slots[instance]
-                outcome = slot.outcome
-                if outcome.halted:
-                    continue
-                proxy = proxy_cls(ctx, channel, outcome, slot.rng)
-                slot.protocol.on_round(proxy, per_instance.get(instance, []))  # type: ignore[arg-type]
-                outcome.metrics.settle()
-                if outcome.halted:
-                    self._live -= 1
-        else:
-            me = ctx.node
-            for instance in sorted(slots):
-                slot = slots[instance]
-                outcome = slot.outcome
-                if outcome.halted:
-                    continue
-                proxy = _ColumnarInstanceContext(ctx, channel, outcome, slot.rng)
-                group = groups.get(instance)
-                plain = per_instance.get(instance)
-                protocol = slot.protocol
-                if group is not None and getattr(
-                    protocol, "supports_batch_inbox", False
-                ):
-                    protocol.on_round_batch(
-                        proxy,  # type: ignore[arg-type]
-                        group
-                        if plain is None
-                        else _merge_plain_into_batch(group, plain),
-                    )
-                elif group is not None:
-                    protocol.on_round(
-                        proxy,  # type: ignore[arg-type]
-                        _merge_by_sender(
-                            _batch_envelopes(group, me), plain or []
-                        ),
-                    )
-                else:
-                    protocol.on_round(proxy, plain or [])  # type: ignore[arg-type]
-                outcome.metrics.settle()
-                if outcome.halted:
-                    self._live -= 1
+        # No groups: the object engine, or a columnar mux outside this
+        # tick's consumer snapshot — its traffic arrived plain, though it
+        # still *sends* through the plane.
+        groups = (ctx.batch_groups(channel) if columnar else None) or {}
+        me = ctx.node
+        for instance in sorted(slots):
+            slot = slots[instance]
+            outcome = slot.outcome
+            if outcome.halted:
+                continue
+            proxy = _MuxInstanceContext(ctx, channel, outcome, slot.rng, columnar)
+            protocol = slot.protocol
+            group = groups.get(instance)
+            plain = per_instance.get(instance)
+            if group is not None and plain is not None:
+                group = _merge_plain_into_batch(group, plain)
+            if group is None:
+                protocol.on_round(proxy, plain or [])  # type: ignore[arg-type]
+            elif getattr(protocol, "supports_batch_inbox", False):
+                protocol.on_round_batch(proxy, group)  # type: ignore[arg-type]
+            else:
+                protocol.on_round(proxy, _batch_envelopes(group, me))  # type: ignore[arg-type]
+            outcome.metrics.settle()
+            if outcome.halted:
+                self._live -= 1
         if self._live == 0:
             ctx.state.outputs[MUX_OUTCOMES] = self.outcomes
             ctx.halt()

@@ -365,6 +365,11 @@ class LossyDelivery(_LinkStreamDelivery):
         return arrivals
 
 
+#: Search bound for a deferred envelope's healing tick, in ticks after
+#: emission (the kernel's default ``max_rounds``).
+_DEFER_HORIZON = 10_000
+
+
 class PartitionedDelivery(DeliveryModel):
     """Epoch-indexed network partitions with an optional healing defer.
 
@@ -384,14 +389,13 @@ class PartitionedDelivery(DeliveryModel):
       convergence measurable (experiment E13).
 
     A deferred envelope whose endpoints are never reunited within
-    ``horizon`` ticks of emission is dropped.  The model consults no
-    randomness at all: arrivals and drops are a pure function of the
+    ``_DEFER_HORIZON`` ticks of emission is dropped.  The model consults
+    no randomness at all: arrivals and drops are a pure function of the
     static schedule and the emission sequence.
 
     :param schedule: ``((start_tick, blocks_or_None), ...)``.
     :param defer: park cross-block traffic until heal instead of
         dropping it.
-    :param horizon: search bound for the healing tick in defer mode.
     """
 
     name = "partition"
@@ -401,7 +405,6 @@ class PartitionedDelivery(DeliveryModel):
         self,
         schedule: Sequence[tuple[int, "Sequence[Iterable[NodeId]] | None"]],
         defer: bool = False,
-        horizon: int = 10_000,
     ) -> None:
         if not schedule:
             raise ConfigurationError("partition schedule must not be empty")
@@ -431,7 +434,6 @@ class PartitionedDelivery(DeliveryModel):
             )
         self.schedule = tuple(parsed)
         self.defer = defer
-        self.horizon = horizon
         # Deferred envelopes can be parked past the run's final tick
         # (a heal landing at or after the last halt); have the kernel
         # sweep them into the drop accounting instead of losing them
@@ -468,7 +470,7 @@ class PartitionedDelivery(DeliveryModel):
         for start, _ in self.schedule:
             if start <= tick:
                 continue
-            if start > tick + self.horizon:
+            if start > tick + _DEFER_HORIZON:
                 break
             if self._connected(sender, recipient, start):
                 return start + 1

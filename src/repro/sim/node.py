@@ -256,19 +256,12 @@ class Protocol:
     ``ctx.halt()``; the runner ends the run when all nodes have halted.
 
     Checkpointing (:mod:`repro.sim.snapshot`) captures protocols by
-    pickling the whole object by default — sufficient for anything whose
-    state is plain data.  A protocol holding state that must not travel
-    (an unpicklable cache, a shared handle) opts into the explicit hook
-    pair instead, by defining *both*::
-
-        def snapshot_state(self) -> Any: ...      # picklable value
-        def restore_state(self, state) -> None: ...  # rebuild from it
-
-    ``restore_state`` runs on an instance created with ``cls.__new__``
-    (no ``__init__``), so it must reconstruct every attribute the
-    protocol's methods read.  :func:`repro.sim.rng.capture_state` /
-    :func:`~repro.sim.rng.restore_state` are the helpers for any rng
-    streams such a protocol manages itself.
+    pickling the whole object — sufficient for anything whose state is
+    plain data.  A protocol holding state that must not travel (an
+    unpicklable cache, a shared handle) defines the pickle pair
+    ``__getstate__`` / ``__setstate__``; ``__setstate__`` runs on an
+    instance created without ``__init__``, so it must reconstruct every
+    attribute the protocol's methods read.
     """
 
     #: Whether the protocol can ingest a columnar

@@ -70,25 +70,3 @@ def instance_rng(
 # falls back to an unseeded stream only for primality *witness* selection
 # when the caller passes none (the verdict, not the draws, is what's
 # consumed).
-
-
-def capture_state(rng: random.Random) -> tuple:
-    """The stream's full position as a picklable value.
-
-    A thin, named wrapper over ``Random.getstate()`` — the explicit
-    half of the snapshot contract, used by protocols implementing the
-    ``snapshot_state`` hook (:class:`repro.sim.node.Protocol`) for
-    streams they manage outside the kernel's object graph.
-    """
-    return rng.getstate()
-
-
-def restore_state(rng: random.Random, state: tuple) -> random.Random:
-    """Rewind ``rng`` to a :func:`capture_state` position; returns it.
-
-    After restoring, the stream emits exactly the draws the captured
-    stream would have emitted — the property the resume-equals-straight-
-    run tests pin bit-for-bit.
-    """
-    rng.setstate(state)
-    return rng

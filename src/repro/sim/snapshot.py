@@ -30,13 +30,12 @@ what makes resume-equals-straight-run hold *bit-for-bit*
 delivery families, random Byzantine and adaptive adversaries, and both
 mux engines).
 
-Protocols default to this whole-object capture.  A protocol holding
-state that must not travel (an unpicklable cache, a handle) opts into
-the explicit hook pair instead: ``snapshot_state()`` returning a
-picklable value and ``restore_state(state)`` rebuilding from it (see
-:class:`repro.sim.node.Protocol`); the capture swaps such protocols for
-``(class, state)`` placeholders before pickling and rebuilds them via
-``cls.__new__`` on restore.
+Protocols travel inside that one pickle like everything else.  A
+protocol holding state that must not travel (an unpicklable cache, a
+handle) says so the way any Python object does — the pickle pair
+``__getstate__`` / ``__setstate__`` (see
+:class:`repro.sim.node.Protocol`); unpicklable run state without it
+fails the capture fast, with a message naming the pair.
 
 Checkpoint files and the policy hook
 ------------------------------------
@@ -104,48 +103,22 @@ class KernelSnapshot:
         return len(self.payload)
 
 
-class _HookedProtocolState:
-    """Placeholder for a protocol captured via its explicit hooks.
-
-    Takes the protocol's slot in the pickled ``_protocols`` list;
-    :func:`restore_kernel` swaps it back for
-    ``cls.__new__(cls).restore_state(state)``.
-    """
-
-    __slots__ = ("cls", "state")
-
-    def __init__(self, cls: type, state: Any) -> None:
-        self.cls = cls
-        self.state = state
-
-
 def capture_kernel(kernel: "EventKernel", extras: dict[str, Any] | None = None) -> KernelSnapshot:
     """Snapshot a kernel at its current tick boundary.
 
     Settles the metrics first (idempotent; byte totals are independent
     of settle boundaries) so no payload references bloat the pickle,
-    then swaps hook-implementing protocols for their captured state and
-    pickles the whole graph in one call.
+    then pickles the whole graph in one call.
     """
     kernel._metrics.settle()
-    protocols = kernel._protocols
-    swapped: list[tuple[int, Any]] = []
-    for index, protocol in enumerate(protocols):
-        hook = getattr(protocol, "snapshot_state", None)
-        if hook is not None:
-            swapped.append((index, protocol))
-            protocols[index] = _HookedProtocolState(type(protocol), hook())
     try:
         payload = pickle.dumps(kernel, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         raise ConfigurationError(
             f"run state is not snapshot-able: {exc} — protocols holding "
-            "unpicklable state must implement the snapshot_state/"
-            "restore_state hook pair (see repro.sim.node.Protocol)"
+            "unpicklable state must implement the __getstate__/"
+            "__setstate__ pickle pair (see repro.sim.node.Protocol)"
         ) from exc
-    finally:
-        for index, protocol in swapped:
-            protocols[index] = protocol
     return KernelSnapshot(
         version=SNAPSHOT_VERSION,
         n=kernel.n,
@@ -176,18 +149,11 @@ def restore_kernel(snapshot: KernelSnapshot) -> "EventKernel":
             "re-create the checkpoint with the current code"
         )
     try:
-        kernel = pickle.loads(snapshot.payload)
+        return pickle.loads(snapshot.payload)
     except Exception as exc:
         raise ConfigurationError(
             f"snapshot payload is corrupt or from an incompatible build: {exc}"
         ) from exc
-    protocols = kernel._protocols
-    for index, item in enumerate(protocols):
-        if isinstance(item, _HookedProtocolState):
-            protocol = item.cls.__new__(item.cls)
-            protocol.restore_state(item.state)
-            protocols[index] = protocol
-    return kernel
 
 
 def retune_protocols(protocols: list, **params: Any) -> dict[str, int]:

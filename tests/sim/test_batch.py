@@ -295,6 +295,37 @@ class TestColumnarObjectEquivalence:
         )
         assert plain[COLUMNAR_ENGINE] == plain[OBJECT_ENGINE] == recorded
 
+    def test_zero_recipient_send_moves_no_counter(self):
+        """A send standing for zero envelopes is no send on either
+        engine: it claims no round and plants no zero-count key, at run
+        level or in the instance mirror."""
+
+        class EmptyBroadcaster(Protocol):
+            def on_round(self, ctx, inbox):
+                if ctx.round == 0:
+                    ctx.broadcast(("probe", ctx.node))
+                if ctx.round == 3:
+                    ctx.broadcast(("probe", "nobody"), to=[])
+                    ctx.halt()
+
+        runs = {}
+        for engine in ENGINES:
+            protocols = [
+                InstanceMux({0: EmptyBroadcaster()}, channel="om", engine=engine)
+                for _ in range(3)
+            ]
+            run = run_protocols(protocols, seed=5)
+            mirrors = [mux.outcomes[0].metrics for mux in protocols]
+            runs[engine] = (
+                observables(run),
+                [
+                    (m.rounds_used, dict(m.messages_per_round), dict(m.messages_per_kind))
+                    for m in [run.metrics, *mirrors]
+                ],
+            )
+        assert runs[COLUMNAR_ENGINE] == runs[OBJECT_ENGINE]
+        assert runs[COLUMNAR_ENGINE][1][0][:2] == (1, {0: 6})
+
 
 class TestDegradedCalendarEquivalence:
     """Arrival-columned plane: the columnar engine must replay the object
@@ -511,3 +542,38 @@ class TestMaterializedEnvelopes:
             ]
         assert decisions[COLUMNAR_ENGINE] == decisions[OBJECT_ENGINE]
         assert decisions[COLUMNAR_ENGINE][1] == ((0, ("probe", 0), 0),)
+
+    def test_plain_traffic_is_spliced_into_the_materialised_inbox(self):
+        """Mixed population, envelope-reading instances: a columnar node
+        hears columnar peers through its batch group and object peers
+        through plain envelopes, and reads one sender-sorted inbox —
+        the all-object run's."""
+
+        class InboxOrderProbe(Protocol):
+            def __init__(self):
+                self.seen = []
+
+            def on_round(self, ctx, inbox):
+                self.seen.extend(
+                    (env.sender, env.payload, env.round_sent) for env in inbox
+                )
+                if ctx.round < 2:
+                    ctx.broadcast(("probe", ctx.node, ctx.round))
+                else:
+                    ctx.decide(tuple(self.seen))
+                    ctx.halt()
+
+        decisions = []
+        for engines in (
+            (OBJECT_ENGINE,) * 5,
+            (COLUMNAR_ENGINE, OBJECT_ENGINE, COLUMNAR_ENGINE, OBJECT_ENGINE, COLUMNAR_ENGINE),
+            (OBJECT_ENGINE, COLUMNAR_ENGINE, COLUMNAR_ENGINE, OBJECT_ENGINE, OBJECT_ENGINE),
+        ):
+            protocols = [
+                InstanceMux({0: InboxOrderProbe()}, channel="om", engine=engine)
+                for engine in engines
+            ]
+            run_protocols(protocols, seed=5)
+            decisions.append([mux.outcomes[0].decision for mux in protocols])
+        assert decisions[0] == decisions[1] == decisions[2]
+        assert [sender for sender, _, _ in decisions[0][0][:4]] == [1, 2, 3, 4]

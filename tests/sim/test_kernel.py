@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.agreement import make_oral_agreement_protocols
+from repro.auth import trusted_dealer_setup
 from repro.errors import ConfigurationError, SimulationError
 from repro.faults import (
     CrashProtocol,
@@ -27,16 +28,20 @@ from repro.faults import (
     RushMirrorProtocol,
     SilentProtocol,
 )
+from repro.fd.timeout import make_timeout_fd_protocols
 from repro.sim import (
     BoundedDelay,
     DeliveryModel,
     EventKernel,
     Protocol,
     SynchronousRounds,
+    collect_instances,
+    make_delivery,
     run_protocols,
 )
 
 from ._reference_runner import ReferenceRunner
+from .test_batch import om_mux_protocols
 
 N, T = 7, 2
 
@@ -323,6 +328,72 @@ class TestTraceTransitionsUnderSkew:
         assert all(
             e.tick is None for e in outcome.run.trace.of_kind("send")
         )
+
+
+def _timeout_fd_one_silent():
+    """A non-mux scenario: timeout FD on six nodes, the last one silent."""
+    n, t = 6, 1
+    keypairs, directories = trusted_dealer_setup(n, scheme="simulated-hmac", seed=3)
+    return make_timeout_fd_protocols(
+        n, t, "v", keypairs, directories, adversaries={n - 1: SilentProtocol()}
+    )
+
+
+def _om_mux():
+    """A mux scenario: five nodes, one OM(1) instance per node."""
+    return om_mux_protocols(5, 1, "columnar")
+
+
+class TestObservationDoesNotChangeTheRun:
+    """Recording views and/or a trace changes what the kernel *keeps*,
+    never what happens: the observed run's outcome and counters equal
+    the unobserved run's under every delivery family (ROADMAP item 4's
+    first gate, and what pins the kernel's one activation loop)."""
+
+    @staticmethod
+    def _run(scenario, delivery, **recording):
+        protocols = scenario()
+        n = len(protocols)
+        if delivery == "half/defer":
+            delivery = f"partition:0-{n // 2 - 1}|{n // 2}-{n - 1}@3/defer"
+        run = run_protocols(
+            protocols,
+            seed=7,
+            delivery=make_delivery(delivery, rushing=(n - 1,)),
+            **recording,
+        )
+        metrics = run.metrics
+        return {
+            "states": [
+                (s.decided, repr(s.decision), s.discovered, s.halted)
+                for s in run.states
+            ],
+            "instances": collect_instances(run),
+            "rounds_executed": run.rounds_executed,
+            "messages": metrics.messages_total,
+            "drops": metrics.drops_total,
+            "deliveries": metrics.deliveries_total,
+            "lag": metrics.delivery_lag_total,
+            "per_kind": dict(metrics.messages_per_kind),
+        }
+
+    @pytest.mark.parametrize(
+        "recording",
+        [
+            {"record_views": True},
+            {"record_trace": True},
+            {"record_views": True, "record_trace": True},
+        ],
+        ids=["views", "trace", "both"],
+    )
+    @pytest.mark.parametrize(
+        "delivery", ["sync", "bounded:3", "rush", "loss:0.2", "half/defer"]
+    )
+    @pytest.mark.parametrize("scenario", [_timeout_fd_one_silent, _om_mux])
+    def test_observed_run_equals_unobserved(self, scenario, delivery, recording):
+        unobserved = self._run(scenario, delivery)
+        assert unobserved["messages"] > 0
+        assert self._run(scenario, delivery, **recording) == unobserved
 
 
 class TestRunnerFacade:

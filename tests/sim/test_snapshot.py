@@ -367,7 +367,7 @@ class TestRetune:
 
 
 class _HookedCounter(Protocol):
-    """Protocol with an unpicklable attr, captured via the hook pair."""
+    """Protocol with an unpicklable attr, captured via the pickle pair."""
 
     def __init__(self) -> None:
         self.count = 0
@@ -378,10 +378,10 @@ class _HookedCounter(Protocol):
         if self.count >= 3:
             ctx.halt()
 
-    def snapshot_state(self):
+    def __getstate__(self):
         return self.count
 
-    def restore_state(self, state) -> None:
+    def __setstate__(self, state) -> None:
         self.count = state
         self.unpicklable = lambda: None
 
@@ -423,7 +423,7 @@ class TestSnapshotMachinery:
 
     def test_unpicklable_protocol_fails_fast(self):
         runner = EventKernel([_StuckProtocol() for _ in range(2)], seed=0)
-        with pytest.raises(ConfigurationError, match="snapshot_state"):
+        with pytest.raises(ConfigurationError, match="__getstate__"):
             runner.run(until_tick=0)
             capture_kernel(runner)
 
