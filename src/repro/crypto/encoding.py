@@ -56,10 +56,10 @@ WIRE_CACHE_ATTR = "_repro_wire_bytes"
 
 # Scalar-encoding memo for the common scalar shapes (kind tags, node ids,
 # nonces, signatures).  Keys carry the concrete type so bool/int (and any
-# future scalar subclasses) never collide.  Bounded: cleared wholesale when
-# full — entries are cheap to recompute.
+# future scalar subclasses) never collide.  Bounded to one run's working set
+# (PERFORMANCE.md, "Caching invariants"): cleared wholesale when full.
 _SCALAR_CACHE: dict[tuple[type, Any], bytes] = {}
-_SCALAR_CACHE_MAX = 1 << 15
+_SCALAR_CACHE_MAX = 1 << 12
 _SCALAR_TYPES = (int, str, bytes)
 
 

@@ -98,28 +98,48 @@ def generate_prime(bits: int, rng: random.Random, max_attempts: int = 100_000) -
     raise KeyGenerationError(f"no {bits}-bit prime found in {max_attempts} attempts")
 
 
-def egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns ``(g, x, y)`` with ``a*x + b*y == g == gcd(a, b)``."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
-
-
 def modinv(a: int, modulus: int) -> int:
     """Modular inverse of ``a`` modulo ``modulus``.
 
     :raises KeyGenerationError: if the inverse does not exist.
     """
-    g, x, _ = egcd(a % modulus, modulus)
-    if g != 1:
-        raise KeyGenerationError(f"{a} is not invertible modulo {modulus}")
-    return x % modulus
+    try:
+        return pow(a, -1, modulus)
+    except ValueError:
+        raise KeyGenerationError(f"{a} is not invertible modulo {modulus}") from None
+
+
+class FixedBaseComb:
+    """Lim-Lee comb: ``base**e % modulus`` for one fixed ``base``.
+
+    A ``bits``-bit exponent is cut into ``teeth`` blocks of ``width`` bits and
+    ``_table[j]`` holds the product of ``base**(2**(i*width))`` over the set
+    bits ``i`` of ``j``, so a power costs ``width`` squarings and ``width``
+    table multiplications (``~2*bits/teeth``) where ``pow`` needs ``~1.2*bits``.
+    """
+
+    def __init__(self, base: int, modulus: int, bits: int, teeth: int) -> None:
+        self._modulus, self._bits = modulus, bits
+        self._width = width = -(-bits // teeth)
+        self._format = f"0{width * teeth}b"
+        powers = [base % modulus]
+        for _ in range(teeth - 1):
+            powers.append(pow(powers[-1], 1 << width, modulus))
+        self._table = table = [1] * (1 << teeth)
+        for j in range(1, len(table)):
+            low = j & -j
+            table[j] = table[j ^ low] * powers[low.bit_length() - 1] % modulus
+
+    def pow(self, exponent: int) -> int:
+        """``base**exponent % modulus``; ``ValueError`` outside ``[0, 2**bits)``."""
+        if exponent < 0 or exponent >> self._bits:  # never truncate silently
+            raise ValueError(f"exponent outside [0, 2**{self._bits})")
+        width, modulus, table = self._width, self._modulus, self._table
+        columns = format(exponent, self._format)  # column k = one bit per block
+        acc = 1
+        for k in range(width):
+            acc = acc * acc % modulus * table[int(columns[k::width], 2)] % modulus
+        return acc
 
 
 def generate_schnorr_group(

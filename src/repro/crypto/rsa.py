@@ -22,6 +22,7 @@ for a 64-node network takes well under a second.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 
 from ..errors import KeyGenerationError, SigningError
@@ -58,7 +59,7 @@ class RsaScheme(SignatureScheme):
             q = generate_prime(self.modulus_bits - half, rng)
             if p == q:
                 continue
-            lam = (p - 1) * (q - 1) // _gcd(p - 1, q - 1)
+            lam = (p - 1) * (q - 1) // math.gcd(p - 1, q - 1)
             if lam % _PUBLIC_EXPONENT == 0:
                 continue
             n = p * q
@@ -97,12 +98,6 @@ class RsaScheme(SignatureScheme):
             return pow(sig_int, e, n) == _digest_int(message) % n
         except (TypeError, ValueError):
             return False
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 #: Default RSA instance, registered at import time.

@@ -21,31 +21,50 @@ challenge-response of the key distribution protocol demonstrates.
 
 Group generation is deterministic from a fixed seed and cached, so repeated
 runs and tests do not pay the parameter-search cost.
+
+Every base is fixed (``g`` is a constant, a run has ``n`` public keys), so all
+exponentiation is :class:`~repro.crypto.numtheory.FixedBaseComb`: one comb
+for ``g`` and one small comb per public key for ``y^-1``, memoised by value
+because every recipient decodes its own predicate object.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from functools import cache, cached_property
 
-from ..errors import SigningError
+from ..errors import KeyGenerationError, SigningError
 from .keys import KeyPair, SecretKey, SignatureScheme, TestPredicate, register_scheme
-from .numtheory import generate_schnorr_group, modinv
+from .numtheory import FixedBaseComb, generate_schnorr_group, modinv
 
-_GROUP_CACHE: dict[tuple[int, int], tuple[int, int, int]] = {}
+# Comb sizes: the 2^8-entry table for ``g`` is built once per scheme; a key's
+# 2^6 entries (6.5 KB, ~one verify to build) pay off from its second verify.
+_GENERATOR_TEETH, _KEY_TEETH = 8, 6
+# (p, y) -> comb for y^-1 mod p.  Bounded: cleared wholesale when full, so it
+# holds a few runs' keys (the largest gated run has n = 128), never a process's.
+_KEY_COMBS: dict[tuple[int, int], FixedBaseComb] = {}
+_KEY_COMBS_MAX = 256
 
 
+@cache
 def default_group(p_bits: int = 512, q_bits: int = 160) -> tuple[int, int, int]:
     """The library-wide Schnorr group for the given sizes (cached).
 
     Generated from a fixed seed so every process derives identical
     parameters — the moral equivalent of published DSA domain parameters.
     """
-    key = (p_bits, q_bits)
-    if key not in _GROUP_CACHE:
-        rng = random.Random(f"repro-schnorr-group-{p_bits}-{q_bits}")
-        _GROUP_CACHE[key] = generate_schnorr_group(p_bits, q_bits, rng)
-    return _GROUP_CACHE[key]
+    rng = random.Random(f"repro-schnorr-group-{p_bits}-{q_bits}")
+    return generate_schnorr_group(p_bits, q_bits, rng)
+
+
+def _inverse_key_comb(p: int, q: int, y: int) -> FixedBaseComb:
+    comb = _KEY_COMBS.get((p, y))
+    if comb is None:
+        if len(_KEY_COMBS) >= _KEY_COMBS_MAX:
+            _KEY_COMBS.clear()
+        comb = _KEY_COMBS[p, y] = FixedBaseComb(modinv(y, p), p, q.bit_length(), _KEY_TEETH)
+    return comb
 
 
 def _hash_to_int(*parts: bytes) -> int:
@@ -71,10 +90,15 @@ class SchnorrScheme(SignatureScheme):
         """The ``(p, q, g)`` domain parameters (generated lazily)."""
         return default_group(self._p_bits, self._q_bits)
 
-    def generate_keypair(self, rng: random.Random) -> KeyPair:
+    @cached_property
+    def _g_comb(self) -> FixedBaseComb:
         p, q, g = self.group
+        return FixedBaseComb(g, p, q.bit_length(), _GENERATOR_TEETH)
+
+    def generate_keypair(self, rng: random.Random) -> KeyPair:
+        _, q, _ = self.group
         x = rng.randrange(1, q)
-        y = pow(g, x, p)
+        y = self._g_comb.pow(x)
         secret = SecretKey(scheme=self.name, material=x)
         predicate = TestPredicate(scheme=self.name, material=y)
         return KeyPair(secret=secret, predicate=predicate)
@@ -84,13 +108,13 @@ class SchnorrScheme(SignatureScheme):
             raise SigningError(
                 f"secret key for scheme {secret.scheme!r} given to {self.name!r}"
             )
-        p, q, g = self.group
+        p, q, _ = self.group
         x = secret.material
         x_bytes = x.to_bytes((q.bit_length() + 7) // 8, "big")
         k = _hash_to_int(b"nonce", x_bytes, message) % q
         if k == 0:  # one-in-2^160 corner; renonce deterministically
             k = 1
-        r = pow(g, k, p)
+        r = self._g_comb.pow(k)
         e = _hash_to_int(b"chal", r.to_bytes((p.bit_length() + 7) // 8, "big"), message) % q
         s = (k + x * e) % q
         size = (q.bit_length() + 7) // 8
@@ -98,7 +122,7 @@ class SchnorrScheme(SignatureScheme):
 
     def verify(self, predicate: TestPredicate, message: bytes, signature: bytes) -> bool:
         try:
-            p, q, g = self.group
+            p, q, _ = self.group
             y = predicate.material
             if not isinstance(y, int) or not 1 < y < p:
                 return False
@@ -109,13 +133,13 @@ class SchnorrScheme(SignatureScheme):
             s = int.from_bytes(signature[size:], "big")
             if not (0 <= e < q and 0 <= s < q):
                 return False
-            r = pow(g, s, p) * pow(modinv(y, p), e, p) % p
+            r = self._g_comb.pow(s) * _inverse_key_comb(p, q, y).pow(e) % p
             e_check = (
                 _hash_to_int(b"chal", r.to_bytes((p.bit_length() + 7) // 8, "big"), message)
                 % q
             )
             return e_check == e
-        except Exception:
+        except (TypeError, ValueError, KeyGenerationError):  # malformed input only
             return False
 
 

@@ -29,10 +29,10 @@ from .keys import SecretKey, TestPredicate
 
 _BODY_CACHE_ATTR = "_repro_body_bytes"
 
-# (predicate, body bytes, signature) -> verdict.  Bounded: cleared wholesale
-# when full; entries are cheap to recompute.
+# (predicate, body bytes, signature) -> verdict.  Bounded to one run's working
+# set (an entry pins a decoded predicate + body bytes): cleared when full.
 _VERIFY_CACHE: dict[tuple[TestPredicate, bytes, bytes], bool] = {}
-_VERIFY_CACHE_MAX = 1 << 16
+_VERIFY_CACHE_MAX = 1 << 12
 
 
 def cached_verify(predicate: TestPredicate, body: bytes, signature: bytes) -> bool:

@@ -1,0 +1,91 @@
+"""The crypto memos are bounded to one run's working set.
+
+Three process-wide memos sit under every signed run: the scalar-encoding
+memo, the verification memo and the Schnorr scheme's per-key comb memo.
+All three clear wholesale when full, so (a) a long-lived process that runs
+scenario after scenario on fresh seeds holds a bounded amount of them, and
+(b) a clear landing in the middle of a run may cost time but can never
+change what the run returns.
+"""
+
+from __future__ import annotations
+
+import gc
+import tracemalloc
+
+import pytest
+
+from repro.crypto import encoding, schnorr, signing
+from repro.harness import run_ba_scenario, run_fd_scenario
+
+SCHEME = "schnorr-512"
+
+MEMOS = (
+    (encoding, "_SCALAR_CACHE"),
+    (signing, "_VERIFY_CACHE"),
+    (schnorr, "_KEY_COMBS"),
+)
+
+
+def _clear_memos():
+    for module, name in MEMOS:
+        getattr(module, name).clear()
+
+
+def test_memos_stay_bounded_over_forty_fresh_seed_runs():
+    """n = 16 files 523 scalars, 246 verdicts and 16 combs per run, so all
+    three memos have been full (and cleared) at least once by run 20; from
+    there on traced memory must stop climbing."""
+    _clear_memos()
+    traced = []
+    tracemalloc.start()
+    try:
+        for op in range(40):
+            outcome = run_fd_scenario(
+                16, 1, "v", protocol="chain", auth="local", scheme=SCHEME, seed=f"memo-{op}"
+            )
+            assert outcome.fd.ok
+            for module, name in MEMOS:
+                assert len(getattr(module, name)) <= getattr(module, f"{name}_MAX"), name
+            gc.collect()  # a finished run's kernel graph is cyclic garbage
+            traced.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    # Clear-when-full makes a saw-tooth, so compare its envelope, not two
+    # points on it.  With the pre-PR-15 caps (32,768 / 65,536: nothing is
+    # cleared in 40 runs) the second half peaks at twice the first.
+    assert max(traced[20:]) <= 1.05 * max(traced[:20])
+
+
+def _projection(outcome):
+    verdict = outcome.fd if outcome.fd is not None else outcome.ba
+    metrics = outcome.run.metrics
+    return (
+        verdict,
+        outcome.run.decisions(),
+        outcome.run.discoverers(),
+        outcome.kd.messages,
+        metrics.messages_total,
+        metrics.bytes_total,
+        metrics.rounds_used,
+        dict(metrics.bytes_per_round),
+    )
+
+
+@pytest.mark.parametrize("cap", [1, 7])
+@pytest.mark.parametrize(
+    "run, protocol", [(run_fd_scenario, "chain"), (run_ba_scenario, "extension")]
+)
+def test_mid_run_clears_never_change_a_run(monkeypatch, run, protocol, cap):
+    def scenario():
+        _clear_memos()
+        return _projection(
+            run(8, 2, "v", protocol=protocol, auth="local", scheme=SCHEME, seed="clears")
+        )
+
+    uncapped = scenario()
+    for module, name in MEMOS:
+        monkeypatch.setattr(module, f"{name}_MAX", cap)
+    assert scenario() == uncapped
+    for module, name in MEMOS:
+        assert len(getattr(module, name)) <= cap

@@ -76,13 +76,6 @@ class TestPrimeGeneration:
 
 
 class TestModularArithmetic:
-    @given(st.integers(min_value=1, max_value=10**9), st.integers(min_value=1, max_value=10**9))
-    @settings(max_examples=200)
-    def test_egcd_invariant(self, a, b):
-        g, x, y = numtheory.egcd(a, b)
-        assert a * x + b * y == g
-        assert a % g == 0 and b % g == 0
-
     @given(st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=200)
     def test_modinv_against_prime_modulus(self, a):
@@ -99,6 +92,46 @@ class TestModularArithmetic:
         p = 101
         inv = numtheory.modinv(-3, p)
         assert (-3 * inv) % p == 1
+
+    def test_modinv_at_key_size(self):
+        p = (1 << 521) - 1  # Mersenne prime
+        a = random.Random("modinv").randrange(2, p)
+        assert a * numtheory.modinv(a, p) % p == 1
+
+
+class TestFixedBaseComb:
+    """The fixed-base kernel agrees with builtin ``pow`` on its whole domain."""
+
+    @given(
+        base=st.integers(min_value=0, max_value=1 << 80),
+        modulus=st.integers(min_value=2, max_value=1 << 80),
+        bits=st.integers(min_value=1, max_value=96),
+        teeth=st.integers(min_value=1, max_value=8),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_builtin_pow(self, base, modulus, bits, teeth, data):
+        comb = numtheory.FixedBaseComb(base, modulus, bits, teeth)
+        top = (1 << bits) - 1
+        drawn = data.draw(st.lists(st.integers(min_value=0, max_value=top), max_size=4))
+        for exponent in [0, 1, top, *drawn]:
+            assert comb.pow(exponent) == pow(base, exponent, modulus)
+
+    @pytest.mark.parametrize("teeth", range(1, 9))
+    def test_at_scheme_sizes(self, teeth):
+        rng = random.Random(f"comb-{teeth}")
+        p = (1 << 521) - 1
+        base = rng.randrange(2, p)
+        comb = numtheory.FixedBaseComb(base, p, 160, teeth)
+        for exponent in (0, 1, (1 << 160) - 1, rng.getrandbits(160), rng.getrandbits(17)):
+            assert comb.pow(exponent) == pow(base, exponent, p)
+
+    @pytest.mark.parametrize("exponent", [-1, -(1 << 40), 1 << 12, (1 << 12) + 5, 1 << 200])
+    def test_out_of_range_exponent_raises(self, exponent):
+        # Dropping the high bits would return a plausible wrong power.
+        comb = numtheory.FixedBaseComb(3, 1_000_000_007, 12, 4)
+        with pytest.raises(ValueError):
+            comb.pow(exponent)
 
 
 class TestSchnorrGroup:
