@@ -21,7 +21,9 @@
 # The last line printed is a one-line summary of each step's wall seconds,
 # so gate-time creep shows up in every run's scrollback, plus src_lines=N
 # (tracked src/*.py lines) so ROADMAP aim 2's "net src/ lines go down" is
-# visible in every gate run.
+# visible in every gate run.  The tier-1 step is printed against its
+# budget (tier-1=Ns/40s) and flagged OVER-BUDGET — visible, not fatal —
+# when a run exceeds it.
 #
 # The full wall-clock/memory gate (scripts/bench_check.py --memory, and
 # --full for the n=128 grid) stays a pre-merge step; this script is the
@@ -30,13 +32,19 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
+TIER1_BUDGET=40  # seconds (ROADMAP "smaller tails": tier-1 <= 40 s)
 timings=""
 step() {  # step NAME COMMAND... — run one gate step and record its seconds
     local name="$1" start="$SECONDS"
     shift
     echo "== check: $name =="
     "$@"
-    timings+=" $name=$((SECONDS - start))s"
+    local took=$((SECONDS - start))
+    timings+=" $name=${took}s"
+    if [[ $name == tier-1 ]]; then
+        timings+="/${TIER1_BUDGET}s"
+        if ((took > TIER1_BUDGET)); then timings+=" OVER-BUDGET"; fi
+    fi
 }
 
 step compileall python -m compileall -q src

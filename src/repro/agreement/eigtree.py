@@ -12,7 +12,9 @@ construction, which caps oral runs around n=32.  This module provides the
   column* (a multi-run report, held by reference, never expanded per
   path) — plus a sparse ``overrides`` dict for the dense items Byzantine
   nodes and the dense engine still speak.  A failure-free run stores
-  O(n·t) values per node instead of O(n^t); a degraded one O(#runs).
+  O(n·t) values per *instance* instead of O(n^t) per node: a tick whose
+  reports all went to everyone is one :class:`_SharedLevel`, held by
+  reference by every receiver; a degraded run stores O(#runs).
 * **wire form** — reports travel as :class:`RleReport`: run-length
   encoded values over the canonical path order, decoded transparently by
   the receiving engine.  A unanimous report is a single run regardless of
@@ -218,6 +220,24 @@ class RleReport:
         return hash((OM_REPORT_RLE, self.n, self.sender, self.level, self.exclude))
 
 
+class _SharedLevel(dict):
+    """One tick's uniform reports for one (instance, level), ``relayer ->
+    value``, when all of them went to everyone: built once by
+    :func:`ingest_rle_batch`, held by reference as the ``uniform`` level
+    of every receiver, never mutated.  It includes the holder's own relay,
+    which every reader ignores.  ``agreed`` caches the unanimity walk:
+    ``(first value,)`` if all entries are ``repr``-equal, else ``None``.
+    """
+
+    __slots__ = ("agreed",)
+
+    def __init__(self, entries) -> None:
+        for relayer, value in entries:
+            self.setdefault(relayer, value)  # first report wins
+        keys = set(map(_repr_key, self.values()))
+        self.agreed = (next(iter(self.values())),) if len(keys) == 1 else None
+
+
 class SuccinctEigStore:
     """Per-node succinct EIG tree: one entry per relayer + overrides.
 
@@ -232,6 +252,11 @@ class SuccinctEigStore:
     column, which is only ever filed before a uniform value, wins over
     that.
 
+    A ``uniform`` level is a private dict, or a :class:`_SharedLevel`
+    adopted whole by :func:`ingest_rle_batch` (which sets ``owner``): the
+    same values plus the owner's own relay, which no reader counts.
+    Filing anything more on the level first makes it private.
+
     A run column is a report's ``runs`` tuple, shared with every other
     receiver of the report: the values of the level-``L - 1`` paths
     avoiding ``q`` in canonical order, i.e. of the level-``L`` paths
@@ -241,7 +266,7 @@ class SuccinctEigStore:
 
     Contract: :meth:`get` is only ever asked about structurally valid
     paths that avoid the owning node — the same paths the dense dict
-    could contain.
+    could contain — so it never reads the owner's entry of a shared level.
     """
 
     __slots__ = (
@@ -253,6 +278,7 @@ class SuccinctEigStore:
         "uniform",
         "columns",
         "overrides",
+        "owner",
     )
 
     def __init__(self, n: int, t: int, sender: NodeId, default: Any) -> None:
@@ -272,6 +298,8 @@ class SuccinctEigStore:
         self.overrides: dict[int, dict[Path, Any]] = {
             level: {} for level in range(2, t + 2)
         }
+        #: The holding node, learnt when it first adopts a shared level.
+        self.owner: NodeId | None = None
 
     # -- filing ---------------------------------------------------------
 
@@ -280,11 +308,20 @@ class SuccinctEigStore:
         write in the round wins, exactly as the dense dict did)."""
         self.root = value
 
+    def _private(self, level: int) -> dict[NodeId, Any]:
+        """The level's ``uniform`` dict, safe to write and to probe: a
+        shared level first becomes a copy without the owner's own relay."""
+        held = self.uniform[level]
+        if type(held) is _SharedLevel:
+            held = self.uniform[level] = dict(held)
+            held.pop(self.owner, None)
+        return held
+
     def file_uniform(self, level: int, relayer: NodeId, value: Any) -> None:
         """File "relayer ``q`` reported ``value`` for every valid path" —
         first uniform report per (level, relayer) wins.  (Filed after a
         column it is kept but never read: the column wins.)"""
-        self.uniform[level].setdefault(relayer, value)
+        self._private(level).setdefault(relayer, value)
 
     def file_column(
         self, level: int, relayer: NodeId, runs: tuple[tuple[int, Any], ...]
@@ -293,13 +330,13 @@ class SuccinctEigStore:
         report per (level, relayer) wins.  ``runs`` must cover exactly the
         level-``level`` paths ending in ``relayer`` (the ingest's
         :func:`_classify_rle` checks it)."""
-        if relayer not in self.uniform[level]:
+        if relayer not in self._private(level):
             self.columns[level].setdefault(relayer, runs)
 
     def file_override(self, level: int, path: Path, value: Any) -> None:
         """File one path value with the dense ``setdefault`` semantics."""
         relayer = path[-1]
-        if relayer in self.uniform[level] or relayer in self.columns[level]:
+        if relayer in self._private(level) or relayer in self.columns[level]:
             return  # every path ending in this relayer is already set
         self.overrides[level].setdefault(path, value)
 
@@ -366,10 +403,12 @@ class SuccinctEigStore:
 
     def stored_entries(self) -> int:
         """Number of explicit entries held (diagnostics / memory tests);
-        a run column counts one per run."""
+        a run column counts one per run, the owner's own relay in a
+        shared level counts nothing."""
         return (
             (0 if self.root is _MISSING else 1)
             + sum(len(d) for d in self.uniform.values())
+            - sum(type(d) is _SharedLevel and self.owner in d for d in self.uniform.values())
             + sum(len(runs) for d in self.columns.values() for runs in d.values())
             + sum(len(d) for d in self.overrides.values())
         )
@@ -389,6 +428,13 @@ class SuccinctEigStore:
         if self.overrides[level] or self.columns[level]:
             return _MISSING
         uniform = self.uniform[level]
+        if type(uniform) is _SharedLevel:
+            # It also holds ``me``'s own relay (never the sender's): all
+            # entries agreeing implies the n-2 queried ones do.  Agreed only
+            # without ``me``'s entry, or asked for another node: the walk.
+            if uniform.agreed and me == self.owner and len(uniform) - (me in uniform) == self.n - 2:
+                return uniform.agreed[0]
+            uniform = self._private(level)
         # Protocol-filed uniform keys can only be valid relayers — never
         # the sender (rejected at ingest) and never this node (it cannot
         # receive its own relay) — so full coverage of the n-2 queried
@@ -551,7 +597,7 @@ def encode_report(store: SuccinctEigStore, me: NodeId, level: int) -> RleReport 
 
 
 #: Receiver-independent report verdicts (see :func:`_classify_rle`);
-#: ``_RLE_OTHER`` marks batch entries that are not RLE reports at all.
+#: ``_RLE_OTHER`` marks batch entries left to the caller's per-payload filing.
 _RLE_INVALID, _RLE_UNIFORM, _RLE_MULTI, _RLE_OTHER = 0, 1, 2, 3
 
 
@@ -627,20 +673,22 @@ def ingest_rle_batch(
     shared: dict,
 ) -> "list[tuple[NodeId, Any]] | None":
     """Columnar ingest: file every run-length report in one channel batch
-    that addresses ``me``, returning the addressed non-RLE leftovers (or
-    ``None``) for the caller's generic per-payload filing.
+    that addresses ``me``, returning the addressed leftovers (or ``None``)
+    for the caller's per-payload filing: the non-RLE payloads, and any
+    report that follows a non-RLE payload of its own relayer.
 
     The batch arrays are one tick's :class:`~repro.sim.batch.ChannelBatch`
     columns (``targets[i]`` encoding the recipient mask: ``None`` = all
-    but the sender, int = one node, frozenset = membership).  Two hoists
-    make this the columnar engine's payoff at n=128, where this path runs
-    ~6M times per run as ~n entries × ~n consumers × t rounds:
+    but the sender, int = one node, frozenset = membership).  The first
+    consumer computes what is receiver-independent and memoises it in
+    ``shared`` for the other ~n-1:
 
-    * the per-call level/wire-stats lookups move out of the entry loop;
-    * the :func:`_classify_rle` verdicts — receiver-independent — are
-      memoised in ``shared`` as one pre-classified column, so each
-      report is validated once per *tick* instead of once per
-      (report, consumer) pair.
+    * the :func:`_classify_rle` verdicts and uniform values, so a report
+      is validated once per *tick*, not once per (report, consumer) pair;
+    * when every entry went to everyone and is a uniform (or invalid)
+      report — the failure-free synchronous tick — the filed result
+      itself, one :class:`_SharedLevel`: a receiver whose level is still
+      empty adopts it by reference instead of walking the entries.
 
     Filing semantics are exactly per-entry :func:`ingest_rle`, in array
     (= sender-ascending emission) order.
@@ -648,9 +696,6 @@ def ingest_rle_batch(
     n, sender = store.n, store.sender
     level = round_ - 1
     in_range = 1 <= level <= store.t
-    # First consumer classifies every entry (receiver-independent) and
-    # pre-extracts the uniform values; the other ~n-1 consumers reduce
-    # each entry to a list index, a verdict compare and one setdefault.
     # Keyed by level so composition layers stepping the same batch from
     # different phase offsets could never share a stale verdict.
     pre = shared.get(("rle", level))
@@ -659,8 +704,11 @@ def ingest_rle_batch(
         values: list[Any] = []
         if in_range:
             count_avoiding = level_wire_stats(n, sender, level).count_avoiding
+            # First-wins is per relayer in array order: a report behind a
+            # leftover of its own relayer is left to the caller with it.
+            behind: set[NodeId] = set()
             for entry_sender, payload in zip(senders, payloads):
-                if isinstance(payload, RleReport):
+                if isinstance(payload, RleReport) and entry_sender not in behind:
                     verdict = _classify_rle(
                         payload, entry_sender, n, sender, level, count_avoiding
                     )
@@ -669,6 +717,7 @@ def ingest_rle_batch(
                         payload.runs[0][1] if verdict == _RLE_UNIFORM else None
                     )
                 else:
+                    behind.add(entry_sender)
                     kinds.append(_RLE_OTHER)
                     values.append(None)
         else:
@@ -678,10 +727,23 @@ def ingest_rle_batch(
                     _RLE_INVALID if isinstance(payload, RleReport) else _RLE_OTHER
                 )
                 values.append(None)
-        shared[("rle", level)] = (kinds, values)
+        column = None
+        if (
+            in_range
+            and {*kinds} <= {_RLE_INVALID, _RLE_UNIFORM}
+            and targets.count(None) == len(targets)
+        ):
+            column = _SharedLevel(
+                (q, v) for q, k, v in zip(senders, kinds, values) if k == _RLE_UNIFORM
+            )
+        shared[("rle", level)] = (kinds, values, column)
     else:
-        kinds, values = pre
-    uniform_setdefault = store.uniform[level + 1].setdefault if in_range else None
+        kinds, values, column = pre
+    if column is not None and not store.uniform[level + 1]:
+        store.uniform[level + 1] = column
+        store.owner = me
+        return None
+    uniform_setdefault = store._private(level + 1).setdefault if in_range else None
     rest: list[tuple[NodeId, Any]] | None = None
     for i in range(len(senders)):
         target = targets[i]

@@ -211,11 +211,7 @@ class OralAgreementProtocol(Protocol):
             else None
         )
         for env in inbox:
-            payload = env.payload
-            if store is not None and round_ >= 2 and isinstance(payload, RleReport):
-                eigtree.ingest_rle(store, payload, env.sender, me, round_)
-            else:
-                self._ingest_one(me, env.sender, payload, round_, valid_prefixes)
+            self._ingest_one(me, env.sender, env.payload, round_, valid_prefixes)
 
     def _ingest_one(
         self,
@@ -225,10 +221,11 @@ class OralAgreementProtocol(Protocol):
         round_: int,
         valid_prefixes,
     ) -> None:
-        """File one payload from ``sender`` (any shape but an RLE report,
-        which the callers fast-path)."""
+        """File one payload from ``sender``, whatever its shape."""
         store = self._store
-        if (
+        if store is not None and round_ >= 2 and isinstance(payload, RleReport):
+            eigtree.ingest_rle(store, payload, sender, me, round_)
+        elif (
             round_ == 1
             and sender == self._sender
             and isinstance(payload, tuple)

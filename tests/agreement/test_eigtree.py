@@ -16,20 +16,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.agreement import make_oral_agreement_protocols
-from repro.agreement._paths import paths_of_length
+from repro.agreement._paths import path_set, paths_of_length
 from repro.agreement.eigtree import (
     OM_REPORT_RLE,
     RleReport,
     SuccinctEigStore,
+    _SharedLevel,
     encode_report,
     ingest_dense_items,
     ingest_rle,
+    ingest_rle_batch,
 )
 from repro.agreement.oral import OM_REPORT, OM_VALUE, OralAgreementProtocol
 from repro.crypto.encoding import byte_size, encode
 from repro.errors import ConfigurationError
 from repro.faults import ScriptedProtocol, SilentProtocol
 from repro.sim import run_protocols
+from repro.sim.batch import ChannelBatch
 from repro.sim.message import payload_kind, wire_byte_size
 
 N, T = 7, 2
@@ -149,7 +152,7 @@ class TestDenseByteEquivalence:
         uniform=st.booleans(),
         seed=st.integers(0, 99),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     def test_dense_byte_size_is_exact(self, n, me, level, uniform, seed):
         """``dense_byte_size`` equals the canonical size of the dense
         payload the report stands for, materialized the hard way."""
@@ -378,23 +381,39 @@ def reference_resolve(tree, n, t, sender, default, me, path=None):
     return reference_majority(children, default)
 
 
-def file_both(store, tree, n, sender, me, relayer, payload, round_):
-    """File one received payload into the succinct ``store`` through the
-    engine's ingest, and into the dense dict ``tree`` with the dense
-    engine's per-item ``setdefault`` semantics written out."""
+def file_tree(tree, n, sender, me, relayer, payload, round_):
+    """File one received (well-formed) payload into the dense dict
+    ``tree`` with the dense engine's per-item ``setdefault`` semantics
+    written out."""
     level = round_ - 1
     if isinstance(payload, RleReport):
-        ingest_rle(store, payload, relayer, me, round_)
         if payload.level != level:
             return  # a late / early report is dropped whole
         paths = [p for p in paths_of_length(n, sender, level) if relayer not in p]
         items = list(zip(paths, payload.values()))
     else:
-        ingest_dense_items(store, payload, relayer, me, round_)
         items = payload
     for path, value in items:
         if me not in path:
             tree.setdefault(path + (relayer,), value)
+
+
+def file_both(store, tree, n, sender, me, relayer, payload, round_):
+    """File one received payload into the succinct ``store`` through the
+    engine's ingest, and into the dense dict ``tree``."""
+    if isinstance(payload, RleReport):
+        ingest_rle(store, payload, relayer, me, round_)
+    else:
+        ingest_dense_items(store, payload, relayer, me, round_)
+    file_tree(tree, n, sender, me, relayer, payload, round_)
+
+
+def addressed(target, relayer, me):
+    """Whether a batch entry from ``relayer`` with recipient mask
+    ``target`` (``BatchRecord.target`` encoding) reaches ``me``."""
+    if target is None:
+        return relayer != me
+    return me == target if type(target) is int else me in target
 
 
 def assert_store_matches_tree(store, tree, n, t, sender, default, me):
@@ -438,33 +457,73 @@ class TestFirstFiledReportWins:
             RleReport(n, 0, 2, q, ((1, "k"), (count - 1, "v"))),
         ]
 
-    def filed(self, order):
+    def filed(self, order, adopted=False):
         """Store and dict after the relayer's payloads arrive in
-        ``order``, on a background of other relayers' reports."""
+        ``order``, on a background of other relayers' reports — filed one
+        by one, or (``adopted``) taken over whole from a tick in which
+        relayers 2, 5, 6 and ``me`` itself broadcast uniform reports."""
         n, t, me = self.N, self.T, self.ME
         store, tree = SuccinctEigStore(n, t, 0, "d"), {}
         store.set_root("v")
         tree[(0,)] = "v"
-        background = {
-            2: RleReport(n, 0, 2, 2, ((8, "v"),)),
-            5: RleReport(n, 0, 2, 5, ((3, "v"), (5, "w"))),
-            6: (((0, 3), "x"),),
-        }
-        for relayer, payload in background.items():
-            file_both(store, tree, n, 0, me, relayer, payload, self.ROUND)
+        if adopted:
+            senders = [me, 2, 5, 6]
+            reports = [
+                RleReport(n, 0, 2, q, ((8, "w" if q == 5 else "v"),)) for q in senders
+            ]
+            ingest_rle_batch(store, senders, reports, [None] * 4, me, self.ROUND, {})
+            assert type(store.uniform[3]) is _SharedLevel
+            for relayer, report in zip(senders[1:], reports[1:]):
+                file_tree(tree, n, 0, me, relayer, report, self.ROUND)
+        else:
+            background = {
+                2: RleReport(n, 0, 2, 2, ((8, "v"),)),
+                5: RleReport(n, 0, 2, 5, ((3, "v"), (5, "w"))),
+                6: (((0, 3), "x"),),
+            }
+            for relayer, payload in background.items():
+                file_both(store, tree, n, 0, me, relayer, payload, self.ROUND)
         payloads = self.payloads()
         for index in order:
             file_both(store, tree, n, 0, me, self.RELAYER, payloads[index], self.ROUND)
         return store, tree
 
-    @pytest.mark.parametrize(
+    every_order = pytest.mark.parametrize(
         "order",
         list(itertools.permutations(range(6), 3)) + [(i, i) for i in range(6)],
         ids=lambda order: "".join("ddUUMM"[i] + str(i) for i in order),
     )
+
+    @every_order
     def test_every_order_matches_dense(self, order):
         store, tree = self.filed(order)
         assert_store_matches_tree(store, tree, self.N, self.T, 0, "d", self.ME)
+
+    @every_order
+    def test_every_order_matches_dense_on_an_adopted_level(self, order):
+        store, tree = self.filed(order, adopted=True)
+        # The relayer's first payload made the shared level private.
+        assert type(store.uniform[3]) is dict and self.ME not in store.uniform[3]
+        assert_store_matches_tree(store, tree, self.N, self.T, 0, "d", self.ME)
+
+    def test_one_targeted_report_and_nobody_adopts(self):
+        """One ``int``-targeted report in an otherwise all-broadcast
+        batch: it is filed entry by entry into private dicts, and only
+        the target holds that report."""
+        n, t = self.N, self.T
+        senders = [1, 2, 3, 4]
+        reports = [RleReport(n, 0, 2, q, ((8, f"v{q}"),)) for q in senders]
+        targets = [None, None, 5, None]
+        shared = {}
+        for me in range(1, n):
+            store, tree = SuccinctEigStore(n, t, 0, "d"), {}
+            ingest_rle_batch(store, senders, reports, targets, me, self.ROUND, shared)
+            assert type(store.uniform[3]) is dict
+            assert (3 in store.uniform[3]) == (me == 5)
+            for relayer, report, target in zip(senders, reports, targets):
+                if addressed(target, relayer, me):
+                    file_tree(tree, n, 0, me, relayer, report, self.ROUND)
+            assert_store_matches_tree(store, tree, n, t, 0, "d", me)
 
     def test_multi_run_report_is_one_entry_not_one_per_path(self):
         store, _ = self.filed((4,))
@@ -538,3 +597,237 @@ class TestColumnarSweepEqualsDense:
                     if relayer != me:  # a node never receives its own relay
                         file_both(store, tree, n, sender, me, relayer, payload, round_)
             assert_store_matches_tree(store, tree, n, t, sender, "d", me)
+
+
+# -- columnar ingest: shared levels vs per-entry filing ------------------------
+
+
+class _StubContext:
+    """The slice of ``NodeContext`` one ``on_round_batch`` step touches."""
+
+    def __init__(self, node, round_):
+        self.node, self.round = node, round_
+
+    def broadcast(self, payload):
+        pass
+
+    decide = broadcast
+
+    def halt(self):
+        pass
+
+
+def rle_is_valid(report, relayer, n, t, sender, level):
+    """The ingest's validity rule, written out over the path table."""
+    if not 1 <= level <= t or relayer == sender:
+        return False
+    covered = [p for p in paths_of_length(n, sender, level) if relayer not in p]
+    return (report.n, report.sender, report.level, report.exclude, report.item_count) == (
+        n, sender, level, relayer, len(covered)
+    )  # fmt: skip
+
+
+@st.composite
+def batch_scenarios(draw):
+    """A tree shape, one round, and 1-3 consecutive channel batches for
+    that round's level, as ``(relayer, payload, target)`` entries.  Three
+    batch shapes: *honest* (every relayer broadcasts one uniform report
+    of a common value, at most one of them deviating — the shared level
+    is adopted and its agreement read), *broadcast* (uniform and invalid
+    reports to everyone, relayers missing and repeating) and *mixed*
+    (also multi-run reports, dense items and noise, sent to everyone, one
+    node or a subset — filed entry by entry, making adopted levels
+    private).  One scenario in four files into an out-of-range round."""
+    t = draw(st.integers(1, 2))
+    n = draw(st.integers(3 * t + 1, 3 * t + 3))
+    sender = draw(st.integers(0, n - 1))
+    in_range = draw(st.sampled_from([True, True, True, False]))
+    round_ = draw(st.integers(2, t + 1)) if in_range else t + 2
+    level = round_ - 1
+    values = st.sampled_from(VALUE_POOL)
+    nodes = st.integers(0, n - 1)
+
+    def report(relayer, kind, value):
+        count = sum(relayer not in p for p in paths_of_length(n, sender, min(level, t)))
+        if kind == "uniform" or count < 2:
+            runs = ((max(count, 1), value),)
+        else:
+            runs = ((1, value), (count - 1, draw(values)))
+        if kind == "invalid":
+            bad = draw(st.sampled_from(["count", "exclude", "level", "n"]))
+            if bad == "count":
+                runs = ((runs[0][0] + 1, value),) + runs[1:]
+            return RleReport(
+                n + (bad == "n"),
+                sender,
+                level + (bad == "level"),
+                (relayer + (bad == "exclude")) % n,
+                runs,
+            )
+        return RleReport(n, sender, level, relayer, runs)
+
+    def entry(relayer, kinds, targeted):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "dense":
+            prefixes = paths_of_length(n, sender, level)
+            items = st.lists(st.tuples(st.sampled_from(prefixes), values), max_size=4)
+            payload = (OM_REPORT, tuple(draw(items)))
+        elif kind == "noise":
+            payload = draw(st.sampled_from([("unrelated", 7), b"raw", (OM_VALUE, "x")]))
+        else:
+            payload = report(relayer, kind, draw(values))
+        others = [node for node in range(n) if node != relayer]
+        target = None
+        if targeted:
+            target = draw(
+                st.one_of(
+                    st.none(),
+                    st.sampled_from(others),
+                    st.frozensets(st.sampled_from(others), max_size=n),
+                )
+            )
+        return relayer, payload, target
+
+    batches = []
+    for _ in range(draw(st.integers(1, 3))):
+        shape = draw(st.sampled_from(["honest", "broadcast", "mixed"]))
+        if shape == "honest":
+            common, odd = draw(values), draw(st.one_of(st.none(), nodes))
+            batch = [
+                (q, report(q, "uniform", draw(values) if q == odd else common), None)
+                for q in range(n)
+                if q != sender
+            ]
+        else:
+            kinds = ["uniform", "uniform", "uniform", "invalid"]
+            if shape == "mixed":
+                kinds += ["multi", "noise"] + ["dense"] * in_range
+            batch = [
+                entry(relayer, kinds, targeted=shape == "mixed")
+                for relayer in draw(st.lists(nodes, max_size=n + 2))
+            ]
+        batches.append((batch, draw(st.permutations(range(n)))))
+    root = draw(st.one_of(st.none(), values))
+    return n, t, sender, round_, root, batches
+
+
+class TestIngestRleBatch:
+    """``ingest_rle_batch`` — through its one caller, ``on_round_batch`` —
+    files exactly what per-entry ingest in array order files, whether a
+    receiver adopts the tick's shared level, keeps it, or makes it
+    private."""
+
+    @given(scenario=batch_scenarios())
+    @settings(max_examples=120, deadline=None)
+    def test_batch_ingest_equals_per_entry_ingest(self, scenario):
+        n, t, sender, round_, root, batches = scenario
+
+        def protocols(engine):
+            made = [
+                OralAgreementProtocol(n, t, default="d", sender=sender, engine=engine)
+                for _ in range(n)
+            ]
+            if root is not None:
+                for protocol in made:
+                    protocol._ingest_one(None, sender, (OM_VALUE, root), 1, None)
+            return made
+
+        batched, filed, dense = protocols("succinct"), protocols("succinct"), protocols("dense")
+        prefixes = path_set(n, sender, round_ - 1)
+        for batch, receiver_order in batches:
+            group = ChannelBatch()
+            for relayer, payload, target in batch:
+                group.senders.append(relayer)
+                group.payloads.append(payload)
+                group.targets.append(target)
+                group.rounds.append(round_ - 1)
+            for me in receiver_order:  # one ``group.shared`` for all of them
+                batched[me].on_round_batch(_StubContext(me, round_), group)
+                for relayer, payload, target in batch:
+                    if not addressed(target, relayer, me):
+                        continue
+                    if not isinstance(payload, RleReport):
+                        filed[me]._ingest_one(me, relayer, payload, round_, None)
+                        dense[me]._ingest_one(me, relayer, payload, round_, prefixes)
+                        continue
+                    ingest_rle(filed[me]._store, payload, relayer, me, round_)
+                    if rle_is_valid(payload, relayer, n, t, sender, round_ - 1):
+                        file_tree(dense[me]._tree, n, sender, me, relayer, payload, round_)
+        for me in range(n):
+            if me == sender:
+                continue  # holds no path avoiding itself: nothing to read
+            store, tree = batched[me]._store, dense[me]._tree
+            assert store.stored_entries() == filed[me]._store.stored_entries()
+            assert_store_matches_tree(store, tree, n, t, sender, "d", me)
+            assert_store_matches_tree(filed[me]._store, tree, n, t, sender, "d", me)
+
+    def test_report_behind_its_relayers_dense_items_waits_its_turn(self):
+        """First-wins is array order per relayer across wire shapes: the
+        batch ingest used to file every report before any leftover, so
+        relayer 1's later report beat its own earlier dense item (found
+        by the property above; the object mux engine never did this)."""
+        group = ChannelBatch()
+        group.senders = [1, 1, 3]
+        group.payloads = [
+            (OM_REPORT, (((0,), "dense-first"),)),
+            RleReport(4, 0, 1, 1, ((1, "report-second"),)),
+            RleReport(4, 0, 1, 3, ((1, "v"),)),
+        ]
+        group.targets = [None, None, None]
+        group.rounds = [1, 1, 1]
+        protocol = OralAgreementProtocol(4, 1, default="d")
+        protocol.on_round_batch(_StubContext(2, 2), group)
+        assert protocol._store.get((0, 1)) == "dense-first"
+        assert protocol._store.get((0, 3)) == "v"
+
+    N, T = 7, 1
+
+    def failure_free_tick(self, value_of=lambda q: "v"):
+        """Every node's store after one synchronous tick of level-1
+        reports from all six relayers."""
+        n, t = self.N, self.T
+        senders = list(range(1, n))
+        reports = [RleReport(n, 0, 1, q, ((1, value_of(q)),)) for q in senders]
+        stores = [SuccinctEigStore(n, t, 0, "d") for _ in range(n)]
+        shared = {}
+        for me in (3, 0, 6, 1, 5, 2, 4):
+            stores[me].set_root("v")
+            assert ingest_rle_batch(stores[me], senders, reports, [None] * 6, me, 2, shared) is None
+        return stores
+
+    def test_receivers_of_a_failure_free_tick_alias_one_level(self):
+        stores = self.failure_free_tick()
+        column = stores[0].uniform[2]
+        assert type(column) is _SharedLevel and list(column) == list(range(1, self.N))
+        assert all(store.uniform[2] is column for store in stores)
+        assert [store.owner for store in stores] == list(range(self.N))
+        # One more report for one receiver: its level turns private (own
+        # relay dropped, first-wins kept); the others and the column stay.
+        late = RleReport(self.N, 0, 1, 4, ((1, "late"),))
+        ingest_rle(stores[3], late, relayer=4, me=3, round_=2)
+        assert type(stores[3].uniform[2]) is dict
+        assert stores[3].uniform[2] == {q: "v" for q in (1, 2, 4, 5, 6)}
+        assert all(stores[me].uniform[2] is column for me in range(self.N) if me != 3)
+        assert dict(column) == {q: "v" for q in range(1, self.N)}
+
+    def test_readers_ignore_the_owners_own_relay(self):
+        """A shared level holds the owner's relay; a private dict never
+        did.  Unanimous only *except for* / *counting* ``me``'s entry."""
+        n, t = self.N, self.T
+        for me, odd in [(3, 3), (3, 5)]:
+            store = self.failure_free_tick(lambda q: "x" if q == odd else "v")[me]
+            assert store.stored_entries() == 1 + (n - 2)
+            report = encode_report(store, me, 2)
+            # me's own "x" is invisible to me; relayer 5's is not.
+            assert len(report.runs) == (1 if odd == me else 3)
+            assert repr(store.resolve(me)) == repr("v")
+            # file_column / file_override probe the owner's view: the
+            # owner's relay blocks nothing (and is never consumed).
+            store.file_override(2, (0, me), "o")
+            assert store.overrides[2] == {(0, me): "o"}
+            assert me not in store.uniform[2]
+        # ``level_codes`` may read the owner's relay at paths through the
+        # owner; no consumer of it does (``resolve`` / ``encode_report``
+        # above).  A store asked on another node's behalf takes the walk.
+        store = self.failure_free_tick()[3]
+        assert repr(store._level_uniform_value(2, 4)) != repr("v")

@@ -17,6 +17,7 @@ import pickle
 import pytest
 
 from repro.agreement import make_oral_agreement_protocols
+from repro.agreement.eigtree import _SharedLevel
 from repro.auth import trusted_dealer_setup
 from repro.crypto import simulated
 from repro.errors import ConfigurationError, ProtocolViolationError
@@ -213,6 +214,34 @@ class TestEngineCoverage:
         snap = capture_kernel(runner)
         resumed = restore_kernel(snap).run()
         assert observables(resumed) == observables(straight)
+
+    @pytest.mark.parametrize("tick", [2, 3])
+    def test_shared_eig_levels_stay_shared_across_a_snapshot(self, tick):
+        """Synchronous OM(2) mux: from tick 3 on every receiver of an
+        instance holds one level-2 column by reference.  Pickle keeps the
+        aliasing (the snapshot does not grow n-fold) and the resumed run
+        — adopting from the in-flight records at tick 2, carrying adopted
+        levels at tick 3 — equals the straight one."""
+        n = 7
+
+        def build():
+            return EventKernel(om_mux_protocols(n, 2, COLUMNAR_ENGINE), seed="snap-eig")
+
+        def level_two(kernel, instance):
+            return [
+                mux._protocols[instance]._store.uniform[2] for mux in kernel.protocols
+            ]
+
+        straight = build().run()
+        runner = build()
+        assert runner.run(until_tick=tick) is None
+        restored = restore_kernel(capture_kernel(runner))
+        assert restored.run(until_tick=3) is None
+        for instance in range(n):
+            column, *others = level_two(restored, instance)
+            assert type(column) is _SharedLevel and len(column) == n - 1
+            assert all(other is column for other in others)
+        assert observables(restored.run()) == observables(straight)
 
 
 class TestTraceContinuity:
