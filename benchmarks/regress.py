@@ -595,9 +595,10 @@ def experiments(small: bool) -> list[tuple[str, Callable[[], dict[str, Any]]]]:
             # speedup evidence scripts/bench_check.py gates with
             # ``--min-warm-ratio``.  The prefix must be long relative
             # to a snapshot restore for warm to win — unpickling the
-            # kernel costs roughly twenty ticks of simulation at any n
-            # (state size and per-tick cost both scale as n²) — so the
-            # fork axis sits just past a 120-tick shared prefix.
+            # kernel costs roughly forty ticks of simulation at any n
+            # (state size and per-tick cost both scale as n²; twenty
+            # before PR 18 halved the cost of a tick) — so the fork
+            # axis sits just past a 120-tick shared prefix.
             suite.append(
                 ("e13_warm_timeouts_n32_t3",
                  lambda: _warm_timeout_sweep(

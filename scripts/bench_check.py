@@ -66,7 +66,10 @@ by the end-to-end benchmark's oracle) adds the warm-started sweep
 twins: timeout-axis sweeps run prefix-shared via kernel checkpoint/resume
 (``repro.harness.sweep_prefix_shared``) next to ``*_straight``
 cold-re-run twins, with the straight/warm wall-clock ratio enforced by
-the ``--full`` gate (``--min-warm-ratio``, default 2x) and the twins'
+the ``--full`` gate (``--min-warm-ratio``, default 1.3x — 2x until PR 18
+made a tick of simulation about twice as cheap while a restore costs
+what it did, so both twins got faster and the ratio fell from 2.1-3.0x
+to 1.6-2.2x) and the twins'
 counts required to agree bit-for-bit; the live gate file is
 ``BENCH_9.json`` (PR 12), which records the columnar EIG store's
 frontier — ``kernel_oral_bounded2_n64_t3`` and the degraded t=2 mux
@@ -337,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--min-warm-ratio",
         type=float,
-        default=2.0,
+        default=1.3,
         metavar="X",
         help="--full gate: minimum straight/warm wall-clock ratio on "
         "each *_straight warm-sweep pair (the prefix-shared executor "

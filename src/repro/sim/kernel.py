@@ -30,12 +30,16 @@ bit-for-bit reproducible.  The event-level argument:
 4. node randomness is seed-derived per node (:func:`repro.sim.rng.node_rng`)
    exactly as before.
 
-One loop
---------
+One loop, one filing site
+-------------------------
 :meth:`EventKernel.run` is the paper's loop, spelled once: per tick, one
 drain of what arrived (plain envelopes and batch records alike, in
 emission order) and one activation pass over the nodes; recording views
-or a trace adds what the pass *keeps*, never a second pass.  Lock-step
+or a trace adds what the pass *keeps*, never a second pass.  Plain
+traffic enters at one site too: :meth:`EventKernel.enqueue` takes a
+*logical send* (``ctx.send`` is the one-recipient ``ctx.broadcast``),
+charges it once, and does per copy only what differs per copy — the
+envelope, the model's arrival tick, the filing.  Lock-step
 models vary exactly one thing: the arrivals come from the single pending
 list instead of a calendar bucket, and the drain's ``metrics`` is
 ``None`` — every arrival is "next tick" at zero lag, so no delivery is
@@ -153,9 +157,7 @@ class EventKernel:
         self.n = len(protocols)
         self.seed = seed
         self.tick: Round = 0
-        # sender -> all-other-nodes list, resolved once per run for the
-        # batch broadcast path (recipient order is part of the schedule
-        # contract, so the cache must stay id-ascending).
+        # sender -> all-other-nodes list behind :meth:`others`.
         self._others: dict[NodeId, list[NodeId]] = {}
         self._protocols = list(protocols)
         self._max_rounds = max_rounds
@@ -255,45 +257,83 @@ class EventKernel:
         warnable condition (see ``InstanceMux.fallback_reason``)."""
         return self._batch_disabled_reason
 
-    def enqueue(self, envelope: Envelope) -> None:
-        """Accept an envelope for delivery (called by contexts).
+    def others(self, sender: NodeId) -> list[NodeId]:
+        """Every node id but ``sender``'s, ascending: the default fan-out
+        of a broadcast, built once per sender and shared (never mutate
+        it — recipient order is part of the schedule contract)."""
+        others = self._others.get(sender)
+        if others is None:
+            others = self._others[sender] = [
+                node for node in range(self.n) if node != sender
+            ]
+        return others
 
-        Metrics and trace record the *send* here; the delivery model
-        assigns the arrival tick, and the kernel checks causality.
+    def enqueue(
+        self, sender: NodeId, recipients: Sequence[NodeId], payload: Any
+    ) -> None:
+        """Accept one logical send — ``payload`` from ``sender`` to each of
+        ``recipients``, already validated by the context — for delivery.
+
+        The send is charged once (:meth:`Metrics.record_broadcast`, the
+        charge :meth:`enqueue_batch` makes) and a send to nobody returns
+        before any counter moves.  Per copy only what is per copy
+        remains: the envelope, the model's arrival tick (one
+        ``arrival_tick`` call each, in recipient order — every per-link
+        draw repeats), the trace event, the causality check and the
+        filing; drops and legal same-tick deliveries are counted here and
+        charged once on the way out.
         """
-        self._metrics.record(envelope)
+        if not recipients:
+            return
+        tick = self.tick
+        metrics = self._metrics
+        metrics.record_broadcast(sender, tick, payload, len(recipients))
+        trace = self._trace
         if self._lockstep:
-            if self._trace is not None:
-                self._trace.record_send(envelope)
-            self._pending.append(envelope)
+            pending = self._pending
+            for recipient in recipients:
+                envelope = Envelope(sender, recipient, payload, tick)
+                if trace is not None:
+                    trace.record_send(envelope)
+                pending.append(envelope)
             return
-        arrival = self._delivery.arrival_tick(envelope, self.tick)
-        if arrival is None:
-            # The model dropped the envelope (lossy links, partition
-            # boundary): it still counts as sent, and the loss itself is
-            # accounted so runs under unreliable delivery stay auditable.
-            self._metrics.record_drop(envelope)
-            if self._trace is not None:
-                self._trace.record_drop(envelope)
-            return
-        if self._trace is not None:
-            self._trace.record_send(envelope, arrival_tick=arrival)
-        if arrival > self.tick:
-            bucket = self._calendar.get(arrival)
-            if bucket is None:
-                bucket = self._calendar[arrival] = []
-            bucket.append(envelope)
-            return
-        if arrival < self.tick or self._acted_at[envelope.recipient] == self.tick:
-            raise SimulationError(
-                f"delivery model {self._delivery.name!r} scheduled an envelope "
-                f"from {envelope.sender} to {envelope.recipient} into the past "
-                f"(arrival {arrival}, tick {self.tick})"
-            )
-        # Legal same-tick (rushing) delivery: the recipient acts later
-        # this tick and will see the envelope in its current inbox.
-        self._metrics.record_delivery(envelope, arrival)
-        self._inboxes[envelope.recipient].append(envelope)
+        arrival_tick = self._delivery.arrival_tick
+        calendar = self._calendar
+        dropped = rushed = 0
+        for recipient in recipients:
+            envelope = Envelope(sender, recipient, payload, tick)
+            arrival = arrival_tick(envelope, tick)
+            if arrival is None:
+                # The model dropped the copy (lossy links, partition
+                # boundary): it still counts as sent, and the loss itself
+                # is accounted so runs under unreliable delivery stay
+                # auditable.
+                dropped += 1
+                if trace is not None:
+                    trace.record_drop(envelope)
+                continue
+            if trace is not None:
+                trace.record_send(envelope, arrival_tick=arrival)
+            if arrival > tick:
+                bucket = calendar.get(arrival)
+                if bucket is None:
+                    bucket = calendar[arrival] = []
+                bucket.append(envelope)
+                continue
+            if arrival < tick or self._acted_at[recipient] == tick:
+                raise SimulationError(
+                    f"delivery model {self._delivery.name!r} scheduled an envelope "
+                    f"from {sender} to {recipient} into the past "
+                    f"(arrival {arrival}, tick {tick})"
+                )
+            # Legal same-tick (rushing) delivery: the recipient acts later
+            # this tick and will see the envelope in its current inbox.
+            rushed += 1
+            self._inboxes[recipient].append(envelope)
+        if dropped:
+            metrics.record_drops(sender, tick, dropped)
+        if rushed:
+            metrics.record_deliveries(tick, rushed, tick)
 
     def enqueue_batch(
         self,
@@ -305,8 +345,8 @@ class EventKernel:
     ) -> int:
         """Accept one logical mux broadcast as batch records.
 
-        The columnar counterpart of per-recipient :meth:`enqueue` calls:
-        metrics charge the whole send at once, and delivery travels as
+        The columnar counterpart of :meth:`enqueue`: the same single
+        charge, but delivery travels as
         :class:`~repro.sim.batch.BatchRecord`\\ s interleaved with plain
         envelopes in emission order.  ``recipients=None`` is the
         broadcast-to-all-others fast path (a single record, no
@@ -317,8 +357,7 @@ class EventKernel:
         ``self._batch`` is always present here.
 
         Returns the number of envelopes the send stands for; a send to
-        nobody returns 0 and moves no counter, as zero per-recipient
-        :meth:`enqueue` calls would.
+        nobody returns 0 and moves no counter, as in :meth:`enqueue`.
         """
         tick = self.tick
         broadcast_all = recipients is None
@@ -338,11 +377,7 @@ class EventKernel:
             placed = [(tick + 1, target) for target in targets]
         else:
             if broadcast_all:
-                recipients = self._others.get(sender)
-                if recipients is None:
-                    recipients = self._others[sender] = [
-                        node for node in range(self.n) if node != sender
-                    ]
+                recipients = self.others(sender)
             # One bulk pricing call instead of per-envelope arrival_tick:
             # the model draws per-recipient latency/drop decisions from the
             # same per-link streams, in recipient order == the object path's
@@ -476,6 +511,8 @@ class EventKernel:
             else:
                 inboxes = self._inboxes
                 arrived = self._calendar.pop(tick, ())
+            # Plain arrivals per emission round, charged once each below.
+            delivered: dict[Round, int] = {}
             for item in arrived:
                 if type(item) is Envelope:
                     if metrics is not None:
@@ -485,10 +522,13 @@ class EventKernel:
                         # under jitter.
                         if batching and plane.capture(item, metrics, tick):
                             continue
-                        metrics.record_delivery(item, tick)
+                        sent = item.round_sent
+                        delivered[sent] = delivered.get(sent, 0) + 1
                     inboxes[item.recipient].append(item)
                 else:
                     plane.deliver(item, inboxes, metrics, tick)
+            for sent, count in delivered.items():
+                metrics.record_deliveries(tick, count, sent)
 
             for node in order:
                 ctx = contexts[node]
@@ -531,25 +571,28 @@ class EventKernel:
             # (tick, seq) order.
             for arrival in sorted(self._calendar):
                 for item in self._calendar.pop(arrival):
-                    if type(item) is Envelope:
-                        self._metrics.record_drop(item)
-                        if self._trace is not None:
-                            self._trace.record_drop(item)
-                    else:
-                        # A parked batch record (defer-mode partition
-                        # whose heal never came): bulk-charge its whole
-                        # recipient set, exactly as the object path's
-                        # per-envelope sweep would.  Tracing never
-                        # coexists with the batch plane.
-                        self._metrics.record_drops(
-                            item.sender, item.round_sent, item.recipient_count(self.n)
-                        )
+                    # A parked batch record stands for its whole recipient
+                    # set; tracing never coexists with the batch plane.
+                    plain = type(item) is Envelope
+                    self._metrics.record_drops(
+                        item.sender,
+                        item.round_sent,
+                        1 if plain else item.recipient_count(self.n),
+                    )
+                    if plain and self._trace is not None:
+                        self._trace.record_drop(item)
 
+        # Every node has halted (a halted context may not send) and the
+        # result carries the states: drop the contexts' back-references,
+        # the graph's one cycle, so a finished kernel and its link streams
+        # are freed by reference count, not by the next full collection.
+        for ctx in contexts:
+            ctx._runner = None
         return RunResult(
             n=self.n,
             rounds_executed=self.tick,
             metrics=self._metrics,
-            states=[ctx.state for ctx in self._contexts],
+            states=[ctx.state for ctx in contexts],
             views=self._views if self._record_views else [],
             seed=self.seed,
             trace=self._trace,

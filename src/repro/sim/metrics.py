@@ -4,24 +4,29 @@ These counters are the measurement instrument for every experiment in
 EXPERIMENTS.md — the paper's claims are claims about *message counts* and
 *round counts*, so the simulator counts them exactly (no sampling).
 
+The unit of charge is the *logical send*: the kernel charges a
+``ctx.broadcast`` (plain or columnar, one recipient or ``n - 1``) with
+one :meth:`Metrics.record_broadcast`, its drops with one
+:meth:`Metrics.record_drops`, and a tick's arrivals with one
+:meth:`Metrics.record_deliveries` per emission round — each bumps every
+counter of its family by the count at once, O(1) per send.  There is one
+body per counter family: the per-envelope spellings (:meth:`Metrics.record`
+/ :meth:`~Metrics.record_delivery` / :meth:`~Metrics.record_drop`) are
+the count-1 calls of those bodies, kept for callers that hold an
+envelope (the reference runner in ``tests/sim``, which charges per copy
+so the equivalence tests prove the two agree).
+
 Byte accounting is exact but *lazy*: encoding every payload at send time
-dominated sweep wall-clock, so :meth:`Metrics.record` only stashes the
-payload reference and the encode happens on first read of
+dominated sweep wall-clock, so a charge only stashes a ``(round,
+payload, count)`` entry and the encode happens on first read of
 :attr:`Metrics.bytes_total` / :attr:`Metrics.bytes_per_round`.  Two facts
 make this sound:
 
 * payloads are wire values, immutable by library discipline, so encoding
   later yields the same bytes as encoding at send time;
-* a broadcast hands the same payload object to every recipient, so the
-  settle step deduplicates by object identity and encodes it once (the
-  references held in the deferred list keep ids stable).
-
-The columnar batch plane (:mod:`repro.sim.batch`) charges a whole
-broadcast in one call: deferred entries are ``(round, payload, count)``
-triples, and :meth:`Metrics.record_broadcast` /
-:meth:`Metrics.record_deliveries` / :meth:`Metrics.record_drops` bump
-every counter by the batch size at once — bit-for-bit the totals the
-per-envelope methods produce, at O(1) per logical send.
+* a payload object relayed in several sends is deduplicated by object
+  identity at settle time and encoded once (the references held in the
+  deferred list keep ids stable).
 
 Compressed payloads (the succinct EIG engine's run-length reports) are
 charged at their *dense equivalent* size via
@@ -93,34 +98,23 @@ class Metrics:
     )
 
     def record(self, envelope: Envelope) -> None:
-        """Account one sent envelope (bytes deferred; see module docs).
-
-        All per-round counters key on ``round_sent``, which the network
-        stamps at emission — so they stay exact under skewed delivery
-        models, where an envelope's *arrival* tick (tracked separately
-        by :meth:`record_delivery`) can trail its emission round.
-        """
-        self.messages_total += 1
-        round_sent = envelope.round_sent
-        self.messages_per_round[round_sent] += 1
-        self.messages_per_sender[envelope.sender] += 1
-        self.messages_per_kind[payload_kind(envelope.payload)] += 1
-        self._deferred_payloads.append((round_sent, envelope.payload, 1))
-        if round_sent >= self.rounds_used:
-            self.rounds_used = round_sent + 1
+        """Account one sent envelope: :meth:`record_broadcast`, count 1."""
+        self.record_broadcast(
+            envelope.sender, envelope.round_sent, envelope.payload, 1
+        )
 
     def record_broadcast(
         self, sender: NodeId, round_sent: Round, payload: Any, count: int
     ) -> None:
-        """Account ``count`` copies of one payload in a single charge.
+        """Account one logical send: ``count`` copies of one payload.
 
-        The bulk mirror of :meth:`record` for the columnar batch plane
-        (:mod:`repro.sim.batch`): one logical broadcast of ``payload`` by
-        ``sender`` to ``count`` recipients bumps every counter by
-        ``count`` at once and defers a single ``(round, payload, count)``
-        entry.  Identical totals to ``count`` individual records of the
-        same payload object — the object path's identity dedup charges
-        ``count * size`` bytes too — at O(1) instead of O(count).
+        Every counter moves by ``count`` at once and a single ``(round,
+        payload, count)`` entry is deferred for the byte meters (see the
+        module docstring) — the totals of ``count`` one-copy charges of
+        the same payload object, at O(1).  All per-round counters key on
+        ``round_sent``, the emission tick, so they stay exact under
+        skewed delivery models, where a copy's *arrival* tick (tracked
+        separately by :meth:`record_deliveries`) can trail it.
         """
         self.messages_total += count
         self.messages_per_round[round_sent] += count
@@ -131,51 +125,39 @@ class Metrics:
             self.rounds_used = round_sent + 1
 
     def record_delivery(self, envelope: Envelope, tick: Round) -> None:
-        """Account one delivered envelope under a non-lock-step model.
-
-        Recorded by the event kernel at arrival time.  ``delivery lag``
-        is the arrival's excess over the lock-step bound (``arrival -
-        sent - 1``): positive for late bounded-delay arrivals, ``-1``
-        for a same-tick rushed delivery, and identically zero under
-        synchronous rounds — so the kernel skips the call entirely on
-        the lock-step fast path and these counters stay at their
-        defaults, keeping lock-step metrics bit-for-bit comparable with
-        pre-kernel runs.
-        """
-        self.delivered_per_tick[tick] += 1
-        self.delivery_lag_total += tick - envelope.round_sent - 1
-        self.deliveries_total += 1
+        """Account one delivery: :meth:`record_deliveries`, count 1."""
+        self.record_deliveries(tick, 1, envelope.round_sent)
 
     def record_drop(self, envelope: Envelope) -> None:
-        """Account one envelope the delivery model dropped.
-
-        Recorded by the event kernel when a model's ``arrival_tick``
-        returns ``None`` (lossy links, partition boundaries).  The
-        envelope is *also* in the send counters — drops measure how much
-        of the sent traffic the network ate, keyed (like every per-round
-        counter) on the emission round.  Identically zero under reliable
-        models, keeping their metrics bit-for-bit comparable with
-        pre-drop-support runs.
-        """
-        self.drops_total += 1
-        self.dropped_per_round[envelope.round_sent] += 1
-        self.dropped_per_sender[envelope.sender] += 1
+        """Account one dropped envelope: :meth:`record_drops`, count 1."""
+        self.record_drops(envelope.sender, envelope.round_sent, 1)
 
     def record_deliveries(self, tick: Round, count: int, round_sent: Round) -> None:
-        """Account ``count`` deliveries arriving at ``tick`` in bulk.
+        """Account ``count`` deliveries at ``tick`` of copies emitted at
+        ``round_sent``, under a non-lock-step model.
 
-        The batch plane's mirror of :meth:`record_delivery`.  A batch
-        record arrives as one bucket — every envelope it stands for
-        shares the same emission round and arrival tick, so its lag
-        (``tick - round_sent - 1``) is charged ``count`` times in one
-        addition.
+        ``delivery lag`` is the arrival's excess over the lock-step bound
+        (``tick - round_sent - 1``): positive for late bounded-delay
+        arrivals, ``-1`` for a same-tick rushed delivery, and identically
+        zero under synchronous rounds — so the kernel skips the call
+        entirely on the lock-step fast path and these counters stay at
+        their defaults, keeping lock-step metrics bit-for-bit comparable
+        with pre-kernel runs.
         """
         self.delivered_per_tick[tick] += count
         self.deliveries_total += count
         self.delivery_lag_total += (tick - round_sent - 1) * count
 
     def record_drops(self, sender: NodeId, round_sent: Round, count: int) -> None:
-        """Account ``count`` dropped envelopes from one batch send."""
+        """Account ``count`` copies of one send that the delivery model
+        dropped (``arrival_tick`` returned ``None``: lossy links,
+        partition boundaries) or the run's end swept undelivered.
+
+        The copies are *also* in the send counters — drops measure how
+        much of the sent traffic the network ate, keyed (like every
+        per-round counter) on the emission round.  Identically zero under
+        reliable models.
+        """
         self.drops_total += count
         self.dropped_per_round[round_sent] += count
         self.dropped_per_sender[sender] += count

@@ -243,9 +243,9 @@ class _MuxInstanceContext:
 
         Columnar: one kernel batch record — the kernel wraps the payload
         once and charges run metrics for the full recipient count.
-        Object: wrap once and hand every recipient the same wrapper
-        object, so the run-level lazy byte meters still deduplicate the
-        encode by identity (see :mod:`repro.sim.metrics`).  Either way
+        Object: wrap once and broadcast the wrapper, one logical send
+        of one payload object to the run-level meters as well (a
+        tampering lens below still sees each copy).  Either way
         the per-instance mirror is charged here, once, with the one
         shared inner payload at the same (possibly phase-shifted) round;
         a send to nobody moves no counter.
@@ -255,11 +255,8 @@ class _MuxInstanceContext:
         if self._columnar:
             count = ctx.send_batch(self._channel, outcome.instance, payload, to)
         else:
-            wrapped = mux_wrap(self._channel, outcome.instance, payload)
-            recipients = ctx.others() if to is None else to
-            for recipient in recipients:
-                ctx.send(recipient, wrapped)
-            count = len(recipients)
+            ctx.broadcast(mux_wrap(self._channel, outcome.instance, payload), to)
+            count = ctx.n - 1 if to is None else len(to)
         if count:
             outcome.metrics.record_broadcast(ctx.node, ctx.round, payload, count)
 

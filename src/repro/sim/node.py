@@ -12,7 +12,7 @@ who is sending.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ..errors import ProtocolViolationError
 from ..types import NodeId, Round
@@ -120,76 +120,86 @@ class NodeContext:
         return self._runner.metrics
 
     def others(self) -> list[NodeId]:
-        """All node ids except this node's, in id order."""
-        return [i for i in range(self.n) if i != self.node]
+        """All node ids except this node's, in id order (the caller's
+        own copy of the kernel's shared fan-out)."""
+        return list(self._runner.others(self.node))
 
-    def send(self, to: NodeId, payload: Any) -> None:
-        """Send ``payload`` to node ``to``; delivered next round (N1).
+    def _checked(self, to: "Iterable[NodeId] | None") -> "Sequence[NodeId] | None":
+        """The one sender/recipient check behind every send.
 
-        :raises ProtocolViolationError: on self-send, unknown recipient or
-            sending after halt — all of these are implementation bugs, not
-            expressible Byzantine behaviours.
+        All or nothing: raises before anything is sent or charged, so an
+        invalid recipient anywhere in ``to`` leaves no partial send
+        behind.  Returns ``to`` as a sequence (an iterator is
+        materialised once); ``None`` — everyone else — passes through.
         """
         if self.state.halted:
             raise ProtocolViolationError(
                 f"node {self.node} sent a message after halting"
             )
-        if to == self.node:
-            raise ProtocolViolationError(f"node {self.node} sent to itself")
-        if not 0 <= to < self.n:
-            raise ProtocolViolationError(
-                f"node {self.node} sent to invalid recipient {to}"
-            )
-        self._runner.enqueue(
-            Envelope(
-                sender=self.node, recipient=to, payload=payload, round_sent=self.round
-            ),
-        )
+        if to is None:
+            return None
+        if not isinstance(to, (list, tuple)):
+            to = list(to)
+        node = self.node
+        n = self._runner.n
+        for recipient in to:
+            if recipient == node:
+                raise ProtocolViolationError(f"node {node} sent to itself")
+            if not 0 <= recipient < n:
+                raise ProtocolViolationError(
+                    f"node {node} sent to invalid recipient {recipient}"
+                )
+        return to
 
-    def broadcast(self, payload: Any, to: list[NodeId] | None = None) -> None:
+    def send(self, to: NodeId, payload: Any) -> None:
+        """Send ``payload`` to node ``to``; delivered next round (N1).
+
+        The one-recipient case of :meth:`broadcast`.
+
+        :raises ProtocolViolationError: on self-send, unknown recipient or
+            sending after halt — all of these are implementation bugs, not
+            expressible Byzantine behaviours.
+        """
+        self._runner.enqueue(self.node, self._checked((to,)), payload)
+
+    def broadcast(
+        self, payload: Any, to: "Iterable[NodeId] | None" = None
+    ) -> None:
         """Send ``payload`` to every node in ``to`` (default: all others).
 
-        Every copy shares the one payload object, which the metrics' lazy
-        byte accounting encodes exactly once.
+        One logical send: validated as a whole (see :meth:`send` — an
+        invalid recipient raises before any copy is sent), charged once,
+        one kernel call; a duplicate in ``to`` gets a duplicate copy and
+        an empty ``to`` sends nothing and moves no counter.  Every copy
+        shares the one payload object, which the metrics' lazy byte
+        accounting encodes exactly once.
         """
-        for recipient in (self.others() if to is None else to):
-            self.send(recipient, payload)
+        to = self._checked(to)
+        runner = self._runner
+        runner.enqueue(
+            self.node, runner.others(self.node) if to is None else to, payload
+        )
 
     def send_batch(
         self,
         channel: str,
         instance: int,
         payload: Any,
-        to: "list[NodeId] | None" = None,
+        to: "Iterable[NodeId] | None" = None,
     ) -> int:
         """One logical mux broadcast as a columnar batch record.
 
         The batch-plane counterpart of wrapping ``payload`` in the mux
-        extension and :meth:`send`-ing it per recipient: same validation,
-        same metrics totals, same observable deliveries — one kernel call
-        instead of ``len(to)``.  Only call after
-        :meth:`register_batch_consumer` returned ``True`` for some node
-        of the run's channel (the mux's columnar engine guarantees this).
+        extension and :meth:`broadcast`-ing it: same all-or-nothing
+        validation, same metrics totals, same observable deliveries.
+        Only call after :meth:`register_batch_consumer` returned ``True``
+        for some node of the run's channel (the mux's columnar engine
+        guarantees this).
 
         :returns: the number of envelopes the send stands for.
         """
-        if self.state.halted:
-            raise ProtocolViolationError(
-                f"node {self.node} sent a message after halting"
-            )
-        if to is not None:
-            n = self.n
-            for recipient in to:
-                if recipient == self.node:
-                    raise ProtocolViolationError(
-                        f"node {self.node} sent to itself"
-                    )
-                if not 0 <= recipient < n:
-                    raise ProtocolViolationError(
-                        f"node {self.node} sent to invalid recipient {recipient}"
-                    )
         return self._runner.enqueue_batch(
-            self.node, channel, instance, payload, to
+            self.node, channel, instance, payload, self._checked(to)
         )
 
     def register_batch_consumer(self, channel: str) -> bool:

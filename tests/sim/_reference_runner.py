@@ -59,11 +59,20 @@ class ReferenceRunner:
         # counter under the new name (same value, same semantics).
         return self.round
 
-    def enqueue(self, envelope: Envelope) -> None:
-        self._metrics.record(envelope)
-        if self._trace is not None:
-            self._trace.record_send(envelope)
-        self._pending.append(envelope)
+    def others(self, sender: NodeId) -> list[NodeId]:
+        return [node for node in range(self.n) if node != sender]
+
+    def enqueue(self, sender: NodeId, recipients, payload) -> None:
+        # The second concession: the context hands over one logical
+        # send.  The oracle charges it per envelope on purpose, so the
+        # equivalence tests prove the kernel's single charge equals
+        # per-copy accounting.
+        for recipient in recipients:
+            envelope = Envelope(sender, recipient, payload, self.round)
+            self._metrics.record(envelope)
+            if self._trace is not None:
+                self._trace.record_send(envelope)
+            self._pending.append(envelope)
 
     def run(self) -> RunResult:
         for ctx, protocol in zip(self._contexts, self._protocols):

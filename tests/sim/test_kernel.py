@@ -15,13 +15,16 @@ synchronous semantics, not just the fast path.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.agreement import make_oral_agreement_protocols
 from repro.auth import trusted_dealer_setup
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, ProtocolViolationError, SimulationError
 from repro.faults import (
     CrashProtocol,
     RandomNoiseProtocol,
@@ -33,6 +36,7 @@ from repro.sim import (
     BoundedDelay,
     DeliveryModel,
     EventKernel,
+    Metrics,
     Protocol,
     SynchronousRounds,
     collect_instances,
@@ -411,3 +415,240 @@ class TestRunnerFacade:
         # One source of truth: the contexts' round, the kernel's tick and
         # the result's rounds_executed are the same counter.
         assert kernel.round == kernel.tick == result.rounds_executed == 1
+
+
+# -- the logical send ---------------------------------------------------------
+
+FAN_N, FAN_ROUNDS = 6, 4
+
+#: One node's recipients in one round: ``None`` (everyone else), a list
+#: (duplicates allowed — each gets its own copy; ``[]`` sends nothing) or
+#: the same list handed over as a one-shot generator.
+fan_outs = st.one_of(
+    st.none(),
+    st.tuples(
+        st.sampled_from(("list", "generator")),
+        st.lists(st.integers(0, FAN_N - 1), max_size=FAN_N + 2),
+    ),
+)
+fan_scripts = st.lists(
+    st.lists(fan_outs, min_size=FAN_N, max_size=FAN_N),
+    min_size=FAN_ROUNDS, max_size=FAN_ROUNDS,
+)
+EVERYONE_BROADCASTS = [[None] * FAN_N] * FAN_ROUNDS
+
+
+class Fan(Protocol):
+    """Sends one payload per round to the scripted recipients — as one
+    ``ctx.broadcast`` or as the loop of ``ctx.send`` it replaces — and
+    keeps every inbox it is handed."""
+
+    def __init__(self, script, as_broadcast):
+        self.script = script
+        self.as_broadcast = as_broadcast
+        self.inboxes = []
+
+    def on_round(self, ctx, inbox):
+        self.inboxes.append((ctx.tick, [tuple(envelope) for envelope in inbox]))
+        fan_out = self.script[ctx.round][ctx.node]
+        payload = ("fan", ctx.round, ctx.node)
+        to = fan_out
+        if fan_out is not None:
+            to = [node for node in fan_out[1] if node != ctx.node]
+            if fan_out[0] == "generator" and self.as_broadcast:
+                to = (node for node in to)
+        if self.as_broadcast:
+            ctx.broadcast(payload, to)
+        else:
+            for recipient in ctx.others() if to is None else to:
+                ctx.send(recipient, payload)
+        if ctx.round == FAN_ROUNDS - 1:
+            ctx.halt()  # the last round's copies are never delivered
+
+
+def run_fan(script, as_broadcast, delivery, seed, record_trace):
+    protocols = [Fan(script, as_broadcast) for _ in range(FAN_N)]
+    run = run_protocols(
+        protocols, seed=seed, delivery=make_delivery(delivery),
+        record_trace=record_trace,
+    )
+    return {
+        "states": run.states,
+        "rounds_executed": run.rounds_executed,
+        "metrics": run.metrics.settle(),
+        "inboxes": [protocol.inboxes for protocol in protocols],
+        "trace": run.trace.events if record_trace else None,
+    }
+
+
+class TestBroadcastEqualsTheLoopOfSends:
+    """One logical send is validated, charged and filed once; what a run
+    can observe — states, every ``Metrics`` field, every inbox, the
+    recorded trace — is what the per-recipient loop produced."""
+
+    @pytest.mark.parametrize(
+        "delivery",
+        [
+            "sync",
+            "bounded:3",
+            "loss:0.3:2",
+            # Healed from tick 2: early cross-block copies arrive late, and
+            # the final round's sends are swept undelivered at run end.
+            "partition:0-2|3-5@2/defer",
+            # Node 4 sits inside every default fan-out and gets honest
+            # traffic in the tick it was sent.
+            "rush:4",
+        ],
+    )
+    @given(script=fan_scripts, seed=st.integers(0, 2**16), record_trace=st.booleans())
+    @example(script=EVERYONE_BROADCASTS, seed=0, record_trace=True)
+    @settings(max_examples=12, deadline=None)
+    def test_same_run(self, delivery, script, seed, record_trace):
+        broadcast = run_fan(script, True, delivery, seed, record_trace)
+        assert broadcast == run_fan(script, False, delivery, seed, record_trace)
+        if script == EVERYONE_BROADCASTS:
+            # The all-broadcast run goes through what the case is there for.
+            metrics = broadcast["metrics"]
+            assert metrics.messages_total == FAN_ROUNDS * FAN_N * (FAN_N - 1)
+            if delivery.startswith(("loss", "partition")):
+                assert metrics.drops_total > 0
+            if delivery.startswith("rush"):
+                assert metrics.delivery_lag_total < 0
+            if delivery.startswith(("bounded", "partition")):
+                assert metrics.delivery_lag_total > 0
+
+    def test_causality_error_mid_broadcast(self):
+        class SameTick(DeliveryModel):
+            name = "same-tick"
+
+            def arrival_tick(self, envelope, tick):
+                return tick
+
+        class UpThenDown(Protocol):
+            def __init__(self, as_broadcast):
+                self.as_broadcast = as_broadcast
+                self.inbox = None
+
+            def on_round(self, ctx, inbox):
+                self.inbox = list(inbox)
+                if ctx.node == 1:
+                    # Node 2 has yet to act this tick, node 0 already has.
+                    if self.as_broadcast:
+                        ctx.broadcast("x", [2, 0])
+                    else:
+                        ctx.send(2, "x")
+                        ctx.send(0, "x")
+                ctx.halt()
+
+        messages = []
+        for as_broadcast in (True, False):
+            with pytest.raises(SimulationError, match="into the past") as err:
+                run_protocols(
+                    [UpThenDown(as_broadcast) for _ in range(3)], delivery=SameTick()
+                )
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
+class TestSendsAreAllOrNothing:
+    @pytest.mark.parametrize("delivery", ["sync", "bounded:2"])
+    @pytest.mark.parametrize(
+        "offence",
+        [
+            lambda ctx: ctx.broadcast("x", [1, 2, 0]),  # self, after two valid
+            lambda ctx: ctx.broadcast("x", [1, 3]),  # out of range
+            lambda ctx: ctx.broadcast("x", iter([1, -1])),
+            lambda ctx: ctx.send(0, "x"),
+            lambda ctx: ctx.send(3, "x"),
+            lambda ctx: (ctx.halt(), ctx.broadcast("x")),  # halted sender
+            lambda ctx: (ctx.halt(), ctx.send(1, "x")),
+        ],
+        ids=["self", "range", "iterator", "send-self", "send-range",
+             "halted", "send-halted"],
+    )
+    def test_a_refused_send_moves_no_counter_and_files_nothing(
+        self, offence, delivery
+    ):
+        heard = []
+
+        class Offender(Protocol):
+            def on_round(self, ctx, inbox):
+                heard.extend(inbox)
+                if ctx.round == 0 and ctx.node == 0:
+                    with pytest.raises(ProtocolViolationError):
+                        offence(ctx)
+                if ctx.round == 2:
+                    ctx.halt()
+
+        run = run_protocols(
+            [Offender() for _ in range(3)], delivery=make_delivery(delivery)
+        )
+        assert run.metrics == Metrics()
+        assert heard == []
+
+    @pytest.mark.parametrize("delivery", ["sync", "loss:0.2"])
+    def test_an_empty_send_moves_no_counter(self, delivery):
+        """The signed-agreement relay's ``to=recipients`` is empty once
+        the chain's signers cover everyone else; that round must not
+        count as used, nor plant zero-valued counter keys."""
+
+        class Relay(Protocol):
+            def on_round(self, ctx, inbox):
+                if ctx.round == 0:
+                    ctx.broadcast("v")
+                elif ctx.round == 3:
+                    ctx.broadcast("v", to=[])
+                    ctx.halt()
+
+        metrics = run_protocols(
+            [Relay() for _ in range(3)], delivery=make_delivery(delivery)
+        ).metrics
+        assert metrics.rounds_used == 1
+        assert list(metrics.messages_per_round) == [0]
+        assert list(metrics.messages_per_kind) == ["str"]
+
+
+class TestFinishedKernelIsFreedByReferenceCount:
+    """``NodeContext._runner <-> EventKernel._contexts`` is the graph's
+    one cycle; a completed run drops it, so a dead kernel's link streams
+    do not wait for a full collection (warm sweeps fork six per point)."""
+
+    @staticmethod
+    def _kernel(**kwargs):
+        return EventKernel(
+            _timeout_fd_one_silent(), seed=5, delivery=make_delivery("loss:0.2"),
+            **kwargs,
+        )
+
+    def test_completed_run_leaves_no_cycle(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            kernel = self._kernel()
+            result = kernel.run()
+            assert result.metrics.drops_total > 0
+            alive = weakref.ref(kernel)
+            del kernel, result
+            assert alive() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_interrupted_runs_keep_working_contexts(self):
+        straight = self._kernel().run()
+        kernel = self._kernel()
+        assert kernel.run(until_tick=2) is None
+        resumed = kernel.run()
+        assert resumed.metrics == straight.metrics
+        assert resumed.states == straight.states
+
+        contexts = []
+
+        class Forever(Protocol):
+            def on_round(self, ctx, inbox):
+                contexts.append(ctx)
+                ctx.broadcast("still here")
+
+        with pytest.raises(SimulationError, match="max_rounds=2"):
+            run_protocols([Forever(), Forever()], max_rounds=2)
+        assert contexts[-1].round == 2 and contexts[-1].n == 2
