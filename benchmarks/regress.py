@@ -1,124 +1,55 @@
-#!/usr/bin/env python
-"""Wall-clock regression runner: measure the hot paths, emit ``BENCH_9.json``.
+"""The counts ledger: the named grid points ``BENCH_9.json`` pins.
 
-Runs a fixed set of experiment workloads (the E1–E11 sweeps' building
-blocks plus the known hot spots), times each one, and writes a JSON report
-so performance has a recorded trajectory PRs can be compared against.
+A fixed set of experiment workloads — the E1–E14 sweeps' building blocks
+plus the grid points each engine PR opened (n=128 for the polynomial-cost
+protocols, the oral and agreement-based key-distribution points, the
+E12–E14 delivery / adversary / arms-race cells, the jittered and lossy mux
+points, the warm-started sweep twins) — each run **once** for its counts.
+Every run is a pure function of ``(params, master seed)``, so the counts
+are gated bit-for-bit by ``scripts/bench_check.py``, the only caller;
+names are stable, and a point enters or leaves the ledger together with
+its ``BENCH_9.json`` entry.
 
-Usage::
-
-    PYTHONPATH=src python benchmarks/regress.py                 # full sizes
-    PYTHONPATH=src python benchmarks/regress.py --small         # CI-sized
-    PYTHONPATH=src python benchmarks/regress.py --out BENCH_9.json
-
-Point ``PYTHONPATH`` at any other source tree (for example a seed-commit
-worktree) to measure the same workloads on older code: the baseline
-experiment set only uses APIs present since the seed, so those numbers
-are directly comparable.  The *extended grid* (n=128 points for the
-polynomial-cost protocols, the n=128/t=3 oral point only the succinct
-engine makes feasible, the agreement-based key-distribution mux
-points only the instance multiplexer makes expressible, the E13
-unreliable-delivery points only the adversary plane makes expressible,
-the E14 arms-race points only the adaptive FD makes expressible, the
-jittered/lossy mux points only the arrival-columned batch plane
-makes affordable, and the warm-started sweep twins only the kernel
-checkpoint/resume machinery makes expressible)
-is added when the running source tree supports it — old trees simply
-measure fewer experiments, and the comparison intersects by name.
-``scripts/bench_check.py`` wraps this runner with wall-clock and memory
-regression gates.
-
-Methodology: each experiment runs ``--repeats`` times in-process and
-records the best time (robust against scheduler noise; caches are part of
-the engine under measurement, so warm repeats are the steady state being
-reported).  Counts are captured from the last run as a determinism
-cross-check — they must be identical on every code version.
+This file measures no time.  Wall-clock, throughput and memory claims are
+made by ``benchmarks/e2e/`` (``BENCHMARK.json``) and compared against a
+parent commit with ``scripts/ab_pairs.py``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import platform
-import sys
 import time
-from pathlib import Path
 from typing import Any, Callable
-
-try:  # allow running without an explicit PYTHONPATH from the repo root
-    import repro  # noqa: F401
-except ImportError:  # pragma: no cover
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.agreement import make_oral_agreement_protocols
 from repro.auth import run_key_distribution
-from repro.harness import run_ba_scenario, run_fd_scenario, sizes_with_budgets
-from repro.sim import run_protocols
-
-try:  # extended grid: succinct EIG engine (PR 2+ source trees only)
-    from repro.agreement import eigtree as _eigtree  # noqa: F401
-
-    HAS_SUCCINCT_ENGINE = True
-except ImportError:  # pragma: no cover - only on old source trees
-    HAS_SUCCINCT_ENGINE = False
-
-try:  # AKD mux grid: instance multiplexer (PR 3+ source trees only)
-    from repro.sim import multiplex as _multiplex  # noqa: F401
-
-    HAS_INSTANCE_MUX = True
-except ImportError:  # pragma: no cover - only on old source trees
-    HAS_INSTANCE_MUX = False
-
-try:  # delivery-model grid: event kernel (PR 4+ source trees only)
-    from repro.sim import network as _network  # noqa: F401
-
-    HAS_EVENT_KERNEL = True
-except ImportError:  # pragma: no cover - only on old source trees
-    HAS_EVENT_KERNEL = False
-
-try:  # unreliable-delivery grid: adversary plane (PR 5+ source trees only)
-    from repro.faults import adversary as _adversary  # noqa: F401
-
-    HAS_ADVERSARY_PLANE = True
-except ImportError:  # pragma: no cover - only on old source trees
-    HAS_ADVERSARY_PLANE = False
-
-try:  # arms-race grid: adaptive FD (PR 6+ source trees only)
-    from repro.fd import adaptive as _adaptive  # noqa: F401
-
-    HAS_ADAPTIVE_FD = True
-except ImportError:  # pragma: no cover - only on old source trees
-    HAS_ADAPTIVE_FD = False
-
-# Jittered/lossy mux grid: arrival-columned batch plane (PR 8+ source
-# trees only) — older trees fall back to the object path under these
-# delivery models, which is exactly what the ``*_object`` twins measure.
-HAS_BATCH_ARRIVALS = HAS_EVENT_KERNEL and hasattr(
-    getattr(_network, "DeliveryModel", None), "batch_arrivals"
+from repro.harness import (
+    GLOBAL,
+    run_ba_scenario,
+    run_fd_scenario,
+    sizes_with_budgets,
+    standard_sizes,
+    sweep,
+    sweep_prefix_shared,
 )
-
-try:  # warm-started sweeps: kernel checkpoint/resume (PR 10+ source trees)
-    from repro.sim import snapshot as _snapshot  # noqa: F401
-
-    HAS_SNAPSHOT = True
-except ImportError:  # pragma: no cover - only on old source trees
-    HAS_SNAPSHOT = False
+from repro.harness.workloads import (
+    akd_point,
+    e13_partition_point,
+    e13_timeout_fd_point,
+    e14_adaptive_point,
+    e14_equivocation_point,
+    get_workload,
+)
+from repro.sim import run_protocols
 
 #: Count-measuring workloads use the fast HMAC simulation scheme (counts
 #: are scheme-independent; benchmark E10 verifies that).
 SCHEME = "simulated-hmac"
 
-GLOBAL = "global"
-
-
-def _sizes(small: bool) -> list[int]:
-    # Inlined standard_sizes so older source trees measure identical points.
-    return [4, 8, 16] if small else [4, 8, 16, 32, 64]
-
 
 def _keydist_series(small: bool) -> dict[str, Any]:
     messages = rounds = 0
-    for n in _sizes(small):
+    for n in standard_sizes(small):
         kd = run_key_distribution(n, scheme=SCHEME, seed=n)
         messages += kd.messages
         rounds += kd.rounds
@@ -127,7 +58,7 @@ def _keydist_series(small: bool) -> dict[str, Any]:
 
 def _fd_series(small: bool, protocol: str) -> dict[str, Any]:
     messages = bytes_total = 0
-    for n, t in sizes_with_budgets(_sizes(small)):
+    for n, t in sizes_with_budgets(standard_sizes(small)):
         if protocol == "chain":
             outcome = run_fd_scenario(
                 n, t, "v", protocol=protocol, auth=GLOBAL, scheme=SCHEME, seed=n
@@ -142,7 +73,7 @@ def _fd_series(small: bool, protocol: str) -> dict[str, Any]:
 
 def _e8_rounds_sweep(small: bool) -> dict[str, Any]:
     rounds = 0
-    for n, t in sizes_with_budgets(_sizes(small)):
+    for n, t in sizes_with_budgets(standard_sizes(small)):
         kd = run_key_distribution(n, scheme=SCHEME, seed=n)
         chain = run_fd_scenario(
             n, t, "v", protocol="chain", auth=GLOBAL, scheme=SCHEME, seed=n
@@ -156,7 +87,7 @@ def _e8_rounds_sweep(small: bool) -> dict[str, Any]:
 
 def _ba_signed_series(small: bool) -> dict[str, Any]:
     messages = 0
-    for n, t in sizes_with_budgets(_sizes(small)):
+    for n, t in sizes_with_budgets(standard_sizes(small)):
         outcome = run_ba_scenario(
             n, t, "v", protocol="signed", auth=GLOBAL, scheme=SCHEME, seed=n
         )
@@ -208,39 +139,21 @@ def _ba_signed_n128() -> dict[str, Any]:
     }
 
 
-def _akd(
-    n: int,
-    t: int,
-    delivery: "str | None" = None,
-    engine: "str | None" = None,
-) -> dict[str, Any]:
-    """One agreement-based key-distribution mux run (flat counts).
-
-    ``delivery``/``engine`` require the arrival-columned source tree
-    (:data:`HAS_BATCH_ARRIVALS`); the default lock-step point runs on
-    any tree with the instance mux.  The reserved ``engine`` key names
-    the mux engine actually used — :func:`run_suite` lifts it out of
-    the gated counts (engines must agree on every count, so the engine
+def _akd(n: int, t: int, delivery: "str | None" = None) -> dict[str, Any]:
+    """One agreement-based key-distribution mux run (flat counts) on the
+    default mux engine (``REPRO_MUX_ENGINE``).  The reserved ``engine``
+    key names the engine actually used — :func:`run_suite` lifts it out
+    of the gated counts (engines must agree on every count, so the
     label itself must never be compared as one).
     """
-    from repro.harness.workloads import akd_point
-
-    kwargs: dict[str, Any] = {}
-    if delivery is not None:
-        kwargs["delivery"] = delivery
-    if engine is not None:
-        kwargs["engine"] = engine
-    result = akd_point(n, t, seed=n, **kwargs)
-    counts = {
+    result = akd_point(n, t, seed=n, delivery=delivery)
+    return {
         "messages": result["messages"],
         "bytes": result["bytes"],
         "rounds": result["rounds"],
         "instance_messages": result["instance_messages_max"],
+        "engine": result["engine_used"],
     }
-    engine_used = result.get("engine_used")
-    if engine_used is not None:
-        counts["engine"] = engine_used
-    return counts
 
 
 def _kernel_delivery(workload: str, n: int, t: int, delivery: str, faulty: int) -> dict[str, Any]:
@@ -250,8 +163,6 @@ def _kernel_delivery(workload: str, n: int, t: int, delivery: str, faulty: int) 
     lock-step fast path skips; their counts are as deterministic as
     every other experiment's (delivery jitter is seed-derived).
     """
-    from repro.harness.workloads import get_workload
-
     result = get_workload(workload)(n, t, delivery=delivery, faulty=faulty, seed=n)
     return {
         "messages": result["messages"],
@@ -266,8 +177,6 @@ def _e13_fd(protocol: str, n: int, t: int, delivery: str, faulty: int) -> dict[s
     Drops are seed-derived, so the drop counts are as deterministic as
     the message counts — both are gated.
     """
-    from repro.harness.workloads import e13_timeout_fd_point
-
     result = e13_timeout_fd_point(
         n, t, delivery=delivery, protocol=protocol, faulty=faulty, seed=n
     )
@@ -281,8 +190,6 @@ def _e13_fd(protocol: str, n: int, t: int, delivery: str, faulty: int) -> dict[s
 
 def _e13_partition(n: int, t: int, heal: int) -> dict[str, Any]:
     """One E13 partition-heal point (timeout FD, defer mode)."""
-    from repro.harness.workloads import e13_partition_point
-
     result = e13_partition_point(n, t, heal=heal, defer=True, seed=n)
     return {
         "messages": result["messages"],
@@ -299,8 +206,6 @@ def _e14_fd(
     Committed corruptions are seed-derived like drops, so the committed
     count is gated alongside messages/rounds.
     """
-    from repro.harness.workloads import e14_adaptive_point
-
     result = e14_adaptive_point(
         n, t, delivery=delivery, protocol=protocol, attack=attack, seed=n
     )
@@ -316,8 +221,6 @@ def _e14_fd(
 
 def _e14_equivocation(n: int, t: int, heal: int) -> dict[str, Any]:
     """One E14 partition-equivocation point (adaptive FD, defer mode)."""
-    from repro.harness.workloads import e14_equivocation_point
-
     result = e14_equivocation_point(n, t, heal=heal, defer=True, seed=n)
     return {
         "messages": result["messages"],
@@ -337,10 +240,8 @@ def _warm_timeout_sweep(
     and forks the snapshot per timeout value; the straight leg re-runs
     every point from tick zero.  Counts must be bit-identical across
     the ``X`` / ``X_straight`` pair — the resume-equals-straight-run
-    contract, measured as a benchmark instead of asserted as a test.
+    contract, pinned on a grid point as well as asserted as a test.
     """
-    from repro.harness import sweep, sweep_prefix_shared
-
     base = dict(
         n=n, t=t, delivery="loss:0.2:2", protocol="timeout", faulty=1, seed=n
     )
@@ -375,8 +276,6 @@ def _warm_adaptive_sweep(
     state (its observation history and committed-budget ledger) across
     the fork boundary — the E14 half of the resume contract.
     """
-    from repro.harness import sweep, sweep_prefix_shared
-
     base = dict(
         n=n, t=t, delivery="loss:0.3", protocol="timeout",
         attack="adaptive:silence-muffled", seed=n,
@@ -403,31 +302,18 @@ def _warm_adaptive_sweep(
     return counts
 
 
-#: Experiments too heavy for best-of-``--repeats`` timing: measured once.
-#: Bounds the full-suite wall-clock; single-shot numbers are noisier, so
-#: the gate only ever compares these by *count* (full sections are
-#: refreshed, not regression-gated).  ``akd_n128_t3`` graduated out when
-#: the columnar mux engine brought it from ~83s to single digits — it
-#: now affords best-of-repeats like every other point.  The n=128
-#: object-engine twins of the jittered/lossy mux pairs are here by
-#: design: they time the *reference* path the columnar engine is gated
-#: against (~20-25s each), so they run once and their counts — which
-#: must match the columnar run bit-for-bit — do the regression work.
-#: The ``*_straight`` twins of the warm-started sweeps join them for the
-#: same reason: they time the cold re-run reference path the warm path
-#: is gated against, so they run once and their counts — which must
-#: match the warm run bit-for-bit — do the regression work.
-HEAVY_EXPERIMENTS: set[str] = {
-    "akd_bounded3_n128_t1_object",
-    "akd_loss_n128_t1_object",
-    "e13_warm_timeouts_n32_t3_straight",
-    "e14_warm_muffler_n32_t3_straight",
-}
+Point = tuple[str, Callable[[], dict[str, Any]]]
+
+#: The warm-started sweeps' fork axis: six timeouts just past the
+#: 120-tick shared prefix (a restore costs about forty ticks of
+#: simulation at any n, so the prefix must be long for warm to win —
+#: ``warm-sweep`` in ``benchmarks/e2e/`` times it).
+_WARM_TIMEOUTS = (121, 123, 125, 127, 129, 131)
 
 
-def experiments(small: bool) -> list[tuple[str, Callable[[], dict[str, Any]]]]:
-    """The measured workload set.  Names are stable across code versions."""
-    suite: list[tuple[str, Callable[[], dict[str, Any]]]] = [
+def experiments(small: bool) -> list[Point]:
+    """The ledger's points for one section.  Names are stable."""
+    suite: list[Point] = [
         ("keydist_series", lambda: _keydist_series(small)),
         ("fd_chain_series", lambda: _fd_series(small, "chain")),
         ("fd_echo_series", lambda: _fd_series(small, "echo")),
@@ -436,307 +322,134 @@ def experiments(small: bool) -> list[tuple[str, Callable[[], dict[str, Any]]]]:
         ("fd_chain_n32_t10", _fd_chain_deep),
     ]
     if small:
-        suite.append(("oral_n13_t3", lambda: _oral(13, 3)))
-        if HAS_INSTANCE_MUX:
-            # The mux hot path at CI size: 7 concurrent OM(2) instances.
-            suite.append(("akd_n7_t2", lambda: _akd(7, 2)))
-        if HAS_BATCH_ARRIVALS:
-            # Arrival-columned points at CI size: the same mux under
-            # lossy-jittered and bounded-jitter calendars, so the quick
-            # gate exercises per-arrival bucketing on every PR (and,
-            # with REPRO_MUX_ENGINE=object, the object oracle too).
-            suite.append(
-                ("akd_loss_n7_t2", lambda: _akd(7, 2, delivery="loss:0.2:2"))
-            )
-            suite.append(
-                ("akd_bounded2_n7_t2", lambda: _akd(7, 2, delivery="bounded:2"))
-            )
-        if HAS_EVENT_KERNEL:
-            # Kernel general-path points at CI size: the same protocols
-            # under bounded-delay and rushing delivery models.
-            suite.append(
-                ("kernel_oral_bounded2_n13_t3",
-                 lambda: _kernel_delivery("e12-oral", 13, 3, "bounded:2", 0))
-            )
-            suite.append(
-                ("kernel_fd_rush_n13_t3",
-                 lambda: _kernel_delivery("e12-fd", 13, 3, "rush", 1))
-            )
-        if HAS_ADVERSARY_PLANE:
-            # Unreliable-delivery points at CI size: timeout FD under
-            # loss (the E13 hot path — heartbeat floods through the
-            # calendar queue) and a partition-heal convergence point.
-            suite.append(
-                ("e13_timeout_loss_n7_t2",
-                 lambda: _e13_fd("timeout", 7, 2, "loss:0.2", 0))
-            )
-            suite.append(
-                ("e13_chain_loss_n7_t2",
-                 lambda: _e13_fd("chain", 7, 2, "loss:0.2", 1))
-            )
-            suite.append(
-                ("e13_partition_heal4_n7_t2", lambda: _e13_partition(7, 2, 4))
-            )
-        if HAS_ADAPTIVE_FD:
-            # Arms-race points at CI size: the adaptive FD on the cell
-            # where the static horizon is wrong, and the adaptive
-            # adversary driving the static FD under loss.
-            suite.append(
-                ("e14_adaptive_bounded12_n7_t2",
-                 lambda: _e14_fd("adaptive", 7, 2, "bounded:12", "none"))
-            )
-            suite.append(
-                ("e14_timeout_vs_muffler_n7_t2",
-                 lambda: _e14_fd(
-                     "timeout", 7, 2, "loss:0.3", "adaptive:silence-muffled"
-                 ))
-            )
-        if HAS_SNAPSHOT:
-            # Warm-started sweep twin at CI size: the quick gate pins
-            # the warm/straight counts bit-identical on every PR (the
-            # wall-clock ratio is only gated at full size, where the
-            # prefix is long enough to dominate).
-            suite.append(
-                ("e13_warm_timeouts_n7_t2",
-                 lambda: _warm_timeout_sweep(7, 2, (10, 12, 14), 8, True))
-            )
-            suite.append(
-                ("e13_warm_timeouts_n7_t2_straight",
-                 lambda: _warm_timeout_sweep(7, 2, (10, 12, 14), 8, False))
-            )
-    else:
-        # n=32, t=3 is the dense-era EIG hot spot at a feasible fault
-        # budget.  The tree is exponential in t: t=10 at n=32 would mean
-        # ~4e14 path reports per node — see PERFORMANCE.md.
-        suite.append(("oral_n16_t4", lambda: _oral(16, 4)))
-        suite.append(("oral_n32_t3", lambda: _oral(32, 3)))
-        # Extended grid: n=128 for the polynomial-cost protocols (key
-        # distribution, chain FD, signed BA) runs on any source tree ...
-        suite.append(("keydist_n128", _keydist_n128))
-        suite.append(("fd_chain_n128_t42", _fd_chain_n128))
-        suite.append(("ba_signed_n128_t42", _ba_signed_n128))
-        if HAS_SUCCINCT_ENGINE:
-            # ... while the oral n=128 points exist only where the
-            # succinct engine does: the dense engine would materialize
-            # ~2e6 tree paths *per node* here (hundreds of GiB).
-            suite.append(("oral_n64_t3", lambda: _oral(64, 3)))
-            suite.append(("oral_n128_t3", lambda: _oral(128, 3)))
-        if HAS_EVENT_KERNEL:
-            # Kernel general-path points at full size: calendar-queue
-            # overhead is measured where it actually runs (the lock-step
-            # experiments above measure the fast path's zero-overhead
-            # claim instead).
-            suite.append(
-                ("kernel_oral_bounded2_n32_t3",
-                 lambda: _kernel_delivery("e12-oral", 32, 3, "bounded:2", 0))
-            )
-            suite.append(
-                ("kernel_ba_rush_n32_t10",
-                 lambda: _kernel_delivery("e12-ba", 32, 10, "rush", 2))
-            )
-            if HAS_SUCCINCT_ENGINE:
-                # Jitter breaks level-unanimity, so every node resolves
-                # through the full sweep over 238k leaves: the frontier
-                # the columnar store opened (13.5 s / 948 MiB with
-                # per-path filing and lookup).
-                suite.append(
-                    ("kernel_oral_bounded2_n64_t3",
-                     lambda: _kernel_delivery("e12-oral", 64, 3, "bounded:2", 0))
-                )
-        if HAS_ADVERSARY_PLANE:
-            # Full-size unreliable points: the heartbeat flood scales as
-            # n²·timeout, so n=32 is where the drop bookkeeping earns
-            # its keep in the wall-clock record.
-            suite.append(
-                ("e13_timeout_loss_n32_t3",
-                 lambda: _e13_fd("timeout", 32, 3, "loss:0.2", 1))
-            )
-            suite.append(
-                ("e13_partition_heal6_n32_t3",
-                 lambda: _e13_partition(32, 3, 6))
-            )
-            # E13 grid promoted past its historical n=32 pin: the FD
-            # heartbeat flood is polynomial, so n=64/128 cells are
-            # cheap — recording them alongside the mux points keeps the
-            # whole unreliable grid on one scale.
-            suite.append(
-                ("e13_timeout_loss_n64_t3",
-                 lambda: _e13_fd("timeout", 64, 3, "loss:0.2", 1))
-            )
-            suite.append(
-                ("e13_timeout_loss_n128_t3",
-                 lambda: _e13_fd("timeout", 128, 3, "loss:0.2", 1))
-            )
-            suite.append(
-                ("e13_partition_heal6_n64_t3",
-                 lambda: _e13_partition(64, 3, 6))
-            )
-        if HAS_ADAPTIVE_FD:
-            # Full-size arms-race points: the adaptive FD's estimator
-            # bookkeeping is per-link (n² estimators at n=32), and the
-            # equivocation point exercises the deferred-sweep path.
-            suite.append(
-                ("e14_adaptive_loss_n32_t3",
-                 lambda: _e14_fd("adaptive", 32, 3, "loss:0.2", "silent"))
-            )
-            suite.append(
-                ("e14_adaptive_loss_n64_t3",
-                 lambda: _e14_fd("adaptive", 64, 3, "loss:0.2", "silent"))
-            )
-            suite.append(
-                ("e14_equivocation_heal6_n32_t3",
-                 lambda: _e14_equivocation(32, 3, 6))
-            )
-        if HAS_SNAPSHOT:
-            # Warm-started sweep twins: each ``X`` / ``X_straight`` pair
-            # runs the same parameter sweep prefix-shared and from tick
-            # zero.  Counts must match bit-for-bit (gated like every
-            # other count); the seconds ratio straight/warm is the
-            # speedup evidence scripts/bench_check.py gates with
-            # ``--min-warm-ratio``.  The prefix must be long relative
-            # to a snapshot restore for warm to win — unpickling the
-            # kernel costs roughly forty ticks of simulation at any n
-            # (state size and per-tick cost both scale as n²; twenty
-            # before PR 18 halved the cost of a tick) — so the fork
-            # axis sits just past a 120-tick shared prefix.
-            suite.append(
-                ("e13_warm_timeouts_n32_t3",
-                 lambda: _warm_timeout_sweep(
-                     32, 3, (121, 123, 125, 127, 129, 131), 120, True))
-            )
-            suite.append(
-                ("e13_warm_timeouts_n32_t3_straight",
-                 lambda: _warm_timeout_sweep(
-                     32, 3, (121, 123, 125, 127, 129, 131), 120, False))
-            )
-            suite.append(
-                ("e14_warm_muffler_n32_t3",
-                 lambda: _warm_adaptive_sweep(
-                     32, 3, (121, 123, 125, 127, 129, 131), 120, True))
-            )
-            suite.append(
-                ("e14_warm_muffler_n32_t3_straight",
-                 lambda: _warm_adaptive_sweep(
-                     32, 3, (121, 123, 125, 127, 129, 131), 120, False))
-            )
-        if HAS_INSTANCE_MUX and HAS_SUCCINCT_ENGINE:
-            # Agreement-based key distribution at scale: n concurrent
-            # OM(t) instances through the instance multiplexer.  The
-            # n=128 point was infeasible before this pairing — 128
-            # instances x dense trees; the succinct engine made it run
-            # (~6.2M envelopes, ~83s), and the columnar mux engine made
-            # it cheap enough for best-of-repeats timing.
-            suite.append(("akd_n64_t3", lambda: _akd(64, 3)))
-            suite.append(("akd_n128_t3", lambda: _akd(128, 3)))
-        if HAS_BATCH_ARRIVALS:
-            # The arrival-columned grid: the same mux under degraded
-            # calendars, which before this plane silently fell back to
-            # per-envelope objects.  t=1 keeps the engine pairs
-            # messaging-dominated — at t>=2 degraded delivery breaks
-            # EIG level-unanimity and the (mux-engine-independent)
-            # resolve sweep joins both engines' bill, diluting the
-            # comparison the ``*_object`` twins exist for.  The n=128
-            # columnar-vs-object pairs are the gated speedup evidence
-            # (see scripts/bench_check.py --ratios); the n=64 points
-            # extend the grid at best-of-repeats cost, and
-            # ``akd_loss_n32_t2`` records one degraded t=2 point — n
-            # trees all resolving by sweep.
-            suite.append(
-                ("akd_bounded3_n64_t1",
-                 lambda: _akd(64, 1, delivery="bounded:3"))
-            )
-            suite.append(
-                ("akd_loss_n64_t1",
-                 lambda: _akd(64, 1, delivery="loss:0.05:2"))
-            )
-            suite.append(
-                ("akd_loss_n32_t2",
-                 lambda: _akd(32, 2, delivery="loss:0.05:2"))
-            )
-            suite.append(
-                ("akd_bounded3_n128_t1",
-                 lambda: _akd(128, 1, delivery="bounded:3"))
-            )
-            suite.append(
-                ("akd_bounded3_n128_t1_object",
-                 lambda: _akd(128, 1, delivery="bounded:3", engine="object"))
-            )
-            suite.append(
-                ("akd_loss_n128_t1",
-                 lambda: _akd(128, 1, delivery="loss:0.05:2"))
-            )
-            suite.append(
-                ("akd_loss_n128_t1_object",
-                 lambda: _akd(128, 1, delivery="loss:0.05:2", engine="object"))
-            )
-    return suite
+        return suite + [
+            ("oral_n13_t3", lambda: _oral(13, 3)),
+            # The mux hot path at CI size: 7 concurrent OM(2) instances,
+            # lock-step and under lossy-jittered / bounded-jitter
+            # calendars, so the quick gate exercises per-arrival
+            # bucketing on every PR (and, with REPRO_MUX_ENGINE=object,
+            # the object oracle too).
+            ("akd_n7_t2", lambda: _akd(7, 2)),
+            ("akd_loss_n7_t2", lambda: _akd(7, 2, delivery="loss:0.2:2")),
+            ("akd_bounded2_n7_t2", lambda: _akd(7, 2, delivery="bounded:2")),
+            # Kernel general-path points: the same protocols under
+            # bounded-delay and rushing delivery models.
+            ("kernel_oral_bounded2_n13_t3",
+             lambda: _kernel_delivery("e12-oral", 13, 3, "bounded:2", 0)),
+            ("kernel_fd_rush_n13_t3",
+             lambda: _kernel_delivery("e12-fd", 13, 3, "rush", 1)),
+            # Unreliable delivery: timeout FD under loss (heartbeat
+            # floods through the calendar queue), chain FD under loss,
+            # and a partition-heal convergence point.
+            ("e13_timeout_loss_n7_t2", lambda: _e13_fd("timeout", 7, 2, "loss:0.2", 0)),
+            ("e13_chain_loss_n7_t2", lambda: _e13_fd("chain", 7, 2, "loss:0.2", 1)),
+            ("e13_partition_heal4_n7_t2", lambda: _e13_partition(7, 2, 4)),
+            # Arms race: the adaptive FD on the cell where the static
+            # horizon is wrong, and the adaptive adversary driving the
+            # static FD under loss.
+            ("e14_adaptive_bounded12_n7_t2",
+             lambda: _e14_fd("adaptive", 7, 2, "bounded:12", "none")),
+            ("e14_timeout_vs_muffler_n7_t2",
+             lambda: _e14_fd("timeout", 7, 2, "loss:0.3", "adaptive:silence-muffled")),
+            # Warm-started sweep twin: warm and straight counts must be
+            # bit-identical.
+            ("e13_warm_timeouts_n7_t2",
+             lambda: _warm_timeout_sweep(7, 2, (10, 12, 14), 8, True)),
+            ("e13_warm_timeouts_n7_t2_straight",
+             lambda: _warm_timeout_sweep(7, 2, (10, 12, 14), 8, False)),
+        ]
+    return suite + [
+        # The EIG tree is exponential in t: t=10 at n=32 would mean ~4e14
+        # path reports per node, so the oral points stay at t <= 4.
+        ("oral_n16_t4", lambda: _oral(16, 4)),
+        ("oral_n32_t3", lambda: _oral(32, 3)),
+        # n=128 for the polynomial-cost protocols ...
+        ("keydist_n128", _keydist_n128),
+        ("fd_chain_n128_t42", _fd_chain_n128),
+        ("ba_signed_n128_t42", _ba_signed_n128),
+        # ... and for OM(3), which a dict of paths could not hold (~2e6
+        # tree paths *per node*).
+        ("oral_n64_t3", lambda: _oral(64, 3)),
+        ("oral_n128_t3", lambda: _oral(128, 3)),
+        # Kernel general-path points at full size.  Under jitter level
+        # unanimity breaks, so every node of the two oral points resolves
+        # through the full sweep (238k leaves at n=64).
+        ("kernel_oral_bounded2_n32_t3",
+         lambda: _kernel_delivery("e12-oral", 32, 3, "bounded:2", 0)),
+        ("kernel_ba_rush_n32_t10",
+         lambda: _kernel_delivery("e12-ba", 32, 10, "rush", 2)),
+        ("kernel_oral_bounded2_n64_t3",
+         lambda: _kernel_delivery("e12-oral", 64, 3, "bounded:2", 0)),
+        # Full-size unreliable points: the heartbeat flood scales as
+        # n²·timeout and is polynomial, so the grid runs to n=128.
+        ("e13_timeout_loss_n32_t3", lambda: _e13_fd("timeout", 32, 3, "loss:0.2", 1)),
+        ("e13_partition_heal6_n32_t3", lambda: _e13_partition(32, 3, 6)),
+        ("e13_timeout_loss_n64_t3", lambda: _e13_fd("timeout", 64, 3, "loss:0.2", 1)),
+        ("e13_timeout_loss_n128_t3", lambda: _e13_fd("timeout", 128, 3, "loss:0.2", 1)),
+        ("e13_partition_heal6_n64_t3", lambda: _e13_partition(64, 3, 6)),
+        # Full-size arms-race points: per-link estimators (n² at n=32)
+        # and the deferred-sweep path of the equivocation point.
+        ("e14_adaptive_loss_n32_t3",
+         lambda: _e14_fd("adaptive", 32, 3, "loss:0.2", "silent")),
+        ("e14_adaptive_loss_n64_t3",
+         lambda: _e14_fd("adaptive", 64, 3, "loss:0.2", "silent")),
+        ("e14_equivocation_heal6_n32_t3", lambda: _e14_equivocation(32, 3, 6)),
+        # Warm-started sweep twins: each ``X`` / ``X_straight`` pair runs
+        # one parameter sweep prefix-shared and from tick zero; their
+        # counts must match bit-for-bit.
+        ("e13_warm_timeouts_n32_t3",
+         lambda: _warm_timeout_sweep(32, 3, _WARM_TIMEOUTS, 120, True)),
+        ("e13_warm_timeouts_n32_t3_straight",
+         lambda: _warm_timeout_sweep(32, 3, _WARM_TIMEOUTS, 120, False)),
+        ("e14_warm_muffler_n32_t3",
+         lambda: _warm_adaptive_sweep(32, 3, _WARM_TIMEOUTS, 120, True)),
+        ("e14_warm_muffler_n32_t3_straight",
+         lambda: _warm_adaptive_sweep(32, 3, _WARM_TIMEOUTS, 120, False)),
+        # Agreement-based key distribution at scale: n concurrent OM(t)
+        # instances through the instance multiplexer (~6.2M envelopes at
+        # n=128).
+        ("akd_n64_t3", lambda: _akd(64, 3)),
+        ("akd_n128_t3", lambda: _akd(128, 3)),
+        # The same mux under degraded calendars.  t=1 keeps these points
+        # messaging-dominated — at t>=2 degraded delivery breaks EIG
+        # level-unanimity and the resolve sweep joins the bill, which
+        # ``akd_loss_n32_t2`` records once (n trees all resolving by
+        # sweep).  CI's REPRO_MUX_ENGINE=object pass runs all of them on
+        # the object engine against the same counts.
+        ("akd_bounded3_n64_t1", lambda: _akd(64, 1, delivery="bounded:3")),
+        ("akd_loss_n64_t1", lambda: _akd(64, 1, delivery="loss:0.05:2")),
+        ("akd_loss_n32_t2", lambda: _akd(32, 2, delivery="loss:0.05:2")),
+        ("akd_bounded3_n128_t1", lambda: _akd(128, 1, delivery="bounded:3")),
+        ("akd_loss_n128_t1", lambda: _akd(128, 1, delivery="loss:0.05:2")),
+    ]
 
 
-def run_suite(small: bool = False, repeats: int = 3) -> dict[str, Any]:
-    """Time every experiment; return the report dict.
+def run_suite(small: bool) -> dict[str, Any]:
+    """Run every point of one section once; return the section's report.
 
-    Experiments in :data:`HEAVY_EXPERIMENTS` run once regardless of
-    ``repeats`` (single-shot wall-clock, identical counts).
+    One line per point is printed as it finishes — its elapsed seconds
+    are shown for orientation and never stored or compared.
     """
     results: dict[str, Any] = {}
     for name, fn in experiments(small):
-        best = float("inf")
-        counts: dict[str, Any] = {}
-        runs = 1 if name in HEAVY_EXPERIMENTS else max(1, repeats)
-        for _ in range(runs):
-            t0 = time.perf_counter()
-            counts = fn()
-            best = min(best, time.perf_counter() - t0)
-        # The engine label is provenance, not a gated count: columnar
-        # and object runs of one workload must agree on every *count*,
-        # so the label lives at the entry level where the comparison
-        # (scripts/bench_check.py) never sees it.
-        engine = counts.pop("engine", None)
-        # Snapshot size is provenance too: pickle byte counts can shift
-        # across Python versions without any behaviour change, so the
-        # size is recorded at the entry level, outside the count gate.
-        snapshot_bytes = counts.pop("snapshot_bytes", None)
-        entry: dict[str, Any] = {"seconds": round(best, 5), "counts": counts}
-        if engine is not None:
-            entry["engine"] = engine
-        if snapshot_bytes is not None:
-            entry["snapshot_bytes"] = snapshot_bytes
+        started = time.perf_counter()
+        counts = fn()
+        elapsed = time.perf_counter() - started
+        entry: dict[str, Any] = {"counts": counts}
+        # The engine label and the snapshot size are provenance, not gated
+        # counts: columnar and object runs of one workload must agree on
+        # every *count*, and pickle byte counts can shift across Python
+        # versions without any behaviour change — so both live at the
+        # entry level, where the comparison never sees them.
+        for key in ("engine", "snapshot_bytes"):
+            if key in counts:
+                entry[key] = counts.pop(key)
+        tags = "".join(f"  [{key} {entry[key]}]" for key in entry if key != "counts")
+        print(f"  {name}: {counts}{tags}  ({elapsed:.2f}s)", flush=True)
         results[name] = entry
     return {
         "schema": 1,
         "small": small,
-        "repeats": repeats,
         "python": platform.python_version(),
         "experiments": results,
     }
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=None, help="write the JSON report here")
-    parser.add_argument(
-        "--small", action="store_true", help="trimmed sizes (CI / quick runs)"
-    )
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--label", default=None, help="free-form tag for the report")
-    args = parser.parse_args(argv)
-
-    report = run_suite(small=args.small, repeats=args.repeats)
-    if args.label:
-        report["label"] = args.label
-
-    width = max(len(name) for name in report["experiments"])
-    for name, entry in report["experiments"].items():
-        engine = f"  [{entry['engine']}]" if "engine" in entry else ""
-        print(f"{name:<{width}}  {entry['seconds']:>9.5f}s  {entry['counts']}{engine}")
-    total = sum(e["seconds"] for e in report["experiments"].values())
-    print(f"{'total':<{width}}  {total:>9.5f}s")
-
-    if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -9,7 +9,7 @@
 #                                     with --durations=10 so creeping slow
 #                                     tests are visible in every run;
 #   3. bench_check --quick          — count determinism vs BENCH_9.json
-#                                     (smoke wall-clock, no --memory);
+#                                     (the ledger's small section);
 #                                     emits bench_quick_fresh.json for CI
 #                                     to attach on failure;
 #   4. resume_gate                  — checkpoint in one process, resume in
@@ -25,9 +25,9 @@
 # budget (tier-1=Ns/40s) and flagged OVER-BUDGET — visible, not fatal —
 # when a run exceeds it.
 #
-# The full wall-clock/memory gate (scripts/bench_check.py --memory, and
-# --full for the n=128 grid) stays a pre-merge step; this script is the
-# fast loop.  See PERFORMANCE.md ("Measuring and gating").
+# The whole counts ledger (scripts/bench_check.py with no flags: also the
+# n=128 grid and the memory probes, ~25 s) stays a pre-merge step; this
+# script is the fast loop.  See PERFORMANCE.md ("Measuring").
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"

@@ -26,10 +26,8 @@ from .extension import (
 )
 from .eigtree import RleReport, SuccinctEigStore
 from .oral import (
-    DENSE,
     OM_REPORT,
     OM_VALUE,
-    SUCCINCT,
     OralAgreementProtocol,
     make_oral_agreement_protocols,
 )
@@ -45,13 +43,11 @@ __all__ = [
     "ALARM_MSG",
     "BAEvaluation",
     "DEFAULT_VALUE",
-    "DENSE",
     "DegradableSignedAgreement",
     "ExtendedAgreementProtocol",
     "OM_REPORT",
     "OM_VALUE",
     "RleReport",
-    "SUCCINCT",
     "SuccinctEigStore",
     "OUTPUT_DEGRADED",
     "OUTPUT_FD_DISCOVERY",

@@ -1,30 +1,31 @@
-"""Succinct EIG tree engine: collapse unanimous subtrees, compress reports.
+"""Succinct EIG tree: collapse unanimous subtrees, compress reports.
 
-The dense EIG formulation (:mod:`repro.agreement.oral` with
-``engine="dense"``) stores one dict entry per received path and ships one
-``(path, value)`` pair per report item — exponential in ``t`` by
-construction, which caps oral runs around n=32.  This module provides the
-*succinct* representation that makes n=128 feasible:
+The dict-of-paths formulation of the EIG tree (the textbook one — kept as
+the test oracle ``tests/agreement/_reference_eig.py``) stores one dict
+entry per received path and ships one ``(path, value)`` pair per report
+item — exponential in ``t`` by construction, which caps oral runs around
+n=32.  This module provides the *succinct* representation that makes
+n=128 feasible, the only one :mod:`repro.agreement.oral` runs on:
 
 * **storage** — columnar: a node's received values at level ``L`` are
   one entry per relayer — a "uniform" value (the relayer's whole report
   was a single value — the failure-free case) or the report's own *run
   column* (a multi-run report, held by reference, never expanded per
   path) — plus a sparse ``overrides`` dict for the dense items Byzantine
-  nodes and the dense engine still speak.  A failure-free run stores
+  nodes still speak.  A failure-free run stores
   O(n·t) values per *instance* instead of O(n^t) per node: a tick whose
   reports all went to everyone is one :class:`_SharedLevel`, held by
   reference by every receiver; a degraded run stores O(#runs).
 * **wire form** — reports travel as :class:`RleReport`: run-length
   encoded values over the canonical path order, decoded transparently by
-  the receiving engine.  A unanimous report is a single run regardless of
+  the receiver.  A unanimous report is a single run regardless of
   the level's path count.
 * **resolution** — the bottom-up majority walk short-circuits: when every
   stored value agrees with the root value (checked per level against the
   uniform entries, O(n·t) total), the decision is that value without
   touching the exponential leaf level.  Any deviation falls back to
-  :func:`resolve_sweep`, the level-synchronous sweep both engines share:
-  the store hands it whole levels as small-integer value codes, zipped
+  :func:`resolve_sweep`, the level-synchronous sweep: the store hands it
+  whole levels as small-integer value codes, zipped
   from the relayers' columns in one pass over the level's last-id column
   (:func:`repro.agreement._paths.last_id_column`), so ``repr`` runs once
   per run and the votes count ints.
@@ -32,16 +33,16 @@ construction, which caps oral runs around n=32.  This module provides the
 Observable equivalence contract
 -------------------------------
 Decisions, round counts, envelope counts, payload-kind tallies and *byte*
-counts are bit-for-bit identical to the dense engine: the metrics layer
-accounts an :class:`RleReport` at :meth:`RleReport.dense_byte_size` — the
-exact canonical-encoding size of the ``(OM_REPORT, ((path, value), ...))``
-payload the dense engine would have sent — computed in O(#runs) from the
-additive encoding and the per-level aggregates in
-:func:`repro.agreement._paths.level_wire_stats`.
+counts are bit-for-bit identical to the dict-of-paths formulation's: the
+metrics layer accounts an :class:`RleReport` at
+:meth:`RleReport.dense_byte_size` — the exact canonical-encoding size of
+the ``(OM_REPORT, ((path, value), ...))`` payload it stands for —
+computed in O(#runs) from the additive encoding and the per-level
+aggregates in :func:`repro.agreement._paths.level_wire_stats`.
 ``tests/agreement/test_eigtree.py`` enforces the equivalence property
-under random Byzantine behaviour.
+against the reference protocol under random Byzantine behaviour.
 
-Values are grouped into runs by ``repr`` — the same identity the engines'
+Values are grouped into runs by ``repr`` — the same identity the
 majority vote uses.  For every wire value shape in this library
 (scalars, tuples, registered frozen dataclasses) ``repr`` equality implies
 canonical-encoding equality, which keeps the dense-equivalent byte
@@ -66,12 +67,12 @@ from ._paths import (
 )
 
 #: Payload kind shared with the dense wire form — metrics breakdowns must
-#: not distinguish the engines (see ``repro.sim.message.payload_kind``).
+#: not distinguish the two (see ``repro.sim.message.payload_kind``).
 OM_REPORT = "om-report"
 
 #: Tag of the encodable tuple form (views, diagnostics, E9's compression
-#: measurements).  Not a dense-engine payload tag: the dense engine
-#: ignores run-length reports entirely, engines are homogeneous per run.
+#: measurements).  Not a tag any ingest parses: run-length reports arrive
+#: as :class:`RleReport` objects, never as this tuple.
 OM_REPORT_RLE = "om-report-rle"
 
 _MISSING = object()
@@ -84,13 +85,13 @@ _DENSE_ITEM_HEADER = 1 + uvarint_size(2)
 
 
 def _repr_key(value: Any) -> str:
-    """The engines' value identity: how majority votes compare values."""
+    """The tree's value identity: how majority votes compare values."""
     return repr(value)
 
 
 class _ValueCodes:
     """Small-integer codes for values, interned by :func:`_repr_key`: two
-    values share a code exactly when the engines' votes treat them as
+    values share a code exactly when the majority votes treat them as
     equal.  ``values[code]`` is the first value interned under the code.
     One instance lives for one level read or one sweep."""
 
@@ -110,12 +111,6 @@ class _ValueCodes:
         return code
 
 
-#: A level reader: ``read(length, code)`` returns the stored value (or the
-#: default) of every level-``length`` path in canonical order, each passed
-#: through ``code`` (a :meth:`_ValueCodes.code`).
-LevelReader = Callable[[int, Callable[[Any], int]], "list[int]"]
-
-
 class RleReport:
     """A run-length encoded EIG report: the succinct wire form.
 
@@ -126,8 +121,9 @@ class RleReport:
     containing itself).
 
     Instances are immutable by library discipline (wire value).  They are
-    deliberately *not* plain tuples: the dense engine's ingest must treat
-    them as unknown noise, not mis-parse them as dense items.
+    deliberately *not* plain tuples: an ingest that only speaks the dense
+    wire form (the test oracle's) must treat them as unknown noise, not
+    mis-parse them as dense items.
 
     The dense-equivalent size is computed *at construction* (the honest
     encoder has just built the level aggregates anyway) so that reading
@@ -177,7 +173,7 @@ class RleReport:
         """Canonical-encoding size of the equivalent dense payload.
 
         Precomputed at construction; this is what the metrics layer
-        records, so byte counters match the dense engine exactly.
+        records, so byte counters match the dense wire form exactly.
         """
         return self._dense_size
 
@@ -305,7 +301,7 @@ class SuccinctEigStore:
 
     def set_root(self, value: Any) -> None:
         """File the round-1 sender value (assignment semantics: last
-        write in the round wins, exactly as the dense dict did)."""
+        write in the round wins, as in a dict of paths)."""
         self.root = value
 
     def _private(self, level: int) -> dict[NodeId, Any]:
@@ -346,8 +342,8 @@ class SuccinctEigStore:
         """The stored value for ``path``, or the protocol default.
 
         A point lookup into a run column reads the whole level: the
-        engine itself only reads levels (:meth:`level_codes`); this is
-        the diagnostics / reference-recursion path.
+        protocol itself only reads levels (:meth:`level_codes`); this is
+        the diagnostics / test path.
         """
         if len(path) == 1:
             return self.default if self.root is _MISSING else self.root
@@ -364,9 +360,10 @@ class SuccinctEigStore:
         return self.default if value is _MISSING else value
 
     def level_codes(self, level: int, code: Callable[[Any], int]) -> list[int]:
-        """This store's :data:`LevelReader`: the whole level in canonical
-        path order, ``code`` applied once per run, uniform entry and
-        override instead of once per path.
+        """The stored value (or the default) of every level-``level``
+        path in canonical order, each as ``code(value)`` (a
+        :meth:`_ValueCodes.code`) — applied once per run, uniform entry
+        and override instead of once per path.
 
         One pass over the level's last-id column pulls each path's value
         from its relayer's reader — an endless repeat for a uniform or
@@ -462,8 +459,9 @@ class SuccinctEigStore:
         value, the whole tree collapses and the decision is that value —
         O(n·t), never touching the leaf level.  Any deviation falls back
         to :func:`resolve_sweep` reading levels through
-        :meth:`level_codes` (exponential in t, like the dense engine, but
-        a few C-level passes per level rather than per-path Python work).
+        :meth:`level_codes` (exponential in t, like the textbook
+        recursion, but a few C-level passes per level rather than
+        per-path Python work).
         """
         root = self.get((self.sender,))
         root_key = _repr_key(root)
@@ -472,35 +470,16 @@ class SuccinctEigStore:
             if value is _MISSING or (
                 value is not root and _repr_key(value) != root_key
             ):
-                return resolve_sweep(
-                    self.n,
-                    self.t,
-                    self.sender,
-                    self.default,
-                    self.level_codes,
-                    me,
-                    (self.sender,),
-                )
+                return resolve_sweep(self, me, (self.sender,))
         return root
 
 
-def resolve_sweep(
-    n: int,
-    t: int,
-    sender: NodeId,
-    default: Any,
-    read_level: LevelReader,
-    me: NodeId,
-    path: Path,
-) -> Any:
-    """Level-synchronous bottom-up majority over the EIG tree: the one
-    resolution sweep both engines share (so their slot arithmetic and
-    their votes cannot drift).
+def resolve_sweep(store: SuccinctEigStore, me: NodeId, path: Path) -> Any:
+    """Level-synchronous bottom-up majority over ``store``'s EIG tree,
+    from the leaves up to ``path``.
 
-    ``read_level`` is the engine's :data:`LevelReader` — a dict
-    comprehension over the path table for the dense engine,
-    :meth:`SuccinctEigStore.level_codes` for the succinct one — so the
-    sweep itself only ever sees integer codes.  Level L+1 is generated
+    Levels are read whole through :meth:`SuccinctEigStore.level_codes`, so
+    the sweep itself only ever sees integer codes.  Level L+1 is generated
     from level L parent-major with child ids ascending, so the children
     of parent index ``i`` occupy the slice ``[i*(n-L), (i+1)*(n-L))`` —
     values align by index, no per-path dict or membership tests needed.
@@ -513,12 +492,13 @@ def resolve_sweep(
     are computed but never consumed, because their parents substitute
     first.
 
-    Requires ``me not in path`` and ``len(path) <= t + 1`` (the callers'
-    degenerate cases fall back to plain recursion before reaching here).
+    Requires ``me not in path`` and ``len(path) <= t + 1``.
     """
-    depth = t + 1
+    n, sender = store.n, store.sender
+    depth = store.t + 1
     codes = _ValueCodes()
-    default_code = codes.code(default)
+    default_code = codes.code(store.default)
+    read_level = store.level_codes
     values = read_level(depth, codes.code)
     for length in range(depth - 1, len(path) - 1, -1):
         own = read_level(length, codes.code)
@@ -548,15 +528,6 @@ def _strict_majority(keys: list, fallback: Any) -> Any:
     return best if best_count * 2 > total else fallback
 
 
-def majority_value(children: list[Any], default: Any) -> Any:
-    """Strict majority of ``children`` by ``repr``; ties fall to the
-    default.  The reference recursion's vote; the sweep runs the same
-    :func:`_strict_majority` over interned codes."""
-    reprs = [repr(value) for value in children]
-    winner = _strict_majority(reprs, None)
-    return default if winner is None else children[reprs.index(winner)]
-
-
 # -- wire form: encode -----------------------------------------------------
 
 
@@ -564,7 +535,7 @@ def encode_report(store: SuccinctEigStore, me: NodeId, level: int) -> RleReport 
     """Build the run-length report ``me`` broadcasts about level ``level``.
 
     Returns ``None`` when there is nothing to report (every path contains
-    ``me`` — i.e. ``me`` is the sender), matching the dense engine's
+    ``me`` — i.e. ``me`` is the sender), matching the dense formulation's
     skipped broadcast.  A fully uniform level emits a single run without
     enumerating paths; otherwise the level is read once
     (:meth:`SuccinctEigStore.level_codes`) and equal neighbours in the
@@ -640,7 +611,7 @@ def ingest_rle(
 ) -> None:
     """File one received run-length report; malformed reports are
     Byzantine noise and are dropped whole (missing -> default), mirroring
-    the dense engine's per-item validation.
+    the dense wire form's per-item validation.
 
     Validity: the report must describe level ``round_ - 1`` (a report
     relayed in round ``round_ - 1`` and received now) — see
@@ -771,9 +742,9 @@ def ingest_rle_batch(
 def ingest_dense_items(
     store: SuccinctEigStore, items: Any, relayer: NodeId, me: NodeId, round_: int
 ) -> None:
-    """File a dense ``(path, value)`` item list (the legacy wire form —
-    Byzantine nodes and the dense engine still speak it), with the exact
-    per-item validation and ``setdefault`` semantics of the dense ingest."""
+    """File a dense ``(path, value)`` item list (the textbook wire form —
+    Byzantine nodes still speak it), with the per-item validation and
+    ``setdefault`` semantics of a dict of paths."""
     n, sender = store.n, store.sender
     valid_prefixes = path_set(n, sender, round_ - 1)
     file_override = store.file_override

@@ -191,17 +191,10 @@ def ba_point(
 
 @workload("oral", suite="E9/regress")
 def oral_point(
-    n: int, t: int, seed: int | str = 0, value: Any = "v", engine: str = "succinct"
+    n: int, t: int, seed: int | str = 0, value: Any = "v"
 ) -> dict[str, Any]:
-    """One OM(t) oral-agreement run over the EIG tree.
-
-    ``engine="succinct"`` (default) is what makes the n=128 grid points
-    feasible; ``engine="dense"`` runs the reference engine — identical
-    counts, exponential memory (see PERFORMANCE.md).
-    """
-    run = run_protocols(
-        make_oral_agreement_protocols(n, t, value, engine=engine), seed=seed
-    )
+    """One OM(t) oral-agreement run over the (succinct) EIG tree."""
+    run = run_protocols(make_oral_agreement_protocols(n, t, value), seed=seed)
     decisions = run.decisions()
     return {
         "n": n,
@@ -426,7 +419,7 @@ def e9_chain_bytes_point(
 def e9_compression_point(
     n: int, t: int, seed: int | str = 0, value: Any = "v"
 ) -> dict[str, Any]:
-    """One succinct-engine OM(t) run instrumented for compression:
+    """One OM(t) run instrumented for compression:
     dense-equivalent bytes (what the meters charge) vs the run-length
     bytes that actually crossed the wire, plus run/item counts for the
     closed-form check against
@@ -435,7 +428,7 @@ def e9_compression_point(
     from ..crypto.encoding import decode
 
     run = run_protocols(
-        make_oral_agreement_protocols(n, t, value, engine="succinct"),
+        make_oral_agreement_protocols(n, t, value),
         seed=seed,
         record_views=True,
     )

@@ -1,10 +1,10 @@
-"""Succinct EIG engine: wire-form round-trips and engine equivalence.
+"""Succinct EIG tree: wire-form round-trips and equivalence to the oracle.
 
 The contract under test is the one PERFORMANCE.md and the benchmarks rely
-on: the succinct engine is *observably identical* to the dense reference —
-decisions, round counts, envelope counts, per-kind tallies and byte
-counters all match bit-for-bit, for honest runs and under arbitrary
-(engine-agnostic) Byzantine behaviour.
+on: ``OralAgreementProtocol`` is *observably identical* to the textbook
+dict-of-paths OM(t) in ``_reference_eig.py`` — decisions, round counts,
+envelope counts, per-kind tallies and byte counters all match bit-for-bit,
+for honest runs and under arbitrary Byzantine behaviour.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.agreement import make_oral_agreement_protocols
-from repro.agreement._paths import path_set, paths_of_length
+from repro.agreement._paths import paths_of_length
 from repro.agreement.eigtree import (
     OM_REPORT_RLE,
     RleReport,
@@ -29,20 +29,23 @@ from repro.agreement.eigtree import (
 )
 from repro.agreement.oral import OM_REPORT, OM_VALUE, OralAgreementProtocol
 from repro.crypto.encoding import byte_size, encode
-from repro.errors import ConfigurationError
 from repro.faults import ScriptedProtocol, SilentProtocol
-from repro.sim import run_protocols
+from repro.sim import Envelope, run_protocols
 from repro.sim.batch import ChannelBatch
 from repro.sim.message import payload_kind, wire_byte_size
+
+from ._reference_eig import file_items, make_reference_protocols, reference_resolve
 
 N, T = 7, 2
 
 
-def run_engine(engine, adversaries=None, seed=0, n=N, t=T, value="v"):
-    protocols = make_oral_agreement_protocols(
-        n, t, value, adversaries=adversaries or {}, engine=engine
+def run_both(adversaries=dict, seed=0, n=N, t=T, value="v"):
+    """One run of the reference protocols and one of ``src/``'s, each with
+    its own adversary instances from the ``adversaries`` factory."""
+    return tuple(
+        run_protocols(make(n, t, value, adversaries=adversaries()), seed=seed)
+        for make in (make_reference_protocols, make_oral_agreement_protocols)
     )
-    return run_protocols(protocols, seed=seed)
 
 
 def observables(result):
@@ -197,15 +200,14 @@ class TestDenseByteEquivalence:
 class TestEngineEquivalenceHonest:
     @pytest.mark.parametrize("n,t", [(4, 1), (7, 2), (10, 3), (3, 0)])
     def test_identical_observables(self, n, t):
-        dense = run_engine("dense", n=n, t=t, seed=n)
-        succinct = run_engine("succinct", n=n, t=t, seed=n)
-        assert observables(dense) == observables(succinct)
+        reference, succinct = run_both(n=n, t=t, seed=n)
+        assert observables(reference) == observables(succinct)
 
     def test_store_stays_small_on_honest_runs(self):
         """The collapse claim, asserted: a failure-free run stores O(n·t)
         entries per node, not one per path."""
         n, t = 16, 4
-        protocols = make_oral_agreement_protocols(n, t, "v", engine="succinct")
+        protocols = make_oral_agreement_protocols(n, t, "v")
         run_protocols(protocols, seed=1)
         dense_paths = sum(
             len(paths_of_length(n, 0, length)) for length in range(2, t + 2)
@@ -217,10 +219,10 @@ class TestEngineEquivalenceHonest:
 
 
 def om_noise():
-    """Engine-agnostic Byzantine payload pool (both engines must treat
-    every element identically; run-length payloads are deliberately
-    excluded — engines are homogeneous per run, and a crafted RleReport
-    would only be understood by the succinct side)."""
+    """Byzantine payload pool in the dense wire form (the reference and
+    ``src/`` must treat every element identically; run-length payloads
+    are deliberately excluded — a crafted RleReport is only understood by
+    the succinct side, noise to the reference)."""
     return st.sampled_from(
         [
             (OM_VALUE, "forged"),
@@ -242,8 +244,8 @@ def om_noise():
 def om_adversary_specs(draw):
     """Up to T faulty nodes; each either silent or scripted noise.
 
-    Returns a plain spec (no protocol objects) so each engine run builds
-    its *own* adversary instances from identical data.
+    Returns a plain spec (no protocol objects) so each run builds its
+    *own* adversary instances from identical data.
     """
     faulty = draw(
         st.sets(st.integers(min_value=0, max_value=N - 1), min_size=1, max_size=T)
@@ -286,19 +288,16 @@ class TestEngineEquivalenceByzantine:
     @given(specs=om_adversary_specs(), seed=st.integers(0, 2**16))
     @settings(max_examples=120, deadline=None)
     def test_engines_identical_under_random_byzantine_behaviour(self, specs, seed):
-        dense = run_engine("dense", adversaries=build_adversaries(specs), seed=seed)
-        succinct = run_engine(
-            "succinct", adversaries=build_adversaries(specs), seed=seed
-        )
-        assert observables(dense) == observables(succinct), (
-            f"engines diverged; adversaries at {sorted(specs)}"
+        reference, succinct = run_both(lambda: build_adversaries(specs), seed=seed)
+        assert observables(reference) == observables(succinct), (
+            f"diverged from the reference; adversaries at {sorted(specs)}"
         )
 
     @given(seed=st.integers(0, 2**16), lying=st.integers(1, N - 1))
     @settings(max_examples=30, deadline=None)
     def test_engines_identical_under_flooded_reports(self, seed, lying):
         """A relayer that floods full valid-looking (but false) report
-        tables exercises the multi-run and override paths of both engines."""
+        tables exercises the multi-run and override paths of the store."""
         table2 = tuple(
             (path, "fake") for path in paths_of_length(N, 0, 2) if lying not in path
         )
@@ -306,85 +305,28 @@ class TestEngineEquivalenceByzantine:
             1: [(p, (OM_REPORT, (((0,), "fake"),))) for p in range(N) if p != lying],
             2: [(p, (OM_REPORT, table2)) for p in range(N) if p != lying],
         }
-        adversaries = lambda: {lying: ScriptedProtocol(script, halt_after=T + 2)}
-        dense = run_engine("dense", adversaries=adversaries(), seed=seed)
-        succinct = run_engine("succinct", adversaries=adversaries(), seed=seed)
-        assert observables(dense) == observables(succinct)
-
-
-class TestEngineConfig:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            OralAgreementProtocol(7, 2, engine="sparse")
-
-    def test_dense_engine_ignores_rle_payloads(self):
-        """Homogeneity contract: the dense ingest treats a run-length
-        report as unknown noise (it is not a tagged tuple)."""
-        protocol = OralAgreementProtocol(4, 1, value=None, engine="dense")
-        report = RleReport(4, 0, 1, 2, ((1, "x"),))
-
-        class _Ctx:
-            node = 1
-
-        from repro.sim import Envelope
-
-        protocol._ingest(
-            _Ctx(), [Envelope(sender=2, recipient=1, payload=report, round_sent=1)], 2
+        reference, succinct = run_both(
+            lambda: {lying: ScriptedProtocol(script, halt_after=T + 2)}, seed=seed
         )
-        assert protocol._tree == {}
+        assert observables(reference) == observables(succinct)
 
+
+class TestByzantineReportNoise:
     def test_succinct_ingest_drops_unhashable_noise(self):
-        """The succinct dense-items ingest mirrors the dense engine's
-        tolerance for unhashable Byzantine path elements."""
-        protocol = OralAgreementProtocol(4, 1, value=None, engine="succinct")
-
-        class _Ctx:
-            node = 1
-
-        from repro.sim import Envelope
-
+        """``ingest_dense_items`` tolerates unhashable Byzantine path
+        elements (the reference's analog lives in ``test_paths.py``)."""
+        protocol = OralAgreementProtocol(4, 1, value=None)
         payload = (OM_REPORT, ((([],), "x"), (([0, []]), "y")))
-        protocol._ingest(
-            _Ctx(), [Envelope(sender=2, recipient=1, payload=payload, round_sent=1)], 2
-        )
+        protocol.on_round(_StubContext(1, 2), [Envelope(2, 1, payload, 1)])
         assert protocol._store.stored_entries() == 0
 
 
 # -- columnar store: first-wins filing and the level sweep --------------------
 
 
-def reference_majority(children, default):
-    """Strict majority by ``repr``, written out independently of the
-    engines' shared vote."""
-    tally = {}
-    for value in children:
-        tally[repr(value)] = tally.get(repr(value), 0) + 1
-    for value in children:
-        if tally[repr(value)] * 2 > len(children):
-            return value
-    return default
-
-
-def reference_resolve(tree, n, t, sender, default, me, path=None):
-    """The seed recursion over a dense dict: the oracle that shares no
-    code with the level sweep."""
-    path = (sender,) if path is None else path
-    if len(path) == t + 1:
-        return tree.get(path, default)
-    children = [
-        tree.get(path, default)
-        if node == me
-        else reference_resolve(tree, n, t, sender, default, me, path + (node,))
-        for node in range(n)
-        if node not in path
-    ]
-    return reference_majority(children, default)
-
-
 def file_tree(tree, n, sender, me, relayer, payload, round_):
     """File one received (well-formed) payload into the dense dict
-    ``tree`` with the dense engine's per-item ``setdefault`` semantics
-    written out."""
+    ``tree`` with its per-item ``setdefault`` semantics written out."""
     level = round_ - 1
     if isinstance(payload, RleReport):
         if payload.level != level:
@@ -399,8 +341,8 @@ def file_tree(tree, n, sender, me, relayer, payload, round_):
 
 
 def file_both(store, tree, n, sender, me, relayer, payload, round_):
-    """File one received payload into the succinct ``store`` through the
-    engine's ingest, and into the dense dict ``tree``."""
+    """File one received payload into the succinct ``store`` through
+    ``src/``'s ingest, and into the dense dict ``tree``."""
     if isinstance(payload, RleReport):
         ingest_rle(store, payload, relayer, me, round_)
     else:
@@ -418,7 +360,7 @@ def addressed(target, relayer, me):
 
 def assert_store_matches_tree(store, tree, n, t, sender, default, me):
     """``get``, ``encode_report`` and ``resolve`` all read the store the
-    way the dense engine reads its dict."""
+    way the reference reads its dict."""
     for level in range(1, t + 2):
         visible = [p for p in paths_of_length(n, sender, level) if me not in p]
         held = [tree.get(p, default) for p in visible]
@@ -431,10 +373,6 @@ def assert_store_matches_tree(store, tree, n, t, sender, default, me):
             )
     expected = reference_resolve(tree, n, t, sender, default, me)
     assert repr(store.resolve(me)) == repr(expected)
-    if n > 3 * t:
-        dense = OralAgreementProtocol(n, t, default=default, sender=sender, engine="dense")
-        dense._tree = tree
-        assert repr(dense._resolve((sender,), me)) == repr(expected)
 
 
 class TestFirstFiledReportWins:
@@ -603,7 +541,8 @@ class TestColumnarSweepEqualsDense:
 
 
 class _StubContext:
-    """The slice of ``NodeContext`` one ``on_round_batch`` step touches."""
+    """The slice of ``NodeContext`` one ``on_round`` / ``on_round_batch``
+    step touches."""
 
     def __init__(self, node, round_):
         self.node, self.round = node, round_
@@ -722,18 +661,17 @@ class TestIngestRleBatch:
     def test_batch_ingest_equals_per_entry_ingest(self, scenario):
         n, t, sender, round_, root, batches = scenario
 
-        def protocols(engine):
+        def protocols():
             made = [
-                OralAgreementProtocol(n, t, default="d", sender=sender, engine=engine)
-                for _ in range(n)
+                OralAgreementProtocol(n, t, default="d", sender=sender) for _ in range(n)
             ]
             if root is not None:
                 for protocol in made:
-                    protocol._ingest_one(None, sender, (OM_VALUE, root), 1, None)
+                    protocol._ingest_one(None, sender, (OM_VALUE, root), 1)
             return made
 
-        batched, filed, dense = protocols("succinct"), protocols("succinct"), protocols("dense")
-        prefixes = path_set(n, sender, round_ - 1)
+        batched, filed = protocols(), protocols()
+        trees = [{} if root is None else {(sender,): root} for _ in range(n)]
         for batch, receiver_order in batches:
             group = ChannelBatch()
             for relayer, payload, target in batch:
@@ -747,16 +685,17 @@ class TestIngestRleBatch:
                     if not addressed(target, relayer, me):
                         continue
                     if not isinstance(payload, RleReport):
-                        filed[me]._ingest_one(me, relayer, payload, round_, None)
-                        dense[me]._ingest_one(me, relayer, payload, round_, prefixes)
+                        filed[me]._ingest_one(me, relayer, payload, round_)
+                        if payload[0] == OM_REPORT:
+                            file_items(trees[me], n, sender, me, relayer, payload[1], round_)
                         continue
                     ingest_rle(filed[me]._store, payload, relayer, me, round_)
                     if rle_is_valid(payload, relayer, n, t, sender, round_ - 1):
-                        file_tree(dense[me]._tree, n, sender, me, relayer, payload, round_)
+                        file_tree(trees[me], n, sender, me, relayer, payload, round_)
         for me in range(n):
             if me == sender:
                 continue  # holds no path avoiding itself: nothing to read
-            store, tree = batched[me]._store, dense[me]._tree
+            store, tree = batched[me]._store, trees[me]
             assert store.stored_entries() == filed[me]._store.stored_entries()
             assert_store_matches_tree(store, tree, n, t, sender, "d", me)
             assert_store_matches_tree(filed[me]._store, tree, n, t, sender, "d", me)

@@ -11,43 +11,30 @@ from repro.agreement._paths import (
     path_table_info,
     paths_of_length,
 )
+from repro.agreement.eigtree import RleReport, SuccinctEigStore
+from repro.sim import Envelope
 
-
-def seed_paths_of_length(n: int, sender: int, length: int) -> list[tuple[int, ...]]:
-    """The seed code's per-instance enumeration, verbatim semantics."""
-    paths = [(sender,)]
-    for _ in range(length - 1):
-        paths = [
-            path + (node,)
-            for path in paths
-            for node in range(n)
-            if node not in path
-        ]
-    return paths
+from ._reference_eig import (
+    OM_REPORT,
+    ReferenceOralProtocol,
+    reference_paths,
+    reference_resolve,
+)
 
 
 class TestSharedTableMatchesSeed:
     def test_matches_for_standard_sizes(self):
         for n in (4, 8, 16):
             for length in range(1, 5):
-                expected = seed_paths_of_length(n, 0, length)
-                assert list(paths_of_length(n, 0, length)) == expected
+                expected = reference_paths(n, 0, length)
+                assert paths_of_length(n, 0, length) == expected
 
     def test_matches_for_nonzero_sender(self):
         for sender in (1, 3):
             for length in (1, 2, 3):
-                assert list(paths_of_length(4, sender, length)) == (
-                    seed_paths_of_length(4, sender, length)
+                assert paths_of_length(4, sender, length) == (
+                    reference_paths(4, sender, length)
                 )
-
-    def test_protocol_method_delegates_to_shared_table(self):
-        from repro.agreement.oral import OralAgreementProtocol
-
-        protocol = OralAgreementProtocol(7, 2, value="v")
-        for length in (1, 2, 3):
-            assert protocol._paths_of_length(length) == (
-                seed_paths_of_length(7, 0, length)
-            )
 
 
 class TestTableProperties:
@@ -122,49 +109,40 @@ class TestTableProperties:
 class TestByzantineReportNoise:
     def test_unhashable_path_elements_are_dropped_not_fatal(self):
         """A Byzantine report whose path contains unhashable elements is
-        'noise, not filed' — it must never crash an honest node (the seed
-        code tolerated unhashable heads; the shared-table probe must too).
-        The succinct-engine analog lives in ``test_eigtree.py``."""
-        from repro.agreement.oral import OM_REPORT, OralAgreementProtocol
-        from repro.sim import Envelope
-
-        protocol = OralAgreementProtocol(4, 1, value=None, engine="dense")
-        inbox = [
-            Envelope(
-                sender=2,
-                recipient=1,
-                payload=(OM_REPORT, ((([],), "x"), (([0, []]), "y"))),
-                round_sent=1,
-            )
-        ]
-
+        'noise, not filed' — it must never crash an honest node — and so
+        is a run-length report: the reference oracle speaks the dense
+        wire form only.  The succinct ingest's analog lives in
+        ``test_eigtree.py``."""
         class _Ctx:
-            node = 1
+            node, round = 1, 2
+            decide = halt = staticmethod(lambda *args: None)
 
-        protocol._ingest(_Ctx(), inbox, 2)
-        assert protocol._tree == {}
+        protocol = ReferenceOralProtocol(4, 1)
+        inbox = [
+            Envelope(2, 1, (OM_REPORT, ((([],), "x"), (([0, []]), "y"))), 1),
+            Envelope(3, 1, RleReport(4, 0, 1, 3, ((1, "x"),)), 1),
+        ]
+        protocol.on_round(_Ctx(), inbox)
+        assert protocol.tree == {}
 
 
 class TestResolutionUnchanged:
     def test_oral_agreement_decisions_match_reference_recursion(self):
-        """The iterative bottom-up resolve equals the seed recursion on a
+        """The store's bottom-up resolve equals the seed recursion on a
         populated tree (faulty reports included)."""
-        from repro.agreement.oral import OralAgreementProtocol
-
         n, t = 7, 2
-        protocol = OralAgreementProtocol(n, t, value=None, engine="dense")
+        store, tree = SuccinctEigStore(n, t, 0, None), {}
         # Populate the tree unevenly: some paths agree, some conflict,
         # some are missing entirely (-> default).
         for index, path in enumerate(paths_of_length(n, 0, t + 1)):
-            if index % 3 == 0:
-                protocol._tree[path] = "a"
-            elif index % 3 == 1:
-                protocol._tree[path] = "b"
+            if index % 3 != 2:
+                tree[path] = "ab"[index % 3]
+                store.file_override(t + 1, path, tree[path])
         for path in paths_of_length(n, 0, t):
-            protocol._tree[path] = "a"
-        protocol._tree[(0,)] = "a"
+            tree[path] = "a"
+            store.file_override(t, path, "a")
+        tree[(0,)] = "a"
+        store.set_root("a")
 
         for me in range(1, n):
-            fast = protocol._resolve((0,), me)
-            slow = protocol._resolve_recursive((0,), me)
-            assert fast == slow
+            assert store.resolve(me) == reference_resolve(tree, n, t, 0, None, me)

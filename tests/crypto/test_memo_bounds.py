@@ -32,21 +32,34 @@ def _clear_memos():
         getattr(module, name).clear()
 
 
-def test_memos_stay_bounded_over_forty_fresh_seed_runs():
-    """n = 16 files 523 scalars, 246 verdicts and 16 combs per run, so all
-    three memos have been full (and cleared) at least once by run 20; from
-    there on traced memory must stop climbing."""
+#: About five n = 6 runs' worth of each memo (a run files 68 scalars, 32
+#: verdicts and 6 combs).  The shipped caps hold a large run's working
+#: set, which takes forty n = 16 runs to fill and clear — 14 s under
+#: tracemalloc; the clear-when-full mechanism is the same at any cap.
+SMALL_CAPS = {"_SCALAR_CACHE_MAX": 384, "_VERIFY_CACHE_MAX": 192, "_KEY_COMBS_MAX": 32}
+
+
+def test_memos_stay_bounded_over_forty_fresh_seed_runs(monkeypatch):
+    """With caps a few runs wide, all three memos have been full (and
+    cleared) at least once by run 20; from there on traced memory must
+    stop climbing."""
+    for module, name in MEMOS:
+        monkeypatch.setattr(module, f"{name}_MAX", SMALL_CAPS[f"{name}_MAX"])
     _clear_memos()
     traced = []
+    cleared = set()
     tracemalloc.start()
     try:
         for op in range(40):
+            held = {name: len(getattr(module, name)) for module, name in MEMOS}
             outcome = run_fd_scenario(
-                16, 1, "v", protocol="chain", auth="local", scheme=SCHEME, seed=f"memo-{op}"
+                6, 1, "v", protocol="chain", auth="local", scheme=SCHEME, seed=f"memo-{op}"
             )
             assert outcome.fd.ok
             for module, name in MEMOS:
-                assert len(getattr(module, name)) <= getattr(module, f"{name}_MAX"), name
+                assert len(getattr(module, name)) <= SMALL_CAPS[f"{name}_MAX"], name
+                if op < 20 and len(getattr(module, name)) < held[name]:
+                    cleared.add(name)
             gc.collect()  # a finished run's kernel graph is cyclic garbage
             traced.append(tracemalloc.get_traced_memory()[0])
     finally:
@@ -55,6 +68,7 @@ def test_memos_stay_bounded_over_forty_fresh_seed_runs():
     # points on it.  With the pre-PR-15 caps (32,768 / 65,536: nothing is
     # cleared in 40 runs) the second half peaks at twice the first.
     assert max(traced[20:]) <= 1.05 * max(traced[:20])
+    assert cleared == {name for _, name in MEMOS}
 
 
 def _projection(outcome):

@@ -158,12 +158,6 @@ class TestPointFunctions:
         boundary = get_workload("e11-feasibility")(6, 2, seed=6)
         assert not boundary["agreement_feasible"] and boundary["local_pair_ok"]
 
-    def test_oral_engines_agree(self):
-        oral = get_workload("oral")
-        dense = oral(7, 2, seed=3, engine="dense")
-        succinct = oral(7, 2, seed=3, engine="succinct")
-        assert dense == succinct
-
     def test_e12_sync_matches_plain_oral_counts(self):
         """The delivery sweep's lock-step row measures the same run the
         E9 oral workload does (same seed, same counts)."""

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.agreement.oral import DENSE, SUCCINCT, OralAgreementProtocol
+from repro.agreement.oral import OralAgreementProtocol
 from repro.auth.agreement_based import run_agreement_key_distribution
 from repro.errors import ConfigurationError
 from repro.faults import AdversarySpec
@@ -39,7 +39,7 @@ from repro.sim import (
 ENGINES = (OBJECT_ENGINE, COLUMNAR_ENGINE)
 
 
-def om_mux_protocols(n, t, engine, oral_engine=SUCCINCT):
+def om_mux_protocols(n, t, engine):
     """One n-instance OM(t) mux per node — the AKD traffic shape."""
     return [
         InstanceMux(
@@ -50,7 +50,6 @@ def om_mux_protocols(n, t, engine, oral_engine=SUCCINCT):
                     value=f"v{k}" if k == node else None,
                     default=None,
                     sender=k,
-                    engine=oral_engine,
                 )
                 for k in range(n)
             },
@@ -153,16 +152,12 @@ class TestWireRoundTripProperty:
 
 
 class TestColumnarObjectEquivalence:
-    @pytest.mark.parametrize("oral_engine", [SUCCINCT, DENSE])
-    def test_honest_om_grid(self, oral_engine):
+    def test_honest_om_grid(self):
         """n=7, t=2 reaches the RLE report levels (rounds >= 2) that the
-        batched succinct ingest specialises; the dense oracle engine
-        takes the per-envelope materialisation path instead."""
+        batched succinct ingest specialises."""
         runs = {
             engine: observables(
-                run_protocols(
-                    om_mux_protocols(7, 2, engine, oral_engine), seed=11
-                )
+                run_protocols(om_mux_protocols(7, 2, engine), seed=11)
             )
             for engine in ENGINES
         }

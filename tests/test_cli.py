@@ -115,10 +115,11 @@ class TestRunWorkload:
     def test_coerces_string_params(self, capsys):
         assert main(
             ["run", "--workload", "oral", "--param", "n=7", "--param", "t=2",
-             "--param", "engine=dense"]
+             "--param", "value=w"]
         ) == 0
         out = capsys.readouterr().out
         assert "78" in out  # (n-1) + t(n-1)^2 envelopes
+        assert "'w'" in out  # the decision is the string, not a coerced number
 
     def test_akd_mux_workload_runs(self, capsys):
         assert main(
