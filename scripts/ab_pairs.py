@@ -1,20 +1,21 @@
 #!/usr/bin/env python
-"""The ten-pair rule as a command: parent vs working tree on one workload.
+"""The ten-pair rule as a command: parent vs working tree, per workload.
 
-    python scripts/ab_pairs.py --parent REV --workload W \\
+    python scripts/ab_pairs.py --parent REV --workload W [--workload W2 ...] \\
         [--pairs 10] [--seed-base N] [--markdown]
 
-Checks ``REV`` out into a temporary directory (``git archive``, so the
-repository's own ``.git`` is left as it was; the directory is removed
-afterwards) and runs ``--pairs`` pairs of (parent, change) measurements,
-alternating which side goes first.  Each side is measured by *its own*
-``BENCHMARK.json`` ``command`` with ``--workload W --seed S --seconds
-<run_seconds> --trace 0``; the last line of output is the measurement.
-Pair ``i`` runs both sides on seed ``seed-base + i``.
+Checks ``REV`` out into a temporary directory once (``git archive``, so
+the repository's own ``.git`` is left as it was; the directory is removed
+afterwards) and, workload by workload, runs ``--pairs`` pairs of (parent,
+change) measurements, alternating which side goes first.  Each side is
+measured by *its own* ``BENCHMARK.json`` ``command`` with ``--workload W
+--seed S --seconds <run_seconds> --trace 0``; the last line of output is
+the measurement.  Pair ``i`` runs both sides on seed ``seed-base + i``.
 
-Prints one row per run, then per end-to-end metric both sides' medians
-and quartiles and the verdict of the choosing-metrics guide's section 8
-against the manifest's ``bound`` (see :func:`verdict`).  Exits non-zero
+Prints, per workload, one row per run, then per end-to-end metric both
+sides' medians and quartiles and the verdict of the choosing-metrics
+guide's section 8 against the manifest's ``bound`` (see :func:`verdict`);
+last, one ``workload metric verdict`` line per pairing.  Exits non-zero
 when any operation failed.  Nothing is written into either tree: each
 side's bytecode cache goes to the temporary directory too
 (``PYTHONPYCACHEPREFIX``, with ``PYTHONDONTWRITEBYTECODE`` unset), so both
@@ -84,6 +85,31 @@ def verdict(
     return "within bound", f"{counted}, median moved {c_median / p_median - 1:+.1%}"
 
 
+def judge(
+    declared: list[dict], readings: dict[str, dict[str, list[float]]]
+) -> list[tuple[str, tuple, tuple, str, str]]:
+    """Per declared end-to-end metric: ``(name, parent quartiles, change
+    quartiles, outcome, reason)`` over one workload's paired ``readings``
+    (``readings[side][metric]``, side ``"parent"`` or ``"change"``)."""
+    rows = []
+    for metric in declared:
+        name = metric["name"]
+        parent, change = readings["parent"][name], readings["change"][name]
+        outcome, reason = verdict(parent, change, metric["better"], metric["bound"])
+        rows.append((name, quartiles(parent), quartiles(change), outcome, reason))
+    return rows
+
+
+def summary_lines(verdicts: dict[str, list[tuple[str, str]]]) -> list[str]:
+    """The closing list: one ``workload metric verdict`` line per
+    ``(metric, outcome)`` pair of each workload in ``verdicts``."""
+    return [
+        f"{workload:<14} {name:<16} {outcome}"
+        for workload, rows in verdicts.items()
+        for name, outcome in rows
+    ]
+
+
 def measure(tree: Path, pycache: Path, workload: str, seed: int) -> dict:
     """One ``--trace 0`` measurement of ``tree`` by its own manifest."""
     manifest = json.loads((tree / "BENCHMARK.json").read_text())
@@ -102,14 +128,20 @@ def measure(tree: Path, pycache: Path, workload: str, seed: int) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--workload", required=True, action="append", help="repeat for several workloads"
+    )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed-base", type=int, default=1000)
     parser.add_argument("--markdown", action="store_true", help="print markdown tables")
-    args = parser.parse_args(argv)
+    return parser.parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
 
     declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     names = [metric["name"] for metric in declared]
@@ -123,9 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.markdown:
             row(["---"] * len(cells))
 
-    readings: dict[str, dict[str, list[float]]] = {
-        side: {name: [] for name in names} for side in ("parent", "change")
-    }
+    verdicts: dict[str, list[tuple[str, str]]] = {}
     failed = 0
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
         archive = subprocess.run(
@@ -135,39 +165,53 @@ def main(argv: list[str] | None = None) -> int:
         trees = {"parent": Path(tmp, "parent"), "change": REPO_ROOT}
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(trees["parent"], filter="data")
-        header([
-            "pair", f"{'side':<6}", f"{'seed':>6}", *(f"{name:>14}" for name in names),
-            "attempted", "failed",
-        ])
-        for pair in range(args.pairs):
-            seed = args.seed_base + pair
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                line = measure(trees[side], Path(tmp, "pycache", side), args.workload, seed)
-                failed += line["failed"]
-                for name in names:
-                    readings[side][name].append(line["metrics"][name]["value"])
+        for workload in args.workload:
+            readings: dict[str, dict[str, list[float]]] = {
+                side: {name: [] for name in names} for side in ("parent", "change")
+            }
+            workload_failed = 0
+            print(f"\n## {workload}\n")
+            header([
+                "pair", f"{'side':<6}", f"{'seed':>6}", *(f"{name:>14}" for name in names),
+                "attempted", "failed",
+            ])
+            for pair in range(args.pairs):
+                seed = args.seed_base + pair
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for side in order:
+                    line = measure(trees[side], Path(tmp, "pycache", side), workload, seed)
+                    workload_failed += line["failed"]
+                    for name in names:
+                        readings[side][name].append(line["metrics"][name]["value"])
+                    row([
+                        f"{pair + 1:>4}", f"{side:<6}", f"{seed:>6}",
+                        *(f"{line['metrics'][name]['value']:>14.4f}" for name in names),
+                        f"{line['attempted']:>9}", f"{line['failed']:>6}",
+                    ])
+
+            print()
+            header([
+                "metric", "parent q1 / median / q3", "change q1 / median / q3", "ratio", "verdict",
+            ])
+            judged = judge(declared, readings)
+            for name, p, c, outcome, reason in judged:
                 row([
-                    f"{pair + 1:>4}", f"{side:<6}", f"{seed:>6}",
-                    *(f"{line['metrics'][name]['value']:>14.4f}" for name in names),
-                    f"{line['attempted']:>9}", f"{line['failed']:>6}",
+                    f"{name:<16}",
+                    " / ".join(f"{value:.4g}" for value in p),
+                    " / ".join(f"{value:.4g}" for value in c),
+                    f"{c[1] / p[1]:.3f}x",
+                    f"{outcome} ({reason})",
                 ])
+            verdicts[workload] = [(name, outcome) for name, _, _, outcome, _ in judged]
+            failed += workload_failed
+            print(
+                f"\n{workload}: {args.pairs} pairs vs {args.parent}, "
+                f"{workload_failed} failed operations"
+            )
 
     print()
-    header(["metric", "parent q1 / median / q3", "change q1 / median / q3", "ratio", "verdict"])
-    for metric in declared:
-        name = metric["name"]
-        parent, change = readings["parent"][name], readings["change"][name]
-        outcome, reason = verdict(parent, change, metric["better"], metric["bound"])
-        p, c = quartiles(parent), quartiles(change)
-        row([
-            f"{name:<16}",
-            " / ".join(f"{value:.4g}" for value in p),
-            " / ".join(f"{value:.4g}" for value in c),
-            f"{c[1] / p[1]:.3f}x",
-            f"{outcome} ({reason})",
-        ])
-    print(f"\n{args.workload}: {args.pairs} pairs vs {args.parent}, {failed} failed operations")
+    for line in summary_lines(verdicts):
+        print(line)
     return 1 if failed else 0
 
 

@@ -28,7 +28,7 @@ n=128 feasible, the only one :mod:`repro.agreement.oral` runs on:
   whole levels as small-integer value codes, zipped
   from the relayers' columns in one pass over the level's last-id column
   (:func:`repro.agreement._paths.last_id_column`), so ``repr`` runs once
-  per run and the votes count ints.
+  per distinct value object and the votes count ints.
 
 Observable equivalence contract
 -------------------------------
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, groupby, repeat
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from ..crypto.encoding import byte_size, uvarint_size
 from ..types import NodeId
@@ -75,7 +75,12 @@ OM_REPORT = "om-report"
 #: as :class:`RleReport` objects, never as this tuple.
 OM_REPORT_RLE = "om-report-rle"
 
-_MISSING = object()
+
+class _MISSING:
+    """The nothing-filed sentinel: a class, so it survives a checkpoint as itself."""
+
+
+_EMPTY: dict = {}  # a level nothing was filed on, as readers see it
 
 # Encoded size of the constant parts of the dense payload
 # ``(OM_REPORT, items)``: the 2-tuple header and the kind tag.
@@ -93,22 +98,48 @@ class _ValueCodes:
     """Small-integer codes for values, interned by :func:`_repr_key`: two
     values share a code exactly when the majority votes treat them as
     equal.  ``values[code]`` is the first value interned under the code.
-    One instance lives for one level read or one sweep."""
+    One instance lives for one level read or one sweep.  An object seen
+    before is answered by identity (``repr`` runs once per distinct
+    object); the identity map holds its objects, so no ``id`` is reused."""
 
-    __slots__ = ("_codes", "values")
+    __slots__ = ("_by_id", "_codes", "values")
 
     def __init__(self) -> None:
+        self._by_id: dict[int, tuple[Any, int]] = {}
         self._codes: dict[str, int] = {}
         self.values: list[Any] = []
 
     def code(self, value: Any) -> int:
         """The code of ``value``, allocating the next one if it is new."""
+        held = self._by_id.get(id(value))
+        if held is not None:
+            return held[1]
         key = _repr_key(value)
         code = self._codes.get(key)
         if code is None:
             code = self._codes[key] = len(self.values)
             self.values.append(value)
+        self._by_id[id(value)] = (value, code)
         return code
+
+
+def _unanimous(values: Iterable[Any]) -> Any:
+    """The first of ``values`` if every one is ``repr``-equal to it, else
+    ``_MISSING`` (also for none, or a ``_MISSING`` one).  Identity decides
+    first; stops at the first disagreement, consuming no further."""
+    first = codes = _MISSING
+    for value in values:
+        if value is _MISSING:
+            return _MISSING
+        if first is _MISSING:
+            first = value
+        elif value is not first:
+            if codes is _MISSING:
+                codes = _ValueCodes()
+                codes.code(first)
+            if codes.code(value):
+                return _MISSING
+    return first
 
 
 class RleReport:
@@ -149,18 +180,21 @@ class RleReport:
             raise ValueError(f"ids out of range: sender={sender}, exclude={exclude}")
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
-        if not all(
-            type(count) is int and count > 0 for count, _ in runs
-        ):
-            raise ValueError("run counts must be positive ints")
+        copied = []
+        item_count = 0
+        for count, value in runs:
+            if type(count) is not int or count <= 0:
+                raise ValueError("run counts must be positive ints")
+            copied.append((count, value))
+            item_count += count
         self.n = n
         self.sender = sender
         self.level = level
         self.exclude = exclude
-        self.runs = tuple((count, value) for count, value in runs)
+        self.runs = tuple(copied)
         #: Number of dense ``(path, value)`` items this report stands for
         #: (summed once: every receiver's validity check reads it).
-        self.item_count = sum(count for count, _ in self.runs)
+        self.item_count = item_count
         self._dense_size = self._compute_dense_size()
 
     def values(self) -> Iterator[Any]:
@@ -230,8 +264,8 @@ class _SharedLevel(dict):
     def __init__(self, entries) -> None:
         for relayer, value in entries:
             self.setdefault(relayer, value)  # first report wins
-        keys = set(map(_repr_key, self.values()))
-        self.agreed = (next(iter(self.values())),) if len(keys) == 1 else None
+        value = _unanimous(self.values())
+        self.agreed = None if value is _MISSING else (value,)
 
 
 class SuccinctEigStore:
@@ -248,10 +282,11 @@ class SuccinctEigStore:
     column, which is only ever filed before a uniform value, wins over
     that.
 
-    A ``uniform`` level is a private dict, or a :class:`_SharedLevel`
-    adopted whole by :func:`ingest_rle_batch` (which sets ``owner``): the
-    same values plus the owner's own relay, which no reader counts.
-    Filing anything more on the level first makes it private.
+    A level exists once something is filed there.  A ``uniform`` level is
+    a private dict, or a :class:`_SharedLevel` adopted whole by
+    :func:`ingest_rle_batch` (which sets ``owner``): the same values plus
+    the owner's own relay, which no reader counts.  Filing anything more
+    on the level first makes it private.
 
     A run column is a report's ``runs`` tuple, shared with every other
     receiver of the report: the values of the level-``L - 1`` paths
@@ -284,16 +319,10 @@ class SuccinctEigStore:
         self.default = default
         self.root: Any = _MISSING
         # level -> {relayer: value} / {relayer: runs} / {path: value},
-        # levels 2 .. t+1.
-        self.uniform: dict[int, dict[NodeId, Any]] = {
-            level: {} for level in range(2, t + 2)
-        }
-        self.columns: dict[int, dict[NodeId, tuple[tuple[int, Any], ...]]] = {
-            level: {} for level in range(2, t + 2)
-        }
-        self.overrides: dict[int, dict[Path, Any]] = {
-            level: {} for level in range(2, t + 2)
-        }
+        # levels 2 .. t+1, each created when first filed on.
+        self.uniform: dict[int, dict[NodeId, Any]] = {}
+        self.columns: dict[int, dict[NodeId, tuple[tuple[int, Any], ...]]] = {}
+        self.overrides: dict[int, dict[Path, Any]] = {}
         #: The holding node, learnt when it first adopts a shared level.
         self.owner: NodeId | None = None
 
@@ -305,9 +334,9 @@ class SuccinctEigStore:
         self.root = value
 
     def _private(self, level: int) -> dict[NodeId, Any]:
-        """The level's ``uniform`` dict, safe to write and to probe: a
-        shared level first becomes a copy without the owner's own relay."""
-        held = self.uniform[level]
+        """The level's ``uniform`` dict, created if absent, safe to write and
+        to probe: a shared level first becomes a copy without the owner's own relay."""
+        held = self.uniform.setdefault(level, {})
         if type(held) is _SharedLevel:
             held = self.uniform[level] = dict(held)
             held.pop(self.owner, None)
@@ -327,14 +356,14 @@ class SuccinctEigStore:
         level-``level`` paths ending in ``relayer`` (the ingest's
         :func:`_classify_rle` checks it)."""
         if relayer not in self._private(level):
-            self.columns[level].setdefault(relayer, runs)
+            self.columns.setdefault(level, {}).setdefault(relayer, runs)
 
     def file_override(self, level: int, path: Path, value: Any) -> None:
         """File one path value with the dense ``setdefault`` semantics."""
         relayer = path[-1]
-        if relayer in self._private(level) or relayer in self.columns[level]:
+        if relayer in self._private(level) or relayer in self.columns.get(level, _EMPTY):
             return  # every path ending in this relayer is already set
-        self.overrides[level].setdefault(path, value)
+        self.overrides.setdefault(level, {}).setdefault(path, value)
 
     # -- lookup ----------------------------------------------------------
 
@@ -348,15 +377,15 @@ class SuccinctEigStore:
         if len(path) == 1:
             return self.default if self.root is _MISSING else self.root
         level = len(path)
-        value = self.overrides[level].get(path, _MISSING)
+        value = self.overrides.get(level, _EMPTY).get(path, _MISSING)
         if value is not _MISSING:
             return value
-        if path[-1] in self.columns[level]:
+        if path[-1] in self.columns.get(level, _EMPTY):
             codes = _ValueCodes()
             return codes.values[
                 self.level_codes(level, codes.code)[path_index(self.n, path)]
             ]
-        value = self.uniform[level].get(path[-1], _MISSING)
+        value = self.uniform.get(level, _EMPTY).get(path[-1], _MISSING)
         return self.default if value is _MISSING else value
 
     def level_codes(self, level: int, code: Callable[[Any], int]) -> list[int]:
@@ -376,9 +405,9 @@ class SuccinctEigStore:
         if level == 1:
             return [code(self.default if self.root is _MISSING else self.root)]
         readers: list[Iterator[int]] = [repeat(code(self.default))] * self.n
-        for relayer, value in self.uniform[level].items():
+        for relayer, value in self.uniform.get(level, _EMPTY).items():
             readers[relayer] = repeat(code(value))
-        for relayer, runs in self.columns[level].items():
+        for relayer, runs in self.columns.get(level, _EMPTY).items():
             # ``code`` once per distinct object (a sender's runs share one
             # object per value); the per-run work stays in C.
             counts, values = zip(*runs)
@@ -394,7 +423,7 @@ class SuccinctEigStore:
         if len(codes) != len(last_ids):
             # An exhausted reader ends the map silently.
             raise ValueError(f"level-{level} run column shorter than the level")
-        for path, value in self.overrides[level].items():
+        for path, value in self.overrides.get(level, _EMPTY).items():
             codes[path_index(self.n, path)] = code(value)
         return codes
 
@@ -422,9 +451,9 @@ class SuccinctEigStore:
         """
         if level == 1:
             return self.get((self.sender,))
-        if self.overrides[level] or self.columns[level]:
+        if self.overrides.get(level) or self.columns.get(level):
             return _MISSING
-        uniform = self.uniform[level]
+        uniform = self.uniform.get(level, _EMPTY)
         if type(uniform) is _SharedLevel:
             # It also holds ``me``'s own relay (never the sender's): all
             # entries agreeing implies the n-2 queried ones do.  Agreed only
@@ -440,14 +469,7 @@ class SuccinctEigStore:
         # the stored values instead of n keyed lookups.
         if len(uniform) != self.n - 2 or me in uniform or self.sender in uniform:
             return _MISSING
-        value = _MISSING
-        key = None
-        for held in uniform.values():
-            if value is _MISSING:
-                value, key = held, _repr_key(held)
-            elif held is not value and _repr_key(held) != key:
-                return _MISSING
-        return value
+        return _unanimous(uniform.values())
 
     # -- resolution --------------------------------------------------------
 
@@ -464,13 +486,9 @@ class SuccinctEigStore:
         per-path Python work).
         """
         root = self.get((self.sender,))
-        root_key = _repr_key(root)
-        for level in range(2, self.t + 2):
-            value = self._level_uniform_value(level, me)
-            if value is _MISSING or (
-                value is not root and _repr_key(value) != root_key
-            ):
-                return resolve_sweep(self, me, (self.sender,))
+        levels = (self._level_uniform_value(level, me) for level in range(2, self.t + 2))
+        if _unanimous(chain((root,), levels)) is _MISSING:
+            return resolve_sweep(self, me, (self.sender,))
         return root
 
 
@@ -710,7 +728,7 @@ def ingest_rle_batch(
         shared[("rle", level)] = (kinds, values, column)
     else:
         kinds, values, column = pre
-    if column is not None and not store.uniform[level + 1]:
+    if column is not None and not store.uniform.get(level + 1):
         store.uniform[level + 1] = column
         store.owner = me
         return None

@@ -59,10 +59,6 @@ class SimulationError(ReproError):
     """The simulator reached an inconsistent internal state."""
 
 
-class DeliveryError(SimulationError):
-    """A message could not be delivered (bad recipient, closed network)."""
-
-
 class ProtocolViolationError(SimulationError):
     """A protocol implementation broke the simulator's contract.
 

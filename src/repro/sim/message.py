@@ -78,6 +78,8 @@ class Envelope(NamedTuple):
 #: Head tag of the mux envelope extension (see module docstring).
 MUX_WIRE_TAG = "mux"
 
+_MUX_HEADER = 1 + uvarint_size(4) + encoding.byte_size(MUX_WIRE_TAG)  # 4-tuple + head tag
+
 
 def mux_wrap(channel: str, instance: int, payload: Any) -> tuple:
     """Wrap one instance's payload in the mux envelope extension.
@@ -108,6 +110,14 @@ def mux_unwrap(payload: Any, channel: str) -> tuple[int, Any] | None:
     return None
 
 
+def _is_mux_wrapper(payload: Any) -> bool:
+    """Whether ``payload`` is a well-formed mux wrapper, on any channel."""
+    return (
+        isinstance(payload, tuple) and len(payload) == 4 and isinstance(payload[0], str)
+        and payload[0] == MUX_WIRE_TAG and isinstance(payload[1], str) and type(payload[2]) is int
+    )
+
+
 def payload_kind(payload: Any) -> str:
     """Classify a payload for metrics breakdowns.
 
@@ -119,14 +129,9 @@ def payload_kind(payload: Any) -> str:
     A well-formed mux wrapper is attributed to its *channel* — per-kind
     tallies describe protocols, not the multiplexing transport.
     """
+    if _is_mux_wrapper(payload):
+        return payload[1]
     if isinstance(payload, tuple) and payload and isinstance(payload[0], str):
-        if (
-            payload[0] == MUX_WIRE_TAG
-            and len(payload) == 4
-            and isinstance(payload[1], str)
-            and type(payload[2]) is int
-        ):
-            return payload[1]
         return payload[0]
     kind = getattr(payload, "kind", None)
     if isinstance(kind, str):
@@ -139,15 +144,19 @@ def wire_byte_size(payload: Any) -> int:
     compressed stand-ins charged at their dense equivalent.
 
     The common cases stay on the fast paths: a compressed payload answers
-    ``dense_byte_size()`` directly, every ordinary payload goes through
-    :func:`repro.crypto.encoding.byte_size` unchanged.  Only a payload the
-    encoder rejects — a composition wrapper with a compressed payload
-    nested inside — takes the structural walk, which prices containers by
-    the additive encoding rule (tag + varint length + items).
+    ``dense_byte_size()`` directly, a well-formed mux wrapper is its header
+    (memoised scalars) plus its inner payload, every other payload goes
+    through :func:`repro.crypto.encoding.byte_size` unchanged.  Only a
+    payload the encoder rejects — a composition wrapper with a compressed
+    payload nested inside — takes the structural walk, which prices
+    containers by the additive encoding rule (tag + varint length + items).
     """
     dense = getattr(payload, "dense_byte_size", None)
     if dense is not None:
         return dense()
+    if _is_mux_wrapper(payload):
+        head = _MUX_HEADER + sum(len(encoding._scalar_encoding(x)) for x in payload[1:3])
+        return head + wire_byte_size(payload[3])
     try:
         return encoding.byte_size(payload)
     except EncodingError:

@@ -14,7 +14,9 @@ single node behaviour, with
 * **namespaced randomness** — each instance draws from
   :func:`repro.sim.rng.instance_rng`, keyed by ``(master seed, node,
   instance)``, so instance streams are mutually independent *and*
-  independent of which other instances share the run;
+  independent of which other instances share the run.  Being a pure
+  function of that key, a stream is built on the instance's first ``rng``
+  read: honest OM(t) instances never draw and never pay for one;
 * **per-instance metrics** — each instance's sends are also recorded, at
   the inner payload's (dense-equivalent) size, into a per-instance
   :class:`~repro.sim.metrics.Metrics`, settled every round to bound
@@ -190,15 +192,13 @@ class _MuxInstanceContext:
     picks the wire form of a send and nothing else.
     """
 
-    __slots__ = ("_ctx", "_channel", "_outcome", "_rng", "_columnar")
+    __slots__ = ("_ctx", "_channel", "_slot", "_outcome", "_columnar")
 
-    def __init__(
-        self, ctx, channel: str, outcome: InstanceOutcome, rng, columnar: bool
-    ) -> None:
+    def __init__(self, ctx, channel: str, slot: "_MuxSlot", columnar: bool) -> None:
         self._ctx = ctx
         self._channel = channel
-        self._outcome = outcome
-        self._rng = rng
+        self._slot = slot
+        self._outcome = slot.outcome
         self._columnar = columnar
 
     def __getattr__(self, item: str) -> Any:
@@ -221,8 +221,12 @@ class _MuxInstanceContext:
 
     @property
     def rng(self):
-        """The instance's namespaced random stream."""
-        return self._rng
+        """The instance's namespaced random stream, built on first read."""
+        slot = self._slot
+        if slot.rng is None:
+            seed, node, channel = slot.identity
+            slot.rng = instance_rng(seed, node, self._outcome.instance, purpose=channel)
+        return slot.rng
 
     @property
     def state(self):
@@ -352,14 +356,17 @@ def _merge_plain_into_batch(
 
 
 class _MuxSlot:
-    """Bookkeeping for one hosted instance."""
+    """Bookkeeping for one hosted instance.  ``rng`` is ``None`` until the
+    instance's first ``rng`` read; until then (and in a pickle) the slot holds
+    the stream's identity: the mux's ``(seed, node, channel)`` + ``outcome.instance``."""
 
-    __slots__ = ("protocol", "outcome", "rng")
+    __slots__ = ("protocol", "outcome", "identity", "rng")
 
-    def __init__(self, protocol: Protocol, outcome: InstanceOutcome, rng) -> None:
+    def __init__(self, protocol: Protocol, outcome: InstanceOutcome, identity: tuple) -> None:
         self.protocol = protocol
         self.outcome = outcome
-        self.rng = rng
+        self.identity = identity
+        self.rng = None
 
 
 class InstanceMux(Protocol):
@@ -448,13 +455,8 @@ class InstanceMux(Protocol):
         """instance id -> its outcome (shared, live objects)."""
         return {i: slot.outcome for i, slot in self._slots.items()}
 
-    @property
-    def all_halted(self) -> bool:
-        """Whether every instance has halted."""
-        return self._live == 0 and bool(self._slots)
-
     def setup(self, ctx: NodeContext) -> None:
-        """Create per-instance outcomes and rng streams; set up instances."""
+        """Create per-instance outcomes and slots; set up instances."""
         if self._engine == COLUMNAR_ENGINE:
             # getattr-probed: composition layers hand the mux proxy
             # contexts, and tests hand it bare fakes — anything without
@@ -470,14 +472,13 @@ class InstanceMux(Protocol):
                     reason = "run context exposes no batch plane API"
                 self._fallback_reason = reason
                 _warn_engine_fallback(reason)
-        seed = ctx.seed
+        identity = (ctx.seed, ctx.node, self._channel)
         for instance in sorted(self._protocols):
             outcome = InstanceOutcome(instance=instance)
-            rng = instance_rng(seed, ctx.node, instance, purpose=self._channel)
-            slot = _MuxSlot(self._protocols[instance], outcome, rng)
+            slot = _MuxSlot(self._protocols[instance], outcome, identity)
             self._slots[instance] = slot
             slot.protocol.setup(
-                _MuxInstanceContext(ctx, self._channel, outcome, rng, self._columnar)
+                _MuxInstanceContext(ctx, self._channel, slot, self._columnar)
             )  # type: ignore[arg-type]
         # An instance may already have halted inside its setup (a
         # config-validating or crashed-from-start behaviour): count only
@@ -511,7 +512,7 @@ class InstanceMux(Protocol):
             outcome = slot.outcome
             if outcome.halted:
                 continue
-            proxy = _MuxInstanceContext(ctx, channel, outcome, slot.rng, columnar)
+            proxy = _MuxInstanceContext(ctx, channel, slot, columnar)
             protocol = slot.protocol
             group = groups.get(instance)
             plain = per_instance.get(instance)

@@ -53,8 +53,9 @@ def instance_rng(
 # position.  The inventory —
 #
 # * node streams: ``NodeContext.rng`` (one per context, built here);
-# * instance streams: created via :func:`instance_rng` and held by the
-#   mux's per-instance contexts, which hang off the node protocols;
+# * instance streams: built by :func:`instance_rng` on an instance's first
+#   ``rng`` read and held by its mux slot, which carries the stream's
+#   identity (seed, node, instance, channel) until then;
 # * link/fanout streams: the ``_links`` / ``_fanouts`` caches of
 #   ``_LinkStreamDelivery`` subclasses in :mod:`repro.sim.network`
 #   (instance state of the delivery model, never module globals);

@@ -129,16 +129,6 @@ class Trace:
 
     # -- queries ----------------------------------------------------------
 
-    def events_since(self, cursor: int) -> tuple[list[TraceEvent], int]:
-        """Incremental read: events appended at or after ``cursor``.
-
-        Returns the new events plus the next cursor, so an online
-        observer (the adaptive adversary's strategy hook) can poll the
-        trace once per tick without rescanning the whole log.
-        """
-        events = self.events[cursor:]
-        return events, cursor + len(events)
-
     def of_kind(self, kind: str) -> list[TraceEvent]:
         """All events of one kind, in order."""
         return [event for event in self.events if event.kind == kind]

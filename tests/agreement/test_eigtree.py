@@ -15,13 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.agreement import make_oral_agreement_protocols
+from repro.agreement import eigtree, make_oral_agreement_protocols
 from repro.agreement._paths import paths_of_length
 from repro.agreement.eigtree import (
     OM_REPORT_RLE,
     RleReport,
     SuccinctEigStore,
     _SharedLevel,
+    _ValueCodes,
     encode_report,
     ingest_dense_items,
     ingest_rle,
@@ -187,6 +188,48 @@ class TestDenseByteEquivalence:
         report = RleReport(7, 0, 2, 3, ((len(dense_items), "v"),))
         wrapped_dense = ("akd", 4, (OM_REPORT, dense_items))
         assert wire_byte_size(("akd", 4, report)) == byte_size(wrapped_dense)
+
+    @pytest.mark.parametrize(
+        "head, well_formed",
+        [
+            (("mux", "akd", 4), True),
+            (("mux", "akd", 2**70), True),
+            (("mux", "akd"), False),  # wrong arity
+            (("mux", "akd", "4"), False),  # non-int instance
+            (("mux", "akd", True), False),  # bool is not an instance id
+            (("mux", 7, 4), False),  # non-str channel
+        ],
+    )
+    @pytest.mark.parametrize("compressed", [True, False], ids=["rle", "dense"])
+    def test_wire_byte_size_prices_mux_wrappers(self, monkeypatch, head, well_formed, compressed):
+        """A mux wrapper is priced at the dense encoding of what it stands
+        for, by the structural rule's total; the well-formed wrapper gets
+        there without the encoder raising."""
+        from repro.crypto import encoding
+        from repro.errors import EncodingError
+        from repro.sim.message import _structural_size
+
+        dense_items = tuple(
+            (path, "v") for path in paths_of_length(7, 0, 2) if 3 not in path
+        )
+        dense = (OM_REPORT, dense_items)
+        inner = RleReport(7, 0, 2, 3, ((len(dense_items), "v"),)) if compressed else dense
+        raises = []
+        real = encoding.byte_size
+
+        def counting(value):
+            try:
+                return real(value)
+            except EncodingError:
+                raises.append(value)
+                raise
+
+        monkeypatch.setattr(encoding, "byte_size", counting)
+        size = wire_byte_size((*head, inner))
+        assert size == _structural_size((*head, inner)) == real((*head, dense))
+        if well_formed:
+            assert raises == []
+            assert payload_kind((*head, inner)) == "akd"
 
     def test_payload_kind_matches_dense(self):
         report = RleReport(7, 0, 2, 3, ((30, "v"),))
@@ -358,6 +401,36 @@ def addressed(target, relayer, me):
     return me == target if type(target) is int else me in target
 
 
+def eager_store(n, t, sender, default="d"):
+    """A store in the shape that built every level's dicts up front."""
+    store = SuccinctEigStore(n, t, sender, default)
+    for table in (store.uniform, store.columns, store.overrides):
+        table.update({level: {} for level in range(2, t + 2)})
+    return store
+
+
+def assert_same_reads(store, other, me):
+    """Two stores of one tree read the same to ``me``: whole levels,
+    reports, entries and the decision, and path by path on every level
+    ``store`` never filed."""
+    n, t, sender = store.n, store.t, store.sender
+    assert store.stored_entries() == other.stored_entries()
+    tables = (store.uniform, store.columns, store.overrides)
+    for level in range(1, t + 2):
+        if level > 1 and not any(level in table for table in tables):
+            for path in paths_of_length(n, sender, level):
+                if me not in path:
+                    assert repr(store.get(path)) == repr(other.get(path))
+        reads = []
+        for held in (store, other):
+            codes = _ValueCodes()
+            reads.append([repr(codes.values[c]) for c in held.level_codes(level, codes.code)])
+        assert reads[0] == reads[1]
+        if level <= t:
+            assert encode_report(store, me, level) == encode_report(other, me, level)
+    assert repr(store.resolve(me)) == repr(other.resolve(me))
+
+
 def assert_store_matches_tree(store, tree, n, t, sender, default, me):
     """``get``, ``encode_report`` and ``resolve`` all read the store the
     way the reference reads its dict."""
@@ -482,14 +555,20 @@ VALUE_POOL = ["a", "b", "d", None, 0]
 def filing_scenarios(draw):
     """A tree shape plus, per round, a list of ``(relayer, payload)``
     arrivals: uniform and multi-run reports, partial dense item lists,
-    duplicates of any of them, and reports for the wrong level."""
+    duplicates of any of them, and reports for the wrong level.  One
+    scenario in two leaves one level untouched: nothing arrives in its
+    round (late reports for it elsewhere are dropped)."""
     t = draw(st.integers(1, 3))
     n = draw(st.integers(t + 3, 9))
     sender = draw(st.integers(0, n - 1))
     values = st.sampled_from(VALUE_POOL)
+    untouched = draw(st.one_of(st.none(), st.integers(2, t + 1)))
     rounds = {}
     for round_ in range(2, t + 2):
         arrivals = []
+        if round_ == untouched:
+            rounds[round_] = arrivals
+            continue
         for _ in range(draw(st.integers(0, 2 * n))):
             relayer = draw(st.integers(0, n - 1).filter(lambda q: q != sender))
             kind = draw(st.sampled_from(["uniform", "multi", "dense", "late"]))
@@ -521,20 +600,47 @@ class TestColumnarSweepEqualsDense:
         ``me``: the columnar store answers exactly like a dense dict
         filled item by item.  Run columns carry values for paths through
         ``me`` that the dict never files — equality here is the proof
-        that the sweep never consumes them."""
+        that the sweep never consumes them.  A twin store holding every
+        level dict from the start reads the same."""
         n, t, sender, root, rounds = scenario
+        fresh = SuccinctEigStore(n, t, sender, "d")
+        assert fresh.uniform == fresh.columns == fresh.overrides == {}
         for me in range(n):
             if me == sender:
                 continue
-            store, tree = SuccinctEigStore(n, t, sender, "d"), {}
+            store, tree, eager = SuccinctEigStore(n, t, sender, "d"), {}, eager_store(n, t, sender)
             if root is not None:
                 store.set_root(root)
+                eager.set_root(root)
                 tree[(sender,)] = root
             for round_, arrivals in rounds.items():
                 for relayer, payload in arrivals:
                     if relayer != me:  # a node never receives its own relay
                         file_both(store, tree, n, sender, me, relayer, payload, round_)
+                        file_both(eager, {}, n, sender, me, relayer, payload, round_)
             assert_store_matches_tree(store, tree, n, t, sender, "d", me)
+            assert_same_reads(store, eager, me)
+
+
+@pytest.fixture
+def repr_calls(monkeypatch):
+    """The values the tree's value identity is computed for, in order."""
+    calls = []
+    monkeypatch.setattr(eigtree, "_repr_key", lambda value: calls.append(value) or repr(value))
+    return calls
+
+
+class TestValueCodes:
+    def test_equal_reprs_share_a_code_and_repeats_skip_repr(self, repr_calls):
+        codes = _ValueCodes()
+        a, b = ("x", [1]), ("x", [1])
+        assert a is not b
+        assert [codes.code(a), codes.code(b), codes.code("y")] == [0, 0, 1]
+        assert len(repr_calls) == 3
+        for _ in range(4):
+            assert [codes.code(a), codes.code(b), codes.code("y")] == [0, 0, 1]
+        assert len(repr_calls) == 3  # once per distinct object
+        assert codes.values == [a, "y"]
 
 
 # -- columnar ingest: shared levels vs per-entry filing ------------------------
@@ -654,23 +760,27 @@ class TestIngestRleBatch:
     """``ingest_rle_batch`` — through its one caller, ``on_round_batch`` —
     files exactly what per-entry ingest in array order files, whether a
     receiver adopts the tick's shared level, keeps it, or makes it
-    private."""
+    private; and into a store whose level dicts exist untouched up front
+    (every level but the batch's stays untouched) exactly what it files
+    into one that creates them on first filing."""
 
     @given(scenario=batch_scenarios())
     @settings(max_examples=120, deadline=None)
     def test_batch_ingest_equals_per_entry_ingest(self, scenario):
         n, t, sender, round_, root, batches = scenario
 
-        def protocols():
+        def protocols(eager=False):
             made = [
                 OralAgreementProtocol(n, t, default="d", sender=sender) for _ in range(n)
             ]
-            if root is not None:
-                for protocol in made:
+            for protocol in made:
+                if eager:
+                    protocol._store = eager_store(n, t, sender)
+                if root is not None:
                     protocol._ingest_one(None, sender, (OM_VALUE, root), 1)
             return made
 
-        batched, filed = protocols(), protocols()
+        batched, filed, eagerly = protocols(), protocols(), protocols(eager=True)
         trees = [{} if root is None else {(sender,): root} for _ in range(n)]
         for batch, receiver_order in batches:
             group = ChannelBatch()
@@ -681,6 +791,7 @@ class TestIngestRleBatch:
                 group.rounds.append(round_ - 1)
             for me in receiver_order:  # one ``group.shared`` for all of them
                 batched[me].on_round_batch(_StubContext(me, round_), group)
+                eagerly[me].on_round_batch(_StubContext(me, round_), group)
                 for relayer, payload, target in batch:
                     if not addressed(target, relayer, me):
                         continue
@@ -699,6 +810,7 @@ class TestIngestRleBatch:
             assert store.stored_entries() == filed[me]._store.stored_entries()
             assert_store_matches_tree(store, tree, n, t, sender, "d", me)
             assert_store_matches_tree(filed[me]._store, tree, n, t, sender, "d", me)
+            assert_same_reads(store, eagerly[me]._store, me)
 
     def test_report_behind_its_relayers_dense_items_waits_its_turn(self):
         """First-wins is array order per relayer across wire shapes: the
@@ -748,6 +860,13 @@ class TestIngestRleBatch:
         assert stores[3].uniform[2] == {q: "v" for q in (1, 2, 4, 5, 6)}
         assert all(stores[me].uniform[2] is column for me in range(self.N) if me != 3)
         assert dict(column) == {q: "v" for q in range(1, self.N)}
+
+    def test_a_failure_free_tick_is_decided_by_identity(self, repr_calls):
+        """Every receiver adopts one shared level and resolves it through
+        the unanimity fast path: one value object, no ``repr`` at all."""
+        stores = self.failure_free_tick()
+        assert [stores[me].resolve(me) for me in range(1, self.N)] == ["v"] * (self.N - 1)
+        assert repr_calls == []
 
     def test_readers_ignore_the_owners_own_relay(self):
         """A shared level holds the owner's relay; a private dict never

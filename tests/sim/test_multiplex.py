@@ -6,6 +6,7 @@ import pytest
 
 from repro.agreement.oral import OralAgreementProtocol
 from repro.analysis.complexity import om_envelopes
+from repro.auth.agreement_based import run_agreement_key_distribution
 from repro.faults import RandomNoiseProtocol
 from repro.sim import (
     MUX_OUTCOMES,
@@ -21,7 +22,10 @@ from repro.sim import (
     payload_kind,
     run_protocols,
 )
+from repro.sim import multiplex
 from repro.sim.compose import PhaseHost
+
+from .test_batch import observables, om_mux_protocols
 
 
 class TestWireExtension:
@@ -285,6 +289,54 @@ class TestInstanceRngNamespacing:
             return out
 
         assert noise_sent((0,)) == noise_sent((0, 1))
+
+    @pytest.fixture
+    def stream_builds(self, monkeypatch):
+        """Every ``instance_rng`` call the mux makes, as (args, purpose)."""
+        built = []
+        real = multiplex.instance_rng
+
+        def counting(*args, purpose=""):
+            built.append((args, purpose))
+            return real(*args, purpose=purpose)
+
+        monkeypatch.setattr(multiplex, "instance_rng", counting)
+        return built
+
+    def test_honest_runs_build_no_instance_stream(self, stream_builds):
+        """No honest OM(t) instance reads ``ctx.rng``, so no stream is
+        built; a noise adversary's instances build theirs, once each."""
+        run_protocols(om_mux_protocols(7, 2, None), seed=11)
+        run_agreement_key_distribution(7, 2, seed=1)
+        assert stream_builds == []
+        run_agreement_key_distribution(7, 2, seed=1, adversary="3=noise")
+        assert stream_builds == [((1, 3, k), "akd") for k in range(7)]
+
+    @pytest.mark.parametrize("delivery", [None, "loss:0.2:2"])
+    def test_streams_built_on_first_read_draw_what_eager_ones_draw(
+        self, monkeypatch, delivery
+    ):
+        """AKD with two noise nodes: a run whose every slot builds its
+        stream at setup (the eager shape) is the same run."""
+
+        def akd():
+            return run_agreement_key_distribution(
+                7, 2, seed=4, adversary="1=noise;5=noise", delivery=delivery
+            )
+
+        lazy = akd()
+        lazy_init = multiplex._MuxSlot.__init__
+
+        def eager_init(slot, protocol, outcome, identity):
+            lazy_init(slot, protocol, outcome, identity)
+            seed, node, channel = identity
+            slot.rng = instance_rng(seed, node, outcome.instance, purpose=channel)
+
+        monkeypatch.setattr(multiplex._MuxSlot, "__init__", eager_init)
+        eager = akd()
+        assert lazy.per_instance == eager.per_instance
+        assert observables(lazy.run) == observables(eager.run)
+        assert lazy.run.metrics.messages_per_sender[1] > 0  # the noise was sent
 
 
 class _Collector(Protocol):

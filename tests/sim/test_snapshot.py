@@ -18,9 +18,12 @@ import pytest
 
 from repro.agreement import make_oral_agreement_protocols
 from repro.agreement.eigtree import _SharedLevel
+from repro.agreement.oral import OralAgreementProtocol
 from repro.auth import trusted_dealer_setup
+from repro.auth.agreement_based import akd_noise_pool
 from repro.crypto import simulated
 from repro.errors import ConfigurationError, ProtocolViolationError
+from repro.faults import RandomNoiseProtocol
 from repro.fd.timeout import TimeoutFDProtocol
 from repro.harness import (
     run_fd_scenario,
@@ -32,10 +35,12 @@ from repro.sim import (
     OBJECT_ENGINE,
     SNAPSHOT_VERSION,
     EventKernel,
+    InstanceMux,
     KernelSnapshot,
     Protocol,
     capture_kernel,
     clear_checkpoint_policy,
+    instance_rng,
     load_snapshot,
     make_delivery,
     restore_kernel,
@@ -242,6 +247,83 @@ class TestEngineCoverage:
             assert type(column) is _SharedLevel and len(column) == n - 1
             assert all(other is column for other in others)
         assert observables(restored.run()) == observables(straight)
+
+
+class _LateNoise(RandomNoiseProtocol):
+    """Noise whose first draw is in round 2."""
+
+    def on_round(self, ctx, inbox):
+        if ctx.round >= 2:
+            super().on_round(ctx, inbox)
+
+
+def noise_mux_kernel(n=7, t=2, noisy=(2, 5)):
+    """OM(2) muxes on a lossy calendar; at the ``noisy`` nodes a mux of
+    noise instances instead — even ids draw from round 0, odd ones from
+    round 2 — beside the honest muxes, whose slots never draw.  The noisy
+    nodes' own instances have a noise sender, so honest stores there may
+    hold no root yet at a checkpoint."""
+    pool = akd_noise_pool(n)
+    protocols = om_mux_protocols(n, t, COLUMNAR_ENGINE)
+    for node in noisy:
+        protocols[node] = InstanceMux(
+            {
+                k: (_LateNoise if k % 2 else RandomNoiseProtocol)(pool, halt_after=t + 2)
+                for k in range(n)
+            },
+            channel="om",
+        )
+    return EventKernel(protocols, seed="snap-noise", delivery=make_delivery("loss:0.2:2"))
+
+
+def slot_streams(kernel):
+    """How many mux slots of the run hold a built stream, and how many do not."""
+    built = [slot.rng is not None for mux in kernel.protocols for slot in mux._slots.values()]
+    return built.count(True), built.count(False)
+
+
+class TestStreamsBuiltOnFirstRead:
+    """Instance streams are built on first read: a checkpoint carries
+    built streams with their positions and unbuilt ones as identities."""
+
+    @pytest.mark.parametrize("tick", [1, 3])
+    def test_noise_mux_resumes_bit_for_bit(self, tick):
+        straight = noise_mux_kernel().run()
+        runner = noise_mux_kernel()
+        assert runner.run(until_tick=tick) is None
+        # Noise slots that drew, and honest (plus, at tick 1, late) slots
+        # that never did, are both in the checkpoint.
+        built, unbuilt = slot_streams(runner)
+        assert built == 2 * (4 if tick == 1 else 7)
+        assert unbuilt == 7 * 7 - built
+        resumed = restore_kernel(capture_kernel(runner))
+        assert slot_streams(resumed) == (built, unbuilt)
+        assert observables(resumed.run()) == observables(straight)
+        assert straight.metrics.messages_per_sender[5] > 0
+
+    @pytest.mark.parametrize("tick", [1, 3])
+    def test_checkpoint_in_the_eager_shapes_resumes(self, tick):
+        """A checkpoint written when every slot built its stream at setup
+        and every store its level dicts at construction — slots without an
+        identity, empty level dicts — resumes into the straight run (why
+        ``SNAPSHOT_VERSION`` stays 2)."""
+        straight = noise_mux_kernel().run()
+        runner = noise_mux_kernel()
+        assert runner.run(until_tick=tick) is None
+        for mux in runner.protocols:
+            for instance, slot in mux._slots.items():
+                if slot.rng is None:
+                    seed, node, channel = slot.identity
+                    slot.rng = instance_rng(seed, node, instance, purpose=channel)
+                del slot.identity
+                protocol = slot.protocol
+                if isinstance(protocol, OralAgreementProtocol):
+                    store = protocol._store
+                    for table in (store.uniform, store.columns, store.overrides):
+                        for level in range(2, store.t + 2):
+                            table.setdefault(level, {})
+        resumed = restore_kernel(capture_kernel(runner))
+        assert observables(resumed.run()) == observables(straight)
 
 
 class TestTraceContinuity:

@@ -48,3 +48,42 @@ def test_ties_count_for_neither_side(ab_pairs):
     change = [p * 0.5 for p in PARENT[:8]] + PARENT[8:]  # two exact ties
     outcome, reason = ab_pairs.verdict(PARENT, change, "lower", 0.25)
     assert outcome == "within bound" and "8/10" in reason
+
+
+def test_workload_repeats(ab_pairs):
+    args = ab_pairs.parse_args(
+        ["--parent", "HEAD~1", "--workload", "mux-sync", "--workload", "oral-jitter"]
+    )
+    assert args.workload == ["mux-sync", "oral-jitter"]
+    assert ab_pairs.parse_args(["--parent", "X", "--workload", "fd-flood"]).workload == [
+        "fd-flood"
+    ]
+
+
+def test_combined_summary_lists_every_workload_and_metric(ab_pairs):
+    declared = [
+        {"name": "run_s_p50", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mib", "better": "lower", "bound": 0.1},
+    ]
+    canned = {
+        "mux-sync": {
+            "parent": {"run_s_p50": PARENT, "peak_rss_mib": [158.0] * 10},
+            "change": {"run_s_p50": PARENT, "peak_rss_mib": [127.0] * 10},
+        },
+        "fd-flood": {
+            "parent": {"run_s_p50": PARENT, "peak_rss_mib": [78.0] * 10},
+            "change": {"run_s_p50": [p * 1.4 for p in PARENT], "peak_rss_mib": [78.0] * 10},
+        },
+    }
+    verdicts = {}
+    for workload, readings in canned.items():
+        judged = ab_pairs.judge(declared, readings)
+        assert [name for name, *_ in judged] == ["run_s_p50", "peak_rss_mib"]
+        verdicts[workload] = [(name, outcome) for name, _, _, outcome, _ in judged]
+    lines = ab_pairs.summary_lines(verdicts)
+    assert [line.split() for line in lines] == [
+        ["mux-sync", "run_s_p50", "within", "bound"],
+        ["mux-sync", "peak_rss_mib", "gain"],
+        ["fd-flood", "run_s_p50", "regression"],
+        ["fd-flood", "peak_rss_mib", "within", "bound"],
+    ]
