@@ -1,10 +1,16 @@
-"""Programmatic regeneration of the experiment tables (E1-E8, E11).
+"""Programmatic regeneration of the experiment tables (E1-E8, E11-E14).
 
 The benchmark suite prints these tables under pytest; this module exposes
 the same measurements as plain data so the CLI (``repro-fd report``) and
 downstream notebooks can consume them without pytest.  Each function
 returns an :class:`ExperimentTable` whose rows carry the paper-predicted
 and measured values plus a per-row verdict.
+
+Every row is a point of a workload registered in
+:mod:`repro.harness.workloads` — the registry is the one place a scenario
+is run; this module only lays out its results against the closed forms
+of :mod:`repro.analysis.complexity`.  Each point is seeded by its ``n``
+(E6 by ``0..seeds-1``, E12–E14 by their seed axis).
 
 Only the count-based experiments live here; the byte/wall-clock ablations
 (E9, E10) depend on scheme choice and timing and stay in the benchmark
@@ -14,20 +20,12 @@ suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
-from ..auth import run_key_distribution
-from ..errors import ConfigurationError
-from ..harness.runner import GLOBAL, LOCAL, run_ba_scenario, run_fd_scenario
 from ..harness.scenarios import attack_catalogue
-from ..harness.session import AmortizedSession
-from ..harness.sweep import sizes_with_budgets
+from ..harness.sweep import sizes_with_budgets, sweep
 from . import complexity
 from .reporting import check_mark, render_table
-
-#: Scheme used for count measurements (counts are scheme-independent;
-#: verified by benchmark E10).
-COUNT_SCHEME = "simulated-hmac"
 
 
 @dataclass(frozen=True)
@@ -49,29 +47,34 @@ class ExperimentTable:
 
 
 def _table(experiment, title, headers, rows, ok) -> ExperimentTable:
-    return ExperimentTable(
-        experiment=experiment,
-        title=title,
-        headers=tuple(headers),
-        rows=tuple(tuple(row) for row in rows),
-        ok=ok,
-    )
+    rows = tuple(tuple(row) for row in rows)
+    return ExperimentTable(experiment, title, tuple(headers), rows, ok)
+
+
+def _results(workload: str, points: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
+    """The registered ``workload``'s result at each point, in order."""
+    return [point.result for point in sweep(points, workload)]
+
+
+def _budgeted(sizes: Sequence[int], **fixed: Any) -> list[dict[str, Any]]:
+    """One point per size at the conventional ``t = (n-1)//3``, seed ``n``."""
+    return [dict(fixed, n=n, t=t, seed=n) for n, t in sizes_with_budgets(sizes)]
+
+
+def _sums(results: list[dict[str, Any]], *keys: str) -> list[int]:
+    """Each key's total over ``results`` (a bool counts as 0 or 1)."""
+    return [sum(result[key] for result in results) for key in keys]
 
 
 def e1_keydist(sizes: Sequence[int] = (4, 8, 16, 32)) -> ExperimentTable:
     """E1: key distribution costs 3n(n-1) messages in 3 rounds."""
     rows, ok = [], True
-    for n in sizes:
-        result = run_key_distribution(n, scheme=COUNT_SCHEME, seed=n)
-        match = (
-            result.messages == complexity.keydist_messages(n)
-            and result.rounds == complexity.keydist_rounds()
-        )
+    for result in _results("keydist", [{"n": n, "seed": n} for n in sizes]):
+        n = result["n"]
+        predicted = complexity.keydist_messages(n)
+        match = result["messages"] == predicted and result["rounds"] == complexity.keydist_rounds()
         ok &= match
-        rows.append(
-            [n, complexity.keydist_messages(n), result.messages,
-             result.rounds, check_mark(match)]
-        )
+        rows.append([n, predicted, result["messages"], result["rounds"], check_mark(match)])
     return _table(
         "E1", "key distribution cost (paper §3.1)",
         ["n", "3n(n-1)", "measured", "rounds", "verdict"], rows, ok,
@@ -81,14 +84,11 @@ def e1_keydist(sizes: Sequence[int] = (4, 8, 16, 32)) -> ExperimentTable:
 def e2_chain_fd(sizes: Sequence[int] = (4, 8, 16, 32)) -> ExperimentTable:
     """E2: chain FD costs n-1 messages in t+1 rounds, failure-free."""
     rows, ok = [], True
-    for n, t in sizes_with_budgets(sizes):
-        outcome = run_fd_scenario(
-            n, t, "v", protocol="chain", auth=GLOBAL, scheme=COUNT_SCHEME, seed=n
-        )
-        messages = outcome.run.metrics.messages_total
-        rounds = outcome.run.metrics.rounds_used
+    for result in _results("fd", _budgeted(sizes, protocol="chain")):
+        n, t = result["n"], result["t"]
+        messages, rounds = result["messages"], result["rounds"]
         match = (
-            outcome.fd.ok
+            result["fd_ok"]
             and messages == complexity.fd_auth_messages(n)
             and rounds == complexity.fd_auth_rounds(t)
         )
@@ -103,15 +103,12 @@ def e2_chain_fd(sizes: Sequence[int] = (4, 8, 16, 32)) -> ExperimentTable:
 def e3_echo_fd(sizes: Sequence[int] = (4, 8, 16, 32)) -> ExperimentTable:
     """E3: echo FD costs (t+1)(n-1) = O(n*t) messages."""
     rows, ok = [], True
-    for n, t in sizes_with_budgets(sizes):
-        outcome = run_fd_scenario(n, t, "v", protocol="echo", seed=n)
-        messages = outcome.run.metrics.messages_total
-        match = outcome.fd.ok and messages == complexity.fd_nonauth_messages(n, t)
+    for result in _results("fd", _budgeted(sizes, protocol="echo")):
+        n, t, messages = result["n"], result["t"], result["messages"]
+        predicted = complexity.fd_nonauth_messages(n, t)
+        match = result["fd_ok"] and messages == predicted
         ok &= match
-        rows.append(
-            [n, t, complexity.fd_nonauth_messages(n, t), messages,
-             n - 1, check_mark(match)]
-        )
+        rows.append([n, t, predicted, messages, n - 1, check_mark(match)])
     return _table(
         "E3", "non-authenticated echo FD cost (paper §5)",
         ["n", "t", "(t+1)(n-1)", "measured", "auth (n-1)", "verdict"], rows, ok,
@@ -121,15 +118,12 @@ def e3_echo_fd(sizes: Sequence[int] = (4, 8, 16, 32)) -> ExperimentTable:
 def e4_amortization(sizes: Sequence[int] = (8, 16, 32)) -> ExperimentTable:
     """E4: measured amortization crossover equals k > 3n/t."""
     rows, ok = [], True
-    for n, t in sizes_with_budgets(sizes):
+    for result in _results("e4-crossover", _budgeted(sizes)):
+        n, t = result["n"], result["t"]
         predicted = complexity.crossover_runs(n, t)
-        session = AmortizedSession(n=n, t=t, auth=LOCAL, scheme=COUNT_SCHEME, seed=n)
-        for k in range(predicted + 1):
-            session.run(value=k, seed=k)
-        measured = session.crossover_run()
-        match = measured == predicted
+        match = result["measured"] == predicted
         ok &= match
-        rows.append([n, t, predicted, measured, check_mark(match)])
+        rows.append([n, t, predicted, result["measured"], check_mark(match)])
     return _table(
         "E4", "amortization crossover (paper Summary)",
         ["n", "t", "k > 3n/t", "measured", "verdict"], rows, ok,
@@ -139,21 +133,13 @@ def e4_amortization(sizes: Sequence[int] = (8, 16, 32)) -> ExperimentTable:
 def e5_smallrange(sizes: Sequence[int] = (4, 8, 16)) -> ExperimentTable:
     """E5: binary FD — silence carries the 0 at zero message cost."""
     rows, ok = [], True
-    for n in sizes:
-        for value in (0, 1):
-            outcome = run_fd_scenario(
-                n, 0, value, protocol="smallrange", scheme=COUNT_SCHEME, seed=n
-            )
-            messages = outcome.run.metrics.messages_total
-            match = (
-                outcome.fd.ok
-                and messages == complexity.smallrange_messages(n, value)
-            )
-            ok &= match
-            rows.append(
-                [n, value, complexity.smallrange_messages(n, value),
-                 messages, check_mark(match)]
-            )
+    points = [{"n": n, "value": value, "seed": n} for n in sizes for value in (0, 1)]
+    for result in _results("e5-binary", points):
+        n, value, messages = result["n"], result["value"], result["messages"]
+        predicted = complexity.smallrange_messages(n, value)
+        match = result["fd_ok"] and messages == predicted
+        ok &= match
+        rows.append([n, value, predicted, messages, check_mark(match)])
     return _table(
         "E5", "binary small-range FD (paper §5)",
         ["n", "value", "predicted", "measured", "verdict"], rows, ok,
@@ -164,17 +150,9 @@ def e6_attacks(n: int = 8, t: int = 2, seeds: int = 4) -> ExperimentTable:
     """E6: the attack catalogue — F1-F3 hold, discovery where predicted."""
     rows, ok = [], True
     for scenario in attack_catalogue(n, t):
-        conditions = 0
-        discoveries = 0
-        for seed in range(seeds):
-            outcome = run_fd_scenario(
-                n, t, "v", auth=LOCAL, scheme=COUNT_SCHEME, seed=seed,
-                kd_adversaries=scenario.kd_adversaries(),
-                adversary=scenario.adversary,
-                faulty=scenario.faulty,
-            )
-            conditions += outcome.fd.ok
-            discoveries += outcome.fd.any_discovery
+        points = [dict(n=n, t=t, scenario=scenario.name, seed=seed) for seed in range(seeds)]
+        results = _results("e6-scenario", points)
+        conditions, discoveries = _sums(results, "fd_ok", "any_discovery")
         expected = seeds if scenario.expects_discovery else 0
         match = conditions == seeds and discoveries == expected
         ok &= match
@@ -191,26 +169,16 @@ def e6_attacks(n: int = 8, t: int = 2, seeds: int = 4) -> ExperimentTable:
 def e7_extension(sizes: Sequence[int] = (8, 16)) -> ExperimentTable:
     """E7: FD→BA extension at n-1 vs SM(t) at Θ(n²), failure-free."""
     rows, ok = [], True
-    for n, t in sizes_with_budgets(sizes):
-        ext = run_ba_scenario(
-            n, t, "v", protocol="extension", auth=GLOBAL,
-            scheme=COUNT_SCHEME, seed=n,
-        )
-        sm = run_ba_scenario(
-            n, t, "v", protocol="signed", auth=GLOBAL,
-            scheme=COUNT_SCHEME, seed=n,
-        )
+    for result in _results("e7-ba-compare", _budgeted(sizes)):
+        n, t = result["n"], result["t"]
         match = (
-            ext.ba.ok
-            and sm.ba.ok
-            and ext.run.metrics.messages_total == complexity.extension_messages(n)
-            and sm.run.metrics.messages_total == complexity.sm_messages(n, t)
+            result["ext_ok"]
+            and result["sm_ok"]
+            and result["ext_messages"] == complexity.extension_messages(n)
+            and result["sm_messages"] == complexity.sm_messages(n, t)
         )
         ok &= match
-        rows.append(
-            [n, t, ext.run.metrics.messages_total,
-             sm.run.metrics.messages_total, check_mark(match)]
-        )
+        rows.append([n, t, result["ext_messages"], result["sm_messages"], check_mark(match)])
     return _table(
         "E7", "failure-free BA: extension vs direct SM(t) (paper §4)",
         ["n", "t", "extension", "SM(t)", "verdict"], rows, ok,
@@ -220,15 +188,9 @@ def e7_extension(sizes: Sequence[int] = (8, 16)) -> ExperimentTable:
 def e8_rounds(sizes: Sequence[int] = (4, 8, 16)) -> ExperimentTable:
     """E8: round complexity of all three protocols."""
     rows, ok = [], True
-    for n, t in sizes_with_budgets(sizes):
-        kd = run_key_distribution(n, scheme=COUNT_SCHEME, seed=n)
-        chain = run_fd_scenario(
-            n, t, "v", protocol="chain", auth=GLOBAL, scheme=COUNT_SCHEME, seed=n
-        )
-        echo = run_fd_scenario(n, t, "v", protocol="echo", seed=n)
-        measured = (
-            kd.rounds, chain.run.metrics.rounds_used, echo.run.metrics.rounds_used
-        )
+    for result in _results("e8-rounds", _budgeted(sizes)):
+        n, t = result["n"], result["t"]
+        measured = (result["keydist_rounds"], result["chain_rounds"], result["echo_rounds"])
         predicted = (3, t + 1, 2)
         match = measured == predicted
         ok &= match
@@ -244,31 +206,24 @@ def e11_keydist_methods(
 ) -> ExperimentTable:
     """E11: key distribution methods — local auth vs n*OM(t), plus the
     n<=3t feasibility boundary."""
-    from ..auth import agreement_keydist_envelopes, run_agreement_key_distribution
+    from ..auth import agreement_keydist_envelopes
 
     rows, ok = [], True
-    for n, t in shapes:
-        agreement = run_agreement_key_distribution(
-            n, t, scheme=COUNT_SCHEME, seed=n
-        )
+    points = [{"n": n, "t": t, "seed": n} for n, t in shapes]
+    for result in _results("e11-methods", points):
+        n, t, messages = result["n"], result["t"], result["agreement_messages"]
         match = (
-            agreement.messages == agreement_keydist_envelopes(n, t)
-            and agreement.messages > complexity.keydist_messages(n)
+            messages == agreement_keydist_envelopes(n, t)
+            and messages > complexity.keydist_messages(n)
         )
         ok &= match
-        rows.append(
-            [n, t, complexity.keydist_messages(n), agreement.messages,
-             check_mark(match)]
-        )
+        rows.append([n, t, complexity.keydist_messages(n), messages, check_mark(match)])
     # Boundary row: the oral bound bites, local auth does not.
-    try:
-        run_agreement_key_distribution(6, 2, scheme=COUNT_SCHEME)
-        boundary = "ran (unexpected)"
-        ok = False
-    except ConfigurationError:
-        boundary = "infeasible"
-    rows.append([6, 2, complexity.keydist_messages(6), boundary,
-                 check_mark(boundary == "infeasible")])
+    (boundary,) = _results("e11-feasibility", [{"n": 6, "t": 2}])
+    verdict = "ran (unexpected)" if boundary["agreement_feasible"] else "infeasible"
+    ok &= verdict == "infeasible"
+    rows.append([6, 2, complexity.keydist_messages(6), verdict,
+                 check_mark(verdict == "infeasible")])
     return _table(
         "E11", "key distribution methods (paper §3 prose)",
         ["n", "t", "local auth", "n*OM(t)", "verdict"], rows, ok,
@@ -295,27 +250,25 @@ def e12_delivery_models(
     swept first (and added if absent) so the baseline exists before any
     skewed row is compared against it.
     """
-    from ..harness.workloads import e12_ba_point, e12_fd_point, e12_oral_point
-
     deliveries = ("sync",) + tuple(d for d in deliveries if d != "sync")
     probes = (
-        ("oral", e12_oral_point, lambda r: (r["agreed"], False)),
-        ("chain-fd", e12_fd_point, lambda r: (r["fd_ok"], r["any_discovery"])),
-        ("signed-ba", e12_ba_point, lambda r: (r["ba_ok"], False)),
+        ("oral", "e12-oral", lambda r: (r["agreed"], False)),
+        ("chain-fd", "e12-fd", lambda r: (r["fd_ok"], r["any_discovery"])),
+        ("signed-ba", "e12-ba", lambda r: (r["ba_ok"], False)),
     )
     rows, ok = [], True
-    for proto_name, point, read in probes:
+    for proto_name, workload, read in probes:
         baseline: dict[int, tuple] = {}
         for delivery in deliveries:
             for faulty in (0, 1):
-                healthy = spurious = 0
-                lags = 0.0
-                for seed in range(seeds):
-                    result = point(n, t, delivery=delivery, faulty=faulty, seed=seed)
-                    good, discovered = read(result)
-                    healthy += bool(good)
-                    spurious += bool(discovered and faulty == 0)
-                    lags += result["mean_lag"]
+                results = _results(workload, [
+                    dict(n=n, t=t, delivery=delivery, faulty=faulty, seed=seed)
+                    for seed in range(seeds)
+                ])
+                reads = [read(result) for result in results]
+                healthy = sum(bool(good) for good, _ in reads)
+                spurious = sum(bool(discovered and faulty == 0) for _, discovered in reads)
+                lags = sum(result["mean_lag"] for result in results)
                 cell = (healthy, spurious)
                 if delivery == "sync":
                     baseline[faulty] = cell
@@ -367,24 +320,20 @@ def e13_unreliable(
     (heartbeat silence is evidence; the chain is structurally blind to
     crashed nodes off its path).
     """
-    from ..harness.workloads import e13_timeout_fd_point
-
     rows = []
     spurious_totals = {"chain": 0, "timeout": 0}
     missed_totals = {"chain": 0, "timeout": 0}
     for protocol in ("chain", "timeout"):
         for delivery in deliveries:
             for faulty in (0, 1):
-                healthy = spurious = missed = drops = 0
-                for seed in range(1, seeds + 1):
-                    result = e13_timeout_fd_point(
-                        n, t, delivery=delivery, protocol=protocol,
-                        faulty=faulty, seed=seed,
-                    )
-                    healthy += result["fd_ok"]
-                    spurious += result["spurious"]
-                    missed += result["missed"]
-                    drops += result["drops"]
+                results = _results("e13-timeout-fd", [
+                    dict(n=n, t=t, delivery=delivery, protocol=protocol,
+                         faulty=faulty, seed=seed)
+                    for seed in range(1, seeds + 1)
+                ])
+                healthy, spurious, missed, drops = _sums(
+                    results, "fd_ok", "spurious", "missed", "drops"
+                )
                 spurious_totals[protocol] += spurious
                 missed_totals[protocol] += missed
                 rows.append(
@@ -433,24 +382,20 @@ def e14_adaptive_arms_race(
     a node silenced *after* first contact leaves evidence with no one,
     which is exactly the attack the table is there to show.)
     """
-    from ..harness.workloads import e14_adaptive_point
-
     rows = []
     spurious_totals = {"timeout": 0, "adaptive": 0}
     static_missed_totals = {"timeout": 0, "adaptive": 0}
     for protocol in ("timeout", "adaptive"):
         for delivery in deliveries:
             for attack in attacks:
-                healthy = spurious = missed = committed = 0
-                for seed in range(1, seeds + 1):
-                    result = e14_adaptive_point(
-                        n, t, delivery=delivery, protocol=protocol,
-                        attack=attack, seed=seed,
-                    )
-                    healthy += result["fd_ok"]
-                    spurious += result["spurious"]
-                    missed += result["missed"]
-                    committed += result["committed"]
+                results = _results("e14-adaptive", [
+                    dict(n=n, t=t, delivery=delivery, protocol=protocol,
+                         attack=attack, seed=seed)
+                    for seed in range(1, seeds + 1)
+                ])
+                healthy, spurious, missed, committed = _sums(
+                    results, "fd_ok", "spurious", "missed", "committed"
+                )
                 spurious_totals[protocol] += spurious
                 if attack == "silent":
                     static_missed_totals[protocol] += missed

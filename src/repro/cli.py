@@ -105,7 +105,8 @@ def _validated_specs(args: argparse.Namespace) -> "int | None":
 
     Delivery and adversary specs are parsed deep inside a scenario run;
     validating up front keeps the CLI's contract — message plus exit
-    code — for typo'd specs too.
+    code — for typo'd specs too.  :func:`main` calls it once for every
+    command; one without ``--delivery`` / ``--adversary`` passes.
     """
     from .errors import ConfigurationError
     from .faults import make_adversary
@@ -138,9 +139,6 @@ def _add_common(parser: argparse.ArgumentParser, with_t: bool = True) -> None:
 
 
 def _cmd_keydist(args: argparse.Namespace) -> int:
-    bad = _validated_specs(args)
-    if bad is not None:
-        return bad
     result = run_key_distribution(
         args.n, scheme=args.scheme, seed=args.seed, delivery=args.delivery
     )
@@ -173,9 +171,6 @@ def _cmd_keydist(args: argparse.Namespace) -> int:
 
 
 def _cmd_fd(args: argparse.Namespace) -> int:
-    bad = _validated_specs(args)
-    if bad is not None:
-        return bad
     outcome = run_fd_scenario(
         args.n,
         args.t,
@@ -224,9 +219,6 @@ def _cmd_fd(args: argparse.Namespace) -> int:
 
 
 def _cmd_ba(args: argparse.Namespace) -> int:
-    bad = _validated_specs(args)
-    if bad is not None:
-        return bad
     outcome = run_ba_scenario(
         args.n,
         args.t,
@@ -258,9 +250,6 @@ def _cmd_ba(args: argparse.Namespace) -> int:
 
 
 def _cmd_amortize(args: argparse.Namespace) -> int:
-    bad = _validated_specs(args)
-    if bad is not None:
-        return bad
     session = AmortizedSession(
         n=args.n, t=args.t, auth=LOCAL, scheme=args.scheme, seed=args.seed,
         delivery=args.delivery,
@@ -294,9 +283,6 @@ def _cmd_amortize(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
-    bad = _validated_specs(args)
-    if bad is not None:
-        return bad
     catalogue = attack_catalogue(args.n, args.t)
     if args.list:
         print(
@@ -673,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_resume)
 
     p = sub.add_parser(
-        "report", help="regenerate all count experiments (E1-E8, E11)"
+        "report", help="regenerate all count experiments (E1-E8, E11-E14)"
     )
     p.add_argument("--full", action="store_true", help="full-size sweeps")
     p.set_defaults(func=_cmd_report)
@@ -684,6 +670,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    bad = _validated_specs(args)
+    if bad is not None:
+        return bad
     return args.func(args)
 
 

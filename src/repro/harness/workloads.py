@@ -4,10 +4,15 @@ picklable point function.
 :func:`~repro.harness.parallel.sweep_parallel` ships jobs to worker
 processes by pickling ``(fn, params)``, which requires module-level
 functions returning plain data.  This module collects the point functions
-behind *all* E1–E11 benchmark sweeps and ``benchmarks/regress.py`` in that
-shape — every function takes only primitive params (seed included — the
-determinism contract), runs one scenario, and returns a flat dict of
-counts — and registers each under a stable name.
+in that shape — every function takes only primitive params (seed included
+— the determinism contract), runs one scenario, and returns a flat dict
+of counts — and registers each under a stable name.
+
+The registry is the one place a scenario is run for a measurement: the
+E1–E14 benchmark sweeps, the counts ledger's rows
+(``benchmarks/regress.py``) and the ``repro-fd report`` tables
+(:mod:`repro.analysis.experiments`) are all (workload, params) points
+over it.
 
 Sweeps dispatch by name: :func:`repro.harness.sweep.sweep` and
 :func:`~repro.harness.parallel.sweep_parallel` accept either a callable

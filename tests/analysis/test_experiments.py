@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
+import re
 
 from repro.analysis.experiments import (
     ExperimentTable,
@@ -16,8 +16,8 @@ from repro.analysis.experiments import (
     e11_keydist_methods,
     e12_delivery_models,
     e14_adaptive_arms_race,
-    run_all,
 )
+from repro.cli import main
 
 
 class TestIndividualExperiments:
@@ -97,12 +97,14 @@ class TestIndividualExperiments:
 
 
 class TestRunAll:
-    def test_quick_run_all_green(self):
-        tables = run_all(quick=True)
-        assert len(tables) == 12
-        assert tables[-1].experiment == "E14"
-        failing = [table.experiment for table in tables if not table.ok]
-        assert failing == []
+    def test_report_command_renders_every_table_green(self, capsys):
+        """``repro-fd report`` end to end: ``run_all(quick=True)``, every
+        table rendered, every verdict matching the paper's closed forms."""
+        assert main(["report"]) == 0
+        out = capsys.readouterr().out
+        titles = re.findall(r"^(E\d+)  ", out, flags=re.MULTILINE)
+        assert len(titles) == 12 and titles[-1] == "E14"
+        assert out.rstrip().endswith("all 12 experiments match the paper's formulas.")
 
     def test_tables_render(self):
         table = e1_keydist(sizes=(4,))

@@ -172,9 +172,9 @@ class TestBudgetOnEveryEntry:
         assert session.ledger == []
 
     def test_e6_report_path_refuses(self, monkeypatch):
-        """The E6 *report* hands the scenario's deferred factory to the
-        runner like the E6 workload does, so a catalogue entry claiming
-        more corruption than ``t`` is refused there too."""
+        """The E6 *report* runs the E6 workload, which hands the
+        scenario's deferred factory to the runner, so a catalogue entry
+        claiming more corruption than ``t`` is refused there too."""
         rogue = AttackScenario(
             name="over-budget",
             faulty={1, 2, 3},
@@ -183,8 +183,7 @@ class TestBudgetOnEveryEntry:
                 overrides={node: SilentProtocol() for node in (1, 2, 3)}, t=2
             ),
         )
-        monkeypatch.setattr(
-            "repro.analysis.experiments.attack_catalogue", lambda n, t: [rogue]
-        )
+        for module in ("repro.analysis.experiments", "repro.harness.workloads"):
+            monkeypatch.setattr(f"{module}.attack_catalogue", lambda n, t: [rogue])
         with pytest.raises(ConfigurationError, match="fault budget is t=2"):
             e6_attacks(n=8, t=2, seeds=1)
