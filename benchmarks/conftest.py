@@ -2,22 +2,25 @@
 
 Every benchmark prints a paper-style table (claim vs measured) through
 ``report`` — a helper that bypasses pytest's capture so the tables appear
-in ``pytest benchmarks/ --benchmark-only`` output, which EXPERIMENTS.md
-quotes verbatim.
+in ``pytest benchmarks/`` output.  README's "Experiment index" maps each
+experiment to its file and, where one exists, to the
+:mod:`repro.analysis.experiments` table the test prints: those tests
+print that table at the suite's sizes and assert its verdict, so a claim
+is gated in the one place ``repro-fd report`` also reads.
 
-Protocol sweeps default to the HMAC simulation scheme: the measured
-quantities are message/round/byte *counts*, which are scheme-independent
-(benchmark E10 verifies exactly that), and the simulation scheme keeps the
-n=64 sweeps fast.
+The suites measure counts, never time: wall-clock, throughput and memory
+belong to ``benchmarks/e2e/``.  Every workload defaults to the HMAC
+simulation scheme, because message/round/byte *counts* are
+scheme-independent (benchmark E10 verifies exactly that).
 
 Parallel sweeps
 ---------------
-``pytest benchmarks/ --sweep-workers=N`` fans *every* E1–E11 sweep out
-over N worker processes via :func:`repro.harness.parallel.sweep_parallel`.
-The default (1) runs serially; either way the results are identical —
-every point carries its own seed, so parallelism is an executor choice,
-not a semantics choice.  Sweeps go through the ``psweep`` fixture and
-dispatch by *registered workload name* (see
+``pytest benchmarks/ --sweep-workers=N`` fans every sweep out over N
+worker processes via :func:`repro.harness.parallel.sweep_parallel` — the
+``psweep`` fixture's and the experiment tables' alike.  The default (1)
+runs serially; either way the results are identical — every point
+carries its own seed, so parallelism is an executor choice, not a
+semantics choice.  Sweeps dispatch by *registered workload name* (see
 :mod:`repro.harness.workloads`), so the jobs are always picklable and a
 parallel run can never silently degrade to the serial fallback.
 """
@@ -27,10 +30,6 @@ from __future__ import annotations
 import pytest
 
 from repro.harness import set_default_workers, sweep_parallel
-
-# The scheme count-measuring sweeps use (see module docstring); the bench
-# files import it from here under this name.
-from repro.harness.workloads import COUNT_SCHEME as SWEEP_SCHEME
 
 
 def pytest_addoption(parser):
@@ -78,15 +77,3 @@ def report(capsys):
             print(text)
 
     return _print
-
-
-def once(benchmark, fn):
-    """Run a sweep exactly once under the benchmark fixture.
-
-    The sweep tests measure *counts*, not time; wrapping them in a
-    single-round pedantic benchmark keeps them part of the
-    ``--benchmark-only`` run (so every experiment table is regenerated by
-    the one command EXPERIMENTS.md documents) while recording a coarse
-    wall-clock for the whole sweep as a bonus.
-    """
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

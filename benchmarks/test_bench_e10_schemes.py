@@ -1,106 +1,44 @@
-"""E10 — signature scheme ablation (DESIGN.md design-choice ablation).
+"""E10 — signature scheme ablation (E10 in README's "Experiment index").
 
-Two facts worth measuring:
-
-1. message/round counts are *scheme-independent* — the protocol logic
-   never branches on the scheme, which justifies running the large count
-   sweeps on the cheap HMAC simulation scheme;
-2. wall-clock is scheme-dominated — RSA vs Schnorr vs HMAC differ by
-   orders of magnitude, with the protocol simulation itself almost free.
+Message/round counts are *scheme-independent*: the protocol logic never
+branches on the scheme, which justifies running the large count sweeps on
+the cheap HMAC simulation scheme.  Each scheme runs the same local-auth
+chain FD point; the key distribution's messages are the point's
+``total_messages`` minus the FD run's own.
 """
 
 from __future__ import annotations
 
-from conftest import once
-
 from repro.analysis import check_mark, render_table
-from repro.crypto import available_schemes
-from repro.harness import LOCAL, run_fd_scenario
+from repro.harness import LOCAL
 
 SCHEMES = ["rsa-512", "schnorr-512", "simulated-hmac"]
 
 
-def test_e10_counts_are_scheme_independent(report, benchmark, psweep):
-    def sweep():
-        n, t = 8, 2
-        points = psweep(
-            [{"n": n, "t": t, "scheme": scheme, "seed": 5} for scheme in SCHEMES],
-            "e10-scheme",
+def test_e10_counts_are_scheme_independent(report, psweep):
+    n, t = 8, 2
+    points = psweep(
+        [{"n": n, "t": t, "auth": LOCAL, "scheme": scheme, "seed": 5} for scheme in SCHEMES],
+        "fd",
+    )
+    rows = []
+    counts = set()
+    for point in points:
+        result = point.result
+        assert result["fd_ok"]
+        triple = (
+            result["total_messages"] - result["messages"],
+            result["messages"],
+            result["rounds"],
         )
-        rows = []
-        counts = set()
-        for point in points:
-            result = point.result
-            assert result["fd_ok"]
-            triple = (
-                result["keydist_messages"],
-                result["fd_messages"],
-                result["fd_rounds"],
-            )
-            counts.add(triple)
-            rows.append([point.params["scheme"], *triple])
-        rows.append(["(all equal)", "", "", check_mark(len(counts) == 1)])
-        assert len(counts) == 1
-        report(
-            render_table(
-                ["scheme", "keydist msgs", "FD msgs", "FD rounds"],
-                rows,
-                title=f"E10  scheme independence of counts, n={n}, t={t}",
-            )
-        )
-
-
-    once(benchmark, sweep)
-
-def test_e10_wallclock_per_scheme(report, benchmark, psweep):
-    """Coarse single-shot wall-clock comparison (the precise numbers are
-    in the pytest-benchmark table below)."""
-    def sweep():
-        n, t = 8, 2
-        for scheme in SCHEMES:
-            assert scheme in available_schemes()
-        points = psweep(
-            [{"n": n, "t": t, "scheme": scheme, "seed": 6} for scheme in SCHEMES],
-            "e10-walltime",
-        )
-        rows = []
-        for point in points:
-            result = point.result
-            assert result["fd_ok"]
-            rows.append([point.params["scheme"], f"{result['elapsed_ms']:.1f} ms"])
-        report(
-            render_table(
-                ["scheme", "keydist + FD wall-clock"],
-                rows,
-                title="E10b  end-to-end wall-clock by scheme (single shot)",
-            )
-        )
-
-
-    once(benchmark, sweep)
-
-def test_e10_rsa_wallclock(benchmark):
-    outcome = benchmark(
-        lambda: run_fd_scenario(
-            6, 1, "v", protocol="chain", auth=LOCAL, scheme="rsa-512", seed=1
+        counts.add(triple)
+        rows.append([point.params["scheme"], *triple])
+    rows.append(["(all equal)", "", "", check_mark(len(counts) == 1)])
+    assert len(counts) == 1
+    report(
+        render_table(
+            ["scheme", "keydist msgs", "FD msgs", "FD rounds"],
+            rows,
+            title=f"E10  scheme independence of counts, n={n}, t={t}",
         )
     )
-    assert outcome.fd.ok
-
-
-def test_e10_schnorr_wallclock(benchmark):
-    outcome = benchmark(
-        lambda: run_fd_scenario(
-            6, 1, "v", protocol="chain", auth=LOCAL, scheme="schnorr-512", seed=1
-        )
-    )
-    assert outcome.fd.ok
-
-
-def test_e10_simulated_wallclock(benchmark):
-    outcome = benchmark(
-        lambda: run_fd_scenario(
-            6, 1, "v", protocol="chain", auth=LOCAL, scheme="simulated-hmac", seed=1
-        )
-    )
-    assert outcome.fd.ok

@@ -29,8 +29,6 @@ is load-bearing for all of them, SM(t) just has the widest margin.
 
 from __future__ import annotations
 
-from conftest import once
-
 from repro.analysis import check_mark, render_table
 from repro.analysis.experiments import e12_delivery_models
 from repro.harness import grid
@@ -39,125 +37,109 @@ N, T = 7, 2
 DELIVERIES = ["sync", "bounded:2", "bounded:4", "rush"]
 
 
-def test_e12_oral_delivery_sweep(report, benchmark, psweep):
+def test_e12_oral_delivery_sweep(report, psweep):
     """Oral agreement across delivery models: where OM(t) loses it."""
-
-    def sweep():
-        points = psweep(
-            grid(n=[N], t=[T], delivery=DELIVERIES, faulty=[0, 1], seed=[1, 2]),
-            "e12-oral",
+    points = psweep(
+        grid(n=[N], t=[T], delivery=DELIVERIES, faulty=[0, 1], seed=[1, 2]),
+        "e12-oral",
+    )
+    rows = []
+    for point in points:
+        r = point.result
+        rows.append(
+            [r["delivery"], r["faulty"], point.params["seed"],
+             r["agreed"], r["decision"], r["rounds"], r["mean_lag"]]
         )
-        rows = []
-        for point in points:
-            r = point.result
-            rows.append(
-                [r["delivery"], r["faulty"], point.params["seed"],
-                 r["agreed"], r["decision"], r["rounds"], r["mean_lag"]]
-            )
-            if r["delivery"] in ("sync", "rush"):
-                # Lock-step must agree; the rushing mirror gains nothing
-                # against OM(t) — honest traffic still arrives on time.
-                assert r["agreed"], r
-        report(
-            render_table(
-                ["delivery", "faulty", "seed", "agreed", "decision",
-                 "rounds", "mean lag"],
-                rows,
-                title=f"E12a  oral OM({T}) under delivery models, n={N}",
-            )
+        if r["delivery"] in ("sync", "rush"):
+            # Lock-step must agree; the rushing mirror gains nothing
+            # against OM(t) — honest traffic still arrives on time.
+            assert r["agreed"], r
+    report(
+        render_table(
+            ["delivery", "faulty", "seed", "agreed", "decision",
+             "rounds", "mean lag"],
+            rows,
+            title=f"E12a  oral OM({T}) under delivery models, n={N}",
         )
-        # The divergence that motivates the kernel: some bounded-delay
-        # run must actually lose agreement.
-        assert any(
-            not p.result["agreed"]
-            for p in points
-            if p.result["delivery"].startswith("bounded")
-        )
+    )
+    # The divergence that motivates the kernel: some bounded-delay
+    # run must actually lose agreement.
+    assert any(
+        not p.result["agreed"]
+        for p in points
+        if p.result["delivery"].startswith("bounded")
+    )
 
-    once(benchmark, sweep)
 
-
-def test_e12_fd_spurious_discovery(report, benchmark, psweep):
+def test_e12_fd_spurious_discovery(report, psweep):
     """Chain FD: failure-free runs discover 'failures' under skew."""
-
-    def sweep():
-        points = psweep(
-            grid(n=[N], t=[T], delivery=DELIVERIES, faulty=[0], seed=[1, 2]),
-            "e12-fd",
+    points = psweep(
+        grid(n=[N], t=[T], delivery=DELIVERIES, faulty=[0], seed=[1, 2]),
+        "e12-fd",
+    )
+    rows = []
+    for point in points:
+        r = point.result
+        rows.append(
+            [r["delivery"], r["any_discovery"], r["all_decided"],
+             r["messages"], r["mean_lag"],
+             check_mark(r["any_discovery"] == r["delivery"].startswith("bounded"))]
         )
-        rows = []
-        for point in points:
-            r = point.result
-            rows.append(
-                [r["delivery"], r["any_discovery"], r["all_decided"],
-                 r["messages"], r["mean_lag"],
-                 check_mark(r["any_discovery"] == r["delivery"].startswith("bounded"))]
-            )
-            if r["delivery"].startswith("bounded"):
-                assert r["any_discovery"], r
-            else:
-                assert not r["any_discovery"] and r["all_decided"], r
-        report(
-            render_table(
-                ["delivery", "discovery", "all decided", "messages",
-                 "mean lag", "verdict"],
-                rows,
-                title=f"E12b  failure-free chain FD, n={N}, t={T}: "
-                "skew is indistinguishable from withholding",
-            )
+        if r["delivery"].startswith("bounded"):
+            assert r["any_discovery"], r
+        else:
+            assert not r["any_discovery"] and r["all_decided"], r
+    report(
+        render_table(
+            ["delivery", "discovery", "all decided", "messages",
+             "mean lag", "verdict"],
+            rows,
+            title=f"E12b  failure-free chain FD, n={N}, t={T}: "
+            "skew is indistinguishable from withholding",
         )
+    )
 
-    once(benchmark, sweep)
 
-
-def test_e12_signed_ba_resilience(report, benchmark, psweep):
+def test_e12_signed_ba_resilience(report, psweep):
     """SM(t)'s margin: agreement survives skew within its round horizon
     (and rushing entirely), and falls only past it."""
-
-    def sweep():
-        points = psweep(
-            grid(n=[N], t=[T], delivery=DELIVERIES, faulty=[0, 1], seed=[1, 2]),
-            "e12-ba",
+    points = psweep(
+        grid(n=[N], t=[T], delivery=DELIVERIES, faulty=[0, 1], seed=[1, 2]),
+        "e12-ba",
+    )
+    rows = []
+    for point in points:
+        r = point.result
+        within_horizon = r["delivery"] in ("sync", "bounded:2", "rush")
+        rows.append(
+            [r["delivery"], r["faulty"], r["agreement"], r["rounds"],
+             r["messages"], r["mean_lag"],
+             check_mark(r["ba_ok"] == within_horizon)]
         )
-        rows = []
-        for point in points:
-            r = point.result
-            within_horizon = r["delivery"] in ("sync", "bounded:2", "rush")
-            rows.append(
-                [r["delivery"], r["faulty"], r["agreement"], r["rounds"],
-                 r["messages"], r["mean_lag"],
-                 check_mark(r["ba_ok"] == within_horizon)]
-            )
-            if within_horizon:
-                # bounded:2 keeps every arrival inside SM(t)'s t+1-round
-                # run; the rushing mirror cannot forge signatures.
-                assert r["ba_ok"], r
-        report(
-            render_table(
-                ["delivery", "faulty", "agreement", "rounds", "messages",
-                 "mean lag", "verdict"],
-                rows,
-                title=f"E12c  signed SM({T}) across delivery models, n={N}: "
-                "robust within its round horizon",
-            )
+        if within_horizon:
+            # bounded:2 keeps every arrival inside SM(t)'s t+1-round
+            # run; the rushing mirror cannot forge signatures.
+            assert r["ba_ok"], r
+    report(
+        render_table(
+            ["delivery", "faulty", "agreement", "rounds", "messages",
+             "mean lag", "verdict"],
+            rows,
+            title=f"E12c  signed SM({T}) across delivery models, n={N}: "
+            "robust within its round horizon",
         )
-        # Past the horizon the known-bound assumption finally bites even
-        # for signed messages: some bounded:4 run must lose agreement.
-        assert any(
-            not p.result["ba_ok"]
-            for p in points
-            if p.result["delivery"] == "bounded:4"
-        )
+    )
+    # Past the horizon the known-bound assumption finally bites even
+    # for signed messages: some bounded:4 run must lose agreement.
+    assert any(
+        not p.result["ba_ok"]
+        for p in points
+        if p.result["delivery"] == "bounded:4"
+    )
 
-    once(benchmark, sweep)
 
-
-def test_e12_summary_table(report, benchmark):
+def test_e12_summary_table(report):
     """The cross-protocol E12 table (`repro-fd report` prints the same)."""
-
-    def sweep():
-        table = e12_delivery_models(n=N, t=T, seeds=2)
-        report(table.render())
-        assert table.ok
-
-    once(benchmark, sweep)
+    table = e12_delivery_models(n=N, t=T, seeds=2)
+    report(table.render())
+    assert table.ok

@@ -9,52 +9,11 @@ counts against the closed form exactly.
 
 from __future__ import annotations
 
-from conftest import SWEEP_SCHEME, once
-
-from repro.analysis import check_mark, keydist_messages, keydist_rounds, render_table
-from repro.auth import run_key_distribution
+from repro.analysis.experiments import e1_keydist
 from repro.harness import standard_sizes
 
 
-def test_e1_keydist_series(report, benchmark, psweep):
-    def sweep():
-        points = psweep(
-            [{"n": n, "seed": n, "scheme": SWEEP_SCHEME} for n in standard_sizes()],
-            "keydist",
-        )
-        rows = []
-        for point in points:
-            n, measured = point.params["n"], point.result
-            predicted = keydist_messages(n)
-            rows.append(
-                [
-                    n,
-                    predicted,
-                    measured["messages"],
-                    keydist_rounds(),
-                    measured["rounds"],
-                    check_mark(
-                        measured["messages"] == predicted
-                        and measured["rounds"] == keydist_rounds()
-                    ),
-                ]
-            )
-            assert measured["messages"] == predicted
-            assert measured["rounds"] == keydist_rounds()
-        report(
-            render_table(
-                ["n", "3n(n-1) paper", "measured", "rounds paper", "measured", "verdict"],
-                rows,
-                title="E1  key distribution protocol cost (paper section 3.1)",
-            )
-        )
-
-
-    once(benchmark, sweep)
-
-def test_e1_keydist_wallclock(benchmark):
-    """Wall-clock of one full key distribution run at n=16."""
-    result = benchmark(
-        lambda: run_key_distribution(16, scheme=SWEEP_SCHEME, seed=0)
-    )
-    assert result.messages == keydist_messages(16)
+def test_e1_keydist_series(report):
+    table = e1_keydist(standard_sizes())
+    report(table.render())
+    assert table.ok

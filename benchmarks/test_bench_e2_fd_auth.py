@@ -6,87 +6,37 @@ in t+1 rounds, under global *or* local authentication.
 
 from __future__ import annotations
 
-from conftest import SWEEP_SCHEME, once
-
-from repro.analysis import check_mark, fd_auth_messages, fd_auth_rounds, render_table
-from repro.harness import GLOBAL, LOCAL, run_fd_scenario, sizes_with_budgets, standard_sizes
-
-
-def test_e2_chain_fd_series(report, benchmark, psweep):
-    def sweep():
-        points = psweep(
-            [
-                {"n": n, "t": t, "seed": n, "protocol": "chain", "scheme": SWEEP_SCHEME}
-                for n, t in sizes_with_budgets(standard_sizes())
-            ],
-            "fd",
-        )
-        rows = []
-        for point in points:
-            n, t = point.params["n"], point.params["t"]
-            measured = point.result
-            assert measured["fd_ok"]
-            messages = measured["messages"]
-            rounds = measured["rounds"]
-            rows.append(
-                [
-                    n,
-                    t,
-                    fd_auth_messages(n),
-                    messages,
-                    fd_auth_rounds(t),
-                    rounds,
-                    check_mark(
-                        messages == fd_auth_messages(n) and rounds == fd_auth_rounds(t)
-                    ),
-                ]
-            )
-            assert messages == fd_auth_messages(n)
-            assert rounds == fd_auth_rounds(t)
-        report(
-            render_table(
-                ["n", "t", "n-1 paper", "measured", "t+1 paper", "measured", "verdict"],
-                rows,
-                title="E2  authenticated FD, failure-free cost (paper Fig. 2)",
-            )
-        )
+from repro.analysis import check_mark, render_table
+from repro.analysis.experiments import e2_chain_fd
+from repro.harness import LOCAL, sizes_with_budgets, standard_sizes
 
 
-    once(benchmark, sweep)
+def test_e2_chain_fd_series(report):
+    table = e2_chain_fd(standard_sizes())
+    report(table.render())
+    assert table.ok
 
-def test_e2_local_auth_same_cost(report, benchmark, psweep):
+
+def test_e2_local_auth_same_cost(report, psweep):
     """The headline theorem: identical FD cost under local authentication."""
-    def sweep():
-        points = psweep(
-            [
-                {"n": n, "t": t, "seed": n, "protocol": "chain", "auth": LOCAL,
-                 "scheme": SWEEP_SCHEME}
-                for n, t in sizes_with_budgets(standard_sizes(small=True))
-            ],
-            "fd",
-        )
-        rows = []
-        for point in points:
-            n, t = point.params["n"], point.params["t"]
-            assert point.result["fd_ok"]
-            messages = point.result["messages"]
-            rows.append([n, t, n - 1, messages, check_mark(messages == n - 1)])
-            assert messages == n - 1
-        report(
-            render_table(
-                ["n", "t", "n-1 paper", "measured (local auth)", "verdict"],
-                rows,
-                title="E2b  chain FD under LOCAL authentication — same n-1 cost",
-            )
-        )
-
-
-    once(benchmark, sweep)
-
-def test_e2_chain_fd_wallclock(benchmark):
-    outcome = benchmark(
-        lambda: run_fd_scenario(
-            16, 5, "v", protocol="chain", auth=GLOBAL, scheme=SWEEP_SCHEME, seed=1
+    points = psweep(
+        [
+            {"n": n, "t": t, "seed": n, "protocol": "chain", "auth": LOCAL}
+            for n, t in sizes_with_budgets(standard_sizes(small=True))
+        ],
+        "fd",
+    )
+    rows = []
+    for point in points:
+        n, t = point.params["n"], point.params["t"]
+        assert point.result["fd_ok"]
+        messages = point.result["messages"]
+        rows.append([n, t, n - 1, messages, check_mark(messages == n - 1)])
+        assert messages == n - 1
+    report(
+        render_table(
+            ["n", "t", "n-1 paper", "measured (local auth)", "verdict"],
+            rows,
+            title="E2b  chain FD under LOCAL authentication — same n-1 cost",
         )
     )
-    assert outcome.fd.ok

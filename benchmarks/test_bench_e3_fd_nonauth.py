@@ -5,79 +5,39 @@ messages ... With a constant portion of the nodes being faulty this makes
 O(n²) messages."
 
 Regenerates the (n, t, messages) series for the echo baseline at the
-constant-fraction budget and verifies both the exact (t+1)(n−1) count and
-the quadratic growth shape.
+constant-fraction budget and verifies the exact (t+1)(n−1) count — with
+t = ⌊(n−1)/3⌋ that count is quadratic in n — and the per-run gap to the
+authenticated protocol.
 """
 
 from __future__ import annotations
 
-from conftest import once
-
-from repro.analysis import check_mark, fd_nonauth_messages, render_table
-from repro.harness import run_fd_scenario, sizes_with_budgets, standard_sizes  # noqa: F401 (wallclock test)
-
-
-def test_e3_echo_fd_series(report, benchmark, psweep):
-    def sweep():
-        points = psweep(
-            [
-                {"n": n, "t": t, "seed": n, "protocol": "echo"}
-                for n, t in sizes_with_budgets(standard_sizes())
-            ],
-            "fd",
-        )
-        rows = []
-        measured = {}
-        for point in points:
-            n, t = point.params["n"], point.params["t"]
-            assert point.result["fd_ok"]
-            messages = point.result["messages"]
-            measured[n] = messages
-            predicted = fd_nonauth_messages(n, t)
-            rows.append(
-                [n, t, predicted, messages, n - 1, check_mark(messages == predicted)]
-            )
-            assert messages == predicted
-        report(
-            render_table(
-                ["n", "t", "(t+1)(n-1) paper", "measured", "auth FD (n-1)", "verdict"],
-                rows,
-                title="E3  non-authenticated echo FD cost (paper section 5)",
-            )
-        )
-        # Shape check: quadratic growth — doubling n must more than triple the
-        # cost at the constant fault fraction.
-        assert measured[32] / measured[16] > 3
-        assert measured[64] / measured[32] > 3
+from repro.analysis import fd_nonauth_messages, render_table
+from repro.analysis.experiments import e3_echo_fd
+from repro.harness import sizes_with_budgets, standard_sizes
 
 
-    once(benchmark, sweep)
+def test_e3_echo_fd_series(report):
+    table = e3_echo_fd(standard_sizes())
+    report(table.render())
+    assert table.ok
 
-def test_e3_gap_vs_authenticated(report, benchmark):
+
+def test_e3_gap_vs_authenticated(report):
     """The who-wins series: auth FD wins at every size with t >= 1, by a
     factor approaching (t+1)."""
-    def sweep():
-        rows = []
-        for n, t in sizes_with_budgets(standard_sizes()):
-            auth = n - 1
-            nonauth = fd_nonauth_messages(n, t)
-            rows.append([n, t, auth, nonauth, f"{nonauth / auth:.1f}x"])
-            assert nonauth >= auth
-            if t >= 1:
-                assert nonauth > auth
-        report(
-            render_table(
-                ["n", "t", "auth (n-1)", "non-auth", "factor"],
-                rows,
-                title="E3b  authentication gap per run",
-            )
+    rows = []
+    for n, t in sizes_with_budgets(standard_sizes()):
+        auth = n - 1
+        nonauth = fd_nonauth_messages(n, t)
+        rows.append([n, t, auth, nonauth, f"{nonauth / auth:.1f}x"])
+        assert nonauth >= auth
+        if t >= 1:
+            assert nonauth > auth
+    report(
+        render_table(
+            ["n", "t", "auth (n-1)", "non-auth", "factor"],
+            rows,
+            title="E3b  authentication gap per run",
         )
-
-
-    once(benchmark, sweep)
-
-def test_e3_echo_fd_wallclock(benchmark):
-    outcome = benchmark(
-        lambda: run_fd_scenario(16, 5, "v", protocol="echo", seed=1)
     )
-    assert outcome.fd.ok

@@ -11,77 +11,34 @@ closed form k > 3n/t.
 
 from __future__ import annotations
 
-from conftest import SWEEP_SCHEME, once
-
-from repro.analysis import (
-    amortization_curve,
-    check_mark,
-    crossover_runs,
-    render_table,
-)
-from repro.harness import LOCAL, AmortizedSession, sizes_with_budgets
+from repro.analysis import amortization_curve, crossover_runs, render_table
+from repro.analysis.experiments import e4_amortization
 
 
-def test_e4_measured_crossover(report, benchmark, psweep):
-    def sweep():
-        points = psweep(
-            [{"n": n, "t": t, "seed": n} for n, t in sizes_with_budgets([8, 16, 32])],
-            "e4-crossover",
-        )
-        rows = []
-        for point in points:
-            n, t = point.params["n"], point.params["t"]
-            result = point.result
-            assert result["all_ok"]
-            predicted, measured = result["predicted"], result["measured"]
-            assert predicted == crossover_runs(n, t)
-            rows.append(
-                [n, t, predicted, measured, check_mark(measured == predicted)]
-            )
-            assert measured == predicted
-        report(
-            render_table(
-                ["n", "t", "crossover k > 3n/t", "measured", "verdict"],
-                rows,
-                title="E4  amortization crossover: runs until local auth wins",
-            )
-        )
+def test_e4_measured_crossover(report):
+    table = e4_amortization((8, 16, 32))
+    report(table.render())
+    assert table.ok
 
 
-    once(benchmark, sweep)
-
-def test_e4_cumulative_curves(report, benchmark):
+def test_e4_cumulative_curves(report):
     """The figure-shaped series for n=16: both cumulative curves."""
-    def sweep():
-        n, t = 16, 5
-        curve = amortization_curve(n, t, 16)
-        rows = [
-            [
-                point.runs,
-                point.local_auth_total,
-                point.nonauth_total,
-                "local" if point.local_wins else "non-auth",
-            ]
-            for point in curve.points
+    n, t = 16, 5
+    curve = amortization_curve(n, t, 16)
+    rows = [
+        [
+            point.runs,
+            point.local_auth_total,
+            point.nonauth_total,
+            "local" if point.local_wins else "non-auth",
         ]
-        report(
-            render_table(
-                ["runs k", "keydist + k·(n-1)", "k·(t+1)(n-1)", "cheaper"],
-                rows,
-                title=f"E4b  cumulative message cost, n={n}, t={t}",
-            )
+        for point in curve.points
+    ]
+    report(
+        render_table(
+            ["runs k", "keydist + k·(n-1)", "k·(t+1)(n-1)", "cheaper"],
+            rows,
+            title=f"E4b  cumulative message cost, n={n}, t={t}",
         )
-        assert curve.crossover() == crossover_runs(n, t)
-
-
-    once(benchmark, sweep)
-
-def test_e4_session_wallclock(benchmark):
-    def one_session():
-        session = AmortizedSession(n=8, t=2, auth=LOCAL, scheme=SWEEP_SCHEME, seed=0)
-        for k in range(5):
-            session.run(value=k, seed=k)
-        return session
-
-    session = benchmark(one_session)
-    assert len(session.ledger) == 5
+    )
+    assert curve.crossover() == crossover_runs(n, t)

@@ -5,98 +5,61 @@ solutions with fewer messages are possible by assigning values to missing
 messages."
 
 Regenerates the per-value message counts of the binary variants and
-documents (as an executable fact) the soundness boundary our DESIGN.md
-substitution note describes: the zero-message value-0 run, and the F2
-break of the optimistic variant under selective withholding.
+documents (as an executable fact) the soundness boundary that the
+reproduction note in ``repro.fd.smallrange`` describes: the zero-message
+value-0 run, and the F2 break of the optimistic variant under selective
+withholding.
 """
 
 from __future__ import annotations
 
-from conftest import SWEEP_SCHEME, once
-
-from repro.analysis import check_mark, render_table, smallrange_messages
-from repro.harness import grid, run_fd_scenario, standard_sizes
-
-
-def test_e5_binary_message_counts(report, benchmark, psweep):
-    def sweep():
-        points = psweep(
-            [
-                dict(p, seed=p["n"], scheme=SWEEP_SCHEME)
-                for p in grid(n=standard_sizes(small=True), value=[0, 1])
-            ],
-            "e5-binary",
-        )
-        rows = []
-        for point in points:
-            n, value = point.params["n"], point.params["value"]
-            assert point.result["fd_ok"]
-            messages = point.result["messages"]
-            predicted = smallrange_messages(n, value)
-            rows.append(
-                [n, value, predicted, messages, n - 1, check_mark(messages == predicted)]
-            )
-            assert messages == predicted
-        report(
-            render_table(
-                ["n", "value", "predicted", "measured", "arbitrary-range (n-1)", "verdict"],
-                rows,
-                title="E5  binary FD (t=0): silence carries the 0",
-            )
-        )
+from repro.analysis import render_table
+from repro.analysis.experiments import e5_smallrange
+from repro.harness import standard_sizes
 
 
-    once(benchmark, sweep)
+def test_e5_binary_message_counts(report):
+    table = e5_smallrange(standard_sizes(small=True))
+    report(table.render())
+    assert table.ok
 
-def test_e5_optimistic_counts_and_boundary(report, benchmark, psweep):
-    def sweep():
-        n, t = 16, 5
-        points = psweep(
-            [
-                {"n": n, "t": t, "value": 0, "seed": 3, "scheme": SWEEP_SCHEME},
-                {"n": n, "t": t, "value": 1, "seed": 3, "scheme": SWEEP_SCHEME},
-                # The documented negative result, measured: selective
-                # withholding by the disseminator breaks weak agreement
-                # with zero discoveries.
-                {"n": n, "t": t, "value": 1, "seed": 3, "withhold": True,
-                 "scheme": SWEEP_SCHEME},
-            ],
-            "e5-optimistic",
-        )
-        rows = []
-        for point in points[:2]:
-            assert point.result["fd_ok"]
-            rows.append(
-                [point.params["value"], point.result["messages"], "holds (failure-free)"]
-            )
-        attacked = points[2].result
+
+def test_e5_optimistic_counts_and_boundary(report, psweep):
+    n, t = 16, 5
+    points = psweep(
+        [
+            {"n": n, "t": t, "value": 0, "seed": 3},
+            {"n": n, "t": t, "value": 1, "seed": 3},
+            # The documented negative result, measured: selective
+            # withholding by the disseminator breaks weak agreement
+            # with zero discoveries.
+            {"n": n, "t": t, "value": 1, "seed": 3, "withhold": True},
+        ],
+        "e5-optimistic",
+    )
+    rows = []
+    for point in points[:2]:
+        assert point.result["fd_ok"]
         rows.append(
-            [
-                "1 (withheld)",
-                attacked["messages"],
-                "F2 BROKEN, undiscovered" if not attacked["weak_agreement"] else "holds",
-            ]
+            [point.params["value"], point.result["messages"], "holds (failure-free)"]
         )
-        assert not attacked["weak_agreement"]
-        assert not attacked["any_discovery"]
-        report(
-            render_table(
-                ["value", "messages", "F1-F3"],
-                rows,
-                title=(
-                    f"E5b  optimistic binary chain, n={n}, t={t} — the saving and "
-                    "its documented soundness boundary"
-                ),
-            )
-        )
-
-
-    once(benchmark, sweep)
-
-def test_e5_smallrange_wallclock(benchmark):
-    outcome = benchmark(
-        lambda: run_fd_scenario(
-            16, 0, 1, protocol="smallrange", scheme=SWEEP_SCHEME, seed=1
+    attacked = points[2].result
+    rows.append(
+        [
+            "1 (withheld)",
+            attacked["messages"],
+            "F2 BROKEN, undiscovered" if not attacked["weak_agreement"] else "holds",
+        ]
+    )
+    assert not attacked["weak_agreement"]
+    assert not attacked["any_discovery"]
+    report(
+        render_table(
+            ["value", "messages", "F1-F3"],
+            rows,
+            title=(
+                f"E5b  optimistic binary chain, n={n}, t={t} — the saving and "
+                "its documented soundness boundary"
+            ),
         )
     )
-    assert outcome.fd.ok

@@ -14,80 +14,10 @@ expected, at every seed.
 
 from __future__ import annotations
 
-from conftest import SWEEP_SCHEME, once
-
-from repro.harness import LOCAL, attack_catalogue, run_fd_scenario
-from repro.analysis import check_mark, render_table
-
-N, T = 8, 2
-SEEDS = range(8)
+from repro.analysis.experiments import e6_attacks
 
 
-def test_e6_discovery_matrix(report, benchmark, psweep):
-    def sweep():
-        scenarios = [s.name for s in attack_catalogue(N, T)]
-        points = psweep(
-            [
-                {"n": N, "t": T, "scenario": name, "seed": seed}
-                for name in scenarios
-                for seed in SEEDS
-            ],
-            "e6-scenario",
-        )
-        rows = []
-        total = len(SEEDS)
-        for index, name in enumerate(scenarios):
-            cells = [p.result for p in points[index * total : (index + 1) * total]]
-            ok_runs = sum(bool(c["fd_ok"]) for c in cells)
-            discoveries = sum(bool(c["any_discovery"]) for c in cells)
-            g12_violations = sum(c["g12_violations"] for c in cells)
-            expected_discoveries = total if cells[0]["expects_discovery"] else 0
-            rows.append(
-                [
-                    name,
-                    f"{ok_runs}/{total}",
-                    f"{discoveries}/{total}",
-                    f"{expected_discoveries}/{total}",
-                    g12_violations,
-                    check_mark(
-                        ok_runs == total
-                        and discoveries == expected_discoveries
-                        and g12_violations == 0
-                    ),
-                ]
-            )
-            assert ok_runs == total, name
-            assert discoveries == expected_discoveries, name
-            assert g12_violations == 0, name
-
-        report(
-            render_table(
-                ["scenario", "F1-F3 hold", "discovered", "theorem predicts", "G1/G2 viol.", "verdict"],
-                rows,
-                title=f"E6  attack discovery matrix, n={N}, t={T}, {len(SEEDS)} seeds",
-            )
-        )
-
-
-    once(benchmark, sweep)
-
-def test_e6_attack_run_wallclock(benchmark):
-    scenario = next(
-        s for s in attack_catalogue(N, T) if s.name == "cross-claim-chain"
-    )
-
-    def one_run():
-        return run_fd_scenario(
-            N,
-            T,
-            "v",
-            auth=LOCAL,
-            scheme=SWEEP_SCHEME,
-            seed=1,
-            kd_adversaries=scenario.kd_adversaries(),
-            adversary=scenario.adversary,
-            faulty=scenario.faulty,
-        )
-
-    outcome = benchmark(one_run)
-    assert outcome.fd.ok
+def test_e6_discovery_matrix(report):
+    table = e6_attacks(n=8, t=2, seeds=8)
+    report(table.render())
+    assert table.ok

@@ -8,130 +8,63 @@ directly and worse for oral OM(t).
 
 from __future__ import annotations
 
-from conftest import SWEEP_SCHEME, once
-
-from repro.analysis import (
-    check_mark,
-    extension_messages,
-    om_envelopes,
-    om_reports,
-    render_table,
-    sm_messages,
-)
-from repro.harness import GLOBAL, run_ba_scenario, sizes_with_budgets
+from repro.analysis import om_envelopes, om_reports, render_table
+from repro.analysis.experiments import e7_extension
 
 
-def test_e7_failure_free_comparison(report, benchmark, psweep):
-    def sweep():
-        points = psweep(
-            [
-                {"n": n, "t": t, "seed": n, "scheme": SWEEP_SCHEME}
-                for n, t in sizes_with_budgets([8, 16, 32])
-            ],
-            "e7-ba-compare",
-        )
-        rows = []
-        for point in points:
-            n, t = point.params["n"], point.params["t"]
-            result = point.result
-            assert result["ext_ok"] and result["sm_ok"]
-            ext_measured = result["ext_messages"]
-            sm_measured = result["sm_messages"]
-            rows.append(
-                [
-                    n,
-                    t,
-                    extension_messages(n),
-                    ext_measured,
-                    sm_messages(n, t),
-                    sm_measured,
-                    check_mark(
-                        ext_measured == extension_messages(n)
-                        and sm_measured == sm_messages(n, t)
-                        and ext_measured < sm_measured
-                    ),
-                ]
-            )
-            assert ext_measured == extension_messages(n) == n - 1
-            assert sm_measured == sm_messages(n, t)
-        report(
-            render_table(
-                ["n", "t", "ext n-1", "measured", "SM(t) formula", "measured", "verdict"],
-                rows,
-                title="E7  failure-free BA: extension (FD cost) vs direct SM(t)",
-            )
-        )
+def test_e7_failure_free_comparison(report):
+    table = e7_extension((8, 16, 32))
+    report(table.render())
+    assert table.ok
 
 
-    once(benchmark, sweep)
-
-def test_e7_oral_baseline(report, benchmark, psweep):
+def test_e7_oral_baseline(report, psweep):
     """The oral-messages column of the comparison (envelopes + classical
     exponential report count)."""
-    def sweep():
-        points = psweep(
-            [
-                {"n": n, "t": t, "seed": n}
-                for n, t in [(4, 1), (7, 2), (10, 3), (13, 4)]
-            ],
-            "oral",
-        )
-        rows = []
-        for point in points:
-            n, t = point.params["n"], point.params["t"]
-            result = point.result
-            assert result["agreed"] and result["decision"] == repr("v")
-            envelopes = result["messages"]
-            rows.append(
-                [n, t, n - 1, envelopes, om_reports(n, t), result["bytes"]]
-            )
-            assert envelopes == om_envelopes(n, t)
-        report(
-            render_table(
-                ["n", "t", "ext (n-1)", "OM envelopes", "OM path-reports", "OM bytes"],
-                rows,
-                title="E7b  oral agreement baseline: the non-authenticated price",
-            )
-        )
-
-
-    once(benchmark, sweep)
-
-def test_e7_fallback_cost(report, benchmark, psweep):
-    """With a fault the extension pays the alarm + SM fallback — bounded,
-    and only in runs that are not failure-free."""
-    def sweep():
-        n, t = 8, 2
-        points = psweep(
-            [
-                {"n": n, "t": t, "seed": 0, "scheme": SWEEP_SCHEME},
-                {"n": n, "t": t, "seed": 0, "silent_node": 1, "scheme": SWEEP_SCHEME},
-            ],
-            "e7-fallback",
-        )
-        clean, faulty = points[0].result, points[1].result
-        assert clean["ba_ok"] and faulty["ba_ok"]
-        rows = [
-            ["failure-free", clean["messages"], clean["rounds"]],
-            ["chain node crashed", faulty["messages"], faulty["rounds"]],
-        ]
-        report(
-            render_table(
-                ["run", "messages", "rounds"],
-                rows,
-                title=f"E7c  extension cost profile, n={n}, t={t}",
-            )
-        )
-        assert clean["messages"] == n - 1
-        assert faulty["messages"] > n - 1
-
-
-    once(benchmark, sweep)
-
-def test_e7_extension_wallclock(benchmark):
-    outcome = benchmark(
-        lambda: run_ba_scenario(
-            16, 5, "v", protocol="extension", auth=GLOBAL, scheme=SWEEP_SCHEME, seed=1
+    points = psweep(
+        [{"n": n, "t": t, "seed": n} for n, t in [(4, 1), (7, 2), (10, 3), (13, 4)]],
+        "oral",
+    )
+    rows = []
+    for point in points:
+        n, t = point.params["n"], point.params["t"]
+        result = point.result
+        assert result["agreed"] and result["decision"] == repr("v")
+        envelopes = result["messages"]
+        rows.append([n, t, n - 1, envelopes, om_reports(n, t), result["bytes"]])
+        assert envelopes == om_envelopes(n, t)
+    report(
+        render_table(
+            ["n", "t", "ext (n-1)", "OM envelopes", "OM path-reports", "OM bytes"],
+            rows,
+            title="E7b  oral agreement baseline: the non-authenticated price",
         )
     )
-    assert outcome.ba.ok
+
+
+def test_e7_fallback_cost(report, psweep):
+    """With a fault the extension pays the alarm + SM fallback — bounded,
+    and only in runs that are not failure-free."""
+    n, t = 8, 2
+    points = psweep(
+        [
+            {"n": n, "t": t, "seed": 0},
+            {"n": n, "t": t, "seed": 0, "adversary": "1=silent"},
+        ],
+        "ba",
+    )
+    clean, faulty = points[0].result, points[1].result
+    assert clean["ba_ok"] and faulty["ba_ok"]
+    rows = [
+        ["failure-free", clean["messages"], clean["rounds"]],
+        ["chain node crashed", faulty["messages"], faulty["rounds"]],
+    ]
+    report(
+        render_table(
+            ["run", "messages", "rounds"],
+            rows,
+            title=f"E7c  extension cost profile, n={n}, t={t}",
+        )
+    )
+    assert clean["messages"] == n - 1
+    assert faulty["messages"] > n - 1

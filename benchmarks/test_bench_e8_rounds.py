@@ -8,92 +8,38 @@ an explicit latency/bandwidth trade-off this bench makes visible.
 
 from __future__ import annotations
 
-from conftest import SWEEP_SCHEME, once
-
-from repro.analysis import (
-    check_mark,
-    fd_auth_rounds,
-    fd_nonauth_rounds,
-    keydist_rounds,
-    render_table,
-)
-from repro.harness import GLOBAL, run_fd_scenario, sizes_with_budgets, standard_sizes
+from repro.analysis import render_table
+from repro.analysis.experiments import e8_rounds
+from repro.harness import standard_sizes
 
 
-def test_e8_round_table(report, benchmark, psweep):
-    def sweep():
-        points = psweep(
-            [
-                {"n": n, "t": t, "seed": n, "scheme": SWEEP_SCHEME}
-                for n, t in sizes_with_budgets(standard_sizes())
-            ],
-            "e8-rounds",
-        )
-        rows = []
-        for point in points:
-            n, t = point.params["n"], point.params["t"]
-            result = point.result
-            measured = (
-                result["keydist_rounds"],
-                result["chain_rounds"],
-                result["echo_rounds"],
-            )
-            predicted = (keydist_rounds(), fd_auth_rounds(t), fd_nonauth_rounds())
-            rows.append([n, t, *predicted, *measured, check_mark(measured == predicted)])
-            assert measured == predicted
-        report(
-            render_table(
-                [
-                    "n", "t",
-                    "keydist paper", "chain paper", "echo paper",
-                    "keydist", "chain", "echo",
-                    "verdict",
-                ],
-                rows,
-                title="E8  round complexity: predicted vs measured",
-            )
-        )
+def test_e8_round_table(report):
+    table = e8_rounds(standard_sizes())
+    report(table.render())
+    assert table.ok
 
 
-    once(benchmark, sweep)
-
-def test_e8_latency_bandwidth_tradeoff(report, benchmark):
+def test_e8_latency_bandwidth_tradeoff(report, psweep):
     """The chain protocol trades rounds for messages: rounds grow with t,
     messages do not; the echo protocol is the mirror image."""
-    def sweep():
-        n = 16
-        rows = []
-        for t in (1, 2, 3, 5):
-            chain = run_fd_scenario(
-                n, t, "v", protocol="chain", auth=GLOBAL, scheme=SWEEP_SCHEME, seed=t
-            )
-            echo = run_fd_scenario(n, t, "v", protocol="echo", seed=t)
-            rows.append(
-                [
-                    t,
-                    chain.run.metrics.rounds_used,
-                    chain.run.metrics.messages_total,
-                    echo.run.metrics.rounds_used,
-                    echo.run.metrics.messages_total,
-                ]
-            )
-            assert chain.run.metrics.messages_total == n - 1
-            assert echo.run.metrics.rounds_used == 2
-        report(
-            render_table(
-                ["t", "chain rounds", "chain msgs", "echo rounds", "echo msgs"],
-                rows,
-                title=f"E8b  latency/bandwidth trade-off at n={n}",
-            )
+    n = 16
+    points = psweep(
+        [{"n": n, "t": t, "seed": t, "protocol": protocol}
+         for t in (1, 2, 3, 5) for protocol in ("chain", "echo")],
+        "fd",
+    )
+    rows = []
+    for chain, echo in zip(points[::2], points[1::2]):
+        chain, echo = chain.result, echo.result
+        rows.append(
+            [chain["t"], chain["rounds"], chain["messages"], echo["rounds"], echo["messages"]]
         )
-
-
-    once(benchmark, sweep)
-
-def test_e8_rounds_wallclock(benchmark):
-    result = benchmark(
-        lambda: run_fd_scenario(
-            32, 10, "v", protocol="chain", auth=GLOBAL, scheme=SWEEP_SCHEME, seed=1
+        assert chain["messages"] == n - 1
+        assert echo["rounds"] == 2
+    report(
+        render_table(
+            ["t", "chain rounds", "chain msgs", "echo rounds", "echo msgs"],
+            rows,
+            title=f"E8b  latency/bandwidth trade-off at n={n}",
         )
     )
-    assert result.run.metrics.rounds_used == 11

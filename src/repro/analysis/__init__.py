@@ -19,7 +19,6 @@ from .complexity import (
     keydist_rounds,
     om_collapsed_reports,
     om_envelopes,
-    om_report_compression,
     om_reports,
     sm_messages,
     smallrange_messages,
@@ -47,7 +46,6 @@ __all__ = [
     "keydist_rounds",
     "om_collapsed_reports",
     "om_envelopes",
-    "om_report_compression",
     "om_reports",
     "render_series",
     "render_table",

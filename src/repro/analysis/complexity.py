@@ -173,20 +173,6 @@ def om_collapsed_reports(n: int, t: int) -> int:
     return t * (n - 1) * (n - 1)
 
 
-def om_report_compression(n: int, t: int) -> float:
-    """Predicted dense-to-collapsed report ratio for a unanimous OM(t)
-    run: ``om_reports / om_collapsed_reports``.  Benchmark E9 prints this
-    against the measured run counts.
-
-    :raises ValueError: for ``t == 0`` (no report rounds, nothing to
-        compress).
-    """
-    collapsed = om_collapsed_reports(n, t)
-    if collapsed == 0:
-        raise ValueError("no report rounds at t=0; compression is undefined")
-    return om_reports(n, t) / collapsed
-
-
 def amortized_messages_local(n: int, t: int, runs: int) -> int:
     """Total messages for ``runs`` FD instances under local authentication:
     one key distribution plus ``runs`` chain-FD runs (Summary claim)."""

@@ -3,7 +3,8 @@
 The paper contains no numeric tables (its evaluation is analytic), so the
 "regenerate the paper's rows" requirement maps to: print, for each claim,
 the measured and predicted values side by side in a stable format that
-EXPERIMENTS.md quotes.  Everything here is deliberately dependency-free
+the benchmark suites and ``repro-fd report`` print (README's "Experiment
+index" lists them).  Everything here is deliberately dependency-free
 text rendering.
 """
 

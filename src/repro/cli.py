@@ -361,34 +361,15 @@ def _cmd_formulas(args: argparse.Namespace) -> int:
 
 
 def _cmd_list_workloads(args: argparse.Namespace) -> int:
-    import pickle
+    from .harness import available_workloads, workload_deliveries, workload_suite
 
-    from .harness import (
-        available_workloads,
-        get_workload,
-        workload_deliveries,
-        workload_suite,
-    )
-
-    rows = []
-    for name in available_workloads():
-        fn = get_workload(name)
-        try:
-            pickle.dumps(fn)
-            picklable = "yes"
-        except Exception:
-            picklable = "NO"
-        rows.append(
-            [
-                name,
-                workload_suite(name),
-                ",".join(workload_deliveries(name)),
-                picklable,
-            ]
-        )
+    rows = [
+        [name, workload_suite(name), ",".join(workload_deliveries(name))]
+        for name in available_workloads()
+    ]
     print(
         render_table(
-            ["workload", "suite", "deliveries", "picklable"],
+            ["workload", "suite", "deliveries"],
             rows,
             title="registered workloads (repro.harness.workloads)",
         )

@@ -24,7 +24,7 @@ with their soundness boundaries made explicit and test-enforced:
     violated without discovery.  ``tests/fd/test_smallrange.py`` constructs
     that attack explicitly.
 
-Reproduction note (recorded in DESIGN.md): our analysis indicates that
+Reproduction note (E5 in README's "Experiment index" measures it): our analysis indicates that
 *receiver-side* silence-decoding cannot be made sound for ``t >= 1``
 without extra corroboration traffic that erases the saving, because a
 single faulty link can always forge the all-silent view for a suffix of

@@ -24,7 +24,6 @@ never degrade to the serial fallback.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -142,7 +141,7 @@ def keydist_point(n: int, seed: int | str = 0, scheme: str = COUNT_SCHEME) -> di
     return {"n": n, "messages": kd.messages, "rounds": kd.rounds}
 
 
-@workload("fd", suite="E2/E3/regress")
+@workload("fd", suite="E2/E3/E5/E10/regress")
 def fd_point(
     n: int,
     t: int,
@@ -150,10 +149,16 @@ def fd_point(
     protocol: str = "chain",
     auth: str = GLOBAL,
     scheme: str = COUNT_SCHEME,
+    value: Any = "v",
 ) -> dict[str, Any]:
-    """One failure-discovery scenario: rounds/messages/bytes plus verdicts."""
+    """One failure-discovery scenario: rounds/messages/bytes plus verdicts.
+
+    ``total_messages`` adds the key distribution under ``auth="local"``
+    (E10 reads ``total_messages - messages`` as its cost); ``value`` is
+    the disseminated value (E5's binary ``smallrange`` runs send 0 or 1).
+    """
     outcome = run_fd_scenario(
-        n, t, "v", protocol=protocol, auth=auth, scheme=scheme, seed=seed
+        n, t, value, protocol=protocol, auth=auth, scheme=scheme, seed=seed
     )
     metrics = outcome.run.metrics
     return {
@@ -165,7 +170,7 @@ def fd_point(
         "bytes": metrics.bytes_total,
         "total_messages": outcome.total_messages,
         "all_decided": all(s.decided for s in outcome.run.states),
-        "fd_ok": outcome.fd.ok if outcome.fd is not None else None,
+        "fd_ok": outcome.fd.ok,
     }
 
 
@@ -177,10 +182,17 @@ def ba_point(
     protocol: str = "extension",
     auth: str = GLOBAL,
     scheme: str = COUNT_SCHEME,
+    adversary: "str | None" = None,
 ) -> dict[str, Any]:
-    """One Byzantine-agreement scenario: counts plus the BA verdict."""
+    """One Byzantine-agreement scenario: counts plus the BA verdict.
+
+    ``adversary`` is an adversary-plane spec string
+    (:func:`repro.faults.make_adversary`): E7 prices the extension's
+    fallback with ``"1=silent"``, a crashed chain node.
+    """
     outcome = run_ba_scenario(
-        n, t, "v", protocol=protocol, auth=auth, scheme=scheme, seed=seed
+        n, t, "v", protocol=protocol, auth=auth, scheme=scheme, seed=seed,
+        adversary=adversary,
     )
     metrics = outcome.run.metrics
     return {
@@ -190,7 +202,8 @@ def ba_point(
         "rounds": metrics.rounds_used,
         "messages": metrics.messages_total,
         "bytes": metrics.bytes_total,
-        "agreement": outcome.ba.agreement if outcome.ba is not None else None,
+        "agreement": outcome.ba.agreement,
+        "ba_ok": outcome.ba.ok,
     }
 
 
@@ -227,22 +240,6 @@ def e4_crossover_point(n: int, t: int, seed: int | str = 0) -> dict[str, Any]:
         "predicted": predicted,
         "measured": session.crossover_run(),
         "all_ok": all_ok,
-    }
-
-
-@workload("e5-binary", suite="E5")
-def e5_binary_point(
-    n: int, value: int, seed: int | str = 0, scheme: str = COUNT_SCHEME
-) -> dict[str, Any]:
-    """One binary small-range FD run (t=0): silence carries the 0."""
-    outcome = run_fd_scenario(
-        n, 0, value, protocol="smallrange", scheme=scheme, seed=seed
-    )
-    return {
-        "n": n,
-        "value": value,
-        "messages": outcome.run.metrics.messages_total,
-        "fd_ok": outcome.fd.ok,
     }
 
 
@@ -325,56 +322,6 @@ def e6_scenario_point(n: int, t: int, scenario: str, seed: int | str = 0) -> dic
         "fd_ok": outcome.fd.ok,
         "any_discovery": outcome.fd.any_discovery,
         "g12_violations": g12_violations,
-    }
-
-
-@workload("e7-ba-compare", suite="E7")
-def e7_ba_compare_point(
-    n: int, t: int, seed: int | str = 0, scheme: str = COUNT_SCHEME
-) -> dict[str, Any]:
-    """One failure-free row: FD→BA extension vs direct SM(t)."""
-    ext = run_ba_scenario(
-        n, t, "v", protocol="extension", auth=GLOBAL, scheme=scheme, seed=seed
-    )
-    sm = run_ba_scenario(
-        n, t, "v", protocol="signed", auth=GLOBAL, scheme=scheme, seed=seed
-    )
-    return {
-        "n": n,
-        "t": t,
-        "ext_messages": ext.run.metrics.messages_total,
-        "sm_messages": sm.run.metrics.messages_total,
-        "ext_ok": ext.ba.ok,
-        "sm_ok": sm.ba.ok,
-    }
-
-
-@workload("e7-fallback", suite="E7")
-def e7_fallback_point(
-    n: int,
-    t: int,
-    seed: int | str = 0,
-    silent_node: int | None = None,
-    scheme: str = COUNT_SCHEME,
-) -> dict[str, Any]:
-    """Extension cost profile: failure-free vs a crashed chain node."""
-    outcome = run_ba_scenario(
-        n,
-        t,
-        "v",
-        protocol="extension",
-        auth=GLOBAL,
-        scheme=scheme,
-        seed=seed,
-        adversary=None if silent_node is None else {silent_node: "silent"},
-    )
-    return {
-        "n": n,
-        "t": t,
-        "silent_node": silent_node,
-        "messages": outcome.run.metrics.messages_total,
-        "rounds": outcome.run.metrics.rounds_used,
-        "ba_ok": outcome.ba.ok,
     }
 
 
@@ -462,41 +409,6 @@ def e9_compression_point(
         "dense_bytes": run.metrics.bytes_total,
         "wire_bytes": wire_bytes,
         "agreed": len(set(map(repr, decisions.values()))) == 1,
-    }
-
-
-@workload("e10-scheme", suite="E10")
-def e10_scheme_point(n: int, t: int, scheme: str, seed: int | str = 0) -> dict[str, Any]:
-    """One scheme-ablation cell: the three counts that must not depend on
-    the signature scheme."""
-    outcome = run_fd_scenario(
-        n, t, "v", protocol="chain", auth=LOCAL, scheme=scheme, seed=seed
-    )
-    return {
-        "n": n,
-        "t": t,
-        "scheme": scheme,
-        "keydist_messages": outcome.kd.messages,
-        "fd_messages": outcome.run.metrics.messages_total,
-        "fd_rounds": outcome.run.metrics.rounds_used,
-        "fd_ok": outcome.fd.ok,
-    }
-
-
-@workload("e10-walltime", suite="E10")
-def e10_walltime_point(n: int, t: int, scheme: str, seed: int | str = 0) -> dict[str, Any]:
-    """Coarse single-shot wall-clock of one keydist+FD run per scheme."""
-    start = time.perf_counter()
-    outcome = run_fd_scenario(
-        n, t, "v", protocol="chain", auth=LOCAL, scheme=scheme, seed=seed
-    )
-    elapsed_ms = (time.perf_counter() - start) * 1000
-    return {
-        "n": n,
-        "t": t,
-        "scheme": scheme,
-        "elapsed_ms": elapsed_ms,
-        "fd_ok": outcome.fd.ok,
     }
 
 
@@ -759,6 +671,63 @@ def e13_loss_point(
     return _with_trace(result, run, trace)
 
 
+def _fd_cell(
+    name: str, protocols: tuple[str, str], n: int, t: int, delivery: str,
+    protocol: str, adversary: AdversarySpec | None, seed: int | str,
+    trace: bool, checkpoint_at: int | None, resume_from: KernelSnapshot | None,
+    timeout: int | None = None, max_timeout: int | None = None, **axes: Any,
+) -> dict[str, Any] | KernelSnapshot:
+    """The E13/E14 discovery cell: ``protocol`` (one of the workload's
+    two) under ``delivery`` against ``adversary``.
+
+    ``spurious`` is a discovery with nothing faulty *and* nothing
+    committed (network skew mistaken for a fault — an adaptively
+    committed corruption is a real one); ``missed`` is a run with faults
+    present that no correct node discovered.  ``axes`` (E14's
+    ``attack``) join the result after ``delivery``; ``timeout`` tunes the
+    ``timeout`` protocol, ``max_timeout`` the ``adaptive`` one.
+    """
+    if protocol not in protocols:
+        raise ConfigurationError(
+            f"{name} protocol must be {protocols[0]!r} or {protocols[1]!r}, "
+            f"got {protocol!r}"
+        )
+    params: dict[str, Any] = {}
+    if protocol == "timeout" and timeout is not None:
+        params["timeout"] = timeout
+    if protocol == "adaptive" and max_timeout is not None:
+        params["max_timeout"] = max_timeout
+    outcome = run_fd_scenario(
+        n, t, "v", protocol=protocol, auth=GLOBAL, scheme=COUNT_SCHEME, seed=seed,
+        adversary=adversary, delivery=delivery, record_trace=trace,
+        protocol_params=params, checkpoint_at=checkpoint_at, resume_from=resume_from,
+    )
+    if checkpoint_at is not None:
+        return outcome
+    run = outcome.run
+    discovered = outcome.fd.any_discovery
+    faulty = 0 if adversary is None else len(adversary.faulty)
+    committed = len(outcome.committed)
+    result = {
+        "n": n,
+        "t": t,
+        "protocol": protocol,
+        "delivery": delivery,
+        **axes,
+        "faulty": faulty,
+        "committed": committed,
+        "fd_ok": outcome.fd.ok,
+        "discovered": discovered,
+        "spurious": bool(discovered and faulty == 0 and committed == 0),
+        "missed": bool(not discovered and (faulty > 0 or committed > 0)),
+        "decided": sum(1 for node in outcome.correct if run.states[node].decided),
+        "messages": run.metrics.messages_total,
+        "drops": run.metrics.drops_total,
+        "rounds": run.metrics.rounds_used,
+    }
+    return _with_trace(result, run, trace)
+
+
 @workload(
     "e13-timeout-fd",
     suite="E13/regress",
@@ -782,58 +751,18 @@ def e13_timeout_fd_point(
     nodes via the adversary plane) and the same delivery spec, run
     through the paper's round-indexed ``chain`` protocol or the
     weak-model ``timeout`` protocol — so the spurious-vs-missed
-    discovery comparison isolates the protocol design.  ``spurious`` is
-    a discovery in a failure-free run (network skew mistaken for a
-    fault); ``missed`` is a faulty run no correct node discovered.
+    discovery comparison isolates the protocol design.
 
     ``checkpoint_at`` / ``resume_from`` are the warm-started sweep hooks
     (:func:`repro.harness.parallel.sweep_prefix_shared`): the former
     runs only the shared prefix and returns its snapshot, the latter
     finishes a prefix with ``timeout`` retuned as the fork axis.
     """
-    if protocol not in ("chain", "timeout"):
-        raise ConfigurationError(
-            f"e13-timeout-fd protocol must be 'chain' or 'timeout', got "
-            f"{protocol!r}"
-        )
-    params: dict[str, Any] = {}
-    if protocol == "timeout" and timeout is not None:
-        params["timeout"] = timeout
-    outcome = run_fd_scenario(
-        n,
-        t,
-        "v",
-        protocol=protocol,
-        auth=GLOBAL,
-        scheme=COUNT_SCHEME,
-        seed=seed,
-        adversary=_fault_load(n, t, faulty, "silent"),
-        delivery=delivery,
-        record_trace=trace,
-        protocol_params=params,
-        checkpoint_at=checkpoint_at,
-        resume_from=resume_from,
+    return _fd_cell(
+        "e13-timeout-fd", ("chain", "timeout"), n, t, delivery, protocol,
+        _fault_load(n, t, faulty, "silent"), seed, trace, checkpoint_at,
+        resume_from, timeout=timeout,
     )
-    if checkpoint_at is not None:
-        return outcome
-    run = outcome.run
-    discovered = outcome.fd.any_discovery
-    result = {
-        "n": n,
-        "t": t,
-        "protocol": protocol,
-        "delivery": delivery,
-        "faulty": faulty,
-        "fd_ok": outcome.fd.ok,
-        "discovered": discovered,
-        "spurious": bool(discovered and faulty == 0),
-        "missed": bool(not discovered and faulty > 0),
-        "decided": sum(1 for node in outcome.correct if run.states[node].decided),
-        "messages": run.metrics.messages_total,
-        "drops": run.metrics.drops_total,
-        "rounds": run.metrics.rounds_used,
-    }
-    return _with_trace(result, run, trace)
 
 
 @workload("e13-partition", suite="E13/regress", deliveries=("partition",))
@@ -909,16 +838,7 @@ def e14_adaptive_point(
     * an ``adaptive:STRATEGY`` spec — the adversary watches the run's
       live counters and commits corruptions online, budget-checked at
       commitment time.
-
-    ``spurious`` is a discovery with nothing faulty *and* nothing
-    committed — an adaptively committed corruption is a real fault, so
-    discovering it is the FD doing its job.
     """
-    if protocol not in ("timeout", "adaptive"):
-        raise ConfigurationError(
-            f"e14-adaptive protocol must be 'timeout' or 'adaptive', got "
-            f"{protocol!r}"
-        )
     if attack == "none":
         adversary: AdversarySpec | None = None
     elif attack == "silent":
@@ -934,50 +854,11 @@ def e14_adaptive_point(
             f"e14-adaptive attack must be 'none', 'silent', 'ack-lie', "
             f"'equivocate' or 'adaptive:STRATEGY', got {attack!r}"
         )
-    params: dict[str, Any] = {}
-    if protocol == "timeout" and timeout is not None:
-        params["timeout"] = timeout
-    if protocol == "adaptive" and max_timeout is not None:
-        params["max_timeout"] = max_timeout
-    outcome = run_fd_scenario(
-        n,
-        t,
-        "v",
-        protocol=protocol,
-        auth=GLOBAL,
-        scheme=COUNT_SCHEME,
-        seed=seed,
-        adversary=adversary,
-        delivery=delivery,
-        record_trace=trace,
-        protocol_params=params,
-        checkpoint_at=checkpoint_at,
-        resume_from=resume_from,
+    return _fd_cell(
+        "e14-adaptive", ("timeout", "adaptive"), n, t, delivery, protocol,
+        adversary, seed, trace, checkpoint_at, resume_from,
+        timeout=timeout, max_timeout=max_timeout, attack=attack,
     )
-    if checkpoint_at is not None:
-        return outcome
-    run = outcome.run
-    discovered = outcome.fd.any_discovery
-    faulty = 0 if adversary is None else len(adversary.faulty)
-    committed = len(outcome.committed)
-    result = {
-        "n": n,
-        "t": t,
-        "protocol": protocol,
-        "delivery": delivery,
-        "attack": attack,
-        "faulty": faulty,
-        "committed": committed,
-        "fd_ok": outcome.fd.ok,
-        "discovered": discovered,
-        "spurious": bool(discovered and faulty == 0 and committed == 0),
-        "missed": bool(not discovered and (faulty > 0 or committed > 0)),
-        "decided": sum(1 for node in outcome.correct if run.states[node].decided),
-        "messages": run.metrics.messages_total,
-        "drops": run.metrics.drops_total,
-        "rounds": run.metrics.rounds_used,
-    }
-    return _with_trace(result, run, trace)
 
 
 @workload("e14-equivocation", suite="E14/regress", deliveries=("partition",))

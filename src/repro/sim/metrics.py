@@ -1,7 +1,7 @@
 """Run metrics: message, byte and round accounting.
 
 These counters are the measurement instrument for every experiment in
-EXPERIMENTS.md — the paper's claims are claims about *message counts* and
+README's "Experiment index" — the paper's claims are claims about *message counts* and
 *round counts*, so the simulator counts them exactly (no sampling).
 
 The unit of charge is the *logical send*: the kernel charges a

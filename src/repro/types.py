@@ -3,7 +3,7 @@
 The paper's model of computation (its section 2) is a fully interconnected
 synchronous network of ``n`` nodes.  Nodes are identified by integers
 ``0 .. n-1`` throughout this library, matching the paper's ``P_0 .. P_{n-1}``
-after OCR normalisation (see DESIGN.md section 2).
+as normalised from the scanned text (OCR drops or garbles the subscripts).
 """
 
 from __future__ import annotations

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import re
 
+import pytest
+
+from repro.analysis import experiments
 from repro.analysis.experiments import (
     ExperimentTable,
     e1_keydist,
@@ -11,10 +14,12 @@ from repro.analysis.experiments import (
     e3_echo_fd,
     e4_amortization,
     e5_smallrange,
+    e6_attacks,
     e7_extension,
     e8_rounds,
     e11_keydist_methods,
     e12_delivery_models,
+    e13_unreliable,
     e14_adaptive_arms_race,
 )
 from repro.cli import main
@@ -94,6 +99,46 @@ class TestIndividualExperiments:
             if row[2] == "adaptive:silence-muffled"
         ]
         assert committed and all(count > 0 for count in committed)
+
+
+#: Claims the benchmark suites used to assert on their own, now part of a
+#: table's verdict: claim -> (table at a small grid, workload, result key,
+#: the key's negation).
+MOVED_CLAIMS = {
+    "E4 F1-F3 in every session run": (
+        lambda: e4_amortization(sizes=(8,)), "e4-crossover", "all_ok", lambda r: False),
+    "E6 no G1/G2 violation": (
+        lambda: e6_attacks(seeds=1), "e6-scenario", "g12_violations", lambda r: 1),
+    "E11 local auth costs 3n(n-1)": (
+        lambda: e11_keydist_methods(shapes=((4, 1),)), "e11-methods", "local_messages",
+        lambda r: r["local_messages"] + 1),
+    "E13 F1-F3 in every cell": (
+        lambda: e13_unreliable(seeds=1), "e13-timeout-fd", "fd_ok",
+        lambda r: r["fd_ok"] and r["delivery"] != "sync"),
+    "E13 chain FD misses the silent off-path node": (
+        lambda: e13_unreliable(seeds=1), "e13-timeout-fd", "missed",
+        lambda r: r["missed"] and r["protocol"] != "chain"),
+    "E14 F1-F3 in the silent cells": (
+        lambda: e14_adaptive_arms_race(seeds=1), "e14-adaptive", "fd_ok",
+        lambda r: r["fd_ok"] and r["attack"] != "silent"),
+}
+
+
+class TestMovedClaims:
+    @pytest.mark.parametrize("claim", sorted(MOVED_CLAIMS))
+    def test_negating_the_claim_turns_its_table_red(self, monkeypatch, claim):
+        build, workload, key, negate = MOVED_CLAIMS[claim]
+        assert build().ok
+        real = experiments._results
+
+        def negated(name, points):
+            results = real(name, points)
+            if name != workload:
+                return results
+            return [dict(result, **{key: negate(result)}) for result in results]
+
+        monkeypatch.setattr(experiments, "_results", negated)
+        assert not build().ok
 
 
 class TestRunAll:

@@ -116,7 +116,8 @@ class TestOptimisticBinaryChain:
 class TestOptimisticSoundnessBoundary:
     """The documented negative result: for t >= 1 a selectively
     withholding disseminator violates F2 with no discovery.  This test is
-    the library's evidence for the DESIGN.md substitution note."""
+    the library's evidence for the reproduction note in
+    ``repro.fd.smallrange``."""
 
     def test_selective_withholding_breaks_weak_agreement(self, world):
         n, keypairs, directories = world

@@ -16,43 +16,47 @@ from repro.harness import (
 )
 from repro.harness.workloads import WORKLOADS
 
-#: The registry contract the benchmark suites rely on: one name per
-#: E1-E11 sweep family (E1/E2/E3 share "fd"/"keydist"; E8 is the round
-#: table; the rest are experiment-specific).
-EXPECTED = {
-    "akd",
-    "akd-shard",
-    "ba",
-    "e10-scheme",
-    "e10-walltime",
-    "e11-feasibility",
-    "e11-methods",
-    "e4-crossover",
-    "e5-binary",
-    "e5-optimistic",
-    "e6-scenario",
-    "e7-ba-compare",
-    "e7-fallback",
-    "e8-rounds",
-    "e9-chain-bytes",
-    "e9-compression",
-    "e12-ba",
-    "e12-fd",
-    "e12-oral",
-    "e13-loss",
-    "e13-partition",
-    "e13-timeout-fd",
-    "e14-adaptive",
-    "e14-equivocation",
-    "fd",
-    "keydist",
-    "oral",
+#: One small point per registered workload: the registry contract that
+#: every entry is a pure function of its params (seed included).  The
+#: counts ledger gates only the points it names; this table reaches the
+#: rest, and a new workload without a row here fails
+#: ``test_tiny_covers_every_workload``.
+TINY: dict[str, dict] = {
+    "akd": dict(n=4, t=1, seed=1),
+    "akd-shard": dict(n=4, t=1, seed=1, instances=(0, 2)),
+    "ba": dict(n=4, t=1, seed=1, adversary="1=silent"),
+    "e11-feasibility": dict(n=6, t=2, seed=1),
+    "e11-methods": dict(n=4, t=1, seed=1),
+    "e12-ba": dict(n=4, t=1, delivery="bounded:2", faulty=1, seed=1),
+    "e12-fd": dict(n=4, t=1, delivery="rush", faulty=1, seed=1),
+    "e12-oral": dict(n=4, t=1, delivery="bounded:2", faulty=1, seed=1),
+    "e13-loss": dict(n=4, t=1, loss=0.3, faulty=1, seed=1),
+    "e13-partition": dict(n=4, t=1, heal=3, seed=1),
+    "e13-timeout-fd": dict(n=4, t=1, delivery="loss:0.2", faulty=1, seed=1),
+    "e14-adaptive": dict(n=4, t=1, delivery="loss:0.3", protocol="timeout",
+                         attack="adaptive:silence-muffled", seed=1),
+    "e14-equivocation": dict(n=4, t=1, heal=3, seed=1),
+    "e4-crossover": dict(n=4, t=1, seed=1),
+    "e5-optimistic": dict(n=4, t=1, value=1, seed=1, withhold=True),
+    "e6-scenario": dict(n=4, t=1, scenario="garbling-chain-node", seed=1),
+    "e8-rounds": dict(n=4, t=1, seed=1),
+    "e9-chain-bytes": dict(n=4, t=1, seed=1),
+    "e9-compression": dict(n=4, t=1, seed=1),
+    "fd": dict(n=4, t=1, seed=1, auth="local"),
+    "keydist": dict(n=4, seed=1),
+    "oral": dict(n=4, t=1, seed=1),
 }
 
 
 class TestRegistry:
-    def test_expected_names_registered(self):
-        assert set(available_workloads()) == EXPECTED
+    def test_tiny_covers_every_workload(self):
+        assert sorted(TINY) == available_workloads()
+
+    @pytest.mark.parametrize("name", sorted(TINY))
+    def test_workload_is_a_pure_function_of_its_params(self, name):
+        """Two in-process runs of one point agree on every result key."""
+        fn = get_workload(name)
+        assert fn(**TINY[name]) == fn(**TINY[name])
 
     def test_every_workload_is_picklable(self):
         """The property that makes registry sweeps parallelizable."""
@@ -121,7 +125,7 @@ class TestPointFunctions:
         assert result["all_ok"]
 
     def test_e5_points(self):
-        binary = get_workload("e5-binary")(4, 0, seed=4)
+        binary = get_workload("fd")(4, 0, seed=4, protocol="smallrange", value=0)
         assert binary["fd_ok"] and binary["messages"] == 0
         attacked = get_workload("e5-optimistic")(16, 5, 1, seed=3, withhold=True)
         assert not attacked["weak_agreement"] and not attacked["any_discovery"]
@@ -135,9 +139,12 @@ class TestPointFunctions:
             get_workload("e6-scenario")(8, 2, "no-such-attack", seed=1)
 
     def test_e7_points(self):
-        compare = get_workload("e7-ba-compare")(8, 2, seed=8)
-        assert compare["ext_messages"] == 7 < compare["sm_messages"]
-        fallback = get_workload("e7-fallback")(8, 2, seed=0, silent_node=1)
+        ba = get_workload("ba")
+        extension = ba(8, 2, seed=8)
+        signed = ba(8, 2, seed=8, protocol="signed")
+        assert extension["ba_ok"] and signed["ba_ok"]
+        assert extension["messages"] == 7 < signed["messages"]
+        fallback = ba(8, 2, seed=0, adversary="1=silent")
         assert fallback["ba_ok"] and fallback["messages"] > 7
 
     def test_e9_compression_matches_closed_forms(self):
@@ -149,8 +156,11 @@ class TestPointFunctions:
         assert result["wire_bytes"] < result["dense_bytes"]
 
     def test_e10_points(self):
-        result = get_workload("e10-scheme")(6, 1, "simulated-hmac", seed=5)
+        from repro.analysis import keydist_messages
+
+        result = get_workload("fd")(6, 1, seed=5, auth="local")
         assert result["fd_ok"]
+        assert result["total_messages"] - result["messages"] == keydist_messages(6)
 
     def test_e11_points(self):
         methods = get_workload("e11-methods")(4, 1, seed=4)
