@@ -10,14 +10,15 @@ example, is rebuilt from unpickled keys on arrival, and a regression
 there makes every resumed signature verify as forged while all
 in-process tests stay green.
 
-So this gate runs three separate interpreters:
+So for each (point, tick) below this gate runs three separate
+interpreters:
 
-1. a straight run of one E13 point, printing its counts;
+1. a straight run of the point, printing its counts;
 2. the same point stopped at a checkpoint tick, snapshot saved to disk;
 3. a fresh process resuming that snapshot file and printing its counts.
 
 Pass iff (1) and (3) print identical JSON.  ``scripts/check.sh`` runs
-this after the bench smoke; it costs well under a second.
+this after the bench smoke; it costs about a second.
 """
 
 from __future__ import annotations
@@ -32,20 +33,23 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: One point each from the E13 and E14 grids: a lossy-delayed timeout-FD
 #: run (drops + delayed arrivals straddle the checkpoint tick) and an
-#: adaptive-adversary run (the muffler's coordinator state must travel).
+#: adaptive-adversary run (the muffler's coordinator state must travel);
+#: then the lossy point stretched to 68 ticks and checkpointed at tick
+#: 25.  By then every link has refilled its draw-ahead outcomes once (64
+#: drawn), and every link refills again (to 256) after the resume, so
+#: the resumed process must rebuild and replay each stream from the
+#: position the checkpoint carried.
+_LOSSY = {"n": 8, "t": 1, "delivery": "loss:0.2:2", "protocol": "timeout",
+          "faulty": 1, "seed": 5, "timeout": 12}
 POINTS: list[tuple[str, dict, int]] = [
-    (
-        "e13-timeout-fd",
-        {"n": 8, "t": 1, "delivery": "loss:0.2:2", "protocol": "timeout",
-         "faulty": 1, "seed": 5, "timeout": 12},
-        6,
-    ),
+    ("e13-timeout-fd", _LOSSY, 6),
     (
         "e14-adaptive",
         {"n": 8, "t": 1, "delivery": "loss:0.3", "protocol": "timeout",
          "attack": "adaptive:silence-muffled", "seed": 3, "timeout": 12},
         6,
     ),
+    ("e13-timeout-fd", {**_LOSSY, "timeout": 68}, 25),
 ]
 
 KEYS = ("messages", "drops", "rounds", "discovered", "decided", "fd_ok")
@@ -94,8 +98,8 @@ def _python(code: str, payload) -> str:
 def main() -> int:
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for workload, point, tick in POINTS:
-            path = str(Path(tmp) / f"{workload}.ckpt")
+        for index, (workload, point, tick) in enumerate(POINTS):
+            path = str(Path(tmp) / f"{index}-{workload}.ckpt")
             straight = _python(_STRAIGHT, [workload, point, KEYS])
             _python(_CHECKPOINT, [workload, point, tick, path])
             resumed = _python(_RESUME, [workload, point, KEYS, path])

@@ -44,8 +44,11 @@ emission sequence — :class:`BoundedDelay` and :class:`LossyDelivery`
 derive their per-link streams from the kernel's seed via
 :func:`repro.sim.rng.node_rng`, :class:`PartitionedDelivery` consults
 only its static schedule, and no model reads wall-clock or global
-state.  Re-running with the same protocols, seed and model reproduces
-every arrival *and every drop* bit-for-bit (property-tested in
+state.  A link holds its next few pre-drawn outcomes, not a live stream,
+and draws exactly what a live stream would (:class:`_LinkStreamDelivery`;
+the live recipe is the oracle in ``tests/sim/_reference_links.py``).
+Re-running with the same protocols, seed and model reproduces every
+arrival *and every drop* bit-for-bit (property-tested in
 ``tests/sim/test_network.py``).
 """
 
@@ -59,6 +62,8 @@ from .message import Envelope
 from .rng import node_rng
 
 if TYPE_CHECKING:
+    import random
+
     from .kernel import EventKernel
 
 
@@ -155,59 +160,77 @@ class SynchronousRounds(DeliveryModel):
         return tick + 1
 
 
-class _LinkStreamDelivery(DeliveryModel):
-    """Shared per-link rng plumbing for seed-derived jitter/loss models.
+#: Outcomes a link draws when first used — enough for every link of a
+#: lossy n = 128 timeout-FD run, which then builds each stream once.
+_FIRST_CHUNK = 16
+#: Each refill grows a link's drawn total this many times over, so a hot
+#: link rebuilds its stream O(log draws) times.
+_GROWTH = 4
 
-    :class:`BoundedDelay` and :class:`LossyDelivery` both derive one
-    deterministic stream per directed link ``(sender, recipient)`` from
-    the kernel's master seed, lazily on first use; this base owns that
-    boilerplate (``bind``/``_links``/``_seed``) so both the per-envelope
-    :meth:`~DeliveryModel.arrival_tick` path and the columnar
-    :meth:`~DeliveryModel.batch_arrivals` path draw from the *same*
-    streams.  ``_link_purpose`` is the stream namespace suffix — it is
-    part of each model's frozen schedule contract (changing it would
-    reshuffle every gated benchmark count), so subclasses pin it.
+
+class _LinkStreamDelivery(DeliveryModel):
+    """Draw-ahead per-link outcomes for seed-derived jitter/loss models.
+
+    :class:`BoundedDelay` and :class:`LossyDelivery` draw from one
+    ``random.Random`` per directed link, built by
+    :func:`~repro.sim.rng.node_rng` from the master seed.  A link keeps
+    not that stream (2.5 KiB of Mersenne state) but a short list of
+    pre-drawn outcomes — the latency offset, or ``None`` for a drop; next
+    outcome last, so ``pop()`` reads it — and in ``_drawn`` how many it
+    has drawn.  :meth:`_fill` refills an empty list: rebuild the stream,
+    replay the ``_drawn`` outcomes with the model's one recipe
+    (:meth:`_chunk`), draw the next chunk, drop the stream.  Replaying
+    the very draws puts the stream where a live one would be, so chunks
+    are exact: the k-th outcome on a link is the same whatever the chunk
+    sizes, the call path (``arrival_tick`` and ``batch_arrivals`` pop the
+    same lists; the fan-out cache holds the lists themselves) or the
+    checkpoint tick.  ``_link_purpose`` is the stream namespace suffix,
+    part of each model's frozen schedule contract, so subclasses pin it.
     """
 
     _link_purpose = "delay"
 
     def __init__(self) -> None:
         self._seed: int | str = 0
-        self._links: dict[tuple[NodeId, NodeId], object] = {}
-        self._fanouts: dict[tuple[NodeId, tuple[NodeId, ...]], list] = {}
+        self._links: dict[tuple[NodeId, NodeId], list] = {}
+        self._drawn: dict[tuple[NodeId, NodeId], int] = {}
+        self._fanouts: dict[tuple[NodeId, tuple[NodeId, ...]], list[list]] = {}
 
     def bind(self, kernel: "EventKernel") -> None:
         self._seed = kernel.seed
         self._links = {}
+        self._drawn = {}
         self._fanouts = {}
 
-    def _link_rng(self, sender: NodeId, recipient: NodeId):
+    def _chunk(self, rng: random.Random, count: int) -> list:
+        """The next ``count`` outcomes of a link stream, in draw order."""
+        raise NotImplementedError
+
+    def _fill(self, sender: NodeId, recipient: NodeId) -> list:
+        """Refill one link's (empty or new) outcome list in place; return it."""
         link = (sender, recipient)
-        rng = self._links.get(link)
-        if rng is None:
-            rng = self._links[link] = node_rng(
-                self._seed,
-                sender,
-                purpose=f"link/{recipient}/{self._link_purpose}",
-            )
-        return rng
+        outcomes = self._links.setdefault(link, [])
+        drawn = self._drawn.get(link, 0)
+        rng = node_rng(self._seed, sender, f"link/{recipient}/{self._link_purpose}")
+        self._chunk(rng, drawn)
+        count = (_GROWTH - 1) * drawn or _FIRST_CHUNK
+        outcomes += reversed(self._chunk(rng, count))
+        self._drawn[link] = drawn + count
+        return outcomes
 
-    def _fanout_rngs(self, sender: NodeId, recipients: Sequence[NodeId]) -> list:
-        """The per-link rngs for one recipient fan-out, in recipient order.
-
-        Broadcasts repeat the same fan-out every round, so the batch path
-        caches the resolved rng list per ``(sender, recipients)`` instead
-        of paying a dict probe per recipient per send.  The rngs are the
-        very objects :meth:`_link_rng` hands the per-envelope path —
-        draw sequences stay bit-identical."""
+    def _fanout(self, sender: NodeId, recipients: Sequence[NodeId]) -> list[list]:
+        """One fan-out's outcome lists, in recipient order — cached per
+        ``(sender, recipients)``, since broadcasts repeat a fan-out every
+        round, instead of a dict probe per recipient per send."""
         key = (sender, tuple(recipients))
-        rngs = self._fanouts.get(key)
-        if rngs is None:
-            link_rng = self._link_rng
-            rngs = self._fanouts[key] = [
-                link_rng(sender, recipient) for recipient in recipients
+        lists = self._fanouts.get(key)
+        if lists is None:
+            links = self._links
+            lists = self._fanouts[key] = [
+                links.get((sender, recipient)) or self._fill(sender, recipient)
+                for recipient in recipients
             ]
-        return rngs
+        return lists
 
 
 class BoundedDelay(_LinkStreamDelivery):
@@ -235,24 +258,28 @@ class BoundedDelay(_LinkStreamDelivery):
             raise ConfigurationError(f"delay must be >= 1, got {delay}")
         self.delay = delay
 
+    def _chunk(self, rng: random.Random, count: int) -> list:
+        randrange, delay = rng.randrange, self.delay
+        return [1 + randrange(delay) for _ in range(count)]
+
     def arrival_tick(self, envelope: Envelope, tick: Round) -> Round:
         if self.delay == 1:
             return tick + 1
-        rng = self._link_rng(envelope.sender, envelope.recipient)
-        return tick + 1 + rng.randrange(self.delay)
+        sender, recipient = envelope.sender, envelope.recipient
+        outcomes = self._links.get((sender, recipient)) or self._fill(sender, recipient)
+        return tick + outcomes.pop()
 
     def batch_arrivals(
         self, sender: NodeId, recipients: Sequence[NodeId], tick: Round
     ) -> "list[Round | None]":
-        """One latency draw per recipient, bit-identical to the object
-        path's per-envelope draws (same streams, same order)."""
+        """One latency per recipient, popped from the same per-link lists
+        as the object path's per-envelope draws, in the same order."""
         if self.delay == 1:
             return [tick + 1] * len(recipients)
-        delay = self.delay
-        base = tick + 1
+        fill = self._fill
         return [
-            base + rng.randrange(delay)
-            for rng in self._fanout_rngs(sender, recipients)
+            tick + (outcomes.pop() if outcomes else fill(sender, recipient).pop())
+            for recipient, outcomes in zip(recipients, self._fanout(sender, recipients))
         ]
 
 
@@ -335,33 +362,38 @@ class LossyDelivery(_LinkStreamDelivery):
         self.p = p
         self.delay = delay
 
+    def _chunk(self, rng: random.Random, count: int) -> list:
+        # Latency first, then the drop coin, even for a dropped envelope.
+        # At delay == 1 no latency draw is made, so changing `delay`
+        # reshuffles the (gated) drop schedule.
+        p, delay, coin = self.p, self.delay, rng.random
+        if delay == 1:
+            return [None if coin() < p else 1 for _ in range(count)]
+        randrange = rng.randrange
+        outcomes: list = []
+        for _ in range(count):
+            latency = 1 + randrange(delay)
+            outcomes.append(None if coin() < p else latency)
+        return outcomes
+
     def arrival_tick(self, envelope: Envelope, tick: Round) -> Round | None:
-        rng = self._link_rng(envelope.sender, envelope.recipient)
-        # At delay == 1 no latency draw is made, so the per-link stream
-        # layout (and hence the gated drop schedule) depends on the
-        # bound: changing `delay` legitimately reshuffles drops.
-        latency = 1 + (rng.randrange(self.delay) if self.delay > 1 else 0)
-        if rng.random() < self.p:
-            return None
-        return tick + latency
+        sender, recipient = envelope.sender, envelope.recipient
+        outcomes = self._links.get((sender, recipient)) or self._fill(sender, recipient)
+        latency = outcomes.pop()
+        return None if latency is None else tick + latency
 
     def batch_arrivals(
         self, sender: NodeId, recipients: Sequence[NodeId], tick: Round
     ) -> "list[Round | None]":
-        """Latency-then-drop draws per recipient, sharing
-        ``arrival_tick``'s per-link streams in the same draw order
-        (latency first, then the drop coin — even for envelopes that end
-        up dropped), so the k-th send on every link consumes exactly the
-        stream prefix the object path would and the arrival *and* drop
-        schedules match bit-for-bit."""
-        p = self.p
-        delay = self.delay
-        jitter = delay > 1
+        """One outcome per recipient, popped from the same per-link lists
+        as ``arrival_tick``, so the k-th send on every link gets the
+        object path's arrival *and* drop bit-for-bit."""
+        fill = self._fill
         arrivals: "list[Round | None]" = []
         append = arrivals.append
-        for rng in self._fanout_rngs(sender, recipients):
-            latency = 1 + (rng.randrange(delay) if jitter else 0)
-            append(None if rng.random() < p else tick + latency)
+        for recipient, outcomes in zip(recipients, self._fanout(sender, recipients)):
+            latency = outcomes.pop() if outcomes else fill(sender, recipient).pop()
+            append(None if latency is None else tick + latency)
         return arrivals
 
 
@@ -601,9 +633,11 @@ def make_delivery(
     if head == LossyDelivery.name:
         parts = arg.split(":") if arg else []
         try:
+            if len(parts) > 2:
+                raise ValueError("extra fields")
             p = float(parts[0]) if parts else 0.1
             delay = int(parts[1]) if len(parts) > 1 else 1
-        except (ValueError, IndexError):
+        except ValueError:
             raise ConfigurationError(
                 f"loss spec must look like 'loss:0.2' or 'loss:0.2:3', got {spec!r}"
             ) from None

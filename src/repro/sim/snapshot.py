@@ -10,8 +10,9 @@ one object graph rooted at the :class:`~repro.sim.kernel.EventKernel` —
 * the tick counter and per-node ``_acted_at`` causality marks,
 * every node's protocol object and :class:`~repro.sim.node.NodeState`,
 * every rng stream position: node streams (``NodeContext.rng``),
-  instance streams (inside mux-owned contexts), and the per-link /
-  per-fanout ``random.Random`` caches of the jittered delivery models
+  instance streams (inside mux-owned contexts), and the jittered / lossy
+  delivery models' per-link draw-ahead outcome lists with their drawn
+  counts — a link's position without its 2.5 KiB ``random.Random``
   (see the audit note in :mod:`repro.sim.rng`),
 * delivery-model state (partition epoch schedule position, parked
   defer-mode records — which simply sit in the calendar),
@@ -21,8 +22,8 @@ one object graph rooted at the :class:`~repro.sim.kernel.EventKernel` —
 
 A :class:`KernelSnapshot` is therefore one :func:`pickle.dumps` of the
 kernel taken at a tick boundary.  The single-pickle design is
-deliberate: shared references survive — the fanout rng lists alias the
-link streams, every ``AdaptiveCorruptible`` wrapper shares one
+deliberate: shared references survive — the fan-out cache aliases the
+per-link outcome lists, every ``AdaptiveCorruptible`` wrapper shares one
 ``AdaptiveCoordinator``, contexts point back at the kernel — so the
 restored graph has exactly the original's aliasing structure, which is
 what makes resume-equals-straight-run hold *bit-for-bit*
@@ -65,8 +66,10 @@ if TYPE_CHECKING:
 #: Snapshot format version.  Bumped whenever the kernel's pickled shape
 #: changes incompatibly; :func:`restore_kernel` refuses other versions.
 #: History: 2 — ``SuccinctEigStore`` gained its per-relayer run columns
-#: (a version-1 store would resume and then fail at its first resolve).
-SNAPSHOT_VERSION = 2
+#: (a version-1 store would resume and then fail at its first resolve);
+#: 3 — jittered / lossy links hold draw-ahead outcome lists (a version-2
+#: file holds live ``random.Random`` link streams).
+SNAPSHOT_VERSION = 3
 
 #: Conventional checkpoint-file suffix (documentation only — loading
 #: validates content, never the name).

@@ -1,6 +1,12 @@
-"""Delivery models: spec parsing, jitter determinism, rushing semantics."""
+"""Delivery models: spec parsing, jitter determinism, rushing semantics,
+draw-ahead link streams against the live-stream oracle."""
 
 from __future__ import annotations
+
+import pickle
+import pickletools
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +25,8 @@ from repro.sim import (
     make_delivery,
     run_protocols,
 )
+
+from ._reference_links import reference_for
 
 
 class TestMakeDelivery:
@@ -80,6 +88,17 @@ class TestMakeDelivery:
         with pytest.raises(ConfigurationError):
             make_delivery("partition:0-2|2-5@6")  # overlapping blocks
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["loss:0.2:2:9", "loss:0.2:2:", "bounded:2:9", "rush:1:2", "partition:0-1|2-3@4:9"],
+    )
+    def test_fields_beyond_the_grammar_rejected(self, spec):
+        """Specs fail closed: a trailing field is an error quoting the
+        spec, never silently dropped."""
+        with pytest.raises(ConfigurationError) as excinfo:
+            make_delivery(spec)
+        assert repr(spec) in str(excinfo.value)
+
     def test_bad_bound_rejected(self):
         with pytest.raises(ConfigurationError):
             BoundedDelay(0)
@@ -128,6 +147,155 @@ class TestBoundedDelayJitter:
         assert first == [
             model.arrival_tick(Envelope(0, 1, "x", t), t) for t in range(8)
         ]
+
+
+_N = 5
+_OTHERS = {s: tuple(r for r in range(_N) if r != s) for s in range(_N)}
+#: Sends from node 0 to every other node per hot burst: three bursts
+#: take each ``0 -> r`` link past 256 outcomes, i.e. through three refills.
+_BURST = 90
+
+_link_models = st.one_of(
+    st.integers(2, 5).map(lambda delay: f"bounded:{delay}"),
+    st.floats(0.05, 0.6).map(lambda p: f"loss:{p}"),
+    st.tuples(st.floats(0.05, 0.6), st.integers(2, 3)).map(
+        lambda pd: f"loss:{pd[0]}:{pd[1]}"
+    ),
+)
+
+
+@st.composite
+def _link_programs(draw):
+    """A seed, a fan-out pool (every broadcast plus a few ordered
+    subsets) and a random interleaving of per-envelope sends, repeated
+    fan-outs and pickle round-trips, with three hot bursts from node 0."""
+    pool = [(s, _OTHERS[s]) for s in range(_N)]
+    for sender in draw(st.lists(st.integers(0, _N - 1), max_size=3)):
+        recipients = draw(st.permutations(_OTHERS[sender]))
+        pool.append((sender, tuple(recipients[: draw(st.integers(1, _N - 1))])))
+    ticks = st.integers(0, 30)
+    ops = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("send"), st.integers(0, _N - 1), st.integers(1, _N - 1), ticks),
+                st.tuples(st.just("batch"), st.integers(0, len(pool) - 1), ticks),
+                st.just(("pickle",)),
+            ),
+            max_size=40,
+        )
+    )
+    for _ in range(3):
+        ops.insert(draw(st.integers(0, len(ops))), ("burst",))
+    return draw(st.integers(0, 2**16)), pool, ops
+
+
+def _divergences(model, seed, pool, ops):
+    """Run ``ops`` on ``model`` and on its live-stream twin.
+
+    Returns every ``(step, got, expected)`` where an arrival or drop
+    differs, and the model as it ends (pickle round-trips replace it).
+    """
+    oracle = reference_for(model)
+    model.bind(_Bind(seed))
+    oracle.bind(_Bind(seed))
+    diverged = []
+
+    def both(step, method, *args):
+        got = getattr(model, method)(*args)
+        expected = getattr(oracle, method)(*args)
+        if got != expected:
+            diverged.append((step, got, expected))
+
+    for step, op in enumerate(ops):
+        if op[0] == "send":
+            _, sender, offset, tick = op
+            recipient = (sender + offset) % _N
+            both(step, "arrival_tick", Envelope(sender, recipient, "x", tick), tick)
+        elif op[0] == "batch":
+            sender, recipients = pool[op[1]]
+            both(step, "batch_arrivals", sender, recipients, op[2])
+        elif op[0] == "burst":
+            for tick in range(_BURST):
+                if tick % 3:
+                    both(step, "batch_arrivals", 0, _OTHERS[0], tick)
+                    continue
+                for recipient in _OTHERS[0]:
+                    both(step, "arrival_tick", Envelope(0, recipient, "x", tick), tick)
+        else:
+            model = pickle.loads(pickle.dumps(model))
+    return diverged, model
+
+
+class _ShortReplay:
+    """Mutation: every refill replays one outcome too few."""
+
+    def _fill(self, sender, recipient):
+        link = (sender, recipient)
+        if self._drawn.get(link):
+            self._drawn[link] -= 1
+        return super()._fill(sender, recipient)
+
+
+class _ShortReplayLossy(_ShortReplay, LossyDelivery):
+    pass
+
+
+class _ShortReplayBounded(_ShortReplay, BoundedDelay):
+    pass
+
+
+def _pickled_globals(data: bytes) -> set[str]:
+    """``"module name"`` of every global a pickle references."""
+    found, strings = set(), []
+    for opcode, arg, _ in pickletools.genops(data):
+        if opcode.name == "GLOBAL":
+            found.add(arg)
+        elif opcode.name == "STACK_GLOBAL":
+            found.add(" ".join(strings[-2:]))
+        if isinstance(arg, str):
+            strings.append(arg)
+    return found
+
+
+class TestDrawAheadLinks:
+    """A link's pre-drawn outcomes equal the live per-link stream's draws,
+    whatever the call path, chunking or pickle point."""
+
+    @given(spec=_link_models, program=_link_programs())
+    @settings(max_examples=40, deadline=None)
+    def test_every_outcome_equals_the_live_stream_oracle(self, spec, program):
+        diverged, model = _divergences(make_delivery(spec), *program)
+        assert diverged == []
+        # The bursts took every hot link through three refills
+        # (16 -> 64 -> 256 -> 1024 outcomes drawn).
+        assert min(model._drawn[(0, r)] for r in _OTHERS[0]) == 1024
+
+    @pytest.mark.parametrize(
+        "model", [_ShortReplayLossy(0.3, delay=2), _ShortReplayBounded(4)],
+        ids=["loss", "bounded"],
+    )
+    def test_a_replay_one_outcome_short_is_caught(self, model):
+        diverged, _ = _divergences(model, 7, [], [("burst",)])
+        assert diverged
+
+    def test_links_hold_outcomes_not_streams(self):
+        """Ten draws on each of n = 64's 4,032 links stay under 512 B a
+        link (a live ``random.Random`` alone is ~2.5 KiB), and the
+        pickled model carries no stream."""
+        model = LossyDelivery(0.2)
+        model.bind(_Bind(0))
+        envelopes = [Envelope(s, r, "x", 0) for s in range(64) for r in range(64) if s != r]
+        tracemalloc.start()
+        try:
+            for tick in range(10):
+                for envelope in envelopes:
+                    model.arrival_tick(envelope, tick)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(envelopes) * 512
+        assert "random Random" in _pickled_globals(pickle.dumps(random.Random(0)))
+        assert "random Random" not in _pickled_globals(pickle.dumps(model))
 
 
 class TestAdversarialOrder:

@@ -30,6 +30,7 @@ from repro.harness import (
     sweep,
     sweep_prefix_shared,
 )
+from repro.harness.workloads import resolve_workload
 from repro.sim import (
     COLUMNAR_ENGINE,
     OBJECT_ENGINE,
@@ -306,7 +307,8 @@ class TestStreamsBuiltOnFirstRead:
         """A checkpoint written when every slot built its stream at setup
         and every store its level dicts at construction — slots without an
         identity, empty level dicts — resumes into the straight run (why
-        ``SNAPSHOT_VERSION`` stays 2)."""
+        building streams on first read needed no ``SNAPSHOT_VERSION``
+        bump)."""
         straight = noise_mux_kernel().run()
         runner = noise_mux_kernel()
         assert runner.run(until_tick=tick) is None
@@ -324,6 +326,34 @@ class TestStreamsBuiltOnFirstRead:
                             table.setdefault(level, {})
         resumed = restore_kernel(capture_kernel(runner))
         assert observables(resumed.run()) == observables(straight)
+
+
+class TestResumeAtEveryTick:
+    """Every tick boundary of one lossy, jittered E13 point is a
+    checkpoint that crosses the file format and resumes into the straight
+    run.  The point is long enough for every live link to refill its
+    draw-ahead outcomes twice, so checkpoints fall before, between and
+    after refills."""
+
+    POINT = dict(
+        n=7, t=2, delivery="loss:0.2:2", protocol="timeout", faulty=1, seed=5,
+        timeout=68,
+    )
+
+    def test_every_tick_resumes_into_the_straight_run(self, tmp_path):
+        point = resolve_workload("e13-timeout-fd")
+        straight = point(**self.POINT)
+        prefix = point(**self.POINT, checkpoint_at=0)
+        runner = restore_kernel(prefix)
+        for tick in range(straight["rounds"]):
+            assert runner.run(until_tick=tick) is None
+            path = save_snapshot(
+                capture_kernel(runner, extras=prefix.extras), tmp_path / "at.ckpt"
+            )
+            resumed = point(**self.POINT, resume_from=load_snapshot(path))
+            assert resumed == straight, f"resume at tick {tick} diverged"
+        # 16 -> 64 -> 256 outcomes drawn: two refills on every live link.
+        assert min(runner._delivery._drawn.values()) == 256
 
 
 class TestTraceContinuity:
@@ -591,22 +621,24 @@ class TestSnapshotFiles:
             load_snapshot(path)
 
     def test_version_1_snapshot_refused_by_name(self, tmp_path):
-        """Version 1 predates the succinct EIG store's run columns: such
-        a snapshot must be refused up front with the named version error
-        — in memory and from disk — not resumed into an
-        ``AttributeError`` at the first resolve."""
-        assert SNAPSHOT_VERSION == 2
+        """Version 1 predates the succinct EIG store's run columns, and
+        version 2 holds live ``random.Random`` link streams where links
+        now hold draw-ahead outcomes: such a snapshot must be refused up
+        front with the named version error — in memory and from disk —
+        not resumed into an ``AttributeError``."""
+        assert SNAPSHOT_VERSION == 3
         runner = EventKernel(make_oral_agreement_protocols(7, 2, "v"), seed=0)
         runner.run(until_tick=2)
-        stale = dataclasses.replace(runner.snapshot(), version=1)
-        with pytest.raises(ConfigurationError, match="snapshot version 1 does not"):
-            restore_kernel(stale)
-        with pytest.raises(ConfigurationError, match="snapshot version 1 does not"):
-            EventKernel.resume(stale)
-        path = tmp_path / "v1.ckpt"
-        path.write_bytes(pickle.dumps(stale))
-        with pytest.raises(ConfigurationError, match="has snapshot version 1,"):
-            load_snapshot(path)
+        for version in (1, 2):
+            stale = dataclasses.replace(runner.snapshot(), version=version)
+            with pytest.raises(ConfigurationError, match=f"snapshot version {version} does not"):
+                restore_kernel(stale)
+            with pytest.raises(ConfigurationError, match=f"snapshot version {version} does not"):
+                EventKernel.resume(stale)
+            path = tmp_path / f"v{version}.ckpt"
+            path.write_bytes(pickle.dumps(stale))
+            with pytest.raises(ConfigurationError, match=f"has snapshot version {version},"):
+                load_snapshot(path)
 
 
 class TestCheckpointPolicy:

@@ -256,6 +256,12 @@ class TestDeliveryKnob:
         for name in ("bounded", "loss", "partition", "rush", "sync"):
             assert name in err
 
+    def test_extra_delivery_field_exits_2(self, capsys):
+        """A field beyond the spec grammar is refused, not dropped."""
+        spec = "loss:0.2:2:9"
+        assert main(["fd", "--n", "5", "--t", "1", "--delivery", spec]) == 2
+        assert repr(spec) in capsys.readouterr().err
+
     def test_keydist_accepts_delivery_spec(self, capsys):
         assert main(
             ["keydist", "--n", "5", "--scheme", "simulated-hmac",
