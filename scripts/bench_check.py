@@ -75,13 +75,16 @@ def compare_counts(baseline: dict, fresh: dict) -> tuple[list[str], list[str]]:
 def memory_probes() -> dict[str, Callable[[], Any]]:
     """The tracemalloc-gated workloads: the succinct EIG tree's peaks must
     stay flat as the oral grid grows (PERFORMANCE.md tabulates them
-    against the dict-of-paths formulation's)."""
-    from repro.harness.workloads import oral_point
+    against the dict-of-paths formulation's), and n concurrent OM(t)
+    instances must build no path table.  The mux probe pins its engine:
+    the whole-ledger CI pass runs under ``REPRO_MUX_ENGINE=object``."""
+    from repro.harness.workloads import akd_point, oral_point
 
     return {
         "oral_succinct_n32_t3": lambda: oral_point(32, 3, seed=1),
         "oral_succinct_n64_t3": lambda: oral_point(64, 3, seed=1),
         "oral_succinct_n128_t3": lambda: oral_point(128, 3, seed=1),
+        "akd_succinct_n32_t3": lambda: akd_point(32, 3, seed=1, engine="columnar"),
     }
 
 

@@ -8,6 +8,12 @@ hoists the enumeration into one memoized table shared across all
 :class:`~repro.agreement.oral.OralAgreementProtocol` instances in the
 process.
 
+Only degraded runs build path tables: the dense-item ingest's membership
+set, a multi-run report's encode and the resolve sweep's last-id columns
+read them.  The per-level wire sizes every report is accounted at are
+counted in closed form (:func:`level_wire_stats`, O(n) per level, also
+memoized), so a failure-free run never enumerates a path.
+
 Determinism invariant: the enumeration order is the canonical order of the
 seed code (extend each path by candidate node ids in ascending order), so
 every node iterates paths identically and report payloads stay
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
+from math import perm
 from typing import NamedTuple
 
 from ..types import NodeId
@@ -108,7 +115,8 @@ class LevelWireStats(NamedTuple):
 
     Lets the succinct engine account a run-length report at its *dense
     equivalent* byte size in O(#runs), without materializing the dense
-    item list: the encoding is additive (tag + varint length + item
+    item list or the level's paths (:func:`level_wire_stats` counts them
+    in closed form): the encoding is additive (tag + varint length + item
     encodings), so the byte total of "every level-``length`` path not
     containing ``q``" is ``path_bytes - path_bytes_with[q]``.
 
@@ -132,38 +140,43 @@ class LevelWireStats(NamedTuple):
         return self.path_bytes - self.path_bytes_with[node]
 
 
+def _perm(m: int, k: int) -> int:
+    """Ordered choices of ``k`` of ``m`` items; 0 where none exist."""
+    return perm(m, k) if m >= 0 and k >= 0 else 0
+
+
 @lru_cache(maxsize=None)
 def level_wire_stats(n: int, sender: NodeId, length: int) -> LevelWireStats:
-    """Wire-size aggregates for ``paths_of_length(n, sender, length)``.
+    """Wire-size aggregates for ``paths_of_length(n, sender, length)``,
+    counted in O(n) without enumerating a path.
 
-    Enumerates the level exactly once per process.  Only report levels
-    (length <= t) ever need these; the exponential leaf level ``t + 1`` is
-    never passed here by the engine.
+    A level-``L`` path is the sender followed by an ordered choice of
+    ``L - 1`` distinct other ids, and the canonical encoding is additive
+    (container = tag + varint length + item encodings), so a path's size
+    is ``header + sum(id_size)``.  Each non-sender id then lies on ``w1 =
+    (L-1)·P(n-2, L-2)`` paths and each pair of them on ``w2 =
+    (L-1)(L-2)·P(n-3, L-3)``, which gives every field from ``others``,
+    the non-sender ids' size total.  An absurd ``length`` costs nothing:
+    its counts are zero.
     """
     from ..crypto.encoding import byte_size, uvarint_size
 
-    # The canonical encoding is additive (container = tag + varint length
-    # + item encodings), so a path's size is the tuple header plus its
-    # ids' scalar sizes — n scalar encodes total instead of one full
-    # tuple encode per path, which matters at n=128 where the report
-    # levels hold ~16k paths per sender.
     id_size = [byte_size(node) for node in range(n)]
     header = 1 + uvarint_size(length)
-    count_with = [0] * n
-    path_bytes_with = [0] * n
-    total = 0
-    paths = paths_of_length(n, sender, length)
-    for path in paths:
-        size = header
-        for node in path:
-            size += id_size[node]
-        total += size
-        for node in path:
-            count_with[node] += 1
-            path_bytes_with[node] += size
+    k = length - 1
+    count = _perm(n - 1, k)
+    w1 = k * _perm(n - 2, k - 1)
+    w2 = k * (k - 1) * _perm(n - 3, k - 2)
+    others = sum(id_size) - id_size[sender]
+    own = header + id_size[sender]
+    path_bytes = count * own + w1 * others
+    count_with = [w1] * n
+    path_bytes_with = [w1 * (own + size) + w2 * (others - size) for size in id_size]
+    count_with[sender] = count
+    path_bytes_with[sender] = path_bytes
     return LevelWireStats(
-        count=len(paths),
-        path_bytes=total,
+        count=count,
+        path_bytes=path_bytes,
         count_with=tuple(count_with),
         path_bytes_with=tuple(path_bytes_with),
     )

@@ -38,7 +38,8 @@ metrics layer accounts an :class:`RleReport` at
 :meth:`RleReport.dense_byte_size` — the exact canonical-encoding size of
 the ``(OM_REPORT, ((path, value), ...))`` payload it stands for —
 computed in O(#runs) from the additive encoding and the per-level
-aggregates in :func:`repro.agreement._paths.level_wire_stats`.
+aggregates in :func:`repro.agreement._paths.level_wire_stats`, which
+counts them in closed form without enumerating the level's paths.
 ``tests/agreement/test_eigtree.py`` enforces the equivalence property
 against the reference protocol under random Byzantine behaviour.
 
@@ -157,11 +158,11 @@ class RleReport:
     mis-parse them as dense items.
 
     The dense-equivalent size is computed *at construction* (the honest
-    encoder has just built the level aggregates anyway) so that reading
-    the byte meters later is a field access: a crafted report with
-    absurd ``(n, level)`` fields pays its own enumeration cost in the
-    constructing protocol's round, never in the metrics settle of every
-    other node's run result.
+    encoder has just read the level aggregates anyway) so that reading
+    the byte meters later is a field access.  The aggregates are counted,
+    not enumerated, so a crafted report with absurd ``(n, level)`` fields
+    costs O(n) to build; its ``item_count`` then fails every receiver's
+    validity check.
     """
 
     __slots__ = ("n", "sender", "level", "exclude", "runs", "item_count", "_dense_size")

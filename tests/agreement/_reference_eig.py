@@ -7,15 +7,20 @@ recursion as the paper writes it.  It shares no code with
 majority helper — which is its whole value: the whole-run properties in
 ``test_eigtree.py`` check the succinct store, the run-length wire form
 and ``resolve_sweep`` against something that contains none of them.  It
-must not be "improved".
+must not be "improved".  :func:`reference_level_wire_stats` is the same
+kind of oracle for the wire-size aggregates: it enumerates the paths the
+closed form in ``repro.agreement._paths`` only counts.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from functools import lru_cache
+from itertools import chain, permutations
 from typing import Any
 
 from repro.agreement.problem import DEFAULT_VALUE
+from repro.crypto.encoding import byte_size, uvarint_size
 from repro.sim import Envelope, NodeContext, Protocol
 
 OM_VALUE = "om-value"
@@ -30,6 +35,33 @@ def reference_paths(n, sender, length):
     for _ in range(length - 1):
         paths = [p + (node,) for p in paths for node in range(n) if node not in p]
     return tuple(paths)
+
+
+def reference_level_wire_stats(n, sender, length):
+    """``(count, path_bytes, count_with, path_bytes_with)`` of the
+    level-``length`` paths, summed path by path: the enumeration that
+    :func:`repro.agreement._paths.level_wire_stats` counts in closed form.
+    A path's size is its tuple header plus its ids' sizes (the canonical
+    encoding is additive); paths are bucketed by size so the per-id tally
+    of each bucket is one ``Counter`` pass."""
+    id_size = [byte_size(node) for node in range(n)]
+    own = 1 + uvarint_size(length) + id_size[sender]
+    by_size = defaultdict(list)
+    others = [node for node in range(n) if node != sender]
+    for tail in permutations(others, length - 1):
+        by_size[own + sum(map(id_size.__getitem__, tail))].append(tail)
+    count_with = [0] * n
+    path_bytes_with = [0] * n
+    count = total = 0
+    for size, tails in by_size.items():
+        count += len(tails)
+        total += size * len(tails)
+        for node, held in Counter(chain.from_iterable(tails)).items():
+            count_with[node] += held
+            path_bytes_with[node] += held * size
+    count_with[sender] = count
+    path_bytes_with[sender] = total
+    return count, total, tuple(count_with), tuple(path_bytes_with)
 
 
 def reference_majority(children, default):

@@ -10,6 +10,7 @@ for honest runs and under arbitrary Byzantine behaviour.
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +146,17 @@ class TestRleRoundTrip:
         # Mismatched shape fields (crafted n).
         bad = RleReport(n + 1, 0, 1, 2, ((1, "x"),))
         ingest_rle(store, bad, relayer=2, me=1, round_=2)
+        assert store.stored_entries() == 0
+
+    def test_absurd_level_is_sized_instantly_and_filed_nowhere(self):
+        """A report claiming a level with ~10^16 (or no) paths is sized by
+        counting, not enumerating, and fails the item count on receipt."""
+        started = time.perf_counter()
+        reports = [RleReport(40, 0, level, 1, ((1, "x"),)) for level in (12, 60)]
+        assert time.perf_counter() - started < 1.0
+        store = SuccinctEigStore(40, 60, 0, "d")
+        for report in reports:
+            ingest_rle(store, report, relayer=1, me=2, round_=report.level + 1)
         assert store.stored_entries() == 0
 
 

@@ -6,17 +6,20 @@ from repro.agreement import _paths
 from repro.agreement._paths import (
     clear_path_tables,
     last_id_column,
+    level_wire_stats,
     path_index,
     path_set,
     path_table_info,
     paths_of_length,
 )
 from repro.agreement.eigtree import RleReport, SuccinctEigStore
+from repro.harness.workloads import akd_point
 from repro.sim import Envelope
 
 from ._reference_eig import (
     OM_REPORT,
     ReferenceOralProtocol,
+    reference_level_wire_stats,
     reference_paths,
     reference_resolve,
 )
@@ -104,6 +107,53 @@ class TestTableProperties:
             for length in range(1, 5):
                 for index, path in enumerate(paths_of_length(n, sender, length)):
                     assert path_index(n, path) == index
+
+
+class TestLevelWireStatsClosedForm:
+    """``level_wire_stats`` counts what the oracle enumerates path by path."""
+
+    @staticmethod
+    def assert_matches(cases):
+        for n, sender, length in cases:
+            assert tuple(level_wire_stats(n, sender, length)) == (
+                reference_level_wire_stats(n, sender, length)
+            ), (n, sender, length)
+
+    def test_every_sender_and_length_of_small_n(self):
+        """Zero counts included: n < 3 lacks the pair term's ids, and a
+        length past n has no paths at all.  n = 9 takes its two end
+        senders only (all nine would enumerate ~1M paths)."""
+        self.assert_matches(
+            (n, sender, length)
+            for n in range(1, 10)
+            for sender in (range(n) if n < 9 else (0, n - 1))
+            for length in range(1, n + 2)
+        )
+
+    def test_multi_byte_ids(self):
+        """Ids from 64 up encode one byte longer: a short-id sender and a
+        long-id one."""
+        self.assert_matches(
+            (n, sender, length)
+            for n in (96, 300)
+            for sender in (0, n - 1)
+            for length in (1, 2, 3)
+        )
+
+    def test_ledger_levels(self):
+        """The small ledger's ``oral_n13_t3`` and ``akd_n7_t2`` levels."""
+        self.assert_matches(
+            (n, 0, length) for n, t in ((13, 3), (7, 2)) for length in range(1, t + 2)
+        )
+
+    def test_failure_free_accounting_builds_no_path_table(self):
+        """Sizing reports and a whole failure-free mux run build no path
+        table: the wire stats are counted, not enumerated."""
+        clear_path_tables()
+        level_wire_stats(96, 0, 3)
+        RleReport(96, 0, 3, 5, ((8930, "v"),))
+        akd_point(16, 3, seed=16)
+        assert paths_of_length.cache_info().currsize == 0
 
 
 class TestByzantineReportNoise:
