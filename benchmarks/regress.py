@@ -69,11 +69,8 @@ def _warm_twins(name: str, workload: str, counts: str, timeouts: tuple[int, ...]
             Row(f"{name}_straight", workload, points, counts)]
 
 
-#: The ledger keys of the recurring point shapes.  ``engine`` names the
-#: mux engine actually used (``REPRO_MUX_ENGINE``): :func:`run_suite`
-#: lifts it out of the gated counts, since engines must agree on every
-#: count and the label itself must never be compared as one.
-AKD = "messages bytes rounds instance_messages=instance_messages_max engine=engine_used"
+#: The ledger keys of the recurring point shapes.
+AKD = "messages bytes rounds instance_messages=instance_messages_max"
 ORAL = "messages bytes rounds"
 KERNEL = "messages rounds ticks"
 PARTITION = "messages drops decided"
@@ -92,8 +89,7 @@ _SMALL = [
     _one("oral_n13_t3", "oral", ORAL, n=13, t=3, seed=1),
     # The mux hot path at CI size: 7 concurrent OM(2) instances,
     # lock-step and under lossy-jittered / bounded-jitter calendars, so
-    # the quick gate exercises per-arrival bucketing on every PR (and,
-    # with REPRO_MUX_ENGINE=object, the object oracle too).
+    # the quick gate exercises per-arrival bucketing on every PR.
     _one("akd_n7_t2", "akd", AKD, n=7, t=2),
     _one("akd_loss_n7_t2", "akd", AKD, n=7, t=2, delivery="loss:0.2:2"),
     _one("akd_bounded2_n7_t2", "akd", AKD, n=7, t=2, delivery="bounded:2"),
@@ -176,8 +172,6 @@ _FULL = [
     # messaging-dominated — at t>=2 degraded delivery breaks EIG
     # level-unanimity and the resolve sweep joins the bill, which
     # ``akd_loss_n32_t2`` records once (n trees all resolving by sweep).
-    # CI's REPRO_MUX_ENGINE=object pass runs all of them on the object
-    # engine against the same counts.
     _one("akd_bounded3_n64_t1", "akd", AKD, n=64, t=1, delivery="bounded:3"),
     _one("akd_loss_n64_t1", "akd", AKD, n=64, t=1, delivery="loss:0.05:2"),
     _one("akd_loss_n32_t2", "akd", AKD, n=32, t=2, delivery="loss:0.05:2"),
@@ -235,14 +229,12 @@ def run_suite(small: bool) -> dict[str, Any]:
         counts = _measure(row)
         elapsed = time.perf_counter() - started
         entry: dict[str, Any] = {"counts": counts}
-        # The engine label and the snapshot size are provenance, not gated
-        # counts: columnar and object runs of one workload must agree on
-        # every *count*, and pickle byte counts can shift across Python
-        # versions without any behaviour change — so both live at the
-        # entry level, where the comparison never sees them.
-        for key in ("engine", "snapshot_bytes"):
-            if key in counts:
-                entry[key] = counts.pop(key)
+        # The snapshot size is provenance, not a gated count: pickle byte
+        # counts can shift across Python versions without any behaviour
+        # change — so it lives at the entry level, where the comparison
+        # never sees it.
+        if "snapshot_bytes" in counts:
+            entry["snapshot_bytes"] = counts.pop("snapshot_bytes")
         tags = "".join(f"  [{key} {entry[key]}]" for key in entry if key != "counts")
         print(f"  {row.name}: {counts}{tags}  ({elapsed:.2f}s)", flush=True)
         results[row.name] = entry

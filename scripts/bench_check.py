@@ -10,7 +10,7 @@ counts every point must reproduce bit-for-bit.  Two runs exist::
     python scripts/bench_check.py --refresh   # whole ledger, then rewrite
 
 ``--quick`` is what ``scripts/check.sh`` and CI run on every PR (CI also
-under ``REPRO_MUX_ENGINE=object`` and two ``PYTHONHASHSEED`` values).  The
+under two ``PYTHONHASHSEED`` values, and the whole ledger once).  The
 whole ledger adds the full-size section (the n=128 grid) and the
 tracemalloc probes of the succinct EIG tree, whose peaks may grow by at
 most :data:`MEMORY_THRESHOLD`.
@@ -76,15 +76,14 @@ def memory_probes() -> dict[str, Callable[[], Any]]:
     """The tracemalloc-gated workloads: the succinct EIG tree's peaks must
     stay flat as the oral grid grows (PERFORMANCE.md tabulates them
     against the dict-of-paths formulation's), and n concurrent OM(t)
-    instances must build no path table.  The mux probe pins its engine:
-    the whole-ledger CI pass runs under ``REPRO_MUX_ENGINE=object``."""
+    instances must build no path table."""
     from repro.harness.workloads import akd_point, oral_point
 
     return {
         "oral_succinct_n32_t3": lambda: oral_point(32, 3, seed=1),
         "oral_succinct_n64_t3": lambda: oral_point(64, 3, seed=1),
         "oral_succinct_n128_t3": lambda: oral_point(128, 3, seed=1),
-        "akd_succinct_n32_t3": lambda: akd_point(32, 3, seed=1, engine="columnar"),
+        "akd_succinct_n32_t3": lambda: akd_point(32, 3, seed=1),
     }
 
 

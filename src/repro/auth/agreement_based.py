@@ -94,7 +94,6 @@ def akd_byzantine_protocol(
     n: int,
     t: int,
     instances: Sequence[int],
-    engine: "str | None" = None,
 ) -> Protocol:
     """Build one Byzantine node behaviour from its picklable spec name.
 
@@ -116,7 +115,6 @@ def akd_byzantine_protocol(
                 for instance in instances
             },
             channel=AKD_CHANNEL,
-            engine=engine,
         )
     raise ConfigurationError(
         f"unknown byzantine kind {kind!r}; expected one of {BYZANTINE_KINDS}"
@@ -147,7 +145,6 @@ class AgreementKeyDistributionProtocol(Protocol):
         t: int,
         scheme: str = DEFAULT_SCHEME,
         instances: Sequence[int] | None = None,
-        engine: "str | None" = None,
     ) -> None:
         validate_fault_budget(t, n)
         if n <= 3 * t:
@@ -159,7 +156,6 @@ class AgreementKeyDistributionProtocol(Protocol):
         self._n = n
         self._t = t
         self._scheme_name = scheme
-        self._engine = engine
         self._instance_ids = validate_akd_instances(n, instances)
         self._keypair: KeyPair | None = None
         self._mux: InstanceMux | None = None
@@ -179,7 +175,7 @@ class AgreementKeyDistributionProtocol(Protocol):
             )
             for instance in self._instance_ids
         }
-        self._mux = InstanceMux(inner, channel=AKD_CHANNEL, engine=self._engine)
+        self._mux = InstanceMux(inner, channel=AKD_CHANNEL)
         self._host = PhaseHost(self._mux, offset=0)
 
     def on_round(self, ctx: NodeContext, inbox: list) -> None:
@@ -194,10 +190,6 @@ class AgreementKeyDistributionProtocol(Protocol):
                 directory.accept(instance, outcome.decision)
         ctx.state.outputs["directory"] = directory
         ctx.state.outputs["keypair"] = self._keypair
-        # The engine the mux actually ran (it may have fallen back from
-        # a columnar request) — surfaced per node so harness/bench
-        # layers can print it instead of guessing from configuration.
-        ctx.state.outputs["engine_used"] = self._mux.engine_used
         ctx.halt()
 
 
@@ -246,25 +238,8 @@ class AgreementKeyDistributionResult:
         """Rounds used by the slowest instance."""
         return self.run.metrics.rounds_used
 
-    @property
-    def engine_used(self) -> "str | None":
-        """The mux engine the correct nodes actually ran, or ``None``.
 
-        ``None`` only when no honest node finished (every node was an
-        adversary that publishes no ``engine_used`` output).  All honest
-        muxes of one run share a kernel, so the first published value is
-        the run's.
-        """
-        for state in self.run.states:
-            engine = state.outputs.get("engine_used")
-            if engine is not None:
-                return engine
-        return None
-
-
-def _akd_behavior_builder(
-    n: int, instance_ids: Sequence[int], engine: "str | None" = None
-):
+def _akd_behavior_builder(n: int, instance_ids: Sequence[int]):
     """Adversary-plane builder reinterpreting ``noise`` for the mux.
 
     AKD's noise adversary must live *inside* an :class:`InstanceMux` on
@@ -275,7 +250,7 @@ def _akd_behavior_builder(
 
     def build(node: NodeId, behavior: Behavior, inner, t: int):
         if behavior.kind == "noise":
-            return akd_byzantine_protocol("noise", n, t, instance_ids, engine=engine)
+            return akd_byzantine_protocol("noise", n, t, instance_ids)
         return None
 
     return build
@@ -289,7 +264,6 @@ def run_agreement_key_distribution(
     adversary: "str | AdversarySpec | Mapping[NodeId, str | Behavior] | None" = None,
     instances: Sequence[int] | None = None,
     delivery: "str | None" = None,
-    engine: "str | None" = None,
 ) -> AgreementKeyDistributionResult:
     """Distribute all n public keys via n concurrent OM(t) instances.
 
@@ -307,27 +281,19 @@ def run_agreement_key_distribution(
         run is the default.
     :param delivery: optional delivery model or spec for the run (see
         :func:`repro.sim.make_delivery`); default lock-step.
-    :param engine: mux execution engine (``"columnar"`` / ``"object"``
-        reference path; ``None`` = the process default, see
-        :func:`repro.sim.default_mux_engine`) — an execution-strategy
-        knob with bit-for-bit identical observables, threaded to every
-        mux of the run (honest nodes and noise adversaries alike).  The
-        result's ``engine_used`` reports what actually ran.
     :raises ConfigurationError: when ``n <= 3t`` — the feasibility boundary
         the paper contrasts local authentication against — or when the
         adversary names a node twice or exceeds the fault budget.
     """
     instance_ids = validate_akd_instances(n, instances)
     protocols: list[Protocol] = [
-        AgreementKeyDistributionProtocol(
-            n, t, scheme, instances=instance_ids, engine=engine
-        )
+        AgreementKeyDistributionProtocol(n, t, scheme, instances=instance_ids)
         for _ in range(n)
     ]
     spec = make_adversary(adversary, t=t)
     if spec is not None:
         protocols = spec.protocols_for(
-            protocols, builder=_akd_behavior_builder(n, instance_ids, engine=engine)
+            protocols, builder=_akd_behavior_builder(n, instance_ids)
         )
         if delivery is None:
             delivery = spec.delivery

@@ -150,14 +150,14 @@ class _InterceptingContext:
         payload: Any,
         to: list[NodeId] | None = None,
     ) -> int:
-        # A columnar mux under this lens loses the batch fast path by
+        # A mux under this lens loses the batch fast path by
         # construction: the filter's contract is per-message, so the
-        # batch send is re-materialised as the per-recipient wrapped
-        # sends the object engine would have made (same wrapper object
-        # shared across recipients, so byte metering still deduplicates
-        # by identity).  Without this override the batch record would
-        # slip past the filter via ``__getattr__`` and a tampered
-        # columnar run would diverge from the object oracle.
+        # batch send is re-materialised as per-recipient wrapped sends
+        # (same wrapper object shared across recipients, so byte
+        # metering still deduplicates by identity).  Without this
+        # override the batch record would slip past the filter via
+        # ``__getattr__`` and a tampered mux would diverge from the
+        # per-envelope reference.
         from ..sim.message import mux_wrap
 
         recipients = self._ctx.others() if to is None else list(to)

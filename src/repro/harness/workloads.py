@@ -38,7 +38,7 @@ from ..auth import (
 from ..errors import ConfigurationError
 from ..faults import AdversarySpec, SilentProtocol, TamperingProtocol, make_adversary
 from ..fd.smallrange import OptimisticBinaryChainProtocol
-from ..sim import KernelSnapshot, default_mux_engine, run_protocols
+from ..sim import KernelSnapshot, run_protocols
 from .runner import GLOBAL, LOCAL, run_ba_scenario, run_fd_scenario
 from .scenarios import attack_catalogue
 from .session import AmortizedSession
@@ -905,7 +905,6 @@ def akd_shard_point(
     instances: tuple[int, ...] | None = None,
     adversary: "str | None" = None,
     delivery: "str | None" = None,
-    engine: "str | None" = None,
 ) -> dict[int, Any]:
     """One shard of an agreement-based key-distribution mux run.
 
@@ -927,7 +926,6 @@ def akd_shard_point(
         adversary=adversary,
         instances=instances,
         delivery=delivery,
-        engine=engine,
     )
     return result.per_instance
 
@@ -945,7 +943,6 @@ def akd_point(
     shard_workers: int = 0,
     adversary: "str | None" = None,
     delivery: "str | None" = None,
-    engine: "str | None" = None,
 ) -> dict[str, Any]:
     """One agreement-based key-distribution run: per-instance counts.
 
@@ -953,14 +950,9 @@ def akd_point(
     executor (:func:`repro.harness.parallel.run_mux_shards`); the counts
     are shard-invariant by the mux equivalence property, so the flat
     result is identical either way — only wall-clock and peak memory
-    change.  ``engine`` picks the mux execution engine (``None`` = the
-    process default, columnar unless ``REPRO_MUX_ENGINE`` overrides);
-    counts are engine-invariant likewise, and ``engine_used`` in the
-    result reports the engine that actually ran (so silent fallback to
-    the object oracle is visible in every sweep row).  ``delivery``
-    accepts any deterministic-calendar spec (``bounded:3``,
-    ``loss:0.05:2``, ``partition:...``) — the arrival-columned batch
-    plane keeps the columnar engine engaged on all of them.
+    change.  ``delivery`` accepts any deterministic-calendar spec
+    (``bounded:3``, ``loss:0.05:2``, ``partition:...``); the mux rides
+    the batch plane on all of them.
     """
     run = {
         "n": n,
@@ -969,7 +961,6 @@ def akd_point(
         "scheme": scheme,
         "adversary": adversary,
         "delivery": delivery,
-        "engine": engine,
     }
     if shard_workers and shard_workers > 1:
         from .parallel import run_mux_shards
@@ -977,14 +968,8 @@ def akd_point(
         per_instance = run_mux_shards(
             "akd-shard", run, range(n), workers=shard_workers
         )
-        # Shard workers run in other processes; all resolve the same
-        # configured engine, and none of these runs records, so the
-        # resolution is the engine used.
-        engine_used = default_mux_engine() if engine is None else engine
     else:
-        result = run_agreement_key_distribution(**run)
-        per_instance = result.per_instance
-        engine_used = result.engine_used
+        per_instance = run_agreement_key_distribution(**run).per_instance
     messages = [agg.messages for agg in per_instance.values()]
     byte_counts = [agg.bytes for agg in per_instance.values()]
     agreed = all(
@@ -1004,5 +989,6 @@ def akd_point(
         "instance_bytes_min": min(byte_counts),
         "instance_bytes_max": max(byte_counts),
         "agreed": agreed,
-        "engine_used": engine_used,
+        # Kept for benchmarks/e2e/, which promises "columnar" on the mux workloads.
+        "engine_used": "columnar",
     }

@@ -15,16 +15,11 @@ from .kernel import EventKernel, RunResult, run_protocols
 from .message import Envelope, mux_unwrap, mux_wrap, payload_kind
 from .metrics import Metrics
 from .multiplex import (
-    COLUMNAR_ENGINE,
-    DEFAULT_MUX_ENGINE,
-    MUX_ENGINE_ENV,
     MUX_OUTCOMES,
-    OBJECT_ENGINE,
     InstanceAggregate,
     InstanceMux,
     InstanceOutcome,
     collect_instances,
-    default_mux_engine,
     merge_instance_aggregates,
 )
 from .network import (
@@ -59,9 +54,7 @@ __all__ = [
     "BatchPlane",
     "BatchRecord",
     "BoundedDelay",
-    "COLUMNAR_ENGINE",
     "ChannelBatch",
-    "DEFAULT_MUX_ENGINE",
     "DELIVERY_MODELS",
     "DeliveryModel",
     "Envelope",
@@ -71,10 +64,8 @@ __all__ = [
     "InstanceOutcome",
     "KernelSnapshot",
     "LossyDelivery",
-    "MUX_ENGINE_ENV",
     "MUX_OUTCOMES",
     "Metrics",
-    "OBJECT_ENGINE",
     "PartitionedDelivery",
     "NodeContext",
     "NodeState",
@@ -90,7 +81,6 @@ __all__ = [
     "capture_kernel",
     "clear_checkpoint_policy",
     "collect_instances",
-    "default_mux_engine",
     "instance_rng",
     "load_snapshot",
     "make_delivery",

@@ -16,23 +16,25 @@ per-envelope chain with *batch records*:
   :class:`ChannelBatch` groups — parallel ``senders[]`` / ``payloads[]``
   / ``targets[]`` arrays that every consuming node *shares* read-only,
   filtering by recipient mask instead of materialising inboxes;
-* consumers (an :class:`~repro.sim.multiplex.InstanceMux` running its
-  ``"columnar"`` engine) register per channel; traffic addressed to
-  non-consumers is materialised back into ordinary wrapped envelopes, so
-  plain protocols, Byzantine behaviours and mixed object/columnar runs
-  keep exact object-path semantics.
+* consumers (every :class:`~repro.sim.multiplex.InstanceMux`) register
+  per channel; traffic addressed to non-consumers is materialised back
+  into ordinary wrapped envelopes, so plain protocols, Byzantine
+  behaviours and per-envelope muxes beside the plane keep exact
+  per-envelope semantics.
 
 Equivalence contract
 --------------------
-The plane is an execution-engine choice, never a semantics choice: runs
-with and without it are bit-for-bit identical in decisions, per-instance
-outcomes and every metrics counter (``tests/sim/test_batch.py``
-property-tests this under random Byzantine behaviour, lossy delivery and
-adaptive adversaries).  The ingredients:
+The plane is an execution strategy, never a semantics choice: a run on
+it is bit-for-bit identical to one of per-envelope muxes in decisions,
+per-instance outcomes, every metrics counter, trace events and views
+(``tests/sim/test_batch.py`` property-tests this against the reference
+mux in ``tests/sim/_reference_mux.py`` under random Byzantine
+behaviour, every delivery family and adaptive adversaries).  The
+ingredients:
 
 * **ordering** — each arrival tick's calendar bucket holds records (and
   plain envelopes) in emission order, and groups are filed in bucket
-  order, so group arrays replay the object path's per-inbox arrival
+  order, so group arrays replay the per-envelope per-inbox arrival
   order exactly — even under jittered calendars, where one bucket mixes
   emissions from several earlier ticks.  On the general event path the
   plane also *captures* plain wrapped envelopes addressed to consumers
@@ -44,12 +46,17 @@ adaptive adversaries).  The ingredients:
   delivery-lag charge exactly, whatever the jitter.
 * **loss/jitter** — :meth:`~repro.sim.network.DeliveryModel.batch_arrivals`
   draws per-recipient latency and drop decisions in the same per-link
-  stream order as the object path's per-envelope ``arrival_tick`` calls,
+  stream order as the per-envelope ``arrival_tick`` calls,
   so the arrival schedule (and every drop counter) reproduces exactly.
-* **recording** — the kernel disables the plane whenever views or traces
-  are recorded, so observability always sees real envelopes.  Models
-  whose arrivals depend on in-flight context (rushing) are not
-  ``batch_capable`` and stay on the object path too.
+* **rushing** — a copy the model schedules for the current tick
+  (:class:`~repro.sim.network.AdversarialOrder`) is filed plain into
+  its recipient's inbox, as the per-envelope path files it; the mux
+  splices it in after the group's earlier rounds.
+* **recording** — a trace logs one send or drop per copy at enqueue
+  (and one drop per copy of a record parked past the run's end), and a
+  consumer's recorded view holds its group entries re-wrapped
+  (:meth:`BatchPlane.wrapped_for`), so observing a run never changes
+  its path.
 
 Consumer registration is snapshotted at each tick's delivery drain:
 a node that registers mid-tick (the lazy ``PhaseHost`` setup on its
@@ -63,7 +70,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from ..types import NodeId, Round
-from .message import Envelope, mux_unwrap
+from .message import Envelope, mux_unwrap, mux_wrap
 
 if TYPE_CHECKING:
     from .kernel import EventKernel
@@ -126,6 +133,16 @@ class BatchRecord:
             return 1
         return len(target)
 
+    def envelopes(self, n: int) -> list[Envelope]:
+        """The plain wrapped copies this record stands for, in recipient
+        order — what the per-envelope path would have filed."""
+        target, sender = self.target, self.sender
+        if target is None:
+            target = [node for node in range(n) if node != sender]
+        elif type(target) is int:
+            target = [target]
+        return [Envelope(sender, node, self.wrapped, self.round_sent) for node in sorted(target)]
+
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (
             f"BatchRecord({self.channel}/{self.instance} from {self.sender} "
@@ -166,15 +183,32 @@ class ChannelBatch:
     def __len__(self) -> int:
         return len(self.senders)
 
+    def envelopes_for(self, me: NodeId) -> list[Envelope]:
+        """The entries addressed to node ``me``, as inner-payload envelopes.
+
+        In the group's arrival order, each stamped with its entry's
+        emission round from the ``rounds[]`` column: exactly the
+        per-instance inbox a per-envelope demux would have built, under
+        lock-step and jittered calendars alike.
+        """
+        return [
+            Envelope(sender, me, payload, round_sent)
+            for sender, payload, target, round_sent in zip(
+                self.senders, self.payloads, self.targets, self.rounds
+            )
+            if (
+                sender != me if target is None
+                else target == me if type(target) is int
+                else me in target
+            )
+        ]
+
 
 class BatchPlane:
     """The kernel's per-tick batch buffer and consumer registry.
 
-    Created by the kernel only when the delivery model is
-    ``batch_capable`` and no views/trace are being recorded; the mux's
-    columnar engine probes for it via
-    :meth:`~repro.sim.node.NodeContext.register_batch_consumer` and
-    falls back to the object path when absent.
+    Every kernel owns one; a mux joins it through
+    :meth:`~repro.sim.node.NodeContext.register_batch_consumer`.
     """
 
     __slots__ = ("_n", "_consumers", "_snapshot", "_outsiders", "_groups", "used")
@@ -223,8 +257,8 @@ class BatchPlane:
         """File one arriving record: group it for consumers, materialise
         plain envelopes for everyone else, account deliveries in bulk.
 
-        ``metrics`` is ``None`` on the lock-step path (where the object
-        path records no deliveries either); on the general path the bulk
+        ``metrics`` is ``None`` on the lock-step path (where plain
+        envelopes record no deliveries either); on the general path the bulk
         charge passes the record's emission round so the delivery-lag
         accumulator stays exact under jittered calendars (the charge is
         zero on next-tick arrivals, matching the pre-jitter counts).
@@ -283,10 +317,10 @@ class BatchPlane:
         by hand) whose recipient is a snapshot consumer and whose payload
         parses as that channel's mux wrapper is appended to the group
         arrays *at its calendar position*, so the consumer sees exactly
-        the object path's per-inbox arrival order without any
+        the per-envelope per-inbox arrival order without any
         sender-sorted merge heuristics (which are only valid lock-step).
         Returns ``False`` — deliver it plain — for non-consumers and
-        malformed wrappers; the object-path demux would treat the latter
+        malformed wrappers; the mux's demux would treat the latter
         as noise for no instance, and an unparsed envelope in a plain
         inbox reproduces that exactly.
         """
@@ -313,6 +347,18 @@ class BatchPlane:
                 metrics.record_deliveries(tick, 1, envelope.round_sent)
             return True
         return False
+
+    def wrapped_for(self, node: NodeId) -> list[Envelope]:
+        """This tick's group entries addressed to ``node``, re-wrapped in
+        their channel's mux extension: the plain envelopes the node
+        would have received had it not been a consumer (what a recorded
+        view holds beside the node's plain inbox)."""
+        return [
+            Envelope(env.sender, node, mux_wrap(channel, instance, env.payload), env.round_sent)
+            for channel, members in self._snapshot.items() if node in members
+            for instance, group in self._groups.get(channel, _EMPTY_GROUPS).items()
+            for env in group.envelopes_for(node)
+        ]
 
     def groups_for(self, channel: str, node: NodeId) -> "dict[int, ChannelBatch] | None":
         """This tick's groups for a consumer, or ``None`` when ``node``

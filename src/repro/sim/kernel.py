@@ -39,7 +39,10 @@ or a trace adds what the pass *keeps*, never a second pass.  Plain
 traffic enters at one site too: :meth:`EventKernel.enqueue` takes a
 *logical send* (``ctx.send`` is the one-recipient ``ctx.broadcast``),
 charges it once, and does per copy only what differs per copy — the
-envelope, the model's arrival tick, the filing.  Lock-step
+envelope, the model's arrival tick, the filing.  Mux traffic enters at
+:meth:`EventKernel.enqueue_batch`, which makes the same charge, trace
+events, drops and same-tick filing (one causality check serves both)
+and files the later copies as batch records.  Lock-step
 models vary exactly one thing: the arrivals come from the single pending
 list instead of a calendar bucket, and the drain's ``metrics`` is
 ``None`` — every arrival is "next tick" at zero lag, so no delivery is
@@ -174,25 +177,9 @@ class EventKernel:
         # (seq) order.  Buckets are appended in ascending seq, so popping
         # a bucket yields (tick, seq)-ordered deliveries without sorting.
         self._calendar: dict[Round, list[Envelope]] = {}
-        # Columnar batch plane (structure-of-arrays mux delivery): only
-        # when the model can price whole batch sends deterministically
-        # (batch_arrivals) and nothing is observing per-envelope events.
-        # Recording runs fall back to the object path wholesale, which
-        # doubles as the live oracle.  When disabled, the reason is kept
-        # for the mux to surface (see InstanceMux.fallback_reason).
-        if record_views or self._trace is not None:
-            self._batch_disabled_reason: str | None = (
-                "recording is on (views/trace observe per-envelope events)"
-            )
-        elif not getattr(self._delivery, "batch_capable", False):
-            self._batch_disabled_reason = (
-                f"delivery model {self._delivery.name!r} is not batch-capable"
-            )
-        else:
-            self._batch_disabled_reason = None
-        self._batch: BatchPlane | None = (
-            BatchPlane(self) if self._batch_disabled_reason is None else None
-        )
+        # Columnar batch plane (structure-of-arrays mux delivery): the one
+        # path for mux traffic, under every model and with recording on.
+        self._batch = BatchPlane(self)
         # Persistent inboxes for the general path (same-tick rushing
         # deliveries append here mid-tick); freshly rebuilt per tick on
         # the lock-step path.
@@ -241,21 +228,9 @@ class EventKernel:
         return self._trace
 
     @property
-    def batch_plane(self) -> BatchPlane | None:
-        """The columnar batch plane, or ``None`` when this run cannot
-        batch (recording on, or the delivery model not batch-capable).
-        Consumers probe this via the context API and fall back to the
-        object path when absent."""
+    def batch_plane(self) -> BatchPlane:
+        """The columnar batch plane that carries every mux's traffic."""
         return self._batch
-
-    @property
-    def batch_fallback_reason(self) -> str | None:
-        """Why this run cannot batch, or ``None`` when it can.
-
-        The human-readable half of :attr:`batch_plane` — the mux records
-        it on fallback so "silently slower" becomes a visible,
-        warnable condition (see ``InstanceMux.fallback_reason``)."""
-        return self._batch_disabled_reason
 
     def others(self, sender: NodeId) -> list[NodeId]:
         """Every node id but ``sender``'s, ascending: the default fan-out
@@ -320,20 +295,29 @@ class EventKernel:
                     bucket = calendar[arrival] = []
                 bucket.append(envelope)
                 continue
-            if arrival < tick or self._acted_at[recipient] == tick:
-                raise SimulationError(
-                    f"delivery model {self._delivery.name!r} scheduled an envelope "
-                    f"from {sender} to {recipient} into the past "
-                    f"(arrival {arrival}, tick {tick})"
-                )
-            # Legal same-tick (rushing) delivery: the recipient acts later
-            # this tick and will see the envelope in its current inbox.
+            self._deliver_now(envelope, arrival)
             rushed += 1
-            self._inboxes[recipient].append(envelope)
         if dropped:
             metrics.record_drops(sender, tick, dropped)
         if rushed:
             metrics.record_deliveries(tick, rushed, tick)
+
+    def _deliver_now(self, envelope: Envelope, arrival: Round) -> None:
+        """File a copy the model scheduled for the current tick.
+
+        Legal only for a recipient that acts later this tick (the
+        rushing window): it then sees the envelope in its current inbox.
+        Anything else is a delivery into the past and raises.
+        """
+        tick = self.tick
+        recipient = envelope.recipient
+        if arrival < tick or self._acted_at[recipient] == tick:
+            raise SimulationError(
+                f"delivery model {self._delivery.name!r} scheduled an envelope "
+                f"from {envelope.sender} to {recipient} into the past "
+                f"(arrival {arrival}, tick {tick})"
+            )
+        self._inboxes[recipient].append(envelope)
 
     def enqueue_batch(
         self,
@@ -346,15 +330,16 @@ class EventKernel:
         """Accept one logical mux broadcast as batch records.
 
         The columnar counterpart of :meth:`enqueue`: the same single
-        charge, but delivery travels as
+        charge, the same per-copy arrival draws, drops, trace events and
+        same-tick filing, but the copies due in a later tick travel as
         :class:`~repro.sim.batch.BatchRecord`\\ s interleaved with plain
         envelopes in emission order.  ``recipients=None`` is the
         broadcast-to-all-others fast path (a single record, no
         per-recipient structure); an explicit recipient list becomes one
         single-target record per entry, which preserves per-copy
-        delivery even for duplicate recipients.  Only reachable through
-        consumers that successfully registered with the batch plane, so
-        ``self._batch`` is always present here.
+        delivery even for duplicate recipients.  A copy the model
+        schedules for the current tick (the rushing window) is filed
+        plain into its recipient's inbox, as :meth:`enqueue` files it.
 
         Returns the number of envelopes the send stands for; a send to
         nobody returns 0 and moves no counter, as in :meth:`enqueue`.
@@ -365,27 +350,45 @@ class EventKernel:
         if not count:
             return 0
         wrapped = mux_wrap(channel, instance, payload)
-        self._metrics.record_broadcast(sender, tick, wrapped, count)
+        metrics = self._metrics
+        metrics.record_broadcast(sender, tick, wrapped, count)
+        trace = self._trace
         lockstep = self._lockstep
+        if broadcast_all and (trace is not None or not lockstep):
+            recipients = self.others(sender)
         # Price the send once: one (arrival tick, target) pair per record
         # to file, in filing order.
         placed: "list[tuple[Round, NodeId | frozenset[NodeId] | None]]"
         if lockstep:
             # Every copy arrives next tick and none is dropped, so there
             # is nothing to ask the model.
+            if trace is not None:
+                for recipient in recipients:
+                    trace.record_send(Envelope(sender, recipient, wrapped, tick))
             targets = (None,) if broadcast_all else recipients
             placed = [(tick + 1, target) for target in targets]
         else:
-            if broadcast_all:
-                recipients = self.others(sender)
             # One bulk pricing call instead of per-envelope arrival_tick:
             # the model draws per-recipient latency/drop decisions from the
-            # same per-link streams, in recipient order == the object path's
+            # same per-link streams, in recipient order == the per-envelope
             # emission order, so the calendar it produces is bit-identical.
             arrivals = self._delivery.batch_arrivals(sender, recipients, tick)
+            if trace is not None:
+                for recipient, arrival in zip(recipients, arrivals):
+                    envelope = Envelope(sender, recipient, wrapped, tick)
+                    if arrival is None:
+                        trace.record_drop(envelope)
+                    else:
+                        trace.record_send(envelope, arrival_tick=arrival)
             dropped = arrivals.count(None)
             if dropped:
-                self._metrics.record_drops(sender, tick, dropped)
+                metrics.record_drops(sender, tick, dropped)
+            rushed = arrivals.count(tick)
+            if rushed:
+                for recipient, arrival in zip(recipients, arrivals):
+                    if arrival == tick:
+                        self._deliver_now(Envelope(sender, recipient, wrapped, tick), tick)
+                metrics.record_deliveries(tick, rushed, tick)
             if broadcast_all:
                 # Split the logical broadcast into one record per arrival
                 # tick: no per-recipient structure when every copy shares
@@ -394,6 +397,8 @@ class EventKernel:
                 for recipient, arrival in zip(recipients, arrivals):
                     if arrival is not None:
                         buckets.setdefault(arrival, []).append(recipient)
+                if rushed:
+                    del buckets[tick]
                 placed = []
                 for arrival in sorted(buckets):
                     members = buckets[arrival]
@@ -405,12 +410,12 @@ class EventKernel:
                         placed.append((arrival, frozenset(members)))
             else:
                 # Explicit recipient lists keep one single-target record
-                # per surviving copy (duplicate recipients get duplicate
-                # copies, as the object path would deliver them).
+                # per surviving later copy (duplicate recipients get
+                # duplicate copies, as plain envelopes would be delivered).
                 placed = [
                     (arrival, recipient)
                     for arrival, recipient in zip(arrivals, recipients)
-                    if arrival is not None
+                    if arrival is not None and arrival != tick
                 ]
         # Filing during this call keeps each bucket in emission order
         # relative to other senders' traffic.
@@ -496,7 +501,7 @@ class EventKernel:
             if tick >= self._max_rounds:
                 raise SimulationError(self._horizon_report())
             plane = self._batch
-            batching = plane is not None and plane.used
+            batching = plane.used
             if batching:
                 # Snapshot the consumer registry and reset the per-tick
                 # buffer *before* any delivery of this tick is filed.
@@ -518,7 +523,7 @@ class EventKernel:
                     if metrics is not None:
                         # Plain wrapped traffic to a consumer is captured
                         # into the group arrays at its calendar position,
-                        # preserving the object path's arrival interleave
+                        # preserving the per-envelope arrival interleave
                         # under jitter.
                         if batching and plane.capture(item, metrics, tick):
                             continue
@@ -541,7 +546,11 @@ class EventKernel:
                 if state.halted:
                     continue
                 if record_views:
-                    self._views[node].record_round(inbox)
+                    # A consumer's view also holds its group entries,
+                    # re-wrapped as they crossed the wire.
+                    self._views[node].record_round(
+                        inbox + plane.wrapped_for(node) if batching else inbox
+                    )
                 decided, discovered = state.decided, state.discovered
                 protocols[node].on_activate(ctx, inbox)
                 if trace is not None:
@@ -572,15 +581,12 @@ class EventKernel:
             for arrival in sorted(self._calendar):
                 for item in self._calendar.pop(arrival):
                     # A parked batch record stands for its whole recipient
-                    # set; tracing never coexists with the batch plane.
-                    plain = type(item) is Envelope
-                    self._metrics.record_drops(
-                        item.sender,
-                        item.round_sent,
-                        1 if plain else item.recipient_count(self.n),
-                    )
-                    if plain and self._trace is not None:
-                        self._trace.record_drop(item)
+                    # set: one drop per copy.
+                    copies = [item] if type(item) is Envelope else item.envelopes(self.n)
+                    self._metrics.record_drops(item.sender, item.round_sent, len(copies))
+                    if self._trace is not None:
+                        for envelope in copies:
+                            self._trace.record_drop(envelope)
 
         # Every node has halted (a halted context may not send) and the
         # result carries the states: drop the contexts' back-references,

@@ -40,34 +40,23 @@ property test enforces the equivalence under random Byzantine behaviour.
 Columnar execution
 ------------------
 K instances sharing one channel make the per-envelope pipeline the run's
-hot loop (n=128 key distribution: ~6.2M envelopes, ~4 rounds).  The
-mux's default ``engine="columnar"`` therefore rides the kernel's batch
-plane (:mod:`repro.sim.batch`): every instance broadcast becomes one
-batch record, arriving traffic is read as shared structure-of-arrays
-groups instead of per-node envelope lists, and protocols that declare
-``supports_batch_inbox`` ingest the arrays directly (others get
-envelopes materialised on demand).  Jittered, lossy and partitioned
-calendars batch too: records carry per-arrival-tick buckets and an
-emission-``rounds[]`` column (see :mod:`repro.sim.batch`), so the plane
-engages for every deterministic delivery model, not just lock-step.
-``engine="object"`` forces the original per-envelope path — the
-reference oracle — and the columnar engine *falls back to it
-automatically* whenever the run cannot batch (views/trace recording on,
-a rushing delivery model); the fallback is recorded on the mux
-(:attr:`InstanceMux.fallback_reason` / :attr:`InstanceMux.engine_used`)
-and warned once per process, so "silently slower" is neither.  The
-process-wide default engine can be forced via the ``REPRO_MUX_ENGINE``
-environment variable (:func:`default_mux_engine`).  The engine knob
-changes execution strategy only: decisions, per-instance outcomes and
-all metrics counters are bit-for-bit identical either way
-(``tests/sim/test_batch.py`` property-tests this under random Byzantine
-behaviour, jittered/lossy/partitioned delivery and adaptive
-adversaries).  The engines share their code wherever they share their
-behaviour: one instance context, whose ``broadcast`` picks the wire form
-from the engine :meth:`InstanceMux.setup` settled on and charges the
-per-instance mirror in one place, and one stepping loop, which hands an
-instance its batch group when one arrived (plain traffic beside it
-spliced in first) and its plain inbox otherwise.
+hot loop (n=128 key distribution: ~6.2M envelopes, ~4 rounds), so the
+mux rides the kernel's batch plane (:mod:`repro.sim.batch`): every
+instance broadcast becomes one batch record, arriving traffic is read as
+shared structure-of-arrays groups instead of per-node envelope lists,
+and protocols that declare ``supports_batch_inbox`` ingest the arrays
+directly (others get envelopes materialised on demand).  The plane is
+the one path, under every delivery model and with recording on: records
+carry per-arrival-tick buckets and an emission-``rounds[]`` column, a
+rushing model's same-tick copies reach the inbox plain, and a trace or
+view sees the plain envelopes the records stand for.  Decisions,
+per-instance outcomes, metrics, trace events and views equal a
+per-envelope mux's bit-for-bit (``tests/sim/_reference_mux.py`` is that
+mux, and ``tests/sim/test_batch.py`` property-tests the equivalence
+under random Byzantine behaviour, every delivery family and adaptive
+adversaries).  One stepping loop hands an instance its batch group when
+one arrived (plain traffic beside it spliced in) and its plain inbox
+otherwise.
 
 Composition
 -----------
@@ -83,17 +72,15 @@ whatever arrived that tick (``tests/sim/test_multiplex.py`` pins this).
 
 from __future__ import annotations
 
-import os
-import warnings
+import heapq
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
-from ..errors import ConfigurationError
 from ..types import NodeId
 from .batch import ChannelBatch
 from .compose import PhaseOutcome
 from .kernel import RunResult
-from .message import Envelope, mux_unwrap, mux_wrap
+from .message import Envelope, mux_unwrap
 from .metrics import Metrics
 from .node import NodeContext, Protocol
 from .rng import instance_rng
@@ -104,63 +91,6 @@ MUX_OUTCOMES = "mux-outcomes"
 
 #: Default channel name for anonymous muxes.
 DEFAULT_CHANNEL = "mux"
-
-#: Execution engines (see :class:`InstanceMux`): the columnar default
-#: rides the kernel's batch plane when available; the object engine is
-#: the per-envelope reference path the equivalence tests pin against.
-OBJECT_ENGINE = "object"
-COLUMNAR_ENGINE = "columnar"
-DEFAULT_MUX_ENGINE = COLUMNAR_ENGINE
-
-#: Environment knob overriding the default engine for muxes constructed
-#: without an explicit ``engine=`` — how CI forces a whole test/bench
-#: pass onto the object reference path (``REPRO_MUX_ENGINE=object``).
-MUX_ENGINE_ENV = "REPRO_MUX_ENGINE"
-
-
-def default_mux_engine() -> str:
-    """The engine muxes use when none is requested explicitly.
-
-    :data:`DEFAULT_MUX_ENGINE` (columnar), overridable per process via
-    the :data:`MUX_ENGINE_ENV` environment variable — the knob CI's
-    second quick-bench pass uses to keep the object oracle exercised and
-    count-identical on every change.
-
-    :raises ConfigurationError: if the variable holds an unknown engine.
-    """
-    engine = os.environ.get(MUX_ENGINE_ENV)
-    if engine is None:
-        return DEFAULT_MUX_ENGINE
-    if engine not in (OBJECT_ENGINE, COLUMNAR_ENGINE):
-        raise ConfigurationError(
-            f"{MUX_ENGINE_ENV}={engine!r} names an unknown mux engine; "
-            f"expected {OBJECT_ENGINE!r} or {COLUMNAR_ENGINE!r}"
-        )
-    return engine
-
-
-#: Fallback reasons already warned about this process (one warning per
-#: distinct reason, not one per mux — an n=128 run builds 128 muxes).
-_FALLBACK_WARNED: set[str] = set()
-
-
-def _warn_engine_fallback(reason: str) -> None:
-    """One-time ``RuntimeWarning`` when a columnar mux degrades.
-
-    The fallback is *correct* (the object path is the reference oracle)
-    but silently slower; surfacing it once per distinct reason turns
-    "why is this run 10x slower" into a printed answer without drowning
-    multi-run sweeps in repeats.
-    """
-    if reason in _FALLBACK_WARNED:
-        return
-    _FALLBACK_WARNED.add(reason)
-    warnings.warn(
-        f"columnar mux fell back to the object engine: {reason}",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
 
 @dataclass
 class InstanceOutcome(PhaseOutcome):
@@ -187,19 +117,15 @@ class _MuxInstanceContext:
     captured in the :class:`InstanceOutcome` instead of the node state.
     Rounds pass through unshifted — all instances share the mux's round
     frame (shift the whole mux with a ``PhaseHost`` if needed).
-
-    ``columnar`` is the engine :meth:`InstanceMux.setup` settled on; it
-    picks the wire form of a send and nothing else.
     """
 
-    __slots__ = ("_ctx", "_channel", "_slot", "_outcome", "_columnar")
+    __slots__ = ("_ctx", "_channel", "_slot", "_outcome")
 
-    def __init__(self, ctx, channel: str, slot: "_MuxSlot", columnar: bool) -> None:
+    def __init__(self, ctx, channel: str, slot: "_MuxSlot") -> None:
         self._ctx = ctx
         self._channel = channel
         self._slot = slot
         self._outcome = slot.outcome
-        self._columnar = columnar
 
     def __getattr__(self, item: str) -> Any:
         return getattr(self._ctx, item)
@@ -243,24 +169,17 @@ class _MuxInstanceContext:
         self.broadcast(payload, (to,))
 
     def broadcast(self, payload: Any, to: list[NodeId] | None = None) -> None:
-        """Broadcast on this instance's stream.
+        """Broadcast on this instance's stream: one kernel batch record.
 
-        Columnar: one kernel batch record — the kernel wraps the payload
-        once and charges run metrics for the full recipient count.
-        Object: wrap once and broadcast the wrapper, one logical send
-        of one payload object to the run-level meters as well (a
-        tampering lens below still sees each copy).  Either way
-        the per-instance mirror is charged here, once, with the one
-        shared inner payload at the same (possibly phase-shifted) round;
-        a send to nobody moves no counter.
+        The kernel wraps the payload once and charges run metrics for
+        the full recipient count; the per-instance mirror is charged
+        here, once, with the one shared inner payload at the same
+        (possibly phase-shifted) round.  A send to nobody moves no
+        counter.
         """
         ctx = self._ctx
         outcome = self._outcome
-        if self._columnar:
-            count = ctx.send_batch(self._channel, outcome.instance, payload, to)
-        else:
-            ctx.broadcast(mux_wrap(self._channel, outcome.instance, payload), to)
-            count = ctx.n - 1 if to is None else len(to)
+        count = ctx.send_batch(self._channel, outcome.instance, payload, to)
         if count:
             outcome.metrics.record_broadcast(ctx.node, ctx.round, payload, count)
 
@@ -279,79 +198,31 @@ class _MuxInstanceContext:
         self._outcome.halted = True
 
 
-def _batch_envelopes(group: ChannelBatch, me: NodeId) -> list[Envelope]:
-    """Materialise one instance's batched deliveries for node ``me``.
-
-    Inner payloads in the group's arrival order, each stamped with its
-    entry's emission round from the ``rounds[]`` column — exactly the
-    per-instance inbox the object path's demux would have built, under
-    lock-step and jittered calendars alike.
-    """
-    envelopes = []
-    senders = group.senders
-    payloads = group.payloads
-    targets = group.targets
-    rounds = group.rounds
-    for i in range(len(senders)):
-        target = targets[i]
-        sender = senders[i]
-        if target is None:
-            if sender == me:
-                continue
-        elif type(target) is int:
-            if target != me:
-                continue
-        elif me not in target:
-            continue
-        envelopes.append(Envelope(sender, me, payloads[i], rounds[i]))
-    return envelopes
-
-
 def _merge_plain_into_batch(
     group: ChannelBatch, plain: list[Envelope]
 ) -> ChannelBatch:
     """Splice demuxed plain envelopes into a copy of a batch group.
 
     Used when an instance received plain wrapped traffic beside its
-    batch group (object-engine peers, Byzantine forgeries): the protocol
-    still sees one sender-ascending view, batched first on ties — a
-    sender ties with itself only if it sent both batch records and plain
-    wrapped envelopes in one tick (a hand-crafted adversary).  Both only
-    ever coexist lock-step (a jittered calendar's plain envelopes are
-    captured into the group at their calendar position), where each side
-    is born sender-sorted.  The copy gets a fresh ``shared`` scratch
-    (entry indices shift), which is fine — the plain-traffic case is the
-    rare one.
+    batch group, in the order a per-envelope inbox would hold it: by
+    emission round, then by sender, batched first on ties.  Lock-step,
+    both sides hold the previous round's traffic (plain sends of peers
+    outside the plane, Byzantine forgeries) and are born sender-sorted;
+    a sender ties with itself only if it sent both batch records and
+    plain wrapped envelopes in one tick (a hand-crafted adversary).  On
+    the general path the only plain traffic beside a group is a rushing
+    model's same-tick copies, which follow the group's earlier rounds
+    (other plain envelopes are captured into the group at their calendar
+    position).  The copy gets a fresh ``shared`` scratch (entry indices
+    shift), which is fine — the plain-traffic case is the rare one.
     """
+    entries = heapq.merge(
+        zip(group.senders, group.payloads, group.targets, group.rounds),
+        [(env.sender, env.payload, env.recipient, env.round_sent) for env in plain],
+        key=lambda entry: (entry[3], entry[0]),
+    )
     merged = ChannelBatch()
-    senders = merged.senders
-    payloads = merged.payloads
-    targets = merged.targets
-    rounds = merged.rounds
-    group_senders = group.senders
-    group_payloads = group.payloads
-    group_targets = group.targets
-    group_rounds = group.rounds
-    i = 0
-    total = len(group_senders)
-    for env in plain:
-        sender = env.sender
-        while i < total and group_senders[i] <= sender:
-            senders.append(group_senders[i])
-            payloads.append(group_payloads[i])
-            targets.append(group_targets[i])
-            rounds.append(group_rounds[i])
-            i += 1
-        senders.append(env.sender)
-        payloads.append(env.payload)
-        targets.append(env.recipient)
-        rounds.append(env.round_sent)
-    while i < total:
-        senders.append(group_senders[i])
-        payloads.append(group_payloads[i])
-        targets.append(group_targets[i])
-        rounds.append(group_rounds[i])
-        i += 1
+    merged.senders, merged.payloads, merged.targets, merged.rounds = map(list, zip(*entries))
     return merged
 
 
@@ -376,15 +247,6 @@ class InstanceMux(Protocol):
         node*.  Ids need not be contiguous; iteration is always in sorted
         id order (determinism).
     :param channel: wire-tag channel shared by all nodes of one mux run.
-    :param engine: :data:`COLUMNAR_ENGINE` to ride the kernel's batch
-        plane when the run supports it, :data:`OBJECT_ENGINE` to force
-        the per-envelope reference path, or ``None`` (default) to use
-        :func:`default_mux_engine` — columnar unless the
-        ``REPRO_MUX_ENGINE`` environment knob says otherwise.  Execution
-        strategy only — observable behaviour is identical (see module
-        docstring).  After :meth:`setup`, :attr:`engine_used` reports
-        the engine actually running and :attr:`fallback_reason` why a
-        columnar request degraded (if it did).
 
     Each round, the inbox is demultiplexed by the mux envelope extension
     (non-parsing traffic is dropped — Byzantine noise belongs to no
@@ -397,53 +259,18 @@ class InstanceMux(Protocol):
     and read :attr:`outcomes` when the host reports the halt.
     """
 
+    #: Kept for the engine-fallback counter of ``benchmarks/e2e/trace.py``.
+    engine = engine_used = "columnar"
+
     def __init__(
         self,
         instances: Mapping[int, Protocol],
         channel: str = DEFAULT_CHANNEL,
-        engine: "str | None" = None,
     ) -> None:
-        if engine is None:
-            engine = default_mux_engine()
-        elif engine not in (OBJECT_ENGINE, COLUMNAR_ENGINE):
-            raise ConfigurationError(
-                f"unknown mux engine {engine!r}; expected "
-                f"{OBJECT_ENGINE!r} or {COLUMNAR_ENGINE!r}"
-            )
         self._channel = channel
-        self._engine = engine
-        self._columnar = False
-        self._fallback_reason: "str | None" = None
         self._protocols = {int(i): p for i, p in instances.items()}
         self._slots: dict[int, _MuxSlot] = {}
         self._live = 0
-
-    @property
-    def engine(self) -> str:
-        """The configured execution engine (``"object"``/``"columnar"``)."""
-        return self._engine
-
-    @property
-    def engine_used(self) -> str:
-        """The engine actually running (meaningful after :meth:`setup`):
-        :data:`COLUMNAR_ENGINE` when the batch-plane registration
-        succeeded, else :data:`OBJECT_ENGINE` — either because it was
-        configured, or because a columnar request fell back (see
-        :attr:`fallback_reason`)."""
-        return COLUMNAR_ENGINE if self._columnar else OBJECT_ENGINE
-
-    @property
-    def fallback_reason(self) -> "str | None":
-        """Why a columnar mux is running the object path, or ``None``.
-
-        Set during :meth:`setup` when ``engine="columnar"`` could not
-        register with the run's batch plane (recording on, delivery
-        model not batch-capable, or a context without the batch API);
-        always ``None`` for object-engine muxes and for columnar muxes
-        that engaged.  The same reason is emitted once per process as a
-        ``RuntimeWarning`` — fallback is correct but silently slower.
-        """
-        return self._fallback_reason
 
     @property
     def channel(self) -> str:
@@ -456,29 +283,16 @@ class InstanceMux(Protocol):
         return {i: slot.outcome for i, slot in self._slots.items()}
 
     def setup(self, ctx: NodeContext) -> None:
-        """Create per-instance outcomes and slots; set up instances."""
-        if self._engine == COLUMNAR_ENGINE:
-            # getattr-probed: composition layers hand the mux proxy
-            # contexts, and tests hand it bare fakes — anything without
-            # the batch API simply runs the object path.
-            register = getattr(ctx, "register_batch_consumer", None)
-            self._columnar = (
-                bool(register(self._channel)) if register is not None else False
-            )
-            if not self._columnar:
-                reason_fn = getattr(ctx, "batch_fallback_reason", None)
-                reason = reason_fn() if callable(reason_fn) else None
-                if reason is None:
-                    reason = "run context exposes no batch plane API"
-                self._fallback_reason = reason
-                _warn_engine_fallback(reason)
+        """Register with the batch plane; create per-instance outcomes and
+        slots; set up instances."""
+        ctx.register_batch_consumer(self._channel)
         identity = (ctx.seed, ctx.node, self._channel)
         for instance in sorted(self._protocols):
             outcome = InstanceOutcome(instance=instance)
             slot = _MuxSlot(self._protocols[instance], outcome, identity)
             self._slots[instance] = slot
             slot.protocol.setup(
-                _MuxInstanceContext(ctx, self._channel, slot, self._columnar)
+                _MuxInstanceContext(ctx, self._channel, slot)
             )  # type: ignore[arg-type]
         # An instance may already have halted inside its setup (a
         # config-validating or crashed-from-start behaviour): count only
@@ -501,18 +315,16 @@ class InstanceMux(Protocol):
                 per_instance.setdefault(instance, []).append(
                     Envelope(env.sender, env.recipient, inner, env.round_sent)
                 )
-        columnar = self._columnar
-        # No groups: the object engine, or a columnar mux outside this
-        # tick's consumer snapshot — its traffic arrived plain, though it
-        # still *sends* through the plane.
-        groups = (ctx.batch_groups(channel) if columnar else None) or {}
+        # No groups: this tick's consumer snapshot predates the mux's
+        # registration, so its traffic arrived plain.
+        groups = ctx.batch_groups(channel) or {}
         me = ctx.node
         for instance in sorted(slots):
             slot = slots[instance]
             outcome = slot.outcome
             if outcome.halted:
                 continue
-            proxy = _MuxInstanceContext(ctx, channel, slot, columnar)
+            proxy = _MuxInstanceContext(ctx, channel, slot)
             protocol = slot.protocol
             group = groups.get(instance)
             plain = per_instance.get(instance)
@@ -523,7 +335,7 @@ class InstanceMux(Protocol):
             elif getattr(protocol, "supports_batch_inbox", False):
                 protocol.on_round_batch(proxy, group)  # type: ignore[arg-type]
             else:
-                protocol.on_round(proxy, _batch_envelopes(group, me))  # type: ignore[arg-type]
+                protocol.on_round(proxy, group.envelopes_for(me))  # type: ignore[arg-type]
             outcome.metrics.settle()
             if outcome.halted:
                 self._live -= 1

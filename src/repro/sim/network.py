@@ -4,7 +4,7 @@ The event kernel (:mod:`repro.sim.kernel`) separates *protocol logic*
 (what nodes compute and send) from *network timing* (when sends arrive
 and in what order nodes act).  This module owns the timing half: a
 :class:`DeliveryModel` maps every emitted envelope to its arrival tick
-and fixes the per-tick node activation order.  Three models ship:
+and fixes the per-tick node activation order.  Five models ship:
 
 * :class:`SynchronousRounds` — the paper's model (N1 with the delivery
   bound *known* and equal to one round, lock-step activations).  This is
@@ -80,15 +80,6 @@ class DeliveryModel:
 
     :ivar name: stable spec name (see :func:`make_delivery`).
     :ivar lockstep: whether the kernel may use the lock-step fast path.
-    :ivar batch_capable: whether the model can price a whole batch send
-        in one :meth:`batch_arrivals` call — a *deterministic calendar*
-        whose per-recipient latency/drop decisions depend only on the
-        master seed and the emission sequence.  Only then may the kernel
-        run the columnar batch plane (:mod:`repro.sim.batch`), splitting
-        each logical batch send into per-arrival-tick records.  Models
-        whose arrivals depend on *who else* is in flight (the rushing
-        window of :class:`AdversarialOrder`) must leave it off, and
-        recording runs (views/trace) always use the object path.
     :ivar sweep_undelivered: whether envelopes still parked in the
         calendar when the run ends should be swept into the drop
         accounting (metrics ``drops_total`` + trace ``drop`` events).
@@ -100,7 +91,6 @@ class DeliveryModel:
 
     name = "abstract"
     lockstep = False
-    batch_capable = False
     sweep_undelivered = False
 
     def bind(self, kernel: "EventKernel") -> None:
@@ -111,17 +101,17 @@ class DeliveryModel:
     ) -> "list[Round | None]":
         """Per-recipient arrival ticks for one batch send (``None`` = drop).
 
-        Consulted (on the general event path only) for ``batch_capable``
-        models instead of per-envelope :meth:`arrival_tick` calls: one
+        Consulted (on the general event path only) for a mux's batch
+        send instead of per-envelope :meth:`arrival_tick` calls: one
         entry per recipient, aligned with ``recipients``.  The default is
         reliable next-tick delivery.  Models with jitter or loss must
         draw their per-recipient latency/drop decisions *in recipient
         order* from the same per-link streams ``arrival_tick`` uses —
         recipient order here equals per-envelope emission order there, so
-        a batched broadcast reproduces the object path's arrival and drop
-        schedule bit-for-bit (the old ``batch_survivors`` contract,
-        extended from drop decisions to latencies).  Every non-``None``
-        arrival must be ``> tick`` — batch sends have no rushing window.
+        a batched broadcast reproduces the per-envelope arrival and drop
+        schedule bit-for-bit.  The same causality rules apply: an arrival
+        ``== tick`` (the rushing window) is filed into the recipient's
+        current inbox and must respect the activation order.
         """
         return [tick + 1] * len(recipients)
 
@@ -154,7 +144,6 @@ class SynchronousRounds(DeliveryModel):
 
     name = "sync"
     lockstep = True
-    batch_capable = True
 
     def arrival_tick(self, envelope: Envelope, tick: Round) -> Round:
         return tick + 1
@@ -250,7 +239,6 @@ class BoundedDelay(_LinkStreamDelivery):
     """
 
     name = "bounded"
-    batch_capable = True
 
     def __init__(self, delay: int = 2) -> None:
         super().__init__()
@@ -273,7 +261,7 @@ class BoundedDelay(_LinkStreamDelivery):
         self, sender: NodeId, recipients: Sequence[NodeId], tick: Round
     ) -> "list[Round | None]":
         """One latency per recipient, popped from the same per-link lists
-        as the object path's per-envelope draws, in the same order."""
+        as the per-envelope ``arrival_tick`` draws, in the same order."""
         if self.delay == 1:
             return [tick + 1] * len(recipients)
         fill = self._fill
@@ -319,6 +307,15 @@ class AdversarialOrder(DeliveryModel):
             return tick
         return tick + 1
 
+    def batch_arrivals(
+        self, sender: NodeId, recipients: Sequence[NodeId], tick: Round
+    ) -> "list[Round | None]":
+        """:meth:`arrival_tick` per recipient: ``tick`` for an honest
+        sender's copy to a rushing node, ``tick + 1`` otherwise."""
+        rushing = self.rushing
+        early = tick + (sender in rushing)
+        return [early if recipient in rushing else tick + 1 for recipient in recipients]
+
     def activation_order(self, n: int) -> Sequence[NodeId]:
         honest = [node for node in range(n) if node not in self.rushing]
         return honest + sorted(node for node in self.rushing if node < n)
@@ -348,7 +345,6 @@ class LossyDelivery(_LinkStreamDelivery):
     """
 
     name = "loss"
-    batch_capable = True
     _link_purpose = "loss"
 
     def __init__(self, p: float, delay: int = 1) -> None:
@@ -387,7 +383,7 @@ class LossyDelivery(_LinkStreamDelivery):
     ) -> "list[Round | None]":
         """One outcome per recipient, popped from the same per-link lists
         as ``arrival_tick``, so the k-th send on every link gets the
-        object path's arrival *and* drop bit-for-bit."""
+        per-envelope arrival *and* drop bit-for-bit."""
         fill = self._fill
         arrivals: "list[Round | None]" = []
         append = arrivals.append
@@ -431,7 +427,6 @@ class PartitionedDelivery(DeliveryModel):
     """
 
     name = "partition"
-    batch_capable = True
 
     def __init__(
         self,

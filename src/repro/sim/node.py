@@ -191,10 +191,9 @@ class NodeContext:
 
         The batch-plane counterpart of wrapping ``payload`` in the mux
         extension and :meth:`broadcast`-ing it: same all-or-nothing
-        validation, same metrics totals, same observable deliveries.
-        Only call after :meth:`register_batch_consumer` returned ``True``
-        for some node of the run's channel (the mux's columnar engine
-        guarantees this).
+        validation, same metrics totals, trace events and observable
+        deliveries (recipients outside the channel's consumers receive
+        the plain wrapped envelopes).
 
         :returns: the number of envelopes the send stands for.
         """
@@ -202,41 +201,19 @@ class NodeContext:
             self.node, channel, instance, payload, self._checked(to)
         )
 
-    def register_batch_consumer(self, channel: str) -> bool:
-        """Declare this node a batch-group consumer for ``channel``.
-
-        Returns ``False`` when the run has no batch plane (recording on,
-        or the delivery model not batch-capable) — the caller must then
-        stay on the object path.
-        """
-        plane = self._runner.batch_plane
-        if plane is None:
-            return False
-        plane.register(channel, self.node)
-        return True
-
-    def batch_fallback_reason(self) -> "str | None":
-        """Why this run cannot batch, or ``None`` when it can.
-
-        Pairs with :meth:`register_batch_consumer`: when registration
-        returns ``False``, this names the cause (recording on, or the
-        delivery model not batch-capable) so the mux can record and
-        surface the silent-fallback condition instead of just running
-        slower.
-        """
-        return self._runner.batch_fallback_reason
+    def register_batch_consumer(self, channel: str) -> None:
+        """Declare this node a batch-group consumer for ``channel``: from
+        the next delivery drain on, its traffic on the channel arrives
+        in :meth:`batch_groups` instead of the plain inbox."""
+        self._runner.batch_plane.register(channel, self.node)
 
     def batch_groups(self, channel: str):
         """This tick's per-instance batch groups for ``channel``.
 
-        ``None`` when there is no plane, or when this node is not in the
-        current tick's consumer snapshot — in both cases any traffic for
-        it already arrived in the plain inbox.
+        ``None`` when this node is not in the current tick's consumer
+        snapshot — any traffic for it then arrived in the plain inbox.
         """
-        plane = self._runner.batch_plane
-        if plane is None:
-            return None
-        return plane.groups_for(channel, self.node)
+        return self._runner.batch_plane.groups_for(channel, self.node)
 
     def decide(self, value: Any) -> None:
         """Choose a decision value (FD condition F1's 'chooses a value')."""
@@ -278,7 +255,7 @@ class Protocol:
     #: :class:`~repro.sim.batch.ChannelBatch` via :meth:`on_round_batch`
     #: instead of a materialised envelope list.  Opt-in: a mux hosting a
     #: protocol without it simply materialises envelopes from the batch,
-    #: so every protocol runs under the columnar engine either way.
+    #: so every protocol runs under a mux either way.
     supports_batch_inbox = False
 
     #: Parameter names a warm-started (snapshot-resumed) run may adjust
@@ -336,9 +313,9 @@ class Protocol:
     def on_round_batch(self, ctx: NodeContext, batch) -> None:
         """Handle one round's traffic in columnar form.
 
-        Called (instead of :meth:`on_round`) by a mux running its
-        columnar engine, only when :attr:`supports_batch_inbox` is set
-        and batched traffic actually arrived.  ``batch`` is a read-only
+        Called (instead of :meth:`on_round`) by a mux only when
+        :attr:`supports_batch_inbox` is set and batched traffic actually
+        arrived.  ``batch`` is a read-only
         :class:`~repro.sim.batch.ChannelBatch`; implementations must
         filter entries by their own recipient mask (``targets[i]`` being
         ``None`` = everyone but ``senders[i]``, an int = that node, a

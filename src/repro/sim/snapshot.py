@@ -28,8 +28,8 @@ per-link outcome lists, every ``AdaptiveCorruptible`` wrapper shares one
 restored graph has exactly the original's aliasing structure, which is
 what makes resume-equals-straight-run hold *bit-for-bit*
 (``tests/sim/test_snapshot.py`` property-tests it across all four
-delivery families, random Byzantine and adaptive adversaries, and both
-mux engines).
+delivery families, random Byzantine and adaptive adversaries, and mux
+runs beside the per-envelope reference mux).
 
 Protocols travel inside that one pickle like everything else.  A
 protocol holding state that must not travel (an unpicklable cache, a
@@ -68,8 +68,10 @@ if TYPE_CHECKING:
 #: History: 2 — ``SuccinctEigStore`` gained its per-relayer run columns
 #: (a version-1 store would resume and then fail at its first resolve);
 #: 3 — jittered / lossy links hold draw-ahead outcome lists (a version-2
-#: file holds live ``random.Random`` link streams).
-SNAPSHOT_VERSION = 3
+#: file holds live ``random.Random`` link streams); 4 — every kernel owns
+#: a batch plane (a version-3 recording run holds none and would crash at
+#: its first drain).
+SNAPSHOT_VERSION = 4
 
 #: Conventional checkpoint-file suffix (documentation only — loading
 #: validates content, never the name).

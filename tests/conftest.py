@@ -16,6 +16,12 @@ from repro.auth import KeyDirectory, run_key_distribution, trusted_dealer_setup
 from repro.crypto import DEFAULT_SCHEME, get_scheme
 
 
+def pytest_configure(config):
+    """Any ``RuntimeWarning`` a test does not expect (``pytest.warns``)
+    fails it: a silently degraded path must not come back unnoticed."""
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+
+
 @pytest.fixture(scope="session")
 def scheme():
     """The default signature scheme object."""

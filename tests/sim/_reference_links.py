@@ -24,7 +24,6 @@ from repro.types import NodeId, Round
 class _LiveLinks(DeliveryModel):
     """One live stream per directed link, built lazily from the seed."""
 
-    batch_capable = True
     _link_purpose = "delay"
 
     def __init__(self, delay: int) -> None:

@@ -1,13 +1,13 @@
-"""Columnar batch execution vs the per-envelope object oracle.
+"""The batch plane vs the per-envelope reference mux.
 
-The mux's ``engine`` knob is an execution strategy, not a semantics
-change: every observable — decisions, per-instance outcomes, message /
-byte / drop counters, round counts — must be bit-for-bit identical
-between ``engine="columnar"`` (the batch plane of
-:mod:`repro.sim.batch`) and ``engine="object"`` (the reference
-per-envelope path).  The property tests here pin that equivalence under
-random Byzantine behaviour, lossy delivery, adaptive (``adaptive:NAME``)
-adversaries, mixed-engine populations and the recording fallback, plus
+:class:`~repro.sim.InstanceMux` runs every mux on the kernel's batch
+plane (:mod:`repro.sim.batch`); ``_reference_mux.ReferenceMux`` wraps
+and sends one plain envelope per copy.  Every observable — decisions,
+per-instance outcomes, message / byte / drop counters, round counts,
+trace events and recorded views — must be bit-for-bit identical between
+the two.  The property tests here pin that equivalence under random
+Byzantine behaviour, every delivery family (rushing included), adaptive
+(``adaptive:NAME``) adversaries, mixed populations and recording, plus
 the wire-extension round-trip the demux rests on.
 """
 
@@ -18,31 +18,31 @@ import random
 import pytest
 
 from repro.agreement.oral import OralAgreementProtocol
-from repro.auth.agreement_based import run_agreement_key_distribution
-from repro.errors import ConfigurationError
-from repro.faults import AdversarySpec
+from repro.auth import agreement_based
+from repro.auth.agreement_based import akd_noise_pool, run_agreement_key_distribution
+from repro.faults import AdversarySpec, RandomNoiseProtocol
 from repro.sim import (
-    COLUMNAR_ENGINE,
-    MUX_ENGINE_ENV,
-    OBJECT_ENGINE,
+    BatchPlane,
     Envelope,
     InstanceMux,
     Protocol,
     collect_instances,
-    default_mux_engine,
     make_delivery,
     mux_unwrap,
     mux_wrap,
     run_protocols,
 )
 
-ENGINES = (OBJECT_ENGINE, COLUMNAR_ENGINE)
+from ._reference_mux import ReferenceMux
+
+#: The two muxes every equivalence test runs: the oracle, then the plane.
+ENGINES = (ReferenceMux, InstanceMux)
 
 
-def om_mux_protocols(n, t, engine):
+def om_mux_protocols(n, t, mux=InstanceMux):
     """One n-instance OM(t) mux per node — the AKD traffic shape."""
     return [
-        InstanceMux(
+        mux(
             {
                 k: OralAgreementProtocol(
                     n,
@@ -54,14 +54,13 @@ def om_mux_protocols(n, t, engine):
                 for k in range(n)
             },
             channel="om",
-            engine=engine,
         )
         for node in range(n)
     ]
 
 
 def observables(run):
-    """Every engine-invariant observable of a run, as one value."""
+    """Every mux-invariant observable of a run, as one value."""
     metrics = run.metrics
     return {
         "rounds": run.rounds_executed,
@@ -78,17 +77,16 @@ def observables(run):
     }
 
 
-class TestEngineKnob:
-    def test_unknown_engine_refused(self):
-        with pytest.raises(ConfigurationError, match="unknown mux engine"):
-            InstanceMux({0: Protocol()}, engine="vectorised")
-
-    def test_engine_property(self):
-        assert InstanceMux({0: Protocol()}).engine == COLUMNAR_ENGINE
-        assert (
-            InstanceMux({0: Protocol()}, engine=OBJECT_ENGINE).engine
-            == OBJECT_ENGINE
-        )
+def akd_both_ways(monkeypatch, **params):
+    """One AKD facade run per mux: the reference substituted for the
+    facade's ``InstanceMux`` (honest nodes and noise adversaries alike),
+    then the facade as shipped."""
+    results = []
+    for mux in ENGINES:
+        with monkeypatch.context() as patch:
+            patch.setattr(agreement_based, "InstanceMux", mux)
+            results.append(run_agreement_key_distribution(7, 2, **params))
+    return results
 
 
 class TestWireRoundTripProperty:
@@ -123,8 +121,8 @@ class TestWireRoundTripProperty:
         ],
     )
     def test_malformed_wrappers_fall_to_plain_path(self, forged):
-        """A columnar mux treats unparseable wrappers exactly like the
-        object engine: plain traffic belonging to no instance."""
+        """The plane treats unparseable wrappers exactly like the
+        reference mux: plain traffic belonging to no instance."""
 
         class Forger(Protocol):
             def on_round(self, ctx, inbox):
@@ -139,16 +137,15 @@ class TestWireRoundTripProperty:
                     ctx.halt()
 
         runs = {}
-        for engine in ENGINES:
+        for mux in ENGINES:
             protocols = [Forger()] + [
-                InstanceMux({7: Recorder()}, channel="om", engine=engine)
-                for _ in range(2)
+                mux({7: Recorder()}, channel="om") for _ in range(2)
             ]
             run = run_protocols(protocols, seed=3)
-            # The forged wrapper reached no instance on either engine.
+            # The forged wrapper reached no instance on either mux.
             assert protocols[1].outcomes[7].decision == ()
-            runs[engine] = observables(run)
-        assert runs[COLUMNAR_ENGINE] == runs[OBJECT_ENGINE]
+            runs[mux] = observables(run)
+        assert runs[InstanceMux] == runs[ReferenceMux]
 
 
 class TestColumnarObjectEquivalence:
@@ -156,13 +153,11 @@ class TestColumnarObjectEquivalence:
         """n=7, t=2 reaches the RLE report levels (rounds >= 2) that the
         batched succinct ingest specialises."""
         runs = {
-            engine: observables(
-                run_protocols(om_mux_protocols(7, 2, engine), seed=11)
-            )
-            for engine in ENGINES
+            mux: observables(run_protocols(om_mux_protocols(7, 2, mux), seed=11))
+            for mux in ENGINES
         }
-        assert runs[COLUMNAR_ENGINE] == runs[OBJECT_ENGINE]
-        decided = runs[COLUMNAR_ENGINE]["instances"]
+        assert runs[InstanceMux] == runs[ReferenceMux]
+        decided = runs[InstanceMux]["instances"]
         assert sorted(decided) == list(range(7))
 
     def test_random_byzantine_behaviours(self):
@@ -179,49 +174,32 @@ class TestColumnarObjectEquivalence:
             )
             spec = AdversarySpec(corrupt=corrupt, t=t)
             runs = {}
-            for engine in ENGINES:
-                protocols = spec.protocols_for(om_mux_protocols(n, t, engine))
-                runs[engine] = observables(run_protocols(protocols, seed=seed))
-            assert runs[COLUMNAR_ENGINE] == runs[OBJECT_ENGINE], (
+            for mux in ENGINES:
+                protocols = spec.protocols_for(om_mux_protocols(n, t, mux))
+                runs[mux] = observables(run_protocols(protocols, seed=seed))
+            assert runs[InstanceMux] == runs[ReferenceMux], (
                 f"seed={seed} corrupt={corrupt}"
             )
 
-    def test_akd_random_byzantine(self):
-        """The full key-distribution facade, engine-parametrised."""
+    def test_akd_random_byzantine(self, monkeypatch):
+        """The full key-distribution facade, reference mux substituted."""
         for seed, adversary in [(0, "3=noise"), (1, "2=silent;5=noise"), (2, None)]:
-            results = {
-                engine: run_agreement_key_distribution(
-                    7, 2, seed=seed, adversary=adversary, engine=engine
-                )
-                for engine in ENGINES
-            }
-            col, obj = results[COLUMNAR_ENGINE], results[OBJECT_ENGINE]
-            assert col.per_instance == obj.per_instance, f"seed={seed}"
-            assert observables(col.run) == observables(obj.run), f"seed={seed}"
-            assert sorted(col.directories) == sorted(obj.directories)
+            ref, plane = akd_both_ways(monkeypatch, seed=seed, adversary=adversary)
+            assert plane.per_instance == ref.per_instance, f"seed={seed}"
+            assert observables(plane.run) == observables(ref.run), f"seed={seed}"
+            assert sorted(plane.directories) == sorted(ref.directories)
 
-    def test_lossy_delivery(self):
-        """``loss:p`` at the jitter-free bound is batch-capable: the
-        columnar drop schedule must replay the object path's per-link
-        draws bit-for-bit (drop totals included)."""
+    def test_lossy_delivery(self, monkeypatch):
+        """``loss:p`` at the jitter-free bound: the plane's drop schedule
+        must replay the per-envelope per-link draws bit-for-bit (drop
+        totals included)."""
         for seed, p, adversary in [(1, 0.25, None), (2, 0.5, "3=noise"), (3, 0.1, "1=silent")]:
-            results = {
-                engine: run_agreement_key_distribution(
-                    7,
-                    2,
-                    seed=seed,
-                    adversary=adversary,
-                    delivery=f"loss:{p}",
-                    engine=engine,
-                )
-                for engine in ENGINES
-            }
-            col, obj = results[COLUMNAR_ENGINE], results[OBJECT_ENGINE]
-            assert col.per_instance == obj.per_instance, f"seed={seed} p={p}"
-            assert observables(col.run) == observables(obj.run), (
-                f"seed={seed} p={p}"
+            ref, plane = akd_both_ways(
+                monkeypatch, seed=seed, adversary=adversary, delivery=f"loss:{p}"
             )
-            assert col.run.metrics.drops_total > 0
+            assert plane.per_instance == ref.per_instance, f"seed={seed} p={p}"
+            assert observables(plane.run) == observables(ref.run), f"seed={seed} p={p}"
+            assert plane.run.metrics.drops_total > 0
 
     @pytest.mark.parametrize("strategy", ["silence-muffled", "gag-sender"])
     def test_adaptive_adversary(self, strategy):
@@ -229,32 +207,30 @@ class TestColumnarObjectEquivalence:
         snapshots — identical commitments and observables either way."""
         committed = {}
         runs = {}
-        for engine in ENGINES:
+        for mux in ENGINES:
             spec = AdversarySpec(corrupt=(), t=2, strategy=strategy)
             protocols, coordinator = spec.adaptive_protocols_for(
-                om_mux_protocols(7, 2, engine)
+                om_mux_protocols(7, 2, mux)
             )
-            runs[engine] = observables(run_protocols(protocols, seed=13))
-            committed[engine] = {
+            runs[mux] = observables(run_protocols(protocols, seed=13))
+            committed[mux] = {
                 node: behavior.kind
                 for node, behavior in coordinator.committed.items()
             }
-        assert committed[COLUMNAR_ENGINE] == committed[OBJECT_ENGINE]
-        assert committed[COLUMNAR_ENGINE]  # the strategy did strike
-        assert runs[COLUMNAR_ENGINE] == runs[OBJECT_ENGINE]
+        assert committed[InstanceMux] == committed[ReferenceMux]
+        assert committed[InstanceMux]  # the strategy did strike
+        assert runs[InstanceMux] == runs[ReferenceMux]
 
     def test_mixed_engine_population(self):
-        """Engines interoperate per node: object muxes are plane
-        outsiders fed materialised envelopes, and any mixture matches
-        the all-object run."""
+        """Plane and reference muxes interoperate per node: reference
+        muxes are plane outsiders fed materialised envelopes, and any
+        mixture matches the all-reference run."""
         n, t = 7, 2
-        baseline = observables(
-            run_protocols(om_mux_protocols(n, t, OBJECT_ENGINE), seed=21)
-        )
+        baseline = observables(run_protocols(om_mux_protocols(n, t, ReferenceMux), seed=21))
         for seed in range(3):
             rng = random.Random(seed)
             protocols = [
-                InstanceMux(
+                rng.choice(ENGINES)(
                     {
                         k: OralAgreementProtocol(
                             n,
@@ -266,34 +242,15 @@ class TestColumnarObjectEquivalence:
                         for k in range(n)
                     },
                     channel="om",
-                    engine=rng.choice(ENGINES),
                 )
                 for node in range(n)
             ]
             assert observables(run_protocols(protocols, seed=21)) == baseline
 
-    def test_recording_forces_identical_fallback(self):
-        """With a trace or views on there is no batch plane; a columnar
-        mux silently runs the object path with unchanged observables."""
-        plain = {
-            engine: observables(
-                run_protocols(om_mux_protocols(5, 1, engine), seed=9)
-            )
-            for engine in ENGINES
-        }
-        recorded = observables(
-            run_protocols(
-                om_mux_protocols(5, 1, COLUMNAR_ENGINE),
-                seed=9,
-                record_trace=True,
-            )
-        )
-        assert plain[COLUMNAR_ENGINE] == plain[OBJECT_ENGINE] == recorded
-
     def test_zero_recipient_send_moves_no_counter(self):
-        """A send standing for zero envelopes is no send on either
-        engine: it claims no round and plants no zero-count key, at run
-        level or in the instance mirror."""
+        """A send standing for zero envelopes is no send on either mux:
+        it claims no round and plants no zero-count key, at run level or
+        in the instance mirror."""
 
         class EmptyBroadcaster(Protocol):
             def on_round(self, ctx, inbox):
@@ -304,60 +261,48 @@ class TestColumnarObjectEquivalence:
                     ctx.halt()
 
         runs = {}
-        for engine in ENGINES:
-            protocols = [
-                InstanceMux({0: EmptyBroadcaster()}, channel="om", engine=engine)
-                for _ in range(3)
-            ]
+        for mux in ENGINES:
+            protocols = [mux({0: EmptyBroadcaster()}, channel="om") for _ in range(3)]
             run = run_protocols(protocols, seed=5)
-            mirrors = [mux.outcomes[0].metrics for mux in protocols]
-            runs[engine] = (
+            mirrors = [m.outcomes[0].metrics for m in protocols]
+            runs[mux] = (
                 observables(run),
                 [
                     (m.rounds_used, dict(m.messages_per_round), dict(m.messages_per_kind))
                     for m in [run.metrics, *mirrors]
                 ],
             )
-        assert runs[COLUMNAR_ENGINE] == runs[OBJECT_ENGINE]
-        assert runs[COLUMNAR_ENGINE][1][0][:2] == (1, {0: 6})
+        assert runs[InstanceMux] == runs[ReferenceMux]
+        assert runs[InstanceMux][1][0][:2] == (1, {0: 6})
 
 
 class TestDegradedCalendarEquivalence:
-    """Arrival-columned plane: the columnar engine must replay the object
-    path bit-for-bit under jittered, lossy and partitioned calendars —
-    counts, decisions, drop totals and per-instance outcomes alike —
-    while actually running columnar (no silent fallback)."""
+    """Arrival-columned plane: it must replay the reference mux
+    bit-for-bit under jittered, lossy and partitioned calendars — counts,
+    decisions, drop totals and per-instance outcomes alike."""
 
     def _equal_runs(self, n, t, seed, delivery, spec=None):
         runs = {}
-        honest_mux = {}
-        for engine in ENGINES:
-            protocols = om_mux_protocols(n, t, engine)
-            honest_mux[engine] = protocols[0]
+        for mux in ENGINES:
+            protocols = om_mux_protocols(n, t, mux)
             if spec is not None:
                 protocols = spec.protocols_for(protocols)
-            run = run_protocols(
-                protocols, seed=seed, delivery=make_delivery(delivery)
-            )
-            runs[engine] = observables(run)
-        assert honest_mux[COLUMNAR_ENGINE].engine_used == COLUMNAR_ENGINE
-        assert honest_mux[COLUMNAR_ENGINE].fallback_reason is None
-        assert runs[COLUMNAR_ENGINE] == runs[OBJECT_ENGINE], (
-            f"seed={seed} delivery={delivery}"
-        )
-        return runs[COLUMNAR_ENGINE]
+            run = run_protocols(protocols, seed=seed, delivery=make_delivery(delivery))
+            runs[mux] = observables(run)
+        assert runs[InstanceMux] == runs[ReferenceMux], f"seed={seed} delivery={delivery}"
+        return runs[InstanceMux]
 
     @pytest.mark.parametrize("delivery", ["bounded:2", "bounded:4"])
     def test_bounded_jitter(self, delivery):
         """``bounded:d`` with d > 1: one logical batch send splits into
         per-arrival calendar buckets whose schedule must be bit-identical
-        to the object path's per-envelope latency draws."""
+        to the per-envelope latency draws."""
         for seed in (1, 5):
             self._equal_runs(7, 2, seed, delivery)
 
     def test_lossy_with_jitter(self):
         """``loss:p`` with delay > 1 draws latency *and* drop decisions
-        per recipient from the object path's per-link streams."""
+        per recipient from the per-envelope per-link streams."""
         for seed, delivery in [(1, "loss:0.2:2"), (2, "loss:0.3:3")]:
             result = self._equal_runs(7, 2, seed, delivery)
             assert result["drops"] > 0
@@ -370,9 +315,16 @@ class TestDegradedCalendarEquivalence:
     def test_partition_defer_past_run_end(self):
         """A heal the run never reaches: parked batch records must be
         swept into the drop accounting at end of run exactly like the
-        object path's parked envelopes."""
+        reference's parked envelopes."""
         result = self._equal_runs(7, 2, 4, "partition:0-3|4-6@30/defer")
         assert result["drops"] > 0
+
+    @pytest.mark.parametrize("delivery", ["rush:6", "rush:2,5,6"])
+    def test_rushing_delivery(self, delivery):
+        """Rushing muxes: honest copies to them arrive in the sending
+        tick, plain, beside the group of earlier rounds."""
+        result = self._equal_runs(7, 2, 8, delivery)
+        assert result["deliveries"] > 0
 
     def test_random_byzantine_under_degraded_delivery(self):
         """Random corrupt sets on top of jittered/lossy calendars: the
@@ -383,125 +335,115 @@ class TestDegradedCalendarEquivalence:
             rng = random.Random(seed)
             corrupt = tuple(
                 (node, rng.choice(kinds))
-                # node 0 stays honest: its mux is the engine-used probe.
                 for node in sorted(rng.sample(range(1, 7), rng.randint(1, 2)))
             )
-            self._equal_runs(
-                7, 2, seed, delivery, spec=AdversarySpec(corrupt=corrupt, t=2)
-            )
+            self._equal_runs(7, 2, seed, delivery, spec=AdversarySpec(corrupt=corrupt, t=2))
 
     @pytest.mark.parametrize("strategy", ["silence-muffled", "gag-sender"])
     def test_adaptive_adversary_under_lossy_jitter(self, strategy):
         """Adaptive corruption reads live metrics; those snapshots (and
-        hence the commitments) must not depend on the engine even when
-        the calendar is lossy and jittered."""
+        hence the commitments) must not depend on the mux even when the
+        calendar is lossy and jittered."""
         committed = {}
         runs = {}
-        for engine in ENGINES:
+        for mux in ENGINES:
             spec = AdversarySpec(corrupt=(), t=2, strategy=strategy)
-            protocols, coordinator = spec.adaptive_protocols_for(
-                om_mux_protocols(7, 2, engine)
+            protocols, coordinator = spec.adaptive_protocols_for(om_mux_protocols(7, 2, mux))
+            runs[mux] = observables(
+                run_protocols(protocols, seed=13, delivery=make_delivery("loss:0.2:2"))
             )
-            runs[engine] = observables(
-                run_protocols(
-                    protocols, seed=13, delivery=make_delivery("loss:0.2:2")
-                )
-            )
-            committed[engine] = {
+            committed[mux] = {
                 node: behavior.kind
                 for node, behavior in coordinator.committed.items()
             }
-        assert committed[COLUMNAR_ENGINE] == committed[OBJECT_ENGINE]
-        assert runs[COLUMNAR_ENGINE] == runs[OBJECT_ENGINE]
+        assert committed[InstanceMux] == committed[ReferenceMux]
+        assert runs[InstanceMux] == runs[ReferenceMux]
 
 
-class TestEngineSurfacing:
-    """Silent fallback is no longer silent: the mux records why it left
-    the columnar path, warns once per reason, and exposes the engine
-    actually used."""
+def noisy_om_run(mux, delivery, **recording):
+    """n = 7 OM(2) muxes, node 3 a mux of noise instances instead."""
+    n, t = 7, 2
+    protocols = om_mux_protocols(n, t, mux)
+    pool = akd_noise_pool(n)
+    protocols[3] = mux(
+        {k: RandomNoiseProtocol(pool, halt_after=t + 1) for k in range(n)}, channel="om"
+    )
+    return run_protocols(protocols, seed=6, delivery=make_delivery(delivery), **recording)
 
-    def test_columnar_run_reports_engine_used(self):
-        protocols = om_mux_protocols(5, 1, COLUMNAR_ENGINE)
-        run_protocols(protocols, seed=2)
-        assert all(m.engine_used == COLUMNAR_ENGINE for m in protocols)
-        assert all(m.fallback_reason is None for m in protocols)
 
-    def test_recording_fallback_reason_and_warning(self, monkeypatch):
-        from repro.sim import multiplex as mux_mod
+class TestRecordingOnThePlane:
+    """Observing a run never changes its path: with a trace and views
+    recorded, the plane still carries every mux, and what it records
+    equals what the per-envelope reference records."""
 
-        monkeypatch.setattr(mux_mod, "_FALLBACK_WARNED", set())
-        protocols = om_mux_protocols(5, 1, COLUMNAR_ENGINE)
-        with pytest.warns(RuntimeWarning, match="recording"):
-            run_protocols(protocols, seed=2, record_trace=True)
-        assert protocols[0].engine_used == OBJECT_ENGINE
-        assert "recording" in protocols[0].fallback_reason
-        # One-time per reason: an identical second run stays quiet.
-        import warnings
+    DELIVERIES = ["sync", "bounded:3", "loss:0.2:2", "rush:6", "partition:0-2|3-6@30/defer"]
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run_protocols(
-                om_mux_protocols(5, 1, COLUMNAR_ENGINE), seed=2, record_trace=True
-            )
+    @pytest.mark.parametrize("delivery", DELIVERIES)
+    def test_trace_views_and_observables_match_the_reference(self, delivery):
+        runs = {
+            mux: noisy_om_run(mux, delivery, record_trace=True, record_views=True)
+            for mux in ENGINES
+        }
+        ref, plane = runs[ReferenceMux], runs[InstanceMux]
+        assert not plane.trace.truncated
+        assert plane.trace.events == ref.trace.events
+        assert plane.views == ref.views
+        assert observables(plane) == observables(ref)
+        assert any(view.rounds for view in plane.views)
 
-    def test_delivery_fallback_reason(self, monkeypatch):
-        from repro.sim import multiplex as mux_mod
+    def test_rushing_case_files_same_tick_copies(self):
+        """The rush case is not vacuous: honest copies to node 6 arrive
+        in the tick they were sent (a send event whose arrival tick is
+        its round)."""
+        trace = noisy_om_run(InstanceMux, "rush:6", record_trace=True).trace
+        same_tick = [e for e in trace.of_kind("send") if e.tick == e.round]
+        assert len(same_tick) == 68
+        assert {e.detail[0] for e in same_tick} == {6}
 
-        monkeypatch.setattr(mux_mod, "_FALLBACK_WARNED", set())
-        protocols = om_mux_protocols(5, 1, COLUMNAR_ENGINE)
-        with pytest.warns(RuntimeWarning, match="batch-capable"):
-            run_protocols(protocols, seed=2, delivery=make_delivery("rush:4"))
-        assert protocols[0].engine_used == OBJECT_ENGINE
-        assert "batch-capable" in protocols[0].fallback_reason
+    @pytest.mark.parametrize("delivery", DELIVERIES)
+    def test_recording_keeps_every_batch_delivery(self, monkeypatch, delivery):
+        """A recorded run makes as many ``BatchPlane.deliver`` calls as
+        an unrecorded one: recording adds no per-envelope path."""
+        calls = []
+        deliver = BatchPlane.deliver
 
-    def test_object_engine_never_reports_fallback(self):
-        protocols = om_mux_protocols(5, 1, OBJECT_ENGINE)
-        run_protocols(protocols, seed=2, record_trace=True)
-        assert protocols[0].engine_used == OBJECT_ENGINE
-        assert protocols[0].fallback_reason is None
+        def counting(self, *args):
+            calls.append(None)
+            return deliver(self, *args)
 
-    def test_env_knob_selects_default_engine(self, monkeypatch):
-        monkeypatch.setenv(MUX_ENGINE_ENV, OBJECT_ENGINE)
-        assert default_mux_engine() == OBJECT_ENGINE
-        assert InstanceMux({0: Protocol()}).engine == OBJECT_ENGINE
-        monkeypatch.setenv(MUX_ENGINE_ENV, "vectorised")
-        with pytest.raises(ConfigurationError, match="unknown mux engine"):
-            default_mux_engine()
-        monkeypatch.delenv(MUX_ENGINE_ENV)
-        assert default_mux_engine() == COLUMNAR_ENGINE
-        # An explicit engine always beats the environment.
-        monkeypatch.setenv(MUX_ENGINE_ENV, OBJECT_ENGINE)
-        assert (
-            InstanceMux({0: Protocol()}, engine=COLUMNAR_ENGINE).engine
-            == COLUMNAR_ENGINE
-        )
+        monkeypatch.setattr(BatchPlane, "deliver", counting)
+        noisy_om_run(InstanceMux, delivery)
+        unrecorded = len(calls)
+        calls.clear()
+        noisy_om_run(InstanceMux, delivery, record_trace=True, record_views=True)
+        assert len(calls) == unrecorded > 0
 
 
 class TestTamperLensInterceptsBatchSends:
     def test_filtered_mux_cannot_leak_through_send_batch(self):
-        """Regression: a drop lens around a *columnar* mux must suppress
-        the same messages it suppresses around an object mux — batch
-        sends re-materialise through the per-message filter instead of
-        slipping past it via attribute delegation."""
+        """Regression: a drop lens around a plane mux must suppress the
+        same messages it suppresses around a reference mux — batch sends
+        re-materialise through the per-message filter instead of slipping
+        past it via attribute delegation."""
         from repro.faults.behaviors import TamperingProtocol
 
         n, t = 5, 1
         runs = {}
-        for engine in ENGINES:
-            protocols = om_mux_protocols(n, t, engine)
+        for mux in ENGINES:
+            protocols = om_mux_protocols(n, t, mux)
             protocols[2] = TamperingProtocol(
                 protocols[2], should_send=lambda round_, to, payload: to != 4
             )
-            runs[engine] = observables(run_protocols(protocols, seed=17))
-        assert runs[COLUMNAR_ENGINE] == runs[OBJECT_ENGINE]
-        # The lens bit on both engines: node 2 sent fewer envelopes than
-        # an unfiltered node of the same run.
-        per_sender = runs[COLUMNAR_ENGINE]["per_sender"]
+            runs[mux] = observables(run_protocols(protocols, seed=17))
+        assert runs[InstanceMux] == runs[ReferenceMux]
+        # The lens bit on both muxes: node 2 sent fewer envelopes than an
+        # unfiltered node of the same run.
+        per_sender = runs[InstanceMux]["per_sender"]
         assert per_sender[2] < per_sender[1]
 
 
 class _EnvelopeShapeProbe(Protocol):
-    """Asserts materialised batch envelopes match object-path envelopes
+    """Asserts materialised batch envelopes match plain envelopes
     field-for-field (sender, recipient, round_sent, inner payload)."""
 
     def __init__(self):
@@ -520,55 +462,60 @@ class _EnvelopeShapeProbe(Protocol):
             ctx.halt()
 
 
+class _InboxOrderProbe(Protocol):
+    """Records every envelope it reads, in order; broadcasts twice."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_round(self, ctx, inbox):
+        self.seen.extend((env.sender, env.payload, env.round_sent) for env in inbox)
+        if ctx.round < 2:
+            ctx.broadcast(("probe", ctx.node, ctx.round))
+        else:
+            ctx.decide(tuple(self.seen))
+            ctx.halt()
+
+
 class TestMaterializedEnvelopes:
     def test_batch_materialisation_matches_object_envelopes(self):
         """An instance protocol without ``supports_batch_inbox`` reads
-        batch traffic as envelopes indistinguishable from the object
-        path's."""
+        batch traffic as envelopes indistinguishable from the
+        reference's."""
         decisions = {}
-        for engine in ENGINES:
-            protocols = [
-                InstanceMux({0: _EnvelopeShapeProbe()}, channel="om", engine=engine)
-                for _ in range(3)
-            ]
+        for mux in ENGINES:
+            protocols = [mux({0: _EnvelopeShapeProbe()}, channel="om") for _ in range(3)]
             run_protocols(protocols, seed=5)
-            decisions[engine] = [
-                mux.outcomes[0].decision for mux in protocols
-            ]
-        assert decisions[COLUMNAR_ENGINE] == decisions[OBJECT_ENGINE]
-        assert decisions[COLUMNAR_ENGINE][1] == ((0, ("probe", 0), 0),)
+            decisions[mux] = [m.outcomes[0].decision for m in protocols]
+        assert decisions[InstanceMux] == decisions[ReferenceMux]
+        assert decisions[InstanceMux][1] == ((0, ("probe", 0), 0),)
 
     def test_plain_traffic_is_spliced_into_the_materialised_inbox(self):
-        """Mixed population, envelope-reading instances: a columnar node
-        hears columnar peers through its batch group and object peers
+        """Mixed population, envelope-reading instances: a plane node
+        hears plane peers through its batch group and reference peers
         through plain envelopes, and reads one sender-sorted inbox —
-        the all-object run's."""
-
-        class InboxOrderProbe(Protocol):
-            def __init__(self):
-                self.seen = []
-
-            def on_round(self, ctx, inbox):
-                self.seen.extend(
-                    (env.sender, env.payload, env.round_sent) for env in inbox
-                )
-                if ctx.round < 2:
-                    ctx.broadcast(("probe", ctx.node, ctx.round))
-                else:
-                    ctx.decide(tuple(self.seen))
-                    ctx.halt()
-
+        the all-reference run's."""
         decisions = []
-        for engines in (
-            (OBJECT_ENGINE,) * 5,
-            (COLUMNAR_ENGINE, OBJECT_ENGINE, COLUMNAR_ENGINE, OBJECT_ENGINE, COLUMNAR_ENGINE),
-            (OBJECT_ENGINE, COLUMNAR_ENGINE, COLUMNAR_ENGINE, OBJECT_ENGINE, OBJECT_ENGINE),
+        for muxes in (
+            (ReferenceMux,) * 5,
+            (InstanceMux, ReferenceMux, InstanceMux, ReferenceMux, InstanceMux),
+            (ReferenceMux, InstanceMux, InstanceMux, ReferenceMux, ReferenceMux),
         ):
-            protocols = [
-                InstanceMux({0: InboxOrderProbe()}, channel="om", engine=engine)
-                for engine in engines
-            ]
+            protocols = [mux({0: _InboxOrderProbe()}, channel="om") for mux in muxes]
             run_protocols(protocols, seed=5)
-            decisions.append([mux.outcomes[0].decision for mux in protocols])
+            decisions.append([m.outcomes[0].decision for m in protocols])
         assert decisions[0] == decisions[1] == decisions[2]
         assert [sender for sender, _, _ in decisions[0][0][:4]] == [1, 2, 3, 4]
+
+    def test_same_tick_copies_follow_the_group_in_arrival_order(self):
+        """Two rushing plane muxes read, per tick, the other rusher's
+        previous-tick copy first and the honest same-tick copies after
+        it — the reference's per-inbox arrival order, not sender order."""
+        decisions = {}
+        for mux in ENGINES:
+            protocols = [mux({0: _InboxOrderProbe()}, channel="om") for _ in range(5)]
+            run_protocols(protocols, seed=5, delivery=make_delivery("rush:1,4"))
+            decisions[mux] = [m.outcomes[0].decision for m in protocols]
+        assert decisions[InstanceMux] == decisions[ReferenceMux]
+        # Node 4's second tick: rusher 1's tick-0 copy, then honest 0, 2, 3.
+        assert [sender for sender, _, _ in decisions[InstanceMux][4][3:7]] == [1, 0, 2, 3]

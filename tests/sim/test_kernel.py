@@ -345,7 +345,7 @@ def _timeout_fd_one_silent():
 
 def _om_mux():
     """A mux scenario: five nodes, one OM(1) instance per node."""
-    return om_mux_protocols(5, 1, "columnar")
+    return om_mux_protocols(5, 1)
 
 
 class TestObservationDoesNotChangeTheRun:

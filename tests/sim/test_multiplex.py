@@ -306,7 +306,7 @@ class TestInstanceRngNamespacing:
     def test_honest_runs_build_no_instance_stream(self, stream_builds):
         """No honest OM(t) instance reads ``ctx.rng``, so no stream is
         built; a noise adversary's instances build theirs, once each."""
-        run_protocols(om_mux_protocols(7, 2, None), seed=11)
+        run_protocols(om_mux_protocols(7, 2), seed=11)
         run_agreement_key_distribution(7, 2, seed=1)
         assert stream_builds == []
         run_agreement_key_distribution(7, 2, seed=1, adversary="3=noise")

@@ -5,8 +5,8 @@ at a tick boundary and resumed — in this process or another — produces
 *exactly* the straight run's observables: counts, decisions, drop and
 delivery totals, trace timestamps.  The property is exercised across
 all four delivery families (sync / bounded / loss / partition), random
-Byzantine and adaptive adversaries, and both mux execution engines,
-plus the warm-started fork path (`retune` of tunable parameters).
+Byzantine and adaptive adversaries, and plane muxes beside the
+per-envelope reference mux, plus the warm-started fork path (`retune` of tunable parameters).
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from repro.harness import (
 )
 from repro.harness.workloads import resolve_workload
 from repro.sim import (
-    COLUMNAR_ENGINE,
-    OBJECT_ENGINE,
     SNAPSHOT_VERSION,
     EventKernel,
     InstanceMux,
@@ -50,7 +48,7 @@ from repro.sim import (
     set_checkpoint_policy,
 )
 
-from .test_batch import observables, om_mux_protocols
+from .test_batch import ENGINES, observables, om_mux_protocols
 
 
 def outcome_observables(outcome):
@@ -203,13 +201,13 @@ class TestResumeEqualsStraightRun:
 
 
 class TestEngineCoverage:
-    """Snapshot/resume under both mux execution engines."""
+    """Snapshot/resume of plane muxes and of the per-envelope reference."""
 
-    @pytest.mark.parametrize("engine", [COLUMNAR_ENGINE, OBJECT_ENGINE])
-    def test_mux_run_resumes_bit_for_bit(self, engine):
+    @pytest.mark.parametrize("mux", ENGINES, ids=lambda mux: mux.__name__)
+    def test_mux_run_resumes_bit_for_bit(self, mux):
         def build():
             return EventKernel(
-                om_mux_protocols(5, 1, engine),
+                om_mux_protocols(5, 1, mux),
                 seed="snap-mux",
                 delivery=make_delivery("loss:0.2:2"),
             )
@@ -231,7 +229,7 @@ class TestEngineCoverage:
         n = 7
 
         def build():
-            return EventKernel(om_mux_protocols(n, 2, COLUMNAR_ENGINE), seed="snap-eig")
+            return EventKernel(om_mux_protocols(n, 2), seed="snap-eig")
 
         def level_two(kernel, instance):
             return [
@@ -265,7 +263,7 @@ def noise_mux_kernel(n=7, t=2, noisy=(2, 5)):
     nodes' own instances have a noise sender, so honest stores there may
     hold no root yet at a checkpoint."""
     pool = akd_noise_pool(n)
-    protocols = om_mux_protocols(n, t, COLUMNAR_ENGINE)
+    protocols = om_mux_protocols(n, t)
     for node in noisy:
         protocols[node] = InstanceMux(
             {
@@ -621,15 +619,16 @@ class TestSnapshotFiles:
             load_snapshot(path)
 
     def test_version_1_snapshot_refused_by_name(self, tmp_path):
-        """Version 1 predates the succinct EIG store's run columns, and
+        """Version 1 predates the succinct EIG store's run columns,
         version 2 holds live ``random.Random`` link streams where links
-        now hold draw-ahead outcomes: such a snapshot must be refused up
-        front with the named version error — in memory and from disk —
-        not resumed into an ``AttributeError``."""
-        assert SNAPSHOT_VERSION == 3
+        now hold draw-ahead outcomes, and a version-3 recording run holds
+        no batch plane: such a snapshot must be refused up front with the
+        named version error — in memory and from disk — not resumed into
+        an ``AttributeError``."""
+        assert SNAPSHOT_VERSION == 4
         runner = EventKernel(make_oral_agreement_protocols(7, 2, "v"), seed=0)
         runner.run(until_tick=2)
-        for version in (1, 2):
+        for version in (1, 2, 3):
             stale = dataclasses.replace(runner.snapshot(), version=version)
             with pytest.raises(ConfigurationError, match=f"snapshot version {version} does not"):
                 restore_kernel(stale)
