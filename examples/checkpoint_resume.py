@@ -7,11 +7,16 @@ stream position, the adversary's coordinator and the metrics at a tick
 boundary, and resuming from it reproduces the straight run bit-for-bit.
 This example shows the two things that buys:
 
-1. **durable checkpoints** — an E13 run stopped at tick 6, pickled to
-   disk, loaded back and finished; the completed counts are identical
-   to a run that never stopped (the CLI spells this
+1. **forkable runs** — an E13 run stopped at tick 6 and its snapshot
+   passed through ``pickle`` the way a process pool sends it to a worker,
+   then finished; the completed counts are identical to a run that never
+   stopped.  A snapshot is a live object graph, so it stays inside the
+   process tree that made it.  Across processes and days the CLI writes
+   a JSON *recipe* instead — which run, which tick, and what the run had
+   observably done there — and ``resume`` replays the run, checks it at
+   that tick and finishes it:
    ``repro-fd run ... --checkpoint-every 6 --checkpoint-dir ckpt/``
-   followed by ``repro-fd resume ckpt/run0-tick000006.ckpt``);
+   followed by ``repro-fd resume ckpt/run0-tick000006.json``;
 2. **warm-started sweeps** — a timeout sweep whose points differ only
    in a *tunable* parameter (the FD deadline, never read before it
    fires) shares one execution prefix: `sweep_prefix_shared` runs the
@@ -24,13 +29,11 @@ Every number printed here is deterministic — run it twice, diff nothing.
 
 from __future__ import annotations
 
-import tempfile
+import pickle
 import time
-from pathlib import Path
 
 from repro.harness import sweep, sweep_prefix_shared
 from repro.harness.workloads import e13_timeout_fd_point
-from repro.sim import load_snapshot, save_snapshot
 
 POINT = dict(
     n=8, t=1, delivery="loss:0.2:2", protocol="timeout", faulty=1, seed=5
@@ -38,16 +41,13 @@ POINT = dict(
 
 
 def checkpoint_then_resume() -> None:
-    print("== checkpoint at tick 6, resume from disk ==")
+    print("== checkpoint at tick 6, resume a pickled fork ==")
     straight = e13_timeout_fd_point(**POINT, timeout=12)
 
     snapshot = e13_timeout_fd_point(**POINT, timeout=12, checkpoint_at=6)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = save_snapshot(snapshot, Path(tmp) / "tick6.ckpt")
-        print(f"  snapshot: tick {snapshot.tick}, {snapshot.size_bytes} bytes")
-        resumed = e13_timeout_fd_point(
-            **POINT, timeout=12, resume_from=load_snapshot(path)
-        )
+    print(f"  snapshot: tick {snapshot.tick}, {snapshot.size_bytes} bytes")
+    fork = pickle.loads(pickle.dumps(snapshot))
+    resumed = e13_timeout_fd_point(**POINT, timeout=12, resume_from=fork)
 
     for key in ("messages", "drops", "rounds", "discovered", "decided"):
         marker = "==" if straight[key] == resumed[key] else "!="

@@ -12,11 +12,13 @@
 #                                     (the ledger's small section);
 #                                     emits bench_quick_fresh.json for CI
 #                                     to attach on failure;
-#   4. resume_gate                  — checkpoint in one process, resume in
-#                                     another, counts must match a straight
-#                                     run (process-local state, e.g. the
-#                                     simulated-hmac secret registry, is
-#                                     invisible to in-process tests).
+#   4. resume_gate                  — checkpoint in one process, resume the
+#                                     pickled snapshot in another, counts
+#                                     must match a straight run (process-
+#                                     local state, e.g. the simulated-hmac
+#                                     secret registry, is invisible to
+#                                     in-process tests); then one CLI
+#                                     recipe round trip across hash seeds.
 #
 # The last line printed is a one-line summary of each step's wall seconds,
 # so gate-time creep shows up in every run's scrollback, plus src_lines=N

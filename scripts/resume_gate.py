@@ -14,11 +14,16 @@ So for each (point, tick) below this gate runs three separate
 interpreters:
 
 1. a straight run of the point, printing its counts;
-2. the same point stopped at a checkpoint tick, snapshot saved to disk;
-3. a fresh process resuming that snapshot file and printing its counts.
+2. the same point stopped at a checkpoint tick, its snapshot pickled to
+   a scratch file by this script (the bytes a pool worker receives);
+3. a fresh process unpickling those bytes, resuming, printing its counts.
 
-Pass iff (1) and (3) print identical JSON.  ``scripts/check.sh`` runs
-this after the bench smoke; it costs about a second.
+Pass iff (1) and (3) print identical JSON.  Then one CLI round trip: a
+``repro-fd run --checkpoint-every`` under ``PYTHONHASHSEED=0`` writes
+checkpoint recipes, and ``repro-fd resume`` replays one in a fresh
+interpreter under ``PYTHONHASHSEED=1``; pass iff it checks out and
+prints the straight run's table.  ``scripts/check.sh`` runs this after
+the bench smoke; it costs a few seconds.
 """
 
 from __future__ import annotations
@@ -63,31 +68,48 @@ print(json.dumps({k: result[k] for k in keys}))
 """
 
 _CHECKPOINT = """
-import json, sys
+import json, pickle, sys
+from pathlib import Path
 from repro.harness.workloads import resolve_workload
-from repro.sim import save_snapshot
 workload, point, tick, path = json.loads(sys.argv[1])
 snap = resolve_workload(workload)(**point, checkpoint_at=tick)
-save_snapshot(snap, path)
+Path(path).write_bytes(pickle.dumps(snap))
 """
 
 _RESUME = """
-import json, sys
+import json, pickle, sys
+from pathlib import Path
 from repro.harness.workloads import resolve_workload
-from repro.sim import load_snapshot
 workload, point, keys, path = json.loads(sys.argv[1])
-result = resolve_workload(workload)(**point, resume_from=load_snapshot(path))
+snap = pickle.loads(Path(path).read_bytes())
+result = resolve_workload(workload)(**point, resume_from=snap)
 print(json.dumps({k: result[k] for k in keys}))
 """
 
+#: The CLI round trip: the lossy E13 point as ``run`` arguments, with
+#: recipes every 4 ticks; the gate resumes the one at tick 8.
+_CLI_RUN = ["run", "--workload", "e13-timeout-fd"] + [
+    arg for key, value in _LOSSY.items() for arg in ("--param", f"{key}={value}")
+]
+_CLI_RECIPE = "run0-tick000008.json"
 
-def _python(code: str, payload) -> str:
+_CLI = """
+import sys
+from repro.cli import main
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+def _python(code: str, *args: str, hash_seed: str | None = None) -> str:
+    env = {"PYTHONPATH": str(REPO_ROOT / "src")}
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     proc = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(payload)],
+        [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
         cwd=str(REPO_ROOT),
-        env={"PYTHONPATH": str(REPO_ROOT / "src")},
+        env=env,
     )
     if proc.returncode != 0:
         print(proc.stderr, file=sys.stderr)
@@ -99,15 +121,27 @@ def main() -> int:
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
         for index, (workload, point, tick) in enumerate(POINTS):
-            path = str(Path(tmp) / f"{index}-{workload}.ckpt")
-            straight = _python(_STRAIGHT, [workload, point, KEYS])
-            _python(_CHECKPOINT, [workload, point, tick, path])
-            resumed = _python(_RESUME, [workload, point, KEYS, path])
+            path = str(Path(tmp) / f"{index}-{workload}.pickle")
+            straight = _python(_STRAIGHT, json.dumps([workload, point, KEYS]))
+            _python(_CHECKPOINT, json.dumps([workload, point, tick, path]))
+            resumed = _python(_RESUME, json.dumps([workload, point, KEYS, path]))
             verdict = "ok" if resumed == straight else "DIVERGED"
             print(f"  {workload} @tick {tick}: straight {straight} | resumed {verdict}")
             if resumed != straight:
                 print(f"    resumed: {resumed}", file=sys.stderr)
                 status = 1
+        recipes = Path(tmp) / "recipes"
+        checkpointed = _python(
+            _CLI, *_CLI_RUN, "--checkpoint-every", "4",
+            "--checkpoint-dir", str(recipes), hash_seed="0",
+        )
+        table = checkpointed[: checkpointed.index("checkpoint written")].rstrip()
+        resumed = _python(_CLI, "resume", str(recipes / _CLI_RECIPE), hash_seed="1")
+        matched = resumed.startswith(table + "\n\nreplay matched")
+        print(f"  cli recipe {_CLI_RECIPE}: resume {'ok' if matched else 'DIVERGED'}")
+        if not matched:
+            print(f"    straight:\n{table}\n    resumed:\n{resumed}", file=sys.stderr)
+            status = 1
     if status:
         print(
             "== FAIL: cross-process resume diverged from the straight run ==",

@@ -28,8 +28,11 @@ as a smoke-check in automation.
 from __future__ import annotations
 
 import argparse
+import functools
+import json
 import sys
-from typing import Sequence
+from pathlib import Path
+from typing import Any, Sequence
 
 from .analysis import (
     crossover_runs,
@@ -51,6 +54,7 @@ from .harness import (
     run_ba_scenario,
     run_fd_scenario,
 )
+from .sim import clear_checkpoint_policy, observed_state, set_checkpoint_policy
 
 
 def _add_delivery(parser: argparse.ArgumentParser) -> None:
@@ -442,9 +446,10 @@ def _cmd_run_workload(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        from .sim import set_checkpoint_policy
-
-        policy = set_checkpoint_policy(args.checkpoint_every, args.checkpoint_dir)
+        written: list[Path] = []
+        policy = set_checkpoint_policy(
+            args.checkpoint_every, functools.partial(_write_recipe, args, written)
+        )
     try:
         result = fn(**params)
     except (ConfigurationError, TypeError, ValueError) as exc:
@@ -455,8 +460,6 @@ def _cmd_run_workload(args: argparse.Namespace) -> int:
         return 1
     finally:
         if policy is not None:
-            from .sim import clear_checkpoint_policy
-
             clear_checkpoint_policy()
     trace_dump = None
     if isinstance(result, dict):
@@ -475,9 +478,9 @@ def _cmd_run_workload(args: argparse.Namespace) -> int:
         print("\nstructured event log:")
         print(trace_dump)
     if policy is not None:
-        for path in policy.written:
+        for path in written:
             print(f"checkpoint written: {path}")
-        if not policy.written:
+        if not written:
             print(
                 "no checkpoints written (run finished before the first "
                 f"multiple of {policy.every} ticks)"
@@ -485,35 +488,110 @@ def _cmd_run_workload(args: argparse.Namespace) -> int:
     return 0
 
 
+# -- checkpoint recipes: a run is a pure function of its params and seed,
+# so a checkpoint file holds the ``run`` arguments, a kernel label and tick,
+# and the observed state there.  ``resume`` replays and checks it.
+
+RECIPE_VERSION = 1
+#: Field -> (JSON type, least value); ``bool`` is not an ``int`` here.
+_RECIPE_FIELDS = {
+    "version": (int, None), "workload": (str, None), "param": (list, None),
+    "trace": (bool, None), "every": (int, 1), "run": (int, 0),
+    "tick": (int, 1), "state": (dict, None),
+}
+
+
+class _ReplayDiverged(Exception):
+    """Raised inside a resume replay, past the workload's error handling."""
+
+
+def _write_recipe(
+    args: argparse.Namespace, written: list[Path], label: int, kernel: Any
+) -> None:
+    """The ``run --checkpoint-every`` action: one recipe per boundary."""
+    recipe = dict(
+        version=RECIPE_VERSION, workload=args.workload, param=args.param,
+        trace=args.trace, every=args.checkpoint_every, run=label,
+        tick=kernel.tick, state=observed_state(kernel),
+    )
+    path = Path(args.checkpoint_dir, f"run{label}-tick{kernel.tick:06d}.json")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(recipe), encoding="utf-8")
+    written.append(path)
+
+
+def _read_recipe(path: str) -> dict[str, Any]:
+    """Parse and validate a recipe; the error names the bad field."""
+    from .errors import ConfigurationError
+
+    where = f"checkpoint recipe {path}"
+    try:
+        recipe = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigurationError(f"{where}: unreadable as UTF-8 JSON ({exc})") from exc
+    for key, (kind, low) in _RECIPE_FIELDS.items():
+        value = recipe.get(key) if type(recipe) is dict else None
+        if type(value) is not kind or (low is not None and value < low):
+            least = "" if low is None else f" >= {low}"
+            raise ConfigurationError(
+                f"{where}: field {key!r} must be {kind.__name__}{least}, "
+                f"got {value!r:.40}"
+            )
+    if recipe["version"] != RECIPE_VERSION:
+        raise ConfigurationError(
+            f"{where}: field 'version' is {recipe['version']}, "
+            f"this build reads {RECIPE_VERSION}"
+        )
+    if not all(type(item) is str for item in recipe["param"]):
+        raise ConfigurationError(f"{where}: field 'param' must hold KEY=VALUE strings")
+    return recipe
+
+
 def _cmd_resume(args: argparse.Namespace) -> int:
     from .errors import ConfigurationError
-    from .sim import EventKernel, load_snapshot
 
     try:
-        snapshot = load_snapshot(args.path)
-        kernel = EventKernel.resume(snapshot)
+        recipe = _read_recipe(args.path)
     except ConfigurationError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    run = kernel.run()
-    rows = [
-        ["resumed at tick", snapshot.tick],
-        ["snapshot size (bytes)", snapshot.size_bytes],
-        ["n", run.n],
-        ["seed", run.seed],
-        ["rounds executed", run.rounds_executed],
-        ["messages", run.metrics.messages_total],
-        ["drops", run.metrics.drops_total],
-        ["decided", len(run.decisions())],
-        ["discoverers", len(run.discoverers())],
-    ]
-    scenario = snapshot.extras.get("scenario")
-    if isinstance(scenario, dict):
-        for key in ("kind", "protocol", "delivery", "adversary"):
-            if scenario.get(key) is not None:
-                rows.insert(2, [f"scenario {key}", scenario[key]])
-    print(render_table(["key", "value"], rows, title=f"resume {args.path}"))
-    return 0
+    target = (recipe["run"], recipe["tick"])
+    where = f"{args.path} at run{target[0]} tick {target[1]}"
+    reached = []
+
+    def check(label: int, kernel: Any) -> None:
+        """At the recipe's boundary, raise naming the first state entry
+        (``activity[3]`` for a list entry) the replay disagrees on."""
+        if (label, kernel.tick) != target:
+            return
+        reached.append(target)
+        for key, got in observed_state(kernel).items():
+            want = recipe["state"].get(key)
+            if want == got:
+                continue
+            if type(want) is list and type(got) is list and len(want) == len(got):
+                index = next(i for i, (a, b) in enumerate(zip(want, got)) if a != b)
+                key = f"{key}[{index}]"
+            raise _ReplayDiverged(key)
+
+    set_checkpoint_policy(recipe["every"], check)
+    replay = argparse.Namespace(
+        workload=recipe["workload"], param=recipe["param"],
+        trace=recipe["trace"], checkpoint_every=None, checkpoint_dir=None,
+    )
+    try:
+        status = _cmd_run_workload(replay)
+    except _ReplayDiverged as exc:
+        print(f"replay of {where}: {exc} differs from the recipe", file=sys.stderr)
+        return 2
+    finally:
+        clear_checkpoint_policy()
+    if status == 0 and not reached:
+        print(f"replay never reached {where}", file=sys.stderr)
+        return 2
+    if status == 0:
+        print(f"\nreplay matched {where}")
+    return status
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -622,21 +700,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-every",
         type=int,
         metavar="N",
-        help="write a kernel checkpoint every N ticks (requires "
+        help="write a checkpoint recipe every N ticks (requires "
         "--checkpoint-dir); resume later with 'repro-fd resume PATH'",
     )
     p.add_argument(
         "--checkpoint-dir",
         metavar="DIR",
-        help="directory for checkpoint files (run0-tickNNNNNN.ckpt)",
+        help="directory for checkpoint recipes (run0-tickNNNNNN.json)",
     )
     p.set_defaults(func=_cmd_run_workload)
 
     p = sub.add_parser(
         "resume",
-        help="resume a run from a checkpoint file and finish it",
+        help="replay a run from a checkpoint recipe, check it, finish it",
     )
-    p.add_argument("path", help="checkpoint file written by --checkpoint-every")
+    p.add_argument("path", help="checkpoint recipe written by --checkpoint-every")
     p.set_defaults(func=_cmd_resume)
 
     p = sub.add_parser(

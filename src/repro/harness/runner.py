@@ -54,6 +54,7 @@ from ..sim import (
     RunResult,
     capture_kernel,
     make_delivery,
+    restore_kernel,
     retune_protocols,
 )
 from ..types import NodeId
@@ -188,7 +189,7 @@ def _resume(
                 f"resume mismatch: snapshot was taken with "
                 f"{name}={scenario.get(name)!r}, this call passes {value!r}"
             )
-    kernel = EventKernel.resume(snapshot)
+    kernel = restore_kernel(snapshot)
     if retunes:
         retune_protocols(kernel.protocols, **retunes)
     return kernel, set(scenario["faulty"]), snapshot.extras.get("kd")
@@ -325,7 +326,6 @@ def _run_scenario(
             "scenario": {
                 **given,
                 "delivery": delivery if isinstance(delivery, str) else None,
-                "adversary": spec.spec() if spec is not None else None,
                 "faulty": sorted(faulty),
             },
             "kd": kd,

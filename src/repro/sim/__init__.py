@@ -40,10 +40,9 @@ from .snapshot import (
     KernelSnapshot,
     capture_kernel,
     clear_checkpoint_policy,
-    load_snapshot,
+    observed_state,
     restore_kernel,
     retune_protocols,
-    save_snapshot,
     set_checkpoint_policy,
 )
 from .trace import Trace, TraceEvent
@@ -82,16 +81,15 @@ __all__ = [
     "clear_checkpoint_policy",
     "collect_instances",
     "instance_rng",
-    "load_snapshot",
     "make_delivery",
     "merge_instance_aggregates",
     "mux_unwrap",
     "mux_wrap",
     "node_rng",
+    "observed_state",
     "payload_kind",
     "restore_kernel",
     "retune_protocols",
     "run_protocols",
-    "save_snapshot",
     "set_checkpoint_policy",
 ]

@@ -428,32 +428,6 @@ class EventKernel:
             )
         return count
 
-    def snapshot(self) -> "Any":
-        """Capture the run's full state at the current tick boundary.
-
-        Legal between construction and completion, and between ``run``
-        calls (``run(until_tick=T)`` stops at exactly such a boundary).
-        Returns a picklable :class:`~repro.sim.snapshot.KernelSnapshot`;
-        see :mod:`repro.sim.snapshot` for what it carries and the
-        bit-for-bit resume contract.
-        """
-        from .snapshot import capture_kernel
-
-        return capture_kernel(self)
-
-    @classmethod
-    def resume(cls, snapshot: "Any") -> "EventKernel":
-        """Rebuild a kernel from a snapshot; ``run()`` continues the run
-        bit-for-bit from the snapshot's tick.
-
-        A fresh object graph per call — resuming one snapshot K times
-        yields K independent runs, which is what the warm-started sweep
-        forks (:func:`repro.harness.parallel.sweep_prefix_shared`) do.
-        """
-        from .snapshot import restore_kernel
-
-        return restore_kernel(snapshot)
-
     def run(self, until_tick: Round | None = None) -> RunResult | None:
         """Execute ticks until every node halts.
 

@@ -38,24 +38,18 @@ handle) says so the way any Python object does — the pickle pair
 :class:`repro.sim.node.Protocol`); unpicklable run state without it
 fails the capture fast, with a message naming the pair.
 
-Checkpoint files and the policy hook
-------------------------------------
-:func:`save_snapshot` / :func:`load_snapshot` move snapshots through
-files with fail-fast validation (missing/corrupt/version-mismatched
-files raise :class:`~repro.errors.ConfigurationError`, which the CLI
-maps to exit 2).  :func:`set_checkpoint_policy` installs a process-wide
-"write a checkpoint every N ticks" policy that the kernel's run loop
-consults — how ``repro-fd run --checkpoint-every N --checkpoint-dir D``
-checkpoints *any* workload without threading new parameters through
-every entry point.
+A snapshot never leaves the process tree that made it (warm forks, pool
+workers).  Checkpoint *files* are replay recipes that :mod:`repro.cli`
+writes and checks through two hooks here: :func:`set_checkpoint_policy`
+(call ``action(label, kernel)`` every N ticks of any run) and
+:func:`observed_state` (a kernel's visible progress as JSON values).
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..errors import ConfigurationError
 from ..types import Round
@@ -73,18 +67,12 @@ if TYPE_CHECKING:
 #: its first drain).
 SNAPSHOT_VERSION = 4
 
-#: Conventional checkpoint-file suffix (documentation only — loading
-#: validates content, never the name).
-SNAPSHOT_SUFFIX = ".ckpt"
-
 
 @dataclass(frozen=True)
 class KernelSnapshot:
     """One run's full state at a tick boundary, as a picklable value.
 
     :ivar version: format version (see :data:`SNAPSHOT_VERSION`).
-    :ivar n: network size, for display and sanity checks.
-    :ivar seed: the run's master seed.
     :ivar tick: the tick the snapshot was taken at — the resumed kernel
         continues by *processing* this tick.
     :ivar payload: the pickled kernel graph.
@@ -95,8 +83,6 @@ class KernelSnapshot:
     """
 
     version: int
-    n: int
-    seed: int | str
     tick: Round
     payload: bytes
     extras: dict[str, Any] = field(default_factory=dict)
@@ -126,8 +112,6 @@ def capture_kernel(kernel: "EventKernel", extras: dict[str, Any] | None = None) 
         ) from exc
     return KernelSnapshot(
         version=SNAPSHOT_VERSION,
-        n=kernel.n,
-        seed=kernel.seed,
         tick=kernel.tick,
         payload=payload,
         extras=dict(extras) if extras else {},
@@ -145,7 +129,7 @@ def restore_kernel(snapshot: KernelSnapshot) -> "EventKernel":
     if not isinstance(snapshot, KernelSnapshot):
         raise ConfigurationError(
             f"expected a KernelSnapshot, got {type(snapshot).__name__} — "
-            "snapshots come from EventKernel.snapshot() / load_snapshot()"
+            "snapshots come from capture_kernel()"
         )
     if snapshot.version != SNAPSHOT_VERSION:
         raise ConfigurationError(
@@ -192,104 +176,69 @@ def retune_protocols(protocols: list, **params: Any) -> dict[str, int]:
     return counts
 
 
-# -- file transport --------------------------------------------------------
-
-
-def save_snapshot(snapshot: KernelSnapshot, path: "str | Path") -> Path:
-    """Write a snapshot to ``path`` (parents created); returns the path."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_bytes(pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL))
-    return target
-
-
-def load_snapshot(path: "str | Path") -> KernelSnapshot:
-    """Read and validate a snapshot file.
-
-    :raises ConfigurationError: when the file is missing, unreadable,
-        not a pickled :class:`KernelSnapshot`, or carries a different
-        format version — each with a message naming the valid form, so
-        the CLI can map every bad checkpoint to exit 2.
-    """
-    source = Path(path)
-    try:
-        raw = source.read_bytes()
-    except OSError as exc:
-        raise ConfigurationError(
-            f"cannot read checkpoint file {source}: {exc} — expected a "
-            f"file written by save_snapshot / --checkpoint-every"
-        ) from exc
-    try:
-        snapshot = pickle.loads(raw)
-    except Exception as exc:
-        raise ConfigurationError(
-            f"checkpoint file {source} is corrupt (not a pickled "
-            f"KernelSnapshot): {exc}"
-        ) from exc
-    if not isinstance(snapshot, KernelSnapshot):
-        raise ConfigurationError(
-            f"checkpoint file {source} does not contain a KernelSnapshot "
-            f"(got {type(snapshot).__name__})"
-        )
-    if snapshot.version != SNAPSHOT_VERSION:
-        raise ConfigurationError(
-            f"checkpoint file {source} has snapshot version "
-            f"{snapshot.version}, but this build reads version "
-            f"{SNAPSHOT_VERSION}; re-create it with the current code"
-        )
-    return snapshot
+def observed_state(kernel: "EventKernel") -> dict[str, Any]:
+    """A run's visible progress as JSON values: totals, per-node
+    ``[sent, dropped]`` activity, sorted decided / discovered nodes."""
+    metrics, states = kernel._metrics, [ctx.state for ctx in kernel._contexts]
+    return dict(
+        messages=metrics.messages_total, drops=metrics.drops_total,
+        bytes=metrics.bytes_total,
+        activity=[list(pair) for pair in metrics.activity_snapshot(kernel.n)],
+        decided=[state.node for state in states if state.decided],
+        discovered=[state.node for state in states if state.discovered is not None],
+    )
 
 
 # -- process-wide checkpoint policy ---------------------------------------
 
+#: A checkpoint action: called with the kernel's label and the kernel.
+CheckpointAction = Callable[[int, "EventKernel"], None]
+
 
 class CheckpointPolicy:
-    """Write a checkpoint every ``every`` ticks into ``directory``.
+    """Call ``action(label, kernel)`` every ``every`` ticks.
 
-    Consulted by the kernel's run loop at each tick boundary.  Each
-    kernel run the policy sees gets its own file prefix (``run0-``,
-    ``run1-``, ...), so workloads that execute several kernels — a key
-    distribution phase before the protocol under test — never overwrite
-    each other's checkpoints.
+    Consulted by the kernel's run loop at each tick boundary.  Kernels
+    are labelled ``0``, ``1``, ... in the order they first reach a
+    boundary, so a workload running several (key distribution, then the
+    protocol under test) keeps their checkpoints apart.
     """
 
-    def __init__(self, every: int, directory: "str | Path") -> None:
+    def __init__(self, every: int, action: CheckpointAction) -> None:
         if every < 1:
             raise ConfigurationError(
                 f"checkpoint interval must be a positive tick count, got {every}"
             )
         self.every = every
-        self.directory = Path(directory)
+        self.action = action
         self._next_run = 0
         self._labels: dict[int, int] = {}
-        self.written: list[Path] = []
 
     def checkpoint(self, kernel: "EventKernel") -> None:
-        """Snapshot ``kernel`` now (kernel's tick is a multiple of
-        ``every``); file name carries the run index and the tick."""
+        """Hand ``kernel`` (its tick a multiple of ``every``) to the
+        action under the kernel's label."""
         label = self._labels.get(id(kernel))
         if label is None:
             label = self._labels[id(kernel)] = self._next_run
             self._next_run += 1
-        path = self.directory / f"run{label}-tick{kernel.tick:06d}{SNAPSHOT_SUFFIX}"
-        self.written.append(save_snapshot(kernel.snapshot(), path))
+        self.action(label, kernel)
 
 
 _ACTIVE_POLICY: CheckpointPolicy | None = None
 
 
-def set_checkpoint_policy(every: int, directory: "str | Path") -> CheckpointPolicy:
+def set_checkpoint_policy(every: int, action: CheckpointAction) -> CheckpointPolicy:
     """Install a process-wide checkpoint policy (returns it).
 
     :raises ConfigurationError: for a non-positive interval.
     """
     global _ACTIVE_POLICY
-    _ACTIVE_POLICY = CheckpointPolicy(every, directory)
+    _ACTIVE_POLICY = CheckpointPolicy(every, action)
     return _ACTIVE_POLICY
 
 
 def clear_checkpoint_policy() -> None:
-    """Remove the active policy (kernels stop writing checkpoints)."""
+    """Remove the active policy (kernels stop calling its action)."""
     global _ACTIVE_POLICY
     _ACTIVE_POLICY = None
 

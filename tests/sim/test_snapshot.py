@@ -40,11 +40,10 @@ from repro.sim import (
     capture_kernel,
     clear_checkpoint_policy,
     instance_rng,
-    load_snapshot,
     make_delivery,
+    observed_state,
     restore_kernel,
     retune_protocols,
-    save_snapshot,
     set_checkpoint_policy,
 )
 
@@ -151,14 +150,14 @@ class TestResumeEqualsStraightRun:
         assert outcome_observables(resumed) == outcome_observables(straight)
 
     @pytest.mark.parametrize("scenario, tick", SCENARIOS)
-    def test_resume_matches_after_pickle_round_trip(self, scenario, tick, tmp_path):
-        """The on-disk form (and the process-pool form) resumes identically
-        — including the simulated scheme's trust base, which must travel
-        with the pickled secrets rather than stay process-local."""
+    def test_resume_matches_after_pickle_round_trip(self, scenario, tick):
+        """The process-pool form resumes identically — including the
+        simulated scheme's trust base, which must travel with the pickled
+        secrets rather than stay process-local."""
         base = dict(seed=11, **scenario)
         straight = run_fd_scenario(16, 2, "v", **base)
         snap = run_fd_scenario(16, 2, "v", **base, checkpoint_at=tick)
-        path = save_snapshot(snap, tmp_path / "point.ckpt")
+        raw = pickle.dumps(snap)
         # Clearing the registry makes this process as cold as a fresh
         # worker: without re-registration on unpickle, every signature
         # verification would flip to reject and the run would diverge.
@@ -166,7 +165,7 @@ class TestResumeEqualsStraightRun:
         simulated._SECRET_REGISTRY.clear()
         try:
             resumed = run_fd_scenario(
-                16, 2, "v", **base, resume_from=load_snapshot(path)
+                16, 2, "v", **base, resume_from=pickle.loads(raw)
             )
         finally:
             simulated._SECRET_REGISTRY.update(saved_registry)
@@ -328,8 +327,8 @@ class TestStreamsBuiltOnFirstRead:
 
 class TestResumeAtEveryTick:
     """Every tick boundary of one lossy, jittered E13 point is a
-    checkpoint that crosses the file format and resumes into the straight
-    run.  The point is long enough for every live link to refill its
+    checkpoint that crosses a pickle round trip and resumes into the
+    straight run.  The point is long enough for every live link to refill its
     draw-ahead outcomes twice, so checkpoints fall before, between and
     after refills."""
 
@@ -338,17 +337,17 @@ class TestResumeAtEveryTick:
         timeout=68,
     )
 
-    def test_every_tick_resumes_into_the_straight_run(self, tmp_path):
+    def test_every_tick_resumes_into_the_straight_run(self):
         point = resolve_workload("e13-timeout-fd")
         straight = point(**self.POINT)
         prefix = point(**self.POINT, checkpoint_at=0)
         runner = restore_kernel(prefix)
         for tick in range(straight["rounds"]):
             assert runner.run(until_tick=tick) is None
-            path = save_snapshot(
-                capture_kernel(runner, extras=prefix.extras), tmp_path / "at.ckpt"
+            snap = pickle.loads(
+                pickle.dumps(capture_kernel(runner, extras=prefix.extras))
             )
-            resumed = point(**self.POINT, resume_from=load_snapshot(path))
+            resumed = point(**self.POINT, resume_from=snap)
             assert resumed == straight, f"resume at tick {tick} diverged"
         # 16 -> 64 -> 256 outcomes drawn: two refills on every live link.
         assert min(runner._delivery._drawn.values()) == 256
@@ -551,10 +550,10 @@ class TestSnapshotMachinery:
     def test_hooked_protocols_round_trip(self):
         runner = EventKernel([_HookedCounter() for _ in range(3)], seed=0)
         runner.run(until_tick=2)
-        snap = runner.snapshot()
+        snap = capture_kernel(runner)
         # The live kernel keeps its real protocols after capture.
         assert all(isinstance(p, _HookedCounter) for p in runner.protocols)
-        resumed = EventKernel.resume(snap)
+        resumed = restore_kernel(snap)
         assert all(isinstance(p, _HookedCounter) for p in resumed.protocols)
         assert all(p.count == 2 for p in resumed.protocols)
         result = resumed.run()
@@ -569,9 +568,23 @@ class TestSnapshotMachinery:
     def test_version_mismatch_refused(self):
         runner = EventKernel([_HookedCounter() for _ in range(2)], seed=0)
         runner.run(until_tick=1)
-        snap = dataclasses.replace(runner.snapshot(), version=999)
+        snap = dataclasses.replace(capture_kernel(runner), version=999)
         with pytest.raises(ConfigurationError, match="version"):
             restore_kernel(snap)
+
+    def test_version_1_snapshot_refused_by_name(self):
+        """Version 1 predates the succinct EIG store's run columns,
+        version 2 holds live ``random.Random`` link streams where links
+        now hold draw-ahead outcomes, and a version-3 recording run holds
+        no batch plane: such a snapshot must be refused up front with the
+        named version error, not resumed into an ``AttributeError``."""
+        assert SNAPSHOT_VERSION == 4
+        runner = EventKernel(make_oral_agreement_protocols(7, 2, "v"), seed=0)
+        runner.run(until_tick=2)
+        for version in (1, 2, 3):
+            stale = dataclasses.replace(capture_kernel(runner), version=version)
+            with pytest.raises(ConfigurationError, match=f"snapshot version {version} does not"):
+                restore_kernel(stale)
 
     def test_restore_rejects_non_snapshot(self):
         with pytest.raises(ConfigurationError, match="KernelSnapshot"):
@@ -580,89 +593,61 @@ class TestSnapshotMachinery:
     def test_size_bytes(self):
         runner = EventKernel([_HookedCounter() for _ in range(2)], seed=0)
         runner.run(until_tick=1)
-        snap = runner.snapshot()
+        snap = capture_kernel(runner)
         assert snap.size_bytes == len(snap.payload) > 0
 
 
-class TestSnapshotFiles:
-    def test_round_trip(self, tmp_path):
-        runner = EventKernel([_HookedCounter() for _ in range(2)], seed=0)
-        runner.run(until_tick=1)
-        path = save_snapshot(runner.snapshot(), tmp_path / "deep" / "a.ckpt")
-        loaded = load_snapshot(path)
-        assert loaded.tick == 1
-        assert EventKernel.resume(loaded).run().rounds_executed == 3
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="cannot read checkpoint"):
-            load_snapshot(tmp_path / "nope.ckpt")
-
-    def test_corrupt_file(self, tmp_path):
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"not a pickle")
-        with pytest.raises(ConfigurationError, match="corrupt"):
-            load_snapshot(path)
-
-    def test_wrong_payload_type(self, tmp_path):
-        path = tmp_path / "other.ckpt"
-        path.write_bytes(pickle.dumps({"hello": 1}))
-        with pytest.raises(ConfigurationError, match="does not contain"):
-            load_snapshot(path)
-
-    def test_version_mismatch(self, tmp_path):
-        runner = EventKernel([_HookedCounter() for _ in range(2)], seed=0)
-        runner.run(until_tick=1)
-        stale = dataclasses.replace(runner.snapshot(), version=0)
-        path = tmp_path / "stale.ckpt"
-        path.write_bytes(pickle.dumps(stale))
-        with pytest.raises(ConfigurationError, match="version"):
-            load_snapshot(path)
-
-    def test_version_1_snapshot_refused_by_name(self, tmp_path):
-        """Version 1 predates the succinct EIG store's run columns,
-        version 2 holds live ``random.Random`` link streams where links
-        now hold draw-ahead outcomes, and a version-3 recording run holds
-        no batch plane: such a snapshot must be refused up front with the
-        named version error — in memory and from disk — not resumed into
-        an ``AttributeError``."""
-        assert SNAPSHOT_VERSION == 4
-        runner = EventKernel(make_oral_agreement_protocols(7, 2, "v"), seed=0)
-        runner.run(until_tick=2)
-        for version in (1, 2, 3):
-            stale = dataclasses.replace(runner.snapshot(), version=version)
-            with pytest.raises(ConfigurationError, match=f"snapshot version {version} does not"):
-                restore_kernel(stale)
-            with pytest.raises(ConfigurationError, match=f"snapshot version {version} does not"):
-                EventKernel.resume(stale)
-            path = tmp_path / f"v{version}.ckpt"
-            path.write_bytes(pickle.dumps(stale))
-            with pytest.raises(ConfigurationError, match=f"has snapshot version {version},"):
-                load_snapshot(path)
-
-
 class TestCheckpointPolicy:
-    def test_periodic_files_resume(self, tmp_path):
+    def test_action_sees_every_boundary(self):
+        """The action gets each kernel under its own label at every
+        multiple of ``every``, with the kernel at that boundary: a
+        snapshot taken there resumes into the straight run."""
         base = dict(protocol="timeout", delivery="bounded:3", adversary="15=silent", seed=9)
         straight = run_fd_scenario(16, 2, "v", **base)
-        policy = set_checkpoint_policy(3, tmp_path)
+        seen = []
+        set_checkpoint_policy(
+            3, lambda label, kernel: seen.append((label, kernel.tick, capture_kernel(kernel)))
+        )
         try:
             run_fd_scenario(16, 2, "v", **base)
         finally:
             clear_checkpoint_policy()
-        assert policy.written, "no checkpoints written"
-        for path in policy.written:
-            snap = load_snapshot(path)
-            assert snap.tick % 3 == 0
+        assert [tick for _, tick, _ in seen] == list(range(3, 3 * len(seen) + 1, 3))
+        assert {label for label, _, _ in seen} == {0}
+        for _, _, snap in seen:
             resumed = restore_kernel(snap).run()
             assert resumed.metrics.messages_total == straight.run.metrics.messages_total
             assert resumed.metrics.drops_total == straight.run.metrics.drops_total
 
-    def test_non_positive_interval_refused(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="positive"):
-            set_checkpoint_policy(0, tmp_path)
+    def test_labels_follow_first_boundary(self):
+        """Key distribution reaches a boundary first (label 0), the
+        protocol under test second (label 1)."""
+        labels = []
+        set_checkpoint_policy(1, lambda label, kernel: labels.append(label))
+        try:
+            run_fd_scenario(8, 2, "v", auth="local", seed=1)
+        finally:
+            clear_checkpoint_policy()
+        assert labels == sorted(labels) and set(labels) == {0, 1}
 
-    def test_clear_stops_writing(self, tmp_path):
-        policy = set_checkpoint_policy(2, tmp_path)
+    def test_observed_state_is_json(self):
+        """The recipe's state: plain JSON values that survive a round trip."""
+        import json
+
+        runner = EventKernel(make_oral_agreement_protocols(7, 2, "v"), seed=0)
+        runner.run(until_tick=2)
+        state = observed_state(runner)
+        assert json.loads(json.dumps(state)) == state
+        assert state["messages"] == sum(sent for sent, _ in state["activity"])
+        assert len(state["activity"]) == 7
+
+    def test_non_positive_interval_refused(self):
+        with pytest.raises(ConfigurationError, match="positive"):
+            set_checkpoint_policy(0, lambda label, kernel: None)
+
+    def test_clear_stops_calling(self):
+        calls = []
+        set_checkpoint_policy(2, lambda label, kernel: calls.append(label))
         clear_checkpoint_policy()
         run_fd_scenario(8, 1, "v", protocol="timeout", seed=1)
-        assert policy.written == []
+        assert calls == []

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import pickle
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -176,19 +179,119 @@ class TestCheckpointResume:
         "--param", "seed=3",
     ]
 
-    def test_checkpoints_written_and_resumable(self, capsys, tmp_path):
+    @pytest.fixture
+    def recipes(self, capsys, tmp_path):
+        """(run's table, the recipes it wrote) for :attr:`RUN` every 3 ticks."""
         assert main(
             self.RUN + ["--checkpoint-every", "3",
-                        "--checkpoint-dir", str(tmp_path)]
+                        "--checkpoint-dir", str(tmp_path / "ckpt")]
         ) == 0
         out = capsys.readouterr().out
-        assert "checkpoint written" in out
-        files = sorted(tmp_path.glob("*.ckpt"))
-        assert files, "no checkpoint files on disk"
-        assert main(["resume", str(files[0])]) == 0
-        out = capsys.readouterr().out
-        assert "resumed at tick" in out
-        assert "rounds executed" in out
+        files = sorted((tmp_path / "ckpt").glob("*.json"))
+        assert [f"checkpoint written: {f}" for f in files] == [
+            line for line in out.splitlines() if line.startswith("checkpoint")
+        ]
+        assert files, "no checkpoint recipes on disk"
+        table = out[: out.index("checkpoint written")]
+        return table, files
+
+    def _resume_fails(self, capsys, path, needle):
+        assert main(["resume", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert needle in captured.err
+        return captured
+
+    def _edited(self, tmp_path, recipe, **changes):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps({**json.loads(recipe.read_text()), **changes}))
+        return path
+
+    def test_resume_prints_the_run_table(self, capsys, recipes):
+        """Every recipe replays into the table ``run`` printed, byte for
+        byte, plus one line naming the boundary it checked."""
+        table, files = recipes
+        for path in files:
+            assert main(["resume", str(path)]) == 0
+            tick = int(path.stem.split("tick")[1])
+            assert capsys.readouterr().out == (
+                table + f"\nreplay matched {path} at run0 tick {tick}\n"
+            )
+
+    def test_second_kernel_recipe_resumes(self, capsys, tmp_path):
+        """``run1`` is the protocol kernel after key distribution."""
+        assert main(
+            ["run", "--workload", "fd", "--param", "n=8", "--param", "t=2",
+             "--param", "auth=local", "--checkpoint-every", "1",
+             "--checkpoint-dir", str(tmp_path)]
+        ) == 0
+        capsys.readouterr()
+        path = tmp_path / "run1-tick000001.json"
+        assert main(["resume", str(path)]) == 0
+        assert f"replay matched {path} at run1 tick 1" in capsys.readouterr().out
+
+    def test_every_truncation_exits_2(self, capsys, recipes, tmp_path):
+        raw = recipes[1][0].read_bytes()
+        cut = tmp_path / "cut.json"
+        for length in range(len(raw)):
+            cut.write_bytes(raw[:length])
+            assert main(["resume", str(cut)]) == 2, f"prefix of {length} bytes"
+        assert "checkpoint recipe" in capsys.readouterr().err
+
+    def test_pickle_payload_never_runs(self, capsys, tmp_path):
+        sentinel = tmp_path / "ran"
+
+        class Payload:
+            def __reduce__(self):
+                return (open, (str(sentinel), "w"))
+
+        path = tmp_path / "hostile.ckpt"
+        path.write_bytes(pickle.dumps(Payload()))
+        self._resume_fails(capsys, path, "unreadable as UTF-8 JSON")
+        assert not sentinel.exists()
+
+    def test_edited_activity_names_the_entry(self, capsys, recipes, tmp_path):
+        recipe = recipes[1][0]
+        state = json.loads(recipe.read_text())["state"]
+        state["activity"][3][0] += 1
+        path = self._edited(tmp_path, recipe, state=state)
+        captured = self._resume_fails(capsys, path, "activity[3] differs")
+        assert captured.out == ""
+
+    def test_edited_counter_names_it(self, capsys, recipes, tmp_path):
+        recipe = recipes[1][0]
+        state = json.loads(recipe.read_text())["state"]
+        state["bytes"] += 1
+        self._resume_fails(
+            capsys, self._edited(tmp_path, recipe, state=state), ": bytes differs"
+        )
+
+    def test_tick_past_completion_exits_2(self, capsys, recipes, tmp_path):
+        path = self._edited(tmp_path, recipes[1][0], tick=999)
+        captured = self._resume_fails(capsys, path, "replay never reached")
+        assert "at run0 tick 999" in captured.err
+
+    @pytest.mark.parametrize(
+        "changes, needle",
+        [
+            ({"workload": "no-such-workload"}, "no-such-workload"),
+            ({"param": ["n=8", 8]}, "'param' must hold KEY=VALUE strings"),
+            ({"tick": -3}, "'tick' must be int >= 1, got -3"),
+            ({"every": 0}, "'every' must be int >= 1, got 0"),
+            ({"run": True}, "'run' must be int >= 0, got True"),
+            ({"version": 99}, "'version' is 99, this build reads 1"),
+            ({"state": [1, 2]}, "'state' must be dict"),
+        ],
+        ids=["workload", "param", "tick", "every", "run", "version", "state"],
+    )
+    def test_bad_field_exits_2(self, capsys, recipes, tmp_path, changes, needle):
+        self._resume_fails(capsys, self._edited(tmp_path, recipes[1][0], **changes), needle)
+
+    def test_missing_field_exits_2(self, capsys, recipes, tmp_path):
+        recipe = json.loads(recipes[1][0].read_text())
+        del recipe["every"]
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(recipe))
+        self._resume_fails(capsys, path, "field 'every' must be int >= 1, got None")
 
     def test_non_positive_every_exits_2(self, capsys, tmp_path):
         assert main(
@@ -206,30 +309,12 @@ class TestCheckpointResume:
         assert "together" in capsys.readouterr().err
 
     def test_resume_missing_file_exits_2(self, capsys, tmp_path):
-        assert main(["resume", str(tmp_path / "nope.ckpt")]) == 2
-        assert "cannot read checkpoint" in capsys.readouterr().err
+        self._resume_fails(capsys, tmp_path / "nope.json", "unreadable as UTF-8 JSON")
 
     def test_resume_corrupt_file_exits_2(self, capsys, tmp_path):
-        bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(b"garbage")
-        assert main(["resume", str(bad)]) == 2
-        assert "corrupt" in capsys.readouterr().err
-
-    def test_resume_version_mismatch_exits_2(self, capsys, tmp_path):
-        import dataclasses
-        import pickle
-
-        from repro.harness import run_fd_scenario
-
-        snap = run_fd_scenario(
-            8, 1, "v", protocol="timeout", delivery="bounded:2", seed=3,
-            checkpoint_at=2,
-        )
-        stale = tmp_path / "stale.ckpt"
-        stale.write_bytes(pickle.dumps(dataclasses.replace(snap, version=0)))
-        assert main(["resume", str(stale)]) == 2
-        err = capsys.readouterr().err
-        assert "version" in err and "re-create" in err
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff garbage")
+        self._resume_fails(capsys, bad, "unreadable as UTF-8 JSON")
 
 
 class TestDeliveryKnob:
