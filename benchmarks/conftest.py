@@ -21,8 +21,8 @@ worker processes via :func:`repro.harness.parallel.sweep_parallel` — the
 runs serially; either way the results are identical — every point
 carries its own seed, so parallelism is an executor choice, not a
 semantics choice.  Sweeps dispatch by *registered workload name* (see
-:mod:`repro.harness.workloads`), so the jobs are always picklable and a
-parallel run can never silently degrade to the serial fallback.
+:mod:`repro.harness.workloads`), so the jobs are always picklable: a
+parallel run never hits the pickling error an unpicklable job raises.
 """
 
 from __future__ import annotations

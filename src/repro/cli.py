@@ -46,6 +46,7 @@ from .analysis import (
 )
 from .auth import run_key_distribution
 from .crypto import DEFAULT_SCHEME, available_schemes
+from .errors import ConfigurationError
 from .harness import (
     GLOBAL,
     LOCAL,
@@ -102,29 +103,6 @@ def _shown_delivery(args: argparse.Namespace) -> str:
         if spec is not None and spec.delivery is not None:
             return spec.delivery
     return "sync"
-
-
-def _validated_specs(args: argparse.Namespace) -> "int | None":
-    """Fail fast (exit 2, no traceback) on malformed spec strings.
-
-    Delivery and adversary specs are parsed deep inside a scenario run;
-    validating up front keeps the CLI's contract — message plus exit
-    code — for typo'd specs too.  :func:`main` calls it once for every
-    command; one without ``--delivery`` / ``--adversary`` passes.
-    """
-    from .errors import ConfigurationError
-    from .faults import make_adversary
-    from .sim import make_delivery
-
-    try:
-        if getattr(args, "delivery", None) is not None:
-            make_delivery(args.delivery)
-        if getattr(args, "adversary", None) is not None:
-            make_adversary(args.adversary, t=getattr(args, "t", 0))
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    return None
 
 
 def _add_common(parser: argparse.ArgumentParser, with_t: bool = True) -> None:
@@ -386,8 +364,6 @@ def _parse_workload_params(raw: Sequence[str]) -> dict[str, object]:
 
     :raises ConfigurationError: for an item that is not ``key=value``.
     """
-    from .errors import ConfigurationError
-
     params: dict[str, object] = {}
     for item in raw:
         key, sep, value = item.partition("=")
@@ -410,15 +386,10 @@ def _parse_workload_params(raw: Sequence[str]) -> dict[str, object]:
 def _cmd_run_workload(args: argparse.Namespace) -> int:
     import inspect
 
-    from .errors import ConfigurationError
     from .harness import get_workload
 
-    try:
-        fn = get_workload(args.workload)
-        params = _parse_workload_params(args.param)
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    fn = get_workload(args.workload)
+    params = _parse_workload_params(args.param)
     if args.trace:
         if "trace" not in inspect.signature(fn).parameters:
             print(
@@ -522,8 +493,6 @@ def _write_recipe(
 
 def _read_recipe(path: str) -> dict[str, Any]:
     """Parse and validate a recipe; the error names the bad field."""
-    from .errors import ConfigurationError
-
     where = f"checkpoint recipe {path}"
     try:
         recipe = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -548,13 +517,7 @@ def _read_recipe(path: str) -> dict[str, Any]:
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
-    from .errors import ConfigurationError
-
-    try:
-        recipe = _read_recipe(args.path)
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    recipe = _read_recipe(args.path)
     target = (recipe["run"], recipe["tick"])
     where = f"{args.path} at run{target[0]} tick {target[1]}"
     reached = []
@@ -727,12 +690,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A :class:`~repro.errors.ConfigurationError` from any command — a
+    malformed spec string, an infeasible ``(n, t)``, a bad checkpoint
+    recipe — prints its message and exits 2, never a traceback.
+    """
     args = build_parser().parse_args(argv)
-    bad = _validated_specs(args)
-    if bad is not None:
-        return bad
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

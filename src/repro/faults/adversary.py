@@ -33,8 +33,8 @@ outside the plane).  One object names:
 A spec built purely from declarative behaviours is picklable (primitive
 fields only), so it travels through workload parameters and the sweep
 executors; ``overrides`` carrying closures make it in-process-only, and
-:func:`repro.harness.parallel.sweep_parallel` warns by spec when that
-forces a serial fallback.
+a pooled :func:`repro.harness.parallel.sweep_parallel` raises the
+pickling error for it instead of running.
 
 Determinism: the ``drop@p`` / ``tamper@p`` behaviours decide per message
 by hashing ``(node, round, recipient)`` — a pure function of the

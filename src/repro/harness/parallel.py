@@ -14,16 +14,16 @@ the serial sweep's two contracts exactly:
 
 Registry dispatch: a workload *name* (see
 :mod:`repro.harness.workloads`) is the preferred ``fn`` — the name is
-what gets pickled, so a registry-dispatched sweep can never degrade to
-the serial fallback.  The E1–E11 suites all dispatch by name.
+what gets pickled.  The E1–E11 suites all dispatch by name.
 
-Serial fallback: unpicklable callables (lambdas, closures), single-worker
-configs, and environments where process pools cannot start (sandboxes
-without semaphore support) fall back to :func:`~repro.harness.sweep.sweep`.
-Degraded runs are *visible*: the unpicklable-workload fallback emits a
-:class:`RuntimeWarning` naming the offending workload (registering it in
-``repro.harness.workloads`` and sweeping by name is the fix).
-Parallelism is an executor choice, never a semantics choice.
+Every executor here maps its jobs through one pool map.  With more than
+one worker and more than one job, the jobs cross the process boundary:
+an unpicklable callable or parameter (a lambda, a closure, an adversary
+spec with in-process overrides) raises the pool's pickling error and no
+job runs.  A single worker or job, and a host where process pools cannot
+start (a sandbox without semaphore support), run the jobs in-process
+through :func:`~repro.harness.sweep.sweep`.  Parallelism is an executor
+choice, never a semantics choice.
 
 Instance sharding
 -----------------
@@ -31,25 +31,19 @@ Instance sharding
 ``sweep_parallel`` fans out *independent parameter points*, the mux
 shard executor fans out *the K instances of one logical run*
 (:mod:`repro.sim.multiplex`).  It partitions the instance ids into
-contiguous shards, runs ``fn(instances=shard, **params)`` per shard —
-pipelined through a process pool, or in-process under the same fallback
-rules — and merges the per-instance results.  Causal independence of
-the instances (per-instance wire tags + namespaced rng streams) makes
-every shard's per-instance decisions, rounds and metrics bit-for-bit
-identical to the unsharded run, so merging is a disjoint dict union;
-the sharding property tests enforce that equivalence under random
-Byzantine behaviour.  Params travel verbatim to the workers, so shard
-runs ride whatever mux execution engine the caller picked (the columnar
-batch plane by default — see :mod:`repro.sim.batch`) with no executor
-involvement: sharding and columnar execution compose freely.
+contiguous shards, runs ``fn(instances=shard, **params)`` per shard
+through the same pool map, and merges the per-instance results.  Causal
+independence of the instances (per-instance wire tags + namespaced rng
+streams) makes every shard's per-instance decisions, rounds and metrics
+bit-for-bit identical to the unsharded run, so merging is a disjoint
+dict union; the sharding property tests enforce that equivalence under
+random Byzantine behaviour.
 """
 
 from __future__ import annotations
 
 import inspect
 import os
-import pickle
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -64,7 +58,7 @@ _DEFAULT_WORKERS: int | None = 1
 
 
 def set_default_workers(workers: int | None) -> None:
-    """Set the worker count :func:`sweep_parallel` uses when not given one.
+    """Set the worker count the executors use when not given one.
 
     ``1`` (the initial default) means serial; ``None`` means one worker
     per CPU.
@@ -78,6 +72,16 @@ def default_workers() -> int | None:
     return _DEFAULT_WORKERS
 
 
+def _workers(workers: int | None) -> int:
+    """An explicit worker count, else the configured default, else one
+    per CPU."""
+    if workers is None:
+        workers = _DEFAULT_WORKERS
+    if workers is None:
+        workers = os.cpu_count() or 1
+    return workers
+
+
 def _apply(item: tuple[str | Callable[..., Any], dict[str, Any]]) -> Any:
     """Worker-side shim: unpack one (fn-or-name, params) job."""
     fn, params = item
@@ -88,24 +92,25 @@ def _apply(item: tuple[str | Callable[..., Any], dict[str, Any]]) -> Any:
     return fn(**params)
 
 
-def _describe_unpicklable_param(pts: list[dict[str, Any]]) -> str:
-    """Name the first parameter value that cannot cross the process
-    boundary — adversary specs get their spec string in the message."""
-    from ..faults.adversary import AdversarySpec
+def _map(
+    fn: str | Callable[..., Any], jobs: list[dict[str, Any]], workers: int | None
+) -> list[Any]:
+    """``fn(**job)`` for every job, in job order.
 
-    for point in pts:
-        for key, value in point.items():
-            try:
-                pickle.dumps(value)
-            except Exception:
-                if isinstance(value, AdversarySpec):
-                    return (
-                        f"adversary spec {value.spec()!r} (parameter {key!r}) "
-                        "is not picklable — its overrides carry in-process "
-                        "protocols"
-                    )
-                return f"parameter {key!r} = {value!r} is not picklable"
-    return "a sweep parameter is not picklable"
+    Pooled when more than one worker and job are at hand; a pickling
+    failure there propagates.  In-process otherwise, and where no pool
+    can start.
+    """
+    workers = min(_workers(workers), len(jobs))
+    if workers > 1:
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(_apply, [(fn, job) for job in jobs]))
+        except (OSError, PermissionError, BrokenProcessPool):
+            # No process support (sandbox) or a worker died: the serial path
+            # computes the identical answer, just slower.
+            pass
+    return [point.result for point in sweep(jobs, fn)]
 
 
 def sweep_parallel(
@@ -122,59 +127,16 @@ def sweep_parallel(
         (anything the point function needs beyond its params would break
         the determinism contract).
     :param fn: a registered workload name (preferred — always picklable)
-        or a picklable callable.  Unpicklable callables are executed
-        serially instead, with a :class:`RuntimeWarning` naming them.
+        or a picklable callable.
     :param workers: process count; ``None`` defers to the configured
         default (see :func:`set_default_workers`), which itself defaults
         to serial.
+    :raises pickle.PicklingError: (or the interpreter's equivalent) with
+        two or more workers, when ``fn`` or a point cannot be pickled.
     """
     pts = [dict(p) for p in points]
-    if workers is None:
-        workers = _DEFAULT_WORKERS
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = min(workers, len(pts))
-    if workers <= 1:
-        return sweep(pts, fn)
-    if not isinstance(fn, str):
-        try:
-            pickle.dumps(fn)
-        except Exception:
-            # Closures/lambdas cannot cross the process boundary; run
-            # serially, but say so — a silently degraded benchmark sweep
-            # looks exactly like a slow machine otherwise.
-            name = getattr(fn, "__qualname__", None) or repr(fn)
-            warnings.warn(
-                f"sweep_parallel: workload {name!r} is not picklable; "
-                "falling back to serial execution (register it in "
-                "repro.harness.workloads and sweep by name to parallelize)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return sweep(pts, fn)
-    try:
-        pickle.dumps(pts)
-    except Exception:
-        # Same degradation, different culprit: a parameter value that
-        # cannot cross the process boundary — most often an adversary
-        # spec carrying in-process overrides.  Name the offender.
-        warnings.warn(
-            f"sweep_parallel: {_describe_unpicklable_param(pts)}; "
-            "falling back to serial execution (use declarative adversary "
-            "spec strings to parallelize)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return sweep(pts, fn)
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_apply, [(fn, p) for p in pts]))
-    except (OSError, PermissionError, BrokenProcessPool):
-        # No process support (sandbox) or a worker died: the serial path
-        # computes the identical answer, just slower.
-        return sweep(pts, fn)
     return [
-        SweepPoint(params=p, result=r) for p, r in zip(pts, results)
+        SweepPoint(params=p, result=r) for p, r in zip(pts, _map(fn, pts, workers))
     ]
 
 
@@ -197,12 +159,13 @@ def sweep_prefix_shared(
     that — it runs ``fn(**prefix, checkpoint_at=prefix_ticks)`` once in
     the parent process, takes the returned
     :class:`~repro.sim.snapshot.KernelSnapshot`, and fans the points out
-    with ``resume_from=snapshot`` via :func:`sweep_parallel` (snapshots
-    are plain bytes, so forks cross the process pool unchanged).  Each
-    fork resumes the shared state, retunes its swept parameters
-    (:func:`~repro.sim.snapshot.retune_protocols`), and runs only the
-    suffix.  Results are bit-for-bit identical to the straight sweep —
-    the resume property tests and the benchmark count gates enforce it.
+    with ``resume_from=snapshot`` through the same pool map as
+    :func:`sweep_parallel` (snapshots are plain bytes, so forks cross the
+    process pool unchanged).  Each fork resumes the shared state, retunes
+    its swept parameters (:func:`~repro.sim.snapshot.retune_protocols`),
+    and runs only the suffix.  Results are bit-for-bit identical to the
+    straight sweep — the resume property tests and the benchmark count
+    gates enforce it.
 
     The *caller* owns the validity contract: the prefix params must pin
     every tuned axis wide enough that no protocol acts on it before
@@ -212,8 +175,8 @@ def sweep_prefix_shared(
     path fail-fasts on any mismatch with the snapshot's fingerprint.
 
     :param points: parameter dicts for the forks, straight-sweep form
-        (the executor injects ``resume_from`` itself and strips it from
-        the returned :class:`SweepPoint` params).
+        (the executor adds ``resume_from`` to each job; the returned
+        :class:`SweepPoint` params are the caller's points).
     :param fn: registered workload name or callable; must accept both
         ``checkpoint_at`` and ``resume_from`` keyword parameters.
     :param prefix: params for the shared-prefix run.
@@ -254,15 +217,9 @@ def sweep_prefix_shared(
         )
     if on_snapshot is not None:
         on_snapshot(snapshot)
-    jobs = [{**dict(p), "resume_from": snapshot} for p in points]
-    swept = sweep_parallel(jobs, fn, workers=workers)
-    return [
-        SweepPoint(
-            params={k: v for k, v in sp.params.items() if k != "resume_from"},
-            result=sp.result,
-        )
-        for sp in swept
-    ]
+    pts = [dict(p) for p in points]
+    results = _map(fn, [{**p, "resume_from": snapshot} for p in pts], workers)
+    return [SweepPoint(params=p, result=r) for p, r in zip(pts, results)]
 
 
 def shard_instances(
@@ -293,7 +250,6 @@ def run_mux_shards(
     params: dict[str, Any],
     instances: Sequence[int],
     workers: int | None = None,
-    in_process: bool = False,
 ) -> dict[int, Any]:
     """Pipelined instance-shard executor for multiplexed runs.
 
@@ -312,43 +268,13 @@ def run_mux_shards(
         job (seed travels here — the determinism contract).
     :param workers: shard/process count; ``None`` defers to the
         configured default (see :func:`set_default_workers`).
-    :param in_process: evaluate the shards serially in this process while
-        keeping the exact shard boundaries — the transport-free mode the
-        equivalence property tests (and pool-less sandboxes) use.
     :raises ValueError: if a shard result claims an instance outside its
         shard or two shards claim the same instance.
     """
-    ids = list(instances)
-    if workers is None:
-        workers = _DEFAULT_WORKERS
-    if workers is None:
-        workers = os.cpu_count() or 1
-    shards = shard_instances(ids, max(1, workers))
-    jobs = [(fn, {**params, "instances": shard}) for shard in shards]
-    if not in_process and len(jobs) > 1 and not isinstance(fn, str):
-        try:
-            pickle.dumps(fn)
-        except Exception:
-            name = getattr(fn, "__qualname__", None) or repr(fn)
-            warnings.warn(
-                f"run_mux_shards: workload {name!r} is not picklable; "
-                "running shards in-process (register it in "
-                "repro.harness.workloads and dispatch by name to "
-                "parallelize)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            in_process = True
-    if in_process or len(jobs) <= 1:
-        results = [_apply(job) for job in jobs]
-    else:
-        try:
-            with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-                results = list(pool.map(_apply, jobs))
-        except (OSError, PermissionError, BrokenProcessPool):
-            results = [_apply(job) for job in jobs]
     from ..sim.multiplex import merge_instance_aggregates
 
+    shards = shard_instances(instances, max(1, _workers(workers)))
+    results = _map(fn, [{**params, "instances": shard} for shard in shards], workers)
     for shard, result in zip(shards, results):
         foreign = set(result) - set(shard)
         if foreign:

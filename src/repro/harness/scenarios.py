@@ -18,6 +18,7 @@ from typing import Callable
 
 from ..auth.directory import KeyDirectory
 from ..crypto.keys import KeyPair
+from ..errors import ConfigurationError
 from ..faults import (
     AdversaryCoordination,
     AdversarySpec,
@@ -243,7 +244,9 @@ def attack_catalogue(n: int, t: int) -> list[AttackScenario]:
     and ``n >= t + 3`` (at least two receivers).
     """
     if t < 1 or n < t + 3:
-        raise ValueError(f"attack catalogue needs t >= 1 and n >= t+3, got n={n}, t={t}")
+        raise ConfigurationError(
+            f"attack catalogue needs t >= 1 and n >= t+3, got n={n}, t={t}"
+        )
     return [
         _withholding_scenario(n, t),
         _garbling_scenario(n, t),

@@ -18,8 +18,8 @@ Sweeps dispatch by name: :func:`repro.harness.sweep.sweep` and
 :func:`~repro.harness.parallel.sweep_parallel` accept either a callable
 or a registered workload name.  Names are what the benchmark suites pass
 (``psweep(points, "fd")``), and names are what travels to worker
-processes — a name is always picklable, so registry-dispatched sweeps
-never degrade to the serial fallback.
+processes — a name is always picklable, so a registry-dispatched sweep
+never hits the pickling error an unpicklable callable raises.
 """
 
 from __future__ import annotations

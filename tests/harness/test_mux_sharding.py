@@ -1,17 +1,19 @@
 """The pipelined instance-shard executor: bit-for-bit equivalence.
 
 The acceptance property of the mux subsystem: running the K instances of
-one agreement-based key-distribution execution through
-:func:`repro.harness.parallel.run_mux_shards` — any shard count, pooled
-or in-process — produces *identical* per-instance decisions, rounds and
-envelope/byte metrics to the single in-process
-:class:`~repro.sim.multiplex.InstanceMux` run, including under random
-Byzantine behaviour.  "Identical" is dataclass value equality on
-:class:`~repro.sim.multiplex.InstanceAggregate`, i.e. every decision,
-every counter, every byte — bit-for-bit.
+one agreement-based key-distribution execution as shards — any shard
+count, built in-process or pooled through
+:func:`repro.harness.parallel.run_mux_shards` — produces *identical*
+per-instance decisions, rounds and envelope/byte metrics to the single
+in-process :class:`~repro.sim.multiplex.InstanceMux` run, including
+under random Byzantine behaviour.  "Identical" is dataclass value
+equality on :class:`~repro.sim.multiplex.InstanceAggregate`, i.e. every
+decision, every counter, every byte — bit-for-bit.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,8 @@ from hypothesis import strategies as st
 
 from repro.auth import run_agreement_key_distribution
 from repro.harness import run_mux_shards, shard_instances
+from repro.harness.workloads import akd_shard_point
+from repro.sim.multiplex import merge_instance_aggregates
 
 N, T = 7, 2
 SCHEME = "simulated-hmac"
@@ -30,14 +34,20 @@ def full_run(seed, adversary=None):
     )
 
 
-def sharded(seed, adversary=None, workers=3, in_process=True):
-    return run_mux_shards(
-        "akd-shard",
-        {"n": N, "t": T, "seed": seed, "scheme": SCHEME, "adversary": adversary},
-        range(N),
-        workers=workers,
-        in_process=in_process,
+def sharded(seed, adversary=None, workers=3):
+    """The shards :func:`run_mux_shards` would run, built in this process:
+    the same partition, shard workload and merge, no pool."""
+    return merge_instance_aggregates(
+        akd_shard_point(
+            N, T, seed=seed, scheme=SCHEME, instances=shard, adversary=adversary
+        )
+        for shard in shard_instances(range(N), workers)
     )
+
+
+def liar(instances=(), **params):
+    """A shard workload claiming an instance no shard owns."""
+    return {99: "not-yours"}
 
 
 @st.composite
@@ -81,11 +91,16 @@ class TestEquivalenceProperty:
         )
 
     def test_process_pool_transport_is_value_preserving(self):
-        """One pooled run (skipped gracefully where pools cannot start):
-        crossing the process boundary changes no value."""
+        """One pooled run (in-process where pools cannot start): crossing
+        the process boundary changes no value."""
         spec = "2=noise;5=silent"
         full = full_run(31, adversary=spec)
-        pooled = sharded(31, adversary=spec, workers=3, in_process=False)
+        pooled = run_mux_shards(
+            "akd-shard",
+            {"n": N, "t": T, "seed": 31, "scheme": SCHEME, "adversary": spec},
+            range(N),
+            workers=3,
+        )
         assert pooled == full.per_instance
 
     def test_every_shard_count_gives_the_same_merge(self):
@@ -97,30 +112,19 @@ class TestEquivalenceProperty:
 
 class TestMergeSafety:
     def test_foreign_instance_rejected(self):
-        def liar(instances=(), **params):
-            return {99: "not-yours"}
-
         with pytest.raises(ValueError, match="foreign instance"):
-            run_mux_shards(liar, {}, range(4), workers=2, in_process=True)
+            run_mux_shards(liar, {}, range(4), workers=2)
 
-    def test_unpicklable_fn_warns_and_runs_in_process(self):
+    def test_unpicklable_fn_raises_and_runs_nothing(self):
         captured = []
 
-        def closure(instances=(), n=N, t=T, seed=0):  # noqa: ARG001
+        def closure(instances=(), **params):  # closes over `captured`
             captured.append(tuple(instances))
-            return {
-                i: run_agreement_key_distribution(
-                    n, t, scheme=SCHEME, seed=seed, instances=(i,)
-                ).per_instance[i]
-                for i in instances
-            }
+            return {}
 
-        with pytest.warns(RuntimeWarning, match="closure.*not picklable"):
-            result = run_mux_shards(
-                closure, {"seed": 4}, range(N), workers=3, in_process=False
-            )
-        assert len(captured) == 3                   # still sharded
-        assert result == full_run(4).per_instance   # still equivalent
+        with pytest.raises((AttributeError, pickle.PicklingError), match="pickle"):
+            run_mux_shards(closure, {"seed": 4}, range(N), workers=3)
+        assert captured == []
 
 
 class TestDirectoriesSurvivePort:

@@ -1,8 +1,9 @@
-"""Parallel sweep executor: determinism, ordering, fallbacks, registry."""
+"""Parallel sweep executor: determinism, ordering, pickling errors, registry."""
 
 from __future__ import annotations
 
 import json
+import pickle
 import warnings
 
 import pytest
@@ -99,54 +100,27 @@ class TestRegistryDispatch:
 
 
 class TestFallbacks:
-    def test_unpicklable_fn_falls_back_to_serial(self):
+    @pytest.mark.parametrize("workers", [2, 4], ids=lambda w: f"workers={w}")
+    def test_unpicklable_fn_raises_and_runs_nothing(self, workers):
+        """A closure cannot cross the process boundary: the pool's
+        pickling error propagates, and no job runs in this process
+        instead."""
         captured = []
 
         def closure(x, seed):  # closes over `captured`: not picklable
             captured.append(x)
             return x + seed
 
-        with pytest.warns(RuntimeWarning, match="closure.*not picklable"):
-            results = sweep_parallel(
-                [{"x": 1, "seed": 2}, {"x": 2, "seed": 2}], closure, workers=4
-            )
-        assert results[0].result == 3
-        assert captured == [1, 2]  # ran in this process
-
-    def test_fallback_warning_names_the_workload(self):
-        offender = lambda x, seed: x  # noqa: E731
-
-        with pytest.warns(RuntimeWarning) as caught:
+        with pytest.raises((AttributeError, pickle.PicklingError), match="pickle"):
             sweep_parallel(
-                [{"x": 1, "seed": 0}, {"x": 2, "seed": 0}], offender, workers=2
+                [{"x": 1, "seed": 2}, {"x": 2, "seed": 2}], closure, workers=workers
             )
-        assert any("<lambda>" in str(w.message) for w in caught)
+        assert captured == []
 
-    def test_fallback_names_workload_and_matches_parallel_semantics(self):
-        """The PR-2 degradation contract, end to end: the warning names
-        the *specific* offending workload (qualname, not a generic
-        message), and the serially-executed fallback returns exactly what
-        the parallel path returns for the same (picklable) computation —
-        the fallback degrades wall-clock, never values."""
-        points = grid(x=[3, 5, 8], seed=[0, 2])
-
-        def unpicklable_square(x, seed):  # closure by virtue of nesting
-            return _square(x, seed)
-
-        with pytest.warns(RuntimeWarning) as caught:
-            fallback = sweep_parallel(points, unpicklable_square, workers=3)
-        messages = [str(w.message) for w in caught]
-        assert any("unpicklable_square" in m for m in messages)
-        assert any("falling back to serial" in m for m in messages)
-        parallel = sweep_parallel(points, _square, workers=3)
-        assert [p.result for p in fallback] == [p.result for p in parallel]
-        assert [p.params for p in fallback] == [p.params for p in parallel]
-
-    def test_unpicklable_adversary_spec_warns_naming_the_spec(self):
-        """The E13 degradation contract: a sweep whose *adversary
-        parameter* (not its workload callable) cannot cross the process
-        boundary falls back serially, and the warning names the
-        offending spec."""
+    def test_unpicklable_param_raises(self):
+        """A sweep whose *adversary parameter* (not its workload
+        callable) cannot cross the process boundary raises that value's
+        pickling error."""
         from repro.faults import AdversarySpec, SilentProtocol
 
         class Unpicklable(SilentProtocol):
@@ -159,13 +133,8 @@ class TestFallbacks:
             {"x": 1, "seed": 0, "adversary": spec},
             {"x": 2, "seed": 0, "adversary": spec},
         ]
-        with pytest.warns(RuntimeWarning) as caught:
-            results = sweep_parallel(points, _adversary_point, workers=2)
-        messages = [str(w.message) for w in caught]
-        assert any("adversary spec" in m for m in messages)
-        assert any("1=<custom>" in m for m in messages)
-        assert any("falling back to serial" in m for m in messages)
-        assert [p.result for p in results] == [None, None]
+        with pytest.raises(TypeError, match="deliberately unpicklable"):
+            sweep_parallel(points, _adversary_point, workers=2)
 
     def test_picklable_adversary_specs_do_not_degrade(self):
         from repro.faults import make_adversary

@@ -460,3 +460,23 @@ class TestFormulas:
         assert main(["formulas", "--n", "4", "--t", "0"]) == 0
         out = capsys.readouterr().out
         assert "crossover" not in out
+
+
+class TestInfeasibleConfig:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fd", "--n", "2", "--t", "5"], "fault budget t=5"),
+            (["keydist", "--n", "0"], "node count must be >= 2"),
+            (["formulas", "--n", "0", "--t", "0"], "node count must be >= 2"),
+            (["attack", "--n", "3", "--t", "2"], "attack catalogue needs"),
+        ],
+        ids=["fd", "keydist", "formulas", "attack"],
+    )
+    def test_exits_2_with_the_message(self, argv, message, capsys):
+        """An infeasible (n, t) is a ConfigurationError: message on
+        stderr and exit 2 from every command, never a traceback."""
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
