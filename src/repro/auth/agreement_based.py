@@ -217,7 +217,8 @@ class AgreementKeyDistributionResult:
     """Outputs of agreement-based key distribution.
 
     :ivar per_instance: run-level per-instance aggregates — every
-        participating node's decision and the instance's merged metrics
+        participating node's decision and the instance's summed
+        messages, bytes and rounds
         (see :class:`repro.sim.multiplex.InstanceAggregate`).  The same
         objects a sharded execution returns, enabling bit-for-bit
         equivalence checks.

@@ -34,7 +34,7 @@ shard executor fans out *the K instances of one logical run*
 contiguous shards, runs ``fn(instances=shard, **params)`` per shard
 through the same pool map, and merges the per-instance results.  Causal
 independence of the instances (per-instance wire tags + namespaced rng
-streams) makes every shard's per-instance decisions, rounds and metrics
+streams) makes every shard's per-instance decisions and counts
 bit-for-bit identical to the unsharded run, so merging is a disjoint
 dict union; the sharding property tests enforce that equivalence under
 random Byzantine behaviour.

@@ -911,8 +911,8 @@ def akd_shard_point(
     The job :func:`repro.harness.parallel.run_mux_shards` ships to worker
     processes: runs the full n-node simulation restricted to the given
     instance subset and returns each instance's
-    :class:`~repro.sim.multiplex.InstanceAggregate` (settled metrics —
-    picklable, value-comparable).  ``adversary`` is an adversary-plane
+    :class:`~repro.sim.multiplex.InstanceAggregate` (plain integer
+    counts — picklable, value-comparable).  ``adversary`` is an adversary-plane
     spec string (:func:`repro.faults.make_adversary`) — the picklable
     form each worker rebuilds its corruptions from.
     Unlike the other registry entries this returns aggregates rather than

@@ -46,12 +46,11 @@ Per-instance attribution
 ------------------------
 A run hosting multiplexed protocol instances
 (:mod:`repro.sim.multiplex`) carries one run-level ``Metrics`` (this
-module, owned by the kernel, charging the mux-wrapped wire payloads)
-plus one ``Metrics`` *per instance*, fed by the mux with the instances'
-inner envelopes at their dense-equivalent sizes.  :meth:`Metrics.merge`
-folds per-instance instruments across nodes — or across shards of a
-partitioned run — into run-level aggregates; merging is settled counter
-addition, so aggregate values are independent of shard boundaries.
+module, owned by the kernel, charging the mux-wrapped wire payloads).
+The instances' own cost is not a ``Metrics``: the mux charges each
+instance's inner sends, at send time, to three integers on its outcome
+— messages, dense-equivalent bytes and rounds, by the same rules as
+:meth:`Metrics.record_broadcast` and its byte settlement.
 """
 
 from __future__ import annotations
@@ -183,12 +182,10 @@ class Metrics:
         """Force byte settlement now; returns ``self`` for chaining.
 
         Settling is incremental and idempotent — counters only ever grow
-        by the deferred batch, so periodic settles (as the instance mux
-        does once per round) bound deferred-list retention without
-        changing any total.  A settled ``Metrics`` holds no payload
-        references, which also makes it cheaply picklable: the sharded
-        executor settles before shipping per-instance metrics back to the
-        parent process.
+        by the deferred batch, so periodic settles bound deferred-list
+        retention without changing any total.  A settled ``Metrics``
+        holds no payload references, which also makes it cheaply
+        picklable.
         """
         self._settle()
         return self
@@ -196,11 +193,13 @@ class Metrics:
     def merge(self, other: "Metrics") -> None:
         """Fold another instrument's counts into this one.
 
-        Used for run-level aggregation of per-instance metrics (and for
-        merging one instance's per-node metrics across nodes or shards).
         Both sides are settled first, so the merge is pure counter
         addition — commutative and associative, hence deterministic
-        regardless of shard boundaries or merge order.
+        regardless of merge order.  Nothing in ``src/`` calls it any
+        more (per-instance counts are plain integers, see
+        :mod:`repro.sim.multiplex`); the end-to-end benchmark's tracer
+        still resolves it by name, so it goes with the next change to
+        that benchmark.
         """
         self._settle()
         other._settle()

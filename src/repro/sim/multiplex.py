@@ -17,13 +17,13 @@ single node behaviour, with
   independent of which other instances share the run.  Being a pure
   function of that key, a stream is built on the instance's first ``rng``
   read: honest OM(t) instances never draw and never pay for one;
-* **per-instance metrics** — each instance's sends are also recorded, at
-  the inner payload's (dense-equivalent) size, into a per-instance
-  :class:`~repro.sim.metrics.Metrics`, settled every round to bound
-  retention; run-level aggregation is :func:`collect_instances`;
+* **per-instance accounting** — each instance's sends are also charged,
+  at send time, to three integers on its outcome: messages, bytes (the
+  inner payload's dense-equivalent size) and rounds; run-level
+  aggregation is :func:`collect_instances`;
 * **per-instance outcomes** — decide / discover / halt land in an
   :class:`InstanceOutcome` (a :class:`~repro.sim.compose.PhaseOutcome`
-  extended with identity and metrics), never in the real node state.
+  extended with identity and those counts), never in the real node state.
 
 Causal independence and sharding
 --------------------------------
@@ -31,7 +31,7 @@ Instances that never read each other's state — the agreement-based
 key-distribution case: instance *i* is one OM(t) run about node *i*'s
 key — interact only through their own tagged traffic and their own rng
 streams.  A run over any *subset* of the instances therefore reproduces
-that subset's decisions, rounds and per-instance metrics bit-for-bit,
+that subset's decisions, rounds and per-instance counts bit-for-bit,
 which is what lets :func:`repro.harness.parallel.run_mux_shards` split
 the K instances of one logical run across worker processes and merge the
 per-instance results deterministically.  ``tests/harness/``'s sharding
@@ -50,7 +50,7 @@ the one path, under every delivery model and with recording on: records
 carry per-arrival-tick buckets and an emission-``rounds[]`` column, a
 rushing model's same-tick copies reach the inbox plain, and a trace or
 view sees the plain envelopes the records stand for.  Decisions,
-per-instance outcomes, metrics, trace events and views equal a
+per-instance outcomes and counts, run metrics, trace events and views equal a
 per-envelope mux's bit-for-bit (``tests/sim/_reference_mux.py`` is that
 mux, and ``tests/sim/test_batch.py`` property-tests the equivalence
 under random Byzantine behaviour, every delivery family and adaptive
@@ -80,8 +80,7 @@ from ..types import NodeId
 from .batch import ChannelBatch
 from .compose import PhaseOutcome
 from .kernel import RunResult
-from .message import Envelope, mux_unwrap
-from .metrics import Metrics
+from .message import Envelope, mux_unwrap, wire_byte_size
 from .node import NodeContext, Protocol
 from .rng import instance_rng
 
@@ -97,14 +96,22 @@ class InstanceOutcome(PhaseOutcome):
     """Captured effects and measurements of one multiplexed instance.
 
     Generalizes :class:`~repro.sim.compose.PhaseOutcome` (decided /
-    decision / discovered / halted) with the instance's identity and its
-    own :class:`~repro.sim.metrics.Metrics`, fed with the instance's
-    *inner* envelopes — what this instance's protocol sent, charged at
-    dense-equivalent payload sizes, before mux wrapping.
+    decision / discovered / halted) with the instance's identity and the
+    cost of its *inner* envelopes — what this instance's protocol sent,
+    before mux wrapping — charged when it sends, by the rules of
+    :meth:`~repro.sim.metrics.Metrics.record_broadcast`:
+
+    :ivar messages: envelopes the instance sent from this node.
+    :ivar bytes: their dense-equivalent payload bytes
+        (:func:`~repro.sim.message.wire_byte_size`).
+    :ivar rounds: one past the last round (in the mux's frame) in which
+        the instance sent; 0 if it never sent.
     """
 
     instance: int = 0
-    metrics: Metrics = field(default_factory=Metrics)
+    messages: int = 0
+    bytes: int = 0
+    rounds: int = 0
 
 
 class _MuxInstanceContext:
@@ -112,7 +119,7 @@ class _MuxInstanceContext:
 
     The mirror of :class:`repro.sim.compose._PhaseProxyContext`, per
     instance instead of per phase: sends travel on the instance's tagged
-    stream (and are mirrored into the instance's metrics), ``rng`` is the
+    stream (and are charged to the instance's outcome), ``rng`` is the
     instance's namespaced stream, and decide / discover / halt are
     captured in the :class:`InstanceOutcome` instead of the node state.
     Rounds pass through unshifted — all instances share the mux's round
@@ -172,7 +179,7 @@ class _MuxInstanceContext:
         """Broadcast on this instance's stream: one kernel batch record.
 
         The kernel wraps the payload once and charges run metrics for
-        the full recipient count; the per-instance mirror is charged
+        the full recipient count; the instance's outcome is charged
         here, once, with the one shared inner payload at the same
         (possibly phase-shifted) round.  A send to nobody moves no
         counter.
@@ -181,7 +188,10 @@ class _MuxInstanceContext:
         outcome = self._outcome
         count = ctx.send_batch(self._channel, outcome.instance, payload, to)
         if count:
-            outcome.metrics.record_broadcast(ctx.node, ctx.round, payload, count)
+            outcome.messages += count
+            outcome.bytes += wire_byte_size(payload) * count
+            if ctx.round >= outcome.rounds:
+                outcome.rounds = ctx.round + 1
 
     def decide(self, value: Any) -> None:
         """Capture the instance's decision."""
@@ -251,7 +261,7 @@ class InstanceMux(Protocol):
     Each round, the inbox is demultiplexed by the mux envelope extension
     (non-parsing traffic is dropped — Byzantine noise belongs to no
     instance) and every live instance is stepped with its own envelopes,
-    its own rng stream and its own metrics.  When every instance has
+    its own rng stream and its own outcome.  When every instance has
     halted, the per-instance outcomes are published under
     ``outputs[MUX_OUTCOMES]`` and the node halts.  Embedding protocols
     that want to post-process (e.g. build a key directory from the
@@ -271,11 +281,6 @@ class InstanceMux(Protocol):
         self._protocols = {int(i): p for i, p in instances.items()}
         self._slots: dict[int, _MuxSlot] = {}
         self._live = 0
-
-    @property
-    def channel(self) -> str:
-        """The mux's wire-tag channel."""
-        return self._channel
 
     @property
     def outcomes(self) -> dict[int, InstanceOutcome]:
@@ -336,7 +341,6 @@ class InstanceMux(Protocol):
                 protocol.on_round_batch(proxy, group)  # type: ignore[arg-type]
             else:
                 protocol.on_round(proxy, group.envelopes_for(me))  # type: ignore[arg-type]
-            outcome.metrics.settle()
             if outcome.halted:
                 self._live -= 1
         if self._live == 0:
@@ -351,38 +355,29 @@ class InstanceAggregate:
     The cross-node mirror of :class:`InstanceOutcome`: where the outcome
     captures what *one node* saw of the instance, the aggregate collects
     every node's decision and discovery for it, plus the instance's
-    merged metrics (every node's per-instance instrument folded together
-    in node order).  Aggregates are plain picklable data with value
+    summed counts.  Aggregates are plain picklable data with value
     equality — the currency the sharded executor ships between processes
     and the equivalence property tests compare bit-for-bit.
+
+    :ivar messages: envelopes this instance's participants sent (all nodes).
+    :ivar bytes: dense-equivalent payload bytes across those envelopes.
+    :ivar rounds: rounds (in the mux's frame) in which the instance had
+        traffic — the largest of the participants' ``rounds``.
     """
 
     instance: int
     decisions: dict[NodeId, Any] = field(default_factory=dict)
     discovered: dict[NodeId, str] = field(default_factory=dict)
-    metrics: Metrics = field(default_factory=Metrics)
-
-    @property
-    def messages(self) -> int:
-        """Envelopes this instance's participants sent (all nodes)."""
-        return self.metrics.messages_total
-
-    @property
-    def bytes(self) -> int:
-        """Dense-equivalent payload bytes across the instance's envelopes."""
-        return self.metrics.bytes_total
-
-    @property
-    def rounds(self) -> int:
-        """Rounds (in the mux's frame) in which the instance had traffic."""
-        return self.metrics.rounds_used
+    messages: int = 0
+    bytes: int = 0
+    rounds: int = 0
 
 
 def collect_instances(run: RunResult) -> dict[int, InstanceAggregate]:
     """Aggregate every node's published mux outcomes per instance.
 
-    Walks ``run.states`` in node order, so metric merging — commutative
-    anyway — happens in one canonical order.  Nodes that published no
+    Walks ``run.states`` in node order, adding each node's counts (and
+    taking the largest ``rounds``).  Nodes that published no
     :data:`MUX_OUTCOMES` (Byzantine behaviours that are not muxes, nodes
     that never finished) simply contribute nothing; per-instance counts
     therefore measure the *participating* nodes' traffic, matching the
@@ -403,7 +398,9 @@ def collect_instances(run: RunResult) -> dict[int, InstanceAggregate]:
                 agg.decisions[state.node] = outcome.decision
             if outcome.discovered is not None:
                 agg.discovered[state.node] = outcome.discovered
-            agg.metrics.merge(outcome.metrics)
+            agg.messages += outcome.messages
+            agg.bytes += outcome.bytes
+            agg.rounds = max(agg.rounds, outcome.rounds)
     return dict(sorted(aggregates.items()))
 
 

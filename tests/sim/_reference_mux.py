@@ -4,11 +4,15 @@ compared against.
 Every instance send is wrapped in the mux extension and handed to
 ``ctx.broadcast`` (one plain envelope per recipient), every arrival is
 demultiplexed from the plain inbox with ``mux_unwrap``, and each
-instance's sends are mirrored into its own metrics at the inner
-payload's size.  It never touches the kernel's batch plane — no
-registration, no batch records, no groups, no merge — which is its whole
-value: the equivalence tests in ``test_batch.py`` check the plane
-against a mux that contains none of it.  It must not be "improved".
+instance's sends are mirrored into its own :class:`~repro.sim.Metrics`
+at the inner payload's size, settled every round.  The published
+outcomes carry that instrument's ``messages_total``, ``bytes_total`` and
+``rounds_used``, so the equivalence tests also check the plane's
+send-time counting against ``Metrics``.  It never touches the kernel's
+batch plane — no registration, no batch records, no groups, no merge —
+which is its whole value: the equivalence tests in ``test_batch.py``
+check the plane against a mux that contains none of it.  It must not be
+"improved".
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from repro.sim import (
     MUX_OUTCOMES,
     Envelope,
     InstanceOutcome,
+    Metrics,
     Protocol,
     instance_rng,
     mux_unwrap,
@@ -34,6 +39,7 @@ class _ReferenceInstanceContext:
         self._ctx = ctx
         self._mux = mux
         self._outcome = mux.outcomes[instance]
+        self._metrics = mux.metrics[instance]
 
     def __getattr__(self, item: str) -> Any:
         return getattr(self._ctx, item)
@@ -70,7 +76,7 @@ class _ReferenceInstanceContext:
         ctx.broadcast(mux_wrap(self._mux.channel, instance, payload), to)
         count = ctx.n - 1 if to is None else len(to)
         if count:
-            self._outcome.metrics.record_broadcast(ctx.node, ctx.round, payload, count)
+            self._metrics.record_broadcast(ctx.node, ctx.round, payload, count)
 
     def decide(self, value) -> None:
         self._outcome.decided = True
@@ -97,6 +103,7 @@ class ReferenceMux(Protocol):
         self.channel = channel
         self._protocols = {int(i): p for i, p in instances.items()}
         self.outcomes: dict[int, InstanceOutcome] = {}
+        self.metrics: dict[int, Metrics] = {}
         self._rngs: dict[int, Any] = {}
 
     def rng_for(self, ctx, instance: int):
@@ -110,6 +117,7 @@ class ReferenceMux(Protocol):
     def setup(self, ctx) -> None:
         for instance in sorted(self._protocols):
             self.outcomes[instance] = InstanceOutcome(instance=instance)
+            self.metrics[instance] = Metrics()
             self._protocols[instance].setup(_ReferenceInstanceContext(ctx, self, instance))
 
     def on_round(self, ctx, inbox: list[Envelope]) -> None:
@@ -129,7 +137,12 @@ class ReferenceMux(Protocol):
                 _ReferenceInstanceContext(ctx, self, instance),
                 per_instance.get(instance, []),
             )
-            outcome.metrics.settle()
+            self.metrics[instance].settle()
         if all(outcome.halted for outcome in self.outcomes.values()):
+            for instance, outcome in self.outcomes.items():
+                metrics = self.metrics[instance]
+                outcome.messages = metrics.messages_total
+                outcome.bytes = metrics.bytes_total
+                outcome.rounds = metrics.rounds_used
             ctx.state.outputs[MUX_OUTCOMES] = dict(self.outcomes)
             ctx.halt()

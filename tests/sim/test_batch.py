@@ -249,8 +249,8 @@ class TestColumnarObjectEquivalence:
 
     def test_zero_recipient_send_moves_no_counter(self):
         """A send standing for zero envelopes is no send on either mux:
-        it claims no round and plants no zero-count key, at run level or
-        in the instance mirror."""
+        it claims no round and plants no zero-count key at run level, and
+        moves neither the instance's rounds nor its messages."""
 
         class EmptyBroadcaster(Protocol):
             def on_round(self, ctx, inbox):
@@ -264,16 +264,19 @@ class TestColumnarObjectEquivalence:
         for mux in ENGINES:
             protocols = [mux({0: EmptyBroadcaster()}, channel="om") for _ in range(3)]
             run = run_protocols(protocols, seed=5)
-            mirrors = [m.outcomes[0].metrics for m in protocols]
+            metrics = run.metrics
             runs[mux] = (
                 observables(run),
-                [
-                    (m.rounds_used, dict(m.messages_per_round), dict(m.messages_per_kind))
-                    for m in [run.metrics, *mirrors]
-                ],
+                (
+                    metrics.rounds_used,
+                    dict(metrics.messages_per_round),
+                    dict(metrics.messages_per_kind),
+                ),
+                [(m.outcomes[0].rounds, m.outcomes[0].messages) for m in protocols],
             )
         assert runs[InstanceMux] == runs[ReferenceMux]
-        assert runs[InstanceMux][1][0][:2] == (1, {0: 6})
+        assert runs[InstanceMux][1][:2] == (1, {0: 6})
+        assert runs[InstanceMux][2] == [(1, 2)] * 3
 
 
 class TestDegradedCalendarEquivalence:

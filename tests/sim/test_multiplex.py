@@ -24,7 +24,9 @@ from repro.sim import (
 )
 from repro.sim import multiplex
 from repro.sim.compose import PhaseHost
+from repro.sim.message import wire_byte_size
 
+from ._reference_mux import ReferenceMux
 from .test_batch import observables, om_mux_protocols
 
 
@@ -94,8 +96,9 @@ class TestInstanceMux:
     def test_per_instance_metrics_count_inner_envelopes(self):
         run, protocols = self._run()
         outcome = protocols[0].outcomes[1]
-        assert outcome.metrics.messages_total == 2      # node 0 -> 2 peers
-        assert outcome.metrics.messages_per_kind == {"echo": 2}
+        assert outcome.messages == 2      # node 0 -> 2 peers
+        assert outcome.bytes == 2 * wire_byte_size(("echo", "hello"))
+        assert outcome.rounds == 1
         # Run-level accounting sees the wrapped traffic, attributed to
         # the channel, and counts every instance.
         assert run.metrics.messages_total == 6
@@ -104,11 +107,36 @@ class TestInstanceMux:
     def test_wrapper_overhead_is_charged_at_run_level_only(self):
         run, protocols = self._run()
         inner_bytes = sum(
-            mux.outcomes[k].metrics.bytes_total
+            mux.outcomes[k].bytes
             for mux in protocols
             for k in mux.outcomes
         )
         assert run.metrics.bytes_total > inner_bytes
+
+    def test_instance_context_passes_node_view_through(self):
+        """An instance reads the node's ``n``, ``state`` and (through the
+        fallback attribute lookup) ``seed``; its discoveries land in its
+        outcome, first reason first, and never in the node state."""
+
+        class Reader(Protocol):
+            def on_round(self, ctx, inbox):
+                ctx.decide((ctx.n, ctx.seed, ctx.state.node))
+                ctx.discover_failure("a")
+                ctx.discover_failure("b")
+                ctx.halt()
+
+        def run(mux):
+            protocols = [mux({k: Reader() for k in (0, 2)}, channel="test") for _ in range(3)]
+            return run_protocols(protocols, seed=11)
+
+        plane = run(InstanceMux)
+        aggregates = collect_instances(plane)
+        assert sorted(aggregates) == [0, 2]
+        for aggregate in aggregates.values():
+            assert aggregate.discovered == {node: "a" for node in range(3)}
+            assert aggregate.decisions == {node: (3, 11, node) for node in range(3)}
+        assert [state.discovered for state in plane.states] == [None] * 3
+        assert aggregates == collect_instances(run(ReferenceMux))
 
     def test_instance_halting_in_setup_does_not_wedge_the_mux(self):
         """Regression: an instance that halts during its setup (a
