@@ -28,26 +28,20 @@ The two drawbacks the paper names, reproduced:
 The n agreement instances run *concurrently* in one simulated execution
 through the simulator's first-class instance multiplexer
 (:class:`repro.sim.multiplex.InstanceMux`) — the charitable reading;
-serial execution would also multiply the round count by n.  Because the
-instances are causally independent (instance ``i`` is one OM(t) run
-about node ``i``'s key, on its own wire tags and its own rng streams),
-any *subset* of them reproduces bit-for-bit in isolation, which is what
-:func:`repro.harness.parallel.run_mux_shards` exploits to shard one
-logical n-instance run across worker processes (the ``akd-shard``
-workload).
+serial execution would also multiply the round count by n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from ..agreement.oral import OM_REPORT, OM_VALUE, OralAgreementProtocol
 from ..crypto import DEFAULT_SCHEME
 from ..crypto.keys import KeyPair, TestPredicate, get_scheme
 from ..errors import ConfigurationError
 from ..faults.adversary import AdversarySpec, Behavior, make_adversary
-from ..faults.behaviors import RandomNoiseProtocol, SilentProtocol
+from ..faults.behaviors import RandomNoiseProtocol
 from ..sim import (
     InstanceAggregate,
     InstanceMux,
@@ -64,9 +58,6 @@ from .directory import KeyDirectory
 
 #: Wire-tag channel shared by all agreement-based key distribution muxes.
 AKD_CHANNEL = "akd"
-
-#: Behaviour kinds :func:`akd_byzantine_protocol` builds itself.
-BYZANTINE_KINDS = ("silent", "noise")
 
 
 def akd_noise_pool(n: int) -> tuple:
@@ -89,38 +80,6 @@ def akd_noise_pool(n: int) -> tuple:
     )
 
 
-def akd_byzantine_protocol(
-    kind: str,
-    n: int,
-    t: int,
-    instances: Sequence[int],
-) -> Protocol:
-    """Build one Byzantine node behaviour from its picklable spec name.
-
-    ``"silent"`` crashes before the run; ``"noise"`` runs an
-    :class:`InstanceMux` of :class:`RandomNoiseProtocol` instances on the
-    AKD channel, so its per-instance noise draws from the instance's
-    namespaced rng stream — the property that keeps a sharded run
-    bit-identical to the in-process run.
-
-    :raises ConfigurationError: for unknown kind names.
-    """
-    if kind == "silent":
-        return SilentProtocol()
-    if kind == "noise":
-        pool = akd_noise_pool(n)
-        return InstanceMux(
-            {
-                instance: RandomNoiseProtocol(pool, halt_after=t + 1)
-                for instance in instances
-            },
-            channel=AKD_CHANNEL,
-        )
-    raise ConfigurationError(
-        f"unknown byzantine kind {kind!r}; expected one of {BYZANTINE_KINDS}"
-    )
-
-
 class AgreementKeyDistributionProtocol(Protocol):
     """One node's side of n concurrent OM instances, one per key.
 
@@ -129,11 +88,6 @@ class AgreementKeyDistributionProtocol(Protocol):
     :class:`~repro.sim.multiplex.InstanceMux` on the ``"akd"`` channel,
     embedded through a :class:`~repro.sim.compose.PhaseHost` so this
     protocol can post-process the captured outcomes into a directory.
-
-    :param instances: optional subset of instance ids to participate in
-        (default: all n).  Subsets are how shard workers run their slice
-        of one logical n-instance execution; the resulting directory then
-        only binds the subset's keys (plus this node's own).
 
     Output: ``outputs["directory"]`` — bindings for every node whose
     instance decided a predicate value; ``outputs["keypair"]``.
@@ -144,7 +98,6 @@ class AgreementKeyDistributionProtocol(Protocol):
         n: int,
         t: int,
         scheme: str = DEFAULT_SCHEME,
-        instances: Sequence[int] | None = None,
     ) -> None:
         validate_fault_budget(t, n)
         if n <= 3 * t:
@@ -156,7 +109,6 @@ class AgreementKeyDistributionProtocol(Protocol):
         self._n = n
         self._t = t
         self._scheme_name = scheme
-        self._instance_ids = validate_akd_instances(n, instances)
         self._keypair: KeyPair | None = None
         self._mux: InstanceMux | None = None
         self._host: PhaseHost | None = None
@@ -173,7 +125,7 @@ class AgreementKeyDistributionProtocol(Protocol):
                 default=None,
                 sender=instance,
             )
-            for instance in self._instance_ids
+            for instance in range(self._n)
         }
         self._mux = InstanceMux(inner, channel=AKD_CHANNEL)
         self._host = PhaseHost(self._mux, offset=0)
@@ -193,25 +145,6 @@ class AgreementKeyDistributionProtocol(Protocol):
         ctx.halt()
 
 
-def validate_akd_instances(
-    n: int, instances: Sequence[int] | None
-) -> tuple[int, ...]:
-    """Normalise an instance-subset spec: sorted, deduplicated, in range.
-
-    :raises ConfigurationError: for out-of-range ids or an empty subset.
-    """
-    if instances is None:
-        return tuple(range(n))
-    ids = tuple(sorted(set(int(i) for i in instances)))
-    if not ids:
-        raise ConfigurationError("instance subset must not be empty")
-    if ids[0] < 0 or ids[-1] >= n:
-        raise ConfigurationError(
-            f"instance ids must lie in [0, {n}); got {ids}"
-        )
-    return ids
-
-
 @dataclass
 class AgreementKeyDistributionResult:
     """Outputs of agreement-based key distribution.
@@ -219,9 +152,7 @@ class AgreementKeyDistributionResult:
     :ivar per_instance: run-level per-instance aggregates — every
         participating node's decision and the instance's summed
         messages, bytes and rounds
-        (see :class:`repro.sim.multiplex.InstanceAggregate`).  The same
-        objects a sharded execution returns, enabling bit-for-bit
-        equivalence checks.
+        (see :class:`repro.sim.multiplex.InstanceAggregate`).
     """
 
     run: RunResult
@@ -240,19 +171,27 @@ class AgreementKeyDistributionResult:
         return self.run.metrics.rounds_used
 
 
-def _akd_behavior_builder(n: int, instance_ids: Sequence[int]):
+def _akd_behavior_builder(n: int):
     """Adversary-plane builder reinterpreting ``noise`` for the mux.
 
-    AKD's noise adversary must live *inside* an :class:`InstanceMux` on
-    the AKD channel so its lies land in per-instance inboxes and draw
-    from per-instance rng streams (the sharding-equivalence property).
-    Every other kind keeps the plane's default construction.
+    AKD's noise adversary runs an :class:`InstanceMux` of
+    :class:`RandomNoiseProtocol` instances on the AKD channel, so its
+    lies land in per-instance inboxes and each instance's noise draws
+    from that instance's namespaced rng stream.  Every other kind keeps
+    the plane's default construction.
     """
 
     def build(node: NodeId, behavior: Behavior, inner, t: int):
-        if behavior.kind == "noise":
-            return akd_byzantine_protocol("noise", n, t, instance_ids)
-        return None
+        if behavior.kind != "noise":
+            return None
+        pool = akd_noise_pool(n)
+        return InstanceMux(
+            {
+                instance: RandomNoiseProtocol(pool, halt_after=t + 1)
+                for instance in range(n)
+            },
+            channel=AKD_CHANNEL,
+        )
 
     return build
 
@@ -263,38 +202,32 @@ def run_agreement_key_distribution(
     scheme: str = DEFAULT_SCHEME,
     seed: int | str = 0,
     adversary: "str | AdversarySpec | Mapping[NodeId, str | Behavior] | None" = None,
-    instances: Sequence[int] | None = None,
     delivery: "str | None" = None,
 ) -> AgreementKeyDistributionResult:
     """Distribute all n public keys via n concurrent OM(t) instances.
 
     :param adversary: the run's adversary, as anything
         :func:`repro.faults.make_adversary` accepts — a spec string
-        (``"6=noise;2=silent"``, the picklable form shard workers
-        rebuild in another process), a ``{node: behaviour}`` mapping, or
+        (``"6=noise;2=silent"``), a ``{node: behaviour}`` mapping, or
         a ready :class:`~repro.faults.AdversarySpec` (arbitrary
         in-process protocols ride in its ``overrides``).  Any
         declarative plane behaviour works (``noise`` is rebuilt
-        mux-aware, see :func:`akd_byzantine_protocol`), the ``≤ t``
+        mux-aware, see :func:`_akd_behavior_builder`), the ``≤ t``
         corruption budget is enforced, and the spec's delivery power
         applies when ``delivery`` is unset.
-    :param instances: optional instance subset (shard slice); the full
-        run is the default.
     :param delivery: optional delivery model or spec for the run (see
         :func:`repro.sim.make_delivery`); default lock-step.
     :raises ConfigurationError: when ``n <= 3t`` — the feasibility boundary
         the paper contrasts local authentication against — or when the
         adversary names a node twice or exceeds the fault budget.
     """
-    instance_ids = validate_akd_instances(n, instances)
     protocols: list[Protocol] = [
-        AgreementKeyDistributionProtocol(n, t, scheme, instances=instance_ids)
-        for _ in range(n)
+        AgreementKeyDistributionProtocol(n, t, scheme) for _ in range(n)
     ]
     spec = make_adversary(adversary, t=t)
     if spec is not None:
         protocols = spec.protocols_for(
-            protocols, builder=_akd_behavior_builder(n, instance_ids)
+            protocols, builder=_akd_behavior_builder(n)
         )
         if delivery is None:
             delivery = spec.delivery

@@ -438,11 +438,6 @@ class AdaptiveCoordinator:
         self._last_tick: Round = -1
 
     @property
-    def committed_nodes(self) -> frozenset[NodeId]:
-        """Nodes corrupted online (excludes static corruptions)."""
-        return frozenset(self.committed)
-
-    @property
     def budget_remaining(self) -> int:
         """Corruptions the strategy may still commit within ``t``."""
         return self._spec.t - len(self._static_faulty) - len(self.committed)

@@ -272,7 +272,7 @@ class RandomNoiseProtocol(Protocol):
     this the reference Byzantine behaviour for mux equivalence tests: an
     instance's noise is a pure function of ``(master seed, node,
     instance)``, so it replays identically whichever other instances
-    share the run or the shard.
+    share the run.
 
     :param pool: payload candidates (drawn uniformly, with replacement).
     :param halt_after: round after which the node halts.

@@ -2,9 +2,7 @@
 
 from .parallel import (
     default_workers,
-    run_mux_shards,
     set_default_workers,
-    shard_instances,
     sweep_parallel,
     sweep_prefix_shared,
 )
@@ -43,10 +41,8 @@ __all__ = [
     "grid",
     "run_ba_scenario",
     "run_fd_scenario",
-    "run_mux_shards",
     "set_default_workers",
     "setup_authentication",
-    "shard_instances",
     "sizes_with_budgets",
     "standard_sizes",
     "sweep",

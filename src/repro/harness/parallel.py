@@ -24,20 +24,6 @@ job runs.  A single worker or job, and a host where process pools cannot
 start (a sandbox without semaphore support), run the jobs in-process
 through :func:`~repro.harness.sweep.sweep`.  Parallelism is an executor
 choice, never a semantics choice.
-
-Instance sharding
------------------
-:func:`run_mux_shards` is the second executor in this module: where
-``sweep_parallel`` fans out *independent parameter points*, the mux
-shard executor fans out *the K instances of one logical run*
-(:mod:`repro.sim.multiplex`).  It partitions the instance ids into
-contiguous shards, runs ``fn(instances=shard, **params)`` per shard
-through the same pool map, and merges the per-instance results.  Causal
-independence of the instances (per-instance wire tags + namespaced rng
-streams) makes every shard's per-instance decisions and counts
-bit-for-bit identical to the unsharded run, so merging is a disjoint
-dict union; the sharding property tests enforce that equivalence under
-random Byzantine behaviour.
 """
 
 from __future__ import annotations
@@ -46,7 +32,7 @@ import inspect
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable
 
 from ..errors import ConfigurationError
 from ..sim import KernelSnapshot
@@ -221,64 +207,3 @@ def sweep_prefix_shared(
     results = _map(fn, [{**p, "resume_from": snapshot} for p in pts], workers)
     return [SweepPoint(params=p, result=r) for p, r in zip(pts, results)]
 
-
-def shard_instances(
-    instances: Sequence[int], shards: int
-) -> list[tuple[int, ...]]:
-    """Partition instance ids into contiguous, near-equal shards.
-
-    Deterministic: ids keep their given order, sizes differ by at most
-    one, earlier shards take the remainder.  At most ``len(instances)``
-    shards are produced (never an empty shard).
-    """
-    ids = list(instances)
-    if not ids:
-        return []
-    shards = max(1, min(shards, len(ids)))
-    base, extra = divmod(len(ids), shards)
-    out: list[tuple[int, ...]] = []
-    start = 0
-    for index in range(shards):
-        size = base + (1 if index < extra else 0)
-        out.append(tuple(ids[start : start + size]))
-        start += size
-    return out
-
-
-def run_mux_shards(
-    fn: str | Callable[..., Mapping[int, Any]],
-    params: dict[str, Any],
-    instances: Sequence[int],
-    workers: int | None = None,
-) -> dict[int, Any]:
-    """Pipelined instance-shard executor for multiplexed runs.
-
-    Splits ``instances`` into up to ``workers`` contiguous shards and
-    evaluates ``fn(instances=shard, **params)`` for each — the function
-    must run its shard as a self-contained simulation (all n nodes, the
-    shard's instances only) and return a per-instance mapping, e.g. the
-    ``akd-shard`` workload returning
-    :class:`~repro.sim.multiplex.InstanceAggregate` objects.  Results
-    merge by disjoint union in instance-id order; because instance
-    streams are causally independent, the merged map is bit-for-bit the
-    unsharded run's (the property tests enforce this).
-
-    :param fn: registered workload name (preferred) or picklable callable.
-    :param params: the run's parameters, shards included verbatim in each
-        job (seed travels here — the determinism contract).
-    :param workers: shard/process count; ``None`` defers to the
-        configured default (see :func:`set_default_workers`).
-    :raises ValueError: if a shard result claims an instance outside its
-        shard or two shards claim the same instance.
-    """
-    from ..sim.multiplex import merge_instance_aggregates
-
-    shards = shard_instances(instances, max(1, _workers(workers)))
-    results = _map(fn, [{**params, "instances": shard} for shard in shards], workers)
-    for shard, result in zip(shards, results):
-        foreign = set(result) - set(shard)
-        if foreign:
-            raise ValueError(
-                f"shard {shard} returned foreign instances {sorted(foreign)}"
-            )
-    return merge_instance_aggregates(results)

@@ -893,44 +893,6 @@ def e14_equivocation_point(
 
 
 @workload(
-    "akd-shard",
-    suite="E11/regress",
-    deliveries=("sync", "bounded", "loss", "partition"),
-)
-def akd_shard_point(
-    n: int,
-    t: int,
-    seed: int | str = 0,
-    scheme: str = COUNT_SCHEME,
-    instances: tuple[int, ...] | None = None,
-    adversary: "str | None" = None,
-    delivery: "str | None" = None,
-) -> dict[int, Any]:
-    """One shard of an agreement-based key-distribution mux run.
-
-    The job :func:`repro.harness.parallel.run_mux_shards` ships to worker
-    processes: runs the full n-node simulation restricted to the given
-    instance subset and returns each instance's
-    :class:`~repro.sim.multiplex.InstanceAggregate` (plain integer
-    counts — picklable, value-comparable).  ``adversary`` is an adversary-plane
-    spec string (:func:`repro.faults.make_adversary`) — the picklable
-    form each worker rebuilds its corruptions from.
-    Unlike the other registry entries this returns aggregates rather than
-    a flat count dict — it is executor plumbing, not a sweep point.
-    """
-    result = run_agreement_key_distribution(
-        n,
-        t,
-        scheme=scheme,
-        seed=seed,
-        adversary=adversary,
-        instances=instances,
-        delivery=delivery,
-    )
-    return result.per_instance
-
-
-@workload(
     "akd",
     suite="E11/regress",
     deliveries=("sync", "bounded", "loss", "partition"),
@@ -940,36 +902,18 @@ def akd_point(
     t: int,
     seed: int | str = 0,
     scheme: str = COUNT_SCHEME,
-    shard_workers: int = 0,
     adversary: "str | None" = None,
     delivery: "str | None" = None,
 ) -> dict[str, Any]:
     """One agreement-based key-distribution run: per-instance counts.
 
-    ``shard_workers > 1`` routes through the pipelined instance-shard
-    executor (:func:`repro.harness.parallel.run_mux_shards`); the counts
-    are shard-invariant by the mux equivalence property, so the flat
-    result is identical either way — only wall-clock and peak memory
-    change.  ``delivery`` accepts any deterministic-calendar spec
-    (``bounded:3``, ``loss:0.05:2``, ``partition:...``); the mux rides
-    the batch plane on all of them.
+    ``delivery`` accepts any deterministic-calendar spec (``bounded:3``,
+    ``loss:0.05:2``, ``partition:...``); the mux rides the batch plane on
+    all of them.
     """
-    run = {
-        "n": n,
-        "t": t,
-        "seed": seed,
-        "scheme": scheme,
-        "adversary": adversary,
-        "delivery": delivery,
-    }
-    if shard_workers and shard_workers > 1:
-        from .parallel import run_mux_shards
-
-        per_instance = run_mux_shards(
-            "akd-shard", run, range(n), workers=shard_workers
-        )
-    else:
-        per_instance = run_agreement_key_distribution(**run).per_instance
+    per_instance = run_agreement_key_distribution(
+        n, t, scheme=scheme, seed=seed, adversary=adversary, delivery=delivery
+    ).per_instance
     messages = [agg.messages for agg in per_instance.values()]
     byte_counts = [agg.bytes for agg in per_instance.values()]
     agreed = all(

@@ -20,7 +20,6 @@ from .multiplex import (
     InstanceMux,
     InstanceOutcome,
     collect_instances,
-    merge_instance_aggregates,
 )
 from .network import (
     DELIVERY_MODELS,
@@ -82,7 +81,6 @@ __all__ = [
     "collect_instances",
     "instance_rng",
     "make_delivery",
-    "merge_instance_aggregates",
     "mux_unwrap",
     "mux_wrap",
     "node_rng",

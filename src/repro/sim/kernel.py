@@ -339,7 +339,9 @@ class EventKernel:
         single-target record per entry, which preserves per-copy
         delivery even for duplicate recipients.  A copy the model
         schedules for the current tick (the rushing window) is filed
-        plain into its recipient's inbox, as :meth:`enqueue` files it.
+        plain into its recipient's inbox, as :meth:`enqueue` files it,
+        and one scheduled into the past raises the same
+        :class:`~repro.errors.SimulationError`.
 
         Returns the number of envelopes the send stands for; a send to
         nobody returns 0 and moves no counter, as in :meth:`enqueue`.
@@ -383,12 +385,6 @@ class EventKernel:
             dropped = arrivals.count(None)
             if dropped:
                 metrics.record_drops(sender, tick, dropped)
-            rushed = arrivals.count(tick)
-            if rushed:
-                for recipient, arrival in zip(recipients, arrivals):
-                    if arrival == tick:
-                        self._deliver_now(Envelope(sender, recipient, wrapped, tick), tick)
-                metrics.record_deliveries(tick, rushed, tick)
             if broadcast_all:
                 # Split the logical broadcast into one record per arrival
                 # tick: no per-recipient structure when every copy shares
@@ -397,10 +393,11 @@ class EventKernel:
                 for recipient, arrival in zip(recipients, arrivals):
                     if arrival is not None:
                         buckets.setdefault(arrival, []).append(recipient)
-                if rushed:
-                    del buckets[tick]
+                ticks = sorted(buckets)
+                # Copies due this tick or earlier head the sorted ticks.
+                early = bool(ticks) and ticks[0] <= tick
                 placed = []
-                for arrival in sorted(buckets):
+                for arrival in ticks[1:] if early else ticks:
                     members = buckets[arrival]
                     if len(members) == count:
                         placed.append((arrival, None))
@@ -415,8 +412,19 @@ class EventKernel:
                 placed = [
                     (arrival, recipient)
                     for arrival, recipient in zip(arrivals, recipients)
-                    if arrival is not None and arrival != tick
+                    if arrival is not None and arrival > tick
                 ]
+                early = len(placed) + dropped < count
+            if early:
+                # File copies due now plain, in recipient order, as
+                # :meth:`enqueue` does; an earlier one raises there.
+                rushed = 0
+                for recipient, arrival in zip(recipients, arrivals):
+                    if arrival is not None and arrival <= tick:
+                        envelope = Envelope(sender, recipient, wrapped, tick)
+                        self._deliver_now(envelope, arrival)
+                        rushed += 1
+                metrics.record_deliveries(tick, rushed, tick)
         # Filing during this call keeps each bucket in emission order
         # relative to other senders' traffic.
         for arrival, target in placed:

@@ -69,11 +69,6 @@ class Envelope(NamedTuple):
     payload: Any
     round_sent: Round
 
-    def byte_size(self) -> int:
-        """Bytes-on-wire of the payload under the canonical encoding
-        (compressed payloads count at their dense-equivalent size)."""
-        return wire_byte_size(self.payload)
-
 
 #: Head tag of the mux envelope extension (see module docstring).
 MUX_WIRE_TAG = "mux"

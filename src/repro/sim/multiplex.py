@@ -25,18 +25,6 @@ single node behaviour, with
   :class:`InstanceOutcome` (a :class:`~repro.sim.compose.PhaseOutcome`
   extended with identity and those counts), never in the real node state.
 
-Causal independence and sharding
---------------------------------
-Instances that never read each other's state — the agreement-based
-key-distribution case: instance *i* is one OM(t) run about node *i*'s
-key — interact only through their own tagged traffic and their own rng
-streams.  A run over any *subset* of the instances therefore reproduces
-that subset's decisions, rounds and per-instance counts bit-for-bit,
-which is what lets :func:`repro.harness.parallel.run_mux_shards` split
-the K instances of one logical run across worker processes and merge the
-per-instance results deterministically.  ``tests/harness/``'s sharding
-property test enforces the equivalence under random Byzantine behaviour.
-
 Columnar execution
 ------------------
 K instances sharing one channel make the per-envelope pipeline the run's
@@ -74,7 +62,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from ..types import NodeId
 from .batch import ChannelBatch
@@ -355,9 +343,8 @@ class InstanceAggregate:
     The cross-node mirror of :class:`InstanceOutcome`: where the outcome
     captures what *one node* saw of the instance, the aggregate collects
     every node's decision and discovery for it, plus the instance's
-    summed counts.  Aggregates are plain picklable data with value
-    equality — the currency the sharded executor ships between processes
-    and the equivalence property tests compare bit-for-bit.
+    summed counts.  Aggregates are plain data with value equality — what
+    the equivalence property tests compare bit-for-bit.
 
     :ivar messages: envelopes this instance's participants sent (all nodes).
     :ivar bytes: dense-equivalent payload bytes across those envelopes.
@@ -402,22 +389,3 @@ def collect_instances(run: RunResult) -> dict[int, InstanceAggregate]:
             agg.bytes += outcome.bytes
             agg.rounds = max(agg.rounds, outcome.rounds)
     return dict(sorted(aggregates.items()))
-
-
-def merge_instance_aggregates(
-    shards: Iterator[Mapping[int, InstanceAggregate]] | list,
-) -> dict[int, InstanceAggregate]:
-    """Combine disjoint per-shard aggregate maps into one, id-sorted.
-
-    :raises ValueError: if two shards claim the same instance — shards of
-        one logical run must partition the instance set.
-    """
-    merged: dict[int, InstanceAggregate] = {}
-    for shard in shards:
-        for instance, aggregate in shard.items():
-            if instance in merged:
-                raise ValueError(
-                    f"instance {instance} appears in more than one shard"
-                )
-            merged[instance] = aggregate
-    return dict(sorted(merged.items()))

@@ -38,8 +38,8 @@ def instance_rng(
 
     Namespaced by ``(master_seed, node, instance)``: two instances
     multiplexed at the same node draw statistically independent streams,
-    and — the property the sharded executor relies on — an instance's
-    stream does not depend on which *other* instances share its run.
+    and an instance's stream does not depend on which *other* instances
+    share its run.
     ``instance`` is folded into the :func:`node_rng` purpose separator, so
     instance streams can never collide with a node's plain streams.
     """

@@ -13,7 +13,6 @@ from repro.auth import (
     check_g3,
     run_agreement_key_distribution,
 )
-from repro.auth.agreement_based import akd_byzantine_protocol, validate_akd_instances
 from repro.errors import ConfigurationError
 from repro.faults import AdversarySpec, SilentProtocol
 
@@ -92,24 +91,34 @@ class TestFeasibilityBoundary:
         )
 
 
-class TestInstanceSubsets:
-    def test_rejects_empty_and_out_of_range_subsets(self):
-        with pytest.raises(ConfigurationError, match="must not be empty"):
-            validate_akd_instances(7, ())
-        with pytest.raises(ConfigurationError, match="must lie in"):
-            validate_akd_instances(7, (0, 7))
-
-    def test_subset_normalised_sorted_deduplicated(self):
-        assert validate_akd_instances(7, (5, 1, 5, 3)) == (1, 3, 5)
-
-    def test_default_is_all_instances(self):
-        assert validate_akd_instances(4, None) == (0, 1, 2, 3)
-
-
 class TestByzantineSpecs:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown byzantine kind"):
-            akd_byzantine_protocol("gremlin", 7, 2, range(7))
+        with pytest.raises(ConfigurationError, match="unknown behaviour"):
+            run_agreement_key_distribution(7, 2, adversary="6=gremlin")
+
+    @pytest.mark.parametrize("n,t", [(4, 1), (7, 2)])
+    def test_noise_traffic_is_attributed_to_every_instance(self, n, t):
+        """The noise node runs one mux instance per key, so its lies are
+        charged per instance and still sum to the run total."""
+        honest = run_agreement_key_distribution(n, t, seed=3)
+        noisy = run_agreement_key_distribution(
+            n, t, seed=3, adversary={n - 1: "noise"}
+        )
+        assert sorted(noisy.per_instance) == list(range(n))
+        assert (
+            sum(a.messages for a in noisy.per_instance.values())
+            == noisy.messages
+        )
+        assert noisy.per_instance != honest.per_instance
+
+    def test_noise_run_is_a_function_of_the_seed(self):
+        def run(seed):
+            return run_agreement_key_distribution(
+                7, 2, seed=seed, adversary="6=noise"
+            ).per_instance
+
+        assert run(5) == run(5)
+        assert run(5) != run(6)
 
     def test_noise_spec_within_budget_preserves_agreement(self):
         n, t = 7, 2

@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from repro.auth import run_agreement_key_distribution
 from repro.errors import ConfigurationError
 from repro.harness import (
     available_workloads,
@@ -14,7 +15,7 @@ from repro.harness import (
     workload_deliveries,
     workload_suite,
 )
-from repro.harness.workloads import WORKLOADS
+from repro.harness.workloads import COUNT_SCHEME, WORKLOADS
 
 #: One small point per registered workload: the registry contract that
 #: every entry is a pure function of its params (seed included).  The
@@ -23,7 +24,6 @@ from repro.harness.workloads import WORKLOADS
 #: ``test_tiny_covers_every_workload``.
 TINY: dict[str, dict] = {
     "akd": dict(n=4, t=1, seed=1),
-    "akd-shard": dict(n=4, t=1, seed=1, instances=(0, 2)),
     "ba": dict(n=4, t=1, seed=1, adversary="1=silent"),
     "e11-feasibility": dict(n=6, t=2, seed=1),
     "e11-methods": dict(n=4, t=1, seed=1),
@@ -88,7 +88,6 @@ class TestRegistry:
         degraded = ("sync", "bounded", "loss", "partition")
         expected = {
             "akd": degraded,
-            "akd-shard": degraded,
             "e13-loss": ("loss",),
             "e13-timeout-fd": degraded,
             "e13-partition": ("partition",),
@@ -167,6 +166,20 @@ class TestPointFunctions:
         assert methods["agreement_messages"] > methods["local_messages"]
         boundary = get_workload("e11-feasibility")(6, 2, seed=6)
         assert not boundary["agreement_feasible"] and boundary["local_pair_ok"]
+
+    @pytest.mark.parametrize("adversary", [None, "3=noise"])
+    def test_akd_point_summarises_the_direct_run(self, adversary):
+        per_instance = run_agreement_key_distribution(
+            4, 1, scheme=COUNT_SCHEME, seed=2, adversary=adversary
+        ).per_instance
+        point = get_workload("akd")(4, 1, seed=2, adversary=adversary)
+        messages = [agg.messages for agg in per_instance.values()]
+        assert point["instances"] == 4
+        assert point["messages"] == sum(messages)
+        assert point["bytes"] == sum(agg.bytes for agg in per_instance.values())
+        assert point["instance_messages_min"] == min(messages)
+        assert point["instance_messages_max"] == max(messages)
+        assert point["agreed"]
 
     def test_e12_sync_matches_plain_oral_counts(self):
         """The delivery sweep's lock-step row measures the same run the

@@ -209,21 +209,76 @@ class TestHorizonDiagnostics:
         assert "+4 more" in str(err.value)
 
 
+#: Every way a node hands copies to the kernel: one plain envelope, a
+#: plain broadcast, and the batch plane to all others or to an explicit
+#: recipient list.  Node 0 sends; with n = 4 node 1 is always reached.
+SENDS = {
+    "plain": lambda ctx: ctx.broadcast("x"),
+    "batch": lambda ctx: ctx.send_batch("tm", 0, "x"),
+    "send": lambda ctx: ctx.send(1, "x"),
+    "batch-to": lambda ctx: ctx.send_batch("tm", 0, "x", to=[1, 2, 3]),
+}
+
+every_send = pytest.mark.parametrize("send", list(SENDS.values()), ids=list(SENDS))
+
+
+def scheduled(schedule):
+    """A delivery model pricing each copy by ``schedule(recipient, tick)``
+    on both the per-envelope and the batch path."""
+
+    class Scheduled(DeliveryModel):
+        name = "scheduled"
+
+        def arrival_tick(self, envelope, tick):
+            return schedule(envelope.recipient, tick)
+
+        def batch_arrivals(self, sender, recipients, tick):
+            return [schedule(recipient, tick) for recipient in recipients]
+
+    return Scheduled()
+
+
+class Receipts(Protocol):
+    """Node 0 sends once at ``at``; every node logs (tick, sender) per
+    envelope it receives and halts at ``until``."""
+
+    def __init__(self, send, log, at=0, until=4):
+        self._send = send
+        self._log = log
+        self._at = at
+        self._until = until
+
+    def on_round(self, ctx, inbox):
+        self._log.extend((ctx.node, ctx.tick, env.sender) for env in inbox)
+        if ctx.tick == self._at and ctx.node == 0:
+            self._send(ctx)
+        if ctx.tick == self._until:
+            ctx.halt()
+
+
 class TestCausality:
-    def test_delivery_into_the_past_is_rejected(self):
+    @every_send
+    def test_delivery_into_the_past_is_rejected(self, send):
         class TimeMachine(DeliveryModel):
             name = "time-machine"
 
             def arrival_tick(self, envelope, tick):
                 return tick - 1
 
+            def batch_arrivals(self, sender, recipients, tick):
+                return [tick - 1] * len(recipients)
+
         class Sender(Protocol):
             def on_round(self, ctx, inbox):
-                ctx.send(1 - ctx.node, "x")
-                ctx.halt()
+                if ctx.tick == 2:
+                    if ctx.node == 0:
+                        send(ctx)
+                    ctx.halt()
 
-        with pytest.raises(SimulationError, match="into the past"):
-            run_protocols([Sender(), Sender()], delivery=TimeMachine())
+        with pytest.raises(
+            SimulationError, match=r"from 0 to 1 into the past \(arrival 1, tick 2\)"
+        ):
+            run_protocols([Sender() for _ in range(4)], delivery=TimeMachine())
 
     def test_same_tick_delivery_to_already_acted_node_is_rejected(self):
         class Backwards(DeliveryModel):
@@ -243,6 +298,61 @@ class TestCausality:
 
         with pytest.raises(SimulationError, match="into the past"):
             run_protocols([SendDown(), SendDown()], delivery=Backwards())
+
+    @every_send
+    def test_one_past_copy_among_later_ones_is_rejected(self, send):
+        """A lone early copy in an otherwise legal schedule still raises:
+        the check covers every copy, not only uniform schedules."""
+        model = scheduled(lambda r, tick: tick - 1 if r == 1 else tick + 1)
+        with pytest.raises(
+            SimulationError, match=r"from 0 to 1 into the past \(arrival 1, tick 2\)"
+        ):
+            run_protocols(
+                [Receipts(send, [], at=2) for _ in range(4)], delivery=model
+            )
+
+    @pytest.mark.parametrize(
+        "to", [None, [0], [2, 0]], ids=["batch", "batch-to", "batch-to-mixed"]
+    )
+    def test_same_tick_batch_copy_to_acted_node_is_rejected(self, to):
+        class SendDown(Protocol):
+            def on_round(self, ctx, inbox):
+                if ctx.node == 1:
+                    ctx.send_batch("tm", 0, "x", to=to)
+                ctx.halt()
+
+        with pytest.raises(
+            SimulationError, match=r"from 1 to 0 into the past \(arrival 0, tick 0\)"
+        ):
+            run_protocols(
+                [SendDown() for _ in range(3)],
+                delivery=scheduled(lambda r, tick: tick),
+            )
+
+    @every_send
+    def test_rushed_copies_reach_later_nodes_this_tick(self, send):
+        log = []
+        run_protocols(
+            [Receipts(send, log) for _ in range(4)],
+            delivery=scheduled(lambda r, tick: tick),
+        )
+        reached = [1] if send is SENDS["send"] else [1, 2, 3]
+        assert log == [(node, 0, 0) for node in reached]
+
+    @every_send
+    def test_every_copy_is_delivered_or_dropped(self, send):
+        """A mixed legal schedule — rushed, dropped, later — conserves
+        copies: none is stranded in a calendar bucket."""
+        log = []
+        model = scheduled(lambda r, tick: {1: tick, 2: None, 3: tick + 2}[r])
+        result = run_protocols(
+            [Receipts(send, log, at=1) for _ in range(4)], delivery=model
+        )
+        metrics = result.metrics
+        assert metrics.deliveries_total + metrics.drops_total == metrics.messages_total
+        reached = [(1, 1, 0)] if send is SENDS["send"] else [(1, 1, 0), (3, 3, 0)]
+        assert log == reached
+        assert metrics.drops_total == (0 if send is SENDS["send"] else 1)
 
     def test_bad_activation_order_is_rejected(self):
         class Twice(DeliveryModel):

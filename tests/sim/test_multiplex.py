@@ -16,7 +16,6 @@ from repro.sim import (
     Protocol,
     collect_instances,
     instance_rng,
-    merge_instance_aggregates,
     mux_unwrap,
     mux_wrap,
     payload_kind,
@@ -296,7 +295,7 @@ class TestInstanceRngNamespacing:
         assert sent[0] != sent[1]
 
     def test_instance_stream_independent_of_corun_instances(self):
-        """The sharding precondition, at rng level: instance 0's draws do
+        """Instance independence, at rng level: instance 0's draws do
         not depend on instance 1 existing."""
         pool = (("noise", "x"), ("noise", "y"))
 
@@ -478,12 +477,3 @@ class TestAggregation:
             sum(a.messages for a in aggregates.values())
             == run.metrics.messages_total
         )
-
-    def test_merge_rejects_overlapping_shards(self):
-        run_aggs = {0: "a"}
-        with pytest.raises(ValueError, match="more than one shard"):
-            merge_instance_aggregates([run_aggs, {0: "b"}])
-
-    def test_merge_sorts_by_instance(self):
-        merged = merge_instance_aggregates([{3: "c"}, {1: "a"}])
-        assert list(merged) == [1, 3]
