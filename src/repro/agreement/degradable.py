@@ -39,7 +39,7 @@ from typing import Any
 from ..auth.directory import KeyDirectory
 from ..crypto.keys import KeyPair
 from ..errors import ConfigurationError
-from ..sim import NodeContext, Protocol
+from ..sim import NodeContext, Protocol, assemble_protocols, node_keys
 from ..types import NodeId, validate_fault_budget
 from .problem import DEFAULT_VALUE
 from .signed import SignedAgreementProtocol
@@ -93,25 +93,12 @@ def make_degradable_protocols(
     default: Any = DEFAULT_VALUE,
 ) -> list[Protocol]:
     """Assemble the per-node protocol list for one degradable-BA run."""
-    adversaries = adversaries or {}
-    protocols: list[Protocol] = []
-    for node in range(n):
-        if node in adversaries:
-            protocols.append(adversaries[node])
-            continue
-        if node not in keypairs or node not in directories:
-            raise ConfigurationError(
-                f"honest node {node} is missing keypair or directory"
-            )
-        protocols.append(
-            DegradableSignedAgreement(
-                n,
-                t,
-                u,
-                keypairs[node],
-                directories[node],
-                value=value if node == 0 else None,
-                default=default,
-            )
-        )
-    return protocols
+    return assemble_protocols(
+        n,
+        t,
+        lambda node: DegradableSignedAgreement(
+            n, t, u, *node_keys(keypairs, directories, node),
+            value=value if node == 0 else None, default=default,
+        ),
+        adversaries,
+    )

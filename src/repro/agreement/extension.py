@@ -46,9 +46,8 @@ from ..auth.directory import KeyDirectory
 from ..crypto.chain import chain_depth, extend_chain, sign_leaf, verify_chain
 from ..crypto.keys import KeyPair
 from ..crypto.signing import SignedMessage
-from ..errors import ConfigurationError
 from ..fd.authenticated import ChainFDProtocol
-from ..sim import Envelope, NodeContext, Protocol
+from ..sim import Envelope, NodeContext, Protocol, assemble_protocols, node_keys
 from ..sim.compose import PhaseHost
 from ..types import NodeId, validate_fault_budget
 from .problem import DEFAULT_VALUE
@@ -222,25 +221,12 @@ def make_extended_protocols(
     default: Any = DEFAULT_VALUE,
 ) -> list[Protocol]:
     """Assemble the per-node protocol list for one extended-BA run."""
-    validate_fault_budget(t, n)
-    adversaries = adversaries or {}
-    protocols: list[Protocol] = []
-    for node in range(n):
-        if node in adversaries:
-            protocols.append(adversaries[node])
-            continue
-        if node not in keypairs or node not in directories:
-            raise ConfigurationError(
-                f"honest node {node} is missing keypair or directory"
-            )
-        protocols.append(
-            ExtendedAgreementProtocol(
-                n,
-                t,
-                keypairs[node],
-                directories[node],
-                value=value if node == SENDER else None,
-                default=default,
-            )
-        )
-    return protocols
+    return assemble_protocols(
+        n,
+        t,
+        lambda node: ExtendedAgreementProtocol(
+            n, t, *node_keys(keypairs, directories, node),
+            value=value if node == SENDER else None, default=default,
+        ),
+        adversaries,
+    )

@@ -49,7 +49,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..errors import ConfigurationError
-from ..sim import Envelope, NodeContext, Protocol
+from ..sim import Envelope, NodeContext, Protocol, assemble_protocols
 from ..types import NodeId, validate_fault_budget
 from . import eigtree
 from .eigtree import RleReport, SuccinctEigStore
@@ -196,13 +196,11 @@ def make_oral_agreement_protocols(
     default: Any = DEFAULT_VALUE,
 ) -> list[Protocol]:
     """Assemble the per-node protocol list for one OM(t) run."""
-    adversaries = adversaries or {}
-    return [
-        adversaries.get(
-            node,
-            OralAgreementProtocol(
-                n, t, value=value if node == SENDER else None, default=default
-            ),
-        )
-        for node in range(n)
-    ]
+    return assemble_protocols(
+        n,
+        t,
+        lambda node: OralAgreementProtocol(
+            n, t, value=value if node == SENDER else None, default=default
+        ),
+        adversaries,
+    )

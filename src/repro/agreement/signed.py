@@ -36,8 +36,7 @@ from ..auth.directory import KeyDirectory
 from ..crypto.chain import extend_chain, sign_leaf, verify_chain
 from ..crypto.keys import KeyPair
 from ..crypto.signing import SignedMessage
-from ..errors import ConfigurationError
-from ..sim import Envelope, NodeContext, Protocol
+from ..sim import Envelope, NodeContext, Protocol, assemble_protocols, node_keys
 from ..types import NodeId, validate_fault_budget
 from .problem import DEFAULT_VALUE
 
@@ -161,25 +160,12 @@ def make_signed_agreement_protocols(
     default: Any = DEFAULT_VALUE,
 ) -> list[Protocol]:
     """Assemble the per-node protocol list for one SM(t) run."""
-    validate_fault_budget(t, n)
-    adversaries = adversaries or {}
-    protocols: list[Protocol] = []
-    for node in range(n):
-        if node in adversaries:
-            protocols.append(adversaries[node])
-            continue
-        if node not in keypairs or node not in directories:
-            raise ConfigurationError(
-                f"honest node {node} is missing keypair or directory"
-            )
-        protocols.append(
-            SignedAgreementProtocol(
-                n,
-                t,
-                keypairs[node],
-                directories[node],
-                value=value if node == SENDER else None,
-                default=default,
-            )
-        )
-    return protocols
+    return assemble_protocols(
+        n,
+        t,
+        lambda node: SignedAgreementProtocol(
+            n, t, *node_keys(keypairs, directories, node),
+            value=value if node == SENDER else None, default=default,
+        ),
+        adversaries,
+    )

@@ -238,7 +238,6 @@ def run_key_distribution(
     scheme: str = DEFAULT_SCHEME,
     adversaries: dict[NodeId, Protocol] | None = None,
     seed: int | str = 0,
-    record_views: bool = False,
     delivery: "str | None" = None,
 ) -> KeyDistributionResult:
     """Run paper Fig. 1 over ``n`` nodes and collect the results.
@@ -257,12 +256,7 @@ def run_key_distribution(
         adversaries.get(node, KeyDistributionProtocol(scheme=scheme))
         for node in range(n)
     ]
-    run = run_protocols(
-        protocols,
-        seed=seed,
-        record_views=record_views,
-        delivery=make_delivery(delivery),
-    )
+    run = run_protocols(protocols, seed=seed, delivery=make_delivery(delivery))
     result = KeyDistributionResult(run=run)
     for state in run.states:
         if OUTPUT_DIRECTORY in state.outputs:

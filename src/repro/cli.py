@@ -55,6 +55,7 @@ from .harness import (
     run_ba_scenario,
     run_fd_scenario,
 )
+from .harness.runner import FD_PROTOCOLS
 from .sim import clear_checkpoint_policy, observed_state, set_checkpoint_policy
 
 
@@ -592,18 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fd", help="run a failure discovery protocol (Fig. 2)")
     _add_common(p)
-    p.add_argument(
-        "--protocol",
-        default="chain",
-        choices=[
-            "chain",
-            "echo",
-            "timeout",
-            "adaptive",
-            "smallrange",
-            "smallrange-optimistic",
-        ],
-    )
+    p.add_argument("--protocol", default="chain", choices=list(FD_PROTOCOLS))
     p.add_argument("--auth", default=GLOBAL, choices=[GLOBAL, LOCAL])
     p.add_argument("--value", default="demo-value")
     _add_delivery(p)

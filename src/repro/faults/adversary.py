@@ -16,7 +16,8 @@ outside the plane).  One object names:
 * **adaptive corruption** — ``strategy`` names a registered
   :data:`AdaptiveStrategy` (spec item ``adaptive:NAME``) that observes
   the run online and commits corruptions lazily, budget-checked at
-  commitment time by the :class:`AdaptiveCoordinator`;
+  commitment time by the :class:`AdaptiveCoordinator` that
+  :meth:`AdversarySpec.protocols_for` installs;
 * **custom corruption** — ``overrides`` pairs node ids with ready
   :class:`~repro.sim.node.Protocol` instances, the escape hatch for
   behaviours that need key material (the attack scenarios hand the
@@ -411,7 +412,7 @@ def register_adaptive_strategy(name: str):
 class AdaptiveCoordinator:
     """Runs one adaptive strategy against a live run.
 
-    Installed by :meth:`AdversarySpec.adaptive_protocols_for`: every
+    Installed by :meth:`AdversarySpec.protocols_for`: every
     honest node's protocol is wrapped in an :class:`AdaptiveCorruptible`
     that reports to this coordinator.  Once per tick — driven by the
     first wrapper the kernel activates, i.e. *before any node acts in
@@ -527,6 +528,20 @@ class AdaptiveCorruptible(Protocol):
 
     def on_activate(self, ctx: NodeContext, inbox: list) -> None:
         self._resolve(ctx).on_activate(ctx, inbox)
+
+
+def committed_corruptions(protocols: Sequence[Protocol]) -> dict[NodeId, Behavior]:
+    """The corruptions a run's adaptive strategy committed, node ->
+    behaviour in commitment order (empty without a strategy).
+
+    Read off the protocols because every :class:`AdaptiveCorruptible`
+    of one run shares one coordinator, and a snapshot keeps that
+    sharing, so a resumed kernel's protocols answer too.
+    """
+    for protocol in protocols:
+        if isinstance(protocol, AdaptiveCorruptible):
+            return dict(protocol._coordinator.committed)
+    return {}
 
 
 @register_adaptive_strategy("silence-muffled")
@@ -674,6 +689,12 @@ class AdversarySpec:
     ) -> list[Protocol]:
         """The run's protocol list with every corruption installed.
 
+        Declarative behaviours wrap their node's protocol, overrides
+        replace it, and when the spec names a ``strategy`` every other
+        node's protocol is wrapped in an :class:`AdaptiveCorruptible`
+        reporting to one fresh :class:`AdaptiveCoordinator` (read its
+        commitments after the run with :func:`committed_corruptions`).
+
         :param protocols: the honest per-node protocols (index = node
             id); corrupt nodes' entries become the ``inner`` of wrapping
             behaviours.
@@ -682,54 +703,30 @@ class AdversarySpec:
         :raises ConfigurationError: if a corrupt node id lies outside
             the network.
         """
-        n = len(protocols)
+        n, faulty = len(protocols), self.faulty
+        outside = sorted(node for node in faulty if node >= n)
+        if outside:
+            raise ConfigurationError(
+                f"adversary corrupts nodes {outside} but the network has "
+                f"only {n} nodes"
+            )
         out = list(protocols)
         for node, behavior in self.corrupt:
-            if node >= n:
-                raise ConfigurationError(
-                    f"adversary corrupts node {node} but the network has "
-                    f"only {n} nodes"
-                )
             built = builder(node, behavior, out[node], self.t) if builder else None
             if built is None:
                 built = build_behavior(behavior, node, out[node], self.t)
             out[node] = built
         for node, protocol in self.overrides:
-            if node >= n:
-                raise ConfigurationError(
-                    f"adversary overrides node {node} but the network has "
-                    f"only {n} nodes"
-                )
             out[node] = protocol
+        if self.strategy is not None:
+            coordinator = AdaptiveCoordinator(self)
+            out = [
+                protocol
+                if node in faulty
+                else AdaptiveCorruptible(protocol, node, coordinator, self.t)
+                for node, protocol in enumerate(out)
+            ]
         return out
-
-    def adaptive_protocols_for(
-        self,
-        protocols: Sequence[Protocol],
-        builder: BehaviorBuilder | None = None,
-    ) -> tuple[list[Protocol], AdaptiveCoordinator | None]:
-        """Like :meth:`protocols_for`, plus the adaptive power.
-
-        When the spec names a ``strategy``, every *honest* node's
-        protocol is additionally wrapped in an
-        :class:`AdaptiveCorruptible` reporting to a fresh
-        :class:`AdaptiveCoordinator`, which is returned so the caller
-        can read the committed corruptions after the run.  Without a
-        strategy this is exactly :meth:`protocols_for` (coordinator
-        ``None``).
-        """
-        out = self.protocols_for(protocols, builder)
-        if self.strategy is None:
-            return out, None
-        coordinator = AdaptiveCoordinator(self)
-        statically_faulty = self.faulty
-        out = [
-            protocol
-            if node in statically_faulty
-            else AdaptiveCorruptible(protocol, node, coordinator, self.t)
-            for node, protocol in enumerate(out)
-        ]
-        return out, coordinator
 
 
 def make_adversary(

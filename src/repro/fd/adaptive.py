@@ -50,7 +50,7 @@ from ..crypto.chain import sign_leaf, verify_chain
 from ..crypto.keys import KeyPair
 from ..crypto.signing import SignedMessage
 from ..errors import ConfigurationError
-from ..sim import Envelope, NodeContext, Protocol
+from ..sim import Envelope, NodeContext, Protocol, assemble_protocols, node_keys
 from ..types import NodeId, validate_fault_budget
 from .timeout import HEARTBEAT, SENDER
 
@@ -304,32 +304,18 @@ def make_adaptive_fd_protocols(
 ) -> list[Protocol]:
     """Assemble the per-node protocol list for one adaptive-FD run.
 
-    Mirrors :func:`repro.fd.make_timeout_fd_protocols`: honest nodes
-    need key material, ``adversaries`` replaces behaviours wholesale.
+    Built by :func:`repro.sim.assemble_protocols`: honest nodes need
+    key material, ``adversaries`` replaces behaviours wholesale.
 
     :raises ConfigurationError: if an honest node lacks keys/directory.
     """
-    validate_fault_budget(t, n)
-    adversaries = adversaries or {}
-    protocols: list[Protocol] = []
-    for node in range(n):
-        if node in adversaries:
-            protocols.append(adversaries[node])
-            continue
-        if node not in keypairs or node not in directories:
-            raise ConfigurationError(
-                f"honest node {node} is missing keypair or directory"
-            )
-        protocols.append(
-            AdaptiveTimeoutFDProtocol(
-                n=n,
-                t=t,
-                keypair=keypairs[node],
-                directory=directories[node],
-                value=value if node == SENDER else None,
-                retransmit_every=retransmit_every,
-                heartbeat_every=heartbeat_every,
-                max_timeout=max_timeout,
-            )
-        )
-    return protocols
+    return assemble_protocols(
+        n,
+        t,
+        lambda node: AdaptiveTimeoutFDProtocol(
+            n, t, *node_keys(keypairs, directories, node),
+            value=value if node == SENDER else None, max_timeout=max_timeout,
+            retransmit_every=retransmit_every, heartbeat_every=heartbeat_every,
+        ),
+        adversaries,
+    )

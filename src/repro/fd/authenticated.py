@@ -41,9 +41,8 @@ from ..auth.directory import KeyDirectory
 from ..crypto.chain import extend_chain, sign_leaf, verify_chain
 from ..crypto.keys import KeyPair
 from ..crypto.signing import SignedMessage
-from ..errors import ConfigurationError
-from ..sim import Envelope, NodeContext, Protocol
-from ..types import NodeId, validate_fault_budget, validate_node_id
+from ..sim import Envelope, NodeContext, Protocol, assemble_protocols, node_keys
+from ..types import NodeId, validate_fault_budget
 
 #: Payload kind tag for chain-carried values.
 CHAIN_MSG = "fd-chain"
@@ -213,25 +212,12 @@ def make_chain_fd_protocols(
     :param adversaries: node id -> Byzantine behaviour replacement.
     :raises ConfigurationError: if an honest node lacks keys/directory.
     """
-    validate_fault_budget(t, n)
-    validate_node_id(SENDER, n)
-    adversaries = adversaries or {}
-    protocols: list[Protocol] = []
-    for node in range(n):
-        if node in adversaries:
-            protocols.append(adversaries[node])
-            continue
-        if node not in keypairs or node not in directories:
-            raise ConfigurationError(
-                f"honest node {node} is missing keypair or directory"
-            )
-        protocols.append(
-            ChainFDProtocol(
-                n=n,
-                t=t,
-                keypair=keypairs[node],
-                directory=directories[node],
-                value=value if node == SENDER else None,
-            )
-        )
-    return protocols
+    return assemble_protocols(
+        n,
+        t,
+        lambda node: ChainFDProtocol(
+            n, t, *node_keys(keypairs, directories, node),
+            value=value if node == SENDER else None,
+        ),
+        adversaries,
+    )

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..errors import ConfigurationError
-from ..sim import Envelope, NodeContext, Protocol
+from ..sim import Envelope, NodeContext, Protocol, assemble_protocols
 from ..types import NodeId, validate_fault_budget
 
 VALUE_MSG = "fd-value"
@@ -159,13 +158,9 @@ def make_echo_fd_protocols(
 
     No keys are involved: the baseline is deliberately unauthenticated.
     """
-    validate_fault_budget(t, n)
-    adversaries = adversaries or {}
-    if any(node >= n for node in adversaries):
-        raise ConfigurationError("adversary id outside the network")
-    return [
-        adversaries.get(
-            node, EchoFDProtocol(n, t, value=value if node == SENDER else None)
-        )
-        for node in range(n)
-    ]
+    return assemble_protocols(
+        n,
+        t,
+        lambda node: EchoFDProtocol(n, t, value=value if node == SENDER else None),
+        adversaries,
+    )

@@ -41,7 +41,7 @@ from ..auth.directory import KeyDirectory
 from ..crypto.chain import extend_chain, sign_leaf, verify_chain
 from ..crypto.keys import KeyPair
 from ..errors import ConfigurationError
-from ..sim import Envelope, NodeContext, Protocol
+from ..sim import Envelope, NodeContext, Protocol, assemble_protocols, node_keys
 from ..types import NodeId, validate_fault_budget
 from .authenticated import CHAIN_MSG, SENDER, expected_signers_at
 
@@ -239,32 +239,17 @@ def make_small_range_protocols(
         sound ``t = 0`` broadcast protocol (requires ``t == 0``).
     :raises ConfigurationError: for ``t != 0`` without ``optimistic``.
     """
-    adversaries = adversaries or {}
     if not optimistic and t != 0:
         raise ConfigurationError(
             "SilentZeroBroadcastProtocol is only sound for t=0; "
             "pass optimistic=True to opt into the optimistic chain variant"
         )
-    protocols: list[Protocol] = []
-    for node in range(n):
-        if node in adversaries:
-            protocols.append(adversaries[node])
-            continue
-        if node not in keypairs or node not in directories:
-            raise ConfigurationError(
-                f"honest node {node} is missing keypair or directory"
-            )
+
+    def honest(node: NodeId) -> Protocol:
+        keys = node_keys(keypairs, directories, node)
         node_value = value if node == SENDER else None
         if optimistic:
-            protocols.append(
-                OptimisticBinaryChainProtocol(
-                    n, t, keypairs[node], directories[node], value=node_value
-                )
-            )
-        else:
-            protocols.append(
-                SilentZeroBroadcastProtocol(
-                    n, keypairs[node], directories[node], value=node_value
-                )
-            )
-    return protocols
+            return OptimisticBinaryChainProtocol(n, t, *keys, value=node_value)
+        return SilentZeroBroadcastProtocol(n, *keys, value=node_value)
+
+    return assemble_protocols(n, t, honest, adversaries)

@@ -36,7 +36,7 @@ from ..auth import (
 from ..crypto import DEFAULT_SCHEME
 from ..crypto.keys import KeyPair
 from ..errors import ConfigurationError
-from ..faults.adversary import AdaptiveCoordinator, make_adversary
+from ..faults.adversary import committed_corruptions, make_adversary
 from ..fd import (
     FDEvaluation,
     evaluate_fd,
@@ -201,22 +201,15 @@ def _outcome(
 ) -> ScenarioOutcome:
     """Judge a finished run: the one evaluation every entry shares.
 
-    The adaptive coordinator is recovered from the kernel's protocols
-    (a resumed kernel has no other handle on it; the single-pickle
-    snapshot preserves the sharing, so the first wrapper's coordinator
-    *is* every wrapper's).  Its corruptions exist only now the run has
-    happened, so the correct set is recomputed from them before the
-    conditions are judged.
+    Adaptive corruptions exist only now the run has happened (and a
+    resumed kernel has no handle on them but its protocols), so the
+    correct set is recomputed from them before the conditions are
+    judged.
     """
-    committed: tuple[tuple[NodeId, str], ...] = ()
-    for protocol in kernel.protocols:
-        coordinator = getattr(protocol, "_coordinator", None)
-        if isinstance(coordinator, AdaptiveCoordinator):
-            committed = tuple(
-                (node, behavior.spec())
-                for node, behavior in sorted(coordinator.committed.items())
-            )
-            break
+    committed = tuple(
+        (node, behavior.spec())
+        for node, behavior in sorted(committed_corruptions(kernel.protocols).items())
+    )
     correct = set(range(kernel.n)) - faulty - {node for node, _ in committed}
     _, evaluate = _KINDS[kind]
     verdict = evaluate(run, correct, sender=0, sender_value=value)
@@ -304,7 +297,7 @@ def _run_scenario(
         adversaries=overrides, **(protocol_params or {}),
     )
     if spec is not None:
-        protocols, _ = spec.adaptive_protocols_for(protocols)
+        protocols = spec.protocols_for(protocols)
     kernel = EventKernel(
         protocols,
         seed=seed,

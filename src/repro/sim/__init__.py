@@ -32,7 +32,7 @@ from .network import (
     available_deliveries,
     make_delivery,
 )
-from .node import NodeContext, NodeState, Protocol
+from .node import NodeContext, NodeState, Protocol, assemble_protocols, node_keys
 from .rng import instance_rng, node_rng
 from .snapshot import (
     SNAPSHOT_VERSION,
@@ -75,6 +75,7 @@ __all__ = [
     "Trace",
     "TraceEvent",
     "View",
+    "assemble_protocols",
     "available_deliveries",
     "capture_kernel",
     "clear_checkpoint_policy",
@@ -83,6 +84,7 @@ __all__ = [
     "make_delivery",
     "mux_unwrap",
     "mux_wrap",
+    "node_keys",
     "node_rng",
     "observed_state",
     "payload_kind",

@@ -223,11 +223,6 @@ class EventKernel:
         return self._metrics
 
     @property
-    def trace(self) -> Trace | None:
-        """The live event log, or ``None`` when trace recording is off."""
-        return self._trace
-
-    @property
     def batch_plane(self) -> BatchPlane:
         """The columnar batch plane that carries every mux's traffic."""
         return self._batch

@@ -12,10 +12,10 @@ who is sending.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
-from ..errors import ProtocolViolationError
-from ..types import NodeId, Round
+from ..errors import ConfigurationError, ProtocolViolationError
+from ..types import NodeId, Round, validate_fault_budget
 from .message import Envelope
 
 if TYPE_CHECKING:
@@ -323,3 +323,47 @@ class Protocol:
         :meth:`on_round` over the equivalent envelope list.
         """
         raise NotImplementedError
+
+
+def assemble_protocols(
+    n: int,
+    t: int,
+    honest: Callable[[NodeId], Protocol],
+    adversaries: Mapping[NodeId, Protocol] | None = None,
+) -> list[Protocol]:
+    """The per-node protocol list of one run (index = node id).
+
+    The one loop behind every ``make_*_protocols`` factory: node ``i``
+    runs ``adversaries[i]`` when given — a Byzantine behaviour that
+    replaces the honest one wholesale — and ``honest(i)`` otherwise.
+    ``honest`` is never called for a replaced node, so a replaced node
+    needs no key material.
+
+    :raises ConfigurationError: for a fault budget outside
+        ``0 <= t <= n-2`` or an adversary id outside ``0 .. n-1``.
+    """
+    validate_fault_budget(t, n)
+    adversaries = adversaries or {}
+    outside = sorted(node for node in adversaries if not 0 <= node < n)
+    if outside:
+        raise ConfigurationError(
+            f"adversary ids {outside} outside range(0, {n})"
+        )
+    return [
+        adversaries[node] if node in adversaries else honest(node)
+        for node in range(n)
+    ]
+
+
+def node_keys(
+    keypairs: Mapping[NodeId, Any], directories: Mapping[NodeId, Any], node: NodeId
+) -> tuple[Any, Any]:
+    """``node``'s ``(keypair, directory)`` for an honest keyed protocol.
+
+    :raises ConfigurationError: if either is missing.
+    """
+    if node not in keypairs or node not in directories:
+        raise ConfigurationError(
+            f"honest node {node} is missing keypair or directory"
+        )
+    return keypairs[node], directories[node]

@@ -144,6 +144,19 @@ class TestByzantineSpecs:
         )
         assert lossy.run.metrics.drops_total > 0
 
+    def test_adaptive_strategy_is_installed(self):
+        """``adaptive:silence-muffled`` silences node 1 at tick 2, so the
+        run matches the static ``1=crash@2`` one, not the failure-free
+        one."""
+        def per_instance(adversary):
+            return run_agreement_key_distribution(
+                7, 2, scheme="simulated-hmac", adversary=adversary
+            ).per_instance
+
+        adaptive = per_instance("adaptive:silence-muffled")
+        assert adaptive == per_instance("1=crash@2")
+        assert adaptive != per_instance(None)
+
 
 class TestFaultTolerance:
     def test_silent_node_within_budget(self):

@@ -4,8 +4,21 @@ from __future__ import annotations
 
 import pytest
 
+from repro.agreement import (
+    make_degradable_protocols,
+    make_extended_protocols,
+    make_oral_agreement_protocols,
+    make_signed_agreement_protocols,
+)
 from repro.analysis.experiments import e6_attacks
 from repro.errors import ConfigurationError
+from repro.fd import (
+    make_adaptive_fd_protocols,
+    make_chain_fd_protocols,
+    make_echo_fd_protocols,
+    make_small_range_protocols,
+    make_timeout_fd_protocols,
+)
 from repro.faults import AdversarySpec, SilentProtocol
 from repro.harness import (
     GLOBAL,
@@ -187,3 +200,42 @@ class TestBudgetOnEveryEntry:
             monkeypatch.setattr(f"{module}.attack_catalogue", lambda n, t: [rogue])
         with pytest.raises(ConfigurationError, match="fault budget is t=2"):
             e6_attacks(n=8, t=2, seeds=1)
+
+
+#: Every ``make_*_protocols`` factory as ``(factory, t, args, keyed)``:
+#: it is called ``factory(n, t, *args, [keypairs, directories,]
+#: adversaries=...)``.
+FACTORIES = [
+    (make_chain_fd_protocols, 1, ("v",), True),
+    (make_timeout_fd_protocols, 1, ("v",), True),
+    (make_adaptive_fd_protocols, 1, ("v",), True),
+    (make_small_range_protocols, 0, (1,), True),
+    (make_signed_agreement_protocols, 1, ("v",), True),
+    (make_extended_protocols, 1, ("v",), True),
+    (make_degradable_protocols, 1, (1, "v"), True),
+    (make_echo_fd_protocols, 1, ("v",), False),
+    (make_oral_agreement_protocols, 1, ("v",), False),
+]
+
+
+class TestProtocolAssembly:
+    """The nine protocol factories share one assembly contract."""
+
+    N = 5
+
+    @pytest.mark.parametrize(
+        "factory,t,args,keyed", FACTORIES, ids=[f.__name__ for f, *_ in FACTORIES]
+    )
+    def test_contract(self, factory, t, args, keyed):
+        keypairs, directories, _ = setup_authentication(self.N, scheme="simulated-hmac")
+        keys = (keypairs, directories) if keyed else ()
+        with pytest.raises(ConfigurationError, match="outside"):
+            factory(self.N, t, *args, *keys, adversaries={self.N + 1: SilentProtocol()})
+        if not keyed:
+            return
+        del keypairs[2]
+        with pytest.raises(ConfigurationError, match="honest node 2 is missing"):
+            factory(self.N, t, *args, *keys)
+        # A replaced node needs no key material.
+        protocols = factory(self.N, t, *args, *keys, adversaries={2: SilentProtocol()})
+        assert len(protocols) == self.N

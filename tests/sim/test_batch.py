@@ -21,6 +21,7 @@ from repro.agreement.oral import OralAgreementProtocol
 from repro.auth import agreement_based
 from repro.auth.agreement_based import akd_noise_pool, run_agreement_key_distribution
 from repro.faults import AdversarySpec, RandomNoiseProtocol
+from repro.faults.adversary import committed_corruptions
 from repro.sim import (
     BatchPlane,
     Envelope,
@@ -209,13 +210,11 @@ class TestColumnarObjectEquivalence:
         runs = {}
         for mux in ENGINES:
             spec = AdversarySpec(corrupt=(), t=2, strategy=strategy)
-            protocols, coordinator = spec.adaptive_protocols_for(
-                om_mux_protocols(7, 2, mux)
-            )
+            protocols = spec.protocols_for(om_mux_protocols(7, 2, mux))
             runs[mux] = observables(run_protocols(protocols, seed=13))
             committed[mux] = {
                 node: behavior.kind
-                for node, behavior in coordinator.committed.items()
+                for node, behavior in committed_corruptions(protocols).items()
             }
         assert committed[InstanceMux] == committed[ReferenceMux]
         assert committed[InstanceMux]  # the strategy did strike
@@ -351,13 +350,13 @@ class TestDegradedCalendarEquivalence:
         runs = {}
         for mux in ENGINES:
             spec = AdversarySpec(corrupt=(), t=2, strategy=strategy)
-            protocols, coordinator = spec.adaptive_protocols_for(om_mux_protocols(7, 2, mux))
+            protocols = spec.protocols_for(om_mux_protocols(7, 2, mux))
             runs[mux] = observables(
                 run_protocols(protocols, seed=13, delivery=make_delivery("loss:0.2:2"))
             )
             committed[mux] = {
                 node: behavior.kind
-                for node, behavior in coordinator.committed.items()
+                for node, behavior in committed_corruptions(protocols).items()
             }
         assert committed[InstanceMux] == committed[ReferenceMux]
         assert runs[InstanceMux] == runs[ReferenceMux]
