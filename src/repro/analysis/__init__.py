@@ -4,7 +4,6 @@ from .amortization import (
     AmortizationCurve,
     AmortizationPoint,
     amortization_curve,
-    breakeven_table,
 )
 from .complexity import (
     amortized_messages_local,
@@ -24,7 +23,7 @@ from .complexity import (
     smallrange_messages,
 )
 from .experiments import ExperimentTable, run_all as run_all_experiments
-from .reporting import check_mark, render_series, render_table
+from .reporting import check_mark, render_table
 
 __all__ = [
     "AmortizationCurve",
@@ -32,7 +31,6 @@ __all__ = [
     "amortization_curve",
     "amortized_messages_local",
     "amortized_messages_nonauth",
-    "breakeven_table",
     "check_mark",
     "crossover_runs",
     "ExperimentTable",
@@ -47,7 +45,6 @@ __all__ = [
     "om_collapsed_reports",
     "om_envelopes",
     "om_reports",
-    "render_series",
     "render_table",
     "sm_messages",
     "smallrange_messages",

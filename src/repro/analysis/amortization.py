@@ -63,25 +63,3 @@ def amortization_curve(n: int, t: int, max_runs: int) -> AmortizationCurve:
         for runs in range(1, max_runs + 1)
     )
     return AmortizationCurve(n=n, t=t, points=points)
-
-
-def breakeven_table(
-    sizes: list[int], budget_fn=None
-) -> list[tuple[int, int, int, int]]:
-    """Rows of ``(n, t, predicted crossover, per-run saving)`` per size.
-
-    :param budget_fn: maps n -> t; defaults to the constant-fraction
-        budget ``t = (n-1) // 3`` the paper's O(n²) figure assumes.
-    """
-    from ..types import default_fault_budget
-
-    if budget_fn is None:
-        budget_fn = default_fault_budget
-    rows = []
-    for n in sizes:
-        t = budget_fn(n)
-        if t == 0:
-            continue
-        saving = complexity.fd_nonauth_messages(n, t) - complexity.fd_auth_messages(n, t)
-        rows.append((n, t, complexity.crossover_runs(n, t), saving))
-    return rows

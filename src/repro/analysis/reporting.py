@@ -41,21 +41,6 @@ def render_table(
     return "\n".join(out)
 
 
-def render_series(
-    x_name: str,
-    series: dict[str, Sequence[Any]],
-    x_values: Sequence[Any],
-    title: str | None = None,
-) -> str:
-    """Render a figure-like multi-series table (one column per series)."""
-    headers = [x_name, *series.keys()]
-    rows = [
-        [x, *(values[i] for values in series.values())]
-        for i, x in enumerate(x_values)
-    ]
-    return render_table(headers, rows, title=title)
-
-
 def check_mark(ok: bool) -> str:
     """A stable OK/DEVIATION marker used in benchmark output."""
     return "OK" if ok else "DEVIATION"

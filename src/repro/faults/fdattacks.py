@@ -2,7 +2,10 @@
 
 Each attack targets a specific check in the protocols' discovery logic;
 the FD tests pair every attack with the F1-F3 oracle to confirm that the
-conditions survive (usually because some correct node discovers).
+conditions survive (usually because some correct node discovers).  The
+chain attackers send along the honest Fig. 2 route through
+:func:`~repro.fd.authenticated.forward_chain`, so each deviates from the
+protocol only in what it sends and when, never in where.
 """
 
 from __future__ import annotations
@@ -13,7 +16,12 @@ from ..auth.directory import KeyDirectory
 from ..crypto.chain import extend_chain, sign_leaf
 from ..crypto.keys import KeyPair
 from ..crypto.signing import SignedMessage, garble_signature
-from ..fd.authenticated import CHAIN_MSG, ChainFDProtocol
+from ..fd.authenticated import (
+    CHAIN_MSG,
+    ChainFDProtocol,
+    chain_payload,
+    forward_chain,
+)
 from ..sim import Envelope, NodeContext, Protocol
 from ..types import NodeId, Round
 from .behaviors import TamperingProtocol
@@ -70,12 +78,7 @@ class FabricatingChainNode(Protocol):
         node = ctx.node
         if ctx.round == node and 1 <= node <= self._t:
             forged = sign_leaf(self._keypair.secret, self._value)
-            if node < self._t:
-                ctx.send(node + 1, (CHAIN_MSG, forged))
-            else:
-                ctx.broadcast(
-                    (CHAIN_MSG, forged), to=list(range(self._t + 1, self._n))
-                )
+            forward_chain(ctx, self._n, self._t, forged)
         if ctx.round >= self._t + 1:
             ctx.halt()
 
@@ -112,27 +115,16 @@ class ImpersonatingChainNode(Protocol):
             if chain is not None:
                 name = self._name if self._name is not None else node - 1
                 extended = extend_chain(self._keypair.secret, name, chain)
-                if node < self._t:
-                    ctx.send(node + 1, (CHAIN_MSG, extended))
-                else:
-                    ctx.broadcast(
-                        (CHAIN_MSG, extended),
-                        to=list(range(self._t + 1, self._n)),
-                    )
+                forward_chain(ctx, self._n, self._t, extended)
         if ctx.round >= self._t + 1:
             ctx.halt()
 
 
 def _first_chain_payload(inbox: list[Envelope]) -> SignedMessage | None:
     for env in inbox:
-        payload = env.payload
-        if (
-            isinstance(payload, tuple)
-            and len(payload) == 2
-            and payload[0] == CHAIN_MSG
-            and isinstance(payload[1], SignedMessage)
-        ):
-            return payload[1]
+        chain = chain_payload(env.payload)
+        if chain is not None:
+            return chain
     return None
 
 
@@ -169,13 +161,7 @@ class DelayedRelayChainNode(Protocol):
                 self._held = extend_chain(self._keypair.secret, node - 1, chain)
                 self._forward_round = ctx.round + self._delay
         if self._forward_round is not None and ctx.round == self._forward_round:
-            if node < self._t:
-                ctx.send(node + 1, (CHAIN_MSG, self._held))
-            else:
-                ctx.broadcast(
-                    (CHAIN_MSG, self._held),
-                    to=list(range(self._t + 1, self._n)),
-                )
+            forward_chain(ctx, self._n, self._t, self._held)
             self._forward_round = None
         if ctx.round >= self._t + 1 + self._delay:
             ctx.halt()
@@ -216,14 +202,8 @@ def garbling_chain_node(
     inner = ChainFDProtocol(n, t, keypair, directory)
 
     def transform(rnd: Round, to: NodeId, payload: Any) -> Any:
-        if (
-            isinstance(payload, tuple)
-            and len(payload) == 2
-            and payload[0] == CHAIN_MSG
-            and isinstance(payload[1], SignedMessage)
-        ):
-            return (CHAIN_MSG, garble_signature(payload[1]))
-        return payload
+        chain = chain_payload(payload)
+        return payload if chain is None else (CHAIN_MSG, garble_signature(chain))
 
     return TamperingProtocol(inner, transform=transform)
 

@@ -60,6 +60,31 @@ def expected_signers_at(position: int) -> tuple[NodeId, ...]:
     return tuple(range(position - 1, -1, -1))
 
 
+def chain_payload(payload: Any) -> SignedMessage | None:
+    """The chain a ``(CHAIN_MSG, SignedMessage)`` payload carries, else None."""
+    if (
+        isinstance(payload, tuple)
+        and len(payload) == 2
+        and payload[0] == CHAIN_MSG
+        and isinstance(payload[1], SignedMessage)
+    ):
+        return payload[1]
+    return None
+
+
+def forward_chain(ctx: NodeContext, n: int, t: int, chain: SignedMessage) -> None:
+    """Send ``chain`` one hop along the Fig. 2 route from ``ctx.node``.
+
+    The sender and each ``P_i`` with ``i < t`` hand it to ``P_{i+1}``;
+    ``P_t`` disseminates it to ``P_{t+1} .. P_{n-1}`` (at ``t = 0`` the
+    sender itself disseminates).
+    """
+    if ctx.node < t:
+        ctx.send(ctx.node + 1, (CHAIN_MSG, chain))
+    else:
+        ctx.broadcast((CHAIN_MSG, chain), to=list(range(t + 1, n)))
+
+
 class ChainFDProtocol(Protocol):
     """One node's behaviour in the Fig. 2 chain protocol.
 
@@ -127,11 +152,9 @@ class ChainFDProtocol(Protocol):
 
     def _send_initial(self, ctx: NodeContext) -> None:
         """Sender: sign the value and start the chain (or broadcast, t=0)."""
-        leaf = sign_leaf(self._keypair.secret, self._value)
-        if self._t == 0:
-            ctx.broadcast((CHAIN_MSG, leaf))
-        else:
-            ctx.send(1, (CHAIN_MSG, leaf))
+        forward_chain(
+            ctx, self._n, self._t, sign_leaf(self._keypair.secret, self._value)
+        )
         ctx.decide(self._value)
 
     def _receive_chain(self, ctx: NodeContext, inbox: list[Envelope]) -> None:
@@ -146,7 +169,7 @@ class ChainFDProtocol(Protocol):
             ctx.halt()
             return
         env = inbox[0]
-        signed = self._extract(env)
+        signed = chain_payload(env.payload)
         if env.sender != predecessor or signed is None:
             ctx.discover_failure(
                 f"malformed or misdirected chain message from {env.sender}"
@@ -162,36 +185,27 @@ class ChainFDProtocol(Protocol):
             expected_depth=depth,
             expected_signers=expected_signers_at(depth),
         )
-        if not verdict.ok:
+        reason = verdict.reason if not verdict.ok else self._rejection(verdict.value)
+        if reason is not None:
             # Fig. 2: "if negative then discover failure and stop".
-            ctx.discover_failure(f"chain verification failed: {verdict.reason}")
+            ctx.discover_failure(f"chain verification failed: {reason}")
             ctx.halt()
             return
 
-        # Fig. 2: "else accept v ..."
+        # Fig. 2: "else accept v and send {S_i, m}_{S_i} to P_{i+1}" (P_t
+        # disseminates to the rest of the participants instead).
         ctx.decide(verdict.value)
         if self._is_chain_node(node):
-            extended = extend_chain(self._keypair.secret, predecessor, signed)
-            if node < self._t:
-                # "... and send {S_i, m}_{S_i} to P_{i+1}"
-                ctx.send(node + 1, (CHAIN_MSG, extended))
-            else:
-                # P_t disseminates to the rest of the participants.
-                ctx.broadcast(
-                    (CHAIN_MSG, extended),
-                    to=list(range(self._t + 1, self._n)),
-                )
+            forward_chain(
+                ctx,
+                self._n,
+                self._t,
+                extend_chain(self._keypair.secret, predecessor, signed),
+            )
 
-    @staticmethod
-    def _extract(env: Envelope) -> SignedMessage | None:
-        payload = env.payload
-        if (
-            isinstance(payload, tuple)
-            and len(payload) == 2
-            and payload[0] == CHAIN_MSG
-            and isinstance(payload[1], SignedMessage)
-        ):
-            return payload[1]
+    def _rejection(self, value: Any) -> str | None:
+        """Why a verified chain carrying ``value`` is not accepted (None:
+        it is).  Fig. 2 accepts every value; variants narrow the domain."""
         return None
 
 

@@ -261,12 +261,3 @@ class Metrics:
             (self.messages_per_sender[node], self.dropped_per_sender[node])
             for node in range(n)
         )
-
-    def messages_from(self, nodes: set[NodeId]) -> int:
-        """Messages sent by any node in ``nodes``.
-
-        Used to separate correct-node traffic from Byzantine traffic: the
-        paper's complexity claims concern failure-free runs, and in faulty
-        runs only the correct nodes' counts are meaningfully bounded.
-        """
-        return sum(self.messages_per_sender[node] for node in nodes)

@@ -133,10 +133,6 @@ class Trace:
         """All events of one kind, in order."""
         return [event for event in self.events if event.kind == kind]
 
-    def for_node(self, node: NodeId) -> list[TraceEvent]:
-        """All events a node performed, in order."""
-        return [event for event in self.events if event.node == node]
-
     def format(self, max_lines: int | None = None) -> str:
         """The whole trace (or its head) as printable lines."""
         lines = [event.format() for event in self.events]

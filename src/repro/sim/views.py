@@ -82,10 +82,6 @@ class View:
             frozenset(ReceivedMessage.from_envelope(env) for env in inbox)
         )
 
-    def up_to(self, round_index: Round) -> tuple[frozenset[ReceivedMessage], ...]:
-        """The view truncated to rounds ``0 .. round_index`` inclusive."""
-        return tuple(self.rounds[: round_index + 1])
-
     def differs_from(self, reference: "View") -> Round | None:
         """First round where this view deviates from ``reference``.
 

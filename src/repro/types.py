@@ -70,12 +70,6 @@ def default_fault_budget(n: int) -> int:
     return (n - 1) // 3
 
 
-def all_nodes(n: int) -> range:
-    """All node ids of an ``n``-node network, in id order."""
-    validate_node_count(n)
-    return range(n)
-
-
 def other_nodes(node: NodeId, n: int) -> list[NodeId]:
     """All node ids except ``node``, in id order."""
     validate_node_id(node, n)

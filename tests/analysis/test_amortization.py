@@ -1,14 +1,10 @@
-"""Amortization curves and the break-even table (experiment E4's engine)."""
+"""Amortization curves (experiment E4's engine)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis import (
-    amortization_curve,
-    breakeven_table,
-    crossover_runs,
-)
+from repro.analysis import amortization_curve, crossover_runs
 
 
 class TestCurve:
@@ -38,21 +34,3 @@ class TestCurve:
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             amortization_curve(8, 2, 0)
-
-
-class TestBreakevenTable:
-    def test_rows_shape_and_monotonicity(self):
-        rows = breakeven_table([8, 16, 32, 64])
-        assert [row[0] for row in rows] == [8, 16, 32, 64]
-        for n, t, crossover, saving in rows:
-            assert t == (n - 1) // 3
-            assert crossover >= 1
-            assert saving == t * (n - 1)
-
-    def test_small_sizes_without_budget_skipped(self):
-        rows = breakeven_table([2, 3, 8])
-        assert [row[0] for row in rows] == [8]
-
-    def test_custom_budget_function(self):
-        rows = breakeven_table([10, 20], budget_fn=lambda n: 2)
-        assert all(row[1] == 2 for row in rows)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis import check_mark, render_series, render_table
+from repro.analysis import check_mark, render_table
 
 
 class TestRenderTable:
@@ -30,19 +30,6 @@ class TestRenderTable:
     def test_empty_rows_ok(self):
         text = render_table(["a", "b"], [])
         assert "a" in text and "b" in text
-
-
-class TestRenderSeries:
-    def test_one_row_per_x(self):
-        text = render_series(
-            "n",
-            {"auth": [3, 7], "nonauth": [6, 21]},
-            x_values=[4, 8],
-            title="E2",
-        )
-        lines = text.splitlines()
-        assert len(lines) == 2 + 2 + 2  # title + underline + header + rule + rows
-        assert "auth" in lines[2] and "nonauth" in lines[2]
 
 
 class TestCheckMark:

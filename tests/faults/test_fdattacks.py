@@ -12,7 +12,7 @@ from repro.faults import (
     ImpersonatingChainNode,
     duplicating_chain_node,
 )
-from repro.fd import evaluate_fd, make_chain_fd_protocols
+from repro.fd import ChainFDProtocol, evaluate_fd, make_chain_fd_protocols
 from repro.sim import run_protocols
 
 N, T = 7, 2
@@ -126,3 +126,41 @@ class TestFabricationVariants:
             world, {1: duplicating_chain_node(N, T, keypairs[1], directories[1])}
         )
         assert evaluation.ok and evaluation.any_discovery
+
+
+#: Who each chain position sends to under Fig. 2: ``P_1`` hands the chain
+#: to ``P_2``; ``P_T`` disseminates it to ``P_{T+1} .. P_{N-1}``.
+ROUTE = {1: {2}, T: set(range(T + 1, N))}
+
+#: Chain behaviours, built for the node they are placed at.
+CHAIN_NODES = {
+    "honest": lambda keypairs, directories, node: ChainFDProtocol(
+        N, T, keypairs[node], directories[node]
+    ),
+    "fabricating": lambda keypairs, directories, node: FabricatingChainNode(
+        N, T, keypairs[node], "forged"
+    ),
+    "impersonating": lambda keypairs, directories, node: ImpersonatingChainNode(
+        N, T, keypairs[node]
+    ),
+    "delayed": lambda keypairs, directories, node: DelayedRelayChainNode(
+        N, T, keypairs[node]
+    ),
+}
+
+
+class TestChainRoute:
+    @pytest.mark.parametrize("node", sorted(ROUTE))
+    @pytest.mark.parametrize("kind", sorted(CHAIN_NODES))
+    def test_chain_node_sends_along_the_fig2_route(self, world, kind, node):
+        """Attackers deviate in what they send and when, never in where:
+        every chain behaviour uses the honest route."""
+        keypairs, directories = world
+        placed = CHAIN_NODES[kind](keypairs, directories, node)
+        result, _ = run_with(world, {node: placed})
+        sent_to = {
+            event.detail[0]
+            for event in result.trace.of_kind("send")
+            if event.node == node
+        }
+        assert sent_to == ROUTE[node]

@@ -5,7 +5,9 @@ behaviour.  These property-based tests sample that space: random faulty
 subsets within the budget, each running a randomly parameterised hostile
 behaviour (silence, crashes, selective withholding, garbling, fabrication,
 duplication, or arbitrary scripted noise), and assert that the chain and
-echo FD protocols never violate F1-F3.
+echo FD protocols never violate F1-F3.  The optimistic small-range chain
+runs against the same adversaries for F1 alone: it breaks F2 on purpose
+(:mod:`repro.fd.smallrange`).
 
 A falsifying example here would be a *protocol bug or a paper bug* — which
 is exactly what property-based testing is for.
@@ -33,6 +35,7 @@ from repro.fd import (
     evaluate_fd,
     make_chain_fd_protocols,
     make_echo_fd_protocols,
+    make_small_range_protocols,
 )
 from repro.sim import run_protocols
 
@@ -158,6 +161,26 @@ class TestChainFuzz:
         for state in result.states:
             if state.node in correct and state.decided:
                 assert state.decision == "genuine"
+
+    @given(
+        adversaries=chain_adversaries(),
+        value=st.sampled_from([0, 1]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_optimistic_chain_terminates(self, adversaries, value, seed):
+        """No exception escapes the optimistic chain and F1 holds; F2 is
+        not asserted, because withholding breaks it by design."""
+        protocols = make_small_range_protocols(
+            N, T, value, KEYPAIRS, DIRECTORIES,
+            adversaries=adversaries, optimistic=True,
+        )
+        result = run_protocols(protocols, seed=seed)
+        correct = set(range(N)) - set(adversaries)
+        evaluation = evaluate_fd(result, correct, 0, value)
+        assert evaluation.weak_termination, (
+            f"{evaluation.detail}; adversaries at {sorted(adversaries)}"
+        )
 
 
 @st.composite

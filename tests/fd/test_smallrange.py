@@ -8,7 +8,7 @@ import pytest
 from repro.analysis import smallrange_messages
 from repro.auth import trusted_dealer_setup
 from repro.errors import ConfigurationError
-from repro.faults import SilentProtocol, withholding_chain_node
+from repro.faults import ScriptedProtocol, SilentProtocol, withholding_chain_node
 from repro.fd import evaluate_fd, make_small_range_protocols
 from repro.fd.smallrange import OptimisticBinaryChainProtocol
 from repro.faults.behaviors import TamperingProtocol
@@ -111,6 +111,32 @@ class TestOptimisticBinaryChain:
             adversaries={1: FabricatingChainNode(n, 2, keypairs[1], 1)},
         )
         assert evaluation.ok and evaluation.any_discovery
+
+
+class TestMalformedChainPayload:
+    """A chain payload that is not a signed message is discovered, never
+    raised: both variants share the Fig. 2 protocol's shape check."""
+
+    @pytest.mark.parametrize(
+        "t, forger, victims",
+        [(2, 1, [2]), (0, 0, [1, 2, 3, 4, 5, 6])],
+        ids=["optimistic-chain", "silent-zero"],
+    )
+    def test_malformed_payload_is_discovered(self, t, forger, victims):
+        n = 7
+        keypairs, directories = trusted_dealer_setup(n, seed="malformed")
+        # The forger speaks in its own chain round: node 1 at round 1 in
+        # place of the chain hop, the t = 0 sender at round 0.
+        payload = ("fd-chain", b"not-a-signed-message")
+        forger_protocol = ScriptedProtocol(
+            {forger: [(victim, payload) for victim in victims]}
+        )
+        protocols = make_small_range_protocols(
+            n, t, 1, keypairs, directories,
+            adversaries={forger: forger_protocol}, optimistic=t > 0,
+        )
+        result = run_protocols(protocols, seed=0)
+        assert set(victims) <= set(result.discoverers())
 
 
 class TestOptimisticSoundnessBoundary:

@@ -185,18 +185,6 @@ class TestMetrics:
         assert metrics.messages_per_sender[0] == 2
         assert metrics.bytes_total > 0
 
-    def test_messages_from_subset(self):
-        class OneShot(Protocol):
-            def on_round(self, ctx, inbox):
-                if ctx.round == 0 and ctx.node == 0:
-                    ctx.broadcast("x")
-                if ctx.round >= 1:
-                    ctx.halt()
-
-        result = run_protocols([OneShot() for _ in range(4)])
-        assert result.metrics.messages_from({0}) == 3
-        assert result.metrics.messages_from({1, 2, 3}) == 0
-
     def test_payload_kind_breakdown(self):
         class Kinds(Protocol):
             def on_round(self, ctx, inbox):

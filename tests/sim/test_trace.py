@@ -64,11 +64,6 @@ class TestRecording:
         rounds = [event.round for event in result.trace.events]
         assert rounds == sorted(rounds)
 
-    def test_for_node_filters(self):
-        result = chain_run()
-        own = result.trace.for_node(0)
-        assert own and all(event.node == 0 for event in own)
-
 
 class TestFormatting:
     def test_format_contains_arrows_and_kinds(self):

@@ -76,12 +76,6 @@ class TestViewComparison:
         actual.record_round([])
         assert actual.differs_from(reference) == 1
 
-    def test_up_to_truncates(self):
-        view = View(node=0)
-        for _ in range(4):
-            view.record_round([])
-        assert len(view.up_to(1)) == 2
-
 
 class TestSemanticDiscoveryAgreement:
     """Operational discovery fires iff the view deviates from the

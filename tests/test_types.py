@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.types import (
-    all_nodes,
     default_fault_budget,
     other_nodes,
     validate_fault_budget,
@@ -66,9 +65,6 @@ class TestFaultBudget:
 
 
 class TestEnumeration:
-    def test_all_nodes(self):
-        assert list(all_nodes(3)) == [0, 1, 2]
-
     def test_other_nodes(self):
         assert other_nodes(1, 4) == [0, 2, 3]
 
