@@ -75,8 +75,9 @@ def compare_counts(baseline: dict, fresh: dict) -> tuple[list[str], list[str]]:
 def memory_probes() -> dict[str, Callable[[], Any]]:
     """The tracemalloc-gated workloads: the succinct EIG tree's peaks must
     stay flat as the oral grid grows (PERFORMANCE.md tabulates them
-    against the dict-of-paths formulation's), and n concurrent OM(t)
-    instances must build no path table."""
+    against the dict-of-paths formulation's), n concurrent OM(t)
+    instances must build no path table, and a lossy run's batch records
+    must keep no per-subset recipient container."""
     from repro.harness.workloads import akd_point, oral_point
 
     return {
@@ -84,6 +85,7 @@ def memory_probes() -> dict[str, Callable[[], Any]]:
         "oral_succinct_n64_t3": lambda: oral_point(64, 3, seed=1),
         "oral_succinct_n128_t3": lambda: oral_point(128, 3, seed=1),
         "akd_succinct_n32_t3": lambda: akd_point(32, 3, seed=1),
+        "akd_loss_n32_t1": lambda: akd_point(32, 1, seed=1, delivery="loss:0.05:2"),
     }
 
 

@@ -669,9 +669,10 @@ def ingest_rle_batch(
 
     The batch arrays are one tick's :class:`~repro.sim.batch.ChannelBatch`
     columns (``targets[i]`` encoding the recipient mask: ``None`` = all
-    but the sender, int = one node, frozenset = membership).  The first
-    consumer computes what is receiver-independent and memoises it in
-    ``shared`` for the other ~n-1:
+    but the sender, else an int with bit ``r`` set for each recipient
+    ``r``, so ``me`` is addressed when ``targets[i] >> me & 1``).  The
+    first consumer computes what is receiver-independent and memoises it
+    in ``shared`` for the other ~n-1:
 
     * the :func:`_classify_rle` verdicts and uniform values, so a report
       is validated once per *tick*, not once per (report, consumer) pair;
@@ -741,10 +742,7 @@ def ingest_rle_batch(
         if target is None:
             if entry_sender == me:
                 continue
-        elif type(target) is int:
-            if target != me:
-                continue
-        elif me not in target:
+        elif not target >> me & 1:
             continue
         kind = kinds[i]
         if kind == _RLE_UNIFORM:

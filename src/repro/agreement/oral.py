@@ -134,10 +134,7 @@ class OralAgreementProtocol(Protocol):
                 if target is None:
                     if senders[i] == me:
                         continue
-                elif type(target) is int:
-                    if target != me:
-                        continue
-                elif me not in target:
+                elif not target >> me & 1:
                     continue
                 self._ingest_one(me, senders[i], payloads[i], round_)
         self._round_tail(ctx, round_)

@@ -16,6 +16,10 @@ per-envelope chain with *batch records*:
   :class:`ChannelBatch` groups — parallel ``senders[]`` / ``payloads[]``
   / ``targets[]`` arrays that every consuming node *shares* read-only,
   filtering by recipient mask instead of materialising inboxes;
+* a recipient mask is ``None`` (every node but the sender) or an ``int``
+  bitmask with bit ``r`` set for each recipient ``r``: node ``me`` is
+  addressed when ``target >> me & 1``, and ``target.bit_count()`` is the
+  copy count — one small int per record, whatever the subset;
 * consumers (every :class:`~repro.sim.multiplex.InstanceMux`) register
   per channel; traffic addressed to non-consumers is materialised back
   into ordinary wrapped envelopes, so plain protocols, Byzantine
@@ -85,9 +89,10 @@ class BatchRecord:
 
     ``target`` encodes the recipient set: ``None`` = every node except
     the sender (the broadcast fast path — no per-recipient structure at
-    all), an ``int`` = exactly one recipient (single sends, and the
-    per-recipient split of explicit recipient lists), or a ``frozenset``
-    = the surviving subset of a broadcast under a lossy model.
+    all), or an ``int`` bitmask with bit ``r`` set for each recipient
+    ``r`` — ``1 << r`` for single sends and the per-recipient split of
+    explicit recipient lists, several bits for the surviving subset of a
+    broadcast under a lossy model.
 
     ``wrapped`` is the ordinary mux wire tuple for ``payload``, built
     once at enqueue: it is what run-level metrics charge and what gets
@@ -113,7 +118,7 @@ class BatchRecord:
         sender: NodeId,
         payload: Any,
         wrapped: tuple,
-        target: "NodeId | frozenset[NodeId] | None",
+        target: "int | None",
         round_sent: Round,
     ) -> None:
         self.channel = channel
@@ -127,27 +132,17 @@ class BatchRecord:
     def recipient_count(self, n: int) -> int:
         """How many deliveries this record stands for."""
         target = self.target
-        if target is None:
-            return n - 1
-        if type(target) is int:
-            return 1
-        return len(target)
+        return n - 1 if target is None else target.bit_count()
 
     def envelopes(self, n: int) -> list[Envelope]:
-        """The plain wrapped copies this record stands for, in recipient
-        order — what the per-envelope path would have filed."""
+        """The plain wrapped copies this record stands for, in ascending
+        recipient order — what the per-envelope path would have filed."""
         target, sender = self.target, self.sender
-        if target is None:
-            target = [node for node in range(n) if node != sender]
-        elif type(target) is int:
-            target = [target]
-        return [Envelope(sender, node, self.wrapped, self.round_sent) for node in sorted(target)]
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        return (
-            f"BatchRecord({self.channel}/{self.instance} from {self.sender} "
-            f"@{self.round_sent} -> {self.target!r})"
-        )
+        return [
+            Envelope(sender, node, self.wrapped, self.round_sent)
+            for node in range(n)
+            if (node != sender if target is None else target >> node & 1)
+        ]
 
 
 class ChannelBatch:
@@ -156,10 +151,10 @@ class ChannelBatch:
     Parallel arrays in arrival (bucket) order — which is emission order
     within each arrival tick: ``senders[i]`` emitted ``payloads[i]`` at
     round ``rounds[i]`` to the recipient set ``targets[i]`` (encoded as
-    in :attr:`BatchRecord.target`).  Under lock-step models every entry
-    has ``rounds[i] == tick - 1``; under jittered calendars the column
-    is what keeps materialised envelopes and delivery-lag accounting
-    exact.  One ``ChannelBatch`` is shared by every consumer of the
+    in :attr:`BatchRecord.target`: ``None`` or an ``int`` bitmask).
+    Under lock-step models every entry has ``rounds[i] == tick - 1``;
+    under jittered calendars the column is what keeps materialised
+    envelopes and delivery-lag accounting exact.  One ``ChannelBatch`` is shared by every consumer of the
     channel — consumers filter by their own id and must never mutate the
     arrays.
 
@@ -176,12 +171,9 @@ class ChannelBatch:
     def __init__(self) -> None:
         self.senders: list[NodeId] = []
         self.payloads: list[Any] = []
-        self.targets: list[Any] = []
+        self.targets: list[int | None] = []
         self.rounds: list[Round] = []
         self.shared: dict[Any, Any] = {}
-
-    def __len__(self) -> int:
-        return len(self.senders)
 
     def envelopes_for(self, me: NodeId) -> list[Envelope]:
         """The entries addressed to node ``me``, as inner-payload envelopes.
@@ -196,11 +188,7 @@ class ChannelBatch:
             for sender, payload, target, round_sent in zip(
                 self.senders, self.payloads, self.targets, self.rounds
             )
-            if (
-                sender != me if target is None
-                else target == me if type(target) is int
-                else me in target
-            )
+            if (sender != me if target is None else target >> me & 1)
         ]
 
 
@@ -289,18 +277,8 @@ class BatchPlane:
             return
         wrapped = record.wrapped
         round_sent = record.round_sent
-        if type(target) is int:
-            snapshot = self._snapshot.get(channel)
-            if snapshot is None or target not in snapshot:
-                inboxes[target].append(Envelope(sender, target, wrapped, round_sent))
-            return
-        if target is None:
-            for node in outsiders:
-                if node != sender:
-                    inboxes[node].append(Envelope(sender, node, wrapped, round_sent))
-            return
         for node in outsiders:
-            if node in target:
+            if node != sender if target is None else target >> node & 1:
                 inboxes[node].append(Envelope(sender, node, wrapped, round_sent))
 
     def capture(
@@ -341,7 +319,7 @@ class BatchPlane:
                 group = groups[instance] = ChannelBatch()
             group.senders.append(envelope.sender)
             group.payloads.append(inner)
-            group.targets.append(recipient)
+            group.targets.append(1 << recipient)
             group.rounds.append(envelope.round_sent)
             if metrics is not None:
                 metrics.record_deliveries(tick, 1, envelope.round_sent)

@@ -331,11 +331,11 @@ class EventKernel:
         envelopes in emission order.  ``recipients=None`` is the
         broadcast-to-all-others fast path (a single record, no
         per-recipient structure); an explicit recipient list becomes one
-        single-target record per entry, which preserves per-copy
-        delivery even for duplicate recipients.  A copy the model
-        schedules for the current tick (the rushing window) is filed
-        plain into its recipient's inbox, as :meth:`enqueue` files it,
-        and one scheduled into the past raises the same
+        single-bit record per entry, which preserves per-copy delivery
+        even for duplicate recipients.  A copy the model schedules for
+        the current tick (the rushing window) is filed plain into its
+        recipient's inbox, as :meth:`enqueue` files it, and one scheduled
+        into the past raises the same
         :class:`~repro.errors.SimulationError`.
 
         Returns the number of envelopes the send stands for; a send to
@@ -355,14 +355,14 @@ class EventKernel:
             recipients = self.others(sender)
         # Price the send once: one (arrival tick, target) pair per record
         # to file, in filing order.
-        placed: "list[tuple[Round, NodeId | frozenset[NodeId] | None]]"
+        placed: "list[tuple[Round, int | None]]"
         if lockstep:
             # Every copy arrives next tick and none is dropped, so there
             # is nothing to ask the model.
             if trace is not None:
                 for recipient in recipients:
                     trace.record_send(Envelope(sender, recipient, wrapped, tick))
-            targets = (None,) if broadcast_all else recipients
+            targets = (None,) if broadcast_all else [1 << node for node in recipients]
             placed = [(tick + 1, target) for target in targets]
         else:
             # One bulk pricing call instead of per-envelope arrival_tick:
@@ -383,29 +383,24 @@ class EventKernel:
             if broadcast_all:
                 # Split the logical broadcast into one record per arrival
                 # tick: no per-recipient structure when every copy shares
-                # it, the id for a lone survivor, the subset otherwise.
-                buckets: dict[Round, list[NodeId]] = {}
+                # it, the bitmask of its recipients otherwise.
+                buckets: dict[Round, int] = {}
                 for recipient, arrival in zip(recipients, arrivals):
                     if arrival is not None:
-                        buckets.setdefault(arrival, []).append(recipient)
+                        buckets[arrival] = buckets.get(arrival, 0) | 1 << recipient
                 ticks = sorted(buckets)
                 # Copies due this tick or earlier head the sorted ticks.
                 early = bool(ticks) and ticks[0] <= tick
                 placed = []
                 for arrival in ticks[1:] if early else ticks:
-                    members = buckets[arrival]
-                    if len(members) == count:
-                        placed.append((arrival, None))
-                    elif len(members) == 1:
-                        placed.append((arrival, members[0]))
-                    else:
-                        placed.append((arrival, frozenset(members)))
+                    mask = buckets[arrival]
+                    placed.append((arrival, None if mask.bit_count() == count else mask))
             else:
-                # Explicit recipient lists keep one single-target record
-                # per surviving later copy (duplicate recipients get
-                # duplicate copies, as plain envelopes would be delivered).
+                # Explicit recipient lists keep one single-bit record per
+                # surviving later copy (duplicate recipients get duplicate
+                # copies, as plain envelopes would be delivered).
                 placed = [
-                    (arrival, recipient)
+                    (arrival, 1 << recipient)
                     for arrival, recipient in zip(arrivals, recipients)
                     if arrival is not None and arrival > tick
                 ]

@@ -216,7 +216,7 @@ def _merge_plain_into_batch(
     """
     entries = heapq.merge(
         zip(group.senders, group.payloads, group.targets, group.rounds),
-        [(env.sender, env.payload, env.recipient, env.round_sent) for env in plain],
+        [(env.sender, env.payload, 1 << env.recipient, env.round_sent) for env in plain],
         key=lambda entry: (entry[3], entry[0]),
     )
     merged = ChannelBatch()

@@ -318,9 +318,10 @@ class Protocol:
         arrived.  ``batch`` is a read-only
         :class:`~repro.sim.batch.ChannelBatch`; implementations must
         filter entries by their own recipient mask (``targets[i]`` being
-        ``None`` = everyone but ``senders[i]``, an int = that node, a
-        frozenset = membership) and must behave identically to
-        :meth:`on_round` over the equivalent envelope list.
+        ``None`` = everyone but ``senders[i]``, else an int bitmask that
+        addresses node ``me`` when ``targets[i] >> me & 1``) and must
+        behave identically to :meth:`on_round` over the equivalent
+        envelope list.
         """
         raise NotImplementedError
 

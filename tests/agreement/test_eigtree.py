@@ -407,10 +407,9 @@ def file_both(store, tree, n, sender, me, relayer, payload, round_):
 
 def addressed(target, relayer, me):
     """Whether a batch entry from ``relayer`` with recipient mask
-    ``target`` (``BatchRecord.target`` encoding) reaches ``me``."""
-    if target is None:
-        return relayer != me
-    return me == target if type(target) is int else me in target
+    ``target`` (``BatchRecord.target`` encoding: ``None`` or an int
+    bitmask) reaches ``me``."""
+    return relayer != me if target is None else bool(target >> me & 1)
 
 
 def eager_store(n, t, sender, default="d"):
@@ -530,13 +529,13 @@ class TestFirstFiledReportWins:
         assert_store_matches_tree(store, tree, self.N, self.T, 0, "d", self.ME)
 
     def test_one_targeted_report_and_nobody_adopts(self):
-        """One ``int``-targeted report in an otherwise all-broadcast
+        """One single-bit-targeted report in an otherwise all-broadcast
         batch: it is filed entry by entry into private dicts, and only
         the target holds that report."""
         n, t = self.N, self.T
         senders = [1, 2, 3, 4]
         reports = [RleReport(n, 0, 2, q, ((8, f"v{q}"),)) for q in senders]
-        targets = [None, None, 5, None]
+        targets = [None, None, 1 << 5, None]
         shared = {}
         for me in range(1, n):
             store, tree = SuccinctEigStore(n, t, 0, "d"), {}
@@ -739,8 +738,10 @@ def batch_scenarios(draw):
             target = draw(
                 st.one_of(
                     st.none(),
-                    st.sampled_from(others),
-                    st.frozensets(st.sampled_from(others), max_size=n),
+                    st.sampled_from(others).map(lambda node: 1 << node),
+                    st.frozensets(st.sampled_from(others), max_size=n).map(
+                        lambda members: sum(1 << node for node in members)
+                    ),
                 )
             )
         return relayer, payload, target

@@ -22,8 +22,10 @@ from repro.auth import agreement_based
 from repro.auth.agreement_based import akd_noise_pool, run_agreement_key_distribution
 from repro.faults import AdversarySpec, RandomNoiseProtocol
 from repro.faults.adversary import committed_corruptions
+from repro.sim import kernel
 from repro.sim import (
     BatchPlane,
+    BatchRecord,
     Envelope,
     InstanceMux,
     Protocol,
@@ -521,3 +523,88 @@ class TestMaterializedEnvelopes:
         assert decisions[InstanceMux] == decisions[ReferenceMux]
         # Node 4's second tick: rusher 1's tick-0 copy, then honest 0, 2, 3.
         assert [sender for sender, _, _ in decisions[InstanceMux][4][3:7]] == [1, 0, 2, 3]
+
+
+def filed_records(monkeypatch):
+    """Every :class:`BatchRecord` the kernel files from now on, in order."""
+    filed = []
+
+    def record(*args):
+        filed.append(BatchRecord(*args))
+        return filed[-1]
+
+    monkeypatch.setattr(kernel, "BatchRecord", record)
+    return filed
+
+
+class _DuplicateRecipients(Protocol):
+    """Node 1 sends one probe to ``[2, 2, 0]`` in round 0; everyone
+    decides the senders it heard in round 1 and halts."""
+
+    def on_round(self, ctx, inbox):
+        if ctx.round == 0 and ctx.node == 1:
+            ctx.broadcast(("probe", 1), to=[2, 2, 0])
+        if ctx.round == 1:
+            ctx.decide(tuple(env.sender for env in inbox))
+            ctx.halt()
+
+
+class TestRecipientMasks:
+    """A record's recipient set is ``None`` (all but the sender) or one
+    int bitmask with bit ``r`` set per recipient ``r``."""
+
+    def test_lossy_records_hold_masks_of_the_surviving_copies(self, monkeypatch):
+        """Under ``loss:0.05:2`` every filed record's target is ``None``
+        or an int, and its recipients are exactly the copies the trace
+        logs as sent (not dropped): per copy, and in total."""
+        n = 16
+        filed = filed_records(monkeypatch)
+        run = run_protocols(
+            om_mux_protocols(n, 1),
+            seed=3,
+            delivery=make_delivery("loss:0.05:2"),
+            record_trace=True,
+        )
+        assert filed and all(r.target is None or type(r.target) is int for r in filed)
+        assert any(r.target is not None and r.target.bit_count() > 1 for r in filed)
+        for r in filed:
+            assert r.recipient_count(n) == len(r.envelopes(n))
+            assert r.target is None or not r.target >> r.sender & 1
+        metrics = run.metrics
+        assert metrics.drops_total > 0
+        assert sum(r.recipient_count(n) for r in filed) == (
+            metrics.messages_total - metrics.drops_total
+        )
+        copies = sorted(
+            (env.sender, env.round_sent, env.recipient) for r in filed for env in r.envelopes(n)
+        )
+        sent = sorted(
+            (event.node, event.round, event.detail[0]) for event in run.trace.of_kind("send")
+        )
+        assert copies == sent
+
+    @pytest.mark.parametrize("delivery", [None, "loss:0"])
+    def test_duplicate_explicit_recipients_get_one_single_bit_record_each(
+        self, monkeypatch, delivery
+    ):
+        """``to=[2, 2, 0]`` files three single-bit records in list order
+        (lock-step and calendar paths alike), and node 2 hears twice."""
+        filed = filed_records(monkeypatch)
+        protocols = [InstanceMux({0: _DuplicateRecipients()}, channel="om") for _ in range(3)]
+        run_protocols(
+            protocols, seed=5, delivery=None if delivery is None else make_delivery(delivery)
+        )
+        assert [r.target for r in filed] == [1 << 2, 1 << 2, 1 << 0]
+        assert [r.recipient_count(3) for r in filed] == [1, 1, 1]
+        assert [m.outcomes[0].decision for m in protocols] == [(1,), (), (1, 1)]
+
+    def test_envelopes_list_recipients_in_ascending_order(self):
+        """``envelopes(n)`` walks the mask's bits upward (the order the
+        per-envelope path files copies in); ``None`` skips the sender."""
+        wrapped = mux_wrap("om", 0, "x")
+        subset = BatchRecord("om", 0, 4, "x", wrapped, 1 << 6 | 1 << 1 | 1 << 3, 0)
+        everyone = BatchRecord("om", 0, 4, "x", wrapped, None, 0)
+        assert [env.recipient for env in subset.envelopes(8)] == [1, 3, 6]
+        assert [env.recipient for env in everyone.envelopes(8)] == [0, 1, 2, 3, 5, 6, 7]
+        assert subset.envelopes(8)[0] == Envelope(4, 1, wrapped, 0)
+        assert (subset.recipient_count(8), everyone.recipient_count(8)) == (3, 7)
