@@ -16,11 +16,11 @@ scheme-independent (benchmark E10 verifies exactly that).
 Parallel sweeps
 ---------------
 ``pytest benchmarks/ --sweep-workers=N`` fans every sweep out over N
-worker processes via :func:`repro.harness.parallel.sweep_parallel` — the
-``psweep`` fixture's and the experiment tables' alike.  The default (1)
-runs serially; either way the results are identical — every point
-carries its own seed, so parallelism is an executor choice, not a
-semantics choice.  Sweeps dispatch by *registered workload name* (see
+worker processes via :func:`repro.harness.sweep.sweep`, the one sweep
+executor — the ``psweep`` fixture's and the experiment tables' alike.
+The default (1) runs serially; either way the results are identical —
+every point carries its own seed, so parallelism is an executor choice,
+not a semantics choice.  Sweeps dispatch by *registered workload name* (see
 :mod:`repro.harness.workloads`), so the jobs are always picklable: a
 parallel run never hits the pickling error an unpicklable job raises.
 """
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness import set_default_workers, sweep_parallel
+from repro.harness import set_default_workers, sweep
 
 
 def pytest_addoption(parser):
@@ -43,9 +43,12 @@ def pytest_addoption(parser):
     )
 
 
-@pytest.fixture(scope="session", autouse=True)
+@pytest.fixture(autouse=True)
 def sweep_workers(request):
-    """Install the configured worker count as the sweep default."""
+    """Install the configured worker count as the sweep default for one
+    benchmark test.  Per test, not per session: ``sweep`` follows the
+    default, so a session-long install would also pool the ``tests/``
+    sweeps that run later in the same session."""
     workers = request.config.getoption("--sweep-workers")
     set_default_workers(None if workers == 0 else workers)
     yield workers
@@ -60,11 +63,7 @@ def psweep(sweep_workers):
     module-level point function (see :mod:`repro.harness.workloads`);
     results come back in point order regardless of the worker count.
     """
-
-    def _run(points, fn):
-        return sweep_parallel(points, fn)
-
-    return _run
+    return sweep
 
 
 @pytest.fixture

@@ -203,13 +203,11 @@ def _measure(row: Row) -> dict[str, Any]:
     if row.prefix_ticks is None:
         swept = sweep(row.points, row.workload)
     else:
-        sizes: list[int] = []
         widest = 4 * max(point["timeout"] for point in row.points)
         swept = sweep_prefix_shared(
             row.points, row.workload, prefix=dict(row.points[0], timeout=widest),
-            prefix_ticks=row.prefix_ticks, on_snapshot=lambda snap: sizes.append(snap.size_bytes),
+            prefix_ticks=row.prefix_ticks,
         )
-        counts["snapshot_bytes"] = sizes[0]
     for spec in row.counts.split():
         key, _, sources = spec.partition("=")
         values = [p.result[s] for p in swept for s in (sources or key).split("+")]
@@ -228,15 +226,7 @@ def run_suite(small: bool) -> dict[str, Any]:
         started = time.perf_counter()
         counts = _measure(row)
         elapsed = time.perf_counter() - started
-        entry: dict[str, Any] = {"counts": counts}
-        # The snapshot size is provenance, not a gated count: pickle byte
-        # counts can shift across Python versions without any behaviour
-        # change — so it lives at the entry level, where the comparison
-        # never sees it.
-        if "snapshot_bytes" in counts:
-            entry["snapshot_bytes"] = counts.pop("snapshot_bytes")
-        tags = "".join(f"  [{key} {entry[key]}]" for key in entry if key != "counts")
-        print(f"  {row.name}: {counts}{tags}  ({elapsed:.2f}s)", flush=True)
-        results[row.name] = entry
+        print(f"  {row.name}: {counts}  ({elapsed:.2f}s)", flush=True)
+        results[row.name] = {"counts": counts}
     return {"schema": 1, "small": small, "python": platform.python_version(),
             "experiments": results}

@@ -11,8 +11,10 @@ closed form k > 3n/t.
 
 from __future__ import annotations
 
-from repro.analysis import amortization_curve, crossover_runs, render_table
+from repro.analysis import complexity, crossover_runs, render_table
 from repro.analysis.experiments import e4_amortization
+from repro.harness import LOCAL, AmortizedSession
+from repro.harness.workloads import COUNT_SCHEME
 
 
 def test_e4_measured_crossover(report):
@@ -22,23 +24,25 @@ def test_e4_measured_crossover(report):
 
 
 def test_e4_cumulative_curves(report):
-    """The figure-shaped series for n=16: both cumulative curves."""
+    """The figure-shaped series for n=16: both cumulative curves, read
+    from a measured session's ledger and checked against the closed
+    forms run by run."""
     n, t = 16, 5
-    curve = amortization_curve(n, t, 16)
-    rows = [
-        [
-            point.runs,
-            point.local_auth_total,
-            point.nonauth_total,
-            "local" if point.local_wins else "non-auth",
-        ]
-        for point in curve.points
-    ]
+    session = AmortizedSession(n, t, auth=LOCAL, scheme=COUNT_SCHEME)
+    for k in range(16):
+        assert session.run(value=("run", k), seed=k).fd.ok
     report(
         render_table(
             ["runs k", "keydist + k·(n-1)", "k·(t+1)(n-1)", "cheaper"],
-            rows,
+            [
+                [entry.runs, entry.local_total, entry.baseline_total,
+                 "local" if entry.amortized else "non-auth"]
+                for entry in session.ledger
+            ],
             title=f"E4b  cumulative message cost, n={n}, t={t}",
         )
     )
-    assert curve.crossover() == crossover_runs(n, t)
+    for entry in session.ledger:
+        assert entry.local_total == complexity.amortized_messages_local(n, t, entry.runs)
+        assert entry.baseline_total == complexity.amortized_messages_nonauth(n, t, entry.runs)
+    assert session.crossover_run() == crossover_runs(n, t) == 10

@@ -31,10 +31,11 @@ stores or compares them): timing and memory claims belong to
 from __future__ import annotations
 
 import argparse
-import gc
 import json
+import pickle
+import subprocess
 import sys
-import tracemalloc
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
@@ -77,32 +78,43 @@ def memory_probes() -> dict[str, Callable[[], Any]]:
     stay flat as the oral grid grows (PERFORMANCE.md tabulates them
     against the dict-of-paths formulation's), n concurrent OM(t)
     instances must build no path table, and a lossy run's batch records
-    must keep no per-subset recipient container."""
+    must keep no per-subset recipient container.  Each probe is a
+    picklable call, so it can run in a process of its own."""
     from repro.harness.workloads import akd_point, oral_point
 
     return {
-        "oral_succinct_n32_t3": lambda: oral_point(32, 3, seed=1),
-        "oral_succinct_n64_t3": lambda: oral_point(64, 3, seed=1),
-        "oral_succinct_n128_t3": lambda: oral_point(128, 3, seed=1),
-        "akd_succinct_n32_t3": lambda: akd_point(32, 3, seed=1),
-        "akd_loss_n32_t1": lambda: akd_point(32, 1, seed=1, delivery="loss:0.05:2"),
+        "oral_succinct_n32_t3": partial(oral_point, 32, 3, seed=1),
+        "oral_succinct_n64_t3": partial(oral_point, 64, 3, seed=1),
+        "oral_succinct_n128_t3": partial(oral_point, 128, 3, seed=1),
+        "akd_succinct_n32_t3": partial(akd_point, 32, 3, seed=1),
+        "akd_loss_n32_t1": partial(akd_point, 32, 1, seed=1, delivery="loss:0.05:2"),
     }
 
 
-def measure_memory() -> dict[str, int]:
-    """Peak tracemalloc KiB per probe, caches cleared for reproducibility."""
-    from repro.agreement._paths import clear_path_tables
+#: One probe in a fresh interpreter: unpickling the probe imports what it
+#: calls before tracing starts, and nothing an earlier probe cached (path
+#: tables, memos, lazily imported modules) is there to lower the peak.
+_PROBE = """
+import gc, pickle, sys, tracemalloc
+probe = pickle.loads(sys.stdin.buffer.read())
+gc.collect()
+tracemalloc.start()
+probe()
+print(tracemalloc.get_traced_memory()[1])
+"""
 
+
+def measure_memory() -> dict[str, int]:
+    """Peak tracemalloc KiB per probe, each probe in its own interpreter,
+    so a reading does not depend on the probes run before it."""
+    env = {"PYTHONPATH": str(REPO_ROOT / "src")}
     peaks: dict[str, int] = {}
-    for name, fn in memory_probes().items():
-        clear_path_tables()
-        gc.collect()
-        tracemalloc.start()
-        fn()
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        peaks[name] = round(peak / 1024)
-    clear_path_tables()
+    for name, probe in memory_probes().items():
+        proc = subprocess.run(
+            [sys.executable, "-c", _PROBE], input=pickle.dumps(probe),
+            stdout=subprocess.PIPE, env=env, check=True,
+        )
+        peaks[name] = round(int(proc.stdout) / 1024)
     return peaks
 
 

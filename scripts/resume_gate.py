@@ -61,28 +61,28 @@ KEYS = ("messages", "drops", "rounds", "discovered", "decided", "fd_ok")
 
 _STRAIGHT = """
 import json, sys
-from repro.harness.workloads import resolve_workload
+from repro.harness.workloads import get_workload
 workload, point, keys = json.loads(sys.argv[1])
-result = resolve_workload(workload)(**point)
+result = get_workload(workload)(**point)
 print(json.dumps({k: result[k] for k in keys}))
 """
 
 _CHECKPOINT = """
 import json, pickle, sys
 from pathlib import Path
-from repro.harness.workloads import resolve_workload
+from repro.harness.workloads import get_workload
 workload, point, tick, path = json.loads(sys.argv[1])
-snap = resolve_workload(workload)(**point, checkpoint_at=tick)
+snap = get_workload(workload)(**point, checkpoint_at=tick)
 Path(path).write_bytes(pickle.dumps(snap))
 """
 
 _RESUME = """
 import json, pickle, sys
 from pathlib import Path
-from repro.harness.workloads import resolve_workload
+from repro.harness.workloads import get_workload
 workload, point, keys, path = json.loads(sys.argv[1])
 snap = pickle.loads(Path(path).read_bytes())
-result = resolve_workload(workload)(**point, resume_from=snap)
+result = get_workload(workload)(**point, resume_from=snap)
 print(json.dumps({k: result[k] for k in keys}))
 """
 

@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from ..harness.parallel import sweep_parallel
 from ..harness.scenarios import attack_catalogue
-from ..harness.sweep import sizes_with_budgets
+from ..harness.sweep import sizes_with_budgets, sweep
 from . import complexity
 from .reporting import check_mark, render_table
 
@@ -55,7 +54,7 @@ def _table(experiment, title, headers, rows, ok) -> ExperimentTable:
 def _results(workload: str, points: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
     """The registered ``workload``'s result at each point, in order (on
     the configured sweep workers; serial by default)."""
-    return [point.result for point in sweep_parallel(points, workload)]
+    return [point.result for point in sweep(points, workload)]
 
 
 def _budgeted(sizes: Sequence[int], **fixed: Any) -> list[dict[str, Any]]:

@@ -344,11 +344,11 @@ def _cmd_formulas(args: argparse.Namespace) -> int:
 
 
 def _cmd_list_workloads(args: argparse.Namespace) -> int:
-    from .harness import available_workloads, workload_deliveries, workload_suite
+    from .harness.workloads import WORKLOADS
 
     rows = [
-        [name, workload_suite(name), ",".join(workload_deliveries(name))]
-        for name in available_workloads()
+        [name, entry.suite, ",".join(entry.deliveries)]
+        for name, entry in sorted(WORKLOADS.items())
     ]
     print(
         render_table(
@@ -559,9 +559,9 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .analysis import run_all_experiments
+    from .analysis.experiments import run_all
 
-    tables = run_all_experiments(quick=not args.full)
+    tables = run_all(quick=not args.full)
     failures = []
     for table in tables:
         print(table.render())

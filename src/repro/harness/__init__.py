@@ -1,11 +1,6 @@
 """Experiment harness: scenario runner, attack catalogue, sweeps."""
 
-from .parallel import (
-    default_workers,
-    set_default_workers,
-    sweep_parallel,
-    sweep_prefix_shared,
-)
+from .parallel import sweep_prefix_shared
 from .runner import (
     GLOBAL,
     LOCAL,
@@ -16,19 +11,19 @@ from .runner import (
 )
 from .scenarios import AttackScenario, attack_catalogue
 from .session import AmortizedSession, LedgerEntry
-from .sweep import SweepPoint, grid, sizes_with_budgets, standard_sizes, sweep
-from .workloads import (
-    available_workloads,
-    get_workload,
-    resolve_workload,
-    workload_deliveries,
-    workload_suite,
+from .sweep import (
+    SweepPoint,
+    grid,
+    set_default_workers,
+    sizes_with_budgets,
+    standard_sizes,
+    sweep,
 )
+from .workloads import available_workloads, get_workload
 
 __all__ = [
     "available_workloads",
     "get_workload",
-    "resolve_workload",
     "AmortizedSession",
     "AttackScenario",
     "GLOBAL",
@@ -37,7 +32,6 @@ __all__ = [
     "ScenarioOutcome",
     "SweepPoint",
     "attack_catalogue",
-    "default_workers",
     "grid",
     "run_ba_scenario",
     "run_fd_scenario",
@@ -46,8 +40,5 @@ __all__ = [
     "sizes_with_budgets",
     "standard_sizes",
     "sweep",
-    "sweep_parallel",
     "sweep_prefix_shared",
-    "workload_deliveries",
-    "workload_suite",
 ]

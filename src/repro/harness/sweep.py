@@ -1,17 +1,48 @@
-"""Parameter sweeps: the loops behind every benchmark series.
+"""Parameter sweeps: the loops behind every benchmark series, and their
+one executor.
 
-Kept deliberately simple — a sweep is a list of parameter points and a
-function applied to each, with results collected in order so benchmark
-output is stable across runs.
+A sweep is a list of parameter points and a function applied to each,
+with results collected in point order so benchmark output is stable
+across runs.  Points are embarrassingly parallel: every point carries its
+own parameters *and its own seed*, so points share no state and their
+results are independent of execution order.  :func:`sweep` runs them
+serially by default and over a
+:class:`~concurrent.futures.ProcessPoolExecutor` when given (or
+configured with, see :func:`set_default_workers`) more than one worker,
+keeping two contracts either way:
+
+* **order** — results come back in point order (``executor.map`` keeps
+  input order regardless of completion order);
+* **determinism** — each point's result is a pure function of its params,
+  so a pooled sweep is value-identical to a serial one.
+  ``tests/harness/test_parallel.py`` enforces this.
+
+With more than one worker and more than one point, the jobs cross the
+process boundary: an unpicklable callable or parameter (a lambda, a
+closure, an adversary spec with in-process overrides) raises the pool's
+pickling error and no job runs.  A registered workload *name* (see
+:mod:`repro.harness.workloads`) is always picklable, which is why the
+benchmark suites dispatch by name.  A single worker or point, and a host
+where process pools cannot start (a sandbox without semaphore support),
+run in-process.  Parallelism is an executor choice, never a semantics
+choice.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import product
 from typing import Any, Callable, Iterable, Sequence
 
 from ..types import default_fault_budget
+from .workloads import get_workload
+
+#: Process-wide default worker count; ``None`` means "one per CPU".
+#: Configured by the benchmark suite's ``--sweep-workers`` option.
+_DEFAULT_WORKERS: int | None = 1
 
 
 @dataclass(frozen=True)
@@ -34,25 +65,58 @@ def grid(**axes: Sequence[Any]) -> list[dict[str, Any]]:
     ]
 
 
+def set_default_workers(workers: int | None) -> None:
+    """Set the worker count :func:`sweep` uses when not given one.
+
+    ``1`` (the initial default) means serial; ``None`` means one worker
+    per CPU.
+    """
+    global _DEFAULT_WORKERS
+    _DEFAULT_WORKERS = workers
+
+
+def _apply(item: tuple[str | Callable[..., Any], dict[str, Any]]) -> Any:
+    """Worker-side shim: unpack one (fn-or-name, params) job."""
+    fn, params = item
+    return get_workload(fn)(**params)
+
+
 def sweep(
-    points: Iterable[dict[str, Any]], fn: str | Callable[..., Any]
+    points: Iterable[dict[str, Any]],
+    fn: str | Callable[..., Any],
+    workers: int | None = None,
 ) -> list[SweepPoint]:
     """Apply ``fn(**params)`` to every point, collecting results in order.
 
-    ``fn`` is a callable or the name of a workload registered in
-    :mod:`repro.harness.workloads` — the registry is how the benchmark
-    suites dispatch (names are stable and always picklable).
-
-    Serial reference executor.  :func:`repro.harness.parallel.sweep_parallel`
-    is the drop-in process-parallel variant; both produce identical
-    :class:`SweepPoint` lists for the same points (seeds travel inside the
-    points, so results are pure functions of the params).
+    :param points: parameter dicts; seeds must travel inside the points
+        (anything the point function needs beyond its params would break
+        the determinism contract).
+    :param fn: a registered workload name (preferred — always picklable)
+        or a callable, picklable if the sweep is pooled.
+    :param workers: process count; ``None`` defers to the configured
+        default (see :func:`set_default_workers`), which itself defaults
+        to serial.
+    :raises pickle.PicklingError: (or the interpreter's equivalent) with
+        two or more workers and points, when ``fn`` or a point cannot be
+        pickled.
     """
-    if isinstance(fn, str):
-        from .workloads import resolve_workload
-
-        fn = resolve_workload(fn)
-    return [SweepPoint(params=dict(p), result=fn(**p)) for p in points]
+    pts = [dict(p) for p in points]
+    if workers is None:
+        workers = _DEFAULT_WORKERS
+    if workers is None:
+        workers = os.cpu_count() or 1
+    workers = min(workers, len(pts))
+    if workers > 1:
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_apply, [(fn, p) for p in pts]))
+            return [SweepPoint(params=p, result=r) for p, r in zip(pts, results)]
+        except (OSError, BrokenProcessPool):
+            # No process support (sandbox) or a worker died: the serial path
+            # computes the identical answer, just slower.
+            pass
+    fn = get_workload(fn)
+    return [SweepPoint(params=p, result=fn(**p)) for p in pts]
 
 
 def standard_sizes(small: bool = False) -> list[int]:

@@ -1,7 +1,7 @@
 """The central workload registry: every benchmark sweep as a named,
 picklable point function.
 
-:func:`~repro.harness.parallel.sweep_parallel` ships jobs to worker
+A pooled :func:`~repro.harness.sweep.sweep` ships jobs to worker
 processes by pickling ``(fn, params)``, which requires module-level
 functions returning plain data.  This module collects the point functions
 in that shape — every function takes only primitive params (seed included
@@ -14,9 +14,9 @@ E1–E14 benchmark sweeps, the counts ledger's rows
 (:mod:`repro.analysis.experiments`) are all (workload, params) points
 over it.
 
-Sweeps dispatch by name: :func:`repro.harness.sweep.sweep` and
-:func:`~repro.harness.parallel.sweep_parallel` accept either a callable
-or a registered workload name.  Names are what the benchmark suites pass
+Sweeps dispatch by name: :func:`repro.harness.sweep.sweep` accepts
+either a callable or a registered workload name, through
+:func:`get_workload`.  Names are what the benchmark suites pass
 (``psweep(points, "fd")``), and names are what travels to worker
 processes — a name is always picklable, so a registry-dispatched sweep
 never hits the pickling error an unpicklable callable raises.
@@ -95,43 +95,20 @@ def available_workloads() -> list[str]:
     return sorted(WORKLOADS)
 
 
-def _entry(name: str) -> WorkloadEntry:
-    """The registry row for ``name``.
+def get_workload(fn: str | Callable) -> Callable:
+    """Registry dispatch: a name resolves to its registered point
+    function, a callable passes through unchanged.
 
     :raises ConfigurationError: for unknown names.
     """
+    if not isinstance(fn, str):
+        return fn
     try:
-        return WORKLOADS[name]
+        return WORKLOADS[fn].fn
     except KeyError:
         raise ConfigurationError(
-            f"unknown workload {name!r}; available: {', '.join(available_workloads())}"
+            f"unknown workload {fn!r}; available: {', '.join(available_workloads())}"
         ) from None
-
-
-def workload_suite(name: str) -> str:
-    """The suite label a workload was registered under."""
-    return _entry(name).suite
-
-
-def workload_deliveries(name: str) -> tuple[str, ...]:
-    """The delivery-model specs a workload supports."""
-    return _entry(name).deliveries
-
-
-def get_workload(name: str) -> Callable[..., dict[str, Any]]:
-    """Look up a registered point function.
-
-    :raises ConfigurationError: for unknown names.
-    """
-    return _entry(name).fn
-
-
-def resolve_workload(fn: str | Callable) -> Callable:
-    """Registry dispatch: a name resolves through :func:`get_workload`,
-    a callable passes through unchanged."""
-    if isinstance(fn, str):
-        return get_workload(fn)
-    return fn
 
 
 @workload("keydist", suite="E1/E8/regress")

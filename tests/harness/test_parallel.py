@@ -1,4 +1,7 @@
-"""Parallel sweep executor: determinism, ordering, pickling errors, registry."""
+"""The sweep executor pooled: determinism, ordering, pickling errors, registry.
+
+Every pooled sweep here is checked against the same sweep at
+``workers=1``, the serial path."""
 
 from __future__ import annotations
 
@@ -9,13 +12,7 @@ import warnings
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.harness import (
-    default_workers,
-    grid,
-    set_default_workers,
-    sweep,
-    sweep_parallel,
-)
+from repro.harness import grid, set_default_workers, sweep
 from repro.harness.workloads import fd_point, keydist_point, oral_point
 
 
@@ -29,11 +26,11 @@ def _adversary_point(x, seed, adversary):
     return adversary.delivery
 
 
-class TestSweepParallelContract:
+class TestPooledSweepContract:
     def test_identical_to_serial_for_fixed_seed_grid(self):
         points = grid(x=[1, 2, 3, 4], seed=[0, 7])
-        serial = sweep(points, _square)
-        parallel = sweep_parallel(points, _square, workers=3)
+        serial = sweep(points, _square, workers=1)
+        parallel = sweep(points, _square, workers=3)
         assert serial == parallel
 
     def test_results_byte_identical_to_serial(self):
@@ -43,8 +40,8 @@ class TestSweepParallelContract:
         topology, which a worker round-trip legitimately changes without
         changing any value.)"""
         points = grid(n=[4, 8], seed=[0, 1])
-        serial = sweep(points, keydist_point)
-        parallel = sweep_parallel(points, keydist_point, workers=2)
+        serial = sweep(points, keydist_point, workers=1)
+        parallel = sweep(points, keydist_point, workers=2)
         assert serial == parallel
 
         def canonical(sweep_points):
@@ -59,17 +56,17 @@ class TestSweepParallelContract:
             {"n": n, "t": (n - 1) // 3, "seed": n, "protocol": "chain"}
             for n in (4, 8)
         ]
-        assert sweep(points, fd_point) == sweep_parallel(points, fd_point, workers=2)
+        assert sweep(points, fd_point, workers=1) == sweep(points, fd_point, workers=2)
 
     def test_oral_points_identical(self):
         points = [{"n": 7, "t": 2, "seed": s} for s in (0, 1)]
-        assert sweep(points, oral_point) == sweep_parallel(
+        assert sweep(points, oral_point, workers=1) == sweep(
             points, oral_point, workers=2
         )
 
     def test_preserves_point_order(self):
         points = [{"x": x, "seed": 0} for x in range(8)]
-        results = sweep_parallel(points, _square, workers=4)
+        results = sweep(points, _square, workers=4)
         assert [p.params["x"] for p in results] == list(range(8))
         assert [p.result["value"] for p in results] == [x * x for x in range(8)]
 
@@ -81,15 +78,15 @@ class TestRegistryDispatch:
 
     def test_parallel_by_name_matches_serial(self):
         points = grid(n=[4, 8], seed=[0, 1])
-        assert sweep_parallel(points, "keydist", workers=2) == sweep(
-            points, keydist_point
+        assert sweep(points, "keydist", workers=2) == sweep(
+            points, keydist_point, workers=1
         )
 
     def test_name_dispatch_never_warns_or_degrades(self):
         """A registered name is always picklable: no fallback warning."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            results = sweep_parallel(
+            results = sweep(
                 [{"n": 4, "seed": 0}, {"n": 4, "seed": 1}], "keydist", workers=2
             )
         assert [p.result["n"] for p in results] == [4, 4]
@@ -112,7 +109,7 @@ class TestFallbacks:
             return x + seed
 
         with pytest.raises((AttributeError, pickle.PicklingError), match="pickle"):
-            sweep_parallel(
+            sweep(
                 [{"x": 1, "seed": 2}, {"x": 2, "seed": 2}], closure, workers=workers
             )
         assert captured == []
@@ -134,7 +131,7 @@ class TestFallbacks:
             {"x": 2, "seed": 0, "adversary": spec},
         ]
         with pytest.raises(TypeError, match="deliberately unpicklable"):
-            sweep_parallel(points, _adversary_point, workers=2)
+            sweep(points, _adversary_point, workers=2)
 
     def test_picklable_adversary_specs_do_not_degrade(self):
         from repro.faults import make_adversary
@@ -143,25 +140,47 @@ class TestFallbacks:
         points = [{"x": 1, "seed": 0, "adversary": spec}]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            results = sweep_parallel(points, _adversary_point, workers=2)
+            results = sweep(points, _adversary_point, workers=2)
         assert results[0].result == spec.delivery
 
-    def test_single_worker_is_serial(self):
-        assert sweep_parallel([{"x": 2, "seed": 0}], _square, workers=1) == sweep(
-            [{"x": 2, "seed": 0}], _square
-        )
+    @pytest.mark.parametrize(
+        "workers,count", [(1, 2), (4, 1)], ids=["one-worker", "one-point"]
+    )
+    def test_one_worker_or_point_runs_in_process(self, workers, count):
+        """The pool starts only for more than one worker *and* point:
+        otherwise even an unpicklable closure runs, in this process."""
+        captured = []
+
+        def closure(x, seed):
+            captured.append(x)
+            return x + seed
+
+        points = [{"x": x, "seed": 2} for x in range(count)]
+        results = sweep(points, closure, workers=workers)
+        assert [p.result for p in results] == [x + 2 for x in range(count)]
+        assert captured == list(range(count))
 
     def test_empty_points(self):
-        assert sweep_parallel([], _square, workers=4) == []
+        assert sweep([], _square, workers=4) == []
 
 
 class TestDefaultWorkers:
-    def test_configurable(self):
-        previous = default_workers()
-        try:
-            set_default_workers(2)
-            assert default_workers() == 2
-            points = grid(x=[1, 2], seed=[0])
-            assert sweep_parallel(points, _square) == sweep(points, _square)
-        finally:
-            set_default_workers(previous)
+    @pytest.fixture()
+    def two_workers(self):
+        set_default_workers(2)
+        yield
+        set_default_workers(1)
+
+    def test_configurable(self, two_workers):
+        points = grid(x=[1, 2], seed=[0])
+        assert sweep(points, _square) == sweep(points, _square, workers=1)
+
+    def test_sweep_follows_the_configured_default(self, two_workers):
+        """Without ``workers=``, ``sweep`` pools as configured: a lambda
+        then meets the pool's pickling error instead of running."""
+        with pytest.raises((AttributeError, pickle.PicklingError), match="pickle"):
+            sweep([{"x": 1}, {"x": 2}], lambda x: x)
+
+    def test_explicit_workers_override_the_default(self, two_workers):
+        results = sweep([{"x": 1}, {"x": 2}], lambda x: -x, workers=1)
+        assert [p.result for p in results] == [-1, -2]

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import crossover_runs, keydist_messages
+from repro.analysis import (
+    amortized_messages_local,
+    amortized_messages_nonauth,
+    crossover_runs,
+    keydist_messages,
+)
 from repro.errors import ConfigurationError
 from repro.harness import GLOBAL, LOCAL, AmortizedSession, run_fd_scenario
 
@@ -75,3 +80,48 @@ class TestRepeatedRuns:
         )
         assert len(straight.run.discoverers()) == 6
         assert via_session.run.discoverers() == straight.run.discoverers()
+
+
+class TestLedgerIsTheE4Curve:
+    """The session's measured ledger is experiment E4's cumulative curve:
+    these pin the properties the closed-form curve used to assert."""
+
+    def test_fresh_session_has_no_ledger_and_no_crossover(self):
+        session = AmortizedSession(n=8, t=2, auth=LOCAL, seed=7)
+        assert session.ledger == []
+        assert session.crossover_run() is None
+
+    def test_totals_are_strictly_cumulative(self):
+        session = AmortizedSession(n=16, t=5, auth=LOCAL, seed=8)
+        for k in range(10):
+            session.run(value=k, seed=k)
+        assert len(session.ledger) == 10
+        for earlier, later in zip(session.ledger, session.ledger[1:]):
+            assert later.local_total > earlier.local_total
+            assert later.baseline_total > earlier.baseline_total
+
+    def test_rows_equal_the_closed_forms(self):
+        n, t = 16, 5
+        session = AmortizedSession(n=n, t=t, auth=LOCAL, seed=9)
+        for k in range(crossover_runs(n, t) + 2):
+            session.run(value=k, seed=k)
+        for entry in session.ledger:
+            assert entry.local_total == amortized_messages_local(n, t, entry.runs)
+            assert entry.baseline_total == amortized_messages_nonauth(
+                n, t, entry.runs
+            )
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_local_wins_eventually_and_stays_ahead(self, n):
+        t = (n - 1) // 3
+        session = AmortizedSession(n=n, t=t, auth=LOCAL, seed=n)
+        for k in range(crossover_runs(n, t) + 3):
+            session.run(value=k, seed=k)
+        first = session.crossover_run()
+        assert first == crossover_runs(n, t)
+        assert all(entry.amortized for entry in session.ledger[first - 1:])
+
+    def test_global_session_is_ahead_from_the_first_run(self):
+        session = AmortizedSession(n=8, t=2, auth=GLOBAL, seed=10)
+        session.run("v", seed=0)
+        assert session.crossover_run() == 1

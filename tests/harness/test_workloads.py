@@ -8,13 +8,7 @@ import pytest
 
 from repro.auth import run_agreement_key_distribution
 from repro.errors import ConfigurationError
-from repro.harness import (
-    available_workloads,
-    get_workload,
-    resolve_workload,
-    workload_deliveries,
-    workload_suite,
-)
+from repro.harness import available_workloads, get_workload
 from repro.harness.workloads import COUNT_SCHEME, WORKLOADS
 
 #: One small point per registered workload: the registry contract that
@@ -64,10 +58,10 @@ class TestRegistry:
             fn = get_workload(name)
             assert pickle.loads(pickle.dumps(fn)) is fn
 
-    def test_resolve_passes_callables_through(self):
+    def test_get_workload_passes_callables_through(self):
         fn = get_workload("fd")
-        assert resolve_workload(fn) is fn
-        assert resolve_workload("fd") is fn
+        assert get_workload(fn) is fn
+        assert get_workload(len) is len
 
     def test_unknown_name_lists_available(self):
         with pytest.raises(ConfigurationError, match="keydist"):
@@ -75,12 +69,8 @@ class TestRegistry:
 
     def test_every_workload_names_a_suite(self):
         """list-workloads shows provenance: no registration without it."""
-        for name in available_workloads():
-            assert workload_suite(name) != "-", name
-
-    def test_suite_lookup_raises_for_unknown_names(self):
-        with pytest.raises(ConfigurationError, match="unknown workload"):
-            workload_suite("nope")
+        for name, entry in WORKLOADS.items():
+            assert entry.suite != "-", name
 
     def test_delivery_metadata(self):
         """E12/E13 sweeps and the arrival-columned akd points advertise
@@ -94,17 +84,11 @@ class TestRegistry:
             "e14-adaptive": degraded,
             "e14-equivocation": ("partition",),
         }
-        for name in available_workloads():
+        for name, entry in WORKLOADS.items():
             if name.startswith("e12-"):
-                assert workload_deliveries(name) == ("sync", "bounded", "rush")
+                assert entry.deliveries == ("sync", "bounded", "rush")
             else:
-                assert workload_deliveries(name) == expected.get(
-                    name, ("sync",)
-                ), name
-
-    def test_delivery_lookup_raises_for_unknown_names(self):
-        with pytest.raises(ConfigurationError, match="unknown workload"):
-            workload_deliveries("nope")
+                assert entry.deliveries == expected.get(name, ("sync",)), name
 
     def test_duplicate_registration_rejected(self):
         from repro.harness.workloads import workload

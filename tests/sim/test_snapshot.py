@@ -30,7 +30,7 @@ from repro.harness import (
     sweep,
     sweep_prefix_shared,
 )
-from repro.harness.workloads import resolve_workload
+from repro.harness.workloads import get_workload
 from repro.sim import (
     SNAPSHOT_VERSION,
     EventKernel,
@@ -338,7 +338,7 @@ class TestResumeAtEveryTick:
     )
 
     def test_every_tick_resumes_into_the_straight_run(self):
-        point = resolve_workload("e13-timeout-fd")
+        point = get_workload("e13-timeout-fd")
         straight = point(**self.POINT)
         prefix = point(**self.POINT, checkpoint_at=0)
         runner = restore_kernel(prefix)

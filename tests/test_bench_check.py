@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import importlib.util
 import json
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -36,13 +37,18 @@ CANNED = {
 }
 
 
+def load_script():
+    spec = importlib.util.spec_from_file_location("bench_check_under_test", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture()
 def bench_check(monkeypatch, tmp_path):
     """The script as a module, measuring :data:`CANNED` instantly, its
     default paths under ``tmp_path``."""
-    spec = importlib.util.spec_from_file_location("bench_check_under_test", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_script()
     monkeypatch.setattr(
         module.regress,
         "run_suite",
@@ -152,3 +158,16 @@ def test_a_memory_probe_past_its_threshold_fails_the_gate(bench_check, baseline)
     before = rewrite(baseline, lambda document: document["memory"].update(probe=50))
     assert bench_check.main(["--out", str(baseline), "--refresh"]) == 1
     assert baseline.read_bytes() == before
+
+
+def test_a_memory_probe_does_not_see_what_an_earlier_probe_left(monkeypatch):
+    """A probe run leaves process-global state behind (memos, lazily
+    imported modules); the same point probed again must read the same
+    peak, not one lowered by what the first probe cached."""
+    from repro.harness.workloads import akd_point
+
+    module = load_script()
+    probe = partial(akd_point, 8, 1, seed=1)
+    monkeypatch.setattr(module, "memory_probes", lambda: {"first": probe, "again": probe})
+    peaks = module.measure_memory()
+    assert peaks["first"] == peaks["again"] > 0
