@@ -77,10 +77,12 @@ def memory_probes() -> dict[str, Callable[[], Any]]:
     """The tracemalloc-gated workloads: the succinct EIG tree's peaks must
     stay flat as the oral grid grows (PERFORMANCE.md tabulates them
     against the dict-of-paths formulation's), n concurrent OM(t)
-    instances must build no path table, and a lossy run's batch records
-    must keep no per-subset recipient container.  Each probe is a
-    picklable call, so it can run in a process of its own."""
-    from repro.harness.workloads import akd_point, oral_point
+    instances must build no path table, a lossy run's batch records
+    must keep no per-subset recipient container, and a run's metrics
+    must hold no sent payload (the akd and key-distribution probes).
+    Each probe is a picklable call, so it can run in a process of its
+    own."""
+    from repro.harness.workloads import akd_point, keydist_point, oral_point
 
     return {
         "oral_succinct_n32_t3": partial(oral_point, 32, 3, seed=1),
@@ -88,6 +90,7 @@ def memory_probes() -> dict[str, Callable[[], Any]]:
         "oral_succinct_n128_t3": partial(oral_point, 128, 3, seed=1),
         "akd_succinct_n32_t3": partial(akd_point, 32, 3, seed=1),
         "akd_loss_n32_t1": partial(akd_point, 32, 1, seed=1, delivery="loss:0.05:2"),
+        "keydist_n64": partial(keydist_point, 64, seed=1),
     }
 
 

@@ -360,8 +360,21 @@ def _cmd_list_workloads(args: argparse.Namespace) -> int:
     return 0
 
 
+def _coerce(value: str) -> object:
+    """A command-line value as a bool, int or float if it reads as one,
+    else the string itself."""
+    if value.lower() in ("true", "false"):
+        return value.lower() == "true"
+    for cast in (int, float):
+        try:
+            return cast(value)
+        except ValueError:
+            continue
+    return value
+
+
 def _parse_workload_params(raw: Sequence[str]) -> dict[str, object]:
-    """``key=value`` pairs with int/float/bool coercion (else string).
+    """``key=value`` pairs with :func:`_coerce`'s int/float/bool coercion.
 
     :raises ConfigurationError: for an item that is not ``key=value``.
     """
@@ -370,17 +383,7 @@ def _parse_workload_params(raw: Sequence[str]) -> dict[str, object]:
         key, sep, value = item.partition("=")
         if not sep or not key:
             raise ConfigurationError(f"--param expects key=value, got {item!r}")
-        if value.lower() in ("true", "false"):
-            params[key] = value.lower() == "true"
-            continue
-        for cast in (int, float):
-            try:
-                params[key] = cast(value)
-                break
-            except ValueError:
-                continue
-        else:
-            params[key] = value
+        params[key] = _coerce(value)
     return params
 
 
@@ -595,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--protocol", default="chain", choices=list(FD_PROTOCOLS))
     p.add_argument("--auth", default=GLOBAL, choices=[GLOBAL, LOCAL])
-    p.add_argument("--value", default="demo-value")
+    p.add_argument("--value", default="demo-value", type=_coerce)
     _add_delivery(p)
     _add_adversary(p)
     p.set_defaults(func=_cmd_fd)

@@ -85,6 +85,7 @@ def register_codec(
     _TO_WIRE[cls] = (name, to_payload)
     _FROM_WIRE[name] = from_payload
     _ENCODERS[cls] = _enc_registered
+    _SIZERS[cls] = _size_registered
 
 
 def _write_uvarint(value: int, out: bytearray) -> None:
@@ -398,11 +399,68 @@ def decode(data: bytes) -> Any:
 
 
 def byte_size(value: Any) -> int:
-    """The canonical encoded size of ``value`` in bytes.
+    """The canonical encoded size of ``value`` in bytes: ``len(encode(value))``
+    without building the bytes.
 
-    Used by the simulator's metrics to account bytes-on-wire (experiment E9).
+    Used by the simulator's metrics to account bytes-on-wire at send time
+    (experiment E9), so it walks the value with the additive encoding rule
+    (``tag + varint(length) + items``) and touches no scalar memo: an int
+    is sized from its ``bit_length``, an ASCII string from its ``len``, a
+    registered object from its wire stash.  Every other shape (dicts,
+    non-ASCII strings, subclasses, stash-less registered objects) is
+    encoded, so it raises exactly what :func:`encode` raises.
     """
+    sizer = _SIZERS.get(type(value))
+    if sizer is not None:
+        return sizer(value)
     return len(encode(value))
+
+
+def _size_int(value: int) -> int:
+    zigzag = (value << 1) if value >= 0 else ((-value << 1) - 1)
+    return 1 + ((zigzag.bit_length() + 6) // 7 or 1)
+
+
+# Strings, byte strings and sequences are a tag, a varint length and the
+# items: the header is two bytes below 128, the common case, inlined.
+def _size_str(value: str) -> int:
+    if not value.isascii():
+        return len(encode(value))
+    length = len(value)
+    return length + (2 if length < 0x80 else 1 + uvarint_size(length))
+
+
+def _size_bytes(value: bytes) -> int:
+    length = len(value)
+    return length + (2 if length < 0x80 else 1 + uvarint_size(length))
+
+
+def _size_seq(value: Any) -> int:
+    length = len(value)
+    total = 2 if length < 0x80 else 1 + uvarint_size(length)
+    sizers = _SIZERS
+    for item in value:
+        sizer = sizers.get(type(item))
+        total += sizer(item) if sizer is not None else len(encode(item))
+    return total
+
+
+def _size_registered(value: Any) -> int:
+    cached = getattr(value, WIRE_CACHE_ATTR, None)
+    return len(cached) if cached is not None else len(encode(value))
+
+
+# Exact-type dispatch, as ``_ENCODERS``; ``register_codec`` adds
+# ``_size_registered`` for each registered type.
+_SIZERS: dict[type, Callable[[Any], int]] = {
+    type(None): lambda value: 1,
+    bool: lambda value: 1,
+    int: _size_int,
+    str: _size_str,
+    bytes: _size_bytes,
+    tuple: _size_seq,
+    list: _size_seq,
+}
 
 
 def uvarint_size(value: int) -> int:

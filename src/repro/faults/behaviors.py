@@ -149,22 +149,21 @@ class _InterceptingContext:
         instance: int,
         payload: Any,
         to: list[NodeId] | None = None,
-    ) -> int:
+    ) -> tuple[int, int]:
         # A mux under this lens loses the batch fast path by
         # construction: the filter's contract is per-message, so the
         # batch send is re-materialised as per-recipient wrapped sends
-        # (same wrapper object shared across recipients, so byte
-        # metering still deduplicates by identity).  Without this
+        # (one wrapper object shared across recipients).  Without this
         # override the batch record would slip past the filter via
         # ``__getattr__`` and a tampered mux would diverge from the
         # per-envelope reference.
-        from ..sim.message import mux_wrap
+        from ..sim.message import mux_wrap, wire_byte_size
 
         recipients = self._ctx.others() if to is None else list(to)
         wrapped = mux_wrap(channel, instance, payload)
         for recipient in recipients:
             self.send(recipient, wrapped)
-        return len(recipients)
+        return len(recipients), wire_byte_size(payload)
 
 
 class TamperingProtocol(Protocol):

@@ -94,22 +94,17 @@ class BatchRecord:
     explicit recipient lists, several bits for the surviving subset of a
     broadcast under a lossy model.
 
-    ``wrapped`` is the ordinary mux wire tuple for ``payload``, built
-    once at enqueue: it is what run-level metrics charge and what gets
-    materialised into plain envelopes for non-consumer recipients, so a
+    A record holds the inner ``payload`` only, not its mux wrapper: run
+    metrics were charged at enqueue (the mux header plus the payload's
+    size), and the ordinary wire tuple ``mux_wrap(channel, instance,
+    payload)`` is built only where a plain envelope is made — for
+    non-consumer recipients in :meth:`BatchPlane.deliver`, in
+    :meth:`envelopes` and in :meth:`BatchPlane.wrapped_for` — so a
     record is observably indistinguishable from the per-envelope sends
     it replaces.
     """
 
-    __slots__ = (
-        "channel",
-        "instance",
-        "sender",
-        "payload",
-        "wrapped",
-        "target",
-        "round_sent",
-    )
+    __slots__ = ("channel", "instance", "sender", "payload", "target", "round_sent")
 
     def __init__(
         self,
@@ -117,7 +112,6 @@ class BatchRecord:
         instance: int,
         sender: NodeId,
         payload: Any,
-        wrapped: tuple,
         target: "int | None",
         round_sent: Round,
     ) -> None:
@@ -125,7 +119,6 @@ class BatchRecord:
         self.instance = instance
         self.sender = sender
         self.payload = payload
-        self.wrapped = wrapped
         self.target = target
         self.round_sent = round_sent
 
@@ -138,8 +131,9 @@ class BatchRecord:
         """The plain wrapped copies this record stands for, in ascending
         recipient order — what the per-envelope path would have filed."""
         target, sender = self.target, self.sender
+        wrapped = mux_wrap(self.channel, self.instance, self.payload)
         return [
-            Envelope(sender, node, self.wrapped, self.round_sent)
+            Envelope(sender, node, wrapped, self.round_sent)
             for node in range(n)
             if (node != sender if target is None else target >> node & 1)
         ]
@@ -275,7 +269,7 @@ class BatchPlane:
             outsiders = range(len(inboxes))
         elif not outsiders:
             return
-        wrapped = record.wrapped
+        wrapped = mux_wrap(channel, record.instance, record.payload)
         round_sent = record.round_sent
         for node in outsiders:
             if node != sender if target is None else target >> node & 1:

@@ -74,7 +74,7 @@ from typing import Any, Sequence
 from ..errors import ConfigurationError, SimulationError
 from ..types import NodeId, Round, validate_node_count
 from .batch import BatchPlane, BatchRecord
-from .message import Envelope, mux_wrap
+from .message import Envelope, mux_header_size, mux_wrap, wire_byte_size
 from .metrics import Metrics
 from .network import DeliveryModel, SynchronousRounds
 from .node import NodeContext, NodeState, Protocol
@@ -244,8 +244,8 @@ class EventKernel:
         """Accept one logical send — ``payload`` from ``sender`` to each of
         ``recipients``, already validated by the context — for delivery.
 
-        The send is charged once (:meth:`Metrics.record_broadcast`, the
-        charge :meth:`enqueue_batch` makes) and a send to nobody returns
+        The send is charged once (:meth:`Metrics.record_broadcast`, whose
+        body :meth:`enqueue_batch` charges) and a send to nobody returns
         before any counter moves.  Per copy only what is per copy
         remains: the envelope, the model's arrival tick (one
         ``arrival_tick`` call each, in recipient order — every per-link
@@ -321,7 +321,7 @@ class EventKernel:
         instance: int,
         payload: Any,
         recipients: "Sequence[NodeId] | None" = None,
-    ) -> int:
+    ) -> tuple[int, int]:
         """Accept one logical mux broadcast as batch records.
 
         The columnar counterpart of :meth:`enqueue`: the same single
@@ -338,21 +338,32 @@ class EventKernel:
         into the past raises the same
         :class:`~repro.errors.SimulationError`.
 
-        Returns the number of envelopes the send stands for; a send to
-        nobody returns 0 and moves no counter, as in :meth:`enqueue`.
+        The send is charged without building its mux wrapper: as kind
+        ``channel`` (a wrapper's kind), and as the mux header for
+        ``(channel, instance)`` plus ``payload``'s wire size, sized once.
+        The wrapper is built only for the plain copies a trace or the
+        rushing window needs.
+
+        Returns ``(count, size)``: the number of envelopes the send
+        stands for and ``payload``'s wire size, for the sending
+        instance's own charge; a send to nobody returns ``(0, 0)`` and
+        moves no counter, as in :meth:`enqueue`.
         """
         tick = self.tick
         broadcast_all = recipients is None
         count = self.n - 1 if broadcast_all else len(recipients)
         if not count:
-            return 0
-        wrapped = mux_wrap(channel, instance, payload)
+            return 0, 0
+        size = wire_byte_size(payload)
         metrics = self._metrics
-        metrics.record_broadcast(sender, tick, wrapped, count)
+        metrics.record_send(
+            sender, tick, channel, mux_header_size(channel, instance) + size, count
+        )
         trace = self._trace
         lockstep = self._lockstep
         if broadcast_all and (trace is not None or not lockstep):
             recipients = self.others(sender)
+        wrapped = mux_wrap(channel, instance, payload) if trace is not None else None
         # Price the send once: one (arrival tick, target) pair per record
         # to file, in filing order.
         placed: "list[tuple[Round, int | None]]"
@@ -408,6 +419,8 @@ class EventKernel:
             if early:
                 # File copies due now plain, in recipient order, as
                 # :meth:`enqueue` does; an earlier one raises there.
+                if wrapped is None:
+                    wrapped = mux_wrap(channel, instance, payload)
                 rushed = 0
                 for recipient, arrival in zip(recipients, arrivals):
                     if arrival is not None and arrival <= tick:
@@ -421,10 +434,8 @@ class EventKernel:
             bucket = (
                 self._pending if lockstep else self._calendar.setdefault(arrival, [])
             )
-            bucket.append(
-                BatchRecord(channel, instance, sender, payload, wrapped, target, tick)
-            )
-        return count
+            bucket.append(BatchRecord(channel, instance, sender, payload, target, tick))
+        return count, size
 
     def run(self, until_tick: Round | None = None) -> RunResult | None:
         """Execute ticks until every node halts.

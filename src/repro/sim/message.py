@@ -34,14 +34,16 @@ demux, exactly like other unintelligible noise).  Per-kind tallies
 attribute a well-formed wrapper to its channel, so run-level metrics
 breakdowns see ``"akd"`` rather than the transport-level tag.
 
-Under the columnar batch plane (:mod:`repro.sim.batch`) one broadcast's
-wrapper is built by :func:`mux_wrap` exactly once and rides a single
-batch record instead of K envelopes: batch consumers read the *inner*
-payload straight from the record (the wrap/unwrap round-trip is elided,
-which is legal because :func:`mux_unwrap` of a :func:`mux_wrap` result
-is the identity on ``(instance, payload)``), while recipients outside
-the batch plane get ordinary envelopes carrying the same wrapper object
-— byte accounting, kind tallies and forgery semantics are unchanged.
+Under the columnar batch plane (:mod:`repro.sim.batch`) one broadcast
+rides a single batch record instead of K envelopes, and the record
+holds the *inner* payload only: batch consumers read it straight from
+the record (the wrap/unwrap round-trip is elided, which is legal
+because :func:`mux_unwrap` of a :func:`mux_wrap` result is the identity
+on ``(instance, payload)``), the run metrics charge the channel as the
+kind and :func:`mux_header_size` plus the payload's size as the bytes,
+and a wrapper is built only for the plain envelopes that recipients
+outside the batch plane get — byte accounting, kind tallies and forgery
+semantics are unchanged.
 """
 
 from __future__ import annotations
@@ -85,6 +87,14 @@ def mux_wrap(channel: str, instance: int, payload: Any) -> tuple:
     (e.g. ``"akd"``), ``instance`` the stream within it.
     """
     return (MUX_WIRE_TAG, channel, instance, payload)
+
+
+def mux_header_size(channel: str, instance: int) -> int:
+    """What :func:`mux_wrap` adds to a payload's wire size: the 4-tuple's
+    header, the head tag, ``channel`` and ``instance``.  The batch path
+    charges a send as this plus its inner payload's size, without
+    building the wrapper."""
+    return _MUX_HEADER + encoding.byte_size(channel) + encoding.byte_size(instance)
 
 
 def mux_unwrap(payload: Any, channel: str) -> tuple[int, Any] | None:
@@ -138,20 +148,22 @@ def wire_byte_size(payload: Any) -> int:
     """Byte accounting for one payload: canonical-encoding size, with
     compressed stand-ins charged at their dense equivalent.
 
-    The common cases stay on the fast paths: a compressed payload answers
+    The common cases stay on the fast paths: a plain tuple is never a
+    compressed stand-in, a compressed payload answers
     ``dense_byte_size()`` directly, a well-formed mux wrapper is its header
-    (memoised scalars) plus its inner payload, every other payload goes
+    (:func:`mux_header_size`) plus its inner payload, every other payload goes
     through :func:`repro.crypto.encoding.byte_size` unchanged.  Only a
     payload the encoder rejects — a composition wrapper with a compressed
     payload nested inside — takes the structural walk, which prices
     containers by the additive encoding rule (tag + varint length + items).
     """
-    dense = getattr(payload, "dense_byte_size", None)
-    if dense is not None:
-        return dense()
-    if _is_mux_wrapper(payload):
-        head = _MUX_HEADER + sum(len(encoding._scalar_encoding(x)) for x in payload[1:3])
-        return head + wire_byte_size(payload[3])
+    if type(payload) is tuple:
+        if _is_mux_wrapper(payload):
+            return mux_header_size(payload[1], payload[2]) + wire_byte_size(payload[3])
+    else:
+        dense = getattr(payload, "dense_byte_size", None)
+        if dense is not None:
+            return dense()
     try:
         return encoding.byte_size(payload)
     except EncodingError:

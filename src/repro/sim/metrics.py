@@ -5,8 +5,9 @@ README's "Experiment index" — the paper's claims are claims about *message cou
 *round counts*, so the simulator counts them exactly (no sampling).
 
 The unit of charge is the *logical send*: the kernel charges a
-``ctx.broadcast`` (plain or columnar, one recipient or ``n - 1``) with
-one :meth:`Metrics.record_broadcast`, its drops with one
+``ctx.broadcast`` (one recipient or ``n - 1``) with one
+:meth:`Metrics.record_broadcast` (a columnar one with one
+:meth:`Metrics.record_send`, the body it sizes for), its drops with one
 :meth:`Metrics.record_drops`, and a tick's arrivals with one
 :meth:`Metrics.record_deliveries` per emission round — each bumps every
 counter of its family by the count at once, O(1) per send.  There is one
@@ -16,17 +17,19 @@ the count-1 calls of those bodies, kept for callers that hold an
 envelope (the reference runner in ``tests/sim``, which charges per copy
 so the equivalence tests prove the two agree).
 
-Byte accounting is exact but *lazy*: encoding every payload at send time
-dominated sweep wall-clock, so a charge only stashes a ``(round,
-payload, count)`` entry and the encode happens on first read of
-:attr:`Metrics.bytes_total` / :attr:`Metrics.bytes_per_round`.  Two facts
-make this sound:
-
-* payloads are wire values, immutable by library discipline, so encoding
-  later yields the same bytes as encoding at send time;
-* a payload object relayed in several sends is deduplicated by object
-  identity at settle time and encoded once (the references held in the
-  deferred list keep ids stable).
+Byte accounting is exact and charged at send: a charge sizes its
+payload once (:func:`repro.sim.message.wire_byte_size`, which walks the
+value by the encoding's additive rule and builds no bytes) and adds
+``size × count`` to :attr:`Metrics.bytes_total` and
+:attr:`Metrics.bytes_per_round`, two plain counters like the rest.  A
+``Metrics`` therefore holds no payload reference: a finished
+:class:`~repro.sim.kernel.RunResult` keeps nothing that was sent alive
+(unless views or a trace were recorded), and a snapshot pickles no
+payload.  Payloads are wire values, immutable by library discipline, so
+sizing at send gives the bytes a later encode would.  The batch path
+charges a mux broadcast without building its wrapper: the mux header
+for ``(channel, instance)`` plus the inner payload's size, which the
+sending instance's own charge reuses (:mod:`repro.sim.multiplex`).
 
 Compressed payloads (the succinct EIG engine's run-length reports) are
 charged at their *dense equivalent* size via
@@ -34,13 +37,6 @@ charged at their *dense equivalent* size via
 protocol's information content, not the engine's representation choice,
 so they stay bit-for-bit identical across engines (experiment E9 reports
 the dense-vs-compressed gap separately).
-
-The trade is time for memory: until the byte counters are read (or the
-Metrics object is released with its run result), the deferred list keeps
-every payload alive — the same order of retention as view recording,
-and freed wholesale with the :class:`~repro.sim.kernel.RunResult`.
-Callers that accumulate many run results and want the bytes anyway can
-simply read ``bytes_total`` to settle and drop the references early.
 
 Per-instance attribution
 ------------------------
@@ -50,7 +46,7 @@ module, owned by the kernel, charging the mux-wrapped wire payloads).
 The instances' own cost is not a ``Metrics``: the mux charges each
 instance's inner sends, at send time, to three integers on its outcome
 — messages, dense-equivalent bytes and rounds, by the same rules as
-:meth:`Metrics.record_broadcast` and its byte settlement.
+:meth:`Metrics.record_broadcast`.
 """
 
 from __future__ import annotations
@@ -74,9 +70,8 @@ class Metrics:
     :ivar messages_per_round: round -> messages sent that round.
     :ivar messages_per_sender: node -> messages it sent.
     :ivar messages_per_kind: payload kind tag -> count.
-
-    ``bytes_total`` and ``bytes_per_round`` (canonical-encoding bytes) are
-    settled-on-read properties — see the module docstring.
+    :ivar bytes_total: canonical-encoding bytes across all envelopes.
+    :ivar bytes_per_round: round -> bytes sent that round.
     """
 
     messages_total: int = 0
@@ -90,11 +85,8 @@ class Metrics:
     drops_total: int = 0
     dropped_per_round: Counter[Round] = field(default_factory=Counter)
     dropped_per_sender: Counter[NodeId] = field(default_factory=Counter)
-    _settled_bytes: int = 0
-    _settled_bytes_per_round: Counter[Round] = field(default_factory=Counter)
-    _deferred_payloads: list[tuple[Round, Any, int]] = field(
-        default_factory=list, repr=False
-    )
+    bytes_total: int = 0
+    bytes_per_round: Counter[Round] = field(default_factory=Counter)
 
     def record(self, envelope: Envelope) -> None:
         """Account one sent envelope: :meth:`record_broadcast`, count 1."""
@@ -107,19 +99,33 @@ class Metrics:
     ) -> None:
         """Account one logical send: ``count`` copies of one payload.
 
-        Every counter moves by ``count`` at once and a single ``(round,
-        payload, count)`` entry is deferred for the byte meters (see the
-        module docstring) — the totals of ``count`` one-copy charges of
-        the same payload object, at O(1).  All per-round counters key on
-        ``round_sent``, the emission tick, so they stay exact under
-        skewed delivery models, where a copy's *arrival* tick (tracked
-        separately by :meth:`record_deliveries`) can trail it.
+        :meth:`record_send` with the payload's kind and wire size, sized
+        once for all ``count`` copies.
+        """
+        self.record_send(
+            sender, round_sent, payload_kind(payload), wire_byte_size(payload), count
+        )
+
+    def record_send(
+        self, sender: NodeId, round_sent: Round, kind: str, size: int, count: int
+    ) -> None:
+        """Account one logical send of ``count`` copies of a payload of
+        kind ``kind`` and ``size`` wire bytes.
+
+        Every counter moves by ``count`` at once (the bytes by ``size ×
+        count``) — the totals of ``count`` one-copy charges, at O(1).  All
+        per-round counters key on ``round_sent``, the emission tick, so
+        they stay exact under skewed delivery models, where a copy's
+        *arrival* tick (tracked separately by :meth:`record_deliveries`)
+        can trail it.
         """
         self.messages_total += count
         self.messages_per_round[round_sent] += count
         self.messages_per_sender[sender] += count
-        self.messages_per_kind[payload_kind(payload)] += count
-        self._deferred_payloads.append((round_sent, payload, count))
+        self.messages_per_kind[kind] += count
+        charge = size * count
+        self.bytes_total += charge
+        self.bytes_per_round[round_sent] += charge
         if round_sent >= self.rounds_used:
             self.rounds_used = round_sent + 1
 
@@ -179,30 +185,22 @@ class Metrics:
         return self.delivery_lag_total / self.deliveries_total
 
     def settle(self) -> "Metrics":
-        """Force byte settlement now; returns ``self`` for chaining.
-
-        Settling is incremental and idempotent — counters only ever grow
-        by the deferred batch, so periodic settles bound deferred-list
-        retention without changing any total.  A settled ``Metrics``
-        holds no payload references, which also makes it cheaply
-        picklable.
-        """
-        self._settle()
+        """Return ``self``: bytes are charged at send, so there is nothing
+        left to settle.  Kept because the end-to-end benchmark's tracer
+        resolves it by name; it goes with the next change to that
+        benchmark."""
         return self
 
     def merge(self, other: "Metrics") -> None:
         """Fold another instrument's counts into this one.
 
-        Both sides are settled first, so the merge is pure counter
-        addition — commutative and associative, hence deterministic
-        regardless of merge order.  Nothing in ``src/`` calls it any
-        more (per-instance counts are plain integers, see
+        Pure counter addition — commutative and associative, hence
+        deterministic regardless of merge order.  Nothing in ``src/``
+        calls it any more (per-instance counts are plain integers, see
         :mod:`repro.sim.multiplex`); the end-to-end benchmark's tracer
         still resolves it by name, so it goes with the next change to
         that benchmark.
         """
-        self._settle()
-        other._settle()
         self.messages_total += other.messages_total
         self.rounds_used = max(self.rounds_used, other.rounds_used)
         self.messages_per_round.update(other.messages_per_round)
@@ -214,40 +212,8 @@ class Metrics:
         self.drops_total += other.drops_total
         self.dropped_per_round.update(other.dropped_per_round)
         self.dropped_per_sender.update(other.dropped_per_sender)
-        self._settled_bytes += other._settled_bytes
-        self._settled_bytes_per_round.update(other._settled_bytes_per_round)
-
-    def _settle(self) -> None:
-        """Encode all deferred payloads into the byte counters."""
-        if not self._deferred_payloads:
-            return
-        byte_size = wire_byte_size
-        sizes_by_id: dict[int, int] = {}
-        per_round = self._settled_bytes_per_round
-        total = 0
-        for round_sent, payload, count in self._deferred_payloads:
-            key = id(payload)
-            size = sizes_by_id.get(key)
-            if size is None:
-                size = byte_size(payload)
-                sizes_by_id[key] = size
-            charge = size * count
-            total += charge
-            per_round[round_sent] += charge
-        self._settled_bytes += total
-        self._deferred_payloads.clear()
-
-    @property
-    def bytes_total(self) -> int:
-        """Canonical-encoding bytes across all envelopes."""
-        self._settle()
-        return self._settled_bytes
-
-    @property
-    def bytes_per_round(self) -> Counter[Round]:
-        """round -> bytes sent that round."""
-        self._settle()
-        return self._settled_bytes_per_round
+        self.bytes_total += other.bytes_total
+        self.bytes_per_round.update(other.bytes_per_round)
 
     def activity_snapshot(self, n: int) -> tuple[tuple[int, int], ...]:
         """Per-node ``(sent, dropped)`` counts as a hashable snapshot.

@@ -68,7 +68,7 @@ from ..types import NodeId
 from .batch import ChannelBatch
 from .compose import PhaseOutcome
 from .kernel import RunResult
-from .message import Envelope, mux_unwrap, wire_byte_size
+from .message import Envelope, mux_unwrap
 from .node import NodeContext, Protocol
 from .rng import instance_rng
 
@@ -166,18 +166,17 @@ class _MuxInstanceContext:
     def broadcast(self, payload: Any, to: list[NodeId] | None = None) -> None:
         """Broadcast on this instance's stream: one kernel batch record.
 
-        The kernel wraps the payload once and charges run metrics for
+        The kernel sizes the payload once and charges run metrics for
         the full recipient count; the instance's outcome is charged
-        here, once, with the one shared inner payload at the same
-        (possibly phase-shifted) round.  A send to nobody moves no
-        counter.
+        here with the same size, at the same (possibly phase-shifted)
+        round.  A send to nobody moves no counter.
         """
         ctx = self._ctx
         outcome = self._outcome
-        count = ctx.send_batch(self._channel, outcome.instance, payload, to)
+        count, size = ctx.send_batch(self._channel, outcome.instance, payload, to)
         if count:
             outcome.messages += count
-            outcome.bytes += wire_byte_size(payload) * count
+            outcome.bytes += size * count
             if ctx.round >= outcome.rounds:
                 outcome.rounds = ctx.round + 1
 

@@ -171,8 +171,8 @@ class NodeContext:
         invalid recipient raises before any copy is sent), charged once,
         one kernel call; a duplicate in ``to`` gets a duplicate copy and
         an empty ``to`` sends nothing and moves no counter.  Every copy
-        shares the one payload object, which the metrics' lazy byte
-        accounting encodes exactly once.
+        shares the one payload object, which the metrics size exactly
+        once.
         """
         to = self._checked(to)
         runner = self._runner
@@ -186,7 +186,7 @@ class NodeContext:
         instance: int,
         payload: Any,
         to: "Iterable[NodeId] | None" = None,
-    ) -> int:
+    ) -> tuple[int, int]:
         """One logical mux broadcast as a columnar batch record.
 
         The batch-plane counterpart of wrapping ``payload`` in the mux
@@ -195,7 +195,10 @@ class NodeContext:
         deliveries (recipients outside the channel's consumers receive
         the plain wrapped envelopes).
 
-        :returns: the number of envelopes the send stands for.
+        :returns: ``(count, size)``, the number of envelopes the send
+            stands for and ``payload``'s wire size
+            (:func:`~repro.sim.message.wire_byte_size`); ``(0, 0)`` for a
+            send to nobody.
         """
         return self._runner.enqueue_batch(
             self.node, channel, instance, payload, self._checked(to)

@@ -16,9 +16,10 @@ one object graph rooted at the :class:`~repro.sim.kernel.EventKernel` —
   (see the audit note in :mod:`repro.sim.rng`),
 * delivery-model state (partition epoch schedule position, parked
   defer-mode records — which simply sit in the calendar),
-* metrics (settled first, so no live payload references inflate the
-  snapshot), the trace so far, recorded views, and the batch plane's
-  consumer registry (its per-tick arrays are dead at tick boundaries).
+* metrics (plain counters: bytes are charged at send, so no payload
+  reference inflates the snapshot), the trace so far, recorded views,
+  and the batch plane's consumer registry (its per-tick arrays are dead
+  at tick boundaries).
 
 A :class:`KernelSnapshot` is therefore one :func:`pickle.dumps` of the
 kernel taken at a tick boundary.  The single-pickle design is
@@ -97,11 +98,10 @@ class KernelSnapshot:
 def capture_kernel(kernel: "EventKernel", extras: dict[str, Any] | None = None) -> KernelSnapshot:
     """Snapshot a kernel at its current tick boundary.
 
-    Settles the metrics first (idempotent; byte totals are independent
-    of settle boundaries) so no payload references bloat the pickle,
-    then pickles the whole graph in one call.
+    Pickles the whole graph in one call.  The metrics are plain counters
+    (bytes are charged at send), so they carry no payload into the
+    pickle.
     """
-    kernel._metrics.settle()
     try:
         payload = pickle.dumps(kernel, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:

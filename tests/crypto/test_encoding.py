@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import enum
+from dataclasses import dataclass
+from typing import Any
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,3 +158,93 @@ class TestCodecRegistry:
     def test_byte_size_matches_encoding_length(self):
         value = {"k": (1, 2, 3), "b": b"\x00" * 10}
         assert encoding.byte_size(value) == len(encoding.encode(value))
+
+
+@dataclass(frozen=True)
+class _Box:
+    """A registered wire value that takes a wire stash."""
+
+    value: Any
+
+
+class _SlottedBox:
+    """A registered wire value that cannot take one (no ``__dict__``)."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any) -> None:
+        self.value = value
+
+
+encoding.register_codec(_Box, "test.Box", lambda box: box.value, _Box)
+encoding.register_codec(_SlottedBox, "test.SlottedBox", lambda box: box.value, _SlottedBox)
+
+
+class _Tag(enum.IntEnum):
+    ONE = 1
+
+
+def _outcome(size_of, value):
+    """A size, or the error it raised, as a comparable value."""
+    try:
+        return size_of(value)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+
+
+#: Every wire shape plus registered objects, huge ints, non-ASCII and
+#: unpaired-surrogate strings, and unencodable leaves (floats, sets), so
+#: the errors are compared too.
+sized_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**2000), max_value=2**2000)
+    | st.binary(max_size=300)
+    | st.text(max_size=40)
+    | st.text(st.characters(codec=None), max_size=4)
+    | st.sampled_from([1.5, frozenset({1}), _Tag.ONE]),
+    lambda children: st.tuples(children, children)
+    | st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4)
+    | st.builds(_Box, children)
+    | st.builds(_SlottedBox, children),
+    max_leaves=25,
+)
+
+
+class TestByteSize:
+    @given(sized_values)
+    @settings(max_examples=200)
+    def test_byte_size_is_the_encoded_length(self, value):
+        """Cold (no registered object stashed yet), then after an encode
+        has stashed them: the same size, or the same error, as
+        ``len(encode(value))``."""
+        cold = _outcome(encoding.byte_size, value)
+        expected = _outcome(lambda v: len(encoding.encode(v)), value)
+        assert cold == expected
+        assert _outcome(encoding.byte_size, value) == expected
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"k": 1.5},
+            ({"a": 1}, {"b": {2}}),
+            _Box({"x": 1.5}),
+            "\ud800",
+            ("ok", "caf\u00e9", "\ud800"),
+        ],
+    )
+    def test_errors_are_the_encoders(self, value):
+        with pytest.raises(Exception) as sized:
+            encoding.byte_size(value)
+        with pytest.raises(Exception) as encoded:
+            encoding.encode(value)
+        assert (type(sized.value), str(sized.value)) == (
+            type(encoded.value), str(encoded.value),
+        )
+
+    def test_sizing_leaves_the_scalar_memo_alone(self):
+        encoding._SCALAR_CACHE.clear()
+        encoding.byte_size((7, "kind", b"\x00" * 8, -(2**70)))
+        assert encoding._SCALAR_CACHE == {}

@@ -602,8 +602,8 @@ class TestRecipientMasks:
         """``envelopes(n)`` walks the mask's bits upward (the order the
         per-envelope path files copies in); ``None`` skips the sender."""
         wrapped = mux_wrap("om", 0, "x")
-        subset = BatchRecord("om", 0, 4, "x", wrapped, 1 << 6 | 1 << 1 | 1 << 3, 0)
-        everyone = BatchRecord("om", 0, 4, "x", wrapped, None, 0)
+        subset = BatchRecord("om", 0, 4, "x", 1 << 6 | 1 << 1 | 1 << 3, 0)
+        everyone = BatchRecord("om", 0, 4, "x", None, 0)
         assert [env.recipient for env in subset.envelopes(8)] == [1, 3, 6]
         assert [env.recipient for env in everyone.envelopes(8)] == [0, 1, 2, 3, 5, 6, 7]
         assert subset.envelopes(8)[0] == Envelope(4, 1, wrapped, 0)

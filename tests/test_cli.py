@@ -8,6 +8,7 @@ import pickle
 import pytest
 
 from repro.cli import build_parser, main
+from repro.harness.runner import FD_PROTOCOLS
 
 
 class TestParser:
@@ -50,6 +51,18 @@ class TestFd:
         ) == 0
         out = capsys.readouterr().out
         assert "15" in out  # (2+1)*(6-1)
+
+    @pytest.mark.parametrize("protocol", list(FD_PROTOCOLS))
+    def test_every_protocol_runs_with_a_value_it_accepts(self, protocol, capsys):
+        """``--value`` is coerced as ``run --param`` values are, so ``1``
+        reaches the small-range protocols as the int in their binary
+        domain, not the string ``"1"``."""
+        t = "0" if protocol == "smallrange" else "1"  # sound only for t = 0
+        assert main(
+            ["fd", "--n", "6", "--t", t, "--protocol", protocol, "--value", "1",
+             "--scheme", "simulated-hmac"]
+        ) == 0
+        assert "F1-F3                 ok" in capsys.readouterr().out
 
 
 class TestBa:
