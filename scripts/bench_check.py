@@ -78,11 +78,13 @@ def memory_probes() -> dict[str, Callable[[], Any]]:
     stay flat as the oral grid grows (PERFORMANCE.md tabulates them
     against the dict-of-paths formulation's), n concurrent OM(t)
     instances must build no path table, a lossy run's batch records
-    must keep no per-subset recipient container, and a run's metrics
-    must hold no sent payload (the akd and key-distribution probes).
+    must keep no per-subset recipient container, a run's metrics
+    must hold no sent payload (the akd and key-distribution probes), and
+    the real-signature path must hold ``schnorr-512``'s one ``g`` table at
+    its designed size, not a table per key or per object (the fd probe).
     Each probe is a picklable call, so it can run in a process of its
     own."""
-    from repro.harness.workloads import akd_point, keydist_point, oral_point
+    from repro.harness.workloads import akd_point, fd_point, keydist_point, oral_point
 
     return {
         "oral_succinct_n32_t3": partial(oral_point, 32, 3, seed=1),
@@ -91,6 +93,9 @@ def memory_probes() -> dict[str, Callable[[], Any]]:
         "akd_succinct_n32_t3": partial(akd_point, 32, 3, seed=1),
         "akd_loss_n32_t1": partial(akd_point, 32, 1, seed=1, delivery="loss:0.05:2"),
         "keydist_n64": partial(keydist_point, 64, seed=1),
+        "fd_local_schnorr_n16_t5": partial(
+            fd_point, 16, 5, seed=1, auth="local", scheme="schnorr-512"
+        ),
     }
 
 

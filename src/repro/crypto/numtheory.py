@@ -116,6 +116,8 @@ class FixedBaseComb:
     ``_table[j]`` holds the product of ``base**(2**(i*width))`` over the set
     bits ``i`` of ``j``, so a power costs ``width`` squarings and ``width``
     table multiplications (``~2*bits/teeth``) where ``pow`` needs ``~1.2*bits``.
+    Its ``2**teeth`` entries are cheap enough to build per public key; a base
+    that is one constant per process takes :class:`FixedBaseTable` instead.
     """
 
     def __init__(self, base: int, modulus: int, bits: int, teeth: int) -> None:
@@ -139,6 +141,41 @@ class FixedBaseComb:
         acc = 1
         for k in range(width):
             acc = acc * acc % modulus * table[int(columns[k::width], 2)] % modulus
+        return acc
+
+
+class FixedBaseTable:
+    """Per-byte windowing (Brickell-Gordon-McCurley-Wilson): ``base**e % modulus``
+    for one fixed ``base`` with no squaring at all.
+
+    ``_rows[i][d]`` is ``base**(d * 256**i)``, so a power is one table
+    multiplication per non-zero byte of the exponent (at most ``ceil(bits/8)``).
+    Each of the ``ceil(bits/8)`` rows costs 256 entries and 255 multiplications
+    to build, which only a base that is one constant per process (a group
+    generator) repays; a per-key base keeps the smaller :class:`FixedBaseComb`.
+    """
+
+    def __init__(self, base: int, modulus: int, bits: int) -> None:
+        self._modulus, self._bits = modulus, bits
+        self._rows: list[list[int]] = []
+        step = base % modulus  # base**(256**i)
+        for _ in range(-(-bits // 8)):
+            row = [1]
+            for _ in range(255):
+                row.append(row[-1] * step % modulus)
+            self._rows.append(row)
+            step = row[-1] * step % modulus
+
+    def pow(self, exponent: int) -> int:
+        """``base**exponent % modulus``: one multiplication per non-zero
+        exponent byte; ``ValueError`` outside ``[0, 2**bits)``."""
+        if exponent < 0 or exponent >> self._bits:  # never truncate silently
+            raise ValueError(f"exponent outside [0, 2**{self._bits})")
+        modulus, rows = self._modulus, self._rows
+        acc = 1
+        for row, digit in zip(rows, exponent.to_bytes(len(rows), "little")):
+            if digit:
+                acc = acc * row[digit] % modulus
         return acc
 
 

@@ -22,10 +22,13 @@ challenge-response of the key distribution protocol demonstrates.
 Group generation is deterministic from a fixed seed and cached, so repeated
 runs and tests do not pay the parameter-search cost.
 
-Every base is fixed (``g`` is a constant, a run has ``n`` public keys), so all
-exponentiation is :class:`~repro.crypto.numtheory.FixedBaseComb`: one comb
-for ``g`` and one small comb per public key for ``y^-1``, memoised by value
-because every recipient decodes its own predicate object.
+Every base is fixed (``g`` is a constant, a run has ``n`` public keys), so no
+exponentiation calls ``pow``.  Powers of ``g`` come from one
+:class:`~repro.crypto.numtheory.FixedBaseTable` per scheme (a per-byte table,
+built on first use: no squaring, at most 20 multiplications at q = 160 bits);
+``y^-1`` gets one small :class:`~repro.crypto.numtheory.FixedBaseComb` per
+public key, memoised by value because every recipient decodes its own
+predicate object.
 """
 
 from __future__ import annotations
@@ -36,11 +39,11 @@ from functools import cache, cached_property
 
 from ..errors import KeyGenerationError, SigningError
 from .keys import KeyPair, SecretKey, SignatureScheme, TestPredicate, register_scheme
-from .numtheory import FixedBaseComb, generate_schnorr_group, modinv
+from .numtheory import FixedBaseComb, FixedBaseTable, generate_schnorr_group, modinv
 
-# Comb sizes: the 2^8-entry table for ``g`` is built once per scheme; a key's
-# 2^6 entries (6.5 KB, ~one verify to build) pay off from its second verify.
-_GENERATOR_TEETH, _KEY_TEETH = 8, 6
+# A key's comb: 2^6 entries (6.5 KB, ~one verify to build) pay off from its
+# second verify.
+_KEY_TEETH = 6
 # (p, y) -> comb for y^-1 mod p.  Bounded: cleared wholesale when full, so it
 # holds a few runs' keys (the largest gated run has n = 128), never a process's.
 _KEY_COMBS: dict[tuple[int, int], FixedBaseComb] = {}
@@ -91,14 +94,14 @@ class SchnorrScheme(SignatureScheme):
         return default_group(self._p_bits, self._q_bits)
 
     @cached_property
-    def _g_comb(self) -> FixedBaseComb:
+    def _g_table(self) -> FixedBaseTable:
         p, q, g = self.group
-        return FixedBaseComb(g, p, q.bit_length(), _GENERATOR_TEETH)
+        return FixedBaseTable(g, p, q.bit_length())
 
     def generate_keypair(self, rng: random.Random) -> KeyPair:
         _, q, _ = self.group
         x = rng.randrange(1, q)
-        y = self._g_comb.pow(x)
+        y = self._g_table.pow(x)
         secret = SecretKey(scheme=self.name, material=x)
         predicate = TestPredicate(scheme=self.name, material=y)
         return KeyPair(secret=secret, predicate=predicate)
@@ -114,7 +117,7 @@ class SchnorrScheme(SignatureScheme):
         k = _hash_to_int(b"nonce", x_bytes, message) % q
         if k == 0:  # one-in-2^160 corner; renonce deterministically
             k = 1
-        r = self._g_comb.pow(k)
+        r = self._g_table.pow(k)
         e = _hash_to_int(b"chal", r.to_bytes((p.bit_length() + 7) // 8, "big"), message) % q
         s = (k + x * e) % q
         size = (q.bit_length() + 7) // 8
@@ -133,7 +136,7 @@ class SchnorrScheme(SignatureScheme):
             s = int.from_bytes(signature[size:], "big")
             if not (0 <= e < q and 0 <= s < q):
                 return False
-            r = self._g_comb.pow(s) * _inverse_key_comb(p, q, y).pow(e) % p
+            r = self._g_table.pow(s) * _inverse_key_comb(p, q, y).pow(e) % p
             e_check = (
                 _hash_to_int(b"chal", r.to_bytes((p.bit_length() + 7) // 8, "big"), message)
                 % q

@@ -36,10 +36,12 @@ def test_keypair_and_signature_are_pinned(vector):
     assert scheme.verify(keypair.predicate, message, signature)
 
 
-def test_kernel_fault_is_not_a_silent_reject(monkeypatch):
-    """``verify`` answers False for malformed input only: a fault inside the
-    exponentiation kernel must surface, not read as a bad signature (which
-    would show up three layers higher as a missed F-property)."""
+@pytest.mark.parametrize("kernel", [numtheory.FixedBaseTable, numtheory.FixedBaseComb])
+def test_kernel_fault_is_not_a_silent_reject(monkeypatch, kernel):
+    """``verify`` answers False for malformed input only: a fault inside
+    either exponentiation kernel (the table for ``g^s``, a key's comb for
+    ``y^-e``) must surface, not read as a bad signature (which would show up
+    three layers higher as a missed F-property)."""
     scheme = get_scheme("schnorr-512")
     keypair = scheme.generate_keypair(random.Random("kernel-fault"))
     signature = scheme.sign(keypair.secret, b"m")
@@ -47,6 +49,6 @@ def test_kernel_fault_is_not_a_silent_reject(monkeypatch):
     def broken(self, exponent):
         raise ArithmeticError("kernel bug")
 
-    monkeypatch.setattr(numtheory.FixedBaseComb, "pow", broken)
+    monkeypatch.setattr(kernel, "pow", broken)
     with pytest.raises(ArithmeticError):
         scheme.verify(keypair.predicate, b"m", signature)

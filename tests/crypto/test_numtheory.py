@@ -134,6 +134,40 @@ class TestFixedBaseComb:
             comb.pow(exponent)
 
 
+class TestFixedBaseTable:
+    """The per-byte table agrees with builtin ``pow`` on its whole domain."""
+
+    @given(
+        base=st.integers(min_value=0, max_value=1 << 80),
+        modulus=st.integers(min_value=2, max_value=1 << 80),
+        bits=st.integers(min_value=1, max_value=96),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_builtin_pow(self, base, modulus, bits, data):
+        table = numtheory.FixedBaseTable(base, modulus, bits)
+        top = (1 << bits) - 1
+        drawn = data.draw(st.lists(st.integers(min_value=0, max_value=top), max_size=4))
+        for exponent in [0, 1, top, *drawn]:
+            assert table.pow(exponent) == pow(base, exponent, modulus)
+
+    def test_at_scheme_sizes(self):
+        rng = random.Random("table-512-160")
+        p = numtheory.generate_prime(512, rng)
+        base = rng.randrange(2, p)
+        table = numtheory.FixedBaseTable(base, p, 160)
+        top = (1 << 160) - 1
+        for exponent in (0, 1, 255, 256, top, rng.getrandbits(160), rng.getrandbits(17)):
+            assert table.pow(exponent) == pow(base, exponent, p)
+
+    @pytest.mark.parametrize("exponent", [-1, -(1 << 40), 1 << 12, (1 << 12) + 5, 1 << 200])
+    def test_out_of_range_exponent_raises(self, exponent):
+        # 12 bits fill two byte rows: 2**12 still fits them, and must not pass.
+        table = numtheory.FixedBaseTable(3, 1_000_000_007, 12)
+        with pytest.raises(ValueError):
+            table.pow(exponent)
+
+
 class TestSchnorrGroup:
     def test_group_structure(self):
         p, q, g = numtheory.generate_schnorr_group(128, 64, random.Random(7))

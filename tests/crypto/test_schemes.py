@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.crypto import (
     available_schemes,
     encode,
@@ -168,3 +173,24 @@ class TestSimulatedForgeHelper:
         scheme = get_scheme("schnorr-512")
         kp = scheme.generate_keypair(random.Random(5))
         assert forge_signature(kp.predicate, b"m") is None
+
+
+def test_generator_table_is_built_on_first_schnorr_use_only():
+    """The ``g`` table (~0.5 MiB, ~10 ms) is built lazily: importing the
+    harness and running a count-scheme key distribution, as every workload
+    but the real-signature one does, must not build it."""
+    code = (
+        "import random\n"
+        "import repro.harness\n"
+        "from repro.harness.workloads import COUNT_SCHEME, keydist_point\n"
+        "from repro.crypto.schnorr import SCHNORR_512\n"
+        "keydist_point(4, scheme=COUNT_SCHEME)\n"
+        "assert '_g_table' not in SCHNORR_512.__dict__, 'built eagerly'\n"
+        "SCHNORR_512.generate_keypair(random.Random(0))\n"
+        "assert '_g_table' in SCHNORR_512.__dict__\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
