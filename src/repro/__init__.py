@@ -18,8 +18,7 @@ Package map (bottom-up):
   dealer baseline, assignment properties G1-G3;
 * :mod:`repro.fd` — the Failure Discovery problem (F1-F3), chain protocol
   (Fig. 2), echo baseline, small-range variants;
-* :mod:`repro.agreement` — OM(t), SM(t), the FD→BA extension, degradable
-  agreement;
+* :mod:`repro.agreement` — OM(t), SM(t), the FD→BA extension;
 * :mod:`repro.analysis` — closed-form complexity and amortization;
 * :mod:`repro.harness` — scenario runner, attack catalogue, sweeps.
 

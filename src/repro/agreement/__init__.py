@@ -1,4 +1,4 @@
-"""Byzantine Agreement substrate: oral, signed, extended, degradable.
+"""Byzantine Agreement substrate: oral, signed, extended.
 
 * :mod:`repro.agreement.oral` — OM(t)/EIG, the non-authenticated classic
   (needs ``n > 3t``);
@@ -6,16 +6,9 @@
   (any ``t <= n - 2``);
 * :mod:`repro.agreement.extension` — Failure Discovery extended to full
   BA at FD's failure-free message cost (the Hadzilacos-Halpern property
-  the paper leans on);
-* :mod:`repro.agreement.degradable` — the Vaidya-Pradhan-flavoured
-  future-work direction the paper's summary mentions.
+  the paper leans on).
 """
 
-from .degradable import (
-    OUTPUT_DEGRADED,
-    DegradableSignedAgreement,
-    make_degradable_protocols,
-)
 from .extension import (
     ALARM_BODY,
     ALARM_MSG,
@@ -43,20 +36,17 @@ __all__ = [
     "ALARM_MSG",
     "BAEvaluation",
     "DEFAULT_VALUE",
-    "DegradableSignedAgreement",
     "ExtendedAgreementProtocol",
     "OM_REPORT",
     "OM_VALUE",
     "RleReport",
     "SuccinctEigStore",
-    "OUTPUT_DEGRADED",
     "OUTPUT_FD_DISCOVERY",
     "OUTPUT_PATH",
     "OralAgreementProtocol",
     "SM_MSG",
     "SignedAgreementProtocol",
     "evaluate_ba",
-    "make_degradable_protocols",
     "make_extended_protocols",
     "make_oral_agreement_protocols",
     "make_signed_agreement_protocols",

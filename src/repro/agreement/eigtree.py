@@ -198,12 +198,6 @@ class RleReport:
         self.item_count = item_count
         self._dense_size = self._compute_dense_size()
 
-    def values(self) -> Iterator[Any]:
-        """The dense value sequence, in canonical path order."""
-        for count, value in self.runs:
-            for _ in range(count):
-                yield value
-
     def dense_byte_size(self) -> int:
         """Canonical-encoding size of the equivalent dense payload.
 
@@ -232,23 +226,6 @@ class RleReport:
     def wire_tuple(self) -> tuple:
         """An encodable tuple form (views, E9's compression probes)."""
         return (OM_REPORT_RLE, self.n, self.sender, self.level, self.exclude, self.runs)
-
-    def compressed_byte_size(self) -> int:
-        """Actual bytes of the run-length form — what really crossed the
-        simulated wire, contrasted with :meth:`dense_byte_size` in E9."""
-        return byte_size(self.wire_tuple())
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        return (
-            f"RleReport(n={self.n}, sender={self.sender}, level={self.level}, "
-            f"exclude={self.exclude}, runs={len(self.runs)}, items={self.item_count})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RleReport) and self.wire_tuple() == other.wire_tuple()
-
-    def __hash__(self) -> int:
-        return hash((OM_REPORT_RLE, self.n, self.sender, self.level, self.exclude))
 
 
 class _SharedLevel(dict):

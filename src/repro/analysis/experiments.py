@@ -199,7 +199,11 @@ def e8_rounds(sizes: Sequence[int] = (4, 8, 16)) -> ExperimentTable:
     for result in _results("e8-rounds", _budgeted(sizes)):
         n, t = result["n"], result["t"]
         measured = (result["keydist_rounds"], result["chain_rounds"], result["echo_rounds"])
-        predicted = (3, t + 1, 2)
+        predicted = (
+            complexity.keydist_rounds(),
+            complexity.fd_auth_rounds(t),
+            complexity.fd_nonauth_rounds(),
+        )
         match = measured == predicted
         ok &= match
         rows.append([n, t, *measured, check_mark(match)])

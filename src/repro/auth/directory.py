@@ -48,20 +48,6 @@ class KeyDirectory:
         """All predicates accepted as belonging to ``node`` (maybe empty)."""
         return tuple(self._accepted.get(node, ()))
 
-    def predicate_for(self, node: NodeId) -> TestPredicate | None:
-        """The single accepted predicate for ``node``.
-
-        Returns ``None`` when none was accepted.  When several were
-        accepted (only possible for a faulty ``node``), returns the first —
-        callers that must consider all use :meth:`predicates_for`.
-        """
-        bucket = self._accepted.get(node)
-        return bucket[0] if bucket else None
-
-    def nodes(self) -> list[NodeId]:
-        """Nodes for which at least one predicate was accepted, sorted."""
-        return sorted(node for node, bucket in self._accepted.items() if bucket)
-
     def verifies(self, node: NodeId, signed: SignedMessage) -> bool:
         """Would this directory assign ``signed`` to ``node``?
 
@@ -91,12 +77,3 @@ class KeyDirectory:
             for node, bucket in sorted(self._accepted.items())
             if bucket
         }
-
-    def agrees_with(self, other: "KeyDirectory", node: NodeId) -> bool:
-        """True iff both directories accepted exactly the same predicate
-        set for ``node`` — the per-node consistency that global
-        authentication guarantees for every node and local authentication
-        guarantees for correct nodes."""
-        mine = sorted(p.fingerprint() for p in self.predicates_for(node))
-        theirs = sorted(p.fingerprint() for p in other.predicates_for(node))
-        return mine == theirs

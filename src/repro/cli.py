@@ -233,6 +233,8 @@ def _cmd_ba(args: argparse.Namespace) -> int:
 
 
 def _cmd_amortize(args: argparse.Namespace) -> int:
+    if args.runs < 1:
+        raise ConfigurationError(f"--runs expects a positive run count, got {args.runs}")
     session = AmortizedSession(
         n=args.n, t=args.t, auth=LOCAL, scheme=args.scheme, seed=args.seed,
         delivery=args.delivery,

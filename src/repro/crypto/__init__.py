@@ -33,7 +33,7 @@ from .keys import (
 from .rsa import RSA_512, RsaScheme
 from .schnorr import SCHNORR_512, SchnorrScheme
 from .signing import SignedMessage, garble_signature, sign_value
-from .simulated import SIMULATED, SimulatedScheme, forge_signature
+from .simulated import SIMULATED, SimulatedScheme
 
 #: Scheme used by default throughout the library.  Schnorr rather than RSA
 #: because its keygen cost is a single modular exponentiation (RSA keygen
@@ -62,7 +62,6 @@ __all__ = [
     "decode",
     "encode",
     "extend_chain",
-    "forge_signature",
     "garble_signature",
     "get_scheme",
     "is_leaf",

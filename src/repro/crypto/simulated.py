@@ -23,9 +23,7 @@ code and the fault behaviours in :mod:`repro.faults` never touch the
 registry, so S1-S3 hold *against every adversary this library implements*.
 A hypothetical adversary with process-memory access could forge, which is
 why the adversarial key-distribution experiments (E6) default to the real
-schemes.  The deliberate forgery helper :func:`forge_signature` exists only
-so tests can construct counterfeits and confirm the protocols reject the
-detectable ones.
+schemes.
 """
 
 from __future__ import annotations
@@ -82,21 +80,6 @@ class SimulatedScheme(SignatureScheme):
         if isinstance(material, (bytes, bytearray)):
             k = bytes(material)
             _SECRET_REGISTRY.setdefault(hashlib.sha256(k).digest(), k)
-
-
-def forge_signature(predicate: TestPredicate, message: bytes) -> bytes | None:
-    """Deliberately forge a signature valid under ``predicate``.
-
-    Test-only helper modelling an S1-violating adversary.  Returns ``None``
-    when the predicate's secret is not in this process's registry (in which
-    case even an S1 violation is impossible to simulate).
-    """
-    if predicate.scheme != SimulatedScheme.name:
-        return None
-    k = _SECRET_REGISTRY.get(predicate.material)
-    if k is None:
-        return None
-    return hmac.new(k, message, hashlib.sha256).digest()
 
 
 #: Default simulated instance, registered at import time.

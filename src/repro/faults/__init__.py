@@ -11,11 +11,13 @@ targeted attacks.
   tamper, scripted, plus the loss-/partition-exploiting ``ack-lie`` and
   ``equivocate`` lies of experiment E14;
 * :mod:`repro.faults.keyattacks` — the key-distribution attacks of the
-  paper's section 3.2 (key sharing, cross claiming, mixed predicates,
-  foreign claims);
+  paper's section 3.2 (key sharing, cross claiming, mixed predicates);
 * :mod:`repro.faults.fdattacks` — attacks on the Failure Discovery
   protocols (equivocation, fabrication, impersonation, withholding,
-  garbling, duplication).
+  garbling).
+
+Attacks that only tests deploy (a delayed or duplicating chain node, a
+foreign-predicate claim, a signature forger) live in ``tests/_attacks.py``.
 """
 
 from .adversary import (
@@ -45,17 +47,14 @@ from .behaviors import (
     TamperingProtocol,
 )
 from .fdattacks import (
-    DelayedRelayChainNode,
     EquivocatingSender,
     FabricatingChainNode,
     ImpersonatingChainNode,
-    duplicating_chain_node,
     garbling_chain_node,
     withholding_chain_node,
 )
 from .keyattacks import (
     AdversaryCoordination,
-    ClaimForeignPredicateAttack,
     CrossClaimAttack,
     MixedPredicateAttack,
     SharedKeyAttack,
@@ -72,11 +71,9 @@ __all__ = [
     "BEHAVIOR_GRAMMAR",
     "BEHAVIOR_KINDS",
     "Behavior",
-    "ClaimForeignPredicateAttack",
     "CrashProtocol",
     "EquivocatingProtocol",
     "CrossClaimAttack",
-    "DelayedRelayChainNode",
     "EquivocatingSender",
     "FabricatingChainNode",
     "ImpersonatingChainNode",
@@ -90,7 +87,6 @@ __all__ = [
     "TamperingProtocol",
     "behavior_grammar_help",
     "build_behavior",
-    "duplicating_chain_node",
     "garbling_chain_node",
     "make_adversary",
     "parse_behavior",

@@ -664,24 +664,6 @@ class AdversarySpec:
             node for node, _ in self.overrides
         )
 
-    @property
-    def rushing(self) -> frozenset[NodeId]:
-        """Nodes running the ``rush`` behaviour — the conventional
-        rushing set for a ``rush`` delivery model."""
-        return frozenset(
-            node for node, behavior in self.corrupt if behavior.kind == "rush"
-        )
-
-    def spec(self) -> str:
-        """The spec as a (mostly) round-trippable string, for messages."""
-        items = [f"{node}={behavior.spec()}" for node, behavior in self.corrupt]
-        items += [f"{node}=<custom>" for node, _ in self.overrides]
-        if self.strategy:
-            items.append(f"adaptive:{self.strategy}")
-        if self.delivery:
-            items.append(f"delivery={self.delivery}")
-        return ";".join(items)
-
     def protocols_for(
         self,
         protocols: Sequence[Protocol],

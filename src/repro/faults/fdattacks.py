@@ -128,45 +128,6 @@ def _first_chain_payload(inbox: list[Envelope]) -> SignedMessage | None:
     return None
 
 
-class DelayedRelayChainNode(Protocol):
-    """A chain node that forwards a *valid* chain one round late.
-
-    Delivery timing is part of the failure-free view: the successor
-    expects the chain in exactly its designated round, so a correct chain
-    message arriving late is discovered twice over — first as a missing
-    message at the deadline, then as an unexpected message after it.
-
-    :param delay: extra rounds to hold the chain before forwarding.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        t: int,
-        keypair: KeyPair,
-        delay: int = 1,
-    ) -> None:
-        self._n = n
-        self._t = t
-        self._keypair = keypair
-        self._delay = delay
-        self._held: SignedMessage | None = None
-        self._forward_round: int | None = None
-
-    def on_round(self, ctx: NodeContext, inbox: list[Envelope]) -> None:
-        node = ctx.node
-        if ctx.round == node and 1 <= node <= self._t:
-            chain = _first_chain_payload(inbox)
-            if chain is not None:
-                self._held = extend_chain(self._keypair.secret, node - 1, chain)
-                self._forward_round = ctx.round + self._delay
-        if self._forward_round is not None and ctx.round == self._forward_round:
-            forward_chain(ctx, self._n, self._t, self._held)
-            self._forward_round = None
-        if ctx.round >= self._t + 1 + self._delay:
-            ctx.halt()
-
-
 def withholding_chain_node(
     n: int,
     t: int,
@@ -206,29 +167,3 @@ def garbling_chain_node(
         return payload if chain is None else (CHAIN_MSG, garble_signature(chain))
 
     return TamperingProtocol(inner, transform=transform)
-
-
-def duplicating_chain_node(
-    n: int, t: int, keypair: KeyPair, directory: KeyDirectory
-) -> Protocol:
-    """An otherwise honest chain node that sends every message twice.
-
-    Duplicates deviate from every failure-free view (exactly-one-message
-    expectations), so successors discover.
-    """
-    inner = ChainFDProtocol(n, t, keypair, directory)
-
-    class _Duplicator(TamperingProtocol):
-        def on_round(self, ctx: NodeContext, inbox: list[Envelope]) -> None:
-            sent: list[tuple[NodeId, Any]] = []
-
-            def record(rnd: Round, to: NodeId, payload: Any) -> bool:
-                sent.append((to, payload))
-                return True
-
-            self._should_send = record
-            super().on_round(ctx, inbox)
-            for to, payload in sent:
-                ctx.send(to, payload)
-
-    return _Duplicator(inner)

@@ -16,10 +16,6 @@ These are the attacks the paper's section 3.2 reasons about:
   distributes different test predicates to the correct nodes", creating
   "classes of nodes such that the faulty node can select the class of
   nodes which can assign the message at all".
-* **foreign claim** (:class:`ClaimForeignPredicateAttack`) — a faulty node
-  tries to register a *correct* node's predicate as its own.  The
-  challenge-response defeats it (Theorem 2's G1): without the secret key
-  no acceptable response exists.
 
 All attack behaviours are coordinated through an :class:`AdversaryCoordination`
 object — the standard single-adversary model, where all faulty nodes share
@@ -32,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 
 from ..crypto import DEFAULT_SCHEME
-from ..crypto.keys import KeyPair, TestPredicate, get_scheme
+from ..crypto.keys import KeyPair, get_scheme
 from ..crypto.signing import sign_value
 from ..auth.local import CHALLENGE, PREDICATE, RESPONSE, challenge_body
 from ..sim import Envelope, NodeContext, Protocol
@@ -168,41 +164,3 @@ class MixedPredicateAttack(CrossClaimAttack):
     accepts key A for this node, everyone else accepts key B, and a
     message signed with A is *unassignable* outside group one.
     """
-
-
-class ClaimForeignPredicateAttack(Protocol):
-    """Claim a correct node's predicate without knowing its secret.
-
-    Broadcasts ``victim_predicate`` as its own in round 0.  Challenges
-    cannot be answered (S1: no secret, no signature); the attacker either
-    stays silent or, with ``garbage_responses=True``, returns syntactically
-    valid but cryptographically worthless responses.  Theorem 2 (G1)
-    predicts — and the tests confirm — that no correct node accepts.
-    """
-
-    def __init__(
-        self, victim_predicate: TestPredicate, garbage_responses: bool = False
-    ) -> None:
-        self._predicate = victim_predicate
-        self._garbage = garbage_responses
-
-    def on_round(self, ctx: NodeContext, inbox: list[Envelope]) -> None:
-        if ctx.round == 0:
-            ctx.broadcast((PREDICATE, self._predicate))
-        elif ctx.round == 2 and self._garbage:
-            for env in inbox:
-                payload = env.payload
-                if (
-                    isinstance(payload, tuple)
-                    and len(payload) == 4
-                    and payload[0] == CHALLENGE
-                ):
-                    from ..crypto.signing import SignedMessage
-
-                    fake = SignedMessage(
-                        body=challenge_body(payload[1], payload[2], payload[3]),
-                        signature=bytes(ctx.rng.getrandbits(8) for _ in range(64)),
-                    )
-                    ctx.send(env.sender, (RESPONSE, fake))
-        elif ctx.round >= 3:
-            ctx.halt()

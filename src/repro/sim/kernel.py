@@ -114,12 +114,6 @@ class RunResult:
         """Nodes that discovered a failure."""
         return [s.node for s in self.states if s.discovered_failure]
 
-    def outputs(self, key: str) -> dict[NodeId, Any]:
-        """Collect a named protocol output across nodes that produced it."""
-        return {
-            s.node: s.outputs[key] for s in self.states if key in s.outputs
-        }
-
 
 class EventKernel:
     """Drives protocols to completion under a pluggable delivery model.
@@ -195,16 +189,6 @@ class EventKernel:
         # a second setup — the flag travels inside snapshots).
         self._started = False
         self._delivery.bind(self)
-
-    @property
-    def round(self) -> Round:
-        """Alias of :attr:`tick` — the name the contexts read."""
-        return self.tick
-
-    @property
-    def delivery(self) -> DeliveryModel:
-        """The delivery model driving this run."""
-        return self._delivery
 
     @property
     def protocols(self) -> list[Protocol]:

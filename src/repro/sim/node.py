@@ -80,19 +80,8 @@ class NodeContext:
 
         Under lock-step delivery this is literally the synchronous round;
         under a skewed :class:`~repro.sim.network.DeliveryModel` it is the
-        kernel tick of the current activation (see :attr:`tick`) — round-
-        indexed protocols keep reading it unchanged either way.
-        """
-        return self._runner.tick
-
-    @property
-    def tick(self) -> Round:
-        """The kernel tick of the current activation.
-
-        The same value as :attr:`round` — simulated time has one source
-        of truth — but named for delivery-model-aware code (timing
-        analyses, rushing strategies) to signal that under skewed
-        delivery a tick's inbox is not a synchronous round's inbox.
+        kernel tick of the current activation — round-indexed protocols
+        keep reading it unchanged either way.
         """
         return self._runner.tick
 

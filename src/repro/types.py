@@ -32,15 +32,6 @@ def validate_node_count(n: int) -> None:
         raise ConfigurationError(f"node count must be >= 2, got {n}")
 
 
-def validate_node_id(node: NodeId, n: int) -> None:
-    """Validate that ``node`` is a legal id in a network of ``n`` nodes."""
-    validate_node_count(n)
-    if not isinstance(node, int) or isinstance(node, bool):
-        raise ConfigurationError(f"node id must be an int, got {node!r}")
-    if not 0 <= node < n:
-        raise ConfigurationError(f"node id {node} outside range(0, {n})")
-
-
 def validate_fault_budget(t: int, n: int) -> None:
     """Validate a fault budget ``t`` for a network of ``n`` nodes.
 
@@ -68,9 +59,3 @@ def default_fault_budget(n: int) -> int:
     """
     validate_node_count(n)
     return (n - 1) // 3
-
-
-def other_nodes(node: NodeId, n: int) -> list[NodeId]:
-    """All node ids except ``node``, in id order."""
-    validate_node_id(node, n)
-    return [i for i in range(n) if i != node]

@@ -83,14 +83,14 @@ class TestRleRoundTrip:
             else:
                 runs.append((1, value))
         report = RleReport(40, 0, 2, 1, tuple(runs))
-        assert [repr(v) for v in report.values()] == [repr(v) for v in values]
+        assert [repr(v) for v in rle_values(report)] == [repr(v) for v in values]
         assert report.item_count == len(values)
 
     def test_wire_tuple_encodes_and_is_stable(self):
         report = RleReport(7, 0, 2, 3, ((30, "v"),))
         wire = report.wire_tuple()
         assert wire[0] == OM_REPORT_RLE
-        assert report.compressed_byte_size() == len(encode(wire))
+        assert encode(wire) == encode(report.wire_tuple())
 
     def test_rejects_malformed_runs(self):
         with pytest.raises(ValueError):
@@ -379,6 +379,11 @@ class TestByzantineReportNoise:
 # -- columnar store: first-wins filing and the level sweep --------------------
 
 
+def rle_values(report):
+    """A report's dense value sequence, in canonical path order."""
+    return [value for count, value in report.runs for _ in range(count)]
+
+
 def file_tree(tree, n, sender, me, relayer, payload, round_):
     """File one received (well-formed) payload into the dense dict
     ``tree`` with its per-item ``setdefault`` semantics written out."""
@@ -387,7 +392,7 @@ def file_tree(tree, n, sender, me, relayer, payload, round_):
         if payload.level != level:
             return  # a late / early report is dropped whole
         paths = [p for p in paths_of_length(n, sender, level) if relayer not in p]
-        items = list(zip(paths, payload.values()))
+        items = list(zip(paths, rle_values(payload)))
     else:
         items = payload
     for path, value in items:
@@ -438,7 +443,8 @@ def assert_same_reads(store, other, me):
             reads.append([repr(codes.values[c]) for c in held.level_codes(level, codes.code)])
         assert reads[0] == reads[1]
         if level <= t:
-            assert encode_report(store, me, level) == encode_report(other, me, level)
+            mine, theirs = encode_report(store, me, level), encode_report(other, me, level)
+            assert (mine and mine.wire_tuple()) == (theirs and theirs.wire_tuple())
     assert repr(store.resolve(me)) == repr(other.resolve(me))
 
 
@@ -451,7 +457,7 @@ def assert_store_matches_tree(store, tree, n, t, sender, default, me):
         assert [repr(store.get(p)) for p in visible] == [repr(v) for v in held]
         if level <= t:
             report = encode_report(store, me, level)
-            assert [repr(v) for v in report.values()] == [repr(v) for v in held]
+            assert [repr(v) for v in rle_values(report)] == [repr(v) for v in held]
             assert report.dense_byte_size() == byte_size(
                 (OM_REPORT, tuple(zip(visible, held)))
             )

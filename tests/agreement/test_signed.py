@@ -7,9 +7,15 @@ import pytest
 from repro.agreement import DEFAULT_VALUE, evaluate_ba, make_signed_agreement_protocols
 from repro.agreement.signed import SM_MSG
 from repro.analysis import sm_messages
-from repro.auth import trusted_dealer_setup
+from repro.auth import run_key_distribution, trusted_dealer_setup
 from repro.crypto import extend_chain, sign_leaf
-from repro.faults import ScriptedProtocol, SilentProtocol
+from repro.faults import (
+    AdversaryCoordination,
+    MixedPredicateAttack,
+    ScriptedProtocol,
+    SilentProtocol,
+)
+from repro.fd import evaluate_fd, make_chain_fd_protocols
 from repro.sim import run_protocols
 
 
@@ -128,3 +134,58 @@ class TestChainDiscipline:
         per_node_cap = 2 * (n - 2)
         for node in range(1, n):
             assert result.metrics.messages_per_sender[node] <= per_node_cap
+
+
+class TestAuthenticationDegradation:
+    """SM-style agreement under *attacked* local authentication silently
+    splits; chain FD discovers.  The contrast the paper's future-work
+    paragraph is about."""
+
+    N, T = 7, 2
+
+    def _attacked_keydist(self, seed=21):
+        coordination = AdversaryCoordination()
+        group_one = {1, 2, 3}  # these nodes receive predicate 'p' for node 0
+        adversaries = {
+            0: MixedPredicateAttack(coordination, group_one, "p", "q")
+        }
+        kd = run_key_distribution(self.N, adversaries=adversaries, seed=seed)
+        return kd, coordination, group_one
+
+    def test_sm_under_attacked_local_auth_splits_silently(self):
+        """The faulty sender signs with key 'p': the group bound to 'p'
+        decides the value, everyone else decides the default — agreement
+        broken, nothing discovered."""
+        kd, coordination, group_one = self._attacked_keydist()
+        key_p = coordination.known_keypairs()["p"]
+        leaf = sign_leaf(key_p.secret, "split")
+        script = {0: [(p, (SM_MSG, leaf)) for p in range(1, self.N)]}
+        adversaries = {0: ScriptedProtocol(script, halt_after=4)}
+        protocols = make_signed_agreement_protocols(
+            self.N, self.T, None, kd.keypairs, kd.directories, adversaries=adversaries
+        )
+        result = run_protocols(protocols, seed=1)
+        evaluation = evaluate_ba(result, set(range(1, self.N)), 0, None)
+        assert not evaluation.agreement          # the split happened
+        decisions = result.decisions()
+        assert decisions[1] == "split"           # the bound group
+        assert decisions[4] == DEFAULT_VALUE     # the unbound group
+
+    def test_chain_fd_discovers_the_same_corruption(self):
+        """Same corrupted directories, same signing key, but the FD chain
+        protocol turns the inconsistency into a discovery (Theorem 4) —
+        the reason FD is the right problem for local authentication."""
+        from repro.faults.fdattacks import EquivocatingSender
+
+        kd, coordination, group_one = self._attacked_keydist()
+        key_p = coordination.known_keypairs()["p"]
+        adversaries = {
+            0: EquivocatingSender(key_p, {1: "split"})
+        }
+        protocols = make_chain_fd_protocols(
+            self.N, self.T, None, kd.keypairs, kd.directories, adversaries=adversaries
+        )
+        result = run_protocols(protocols, seed=1)
+        evaluation = evaluate_fd(result, set(range(1, self.N)), 0, None)
+        assert evaluation.ok
+        assert evaluation.any_discovery

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from repro.analysis import experiments
+from repro.analysis import complexity, experiments
 from repro.analysis.experiments import (
     ExperimentTable,
     e1_keydist,
@@ -60,6 +60,14 @@ class TestIndividualExperiments:
         table = e8_rounds(sizes=(8,))
         assert table.ok
         assert table.rows[0][2:5] == (3, 3, 2)
+
+    @pytest.mark.parametrize(
+        "closed_form", ["keydist_rounds", "fd_auth_rounds", "fd_nonauth_rounds"]
+    )
+    def test_e8_predictions_come_from_the_closed_forms(self, closed_form, monkeypatch):
+        formula = getattr(complexity, closed_form)
+        monkeypatch.setattr(complexity, closed_form, lambda *args: formula(*args) + 1)
+        assert not e8_rounds(sizes=(8,)).ok
 
     def test_e11_boundary_row(self):
         table = e11_keydist_methods(shapes=((4, 1),))

@@ -8,13 +8,11 @@ from repro.analysis import keydist_messages, keydist_rounds
 from repro.auth import run_key_distribution
 from repro.auth.local import CHALLENGE, KEY_DISTRIBUTION_ROUNDS, OUTPUT_ANOMALIES
 from repro.errors import ConfigurationError
-from repro.faults import (
-    ClaimForeignPredicateAttack,
-    ScriptedProtocol,
-    SilentProtocol,
-)
+from repro.faults import ScriptedProtocol, SilentProtocol
 from repro.sim import node_rng
 from repro.crypto import DEFAULT_SCHEME, get_scheme
+
+from .._attacks import ClaimForeignPredicateAttack
 
 
 class TestHonestRuns:
@@ -42,8 +40,8 @@ class TestHonestRuns:
     def test_directories_include_own_predicate(self):
         result = run_key_distribution(4, seed=2)
         for node in range(4):
-            assert result.directories[node].predicate_for(node) == (
-                result.keypairs[node].predicate
+            assert result.directories[node].predicates_for(node) == (
+                result.keypairs[node].predicate,
             )
 
     def test_no_anomalies_in_honest_run(self):

@@ -21,8 +21,10 @@ from repro.crypto import (
 )
 from repro.crypto.keys import TestPredicate
 from repro.crypto.signing import garble_signature
-from repro.crypto.simulated import SimulatedScheme, forge_signature
+from repro.crypto.simulated import SimulatedScheme
 from repro.errors import SigningError, UnknownSchemeError
+
+from .._attacks import forge_signature
 
 ALL_SCHEMES = ["rsa-512", "schnorr-512", "simulated-hmac"]
 

@@ -5,15 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.auth import trusted_dealer_setup
-from repro.faults import (
-    DelayedRelayChainNode,
-    EquivocatingSender,
-    FabricatingChainNode,
-    ImpersonatingChainNode,
-    duplicating_chain_node,
-)
+from repro.faults import EquivocatingSender, FabricatingChainNode, ImpersonatingChainNode
 from repro.fd import ChainFDProtocol, evaluate_fd, make_chain_fd_protocols
 from repro.sim import run_protocols
+
+from .._attacks import DelayedRelayChainNode, duplicating_chain_node
 
 N, T = 7, 2
 

@@ -15,13 +15,14 @@ from repro.faults import (
     FabricatingChainNode,
     ScriptedProtocol,
     SilentProtocol,
-    duplicating_chain_node,
     garbling_chain_node,
     withholding_chain_node,
 )
 from repro.fd import ChainFDProtocol, evaluate_fd, make_chain_fd_protocols
 from repro.fd.authenticated import CHAIN_MSG, expected_signers_at
 from repro.sim import run_protocols
+
+from .._attacks import duplicating_chain_node
 
 
 @pytest.fixture(scope="module")

@@ -25,7 +25,6 @@ from repro.faults import (
     FabricatingChainNode,
     ScriptedProtocol,
     SilentProtocol,
-    duplicating_chain_node,
     garbling_chain_node,
     withholding_chain_node,
 )
@@ -38,6 +37,8 @@ from repro.fd import (
     make_small_range_protocols,
 )
 from repro.sim import run_protocols
+
+from .._attacks import duplicating_chain_node
 
 N, T = 7, 2
 

@@ -6,12 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.auth import trusted_dealer_setup
-from repro.faults import (
-    DelayedRelayChainNode,
-    SilentProtocol,
-    garbling_chain_node,
-    withholding_chain_node,
-)
+from repro.faults import SilentProtocol, garbling_chain_node, withholding_chain_node
 from repro.fd import (
     certify_protocol,
     judge_run,
@@ -20,6 +15,8 @@ from repro.fd import (
     reference_views,
 )
 from repro.sim import run_protocols
+
+from .._attacks import DelayedRelayChainNode
 
 N, T = 7, 2
 KEYPAIRS, DIRECTORIES = trusted_dealer_setup(N, seed="oracle")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.agreement import (
-    make_degradable_protocols,
     make_extended_protocols,
     make_oral_agreement_protocols,
     make_signed_agreement_protocols,
@@ -37,8 +36,8 @@ class TestSetupAuthentication:
         assert kd is None
         for observer in range(5):
             for subject in range(5):
-                assert directories[observer].predicate_for(subject) == (
-                    keypairs[subject].predicate
+                assert directories[observer].predicates_for(subject) == (
+                    keypairs[subject].predicate,
                 )
 
     def test_local_returns_kd_result(self):
@@ -212,14 +211,13 @@ FACTORIES = [
     (make_small_range_protocols, 0, (1,), True),
     (make_signed_agreement_protocols, 1, ("v",), True),
     (make_extended_protocols, 1, ("v",), True),
-    (make_degradable_protocols, 1, (1, "v"), True),
     (make_echo_fd_protocols, 1, ("v",), False),
     (make_oral_agreement_protocols, 1, ("v",), False),
 ]
 
 
 class TestProtocolAssembly:
-    """The nine protocol factories share one assembly contract."""
+    """The eight protocol factories share one assembly contract."""
 
     N = 5
 

@@ -249,10 +249,10 @@ class Receipts(Protocol):
         self._until = until
 
     def on_round(self, ctx, inbox):
-        self._log.extend((ctx.node, ctx.tick, env.sender) for env in inbox)
-        if ctx.tick == self._at and ctx.node == 0:
+        self._log.extend((ctx.node, ctx.round, env.sender) for env in inbox)
+        if ctx.round == self._at and ctx.node == 0:
             self._send(ctx)
-        if ctx.tick == self._until:
+        if ctx.round == self._until:
             ctx.halt()
 
 
@@ -270,7 +270,7 @@ class TestCausality:
 
         class Sender(Protocol):
             def on_round(self, ctx, inbox):
-                if ctx.tick == 2:
+                if ctx.round == 2:
                     if ctx.node == 0:
                         send(ctx)
                     ctx.halt()
@@ -378,7 +378,7 @@ class TestActivationApi:
 
         class Rounder(Protocol):
             def on_round(self, ctx, inbox):
-                calls.append(("round", ctx.tick))
+                calls.append(("round", ctx.round))
                 ctx.halt()
 
         run_protocols([Rounder(), Rounder()])
@@ -387,7 +387,6 @@ class TestActivationApi:
     def test_on_activate_override_bypasses_on_round(self):
         class TickAware(Protocol):
             def on_activate(self, ctx, inbox):
-                assert ctx.tick == ctx.round
                 ctx.halt()
 
             def on_round(self, ctx, inbox):  # pragma: no cover
@@ -397,16 +396,20 @@ class TestActivationApi:
         assert result.rounds_executed == 1
 
     def test_context_exposes_single_time_source(self):
-        ticks = []
+        rounds = []
 
         class Reader(Protocol):
             def on_round(self, ctx, inbox):
-                ticks.append((ctx.round, ctx.tick))
+                rounds.append(ctx.round)
                 if ctx.round >= 2:
                     ctx.halt()
 
-        run_protocols([Reader(), Reader()])
-        assert all(r == t for r, t in ticks)
+        kernel = EventKernel([Reader(), Reader()])
+        result = kernel.run()
+        # The contexts' round is the kernel tick: every node reads the
+        # same counter, and it ends where the kernel's tick does.
+        assert rounds == [0, 0, 1, 1, 2, 2]
+        assert kernel.tick == result.rounds_executed == max(rounds) + 1
 
 
 class TestTraceTransitionsUnderSkew:
@@ -520,11 +523,11 @@ class TestRunnerFacade:
                 ctx.halt()
 
         kernel = EventKernel([Halter(), Halter()])
-        assert isinstance(kernel.delivery, SynchronousRounds)
+        assert isinstance(kernel._delivery, SynchronousRounds)
         result = kernel.run()
-        # One source of truth: the contexts' round, the kernel's tick and
-        # the result's rounds_executed are the same counter.
-        assert kernel.round == kernel.tick == result.rounds_executed == 1
+        # One source of truth: the kernel's tick and the result's
+        # rounds_executed are the same counter.
+        assert kernel.tick == result.rounds_executed == 1
 
 
 # -- the logical send ---------------------------------------------------------
@@ -559,7 +562,7 @@ class Fan(Protocol):
         self.inboxes = []
 
     def on_round(self, ctx, inbox):
-        self.inboxes.append((ctx.tick, [tuple(envelope) for envelope in inbox]))
+        self.inboxes.append((ctx.round, [tuple(envelope) for envelope in inbox]))
         fan_out = self.script[ctx.round][ctx.node]
         payload = ("fan", ctx.round, ctx.node)
         to = fan_out

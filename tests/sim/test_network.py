@@ -322,7 +322,7 @@ class TestAdversarialOrder:
         class Spy(Protocol):
             def on_round(self, ctx, inbox):
                 observed.extend(
-                    (ctx.tick, env.payload[2]) for env in inbox
+                    (ctx.round, env.payload[2]) for env in inbox
                 )
                 if ctx.round >= 2:
                     ctx.halt()
@@ -341,7 +341,7 @@ class TestAdversarialOrder:
         class Talker(Protocol):
             def on_round(self, ctx, inbox):
                 arrivals.extend(
-                    (ctx.tick, env.round_sent) for env in inbox
+                    (ctx.round, env.round_sent) for env in inbox
                 )
                 if ctx.round < 2:
                     ctx.broadcast(("say", ctx.node, ctx.round))
@@ -366,7 +366,7 @@ class _Chatter(Protocol):
 
     def on_round(self, ctx, inbox):
         self.log.extend(
-            (ctx.tick, ctx.node, env.sender, env.payload) for env in inbox
+            (ctx.round, ctx.node, env.sender, env.payload) for env in inbox
         )
         if ctx.round < self._rounds:
             ctx.broadcast(("say", ctx.node, ctx.round))
@@ -540,7 +540,7 @@ class TestCrashRecovery:
 
         class Receiver(Protocol):
             def on_round(self, ctx, inbox):
-                seen.extend((ctx.tick, env.sender, env.payload) for env in inbox)
+                seen.extend((ctx.round, env.sender, env.payload) for env in inbox)
                 if ctx.round >= 4:
                     ctx.halt()
 

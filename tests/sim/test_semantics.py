@@ -233,4 +233,4 @@ class TestRunResult:
                 ctx.halt()
 
         result = run_protocols([Producer(), Producer()])
-        assert result.outputs("thing") == {0: 0, 1: 10}
+        assert {s.node: s.outputs["thing"] for s in result.states} == {0: 0, 1: 10}

@@ -83,6 +83,21 @@ class TestAmortize:
         out = capsys.readouterr().out
         assert "crossover: measured 13, closed form 13" in out
 
+    def test_one_run_is_the_smallest_ledger(self, capsys):
+        assert main(
+            ["amortize", "--n", "8", "--t", "2", "--runs", "1",
+             "--scheme", "simulated-hmac"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "crossover: measured None, closed form 13" in out
+
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_non_positive_runs_exit_2_naming_the_flag(self, runs, capsys):
+        assert main(["amortize", "--n", "8", "--t", "2", "--runs", runs]) == 2
+        captured = capsys.readouterr()
+        assert "--runs" in captured.err
+        assert captured.out == ""
+
 
 class TestAttack:
     def test_list(self, capsys):

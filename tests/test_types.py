@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.types import (
     default_fault_budget,
-    other_nodes,
     validate_fault_budget,
     validate_node_count,
-    validate_node_id,
 )
 
 
@@ -32,21 +30,6 @@ class TestNodeCount:
             validate_node_count(n)
 
 
-class TestNodeId:
-    def test_valid_range(self):
-        validate_node_id(0, 4)
-        validate_node_id(3, 4)
-
-    @pytest.mark.parametrize("node", [-1, 4, 100])
-    def test_out_of_range(self, node):
-        with pytest.raises(ConfigurationError):
-            validate_node_id(node, 4)
-
-    def test_bool_rejected(self):
-        with pytest.raises(ConfigurationError):
-            validate_node_id(True, 4)
-
-
 class TestFaultBudget:
     def test_bounds(self):
         validate_fault_budget(0, 2)
@@ -63,11 +46,3 @@ class TestFaultBudget:
         validate_fault_budget(t, n)
         assert t == (n - 1) // 3
 
-
-class TestEnumeration:
-    def test_other_nodes(self):
-        assert other_nodes(1, 4) == [0, 2, 3]
-
-    def test_other_nodes_validates(self):
-        with pytest.raises(ConfigurationError):
-            other_nodes(5, 4)
