@@ -279,7 +279,7 @@ def _cli_runs() -> list[list[str]]:
     for scenario in attack_catalogue(N, T):
         runs.append(["attack", *size, "--name", scenario.name])
     for protocol in ("smallrange", "smallrange-optimistic"):
-        runs.append(["fd", "--n", str(N), "--t", "0", "--protocol", protocol, "--value", "1"])
+        runs.append(["fd", "--n", str(N), "--t", "0", "--protocol", protocol])
     if set(WORKLOAD_POINTS) != set(WORKLOADS):
         raise SystemExit(f"WORKLOAD_POINTS must name every workload: {sorted(WORKLOADS)}")
     for name, params in WORKLOAD_POINTS.items():

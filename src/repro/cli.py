@@ -17,12 +17,16 @@ Installed as the ``repro-fd`` console script::
     repro-fd formulas --n 16 --t 5              # every complexity claim
     repro-fd list-workloads                     # the sweep registry
     repro-fd run --workload oral --param n=7 --param t=2
-    repro-fd run --workload e12-fd --param delivery=rush \\
-        --param faulty=1 --trace                # dump the event log
+    repro-fd run --workload e12-fd --param n=7 --param t=2 \\
+        --param delivery=rush --param faulty=1 --trace  # dump the event log
 
-Every command prints the measured counts next to the paper's formula and
-exits non-zero if any FD/BA condition is violated, so the CLI can serve
-as a smoke-check in automation.
+``keydist``, ``fd``, ``ba`` and ``attack --name`` are aliases of ``run
+--workload keydist|fd|ba|e6-scenario``: their flags become the
+workload's params, and they print the same key/value table of measured
+counts (``formulas`` prints the paper's closed forms).  A run exits 1
+when its workload's verdict key reads False (an FD/BA condition
+violated, a count off the paper's), so the CLI can serve as a
+smoke-check in automation.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .analysis import (
     crossover_runs,
@@ -44,18 +48,11 @@ from .analysis import (
     render_table,
     sm_messages,
 )
-from .auth import run_key_distribution
 from .crypto import DEFAULT_SCHEME, available_schemes
 from .errors import ConfigurationError
-from .harness import (
-    GLOBAL,
-    LOCAL,
-    AmortizedSession,
-    attack_catalogue,
-    run_ba_scenario,
-    run_fd_scenario,
-)
+from .harness import GLOBAL, LOCAL, AmortizedSession, attack_catalogue, get_workload
 from .harness.runner import FD_PROTOCOLS
+from .harness.workloads import WORKLOADS
 from .sim import clear_checkpoint_policy, observed_state, set_checkpoint_policy
 
 
@@ -90,22 +87,6 @@ def _add_adversary(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _shown_delivery(args: argparse.Namespace) -> str:
-    """The delivery spec a run will actually use, for table rendering:
-    the explicit ``--delivery``, else the adversary spec's delivery
-    power, else the synchronous default."""
-    if getattr(args, "delivery", None) is not None:
-        return args.delivery
-    adversary = getattr(args, "adversary", None)
-    if adversary is not None:
-        from .faults import make_adversary
-
-        spec = make_adversary(adversary, t=getattr(args, "t", 0))
-        if spec is not None and spec.delivery is not None:
-            return spec.delivery
-    return "sync"
-
-
 def _add_common(parser: argparse.ArgumentParser, with_t: bool = True) -> None:
     parser.add_argument("--n", type=int, default=8, help="network size (default 8)")
     if with_t:
@@ -119,117 +100,6 @@ def _add_common(parser: argparse.ArgumentParser, with_t: bool = True) -> None:
         choices=available_schemes(),
         help=f"signature scheme (default {DEFAULT_SCHEME})",
     )
-
-
-def _cmd_keydist(args: argparse.Namespace) -> int:
-    result = run_key_distribution(
-        args.n, scheme=args.scheme, seed=args.seed, delivery=args.delivery
-    )
-    accepted = all(
-        directory.predicates_for(subject)
-        == (result.keypairs[subject].predicate,)
-        for node, directory in result.directories.items()
-        for subject in result.keypairs
-        if subject != node and subject in result.keypairs
-    )
-    print(
-        render_table(
-            ["quantity", "paper", "measured"],
-            [
-                ["messages", keydist_messages(args.n), result.messages],
-                ["rounds", keydist_rounds(), result.rounds],
-                ["delivery", "sync", _shown_delivery(args)],
-            ],
-            title=f"key distribution (paper Fig. 1), n={args.n}",
-        )
-    )
-    synchronous = _shown_delivery(args) == "sync"
-    ok = (
-        result.messages == keydist_messages(args.n)
-        and result.rounds == keydist_rounds()
-        and synchronous
-    ) or (not synchronous and accepted)
-    print(f"\npredicates accepted everywhere: {accepted}")
-    return 0 if ok else 1
-
-
-def _cmd_fd(args: argparse.Namespace) -> int:
-    outcome = run_fd_scenario(
-        args.n,
-        args.t,
-        args.value,
-        protocol=args.protocol,
-        auth=args.auth,
-        scheme=args.scheme,
-        seed=args.seed,
-        delivery=args.delivery,
-        adversary=args.adversary,
-    )
-    metrics = outcome.run.metrics
-    expected = (
-        fd_auth_messages(args.n)
-        if args.protocol == "chain"
-        else fd_nonauth_messages(args.n, args.t)
-        if args.protocol == "echo"
-        else metrics.messages_total
-    )
-    print(
-        render_table(
-            ["quantity", "value"],
-            [
-                ["protocol", args.protocol],
-                ["authentication", args.auth],
-                ["delivery", _shown_delivery(args)],
-                ["adversary", args.adversary or "-"],
-                [
-                    "committed (adaptive)",
-                    "; ".join(f"{node}={spec}" for node, spec in outcome.committed)
-                    or "-",
-                ],
-                ["messages", metrics.messages_total],
-                ["dropped by network", metrics.drops_total],
-                ["paper formula", expected],
-                ["rounds", metrics.rounds_used],
-                ["keydist messages", outcome.kd.messages if outcome.kd else 0],
-                ["decisions", sorted(set(map(repr, outcome.run.decisions().values())))],
-                ["discoveries", len(outcome.run.discoverers())],
-                ["F1-F3", "ok" if outcome.fd.ok else outcome.fd.detail],
-            ],
-            title=f"failure discovery, n={args.n}, t={args.t}",
-        )
-    )
-    return 0 if outcome.fd.ok else 1
-
-
-def _cmd_ba(args: argparse.Namespace) -> int:
-    outcome = run_ba_scenario(
-        args.n,
-        args.t,
-        args.value,
-        protocol=args.protocol,
-        auth=args.auth,
-        scheme=args.scheme,
-        seed=args.seed,
-        delivery=args.delivery,
-        adversary=args.adversary,
-    )
-    metrics = outcome.run.metrics
-    print(
-        render_table(
-            ["quantity", "value"],
-            [
-                ["protocol", args.protocol],
-                ["delivery", _shown_delivery(args)],
-                ["adversary", args.adversary or "-"],
-                ["messages", metrics.messages_total],
-                ["SM(t) direct would cost", sm_messages(args.n, args.t)],
-                ["rounds", metrics.rounds_used],
-                ["agreement/validity", "ok" if outcome.ba.ok else outcome.ba.detail],
-            ],
-            title=f"byzantine agreement, n={args.n}, t={args.t}",
-        )
-    )
-    return 0 if outcome.ba.ok else 1
 
 
 def _cmd_amortize(args: argparse.Namespace) -> int:
@@ -268,59 +138,19 @@ def _cmd_amortize(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
-    catalogue = attack_catalogue(args.n, args.t)
-    if args.list:
-        print(
-            render_table(
-                ["name", "faulty nodes", "expects discovery", "description"],
-                [
-                    [s.name, sorted(s.faulty), s.expects_discovery, s.description]
-                    for s in catalogue
-                ],
-                title="attack catalogue (paper section 3.2 + Fig. 2 checks)",
-            )
-        )
-        return 0
-    by_name = {s.name: s for s in catalogue}
-    if args.name not in by_name:
-        print(f"unknown attack {args.name!r}; try --list", file=sys.stderr)
-        return 2
-    scenario = by_name[args.name]
-    outcome = run_fd_scenario(
-        args.n,
-        args.t,
-        args.value,
-        auth=LOCAL,
-        scheme=args.scheme,
-        seed=args.seed,
-        kd_adversaries=scenario.kd_adversaries(),
-        adversary=scenario.adversary,
-        faulty=scenario.faulty,
-        delivery=args.delivery,
-    )
-    discoverers = [
-        s.node for s in outcome.run.states
-        if s.node in outcome.correct and s.discovered_failure
-    ]
+    if not args.list:
+        return _cmd_alias("e6-scenario", args)
     print(
         render_table(
-            ["quantity", "value"],
+            ["name", "faulty nodes", "expects discovery", "description"],
             [
-                ["scenario", scenario.name],
-                ["faulty nodes", sorted(scenario.faulty)],
-                ["F1-F3", "ok" if outcome.fd.ok else outcome.fd.detail],
-                ["discovery", outcome.fd.any_discovery],
-                ["theorem predicts discovery", scenario.expects_discovery],
-                ["discoverers", discoverers],
+                [s.name, sorted(s.faulty), s.expects_discovery, s.description]
+                for s in attack_catalogue(args.n, args.t)
             ],
-            title=f"attack run, n={args.n}, t={args.t}",
+            title="attack catalogue (paper section 3.2 + Fig. 2 checks)",
         )
     )
-    ok = (
-        outcome.fd.ok
-        and outcome.fd.any_discovery == scenario.expects_discovery
-    )
-    return 0 if ok else 1
+    return 0
 
 
 def _cmd_formulas(args: argparse.Namespace) -> int:
@@ -346,8 +176,6 @@ def _cmd_formulas(args: argparse.Namespace) -> int:
 
 
 def _cmd_list_workloads(args: argparse.Namespace) -> int:
-    from .harness.workloads import WORKLOADS
-
     rows = [
         [name, entry.suite, ",".join(entry.deliveries)]
         for name, entry in sorted(WORKLOADS.items())
@@ -389,15 +217,57 @@ def _parse_workload_params(raw: Sequence[str]) -> dict[str, object]:
     return params
 
 
+def _run(name: str, params: dict[str, object], footer: Callable[[], None] | None = None) -> int:
+    """Run one registry workload and print its record as a key/value
+    table, then its event log if it returned one, then ``footer()``.
+
+    Returns the exit code: 2 on a :class:`ConfigurationError` (an
+    infeasible ``(n, t)``, a malformed spec), 1 on a parameter the
+    workload does not take or when the entry's verdict key reads False,
+    else 0.
+    """
+    fn = get_workload(name)
+    try:
+        result = fn(**params)
+    except (ConfigurationError, TypeError, ValueError) as exc:
+        # Message + nonzero exit, no traceback: the CLI doubles as an
+        # automation smoke-check.
+        print(f"workload {name}: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ConfigurationError) else 1
+    if not isinstance(result, dict):  # a checkpoint_at prefix snapshot
+        print(result)
+    else:
+        trace_dump = result.pop("trace", None)
+        print(render_table(["key", "value"], list(map(list, result.items())),
+                           title=f"workload {name}"))
+        if trace_dump is not None:
+            print(f"\nstructured event log:\n{trace_dump}")
+    if footer is not None:
+        footer()
+    verdict = WORKLOADS[name].verdict
+    return 1 if verdict is not None and not result[verdict] else 0
+
+
+def _cmd_alias(workload: str, args: argparse.Namespace) -> int:
+    """A scenario subcommand as ``run --workload``: each flag given (or
+    defaulted) becomes a param, its value coerced as ``--param`` values
+    are; ``attack --name`` is ``e6-scenario``'s ``scenario``."""
+    params = {
+        "scenario" if key == "name" else key: (
+            _coerce(value) if isinstance(value, str) else value
+        )
+        for key, value in vars(args).items()
+        if key not in ("command", "func", "list") and value is not None
+    }
+    return _run(workload, params)
+
+
 def _cmd_run_workload(args: argparse.Namespace) -> int:
     import inspect
 
-    from .harness import get_workload
-
-    fn = get_workload(args.workload)
     params = _parse_workload_params(args.param)
     if args.trace:
-        if "trace" not in inspect.signature(fn).parameters:
+        if "trace" not in inspect.signature(get_workload(args.workload)).parameters:
             print(
                 f"workload {args.workload} does not support --trace "
                 "(no 'trace' parameter)",
@@ -405,7 +275,7 @@ def _cmd_run_workload(args: argparse.Namespace) -> int:
             )
             return 2
         params["trace"] = True
-    policy = None
+    policy = footer = None
     if args.checkpoint_every is not None or args.checkpoint_dir is not None:
         # Fail fast on half-configured checkpointing: a run that looked
         # checkpointed but wrote nothing is worse than an error.
@@ -427,42 +297,21 @@ def _cmd_run_workload(args: argparse.Namespace) -> int:
         policy = set_checkpoint_policy(
             args.checkpoint_every, functools.partial(_write_recipe, args, written)
         )
+
+        def footer() -> None:
+            for path in written:
+                print(f"checkpoint written: {path}")
+            if not written:
+                print(
+                    "no checkpoints written (run finished before the first "
+                    f"multiple of {policy.every} ticks)"
+                )
+
     try:
-        result = fn(**params)
-    except (ConfigurationError, TypeError, ValueError) as exc:
-        # Bad parameter names or infeasible (n, t) combinations: report
-        # like every other subcommand — message + nonzero exit, no
-        # traceback (the CLI doubles as an automation smoke-check).
-        print(f"workload {args.workload}: {exc}", file=sys.stderr)
-        return 1
+        return _run(args.workload, params, footer)
     finally:
         if policy is not None:
             clear_checkpoint_policy()
-    trace_dump = None
-    if isinstance(result, dict):
-        trace_dump = result.pop("trace", None)
-    if isinstance(result, dict) and all(isinstance(k, str) for k in result):
-        print(
-            render_table(
-                ["key", "value"],
-                [[key, value] for key, value in result.items()],
-                title=f"workload {args.workload}",
-            )
-        )
-    else:
-        print(result)
-    if trace_dump is not None:
-        print("\nstructured event log:")
-        print(trace_dump)
-    if policy is not None:
-        for path in written:
-            print(f"checkpoint written: {path}")
-        if not written:
-            print(
-                "no checkpoints written (run finished before the first "
-                f"multiple of {policy.every} ticks)"
-            )
-    return 0
 
 
 # -- checkpoint recipes: a run is a pure function of its params and seed,
@@ -555,11 +404,12 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         return 2
     finally:
         clear_checkpoint_policy()
-    if status == 0 and not reached:
+    if status == 2:
+        return status
+    if not reached:
         print(f"replay never reached {where}", file=sys.stderr)
         return 2
-    if status == 0:
-        print(f"\nreplay matched {where}")
+    print(f"\nreplay matched {where}")
     return status
 
 
@@ -594,25 +444,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("keydist", help="run the key distribution protocol (Fig. 1)")
     _add_common(p, with_t=False)
     _add_delivery(p)
-    p.set_defaults(func=_cmd_keydist)
+    p.set_defaults(func=functools.partial(_cmd_alias, "keydist"))
 
     p = sub.add_parser("fd", help="run a failure discovery protocol (Fig. 2)")
     _add_common(p)
     p.add_argument("--protocol", default="chain", choices=list(FD_PROTOCOLS))
     p.add_argument("--auth", default=GLOBAL, choices=[GLOBAL, LOCAL])
-    p.add_argument("--value", default="demo-value", type=_coerce)
+    p.add_argument("--value")
     _add_delivery(p)
     _add_adversary(p)
-    p.set_defaults(func=_cmd_fd)
+    p.set_defaults(func=functools.partial(_cmd_alias, "fd"))
 
     p = sub.add_parser("ba", help="run a Byzantine agreement protocol")
     _add_common(p)
     p.add_argument("--protocol", default="extension", choices=["extension", "signed"])
     p.add_argument("--auth", default=GLOBAL, choices=[GLOBAL, LOCAL])
-    p.add_argument("--value", default="demo-value")
+    p.add_argument("--value")
     _add_delivery(p)
     _add_adversary(p)
-    p.set_defaults(func=_cmd_ba)
+    p.set_defaults(func=functools.partial(_cmd_alias, "ba"))
 
     p = sub.add_parser("amortize", help="repeated FD runs: the Summary's ledger")
     _add_common(p)
@@ -624,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--list", action="store_true", help="list scenarios")
     p.add_argument("--name", default="cross-claim-chain")
-    p.add_argument("--value", default="demo-value")
+    p.add_argument("--value")
     _add_delivery(p)
     p.set_defaults(func=_cmd_attack)
 

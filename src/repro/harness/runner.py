@@ -84,6 +84,12 @@ FD_PROTOCOLS: dict[str, Callable[..., list[Protocol]]] = {
     "smallrange-optimistic": partial(make_small_range_protocols, optimistic=True),
 }
 
+#: FD protocol name -> the value a run disseminates when none is given:
+#: the small-range protocols carry one bit, every other protocol any value.
+FD_DEFAULT_VALUE: dict[str, Any] = {
+    name: 1 if name.startswith("smallrange") else "v" for name in FD_PROTOCOLS
+}
+
 #: BA protocol name -> factory, same shape as :data:`FD_PROTOCOLS`.
 BA_PROTOCOLS: dict[str, Callable[..., list[Protocol]]] = {
     "extension": make_extended_protocols,
@@ -115,6 +121,8 @@ class ScenarioOutcome:
     :ivar committed: corruptions an adaptive adversary strategy
         committed online, as ``(node, behaviour-spec)`` pairs in node
         order (empty for static adversaries).
+    :ivar delivery: the delivery spec the run used — the caller's, else
+        the adversary's delivery power; None for the synchronous default.
     """
 
     kd: KeyDistributionResult | None
@@ -123,6 +131,7 @@ class ScenarioOutcome:
     ba: BAEvaluation | None
     correct: set[NodeId]
     committed: tuple[tuple[NodeId, str], ...] = ()
+    delivery: "str | DeliveryModel | None" = None
 
     @property
     def total_messages(self) -> int:
@@ -198,6 +207,7 @@ def _resume(
 def _outcome(
     kernel: EventKernel, run: RunResult, kind: str, value: Any,
     faulty: set[NodeId], kd: KeyDistributionResult | None,
+    delivery: "str | DeliveryModel | None",
 ) -> ScenarioOutcome:
     """Judge a finished run: the one evaluation every entry shares.
 
@@ -215,7 +225,8 @@ def _outcome(
     verdict = evaluate(run, correct, sender=0, sender_value=value)
     fd, ba = (verdict, None) if kind == FD else (None, verdict)
     return ScenarioOutcome(
-        kd=kd, run=run, fd=fd, ba=ba, correct=correct, committed=committed
+        kd=kd, run=run, fd=fd, ba=ba, correct=correct, committed=committed,
+        delivery=delivery,
     )
 
 
@@ -259,7 +270,7 @@ def _run_scenario(
                 "call either captures a prefix or finishes one"
             )
         kernel, faulty, kd = _resume(resume_from, given, delivery, protocol_params)
-        return _outcome(kernel, kernel.run(), kind, value, faulty, kd)
+        return _outcome(kernel, kernel.run(), kind, value, faulty, kd, delivery)
 
     if keys is not None:
         keypairs, directories, kd = keys
@@ -305,7 +316,7 @@ def _run_scenario(
         record_trace=record_trace,
     )
     if checkpoint_at is None:
-        return _outcome(kernel, kernel.run(), kind, value, faulty, kd)
+        return _outcome(kernel, kernel.run(), kind, value, faulty, kd, delivery)
     finished = kernel.run(until_tick=checkpoint_at)
     if finished is not None:
         raise ConfigurationError(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..agreement import make_oral_agreement_protocols
-from ..analysis.complexity import crossover_runs
+from ..analysis.complexity import crossover_runs, keydist_messages, keydist_rounds
 from ..auth import (
     check_g1,
     check_g2,
@@ -39,7 +39,7 @@ from ..errors import ConfigurationError
 from ..faults import AdversarySpec, SilentProtocol, TamperingProtocol, make_adversary
 from ..fd.smallrange import OptimisticBinaryChainProtocol
 from ..sim import KernelSnapshot, run_protocols
-from .runner import GLOBAL, LOCAL, run_ba_scenario, run_fd_scenario
+from .runner import FD_DEFAULT_VALUE, GLOBAL, LOCAL, run_ba_scenario, run_fd_scenario
 from .scenarios import attack_catalogue
 from .session import AmortizedSession
 
@@ -57,11 +57,14 @@ class WorkloadEntry:
     :ivar deliveries: delivery-model spec names the workload supports.
         Workloads without a ``delivery`` parameter run lock-step only
         (``("sync",)``); the E12 sweeps accept any registered spec.
+    :ivar verdict: the result key that judges the run, if any:
+        ``repro-fd run`` exits 1 when it reads False.
     """
 
     fn: Callable[..., dict[str, Any]]
     suite: str
     deliveries: tuple[str, ...]
+    verdict: str | None = None
 
 
 #: name -> registry row.  Populated by :func:`workload`; suite and
@@ -70,7 +73,8 @@ WORKLOADS: dict[str, WorkloadEntry] = {}
 
 
 def workload(
-    name: str, suite: str = "-", deliveries: tuple[str, ...] = ("sync",)
+    name: str, suite: str = "-", deliveries: tuple[str, ...] = ("sync",),
+    verdict: str | None = None,
 ) -> Callable[[Callable], Callable]:
     """Register a point function under a stable sweep name.
 
@@ -79,12 +83,14 @@ def workload(
     :param deliveries: delivery-model spec names the workload supports
         (most are lock-step only; the E12 sweeps take a ``delivery``
         parameter and accept any registered spec).
+    :param verdict: the result key that judges a run (see
+        :class:`WorkloadEntry`).
     """
 
     def register(fn: Callable) -> Callable:
         if name in WORKLOADS:
             raise ConfigurationError(f"workload {name!r} registered twice")
-        WORKLOADS[name] = WorkloadEntry(fn, suite, tuple(deliveries))
+        WORKLOADS[name] = WorkloadEntry(fn, suite, tuple(deliveries), verdict)
         return fn
 
     return register
@@ -111,14 +117,40 @@ def get_workload(fn: str | Callable) -> Callable:
         ) from None
 
 
-@workload("keydist", suite="E1/E8/regress")
-def keydist_point(n: int, seed: int | str = 0, scheme: str = COUNT_SCHEME) -> dict[str, Any]:
-    """One key-distribution run (paper Fig. 1): message/round counts."""
-    kd = run_key_distribution(n, scheme=scheme, seed=seed)
-    return {"n": n, "messages": kd.messages, "rounds": kd.rounds}
+#: Every registered delivery model: the scenario points pass ``delivery``
+#: straight to the runner.
+ANY_DELIVERY = ("sync", "bounded", "loss", "partition", "rush")
 
 
-@workload("fd", suite="E2/E3/E5/E10/regress")
+@workload("keydist", suite="E1/E8/regress", deliveries=ANY_DELIVERY, verdict="keydist_ok")
+def keydist_point(
+    n: int, seed: int | str = 0, scheme: str = COUNT_SCHEME, delivery: "str | None" = None
+) -> dict[str, Any]:
+    """One key-distribution run (paper Fig. 1): message/round counts.
+
+    ``keydist_ok`` is the paper's claim under ``sync`` (3n(n-1) messages
+    in 3 rounds) and, under any other delivery, ``accepted``: every node
+    holds exactly every other node's genuine predicate.
+    """
+    kd = run_key_distribution(n, scheme=scheme, seed=seed, delivery=delivery)
+    accepted = all(
+        directory.predicates_for(subject) == (kd.keypairs[subject].predicate,)
+        for node, directory in kd.directories.items()
+        for subject in kd.keypairs
+        if subject != node
+    )
+    paper = kd.messages == keydist_messages(n) and kd.rounds == keydist_rounds()
+    return {
+        "n": n,
+        "delivery": delivery or "sync",
+        "messages": kd.messages,
+        "rounds": kd.rounds,
+        "accepted": accepted,
+        "keydist_ok": paper if delivery in (None, "sync") else accepted,
+    }
+
+
+@workload("fd", suite="E2/E3/E5/E10/regress", deliveries=ANY_DELIVERY, verdict="fd_ok")
 def fd_point(
     n: int,
     t: int,
@@ -126,32 +158,50 @@ def fd_point(
     protocol: str = "chain",
     auth: str = GLOBAL,
     scheme: str = COUNT_SCHEME,
-    value: Any = "v",
+    value: Any = None,
+    delivery: "str | None" = None,
+    adversary: "str | None" = None,
 ) -> dict[str, Any]:
     """One failure-discovery scenario: rounds/messages/bytes plus verdicts.
 
     ``total_messages`` adds the key distribution under ``auth="local"``
     (E10 reads ``total_messages - messages`` as its cost); ``value`` is
-    the disseminated value (E5's binary ``smallrange`` runs send 0 or 1).
+    the disseminated value (E5's binary ``smallrange`` runs send 0 or 1),
+    by default the protocol's :data:`~repro.harness.runner.FD_DEFAULT_VALUE`.
+    ``committed`` lists an adaptive adversary's online corruptions as an
+    adversary spec.
     """
+    if value is None:
+        value = FD_DEFAULT_VALUE.get(protocol)  # the runner names an unknown protocol
     outcome = run_fd_scenario(
-        n, t, value, protocol=protocol, auth=auth, scheme=scheme, seed=seed
+        n, t, value, protocol=protocol, auth=auth, scheme=scheme, seed=seed,
+        delivery=delivery, adversary=adversary,
     )
-    metrics = outcome.run.metrics
+    run = outcome.run
+    metrics = run.metrics
     return {
         "n": n,
         "t": t,
         "protocol": protocol,
+        "auth": auth,
+        "delivery": outcome.delivery or "sync",
+        "adversary": adversary,
+        "committed": ";".join(f"{node}={spec}" for node, spec in outcome.committed) or None,
         "rounds": metrics.rounds_used,
         "messages": metrics.messages_total,
+        "drops": metrics.drops_total,
         "bytes": metrics.bytes_total,
+        "keydist_messages": outcome.kd.messages if outcome.kd else 0,
         "total_messages": outcome.total_messages,
-        "all_decided": all(s.decided for s in outcome.run.states),
+        "decisions": sorted(set(map(repr, run.decisions().values()))),
+        "discoveries": len(run.discoverers()),
+        "all_decided": all(s.decided for s in run.states),
         "fd_ok": outcome.fd.ok,
+        "fd_detail": outcome.fd.detail,
     }
 
 
-@workload("ba", suite="E7/regress")
+@workload("ba", suite="E7/regress", deliveries=ANY_DELIVERY, verdict="ba_ok")
 def ba_point(
     n: int,
     t: int,
@@ -160,6 +210,8 @@ def ba_point(
     auth: str = GLOBAL,
     scheme: str = COUNT_SCHEME,
     adversary: "str | None" = None,
+    value: Any = "v",
+    delivery: "str | None" = None,
 ) -> dict[str, Any]:
     """One Byzantine-agreement scenario: counts plus the BA verdict.
 
@@ -168,19 +220,22 @@ def ba_point(
     fallback with ``"1=silent"``, a crashed chain node.
     """
     outcome = run_ba_scenario(
-        n, t, "v", protocol=protocol, auth=auth, scheme=scheme, seed=seed,
-        adversary=adversary,
+        n, t, value, protocol=protocol, auth=auth, scheme=scheme, seed=seed,
+        adversary=adversary, delivery=delivery,
     )
     metrics = outcome.run.metrics
     return {
         "n": n,
         "t": t,
         "protocol": protocol,
+        "delivery": outcome.delivery or "sync",
+        "adversary": adversary,
         "rounds": metrics.rounds_used,
         "messages": metrics.messages_total,
         "bytes": metrics.bytes_total,
         "agreement": outcome.ba.agreement,
         "ba_ok": outcome.ba.ok,
+        "ba_detail": outcome.ba.detail,
     }
 
 
@@ -262,13 +317,23 @@ def e5_optimistic_point(
     }
 
 
-@workload("e6-scenario", suite="E6")
-def e6_scenario_point(n: int, t: int, scenario: str, seed: int | str = 0) -> dict[str, Any]:
+@workload("e6-scenario", suite="E6", deliveries=ANY_DELIVERY, verdict="scenario_ok")
+def e6_scenario_point(
+    n: int,
+    t: int,
+    scenario: str,
+    seed: int | str = 0,
+    scheme: str = COUNT_SCHEME,
+    value: Any = "v",
+    delivery: "str | None" = None,
+) -> dict[str, Any]:
     """One (attack scenario, seed) cell of the E6 discovery matrix.
 
     The scenario's FD-phase corruption enters through the adversary
     plane (the scenario's deferred ``adversary`` spec factory), so the
     run is budget-checked like every other adversarial run.
+    ``scenario_ok``: F1-F3 hold and discovery is what the theorem
+    predicts.
     """
     match = [s for s in attack_catalogue(n, t) if s.name == scenario]
     if not match:
@@ -277,13 +342,14 @@ def e6_scenario_point(n: int, t: int, scenario: str, seed: int | str = 0) -> dic
     outcome = run_fd_scenario(
         n,
         t,
-        "v",
+        value,
         auth=LOCAL,
-        scheme=COUNT_SCHEME,
+        scheme=scheme,
         seed=seed,
         kd_adversaries=sc.kd_adversaries(),
         adversary=sc.adversary,
         faulty=sc.faulty,
+        delivery=delivery,
     )
     genuine = {
         node: outcome.kd.keypairs[node].predicate for node in outcome.correct
@@ -295,10 +361,14 @@ def e6_scenario_point(n: int, t: int, scenario: str, seed: int | str = 0) -> dic
         "n": n,
         "t": t,
         "scenario": scenario,
+        "faulty": sorted(sc.faulty),
         "expects_discovery": sc.expects_discovery,
         "fd_ok": outcome.fd.ok,
+        "fd_detail": outcome.fd.detail,
         "any_discovery": outcome.fd.any_discovery,
+        "discoverers": [node for node in outcome.run.discoverers() if node in outcome.correct],
         "g12_violations": g12_violations,
+        "scenario_ok": outcome.fd.ok and outcome.fd.any_discovery == sc.expects_discovery,
     }
 
 

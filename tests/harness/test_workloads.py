@@ -73,11 +73,17 @@ class TestRegistry:
             assert entry.suite != "-", name
 
     def test_delivery_metadata(self):
-        """E12/E13 sweeps and the arrival-columned akd points advertise
-        their delivery axes; everything else is lock-step only."""
+        """E12/E13 sweeps, the arrival-columned akd points and the
+        scenario points behind the CLI's subcommands advertise their
+        delivery axes; everything else is lock-step only."""
         degraded = ("sync", "bounded", "loss", "partition")
+        every = (*degraded, "rush")
         expected = {
             "akd": degraded,
+            "keydist": every,
+            "fd": every,
+            "ba": every,
+            "e6-scenario": every,
             "e13-loss": ("loss",),
             "e13-timeout-fd": degraded,
             "e13-partition": ("partition",),

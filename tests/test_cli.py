@@ -4,11 +4,26 @@ from __future__ import annotations
 
 import json
 import pickle
+import shlex
+from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.harness import attack_catalogue
 from repro.harness.runner import FD_PROTOCOLS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _row(out: str, key: str) -> str:
+    """The value column of ``key``'s row in a ``run`` key/value table."""
+    for line in out.splitlines():
+        name, _, value = line.partition(" ")
+        if name == key:
+            return value.strip()
+    raise AssertionError(f"no {key!r} row in:\n{out}")
 
 
 class TestParser:
@@ -34,8 +49,7 @@ class TestFd:
         assert main(
             ["fd", "--n", "6", "--t", "1", "--scheme", "simulated-hmac"]
         ) == 0
-        out = capsys.readouterr().out
-        assert "F1-F3" in out and "ok" in out
+        assert _row(capsys.readouterr().out, "fd_ok") == "True"
 
     def test_chain_local_includes_keydist(self, capsys):
         assert main(
@@ -62,7 +76,19 @@ class TestFd:
             ["fd", "--n", "6", "--t", t, "--protocol", protocol, "--value", "1",
              "--scheme", "simulated-hmac"]
         ) == 0
-        assert "F1-F3                 ok" in capsys.readouterr().out
+        assert _row(capsys.readouterr().out, "fd_ok") == "True"
+
+    @pytest.mark.parametrize("protocol", list(FD_PROTOCOLS))
+    def test_every_protocol_runs_without_a_value(self, protocol, capsys):
+        """No ``--value``: the protocol's own default value, through both
+        the subcommand and ``run`` (``smallrange`` is sound only at t = 0)."""
+        t = "0" if protocol == "smallrange" else "2"
+        assert main(["fd", "--n", "8", "--t", t, "--protocol", protocol]) == 0
+        assert main(
+            ["run", "--workload", "fd", "--param", "n=8", "--param", f"t={t}",
+             "--param", f"protocol={protocol}"]
+        ) == 0
+        capsys.readouterr()
 
 
 class TestBa:
@@ -70,8 +96,7 @@ class TestBa:
         assert main(
             ["ba", "--n", "6", "--t", "1", "--scheme", "simulated-hmac"]
         ) == 0
-        out = capsys.readouterr().out
-        assert "agreement/validity" in out and "ok" in out
+        assert _row(capsys.readouterr().out, "ba_ok") == "True"
 
 
 class TestAmortize:
@@ -163,11 +188,11 @@ class TestRunWorkload:
         assert main(["run", "--workload", "no-such"]) == 2
 
     def test_infeasible_params_exit_1_with_message(self, capsys):
-        """Workload-level errors print like every other subcommand —
-        message + nonzero exit, no traceback."""
+        """An infeasible ``(n, t)`` is a ConfigurationError: message and
+        exit 2, as from every other command, no traceback."""
         assert main(
             ["run", "--workload", "akd", "--param", "n=6", "--param", "t=2"]
-        ) == 1
+        ) == 2
         err = capsys.readouterr().err
         assert "workload akd" in err and "n > 3t" in err
 
@@ -411,8 +436,7 @@ class TestAdversaryKnob:
             ["fd", "--n", "7", "--t", "2", "--scheme", "simulated-hmac",
              "--protocol", "timeout", "--delivery", "loss:0.2"]
         ) == 0
-        out = capsys.readouterr().out
-        assert "dropped by network" in out
+        assert _row(capsys.readouterr().out, "drops").isdigit()
 
     def test_unknown_behaviour_errors(self, capsys):
         assert main(
@@ -459,9 +483,7 @@ class TestAdversaryKnob:
              "--protocol", "timeout", "--seed", "5",
              "--adversary", "adaptive:silence-muffled;delivery=loss:0.3"]
         ) == 0
-        out = capsys.readouterr().out
-        assert "committed (adaptive)" in out
-        assert "=silent" in out
+        assert _row(capsys.readouterr().out, "committed").endswith("=silent")
 
     def test_over_budget_adversary_errors(self, capsys):
         assert main(
@@ -488,6 +510,75 @@ class TestFormulas:
         assert main(["formulas", "--n", "4", "--t", "0"]) == 0
         out = capsys.readouterr().out
         assert "crossover" not in out
+
+
+def _alias_cases() -> list[tuple[list[str], list[str]]]:
+    """(subcommand argv, the ``run`` argv it aliases) at n = 7, t = 2."""
+    hmac = ["--scheme", "simulated-hmac"]
+    size = ["--n", "7", "--t", "2", *hmac]
+    params = ["--param", "n=7", "--param", "t=2", "--param", "scheme=simulated-hmac"]
+    cases = []
+    for protocol in FD_PROTOCOLS:
+        cases.append((["fd", *size, "--protocol", protocol],
+                      ["run", "--workload", "fd", *params, "--param", f"protocol={protocol}"]))
+    for protocol in ("extension", "signed"):
+        cases.append((["ba", *size, "--protocol", protocol],
+                      ["run", "--workload", "ba", *params, "--param", f"protocol={protocol}"]))
+    for delivery in ("sync", "bounded:2"):
+        cases.append((["keydist", "--n", "7", *hmac, "--delivery", delivery],
+                      ["run", "--workload", "keydist", "--param", "n=7",
+                       "--param", "scheme=simulated-hmac", "--param", f"delivery={delivery}"]))
+    for scenario in attack_catalogue(7, 2):
+        cases.append((["attack", *size, "--name", scenario.name],
+                      ["run", "--workload", "e6-scenario", *params,
+                       "--param", f"scenario={scenario.name}"]))
+    return cases
+
+
+class TestAliases:
+    @pytest.mark.parametrize(
+        "alias, run",
+        [pytest.param(*case, id=f"{case[0][0]}-{case[0][-1]}") for case in _alias_cases()],
+    )
+    def test_alias_prints_and_exits_as_run(self, alias, run, capsys):
+        """A scenario subcommand is ``run --workload`` under its own
+        flags: the same table on stdout and the same exit code."""
+        code = main(alias)
+        out = capsys.readouterr().out
+        assert (code, out) == (main(run), capsys.readouterr().out)
+
+    def test_false_verdict_exits_1(self, capsys):
+        """Key distribution under skew misses its paper counts, and
+        some node ends without every genuine predicate."""
+        assert main(["keydist", "--n", "7", "--scheme", "simulated-hmac",
+                     "--delivery", "bounded:2"]) == 1
+        out = capsys.readouterr().out
+        assert _row(out, "keydist_ok") == "False"
+        assert _row(out, "accepted") == "False"
+
+
+def _documented_commands(text: str) -> list[list[str]]:
+    """The ``repro-fd`` command lines of ``text``, continuations joined,
+    as argument vectors without the program name."""
+    commands = []
+    for line in text.replace("\\\n", " ").splitlines():
+        if line.strip().startswith("repro-fd "):
+            commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+class TestDocumentedCommands:
+    def test_every_documented_command_exits_0(self, capsys, monkeypatch, tmp_path):
+        """The README Quickstart and this module's docstring, run in
+        order (``resume`` reads the recipe the line before wrote)."""
+        quickstart = README.read_text(encoding="utf-8").split("## Quickstart", 1)[1]
+        block = quickstart.split("```bash", 1)[1].split("```", 1)[0]
+        commands = _documented_commands(block) + _documented_commands(cli.__doc__)
+        assert len(commands) > 20
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert main(argv) == 0, " ".join(argv)
+            capsys.readouterr()
 
 
 class TestInfeasibleConfig:
