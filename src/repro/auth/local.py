@@ -98,8 +98,9 @@ class KeyDistributionProtocol(Protocol):
         self._scheme_name = scheme
         self._keypair: KeyPair | None = None
         self._directory: KeyDirectory | None = None
-        # challenged peer -> list of (candidate predicate, nonce issued)
-        self._pending: dict[NodeId, list[tuple[TestPredicate, int]]] = {}
+        # challenged peer -> (predicate, nonce, predicate, nonce, ...): one
+        # flat tuple of every candidate predicate and the nonce issued for it
+        self._pending: dict[NodeId, tuple[Any, ...]] = {}
         self._anomalies: list[str] = []
 
     def setup(self, ctx: NodeContext) -> None:
@@ -130,7 +131,8 @@ class KeyDistributionProtocol(Protocol):
                 and isinstance(payload[1], TestPredicate)
             ):
                 nonce = ctx.rng.getrandbits(NONCE_BITS)
-                self._pending.setdefault(env.sender, []).append((payload[1], nonce))
+                pending = self._pending
+                pending[env.sender] = pending.get(env.sender, ()) + (payload[1], nonce)
                 ctx.send(env.sender, challenge_body(ctx.node, env.sender, nonce))
             else:
                 self._anomalies.append(
@@ -191,7 +193,8 @@ class KeyDistributionProtocol(Protocol):
     def _check_response(
         self, ctx: NodeContext, responder: NodeId, signed: SignedMessage
     ) -> None:
-        for predicate, nonce in self._pending.get(responder, []):
+        pending = self._pending.get(responder, ())
+        for predicate, nonce in zip(pending[::2], pending[1::2]):
             expected = challenge_body(ctx.node, responder, nonce)
             if signed.body == expected and signed.check(predicate):
                 self._directory.accept(responder, predicate)

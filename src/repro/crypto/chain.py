@@ -123,7 +123,7 @@ def submessages(signed: SignedMessage) -> list[SignedMessage]:
 
     :raises ChainStructureError: on malformed nesting.
     """
-    cached = signed.__dict__.get(_LAYERS_CACHE_ATTR)
+    cached = getattr(signed, _LAYERS_CACHE_ATTR, None)
     if cached is not None:
         return list(cached)
     layers = [signed]

@@ -68,6 +68,7 @@ def register_codec(
     name: str,
     to_payload: Callable[[Any], Any],
     from_payload: Callable[[Any], Any],
+    size: Callable[[Any], int] | None = None,
 ) -> None:
     """Register a codec so instances of ``cls`` can travel on the wire.
 
@@ -75,6 +76,9 @@ def register_codec(
     :param name: a stable wire name; must be unique across the process.
     :param to_payload: maps an instance to an encodable payload value.
     :param from_payload: maps a decoded payload back to an instance.
+    :param size: optional ``len(encode(instance))`` computed without
+        encoding, for :func:`byte_size`; without it an instance is sized
+        from its wire stash, encoding it first if it has none.
     :raises EncodingError: if ``name`` or ``cls`` is already registered
         with a different codec.
     """
@@ -85,7 +89,7 @@ def register_codec(
     _TO_WIRE[cls] = (name, to_payload)
     _FROM_WIRE[name] = from_payload
     _ENCODERS[cls] = _enc_registered
-    _SIZERS[cls] = _size_registered
+    _SIZERS[cls] = size if size is not None else _size_registered
 
 
 def _write_uvarint(value: int, out: bytearray) -> None:
@@ -125,10 +129,10 @@ def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
 def _scalar_encoding(value: Any) -> bytes:
     """Canonical encoding of an int/str/bytes scalar.
 
-    Most scalars recur within a run (kind tags, node ids, and even
-    128-bit nonces and signatures, which are re-encoded at send, sign and
-    verify time), so everything small enough is memoized; only long byte
-    strings are encoded directly to keep the memo light.
+    Most scalars recur within a run (kind tags and node ids in every
+    body; a nonce or a signature each time a body naming it, or a chain
+    nesting it, is encoded), so everything small enough is memoized;
+    only long byte strings are encoded directly to keep the memo light.
     """
     if isinstance(value, int):
         key = (int, value)
@@ -268,36 +272,6 @@ def _encode_slow(value: Any, out: bytearray) -> None:
         raise EncodingError(f"cannot encode value of type {type(value).__name__}")
 
 
-def seed_sequence_object_cache(value: Any, parts: tuple[bytes, ...]) -> None:
-    """Pre-fill a registered object's wire cache from encoded payload parts.
-
-    For a registered type whose ``to_payload`` yields a sequence, the full
-    wire encoding is ``OBJ header + SEQ header + the concatenated item
-    encodings``.  Callers that already hold the item encodings (for
-    example :func:`repro.crypto.signing.sign_value`, which encodes the
-    body to sign it) can assemble the object encoding without re-walking
-    the payload.  The caller must pass exactly the canonical encodings of
-    the payload items, in order — the tests cross-check the seeded cache
-    against a cold encode.
-    """
-    entry = _TO_WIRE.get(type(value))
-    if entry is None:
-        return
-    name, _ = entry
-    out = bytearray(_TAG_OBJ)
-    raw = name.encode("utf-8")
-    _write_uvarint(len(raw), out)
-    out += raw
-    out += _TAG_SEQ
-    _write_uvarint(len(parts), out)
-    for part in parts:
-        out += part
-    try:
-        object.__setattr__(value, WIRE_CACHE_ATTR, bytes(out))
-    except (AttributeError, TypeError):
-        pass
-
-
 def encode(value: Any) -> bytes:
     """Encode ``value`` canonically.
 
@@ -406,9 +380,10 @@ def byte_size(value: Any) -> int:
     (experiment E9), so it walks the value with the additive encoding rule
     (``tag + varint(length) + items``) and touches no scalar memo: an int
     is sized from its ``bit_length``, an ASCII string from its ``len``, a
-    registered object from its wire stash.  Every other shape (dicts,
-    non-ASCII strings, subclasses, stash-less registered objects) is
-    encoded, so it raises exactly what :func:`encode` raises.
+    registered object by its codec's ``size`` hook or else from its wire
+    stash.  Every other shape (dicts, non-ASCII strings, subclasses,
+    stash-less registered objects without a hook) is encoded, so it
+    raises exactly what :func:`encode` raises.
     """
     sizer = _SIZERS.get(type(value))
     if sizer is not None:

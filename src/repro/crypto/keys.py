@@ -108,7 +108,7 @@ class TestPredicate:
     def __hash__(self) -> int:
         # Hashing encodes the material; predicates key the hot
         # signature-verification memo, so the hash itself is memoized.
-        cached = self.__dict__.get("_repro_hash")
+        cached = getattr(self, "_repro_hash", None)
         if cached is None:
             cached = hash((self.scheme, encoding.encode(self.material)))
             object.__setattr__(self, "_repro_hash", cached)

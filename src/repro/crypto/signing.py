@@ -17,6 +17,10 @@ relay hop re-checks every layer of a chain), so two caches sit here:
   ``(predicate, body bytes, signature)``.  Signature schemes are pure
   functions of exactly that triple (axiom S2), so a cached verdict can
   never diverge from a fresh one within a process.
+
+A message's wire size is a sum over its body bytes (the codec's ``size``
+hook), so a send charges it without encoding it; only a real encode, such
+as nesting it in a chain, stashes its full wire bytes.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ class SignedMessage:
         Memoized per instance; the body is immutable wire data, so the
         first encoding is also the last.
         """
-        cached = self.__dict__.get(_BODY_CACHE_ATTR)
+        cached = getattr(self, _BODY_CACHE_ATTR, None)
         if cached is None:
             cached = encoding.encode(self.body)
             object.__setattr__(self, _BODY_CACHE_ATTR, cached)
@@ -95,12 +99,9 @@ def sign_value(secret: SecretKey, body: Any) -> SignedMessage:
     body_bytes = encoding.encode(body)
     signature = secret.sign(body_bytes)
     signed = SignedMessage(body=body, signature=signature)
-    # Both component encodings are in hand; seed the per-instance body
-    # memo and the full wire-cache so later sends never re-walk the body.
+    # Seed the body memo only: the wire size is a sum over it (see
+    # ``_wire_size``), so the full wire encoding waits for a real encode.
     object.__setattr__(signed, _BODY_CACHE_ATTR, body_bytes)
-    encoding.seed_sequence_object_cache(
-        signed, (body_bytes, encoding.encode(signature))
-    )
     return signed
 
 
@@ -116,7 +117,7 @@ def garble_signature(signed: SignedMessage) -> SignedMessage:
     else:
         corrupted = b"\x00"
     garbled = SignedMessage(body=signed.body, signature=corrupted)
-    cached = signed.__dict__.get(_BODY_CACHE_ATTR)
+    cached = getattr(signed, _BODY_CACHE_ATTR, None)
     if cached is not None:
         # Same body, same canonical bytes — but a distinct signature, so the
         # garbled copy gets its own (failing) verification-cache entries.
@@ -124,9 +125,24 @@ def garble_signature(signed: SignedMessage) -> SignedMessage:
     return garbled
 
 
+_WIRE_NAME = "repro.SignedMessage"
+# ``{body}_S`` encodes as an object header (tag, name length, name), a
+# two-item sequence header (tag, count), then the body's and the
+# signature's encodings: the encoding is additive, so with the body bytes
+# in hand the exact wire size is a sum.
+_WIRE_HEADER_SIZE = 1 + 1 + len(_WIRE_NAME) + 1 + 1
+
+
+def _wire_size(signed: SignedMessage) -> int:
+    """``len(encoding.encode(signed))``, without encoding or stashing it."""
+    body = getattr(signed, _BODY_CACHE_ATTR, None) or signed.body_bytes()
+    return _WIRE_HEADER_SIZE + len(body) + encoding.byte_size(signed.signature)
+
+
 encoding.register_codec(
     SignedMessage,
-    "repro.SignedMessage",
+    _WIRE_NAME,
     lambda s: (s.body, s.signature),
     lambda payload: SignedMessage(body=payload[0], signature=payload[1]),
+    size=_wire_size,
 )

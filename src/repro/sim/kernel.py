@@ -174,9 +174,8 @@ class EventKernel:
         # Columnar batch plane (structure-of-arrays mux delivery): the one
         # path for mux traffic, under every model and with recording on.
         self._batch = BatchPlane(self)
-        # Persistent inboxes for the general path (same-tick rushing
-        # deliveries append here mid-tick); freshly rebuilt per tick on
-        # the lock-step path.
+        # Per-node inboxes, swapped for a fresh list as each node
+        # activates (same-tick rushing deliveries append here mid-tick).
         self._inboxes: list[list[Envelope]] = [[] for _ in range(self.n)]
         # Last tick each node acted in (causality check for same-tick
         # deliveries); -1 = never.
@@ -473,15 +472,13 @@ class EventKernel:
                 # Snapshot the consumer registry and reset the per-tick
                 # buffer *before* any delivery of this tick is filed.
                 plane.begin_tick()
+            inboxes = self._inboxes
             if lockstep:
-                # Fresh per-recipient buckets filled in emission order.
-                # Senders act in ascending id order, so each bucket is
+                # Senders act in ascending id order, so each inbox is
                 # born sender-sorted — no per-inbox sort, same as the
                 # pre-kernel fast path.
-                inboxes: list[list[Envelope]] = [[] for _ in range(n)]
                 arrived, self._pending = self._pending, []
             else:
-                inboxes = self._inboxes
                 arrived = self._calendar.pop(tick, ())
             # Plain arrivals per emission round, charged once each below.
             delivered: dict[Round, int] = {}
@@ -501,14 +498,18 @@ class EventKernel:
                     plane.deliver(item, inboxes, metrics, tick)
             for sent, count in delivered.items():
                 metrics.record_deliveries(tick, count, sent)
+            # The inboxes hold the tick's arrivals now, and each is let go
+            # as its node activates: an answered message dies with its
+            # activation, not with the tick.
+            arrived = item = None
 
             for node in order:
                 ctx = contexts[node]
                 state = ctx.state
                 inbox = inboxes[node]
+                if inbox:
+                    inboxes[node] = []
                 if not lockstep:
-                    if inbox:
-                        inboxes[node] = []
                     acted_at[node] = tick
                 if state.halted:
                     continue

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import random
 from dataclasses import dataclass
 from typing import Any
 
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import encoding
+from repro.crypto import encoding, get_scheme
+from repro.crypto.chain import extend_chain, sign_leaf
+from repro.crypto.signing import SignedMessage
 from repro.errors import DecodingError, EncodingError
 
 # A recursive strategy over every supported wire shape.  Lists become
@@ -208,7 +211,8 @@ sized_values = st.recursive(
     | st.lists(children, max_size=4)
     | st.dictionaries(st.text(max_size=8), children, max_size=4)
     | st.builds(_Box, children)
-    | st.builds(_SlottedBox, children),
+    | st.builds(_SlottedBox, children)
+    | st.builds(SignedMessage, children, st.binary(max_size=200)),
     max_leaves=25,
 )
 
@@ -243,6 +247,26 @@ class TestByteSize:
         assert (type(sized.value), str(sized.value)) == (
             type(encoded.value), str(encoded.value),
         )
+
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    def test_signed_messages_before_and_after_the_stash(self, depth):
+        """A signed message is sized from its body bytes and its signature,
+        exactly: a chain leaf, links nesting signed bodies, and a
+        hand-built message around a chain with a signature long enough
+        for a two-byte length — before an encode stashes its wire bytes,
+        and after."""
+        secret = get_scheme("simulated-hmac").generate_keypair(random.Random(depth)).secret
+        chain = sign_leaf(secret, ("v", 7, b"\x00" * 200))
+        for signer in range(depth - 1):
+            chain = extend_chain(secret, signer, chain)
+        wrapped = SignedMessage(body=(chain, {"k": -1}), signature=b"\x01" * 300)
+        for signed in (chain, wrapped):
+            assert not hasattr(signed, encoding.WIRE_CACHE_ATTR)
+            size = encoding.byte_size(signed)
+            assert not hasattr(signed, encoding.WIRE_CACHE_ATTR)
+            wire = encoding.encode(signed)
+            assert getattr(signed, encoding.WIRE_CACHE_ATTR) == wire
+            assert size == len(wire) == encoding.byte_size(signed)
 
     def test_sizing_leaves_the_scalar_memo_alone(self):
         encoding._SCALAR_CACHE.clear()

@@ -11,6 +11,7 @@ change what the run returns.
 from __future__ import annotations
 
 import gc
+import sys
 import tracemalloc
 
 import pytest
@@ -32,11 +33,29 @@ def _clear_memos():
         getattr(module, name).clear()
 
 
-#: About five n = 6 runs' worth of each memo (a run files 68 scalars, 32
-#: verdicts and 6 combs).  The shipped caps hold a large run's working
-#: set, which takes forty n = 16 runs to fill and clear — 14 s under
-#: tracemalloc; the clear-when-full mechanism is the same at any cap.
+#: A few n = 6 runs' worth of each memo (a run files 48 scalars into an
+#: empty memo, 32 verdicts and 6 combs).  The shipped caps hold a large
+#: run's working set, which takes forty n = 16 runs to fill and clear —
+#: 14 s under tracemalloc; the clear-when-full mechanism is the same at
+#: any cap.
 SMALL_CAPS = {"_SCALAR_CACHE_MAX": 384, "_VERIFY_CACHE_MAX": 192, "_KEY_COMBS_MAX": 32}
+
+
+def _held_bytes(memo):
+    """Bytes of ``memo`` and of everything reachable from it (types aside):
+    what clearing it would free once a run's own references are gone."""
+    seen = {id(memo)}
+    level = [memo]
+    total = 0
+    while level:
+        total += sum(map(sys.getsizeof, level))
+        deeper = []
+        for obj in gc.get_referents(*level):
+            if id(obj) not in seen and not isinstance(obj, type):
+                seen.add(id(obj))
+                deeper.append(obj)
+        level = deeper
+    return total
 
 
 def test_memos_stay_bounded_over_forty_fresh_seed_runs(monkeypatch):
@@ -46,28 +65,39 @@ def test_memos_stay_bounded_over_forty_fresh_seed_runs(monkeypatch):
     for module, name in MEMOS:
         monkeypatch.setattr(module, f"{name}_MAX", SMALL_CAPS[f"{name}_MAX"])
     _clear_memos()
-    traced = []
+    rest = []
+    held = {name: [] for _, name in MEMOS}
     cleared = set()
     tracemalloc.start()
     try:
         for op in range(40):
-            held = {name: len(getattr(module, name)) for module, name in MEMOS}
+            before = {name: len(getattr(module, name)) for module, name in MEMOS}
             outcome = run_fd_scenario(
                 6, 1, "v", protocol="chain", auth="local", scheme=SCHEME, seed=f"memo-{op}"
             )
             assert outcome.fd.ok
             for module, name in MEMOS:
                 assert len(getattr(module, name)) <= SMALL_CAPS[f"{name}_MAX"], name
-                if op < 20 and len(getattr(module, name)) < held[name]:
+                if op < 20 and len(getattr(module, name)) < before[name]:
                     cleared.add(name)
             gc.collect()  # a finished run's kernel graph is cyclic garbage
-            traced.append(tracemalloc.get_traced_memory()[0])
+            traced = tracemalloc.get_traced_memory()[0]
+            for module, name in MEMOS:
+                held[name].append(_held_bytes(getattr(module, name)))
+            rest.append(traced - sum(series[op] for series in held.values()))
     finally:
         tracemalloc.stop()
-    # Clear-when-full makes a saw-tooth, so compare its envelope, not two
-    # points on it.  With the pre-PR-15 caps (32,768 / 65,536: nothing is
-    # cleared in 40 runs) the second half peaks at twice the first.
-    assert max(traced[20:]) <= 1.05 * max(traced[:20])
+
+    # Clear-when-full makes one saw-tooth per memo, with its own period,
+    # so the peak of their sum depends on where the teeth happen to line
+    # up in a window.  The envelope — the peak of what the memos do not
+    # hold plus each memo's own peak — does not.  With the pre-PR-15 caps
+    # (32,768 / 65,536: nothing is cleared in 40 runs) the second half's
+    # memos peak at twice the first half's.
+    def envelope(window):
+        return max(rest[window]) + sum(max(series[window]) for series in held.values())
+
+    assert envelope(slice(20, 40)) <= 1.05 * envelope(slice(0, 20))
     assert cleared == {name for _, name in MEMOS}
 
 

@@ -77,16 +77,21 @@ class TestBodyBytesMemo:
         rebuilt = SignedMessage(body=("a", 1, b"z"), signature=signed.signature)
         assert rebuilt.body_bytes() == signed.body_bytes()
 
-    def test_seeded_wire_cache_matches_cold_encode(self, keypair):
-        """sign_value pre-fills the object wire cache; it must equal what a
-        cache-less encode produces."""
+    def test_wire_stash_waits_for_an_encode(self, keypair):
+        """sign_value stashes the body bytes only: sizing the message for a
+        send leaves it without wire bytes, and the first encode stashes
+        exactly what a stash-less copy encodes to."""
         signed = sign_value(keypair.secret, ("body", 2))
-        cached = encoding.encode(signed)
+        assert not hasattr(signed, encoding.WIRE_CACHE_ATTR)
+        encoding.byte_size(signed)
+        assert not hasattr(signed, encoding.WIRE_CACHE_ATTR)
+        wire = encoding.encode(signed)
+        assert getattr(signed, encoding.WIRE_CACHE_ATTR) == wire
         cold = encoding.encode(
             SignedMessage(body=("body", 2), signature=signed.signature)
         )
-        assert cached == cold
-        assert encoding.decode(cached) == signed
+        assert wire == cold
+        assert encoding.decode(wire) == signed
 
     def test_pickles_are_canonical(self, keypair):
         """Cache stashes never leak into serialized form."""

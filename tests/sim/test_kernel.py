@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.agreement import make_oral_agreement_protocols
 from repro.auth import trusted_dealer_setup
+from repro.crypto.signing import SignedMessage
 from repro.errors import ConfigurationError, ProtocolViolationError, SimulationError
 from repro.faults import (
     CrashProtocol,
@@ -765,3 +766,32 @@ class TestFinishedKernelIsFreedByReferenceCount:
         with pytest.raises(SimulationError, match="max_rounds=2"):
             run_protocols([Forever(), Forever()], max_rounds=2)
         assert contexts[-1].round == 2 and contexts[-1].n == 2
+
+
+class TestArrivalsDieWithTheirActivation:
+    """The drain files a tick's arrivals into the inboxes and lets each
+    inbox go as its node activates: a message its recipient did not keep
+    is freed before the next node runs, not when the tick ends."""
+
+    @pytest.mark.parametrize(
+        "delivery",
+        [None, scheduled(lambda recipient, tick: tick + 1)],
+        ids=["lock-step", "calendar"],
+    )
+    def test_payload_is_freed_before_the_next_activation(self, delivery):
+        refs = []
+        alive = []
+
+        class Probe(Protocol):
+            def on_round(self, ctx, inbox):
+                if ctx.round == 0 and ctx.node == 0:
+                    payload = SignedMessage(body="kept by no one", signature=b"\x01")
+                    refs.append(weakref.ref(payload))
+                    ctx.send(1, payload)
+                if ctx.round == 1:
+                    alive.append((ctx.node, refs[0]() is not None))
+                    ctx.halt()
+
+        result = run_protocols([Probe(), Probe(), Probe()], delivery=delivery)
+        assert result.metrics.messages_total == 1
+        assert alive == [(0, True), (1, True), (2, False)]
