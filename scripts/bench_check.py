@@ -81,7 +81,9 @@ def memory_probes() -> dict[str, Callable[[], Any]]:
     must keep no per-subset recipient container, a run's metrics
     must hold no sent payload (the akd and key-distribution probes), and
     the real-signature path must hold ``schnorr-512``'s one ``g`` table at
-    its designed size, not a table per key or per object (the fd probe).
+    its designed size, not a table per key or per object (the schnorr fd
+    probe), and a lossy link must hold its pre-drawn outcomes as a byte
+    array, not a list of boxed ints (the timeout fd probe).
     Each probe is a picklable call, so it can run in a process of its
     own."""
     from repro.harness.workloads import akd_point, fd_point, keydist_point, oral_point
@@ -95,6 +97,9 @@ def memory_probes() -> dict[str, Callable[[], Any]]:
         "keydist_n64": partial(keydist_point, 64, seed=1),
         "fd_local_schnorr_n16_t5": partial(
             fd_point, 16, 5, seed=1, auth="local", scheme="schnorr-512"
+        ),
+        "fd_timeout_loss_n64_t3": partial(
+            fd_point, 64, 3, seed=1, protocol="timeout", delivery="loss:0.2"
         ),
     }
 

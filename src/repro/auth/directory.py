@@ -32,7 +32,7 @@ class KeyDirectory:
     """
 
     owner: NodeId
-    _accepted: dict[NodeId, list[TestPredicate]] = field(default_factory=dict)
+    _accepted: dict[NodeId, tuple[TestPredicate, ...]] = field(default_factory=dict)
 
     def accept(self, node: NodeId, predicate: TestPredicate) -> None:
         """Record that ``predicate`` was accepted as belonging to ``node``.
@@ -40,13 +40,13 @@ class KeyDirectory:
         Idempotent per (node, predicate) pair: re-accepting the same
         predicate is a no-op, distinct predicates accumulate.
         """
-        bucket = self._accepted.setdefault(node, [])
+        bucket = self._accepted.get(node, ())
         if predicate not in bucket:
-            bucket.append(predicate)
+            self._accepted[node] = bucket + (predicate,)
 
     def predicates_for(self, node: NodeId) -> tuple[TestPredicate, ...]:
         """All predicates accepted as belonging to ``node`` (maybe empty)."""
-        return tuple(self._accepted.get(node, ()))
+        return self._accepted.get(node, ())
 
     def verifies(self, node: NodeId, signed: SignedMessage) -> bool:
         """Would this directory assign ``signed`` to ``node``?

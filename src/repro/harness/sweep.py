@@ -31,8 +31,6 @@ choice.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import product
 from typing import Any, Callable, Iterable, Sequence
@@ -107,6 +105,11 @@ def sweep(
         workers = os.cpu_count() or 1
     workers = min(workers, len(pts))
     if workers > 1:
+        # Imported here: the pool pulls in multiprocessing, socket and
+        # subprocess, which a serial sweep never needs.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_apply, [(fn, p) for p in pts]))

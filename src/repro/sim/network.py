@@ -54,6 +54,7 @@ arrival *and every drop* bit-for-bit (property-tested in
 
 from __future__ import annotations
 
+from array import array
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..errors import ConfigurationError
@@ -155,6 +156,9 @@ _FIRST_CHUNK = 16
 #: Each refill grows a link's drawn total this many times over, so a hot
 #: link rebuilds its stream O(log draws) times.
 _GROWTH = 4
+#: ``(typecode, largest value)`` of the unsigned outcome arrays, narrowest
+#: first: a model stores latencies in the first that holds its ``delay``.
+_OUTCOME_TYPES = [(code, 256 ** array(code).itemsize - 1) for code in "BHIQ"]
 
 
 class _LinkStreamDelivery(DeliveryModel):
@@ -163,63 +167,80 @@ class _LinkStreamDelivery(DeliveryModel):
     :class:`BoundedDelay` and :class:`LossyDelivery` draw from one
     ``random.Random`` per directed link, built by
     :func:`~repro.sim.rng.node_rng` from the master seed.  A link keeps
-    not that stream (2.5 KiB of Mersenne state) but a short list of
-    pre-drawn outcomes — the latency offset, or ``None`` for a drop; next
-    outcome last, so ``pop()`` reads it — and in ``_drawn`` how many it
-    has drawn.  :meth:`_fill` refills an empty list: rebuild the stream,
-    replay the ``_drawn`` outcomes with the model's one recipe
-    (:meth:`_chunk`), draw the next chunk, drop the stream.  Replaying
-    the very draws puts the stream where a live one would be, so chunks
-    are exact: the k-th outcome on a link is the same whatever the chunk
-    sizes, the call path (``arrival_tick`` and ``batch_arrivals`` pop the
-    same lists; the fan-out cache holds the lists themselves) or the
-    checkpoint tick.  ``_link_purpose`` is the stream namespace suffix,
-    part of each model's frozen schedule contract, so subclasses pin it.
+    not that stream (2.5 KiB of Mersenne state) but an ``array`` of
+    pre-drawn outcomes — the latency offset, or ``0`` for a drop (a real
+    latency is at least 1), in the narrowest unsigned typecode that holds
+    ``delay``; next outcome last, so ``pop()`` reads it.  ``_links`` and
+    ``_drawn`` (how many outcomes a link has drawn) are flat ``n * n``
+    tables indexed by ``sender * n + recipient``.  :meth:`_fill` refills
+    an empty array in place: rebuild the stream, replay the drawn
+    outcomes with the model's one recipe (:meth:`_chunk`), draw the next
+    chunk, drop the stream.  Replaying the very draws puts the stream
+    where a live one would be, so chunks are exact: the k-th outcome on a
+    link is the same whatever the chunk sizes, the call path
+    (``arrival_tick`` and ``batch_arrivals`` pop the same arrays; the
+    fan-out cache holds the arrays themselves) or the checkpoint tick.
+    ``arrival_tick`` and ``batch_arrivals`` map ``0`` back to ``None``.
+    ``_link_purpose`` is the stream namespace suffix, part of each
+    model's frozen schedule contract, so subclasses pin it.
     """
 
     _link_purpose = "delay"
 
-    def __init__(self) -> None:
+    def __init__(self, delay: int) -> None:
+        if delay < 1:
+            raise ConfigurationError(f"delay must be >= 1, got {delay}")
+        for typecode, largest in _OUTCOME_TYPES:
+            if delay <= largest:
+                break
+        else:
+            raise ConfigurationError(f"delay must be <= {largest}, got {delay}")
+        self.delay = delay
+        self._typecode = typecode
         self._seed: int | str = 0
-        self._links: dict[tuple[NodeId, NodeId], list] = {}
-        self._drawn: dict[tuple[NodeId, NodeId], int] = {}
-        self._fanouts: dict[tuple[NodeId, tuple[NodeId, ...]], list[list]] = {}
+        self._n = 0
+        self._links: list[array | None] = []
+        self._drawn: list[int] = []
+        self._fanouts: dict[tuple[NodeId, tuple[NodeId, ...]], list[array]] = {}
 
     def bind(self, kernel: "EventKernel") -> None:
         self._seed = kernel.seed
-        self._links = {}
-        self._drawn = {}
+        n = self._n = kernel.n
+        self._links = [None] * (n * n)
+        self._drawn = [0] * (n * n)
         self._fanouts = {}
 
-    def _chunk(self, rng: random.Random, count: int) -> list:
+    def _chunk(self, rng: random.Random, count: int) -> list[int]:
         """The next ``count`` outcomes of a link stream, in draw order."""
         raise NotImplementedError
 
-    def _fill(self, sender: NodeId, recipient: NodeId) -> list:
-        """Refill one link's (empty or new) outcome list in place; return it."""
-        link = (sender, recipient)
-        outcomes = self._links.setdefault(link, [])
-        drawn = self._drawn.get(link, 0)
+    def _fill(self, sender: NodeId, recipient: NodeId) -> array:
+        """Refill one link's (empty or new) outcome array in place; return it."""
+        link = sender * self._n + recipient
+        outcomes = self._links[link]
+        if outcomes is None:
+            outcomes = self._links[link] = array(self._typecode)
+        drawn = self._drawn[link]
         rng = node_rng(self._seed, sender, f"link/{recipient}/{self._link_purpose}")
         self._chunk(rng, drawn)
         count = (_GROWTH - 1) * drawn or _FIRST_CHUNK
-        outcomes += reversed(self._chunk(rng, count))
+        outcomes.extend(reversed(self._chunk(rng, count)))
         self._drawn[link] = drawn + count
         return outcomes
 
-    def _fanout(self, sender: NodeId, recipients: Sequence[NodeId]) -> list[list]:
-        """One fan-out's outcome lists, in recipient order — cached per
+    def _fanout(self, sender: NodeId, recipients: Sequence[NodeId]) -> list[array]:
+        """One fan-out's outcome arrays, in recipient order — cached per
         ``(sender, recipients)``, since broadcasts repeat a fan-out every
-        round, instead of a dict probe per recipient per send."""
+        round, instead of a table probe per recipient per send."""
         key = (sender, tuple(recipients))
-        lists = self._fanouts.get(key)
-        if lists is None:
-            links = self._links
-            lists = self._fanouts[key] = [
-                links.get((sender, recipient)) or self._fill(sender, recipient)
+        arrays = self._fanouts.get(key)
+        if arrays is None:
+            links, base = self._links, sender * self._n
+            arrays = self._fanouts[key] = [
+                links[base + recipient] or self._fill(sender, recipient)
                 for recipient in recipients
             ]
-        return lists
+        return arrays
 
 
 class BoundedDelay(_LinkStreamDelivery):
@@ -241,26 +262,32 @@ class BoundedDelay(_LinkStreamDelivery):
     name = "bounded"
 
     def __init__(self, delay: int = 2) -> None:
-        super().__init__()
-        if delay < 1:
-            raise ConfigurationError(f"delay must be >= 1, got {delay}")
-        self.delay = delay
+        super().__init__(delay)
 
-    def _chunk(self, rng: random.Random, count: int) -> list:
-        randrange, delay = rng.randrange, self.delay
-        return [1 + randrange(delay) for _ in range(count)]
+    def _chunk(self, rng: random.Random, count: int) -> list[int]:
+        # ``1 + rng.randrange(delay)``, with CPython's rejection loop
+        # inlined: the same getrandbits(k) draws, without the call layers.
+        getrandbits, delay = rng.getrandbits, self.delay
+        k = delay.bit_length()
+        outcomes = []
+        for _ in range(count):
+            latency = getrandbits(k)
+            while latency >= delay:
+                latency = getrandbits(k)
+            outcomes.append(1 + latency)
+        return outcomes
 
     def arrival_tick(self, envelope: Envelope, tick: Round) -> Round:
         if self.delay == 1:
             return tick + 1
         sender, recipient = envelope.sender, envelope.recipient
-        outcomes = self._links.get((sender, recipient)) or self._fill(sender, recipient)
+        outcomes = self._links[sender * self._n + recipient] or self._fill(sender, recipient)
         return tick + outcomes.pop()
 
     def batch_arrivals(
         self, sender: NodeId, recipients: Sequence[NodeId], tick: Round
     ) -> "list[Round | None]":
-        """One latency per recipient, popped from the same per-link lists
+        """One latency per recipient, popped from the same per-link arrays
         as the per-envelope ``arrival_tick`` draws, in the same order."""
         if self.delay == 1:
             return [tick + 1] * len(recipients)
@@ -348,40 +375,41 @@ class LossyDelivery(_LinkStreamDelivery):
     _link_purpose = "loss"
 
     def __init__(self, p: float, delay: int = 1) -> None:
-        super().__init__()
         if not 0.0 <= p < 1.0:
             raise ConfigurationError(
                 f"loss probability must lie in [0, 1), got {p}"
             )
-        if delay < 1:
-            raise ConfigurationError(f"delay must be >= 1, got {delay}")
+        super().__init__(delay)
         self.p = p
-        self.delay = delay
 
-    def _chunk(self, rng: random.Random, count: int) -> list:
+    def _chunk(self, rng: random.Random, count: int) -> list[int]:
         # Latency first, then the drop coin, even for a dropped envelope.
         # At delay == 1 no latency draw is made, so changing `delay`
-        # reshuffles the (gated) drop schedule.
+        # reshuffles the (gated) drop schedule.  The latency is
+        # ``1 + rng.randrange(delay)`` with its rejection loop inlined,
+        # as in BoundedDelay._chunk.
         p, delay, coin = self.p, self.delay, rng.random
         if delay == 1:
-            return [None if coin() < p else 1 for _ in range(count)]
-        randrange = rng.randrange
-        outcomes: list = []
+            return [0 if coin() < p else 1 for _ in range(count)]
+        getrandbits, k = rng.getrandbits, delay.bit_length()
+        outcomes = []
         for _ in range(count):
-            latency = 1 + randrange(delay)
-            outcomes.append(None if coin() < p else latency)
+            latency = getrandbits(k)
+            while latency >= delay:
+                latency = getrandbits(k)
+            outcomes.append(0 if coin() < p else 1 + latency)
         return outcomes
 
     def arrival_tick(self, envelope: Envelope, tick: Round) -> Round | None:
         sender, recipient = envelope.sender, envelope.recipient
-        outcomes = self._links.get((sender, recipient)) or self._fill(sender, recipient)
+        outcomes = self._links[sender * self._n + recipient] or self._fill(sender, recipient)
         latency = outcomes.pop()
-        return None if latency is None else tick + latency
+        return tick + latency if latency else None
 
     def batch_arrivals(
         self, sender: NodeId, recipients: Sequence[NodeId], tick: Round
     ) -> "list[Round | None]":
-        """One outcome per recipient, popped from the same per-link lists
+        """One outcome per recipient, popped from the same per-link arrays
         as ``arrival_tick``, so the k-th send on every link gets the
         per-envelope arrival *and* drop bit-for-bit."""
         fill = self._fill
@@ -389,7 +417,7 @@ class LossyDelivery(_LinkStreamDelivery):
         append = arrivals.append
         for recipient, outcomes in zip(recipients, self._fanout(sender, recipients)):
             latency = outcomes.pop() if outcomes else fill(sender, recipient).pop()
-            append(None if latency is None else tick + latency)
+            append(tick + latency if latency else None)
         return arrivals
 
 

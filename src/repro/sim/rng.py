@@ -56,10 +56,11 @@ def instance_rng(
 # * instance streams: built by :func:`instance_rng` on an instance's first
 #   ``rng`` read and held by its mux slot, which carries the stream's
 #   identity (seed, node, instance, channel) until then;
-# * link streams, as positions: the pre-drawn outcomes (``_links``,
-#   aliased by ``_fanouts``) and drawn counts (``_drawn``) of
-#   :mod:`repro.sim.network`'s ``_LinkStreamDelivery`` instances; a
-#   refill rebuilds the stream here, replays it and drops it again;
+# * link streams, as positions: the flat ``n * n`` tables of pre-drawn
+#   outcome arrays (``_links``, aliased by ``_fanouts``; pickled as raw
+#   bytes) and drawn counts (``_drawn``) of :mod:`repro.sim.network`'s
+#   ``_LinkStreamDelivery`` instances; a refill rebuilds the stream here,
+#   replays it and drops it again;
 #
 # — all reachable from the :class:`~repro.sim.kernel.EventKernel`, so a
 # whole-graph pickle carries every stream position and no stream can

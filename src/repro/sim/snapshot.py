@@ -11,7 +11,7 @@ one object graph rooted at the :class:`~repro.sim.kernel.EventKernel` —
 * every node's protocol object and :class:`~repro.sim.node.NodeState`,
 * every rng stream position: node streams (``NodeContext.rng``),
   instance streams (inside mux-owned contexts), and the jittered / lossy
-  delivery models' per-link draw-ahead outcome lists with their drawn
+  delivery models' per-link draw-ahead outcome arrays with their drawn
   counts — a link's position without its 2.5 KiB ``random.Random``
   (see the audit note in :mod:`repro.sim.rng`),
 * delivery-model state (partition epoch schedule position, parked
@@ -24,7 +24,7 @@ one object graph rooted at the :class:`~repro.sim.kernel.EventKernel` —
 A :class:`KernelSnapshot` is therefore one :func:`pickle.dumps` of the
 kernel taken at a tick boundary.  The single-pickle design is
 deliberate: shared references survive — the fan-out cache aliases the
-per-link outcome lists, every ``AdaptiveCorruptible`` wrapper shares one
+per-link outcome arrays, every ``AdaptiveCorruptible`` wrapper shares one
 ``AdaptiveCoordinator``, contexts point back at the kernel — so the
 restored graph has exactly the original's aliasing structure, which is
 what makes resume-equals-straight-run hold *bit-for-bit*
@@ -65,8 +65,9 @@ if TYPE_CHECKING:
 #: 3 — jittered / lossy links hold draw-ahead outcome lists (a version-2
 #: file holds live ``random.Random`` link streams); 4 — every kernel owns
 #: a batch plane (a version-3 recording run holds none and would crash at
-#: its first drain).
-SNAPSHOT_VERSION = 4
+#: its first drain); 5 — link outcomes are arrays in flat ``n * n``
+#: tables (a version-4 file keys outcome lists by ``(sender, recipient)``).
+SNAPSHOT_VERSION = 5
 
 
 @dataclass(frozen=True)

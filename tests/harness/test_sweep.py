@@ -1,7 +1,13 @@
-"""Sweep utilities: grids, ordering, standard sizes."""
+"""Sweep utilities: grids, ordering, standard sizes, lazy pool import."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
 from repro.harness import grid, sizes_with_budgets, standard_sizes, sweep
 
 
@@ -29,6 +35,20 @@ class TestSweep:
             ({"a": 1, "b": 10}, 11),
             ({"a": 2, "b": 10}, 12),
         ]
+
+    def test_importing_the_harness_loads_no_process_pool(self):
+        """A serial sweep needs no pool, so ``import repro.harness`` leaves
+        ``concurrent.futures`` (and multiprocessing with it) unloaded."""
+        code = (
+            "import sys\n"
+            "import repro.harness\n"
+            "assert 'concurrent.futures' not in sys.modules, 'pool imported eagerly'\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestStandardSizes:

@@ -107,8 +107,9 @@ class TestMakeDelivery:
 class _Bind:
     """Minimal kernel stand-in for exercising arrival_tick directly."""
 
-    def __init__(self, seed):
+    def __init__(self, seed, n):
         self.seed = seed
+        self.n = n
 
 
 class TestBoundedDelayJitter:
@@ -117,7 +118,7 @@ class TestBoundedDelayJitter:
     @settings(max_examples=60, deadline=None)
     def test_arrival_within_bound(self, seed, delay, tick):
         model = BoundedDelay(delay)
-        model.bind(_Bind(seed))
+        model.bind(_Bind(seed, 2))
         env = Envelope(0, 1, "x", tick)
         arrival = model.arrival_tick(env, tick)
         assert tick + 1 <= arrival <= tick + delay
@@ -125,7 +126,7 @@ class TestBoundedDelayJitter:
     def test_per_link_streams_are_deterministic(self):
         def schedule(seed):
             model = BoundedDelay(4)
-            model.bind(_Bind(seed))
+            model.bind(_Bind(seed, 3))
             return [
                 model.arrival_tick(Envelope(s, r, "x", t), t)
                 for t in range(5)
@@ -139,11 +140,11 @@ class TestBoundedDelayJitter:
 
     def test_rebind_resets_link_streams(self):
         model = BoundedDelay(4)
-        model.bind(_Bind(3))
+        model.bind(_Bind(3, 2))
         first = [
             model.arrival_tick(Envelope(0, 1, "x", t), t) for t in range(8)
         ]
-        model.bind(_Bind(3))
+        model.bind(_Bind(3, 2))
         assert first == [
             model.arrival_tick(Envelope(0, 1, "x", t), t) for t in range(8)
         ]
@@ -196,8 +197,8 @@ def _divergences(model, seed, pool, ops):
     differs, and the model as it ends (pickle round-trips replace it).
     """
     oracle = reference_for(model)
-    model.bind(_Bind(seed))
-    oracle.bind(_Bind(seed))
+    model.bind(_Bind(seed, _N))
+    oracle.bind(_Bind(seed, _N))
     diverged = []
 
     def both(step, method, *args):
@@ -230,8 +231,8 @@ class _ShortReplay:
     """Mutation: every refill replays one outcome too few."""
 
     def _fill(self, sender, recipient):
-        link = (sender, recipient)
-        if self._drawn.get(link):
+        link = sender * self._n + recipient
+        if self._drawn[link]:
             self._drawn[link] -= 1
         return super()._fill(sender, recipient)
 
@@ -268,7 +269,7 @@ class TestDrawAheadLinks:
         assert diverged == []
         # The bursts took every hot link through three refills
         # (16 -> 64 -> 256 -> 1024 outcomes drawn).
-        assert min(model._drawn[(0, r)] for r in _OTHERS[0]) == 1024
+        assert min(model._drawn[0 * _N + r] for r in _OTHERS[0]) == 1024
 
     @pytest.mark.parametrize(
         "model", [_ShortReplayLossy(0.3, delay=2), _ShortReplayBounded(4)],
@@ -278,12 +279,29 @@ class TestDrawAheadLinks:
         diverged, _ = _divergences(model, 7, [], [("burst",)])
         assert diverged
 
+    def test_a_delay_past_one_byte_widens_the_outcome_arrays(self):
+        """``bounded:300`` stores latencies as ``H``: every outcome, 256
+        and above included, still equals the live stream's."""
+        pool = [(s, _OTHERS[s]) for s in range(_N)]
+        ops = [("burst",), ("batch", 0, 3), ("pickle",), ("send", 1, 2, 4), ("burst",)]
+        diverged, model = _divergences(make_delivery("bounded:300"), 11, pool, ops)
+        assert diverged == []
+        hot = model._links[0 * _N + 1]
+        assert hot.typecode == "H" and max(hot) > 255
+
+    @pytest.mark.parametrize("spec", ["bounded:{}", "loss:0.1:{}"])
+    def test_a_delay_past_the_widest_array_fails_closed(self, spec):
+        cap = 2**64 - 1
+        assert make_delivery(spec.format(cap))._typecode == "Q"
+        with pytest.raises(ConfigurationError, match=f"delay must be <= {cap}"):
+            make_delivery(spec.format(cap + 1))
+
     def test_links_hold_outcomes_not_streams(self):
-        """Ten draws on each of n = 64's 4,032 links stay under 512 B a
+        """Ten draws on each of n = 64's 4,032 links stay within 160 B a
         link (a live ``random.Random`` alone is ~2.5 KiB), and the
         pickled model carries no stream."""
         model = LossyDelivery(0.2)
-        model.bind(_Bind(0))
+        model.bind(_Bind(0, 64))
         envelopes = [Envelope(s, r, "x", 0) for s in range(64) for r in range(64) if s != r]
         tracemalloc.start()
         try:
@@ -293,7 +311,7 @@ class TestDrawAheadLinks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < len(envelopes) * 512
+        assert peak <= len(envelopes) * 160
         assert "random Random" in _pickled_globals(pickle.dumps(random.Random(0)))
         assert "random Random" not in _pickled_globals(pickle.dumps(model))
 
