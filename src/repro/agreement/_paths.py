@@ -9,10 +9,11 @@ hoists the enumeration into one memoized table shared across all
 process.
 
 Only degraded runs build path tables: the dense-item ingest's membership
-set, a multi-run report's encode and the resolve sweep's last-id columns
-read them.  The per-level wire sizes every report is accounted at are
-counted in closed form (:func:`level_wire_stats`, O(n) per level, also
-memoized), so a failure-free run never enumerates a path.
+set, a multi-run report's encode, the resolve sweep's last-id columns
+and its per-relayer avoiding indices read them.  The per-level wire
+sizes every report is accounted at are counted in closed form
+(:func:`level_wire_stats`, O(n) per level, also memoized), so a
+failure-free run never enumerates a path.
 
 Determinism invariant: the enumeration order is the canonical order of the
 seed code (extend each path by candidate node ids in ascending order), so
@@ -92,6 +93,26 @@ def last_id_column(n: int, sender: NodeId, length: int) -> "bytes | array[int]":
             if node not in path
         ]
     return bytes(ids) if n <= 256 else array("H", ids)
+
+
+@lru_cache(maxsize=None)
+def avoiding_index(n: int, sender: NodeId, length: int, relayer: NodeId) -> "array[int]":
+    """The canonical index of every path in ``paths_of_length(n, sender,
+    length)`` that avoids ``relayer``, in order, followed by the level's
+    path count: entry ``k`` places the ``k``-th path of ``relayer``'s
+    report about that level, and the last entry is where the level ends.
+
+    The succinct engine reads a run column through it: a run ending at
+    report position ``k`` hands over to the next run at level-``length``
+    parent ``avoiding_index(...)[k]``.  Packed as two-byte indices while
+    they fit, else four-byte.  Memoized per ``(n, sender, length,
+    relayer)`` and shared — callers must not mutate it; the sweep builds
+    one only for a relayer whose column holds more than one value.
+    """
+    paths = paths_of_length(n, sender, length)
+    indices = [index for index, path in enumerate(paths) if relayer not in path]
+    indices.append(len(paths))
+    return array("H" if len(paths) < 1 << 16 else "I", indices)
 
 
 def path_index(n: int, path: Path) -> int:
@@ -185,7 +206,7 @@ def level_wire_stats(n: int, sender: NodeId, length: int) -> LevelWireStats:
 #: Every memoized table of this module; :func:`clear_path_tables` and
 #: :func:`path_table_info` walk it (``tests/agreement/test_paths.py``
 #: fails on a memo that is missing here).
-_TABLES = (paths_of_length, path_set, level_wire_stats, last_id_column)
+_TABLES = (paths_of_length, path_set, level_wire_stats, last_id_column, avoiding_index)
 
 
 def clear_path_tables() -> None:

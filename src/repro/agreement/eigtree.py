@@ -24,11 +24,16 @@ n=128 feasible, the only one :mod:`repro.agreement.oral` runs on:
   stored value agrees with the root value (checked per level against the
   uniform entries, O(n·t) total), the decision is that value without
   touching the exponential leaf level.  Any deviation falls back to
-  :func:`resolve_sweep`, the level-synchronous sweep: the store hands it
-  whole levels as small-integer value codes, zipped
-  from the relayers' columns in one pass over the level's last-id column
-  (:func:`repro.agreement._paths.last_id_column`), so ``repr`` runs once
-  per distinct value object and the votes count ints.
+  :func:`resolve_sweep`, the level-synchronous sweep, which only ever
+  sees small-integer value codes (``repr`` runs once per distinct value
+  object).  Its first step reads the leaf level's runs directly: each
+  run boundary is an event at the level-t parent where the next run
+  starts (:func:`repro.agreement._paths.avoiding_index`), a running
+  count of a leading value's holders decides nearly every parent, and
+  the rest take the exact vote — O(#runs), not O(#leaves).  The levels
+  above arrive whole from the store, zipped from the relayers' columns
+  in one pass over the level's last-id column
+  (:func:`repro.agreement._paths.last_id_column`).
 
 Observable equivalence contract
 -------------------------------
@@ -52,14 +57,17 @@ accounting exact; the property tests cross-check it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
-from itertools import chain, groupby, repeat
+from itertools import accumulate, chain, compress, groupby, repeat
+from operator import itemgetter, sub
 from typing import Any, Callable, Iterable, Iterator
 
 from ..crypto.encoding import byte_size, uvarint_size
 from ..types import NodeId
 from ._paths import (
     Path,
+    avoiding_index,
     last_id_column,
     level_wire_stats,
     path_index,
@@ -378,32 +386,51 @@ class SuccinctEigStore:
         the owning node read whatever their relayer reported (or the
         default): callers never consume them.
 
-        :raises ValueError: if a filed column is shorter than its level.
+        :raises ValueError: if a filed column does not cover its level
+            exactly (see :meth:`column_codes`).
         """
         if level == 1:
             return [code(self.default if self.root is _MISSING else self.root)]
         readers: list[Iterator[int]] = [repeat(code(self.default))] * self.n
         for relayer, value in self.uniform.get(level, _EMPTY).items():
             readers[relayer] = repeat(code(value))
-        for relayer, runs in self.columns.get(level, _EMPTY).items():
-            # ``code`` once per distinct object (a sender's runs share one
-            # object per value); the per-run work stays in C.
-            counts, values = zip(*runs)
-            by_id = {
-                key: code(value)
-                for key, value in dict(zip(map(id, values), values)).items()
-            }
-            readers[relayer] = chain.from_iterable(
-                map(repeat, map(by_id.__getitem__, map(id, values)), counts)
-            )
-        last_ids = last_id_column(self.n, self.sender, level)
-        codes = list(map(next, map(readers.__getitem__, last_ids)))
-        if len(codes) != len(last_ids):
-            # An exhausted reader ends the map silently.
-            raise ValueError(f"level-{level} run column shorter than the level")
+        for relayer in self.columns.get(level, _EMPTY):
+            counts, run_codes = self.column_codes(level, relayer, code)
+            readers[relayer] = chain.from_iterable(map(repeat, run_codes, counts))
+        codes = list(
+            map(next, map(readers.__getitem__, last_id_column(self.n, self.sender, level)))
+        )
         for path, value in self.overrides.get(level, _EMPTY).items():
             codes[path_index(self.n, path)] = code(value)
         return codes
+
+    def column_codes(
+        self, level: int, relayer: NodeId, code: Callable[[Any], int]
+    ) -> tuple[tuple[int, ...], list[int]]:
+        """``relayer``'s run column on ``level`` as its run lengths and its
+        runs' value codes, ``code`` applied once per distinct object (a
+        sender's runs share one object per value; the per-run work stays
+        in C).
+
+        :raises ValueError: if the runs do not cover exactly the
+            level-``level - 1`` paths avoiding ``relayer`` — shorter or
+            longer alike.  Protocol-filed columns always do
+            (:func:`_classify_rle`); a hand-filed one fails closed here
+            instead of being cut or padded.
+        """
+        runs = self.columns[level][relayer]
+        counts, values = zip(*runs) if runs else ((), ())
+        covered = sum(counts)
+        expected = level_wire_stats(self.n, self.sender, level - 1).count_avoiding(relayer)
+        if covered != expected:
+            side = "shorter" if covered < expected else "longer"
+            raise ValueError(
+                f"level-{level} run column of relayer {relayer} is {side} than the "
+                f"level: it covers {covered} paths, the level holds {expected}"
+            )
+        ids = list(map(id, values))
+        by_id = {key: code(values[ids.index(key)]) for key in dict.fromkeys(ids)}
+        return counts, list(map(by_id.__getitem__, ids))
 
     def stored_entries(self) -> int:
         """Number of explicit entries held (diagnostics / memory tests);
@@ -458,10 +485,9 @@ class SuccinctEigStore:
         Fast path: if every level (2 .. t+1) is unanimously the root
         value, the whole tree collapses and the decision is that value —
         O(n·t), never touching the leaf level.  Any deviation falls back
-        to :func:`resolve_sweep` reading levels through
-        :meth:`level_codes` (exponential in t, like the textbook
-        recursion, but a few C-level passes per level rather than
-        per-path Python work).
+        to :func:`resolve_sweep`, which resolves the leaf level from its
+        runs (O(#runs) plus the level-t paths, never one step per leaf)
+        and reads the levels above through :meth:`level_codes`.
         """
         root = self.get((self.sender,))
         levels = (self._level_uniform_value(level, me) for level in range(2, self.t + 2))
@@ -474,29 +500,32 @@ def resolve_sweep(store: SuccinctEigStore, me: NodeId, path: Path) -> Any:
     """Level-synchronous bottom-up majority over ``store``'s EIG tree,
     from the leaves up to ``path``.
 
-    Levels are read whole through :meth:`SuccinctEigStore.level_codes`, so
-    the sweep itself only ever sees integer codes.  Level L+1 is generated
-    from level L parent-major with child ids ascending, so the children
-    of parent index ``i`` occupy the slice ``[i*(n-L), (i+1)*(n-L))`` —
-    values align by index, no per-path dict or membership tests needed.
-    At each parent not containing ``me``, ``me``'s child slot is
-    substituted with the parent's own stored value — classical EIG's "own
-    value" substitution, needed for the n > 3t margin.  Those slots are
-    exactly the positions of ``me`` in the child level's last-id column
-    (a parent containing ``me`` has no such child), and position ``j``
-    belongs to parent ``j // (n-L)``.  Values for paths through ``me``
-    are computed but never consumed, because their parents substitute
-    first.
+    The first step, leaf level t+1 to level t, is resolved from the
+    leaf level's runs (:func:`_leaf_majorities`); the exponential level
+    is never expanded.  The levels above are read whole through
+    :meth:`SuccinctEigStore.level_codes`, so the sweep itself only ever
+    sees integer codes.  Level L+1 is generated from level L
+    parent-major with child ids ascending, so the children of parent
+    index ``i`` occupy the slice ``[i*(n-L), (i+1)*(n-L))`` — values
+    align by index, no per-path dict or membership tests needed.  At
+    each parent not containing ``me``, ``me``'s child slot is
+    substituted with the parent's own stored value — classical EIG's
+    "own value" substitution, needed for the n > 3t margin.  Those slots
+    are exactly the positions of ``me`` in the child level's last-id
+    column (a parent containing ``me`` has no such child), and position
+    ``j`` belongs to parent ``j // (n-L)``.  Values for paths through
+    ``me`` are never consumed, because their parents substitute first.
 
     Requires ``me not in path`` and ``len(path) <= t + 1``.
     """
     n, sender = store.n, store.sender
-    depth = store.t + 1
+    if len(path) > store.t:
+        return store.get(path)  # a leaf is its own stored value
     codes = _ValueCodes()
     default_code = codes.code(store.default)
     read_level = store.level_codes
-    values = read_level(depth, codes.code)
-    for length in range(depth - 1, len(path) - 1, -1):
+    values = _leaf_majorities(store, me, codes)
+    for length in range(store.t - 1, len(path) - 1, -1):
         own = read_level(length, codes.code)
         width = n - length
         child_ids = last_id_column(n, sender, length + 1)
@@ -512,6 +541,87 @@ def resolve_sweep(store: SuccinctEigStore, me: NodeId, path: Path) -> Any:
             for i in range(0, len(values), width)
         ]
     return codes.values[values[path_index(n, path)]]
+
+
+#: A level-t parent the running counts leave to the exact vote.
+_UNDECIDED = -1
+
+
+def _leaf_majorities(store: SuccinctEigStore, me: NodeId, codes: _ValueCodes) -> list[int]:
+    """The code ``me`` votes at every level-t parent of ``store``'s tree,
+    in canonical order, read from the leaf level's runs.
+
+    Along the level-t parents each relayer has a *current code*: its
+    uniform value, the default, or the run of its column covering the
+    parent — a run ending at report position ``k`` hands over at parent
+    ``avoiding_index(...)[k]``.  A code that some parent could see held
+    by more than ``thr = t+1 + (n-t)//2`` relayers (at most one code per
+    parent can be) gets a running count of its holders: its runs'
+    starts and ends are counted per parent and summed in one pass.  A
+    parent's vote is those holders minus its own t ids, with ``me``'s
+    slot swapped for the parent's own value and each leaf override
+    replacing its relayer's vote — so at worst t+1 votes plus one per
+    override are lost, and a count above ``thr`` plus the parent's
+    overrides is the strict majority without adjusting.  The other
+    parents avoiding ``me`` (a thin margin, or an override) take the
+    exact vote; parents through ``me`` are never consumed.
+
+    Codes are interned in the order :meth:`SuccinctEigStore.level_codes`
+    interns the leaf level, then level t.  O(#runs + #overrides +
+    #level-t paths · #codes that can lead), not O(#leaves).
+    """
+    n, sender, t = store.n, store.sender, store.t
+    depth, width = t + 1, n - t
+    code = codes.code
+    default = code(store.default)
+    current = [default] * n
+    for relayer, value in store.uniform.get(depth, _EMPTY).items():
+        current[relayer] = code(value)
+    columns = []  # (relayer, run codes, the parent each run ends before)
+    for relayer in store.columns.get(depth, _EMPTY):
+        counts, run_codes = store.column_codes(depth, relayer, code)
+        current[relayer] = run_codes[0] if run_codes else default
+        if run_codes.count(current[relayer]) < len(run_codes):
+            ends = itemgetter(*accumulate(counts[:-1]), -1)
+            columns.append((relayer, run_codes, ends(avoiding_index(n, sender, t, relayer))))
+    adjust: dict[int, list[tuple[NodeId, int]]] = {}
+    for path, value in store.overrides.get(depth, _EMPTY).items():
+        adjust.setdefault(path_index(n, path[:-1]), []).append((path[-1], code(value)))
+    own = store.level_codes(t, code)
+    steps = range(len(own))
+    thr = t + 1 + width // 2
+    reach = Counter(current)
+    for relayer, run_codes, _ in columns:
+        reach.update(set(run_codes) - {current[relayer]})
+    # An override costs the leader at most one vote, at its parent only.
+    penalty = [parent for parent, votes in adjust.items() for _ in votes]
+    out = [_UNDECIDED] * len(own)
+    for lead in [held for held, most in reach.items() if most > thr]:
+        starts, stops = Counter(parent + 1 for parent in penalty), Counter(penalty)
+        for relayer, run_codes, ends in columns:
+            holds = list(map(lead.__eq__, run_codes))
+            starts.update(compress(ends, holds[1:]))
+            stops.update(compress(ends, holds))
+        holders = accumulate(
+            map(sub, map(starts.get, steps, repeat(0)), map(stops.get, steps, repeat(0))),
+            initial=current.count(lead),
+        )
+        next(holders)  # the count before the first parent
+        out = list(map(max, out, map((_UNDECIDED, lead).__getitem__, map(thr.__lt__, holders))))
+    parents = paths_of_length(n, sender, t)
+    for index in list(compress(steps, map(_UNDECIDED.__eq__, out))):
+        parent = parents[index]
+        if me in parent:
+            out[index] = default
+            continue
+        for relayer, run_codes, ends in columns:
+            current[relayer] = run_codes[bisect_right(ends, index)]
+        ballot = current[:]
+        for relayer, value in adjust.get(index, ()):
+            ballot[relayer] = value
+        ballot[me] = own[index]
+        out[index] = _strict_majority([ballot[q] for q in range(n) if q not in parent], default)
+    return out
 
 
 def _strict_majority(keys: list, fallback: Any) -> Any:

@@ -613,7 +613,9 @@ def make_delivery(
       given bound (default 2);
     * ``"rush"`` / ``"rush:5,6"`` — :class:`AdversarialOrder`; the
       rushing set comes from the spec suffix when given, else from
-      ``rushing`` (conventionally the scenario's faulty set);
+      ``rushing`` (conventionally the scenario's faulty set).  A suffix
+      naming no node (``"rush:"``, ``"rush:,"``) is an error, not the
+      fallback set;
     * ``"loss:0.2"`` / ``"loss:0.2:3"`` — :class:`LossyDelivery` with
       drop probability 0.2 (and optional latency bound 3);
     * ``"partition:0-3|4-6@8"`` (optionally ``.../defer``) —
@@ -631,7 +633,7 @@ def make_delivery(
         return SynchronousRounds()
     if isinstance(spec, DeliveryModel):
         return spec
-    head, _, arg = spec.partition(":")
+    head, sep, arg = spec.partition(":")
     if head == SynchronousRounds.name:
         if arg:
             raise ConfigurationError(f"sync takes no argument, got {spec!r}")
@@ -645,13 +647,18 @@ def make_delivery(
             ) from None
         return BoundedDelay(delay)
     if head == AdversarialOrder.name:
-        if arg:
+        if sep:
             try:
                 rushing = [int(part) for part in arg.split(",") if part]
             except ValueError:
                 raise ConfigurationError(
                     f"rush node list must be integers, got {spec!r}"
                 ) from None
+            if not rushing:
+                raise ConfigurationError(
+                    f"rush node list is empty in {spec!r}; write 'rush' to rush "
+                    "the faulty set"
+                )
         return AdversarialOrder(rushing)
     if head == LossyDelivery.name:
         parts = arg.split(":") if arg else []

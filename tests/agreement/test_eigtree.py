@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.agreement import eigtree, make_oral_agreement_protocols
-from repro.agreement._paths import paths_of_length
+from repro.agreement._paths import avoiding_index, clear_path_tables, paths_of_length
 from repro.agreement.eigtree import (
     OM_REPORT_RLE,
     RleReport,
@@ -32,6 +32,7 @@ from repro.agreement.eigtree import (
 from repro.agreement.oral import OM_REPORT, OM_VALUE, OralAgreementProtocol
 from repro.crypto.encoding import byte_size, encode
 from repro.faults import ScriptedProtocol, SilentProtocol
+from repro.harness.workloads import akd_point
 from repro.sim import Envelope, run_protocols
 from repro.sim.batch import ChannelBatch
 from repro.sim.message import payload_kind, wire_byte_size
@@ -564,6 +565,23 @@ class TestFirstFiledReportWins:
         with pytest.raises(ValueError, match="shorter"):
             store.resolve(1)
 
+    @pytest.mark.parametrize("side", ["shorter", "longer"])
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_a_hand_filed_column_must_cover_its_level_exactly(self, level, side):
+        """Below the leaf and at it, read whole or resolved from its runs:
+        one named error either way, never a cut or padded level.  (A
+        level-2 column covers one path, so its short form is empty.)"""
+        store = SuccinctEigStore(7, 2, 0, "d")
+        store.set_root("v")
+        covered = 5 if level == 3 else 1  # level-(L-1) paths avoiding relayer 2
+        runs = ((1, "x"), (covered - 1, "y")) if covered > 1 else ((1, "x"),)
+        runs = runs[:-1] if side == "shorter" else runs + ((1, "z"),)
+        store.file_column(level, 2, runs)
+        with pytest.raises(ValueError, match=f"level-{level} run column of relayer 2 is {side}"):
+            store.level_codes(level, _ValueCodes().code)
+        with pytest.raises(ValueError, match=side):
+            store.resolve(1)
+
 
 VALUE_POOL = ["a", "b", "d", None, 0]
 
@@ -637,6 +655,142 @@ class TestColumnarSweepEqualsDense:
                         file_both(eager, {}, n, sender, me, relayer, payload, round_)
             assert_store_matches_tree(store, tree, n, t, sender, "d", me)
             assert_same_reads(store, eager, me)
+
+
+@st.composite
+def hand_filed_stores(draw):
+    """A store filed by hand and the dense dict it stands for.  On every
+    level each relayer's report is missing, uniform, a run column (drawn
+    path by path, so runs cross parent boundaries freely), or a column
+    followed by a uniform report that must lose; some of its paths are
+    first overridden, which must win.  Values repeat often enough for
+    leading counts to clear the margin, and equal tuples arrive as
+    distinct objects."""
+    t = draw(st.integers(1, 3))
+    n = draw(st.integers(t + 2, 10))
+    sender = draw(st.integers(0, n - 1))
+    values = st.one_of(
+        st.sampled_from(["a", "a", "a", "b", "d"]), st.builds(tuple, st.just(["t", 1]))
+    )
+    store, tree = SuccinctEigStore(n, t, sender, "d"), {}
+    if draw(st.booleans()):
+        store.set_root(draw(values))
+        tree[(sender,)] = store.root
+    for level in range(2, t + 2):
+        for relayer in range(n):
+            if relayer == sender:
+                continue
+            parents = [p for p in paths_of_length(n, sender, level - 1) if relayer not in p]
+            overridden = draw(st.lists(st.sampled_from(parents), max_size=3, unique=True))
+            for parent in overridden:
+                store.file_override(level, parent + (relayer,), draw(values))
+                tree[parent + (relayer,)] = store.overrides[level][parent + (relayer,)]
+            kind = draw(st.sampled_from(["missing", "uniform", "column", "column+uniform"]))
+            if kind == "missing":
+                continue
+            if kind == "uniform":
+                column = [draw(values)] * len(parents)
+                store.file_uniform(level, relayer, column[0])
+            else:
+                column = draw(st.lists(values, min_size=len(parents), max_size=len(parents)))
+                runs = tuple(
+                    (len(group), group[0])
+                    for group in (list(g) for _, g in itertools.groupby(column))
+                )
+                store.file_column(level, relayer, runs)
+                column = rle_values(RleReport(n, sender, level - 1, relayer, runs))
+                if kind == "column+uniform":
+                    store.file_uniform(level, relayer, draw(values))
+            for parent, value in zip(parents, column):
+                tree.setdefault(parent + (relayer,), value)
+    return store, tree
+
+
+class TestLeafLevelFromRuns:
+    """The sweep's first step reads the leaf level's runs, never its paths."""
+
+    @given(filed=hand_filed_stores())
+    @settings(max_examples=80, deadline=None)
+    def test_sweep_equals_the_reference_recursion(self, filed):
+        """From the root and from every level-2 path, seen by every node
+        but the sender: uniform entries, run columns, losing uniform
+        reports, overrides and missing relayers on every level."""
+        store, tree = filed
+        n, t, sender = store.n, store.t, store.sender
+        for me in range(n):
+            if me == sender:
+                continue
+            for path in [(sender,)] + [p for p in paths_of_length(n, sender, 2) if me not in p]:
+                expected = reference_resolve(tree, n, t, sender, "d", me, path)
+                assert repr(eigtree.resolve_sweep(store, me, path)) == repr(expected)
+
+    @pytest.mark.parametrize("overridden", [False, True])
+    def test_a_lead_that_adjusting_can_break_takes_the_exact_vote(self, overridden):
+        """n = 7, t = 2, parent (0, 1) seen by node 2: the default is held
+        by the sender, the parent's relayer 1 and ``me`` — exactly the t+1
+        holders the vote drops — and by 5 and 6; 3 and 4 report "v" and the
+        parent's own value is "v".  Five holders is no decision, so the
+        vote is "v" 3 of 5.  With 4 silent but overridden to "v" on this
+        parent, six holders lose a seventh vote: still "v"."""
+        store, tree = SuccinctEigStore(7, 2, 0, "d"), {}
+        store.set_root("v")
+        store.file_uniform(2, 1, "v")
+        store.file_uniform(3, 3, "v")
+        tree.update({(0,): "v", (0, 1): "v"})
+        tree.update({p + (3,): "v" for p in paths_of_length(7, 0, 2) if 3 not in p})
+        if overridden:
+            store.file_override(3, (0, 1, 4), "v")
+            tree[(0, 1, 4)] = "v"
+        else:
+            store.file_uniform(3, 4, "v")
+            tree.update({p + (4,): "v" for p in paths_of_length(7, 0, 2) if 4 not in p})
+        assert reference_resolve(tree, 7, 2, 0, "d", 2, (0, 1)) == "v"
+        assert eigtree.resolve_sweep(store, 2, (0, 1)) == "v"
+
+    def test_a_degraded_store_never_reads_its_leaf_level(self, monkeypatch):
+        """A t = 3 store whose leaf level holds alternating run columns
+        and an override resolves without asking for level t+1 whole."""
+        n, t = 8, 3
+        store, tree = SuccinctEigStore(n, t, 0, "d"), {}
+        store.set_root("v")
+        tree[(0,)] = "v"
+        store.file_override(4, (0, 1, 2, 3), "w")
+        tree[(0, 1, 2, 3)] = "w"
+        for level in range(2, t + 2):
+            for relayer in range(1, n):
+                parents = [p for p in paths_of_length(n, 0, level - 1) if relayer not in p]
+                column = ["v" if (i // (relayer + 1)) % 3 else "d" for i in range(len(parents))]
+                runs = tuple(
+                    (len(list(g)), value) for value, g in itertools.groupby(column)
+                )
+                store.file_column(level, relayer, runs)
+                for parent, value in zip(parents, column):
+                    tree.setdefault(parent + (relayer,), value)
+        asked = []
+        level_codes = SuccinctEigStore.level_codes
+        monkeypatch.setattr(
+            SuccinctEigStore,
+            "level_codes",
+            lambda self, level, code: asked.append(level) or level_codes(self, level, code),
+        )
+        for me in range(1, n):
+            assert repr(store.resolve(me)) == repr(reference_resolve(tree, n, t, 0, "d", me))
+        assert asked and t + 1 not in asked
+
+    def test_a_t1_resolve_builds_no_avoiding_index(self, monkeypatch):
+        """A level-1 report is one item, so a t = 1 leaf level holds no
+        multi-run column and no per-relayer table is built — here on
+        lossy agreement-based key distribution, whose resolves fall back
+        to the sweep."""
+        sweeps = []
+        sweep = eigtree.resolve_sweep
+        monkeypatch.setattr(
+            eigtree, "resolve_sweep", lambda *args: sweeps.append(args) or sweep(*args)
+        )
+        clear_path_tables()
+        akd_point(7, 1, seed=1, delivery="loss:0.2:2")
+        assert sweeps
+        assert avoiding_index.cache_info().currsize == 0
 
 
 @pytest.fixture

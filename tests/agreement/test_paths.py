@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.agreement import _paths
 from repro.agreement._paths import (
+    avoiding_index,
     clear_path_tables,
     last_id_column,
     level_wire_stats,
@@ -66,12 +67,16 @@ class TestTableProperties:
         memos = {
             name: fn for name, fn in vars(_paths).items() if hasattr(fn, "cache_clear")
         }
-        assert {"paths_of_length", "path_set", "level_wire_stats", "last_id_column"} <= (
-            memos.keys()
-        )
+        assert {
+            "paths_of_length",
+            "path_set",
+            "level_wire_stats",
+            "last_id_column",
+            "avoiding_index",
+        } <= memos.keys()
         clear_path_tables()
-        for fn in memos.values():
-            fn(5, 0, 3)
+        for name, fn in memos.items():
+            fn(5, 0, 3, 1) if name == "avoiding_index" else fn(5, 0, 3)
         held = {name: fn.cache_info().currsize for name, fn in memos.items()}
         assert all(held.values()), held
         assert path_table_info()["entries"] == sum(held.values())
@@ -101,6 +106,25 @@ class TestTableProperties:
         clear_path_tables()
         last_id_column(9, 0, 4)
         assert paths_of_length.cache_info().currsize == 3  # lengths 1..3
+
+    def test_avoiding_index_places_a_relayers_report_in_the_level(self):
+        """Entry k is the level position of the k-th path a relayer's
+        report covers; the last entry is the level's path count."""
+        for n, sender in ((4, 0), (5, 2), (8, 0)):
+            for length in range(1, 4):
+                table = paths_of_length(n, sender, length)
+                for relayer in range(n):
+                    assert list(avoiding_index(n, sender, length, relayer)) == [
+                        index for index, path in enumerate(table) if relayer not in path
+                    ] + [len(table)]
+        assert avoiding_index(8, 0, 3, 2) is avoiding_index(8, 0, 3, 2)
+
+    def test_avoiding_index_widens_past_two_byte_indices(self):
+        """Level positions from 65,536 up switch the packing, not the
+        interface."""
+        narrow, wide = avoiding_index(40, 0, 3, 5), avoiding_index(258, 0, 3, 5)
+        assert (narrow.typecode, wide.typecode) == ("H", "I")
+        assert wide[-1] == 257 * 256 and wide[-2] == wide[-1] - 1
 
     def test_path_index_is_the_canonical_position(self):
         for n, sender in ((4, 0), (5, 2), (8, 0)):

@@ -44,6 +44,14 @@ class TestMakeDelivery:
         # An explicit spec list wins over the fallback.
         assert make_delivery("rush:4", rushing=[1]).rushing == frozenset({4})
 
+    @pytest.mark.parametrize("spec", ["rush:", "rush:,", "rush:,,"])
+    def test_rush_with_an_empty_node_list_is_rejected(self, spec):
+        """A colon promises a node list: an empty one neither falls back
+        to the faulty set nor builds an empty rushing set."""
+        with pytest.raises(ConfigurationError) as excinfo:
+            make_delivery(spec, rushing=[1, 2])
+        assert repr(spec) in str(excinfo.value)
+
     def test_instance_passes_through(self):
         model = BoundedDelay(3)
         assert make_delivery(model) is model
