@@ -78,7 +78,9 @@ def memory_probes() -> dict[str, Callable[[], Any]]:
     stay flat as the oral grid grows (PERFORMANCE.md tabulates them
     against the dict-of-paths formulation's), n concurrent OM(t)
     instances must build no path table, a lossy run's batch records
-    must keep no per-subset recipient container, a run's metrics
+    must keep no per-subset recipient container, a mux must let go of
+    an instance's protocol when it halts, not when the run ends (the
+    n=64 lossy akd probe, the ``mux-lossy`` shape), a run's metrics
     must hold no sent payload (the akd and key-distribution probes), and
     the real-signature path must hold ``schnorr-512``'s one ``g`` table at
     its designed size, not a table per key or per object (the schnorr fd
@@ -94,6 +96,7 @@ def memory_probes() -> dict[str, Callable[[], Any]]:
         "oral_succinct_n128_t3": partial(oral_point, 128, 3, seed=1),
         "akd_succinct_n32_t3": partial(akd_point, 32, 3, seed=1),
         "akd_loss_n32_t1": partial(akd_point, 32, 1, seed=1, delivery="loss:0.05:2"),
+        "akd_loss_n64_t1": partial(akd_point, 64, 1, seed=1, delivery="loss:0.05:2"),
         "keydist_n64": partial(keydist_point, 64, seed=1),
         "fd_local_schnorr_n16_t5": partial(
             fd_point, 16, 5, seed=1, auth="local", scheme="schnorr-512"

@@ -224,9 +224,14 @@ def _merge_plain_into_batch(
 
 
 class _MuxSlot:
-    """Bookkeeping for one hosted instance.  ``rng`` is ``None`` until the
-    instance's first ``rng`` read; until then (and in a pickle) the slot holds
-    the stream's identity: the mux's ``(seed, node, channel)`` + ``outcome.instance``."""
+    """Bookkeeping for one hosted instance, and from setup on the one place
+    the mux holds its protocol.  ``rng`` is ``None`` until the instance's
+    first ``rng`` read; until then (and in a pickle) the slot holds the
+    stream's identity: the mux's ``(seed, node, channel)`` +
+    ``outcome.instance``.  Once the instance halts the slot keeps only
+    ``outcome`` (and that identity): ``protocol`` and ``rng`` are ``None``,
+    so the protocol's state (an OM(t) instance's EIG store) is freed while
+    other instances still run."""
 
     __slots__ = ("protocol", "outcome", "identity", "rng")
 
@@ -248,12 +253,15 @@ class InstanceMux(Protocol):
     Each round, the inbox is demultiplexed by the mux envelope extension
     (non-parsing traffic is dropped — Byzantine noise belongs to no
     instance) and every live instance is stepped with its own envelopes,
-    its own rng stream and its own outcome.  When every instance has
-    halted, the per-instance outcomes are published under
-    ``outputs[MUX_OUTCOMES]`` and the node halts.  Embedding protocols
-    that want to post-process (e.g. build a key directory from the
-    decisions) wrap the mux in a :class:`~repro.sim.compose.PhaseHost`
-    and read :attr:`outcomes` when the host reports the halt.
+    its own rng stream and its own outcome.  The mux owns each hosted
+    protocol in one place, its slot, and lets go of it (and of its stream)
+    the moment the instance halts: a halted instance keeps only its
+    :class:`InstanceOutcome`.  When every instance has halted, the
+    per-instance outcomes are published under ``outputs[MUX_OUTCOMES]``
+    and the node halts.  Embedding protocols that want to post-process
+    (e.g. build a key directory from the decisions) wrap the mux in a
+    :class:`~repro.sim.compose.PhaseHost` and read :attr:`outcomes` when
+    the host reports the halt.
     """
 
     #: Kept for the engine-fallback counter of ``benchmarks/e2e/trace.py``.
@@ -265,7 +273,9 @@ class InstanceMux(Protocol):
         channel: str = DEFAULT_CHANNEL,
     ) -> None:
         self._channel = channel
-        self._protocols = {int(i): p for i, p in instances.items()}
+        self._protocols: dict[int, Protocol] | None = {
+            int(i): p for i, p in instances.items()
+        }
         self._slots: dict[int, _MuxSlot] = {}
         self._live = 0
 
@@ -275,23 +285,26 @@ class InstanceMux(Protocol):
         return {i: slot.outcome for i, slot in self._slots.items()}
 
     def setup(self, ctx: NodeContext) -> None:
-        """Register with the batch plane; create per-instance outcomes and
-        slots; set up instances."""
+        """Register with the batch plane; move each instance's protocol
+        into a slot, in sorted id order, with a fresh outcome; set up
+        instances."""
         ctx.register_batch_consumer(self._channel)
         identity = (ctx.seed, ctx.node, self._channel)
-        for instance in sorted(self._protocols):
+        protocols, self._protocols = self._protocols, None
+        for instance in sorted(protocols):
             outcome = InstanceOutcome(instance=instance)
-            slot = _MuxSlot(self._protocols[instance], outcome, identity)
+            slot = _MuxSlot(protocols[instance], outcome, identity)
             self._slots[instance] = slot
             slot.protocol.setup(
                 _MuxInstanceContext(ctx, self._channel, slot)
             )  # type: ignore[arg-type]
-        # An instance may already have halted inside its setup (a
-        # config-validating or crashed-from-start behaviour): count only
-        # the live ones, or _live could never reach zero.
-        self._live = sum(
-            1 for slot in self._slots.values() if not slot.outcome.halted
-        )
+            # An instance may already have halted inside its setup (a
+            # config-validating or crashed-from-start behaviour): count
+            # only the live ones, or _live could never reach zero.
+            if slot.outcome.halted:
+                slot.protocol = slot.rng = None
+            else:
+                self._live += 1
 
     def on_round(self, ctx: NodeContext, inbox: list[Envelope]) -> None:
         """Demultiplex, step every live instance, halt when all are done."""
@@ -330,6 +343,7 @@ class InstanceMux(Protocol):
                 protocol.on_round(proxy, group.envelopes_for(me))  # type: ignore[arg-type]
             if outcome.halted:
                 self._live -= 1
+                slot.protocol = slot.rng = None
         if self._live == 0:
             ctx.state.outputs[MUX_OUTCOMES] = self.outcomes
             ctx.halt()

@@ -326,6 +326,16 @@ class AdversarialOrder(DeliveryModel):
     def __init__(self, rushing: Iterable[NodeId]) -> None:
         self.rushing = frozenset(int(node) for node in rushing)
 
+    def bind(self, kernel: "EventKernel") -> None:
+        """Fail closed on a rushing node outside ``0..n-1``."""
+        n = kernel.n
+        outside = sorted(self.rushing.difference(range(n)))
+        if outside:
+            spec = "rush:" + ",".join(map(str, sorted(self.rushing)))
+            raise ConfigurationError(
+                f"{spec!r} names node(s) {outside} outside 0..{n - 1} (n={n})"
+            )
+
     def arrival_tick(self, envelope: Envelope, tick: Round) -> Round:
         if (
             envelope.recipient in self.rushing
@@ -345,7 +355,7 @@ class AdversarialOrder(DeliveryModel):
 
     def activation_order(self, n: int) -> Sequence[NodeId]:
         honest = [node for node in range(n) if node not in self.rushing]
-        return honest + sorted(node for node in self.rushing if node < n)
+        return honest + sorted(self.rushing)
 
 
 class LossyDelivery(_LinkStreamDelivery):
@@ -495,6 +505,26 @@ class PartitionedDelivery(DeliveryModel):
         # silently.
         self.sweep_undelivered = defer
 
+    def bind(self, kernel: "EventKernel") -> None:
+        """Fail closed on a block naming a node outside ``0..n-1``."""
+        n = kernel.n
+        for epoch, (_, blocks) in enumerate(self.schedule):
+            outside = sorted(frozenset().union(*blocks or ()).difference(range(n)))
+            if outside:
+                # In spec form: this epoch's blocks, then the later epochs'
+                # start ticks (exactly the spec for the parser's schedules).
+                spec = "partition:" + "|".join(
+                    f"{min(block)}-{max(block)}"
+                    if 1 < len(block) == max(block) - min(block) + 1
+                    else ",".join(map(str, sorted(block)))
+                    for block in blocks
+                ) + "".join(f"@{start}" for start, _ in self.schedule[epoch + 1:])
+                spec += "/defer" if self.defer else ""
+                shown = ", ".join(map(str, outside[:3])) + ", ..." * (len(outside) > 3)
+                raise ConfigurationError(
+                    f"{spec!r} names node(s) {shown} outside 0..{n - 1} (n={n})"
+                )
+
     def _connected(self, sender: NodeId, recipient: NodeId, tick: Round) -> bool:
         """Whether the two nodes can talk in the epoch covering ``tick``."""
         blocks: tuple[frozenset[NodeId], ...] | None = None
@@ -589,11 +619,20 @@ def _parse_partition_spec(spec: str, arg: str) -> PartitionedDelivery:
                     block.update(range(int(low), int(high) + 1))
                 else:
                     block.add(int(item))
+            if not block:
+                raise ConfigurationError(
+                    f"partition block {block_spec!r} names no node in {spec!r}"
+                )
             blocks.append(block)
     except ValueError:
         raise ConfigurationError(
             f"partition spec must use integer node ids and heal tick, got {spec!r}"
         ) from None
+    if heal < 1:
+        raise ConfigurationError(
+            f"partition heal tick must be >= 1 (the blocks hold from tick 0), "
+            f"got {heal} in {spec!r}"
+        )
     return PartitionedDelivery(
         schedule=((0, tuple(blocks)), (heal, None)), defer=defer
     )
@@ -610,21 +649,26 @@ def make_delivery(
 
     * ``"sync"`` — :class:`SynchronousRounds`;
     * ``"bounded"`` / ``"bounded:3"`` — :class:`BoundedDelay` with the
-      given bound (default 2);
+      given bound (default 2; ``"bounded:"`` is an error);
     * ``"rush"`` / ``"rush:5,6"`` — :class:`AdversarialOrder`; the
       rushing set comes from the spec suffix when given, else from
       ``rushing`` (conventionally the scenario's faulty set).  A suffix
       naming no node (``"rush:"``, ``"rush:,"``) is an error, not the
       fallback set;
     * ``"loss:0.2"`` / ``"loss:0.2:3"`` — :class:`LossyDelivery` with
-      drop probability 0.2 (and optional latency bound 3);
+      drop probability 0.2 (and optional latency bound 3; bare ``"loss"``
+      means ``"loss:0.1"``, ``"loss:"`` is an error);
     * ``"partition:0-3|4-6@8"`` (optionally ``.../defer``) —
       :class:`PartitionedDelivery`: ``|``-separated blocks of node
       ranges, healed from tick 8 on; ``/defer`` parks cross-block
-      traffic until the heal instead of dropping it.
+      traffic until the heal instead of dropping it.  A block must name
+      a node and the heal tick must be at least 1.
 
-    A ready :class:`DeliveryModel` instance passes through unchanged;
-    ``None`` means the default synchronous model.
+    Node ids a spec names are checked against the run's size when the
+    kernel binds the model: a rushing node or block member outside
+    ``0..n-1`` is an error naming the spec and ``n``.  A ready
+    :class:`DeliveryModel` instance passes through unchanged; ``None``
+    means the default synchronous model.
 
     :raises ConfigurationError: for unknown or malformed specs — the
         error names the valid spec heads.
@@ -640,7 +684,7 @@ def make_delivery(
         return SynchronousRounds()
     if head == BoundedDelay.name:
         try:
-            delay = int(arg) if arg else 2
+            delay = int(arg) if sep else 2
         except ValueError:
             raise ConfigurationError(
                 f"bounded delay must be an integer, got {spec!r}"
@@ -661,7 +705,7 @@ def make_delivery(
                 )
         return AdversarialOrder(rushing)
     if head == LossyDelivery.name:
-        parts = arg.split(":") if arg else []
+        parts = arg.split(":") if sep else []
         try:
             if len(parts) > 2:
                 raise ValueError("extra fields")

@@ -55,7 +55,9 @@ def instance_rng(
 # * node streams: ``NodeContext.rng`` (one per context, built here);
 # * instance streams: built by :func:`instance_rng` on an instance's first
 #   ``rng`` read and held by its mux slot, which carries the stream's
-#   identity (seed, node, instance, channel) until then;
+#   identity (seed, node, instance, channel) until then; the slot lets go
+#   of the stream (with the protocol) when the instance halts, since a
+#   halted instance is never stepped again;
 # * link streams, as positions: the flat ``n * n`` tables of pre-drawn
 #   outcome arrays (``_links``, aliased by ``_fanouts``; pickled as raw
 #   bytes) and drawn counts (``_drawn``) of :mod:`repro.sim.network`'s

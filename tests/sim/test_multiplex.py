@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import pickle
+import weakref
+
 import pytest
 
 from repro.agreement.oral import OralAgreementProtocol
 from repro.analysis.complexity import om_envelopes
-from repro.auth.agreement_based import run_agreement_key_distribution
-from repro.faults import RandomNoiseProtocol
+from repro.auth.agreement_based import (
+    AgreementKeyDistributionProtocol,
+    run_agreement_key_distribution,
+)
+from repro.faults import RandomNoiseProtocol, make_adversary
 from repro.sim import (
     MUX_OUTCOMES,
     Envelope,
+    EventKernel,
     InstanceMux,
     NodeContext,
     Protocol,
@@ -19,6 +26,9 @@ from repro.sim import (
     mux_unwrap,
     mux_wrap,
     payload_kind,
+    capture_kernel,
+    make_delivery,
+    restore_kernel,
     run_protocols,
 )
 from repro.sim import multiplex
@@ -412,17 +422,18 @@ class _HostedInstance(Protocol):
 
 class TestNestedHosts:
     def test_phasehost_inside_instancemux(self):
+        # The mux lets go of an instance once it halts; keep our own
+        # reference to read what its inner protocol saw.
+        hosted = _HostedInstance()
         protocols = [
-            InstanceMux({0: _HostedInstance(), 2: _HostedInstance()},
-                        channel="nest")
-            for _ in range(2)
+            InstanceMux({0: _HostedInstance(), 2: hosted}, channel="nest"),
+            InstanceMux({0: _HostedInstance(), 2: _HostedInstance()}, channel="nest"),
         ]
         run = run_protocols(protocols, seed=3)
         # The inner protocol saw its own shifted round 0, inside the mux.
         for node, mux in enumerate(protocols):
             for k, outcome in mux.outcomes.items():
                 assert outcome.decision == ("wrapped", ("late", node))
-        hosted = protocols[0]._protocols[2]
         assert hosted.inner.seen == [0]
         assert run.states[0].halted
 
@@ -476,4 +487,85 @@ class TestAggregation:
         assert (
             sum(a.messages for a in aggregates.values())
             == run.metrics.messages_total
+        )
+
+
+class _Quick(Protocol):
+    """Decides and halts in its round 0."""
+
+    def on_round(self, ctx, inbox):
+        ctx.decide("quick")
+        ctx.halt()
+
+
+class _Watcher(Protocol):
+    """Runs rounds 0-3, noting in each whether ``ref`` still resolves."""
+
+    def __init__(self, ref):
+        self.ref = ref
+        self.alive = []
+
+    def on_round(self, ctx, inbox):
+        self.alive.append(self.ref() is not None)
+        if ctx.round == 3:
+            ctx.decide("watched")
+            ctx.halt()
+
+
+def _akd_kernel():
+    """Lossy AKD at n=7, t=1: honest instances halt at tick 2, while node
+    6 is dark for ticks 1-4 and its mux resumes every instance at tick 5."""
+    protocols = [AgreementKeyDistributionProtocol(7, 1) for _ in range(7)]
+    protocols = make_adversary("6=crash@1-5", t=1).protocols_for(protocols)
+    return EventKernel(protocols, seed="akd-release", delivery=make_delivery("loss:0.2:2"))
+
+
+def _akd_slots(kernel):
+    """node -> its mux's slots (node 6's AKD protocol sits in a crash wrapper)."""
+    return {
+        node: getattr(protocol, "inner", protocol)._mux._slots
+        for node, protocol in enumerate(kernel.protocols)
+    }
+
+
+class TestHaltedInstanceRelease:
+    """A halted instance keeps only its outcome: the mux lets go of its
+    protocol (and stream) at once, not when the whole run ends."""
+
+    def test_a_halted_protocol_dies_while_its_mux_steps_others(self):
+        # Only the muxes hold the quick protocols; each watcher, stepped
+        # after its node's quick instance, sees it already gone.
+        quick = [_Quick() for _ in range(3)]
+        watchers = [_Watcher(weakref.ref(protocol)) for protocol in quick]
+        protocols = [
+            InstanceMux({0: quick.pop(0), 1: watcher}, channel="release")
+            for watcher in watchers
+        ]
+        run = run_protocols(protocols, seed=4)
+        assert all(watcher.alive == [False] * 4 for watcher in watchers)
+        for mux in protocols:
+            assert mux.outcomes[0].decision == "quick"
+            assert mux.outcomes[1].decision == "watched"
+            assert all(slot.protocol is None and slot.rng is None for slot in mux._slots.values())
+        assert all(state.halted for state in run.states)
+
+    def test_a_lossy_akd_checkpoint_after_halts_resumes(self):
+        straight = _akd_kernel().run()
+        runner = _akd_kernel()
+        assert runner.run(until_tick=3) is None
+        slots = _akd_slots(runner)
+        assert all(
+            slot.protocol is None and slot.outcome.decided
+            for node in range(6)
+            for slot in slots[node].values()
+        )
+        assert all(slot.protocol is not None for slot in slots[6].values())
+        snapshot = pickle.loads(pickle.dumps(capture_kernel(runner)))
+        restored = restore_kernel(snapshot)
+        resumed = restored.run()
+        assert observables(resumed) == observables(straight)
+        assert all(
+            slot.protocol is None
+            for node_slots in _akd_slots(restored).values()
+            for slot in node_slots.values()
         )

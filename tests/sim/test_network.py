@@ -60,12 +60,43 @@ class TestMakeDelivery:
         "spec", ["warp", "bounded:x", "rush:a", "sync:1", "bounded:"]
     )
     def test_malformed_specs_rejected(self, spec):
-        if spec == "bounded:":
-            # empty argument falls back to the default bound
-            assert make_delivery(spec).delay == 2
-            return
         with pytest.raises(ConfigurationError):
             make_delivery(spec)
+
+    @pytest.mark.parametrize(
+        "spec, match",
+        [
+            # A colon promises an argument: an empty one is no default.
+            ("bounded:", "integer"),
+            ("loss:", "must look like"),
+            ("partition:6-0@1", "block '6-0' names no node"),
+            ("partition:0-3|4-6@0", "heal tick must be >= 1.*got 0"),
+        ],
+    )
+    def test_a_spec_naming_nothing_is_rejected(self, spec, match):
+        with pytest.raises(ConfigurationError, match=match) as excinfo:
+            make_delivery(spec)
+        assert repr(spec) in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ("rush:99", "[99]"),
+            ("rush:-1", "[-1]"),
+            ("partition:0-99@1", "7, 8, 9, ..."),
+            ("partition:0-2|3-6,9@3/defer", "9"),
+        ],
+    )
+    def test_a_node_outside_the_run_fails_at_bind(self, spec, named):
+        """Node ranges are checked once the run's size is known: the
+        error names the spec, the nodes outside it and n."""
+        model = make_delivery(spec)
+        with pytest.raises(ConfigurationError) as excinfo:
+            _chatter_run(7, model)
+        message = str(excinfo.value)
+        assert f"names node(s) {named} outside 0..6 (n=7)" in message
+        assert "permutation" not in message
+        assert repr(spec.replace("3-6,9", "3,4,5,6,9")) in message
 
     def test_available_deliveries_lists_all(self):
         assert available_deliveries() == [

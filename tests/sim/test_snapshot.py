@@ -232,7 +232,7 @@ class TestEngineCoverage:
 
         def level_two(kernel, instance):
             return [
-                mux._protocols[instance]._store.uniform[2] for mux in kernel.protocols
+                mux._slots[instance].protocol._store.uniform[2] for mux in kernel.protocols
             ]
 
         straight = build().run()
