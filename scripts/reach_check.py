@@ -80,14 +80,6 @@ ALLOWED: dict[str, str] = {
     "repro.sim.node:Protocol.retune": "base default: rejects every retune parameter",
     "repro.faults.adversary:AdaptiveCorruptible.on_round":
         "round-API delegation for a layer that nests the wrapper and calls on_round",
-    "repro.sim.compose:_PhaseProxyContext.n": "context member a phase may read",
-    "repro.sim.compose:_PhaseProxyContext.rng": "context member a phase may read",
-    "repro.sim.multiplex:_MuxInstanceContext.__getattr__":
-        "context pass-through an instance protocol may read",
-    "repro.sim.multiplex:_MuxInstanceContext.n": "context member an instance may read",
-    "repro.sim.multiplex:_MuxInstanceContext.state": "context member an instance may read",
-    "repro.sim.multiplex:_MuxInstanceContext.discover_failure":
-        "context member an instance may call; OM(t) never discovers",
     "repro.fd.adaptive:AdaptiveTimeoutFDProtocol.retune":
         "its declared max_timeout fork axis (tunable), which no sweep forks yet",
     # Runs only in pool workers, where the profile does not reach.

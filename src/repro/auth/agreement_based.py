@@ -52,7 +52,6 @@ from ..sim import (
     make_delivery,
     run_protocols,
 )
-from ..sim.compose import PhaseHost
 from ..types import NodeId, validate_fault_budget
 from .directory import KeyDirectory
 
@@ -86,8 +85,9 @@ class AgreementKeyDistributionProtocol(Protocol):
     Instance ``i`` has node ``i`` as sender, broadcasting its own test
     predicate.  All instances run under one
     :class:`~repro.sim.multiplex.InstanceMux` on the ``"akd"`` channel,
-    embedded through a :class:`~repro.sim.compose.PhaseHost` so this
-    protocol can post-process the captured outcomes into a directory.
+    which this protocol drives directly: the mux publishes its outcomes
+    and halts the node, and this protocol then folds the decisions into
+    a directory.
 
     Output: ``outputs["directory"]`` — bindings for every node whose
     instance decided a predicate value; ``outputs["keypair"]``.
@@ -111,10 +111,10 @@ class AgreementKeyDistributionProtocol(Protocol):
         self._scheme_name = scheme
         self._keypair: KeyPair | None = None
         self._mux: InstanceMux | None = None
-        self._host: PhaseHost | None = None
 
     def setup(self, ctx: NodeContext) -> None:
-        """Generate the keypair; assemble the per-instance OM protocols."""
+        """Generate the keypair; assemble and set up the per-instance OM
+        protocols."""
         scheme = get_scheme(self._scheme_name)
         self._keypair = scheme.generate_keypair(ctx.rng)
         inner: dict[int, Protocol] = {
@@ -128,12 +128,13 @@ class AgreementKeyDistributionProtocol(Protocol):
             for instance in range(self._n)
         }
         self._mux = InstanceMux(inner, channel=AKD_CHANNEL)
-        self._host = PhaseHost(self._mux, offset=0)
+        self._mux.setup(ctx)
 
     def on_round(self, ctx: NodeContext, inbox: list) -> None:
-        """Step the mux; on completion, fold decisions into a directory."""
-        self._host.step(ctx, inbox)
-        if not self._host.outcome.halted:
+        """Step the mux; once it halted the node, fold decisions into a
+        directory."""
+        self._mux.on_round(ctx, inbox)
+        if not ctx.state.halted:
             return
         directory = KeyDirectory(owner=ctx.node)
         directory.accept(ctx.node, self._keypair.predicate)
@@ -142,7 +143,6 @@ class AgreementKeyDistributionProtocol(Protocol):
                 directory.accept(instance, outcome.decision)
         ctx.state.outputs["directory"] = directory
         ctx.state.outputs["keypair"] = self._keypair
-        ctx.halt()
 
 
 @dataclass

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..sim import Envelope, NodeContext, Protocol
-from ..sim.message import payload_kind
+from ..sim.message import mux_wrap, payload_kind, wire_byte_size
 from ..types import NodeId, Round
 
 # (round, recipient, payload) -> deliver?  Used by the drop filter.
@@ -152,17 +152,13 @@ class _InterceptingContext:
     ) -> tuple[int, int]:
         # A mux under this lens loses the batch fast path by
         # construction: the filter's contract is per-message, so the
-        # batch send is re-materialised as per-recipient wrapped sends
-        # (one wrapper object shared across recipients).  Without this
+        # batch send is re-materialised as this lens's own broadcast of
+        # one wrapped payload (shared across recipients).  Without this
         # override the batch record would slip past the filter via
         # ``__getattr__`` and a tampered mux would diverge from the
         # per-envelope reference.
-        from ..sim.message import mux_wrap, wire_byte_size
-
         recipients = self._ctx.others() if to is None else list(to)
-        wrapped = mux_wrap(channel, instance, payload)
-        for recipient in recipients:
-            self.send(recipient, wrapped)
+        self.broadcast(mux_wrap(channel, instance, payload), recipients)
         return len(recipients), wire_byte_size(payload)
 
 

@@ -63,8 +63,9 @@ ingredients:
   its path.
 
 Consumer registration is snapshotted at each tick's delivery drain:
-a node that registers mid-tick (the lazy ``PhaseHost`` setup on its
-first activation) becomes a group consumer from the *next* drain on,
+a node that registers mid-tick (a mux set up lazily on its node's
+first activation, e.g. inside a ``PhaseHost``) becomes a group consumer
+from the *next* drain on,
 and any traffic delivered before that was materialised to its plain
 inbox — no record is ever both grouped and materialised for one node.
 """

@@ -18,7 +18,7 @@ from .message import Envelope, payload_kind
 from .node import NodeContext, Protocol
 
 
-@dataclass
+@dataclass(slots=True)
 class PhaseOutcome:
     """Captured effects of an embedded protocol."""
 
@@ -34,7 +34,16 @@ class PhaseOutcome:
 
 class _PhaseProxyContext:
     """Context seen by the embedded protocol: rounds shifted to its own
-    zero, terminal effects redirected into the outcome."""
+    zero, terminal effects redirected into the outcome.
+
+    Everything else (``n``, ``rng``, ``state`` for outputs, ``others``,
+    ``send``, ``broadcast``, ...) passes through to the wrapped context;
+    decide / discover / halt never reach the real node state through this
+    lens.  :class:`repro.sim.multiplex._MuxInstanceContext` is the same
+    lens at offset 0 with a per-instance ``rng`` and tagged sends.
+    """
+
+    __slots__ = ("_ctx", "_offset", "_outcome")
 
     def __init__(
         self, ctx: NodeContext, offset: Round, outcome: PhaseOutcome
@@ -51,31 +60,8 @@ class _PhaseProxyContext:
         return self._ctx.node
 
     @property
-    def n(self) -> int:
-        return self._ctx.n
-
-    @property
-    def rng(self):
-        return self._ctx.rng
-
-    @property
     def round(self) -> Round:
         return self._ctx.round - self._offset
-
-    @property
-    def state(self):
-        # Expose the *real* node state for outputs, but note that decide /
-        # discover / halt never reach it through this proxy.
-        return self._ctx.state
-
-    def others(self) -> list[NodeId]:
-        return self._ctx.others()
-
-    def send(self, to: NodeId, payload: Any) -> None:
-        self._ctx.send(to, payload)
-
-    def broadcast(self, payload: Any, to: list[NodeId] | None = None) -> None:
-        self._ctx.broadcast(payload, to=to)
 
     def decide(self, value: Any) -> None:
         self._outcome.decided = True

@@ -49,10 +49,15 @@ otherwise.
 Composition
 -----------
 :class:`InstanceMux` is itself a :class:`~repro.sim.node.Protocol`: it
-can run directly under the scheduler, be embedded in a larger protocol
-through :class:`~repro.sim.compose.PhaseHost`, and host instances that
-themselves embed sub-protocols via ``PhaseHost`` — the three layerings
-the key-distribution and FD→BA stacks use.  Because it only speaks the
+can run directly under the scheduler, be driven by an embedding
+protocol that calls its ``setup`` / ``on_round`` itself (agreement-based
+key distribution does, then folds :attr:`InstanceMux.outcomes` into a
+directory), be embedded in a round window through
+:class:`~repro.sim.compose.PhaseHost`, and host instances that
+themselves embed sub-protocols via ``PhaseHost``.  An instance's context
+is the phase lens itself at offset 0 (:class:`_MuxInstanceContext`
+subclasses :class:`~repro.sim.compose._PhaseProxyContext`), so a mux
+adds one proxy hop.  Because it only speaks the
 ``Protocol`` API, the mux runs on the event kernel unchanged under any
 :class:`~repro.sim.network.DeliveryModel`: each activation demultiplexes
 whatever arrived that tick (``tests/sim/test_multiplex.py`` pins this).
@@ -66,7 +71,7 @@ from typing import Any, Mapping
 
 from ..types import NodeId
 from .batch import ChannelBatch
-from .compose import PhaseOutcome
+from .compose import PhaseOutcome, _PhaseProxyContext
 from .kernel import RunResult
 from .message import Envelope, mux_unwrap
 from .node import NodeContext, Protocol
@@ -79,7 +84,7 @@ MUX_OUTCOMES = "mux-outcomes"
 #: Default channel name for anonymous muxes.
 DEFAULT_CHANNEL = "mux"
 
-@dataclass
+@dataclass(slots=True)
 class InstanceOutcome(PhaseOutcome):
     """Captured effects and measurements of one multiplexed instance.
 
@@ -102,43 +107,23 @@ class InstanceOutcome(PhaseOutcome):
     rounds: int = 0
 
 
-class _MuxInstanceContext:
-    """One instance's window onto the node: tagged sends, namespaced rng.
+class _MuxInstanceContext(_PhaseProxyContext):
+    """One instance's window onto the node: the phase lens at offset 0
+    (all instances share the mux's round frame), capturing decide /
+    discover / halt into the :class:`InstanceOutcome`, plus the
+    instance's namespaced ``rng`` and its tagged sends, charged to that
+    outcome."""
 
-    The mirror of :class:`repro.sim.compose._PhaseProxyContext`, per
-    instance instead of per phase: sends travel on the instance's tagged
-    stream (and are charged to the instance's outcome), ``rng`` is the
-    instance's namespaced stream, and decide / discover / halt are
-    captured in the :class:`InstanceOutcome` instead of the node state.
-    Rounds pass through unshifted — all instances share the mux's round
-    frame (shift the whole mux with a ``PhaseHost`` if needed).
-    """
-
-    __slots__ = ("_ctx", "_channel", "_slot", "_outcome")
+    __slots__ = ("_channel", "_slot")
 
     def __init__(self, ctx, channel: str, slot: "_MuxSlot") -> None:
+        # The lens's own slots, set inline: one context per live instance
+        # per round.
         self._ctx = ctx
+        self._offset = 0
+        self._outcome = slot.outcome
         self._channel = channel
         self._slot = slot
-        self._outcome = slot.outcome
-
-    def __getattr__(self, item: str) -> Any:
-        return getattr(self._ctx, item)
-
-    @property
-    def node(self) -> NodeId:
-        """This node's id (pass-through)."""
-        return self._ctx.node
-
-    @property
-    def n(self) -> int:
-        """Network size (pass-through)."""
-        return self._ctx.n
-
-    @property
-    def round(self) -> int:
-        """The mux's round frame, unshifted."""
-        return self._ctx.round
 
     @property
     def rng(self):
@@ -148,16 +133,6 @@ class _MuxInstanceContext:
             seed, node, channel = slot.identity
             slot.rng = instance_rng(seed, node, self._outcome.instance, purpose=channel)
         return slot.rng
-
-    @property
-    def state(self):
-        """The real node state (outputs only; terminal effects never
-        reach it through this proxy)."""
-        return self._ctx.state
-
-    def others(self) -> list[NodeId]:
-        """All node ids except this node's (pass-through)."""
-        return self._ctx.others()
 
     def send(self, to: NodeId, payload: Any) -> None:
         """Send ``payload`` on this instance's tagged stream."""
@@ -179,20 +154,6 @@ class _MuxInstanceContext:
             outcome.bytes += size * count
             if ctx.round >= outcome.rounds:
                 outcome.rounds = ctx.round + 1
-
-    def decide(self, value: Any) -> None:
-        """Capture the instance's decision."""
-        self._outcome.decided = True
-        self._outcome.decision = value
-
-    def discover_failure(self, reason: str) -> None:
-        """Capture the instance's failure discovery (first reason wins)."""
-        if self._outcome.discovered is None:
-            self._outcome.discovered = reason
-
-    def halt(self) -> None:
-        """Mark the instance finished; the mux stops stepping it."""
-        self._outcome.halted = True
 
 
 def _merge_plain_into_batch(
@@ -259,9 +220,9 @@ class InstanceMux(Protocol):
     :class:`InstanceOutcome`.  When every instance has halted, the
     per-instance outcomes are published under ``outputs[MUX_OUTCOMES]``
     and the node halts.  Embedding protocols that want to post-process
-    (e.g. build a key directory from the decisions) wrap the mux in a
-    :class:`~repro.sim.compose.PhaseHost` and read :attr:`outcomes` when
-    the host reports the halt.
+    (e.g. build a key directory from the decisions) call :meth:`setup`
+    and :meth:`on_round` directly and read :attr:`outcomes` once the node
+    has halted.
     """
 
     #: Kept for the engine-fallback counter of ``benchmarks/e2e/trace.py``.

@@ -12,11 +12,15 @@ class Inner(Protocol):
 
     def __init__(self) -> None:
         self.seen_rounds: list[int] = []
+        self.context_reads: tuple | None = None
 
     def on_round(self, ctx: NodeContext, inbox):
         self.seen_rounds.append(ctx.round)
+        if ctx.round == 0:
+            self.context_reads = (ctx.n, ctx.rng, ctx.state, ctx.others())
         if ctx.round == 0 and ctx.node == 0:
-            ctx.broadcast(("inner", "hello"))
+            for peer in ctx.others():
+                ctx.send(peer, ("inner", "hello"))
         if ctx.round >= 1:
             ctx.decide(("inner-decision", ctx.node))
             ctx.discover_failure("inner-reason")
@@ -29,9 +33,11 @@ class Outer(Protocol):
     def __init__(self) -> None:
         self.host: PhaseHost | None = None
         self.inner = Inner()
+        self.ctx: NodeContext | None = None
 
     def setup(self, ctx):
         self.host = PhaseHost(self.inner, offset=2)
+        self.ctx = ctx
 
     def on_round(self, ctx, inbox):
         if ctx.round >= 2:
@@ -54,6 +60,12 @@ class TestPhaseHost:
         assert result.metrics.messages_total == 1
         # Sent at outer round 2 (inner round 0).
         assert result.metrics.messages_per_round[2] == 1
+        # The lens passes every other member through to the node's context.
+        for node, outer in enumerate(protocols):
+            n, rng, state, others = outer.inner.context_reads
+            assert (n, others) == (2, [1 - node])
+            assert rng is outer.ctx.rng
+            assert state is outer.ctx.state is result.states[node]
 
     def test_terminal_effects_are_captured_not_applied(self):
         protocols = [Outer(), Outer()]

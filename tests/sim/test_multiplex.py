@@ -32,7 +32,7 @@ from repro.sim import (
     run_protocols,
 )
 from repro.sim import multiplex
-from repro.sim.compose import PhaseHost
+from repro.sim.compose import PhaseHost, PhaseOutcome
 from repro.sim.message import wire_byte_size
 
 from ._reference_mux import ReferenceMux
@@ -438,7 +438,7 @@ class TestNestedHosts:
         assert run.states[0].halted
 
     def test_instancemux_inside_phasehost(self):
-        """The embedding agreement-based key distribution uses."""
+        """A mux embedded as a phase at offset 0."""
 
         class Outer(Protocol):
             def __init__(self):
@@ -457,6 +457,22 @@ class TestNestedHosts:
         protocols = [Outer(), Outer()]
         run = run_protocols(protocols, seed=2)
         assert run.states[1].decision == (1, [("echo", "hello")])
+
+    def test_akd_instances_get_one_lens_over_the_node_context(self, monkeypatch):
+        # Key distribution drives its mux directly: an OM instance's
+        # context wraps the node's own context, with no phase lens between.
+        seen = []
+        setup = OralAgreementProtocol.setup
+
+        def recording_setup(protocol, ctx):
+            seen.append(ctx)
+            setup(protocol, ctx)
+
+        monkeypatch.setattr(OralAgreementProtocol, "setup", recording_setup)
+        run_agreement_key_distribution(4, 1, seed=1)
+        assert len(seen) == 16
+        assert {type(ctx) for ctx in seen} == {multiplex._MuxInstanceContext}
+        assert {type(ctx._ctx) for ctx in seen} == {NodeContext}
 
 
 class TestAggregation:
@@ -548,6 +564,11 @@ class TestHaltedInstanceRelease:
             assert mux.outcomes[1].decision == "watched"
             assert all(slot.protocol is None and slot.rng is None for slot in mux._slots.values())
         assert all(state.halted for state in run.states)
+
+    def test_what_a_halted_instance_keeps_is_slotted(self):
+        # One outcome per (node, instance) lives for the whole run.
+        assert not hasattr(multiplex.InstanceOutcome(instance=3), "__dict__")
+        assert not hasattr(PhaseOutcome(), "__dict__")
 
     def test_a_lossy_akd_checkpoint_after_halts_resumes(self):
         straight = _akd_kernel().run()
