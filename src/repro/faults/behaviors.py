@@ -66,9 +66,11 @@ class CrashProtocol(Protocol):
     to the inner protocol ahead of the recovery tick's own arrivals.
     This is the crash-recovery timing model of the weak-delivery
     experiments (E13): a recovering node has missed its chance to *act*
-    in the dark ticks but has lost no delivered message.  Determinism is
-    untouched — the buffer replays the kernel's own deterministic
-    arrival sequence.
+    in the dark ticks but has lost no message delivered to its inbox
+    (an :class:`~repro.sim.multiplex.InstanceMux` reads batch groups,
+    not its inbox, so it does lose what arrived for it in the dark
+    ticks).  Determinism is untouched — the buffer replays the kernel's
+    own deterministic arrival sequence.
 
     :param recover_round: tick at which the node resumes, or ``None``
         (the classic fail-stop crash).

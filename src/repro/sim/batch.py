@@ -21,10 +21,10 @@ per-envelope chain with *batch records*:
   addressed when ``target >> me & 1``, and ``target.bit_count()`` is the
   copy count — one small int per record, whatever the subset;
 * consumers (every :class:`~repro.sim.multiplex.InstanceMux`) register
-  per channel; traffic addressed to non-consumers is materialised back
-  into ordinary wrapped envelopes, so plain protocols, Byzantine
-  behaviours and per-envelope muxes beside the plane keep exact
-  per-envelope semantics.
+  per channel at setup, before tick 0; traffic addressed to
+  non-consumers is materialised back into ordinary wrapped envelopes, so
+  plain protocols, Byzantine behaviours and per-envelope muxes beside
+  the plane keep exact per-envelope semantics.
 
 Equivalence contract
 --------------------
@@ -36,14 +36,14 @@ mux in ``tests/sim/_reference_mux.py`` under random Byzantine
 behaviour, every delivery family and adaptive adversaries).  The
 ingredients:
 
-* **ordering** — each arrival tick's calendar bucket holds records (and
-  plain envelopes) in emission order, and groups are filed in bucket
-  order, so group arrays replay the per-envelope per-inbox arrival
-  order exactly — even under jittered calendars, where one bucket mixes
-  emissions from several earlier ticks.  On the general event path the
-  plane also *captures* plain wrapped envelopes addressed to consumers
-  (:meth:`BatchPlane.capture`) into the same arrays at their bucket
-  position, so mixed plain/batched traffic needs no merge heuristics.
+* **ordering** — one filing rule: a wrapped copy addressed to a
+  consumer lands in its group where it arrives, never in its inbox.
+  Each arrival tick's calendar bucket (or the lock-step pending list)
+  holds records and plain envelopes in emission order, and the drain
+  files both in that order (:meth:`BatchPlane.deliver`, and
+  :meth:`BatchPlane.capture` for a plain wrapped envelope), so group
+  arrays replay the per-envelope per-inbox arrival order exactly, under
+  jittered calendars too.
 * **timing** — records carry their emission round and arrive in
   per-arrival-tick calendar buckets; the per-entry ``rounds[]`` column
   reproduces every materialised envelope's ``round_sent`` and every
@@ -53,21 +53,20 @@ ingredients:
   stream order as the per-envelope ``arrival_tick`` calls,
   so the arrival schedule (and every drop counter) reproduces exactly.
 * **rushing** — a copy the model schedules for the current tick
-  (:class:`~repro.sim.network.AdversarialOrder`) is filed plain into
-  its recipient's inbox, as the per-envelope path files it; the mux
-  splices it in after the group's earlier rounds.
+  (:class:`~repro.sim.network.AdversarialOrder`) is captured as it is
+  sent, after the tick's arrivals, where the per-envelope path files it.
 * **recording** — a trace logs one send or drop per copy at enqueue
   (and one drop per copy of a record parked past the run's end), and a
   consumer's recorded view holds its group entries re-wrapped
   (:meth:`BatchPlane.wrapped_for`), so observing a run never changes
   its path.
 
-Consumer registration is snapshotted at each tick's delivery drain:
-a node that registers mid-tick (a mux set up lazily on its node's
-first activation, e.g. inside a ``PhaseHost``) becomes a group consumer
-from the *next* drain on,
-and any traffic delivered before that was materialised to its plain
-inbox — no record is ever both grouped and materialised for one node.
+One exception: a recovering :class:`~repro.faults.behaviors.CrashProtocol`
+replays its buffered inbox, but a plane mux reads its groups, and the
+groups of the outage ticks are not kept.  Consumers join at setup
+(:meth:`~repro.sim.node.NodeContext.register_batch_consumer` raises
+once the run has started), so no copy is ever both grouped and
+materialised for one node.
 """
 
 from __future__ import annotations
@@ -158,7 +157,7 @@ class ChannelBatch:
     validation) can be computed by the first consumer that needs it and
     keyed by entry index for the other ~n-1 consumers to reuse.  It is
     scoped to this tick's batch, so entries can never leak across ticks
-    or instances.
+    or instances, and reset when a same-tick copy is appended.
     """
 
     __slots__ = ("senders", "payloads", "targets", "rounds", "shared")
@@ -191,44 +190,35 @@ class BatchPlane:
     """The kernel's per-tick batch buffer and consumer registry.
 
     Every kernel owns one; a mux joins it through
-    :meth:`~repro.sim.node.NodeContext.register_batch_consumer`.
+    :meth:`~repro.sim.node.NodeContext.register_batch_consumer` in its
+    setup.
     """
 
-    __slots__ = ("_n", "_consumers", "_snapshot", "_outsiders", "_groups", "used")
+    __slots__ = ("_n", "_consumers", "_outsiders", "_groups", "used")
 
     def __init__(self, kernel: "EventKernel") -> None:
         self._n = kernel.n
-        # channel -> registered consumer node ids (grows only).
+        # channel -> consumer node ids, fixed before tick 0.
         self._consumers: dict[str, set[NodeId]] = {}
-        # Per-tick snapshot of the registry, frozen at drain start.
-        self._snapshot: dict[str, frozenset[NodeId]] = {}
-        # channel -> nodes *not* in the snapshot (materialisation targets).
+        # channel -> nodes that are *not* consumers (materialisation targets).
         self._outsiders: dict[str, list[NodeId]] = {}
         # channel -> instance -> this tick's batch.
         self._groups: dict[str, dict[int, ChannelBatch]] = {}
-        #: Whether any consumer ever registered — the kernel's gate for
-        #: taking the mixed-item drain loops at all.
+        #: Whether any consumer registered — the kernel's gate for
+        #: resetting groups and capturing plain envelopes at all.
         self.used = False
 
     def register(self, channel: str, node: NodeId) -> None:
-        """Declare ``node`` a group consumer for ``channel`` (from the
-        next delivery drain on — see the module docstring)."""
-        self._consumers.setdefault(channel, set()).add(node)
+        """Declare ``node`` a group consumer for ``channel`` (at setup —
+        see the module docstring)."""
+        members = self._consumers.setdefault(channel, set())
+        members.add(node)
+        self._outsiders[channel] = [i for i in range(self._n) if i not in members]
         self.used = True
 
     def begin_tick(self) -> None:
-        """Reset the per-tick buffer and snapshot the consumer registry."""
+        """Reset the per-tick buffer."""
         self._groups = {}
-        n = self._n
-        snapshot = {
-            channel: frozenset(nodes)
-            for channel, nodes in self._consumers.items()
-        }
-        self._snapshot = snapshot
-        self._outsiders = {
-            channel: [node for node in range(n) if node not in members]
-            for channel, members in snapshot.items()
-        }
 
     def deliver(
         self,
@@ -244,32 +234,33 @@ class BatchPlane:
         envelopes record no deliveries either); on the general path the bulk
         charge passes the record's emission round so the delivery-lag
         accumulator stays exact under jittered calendars (the charge is
-        zero on next-tick arrivals, matching the pre-jitter counts).
+        zero on next-tick arrivals, matching the pre-jitter counts).  A
+        record on a channel nobody consumes is materialised for every
+        recipient.
         """
         channel = record.channel
-        groups = self._groups.get(channel)
-        if groups is None:
-            groups = self._groups[channel] = {}
-        group = groups.get(record.instance)
-        if group is None:
-            group = groups[record.instance] = ChannelBatch()
         target = record.target
         sender = record.sender
-        group.senders.append(sender)
-        group.payloads.append(record.payload)
-        group.targets.append(target)
-        group.rounds.append(record.round_sent)
         if metrics is not None:
             metrics.record_deliveries(
                 tick, record.recipient_count(len(inboxes)), record.round_sent
             )
         outsiders = self._outsiders.get(channel)
         if outsiders is None:
-            # No consumer snapshot for this channel yet (records from a
-            # mid-tick registration): everyone gets plain envelopes.
             outsiders = range(len(inboxes))
-        elif not outsiders:
-            return
+        else:
+            groups = self._groups.get(channel)
+            if groups is None:
+                groups = self._groups[channel] = {}
+            group = groups.get(record.instance)
+            if group is None:
+                group = groups[record.instance] = ChannelBatch()
+            group.senders.append(sender)
+            group.payloads.append(record.payload)
+            group.targets.append(target)
+            group.rounds.append(record.round_sent)
+            if not outsiders:
+                return
         wrapped = mux_wrap(channel, record.instance, record.payload)
         round_sent = record.round_sent
         for node in outsiders:
@@ -284,22 +275,20 @@ class BatchPlane:
     ) -> bool:
         """Try to file a plain wrapped envelope into its consumer's group.
 
-        The general event path's answer to mixed plain/batched traffic
-        under jittered calendars: an ordinary envelope (a tampering lens
-        re-materialising its sends, a Byzantine node writing wire tuples
-        by hand) whose recipient is a snapshot consumer and whose payload
-        parses as that channel's mux wrapper is appended to the group
-        arrays *at its calendar position*, so the consumer sees exactly
-        the per-envelope per-inbox arrival order without any
-        sender-sorted merge heuristics (which are only valid lock-step).
+        An ordinary envelope (a tampering lens's, a per-envelope mux's, a
+        Byzantine forgery, a rushed same-tick copy) whose recipient is a
+        consumer and whose payload parses as that channel's mux wrapper
+        is appended to the group arrays where it lands — at its drain
+        position, or after the tick's arrivals in the rushing window —
+        so the consumer sees the per-envelope per-inbox arrival order.
+        ``metrics`` records the delivery (``None``: the caller does).
         Returns ``False`` — deliver it plain — for non-consumers and
-        malformed wrappers; the mux's demux would treat the latter
-        as noise for no instance, and an unparsed envelope in a plain
-        inbox reproduces that exactly.
+        malformed wrappers, which a per-envelope demux treats as noise
+        for no instance, as a mux that never reads its inbox does.
         """
         recipient = envelope.recipient
         payload = envelope.payload
-        for channel, members in self._snapshot.items():
+        for channel, members in self._consumers.items():
             if recipient not in members:
                 continue
             parsed = mux_unwrap(payload, channel)
@@ -316,6 +305,10 @@ class BatchPlane:
             group.payloads.append(inner)
             group.targets.append(1 << recipient)
             group.rounds.append(envelope.round_sent)
+            if group.shared:
+                # A same-tick copy after consumers read the group: their
+                # memo's entry indices do not cover it.
+                group.shared = {}
             if metrics is not None:
                 metrics.record_deliveries(tick, 1, envelope.round_sent)
             return True
@@ -328,17 +321,14 @@ class BatchPlane:
         view holds beside the node's plain inbox)."""
         return [
             Envelope(env.sender, node, mux_wrap(channel, instance, env.payload), env.round_sent)
-            for channel, members in self._snapshot.items() if node in members
+            for channel, members in self._consumers.items() if node in members
             for instance, group in self._groups.get(channel, _EMPTY_GROUPS).items()
             for env in group.envelopes_for(node)
         ]
 
     def groups_for(self, channel: str, node: NodeId) -> "dict[int, ChannelBatch] | None":
-        """This tick's groups for a consumer, or ``None`` when ``node``
-        is not in the current snapshot (its traffic, if any, went to its
-        plain inbox — the caller must read that instead)."""
-        snapshot = self._snapshot.get(channel)
-        if snapshot is None or node not in snapshot:
+        """This tick's groups for a consumer of ``channel``, or ``None``
+        when ``node`` is not one (its traffic went to its plain inbox)."""
+        if node not in self._consumers.get(channel, ()):
             return None
-        groups = self._groups.get(channel)
-        return groups if groups is not None else _EMPTY_GROUPS
+        return self._groups.get(channel, _EMPTY_GROUPS)

@@ -46,7 +46,9 @@ and files the later copies as batch records.  Lock-step
 models vary exactly one thing: the arrivals come from the single pending
 list instead of a calendar bucket, and the drain's ``metrics`` is
 ``None`` — every arrival is "next tick" at zero lag, so no delivery is
-recorded and no plain envelope is captured into the batch groups.  Under
+recorded.  On every path a wrapped copy to a batch consumer lands in
+its group (:meth:`~repro.sim.batch.BatchPlane.capture`), never in its
+inbox.  Under
 :class:`~repro.sim.network.SynchronousRounds` activations ascend by node
 id, so every inbox is born sender-sorted and the run is *bit-for-bit
 identical* to the pre-kernel lock-step loop in decisions, rounds and
@@ -284,8 +286,9 @@ class EventKernel:
         """File a copy the model scheduled for the current tick.
 
         Legal only for a recipient that acts later this tick (the
-        rushing window): it then sees the envelope in its current inbox.
-        Anything else is a delivery into the past and raises.
+        rushing window): it then sees the envelope in its current inbox
+        (a wrapped copy to a consumer: in its batch group).  Anything
+        else is a delivery into the past and raises.
         """
         tick = self.tick
         recipient = envelope.recipient
@@ -295,6 +298,9 @@ class EventKernel:
                 f"from {envelope.sender} to {recipient} into the past "
                 f"(arrival {arrival}, tick {tick})"
             )
+        plane = self._batch
+        if plane.used and plane.capture(envelope, None, tick):
+            return
         self._inboxes[recipient].append(envelope)
 
     def enqueue_batch(
@@ -316,10 +322,9 @@ class EventKernel:
         per-recipient structure); an explicit recipient list becomes one
         single-bit record per entry, which preserves per-copy delivery
         even for duplicate recipients.  A copy the model schedules for
-        the current tick (the rushing window) is filed plain into its
-        recipient's inbox, as :meth:`enqueue` files it, and one scheduled
-        into the past raises the same
-        :class:`~repro.errors.SimulationError`.
+        the current tick (the rushing window) is filed as a plain wrapped
+        copy, as :meth:`enqueue` files it, and one scheduled into the
+        past raises the same :class:`~repro.errors.SimulationError`.
 
         The send is charged without building its mux wrapper: as kind
         ``channel`` (a wrapper's kind), and as the mux header for
@@ -400,8 +405,8 @@ class EventKernel:
                 ]
                 early = len(placed) + dropped < count
             if early:
-                # File copies due now plain, in recipient order, as
-                # :meth:`enqueue` does; an earlier one raises there.
+                # File copies due now as wrapped copies, in recipient
+                # order, as :meth:`enqueue` does; an earlier one raises.
                 if wrapped is None:
                     wrapped = mux_wrap(channel, instance, payload)
                 rushed = 0
@@ -450,8 +455,7 @@ class EventKernel:
         halted = sum(1 for ctx in contexts if ctx.state.halted)
         lockstep = self._lockstep
         # The lock-step variation of the drain below: every arrival is
-        # "next tick" at zero lag, so no delivery is recorded, and plain
-        # envelopes need no capture (inboxes are born sender-sorted).
+        # "next tick" at zero lag, so no delivery is recorded.
         metrics = None if lockstep else self._metrics
         order = list(self._delivery.activation_order(n))
         if sorted(order) != list(range(n)):
@@ -469,8 +473,8 @@ class EventKernel:
             plane = self._batch
             batching = plane.used
             if batching:
-                # Snapshot the consumer registry and reset the per-tick
-                # buffer *before* any delivery of this tick is filed.
+                # Reset the per-tick buffer *before* any delivery of this
+                # tick is filed.
                 plane.begin_tick()
             inboxes = self._inboxes
             if lockstep:
@@ -484,13 +488,12 @@ class EventKernel:
             delivered: dict[Round, int] = {}
             for item in arrived:
                 if type(item) is Envelope:
+                    # Plain wrapped traffic to a consumer is captured
+                    # into the group arrays at its arrival position,
+                    # preserving the per-envelope arrival interleave.
+                    if batching and plane.capture(item, metrics, tick):
+                        continue
                     if metrics is not None:
-                        # Plain wrapped traffic to a consumer is captured
-                        # into the group arrays at its calendar position,
-                        # preserving the per-envelope arrival interleave
-                        # under jitter.
-                        if batching and plane.capture(item, metrics, tick):
-                            continue
                         sent = item.round_sent
                         delivered[sent] = delivered.get(sent, 0) + 1
                     inboxes[item.recipient].append(item)

@@ -10,7 +10,7 @@ single node behaviour, with
 
 * **stable wire tags** — every instance's traffic travels in the mux
   envelope extension of :mod:`repro.sim.message` (``mux_wrap`` /
-  ``mux_unwrap``), demultiplexed back to per-instance inboxes on arrival;
+  ``mux_unwrap``), filed per instance by the batch plane on arrival;
 * **namespaced randomness** — each instance draws from
   :func:`repro.sim.rng.instance_rng`, keyed by ``(master seed, node,
   instance)``, so instance streams are mutually independent *and*
@@ -35,16 +35,15 @@ shared structure-of-arrays groups instead of per-node envelope lists,
 and protocols that declare ``supports_batch_inbox`` ingest the arrays
 directly (others get envelopes materialised on demand).  The plane is
 the one path, under every delivery model and with recording on: records
-carry per-arrival-tick buckets and an emission-``rounds[]`` column, a
-rushing model's same-tick copies reach the inbox plain, and a trace or
-view sees the plain envelopes the records stand for.  Decisions,
-per-instance outcomes and counts, run metrics, trace events and views equal a
+carry per-arrival-tick buckets and an emission-``rounds[]`` column,
+plain wrapped copies land in the group too, and a trace or view sees
+the plain envelopes the records stand for.  Decisions, per-instance
+outcomes and counts, run metrics, trace events and views equal a
 per-envelope mux's bit-for-bit (``tests/sim/_reference_mux.py`` is that
 mux, and ``tests/sim/test_batch.py`` property-tests the equivalence
 under random Byzantine behaviour, every delivery family and adaptive
-adversaries).  One stepping loop hands an instance its batch group when
-one arrived (plain traffic beside it spliced in) and its plain inbox
-otherwise.
+adversaries).  One stepping loop hands each instance its batch group
+(or nothing); the mux never reads its inbox.
 
 Composition
 -----------
@@ -52,28 +51,25 @@ Composition
 can run directly under the scheduler, be driven by an embedding
 protocol that calls its ``setup`` / ``on_round`` itself (agreement-based
 key distribution does, then folds :attr:`InstanceMux.outcomes` into a
-directory), be embedded in a round window through
-:class:`~repro.sim.compose.PhaseHost`, and host instances that
-themselves embed sub-protocols via ``PhaseHost``.  An instance's context
+directory), and host instances that themselves embed sub-protocols
+via :class:`~repro.sim.compose.PhaseHost`; its ``setup`` must run
+before tick 0 (so no ``PhaseHost`` can host it).  An instance's context
 is the phase lens itself at offset 0 (:class:`_MuxInstanceContext`
 subclasses :class:`~repro.sim.compose._PhaseProxyContext`), so a mux
-adds one proxy hop.  Because it only speaks the
-``Protocol`` API, the mux runs on the event kernel unchanged under any
-:class:`~repro.sim.network.DeliveryModel`: each activation demultiplexes
-whatever arrived that tick (``tests/sim/test_multiplex.py`` pins this).
+adds one proxy hop.  The mux runs on the event kernel unchanged under
+any :class:`~repro.sim.network.DeliveryModel` (``tests/sim/test_multiplex.py``
+pins this).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ..types import NodeId
-from .batch import ChannelBatch
 from .compose import PhaseOutcome, _PhaseProxyContext
 from .kernel import RunResult
-from .message import Envelope, mux_unwrap
+from .message import Envelope
 from .node import NodeContext, Protocol
 from .rng import instance_rng
 
@@ -156,34 +152,6 @@ class _MuxInstanceContext(_PhaseProxyContext):
                 outcome.rounds = ctx.round + 1
 
 
-def _merge_plain_into_batch(
-    group: ChannelBatch, plain: list[Envelope]
-) -> ChannelBatch:
-    """Splice demuxed plain envelopes into a copy of a batch group.
-
-    Used when an instance received plain wrapped traffic beside its
-    batch group, in the order a per-envelope inbox would hold it: by
-    emission round, then by sender, batched first on ties.  Lock-step,
-    both sides hold the previous round's traffic (plain sends of peers
-    outside the plane, Byzantine forgeries) and are born sender-sorted;
-    a sender ties with itself only if it sent both batch records and
-    plain wrapped envelopes in one tick (a hand-crafted adversary).  On
-    the general path the only plain traffic beside a group is a rushing
-    model's same-tick copies, which follow the group's earlier rounds
-    (other plain envelopes are captured into the group at their calendar
-    position).  The copy gets a fresh ``shared`` scratch (entry indices
-    shift), which is fine — the plain-traffic case is the rare one.
-    """
-    entries = heapq.merge(
-        zip(group.senders, group.payloads, group.targets, group.rounds),
-        [(env.sender, env.payload, 1 << env.recipient, env.round_sent) for env in plain],
-        key=lambda entry: (entry[3], entry[0]),
-    )
-    merged = ChannelBatch()
-    merged.senders, merged.payloads, merged.targets, merged.rounds = map(list, zip(*entries))
-    return merged
-
-
 class _MuxSlot:
     """Bookkeeping for one hosted instance, and from setup on the one place
     the mux holds its protocol.  ``rng`` is ``None`` until the instance's
@@ -211,10 +179,9 @@ class InstanceMux(Protocol):
         id order (determinism).
     :param channel: wire-tag channel shared by all nodes of one mux run.
 
-    Each round, the inbox is demultiplexed by the mux envelope extension
-    (non-parsing traffic is dropped — Byzantine noise belongs to no
-    instance) and every live instance is stepped with its own envelopes,
-    its own rng stream and its own outcome.  The mux owns each hosted
+    Each round every live instance is stepped with its own batch group
+    (the inbox is never read: non-parsing Byzantine noise reaches no
+    instance), its own rng stream and its own outcome.  The mux owns each hosted
     protocol in one place, its slot, and lets go of it (and of its stream)
     the moment the instance halts: a halted instance keeps only its
     :class:`InstanceOutcome`.  When every instance has halted, the
@@ -246,9 +213,9 @@ class InstanceMux(Protocol):
         return {i: slot.outcome for i, slot in self._slots.items()}
 
     def setup(self, ctx: NodeContext) -> None:
-        """Register with the batch plane; move each instance's protocol
-        into a slot, in sorted id order, with a fresh outcome; set up
-        instances."""
+        """Register with the batch plane (before tick 0); move each
+        instance's protocol into a slot, in sorted id order, with a fresh
+        outcome; set up instances."""
         ctx.register_batch_consumer(self._channel)
         identity = (ctx.seed, ctx.node, self._channel)
         protocols, self._protocols = self._protocols, None
@@ -268,22 +235,12 @@ class InstanceMux(Protocol):
                 self._live += 1
 
     def on_round(self, ctx: NodeContext, inbox: list[Envelope]) -> None:
-        """Demultiplex, step every live instance, halt when all are done."""
+        """Step every live instance with its batch group, halt when all
+        are done.  The plane files all the channel's traffic into the
+        groups; the inbox is not read."""
         slots = self._slots
-        per_instance: dict[int, list[Envelope]] = {}
         channel = self._channel
-        for env in inbox:
-            parsed = mux_unwrap(env.payload, channel)
-            if parsed is None:
-                continue
-            instance, inner = parsed
-            if instance in slots:
-                per_instance.setdefault(instance, []).append(
-                    Envelope(env.sender, env.recipient, inner, env.round_sent)
-                )
-        # No groups: this tick's consumer snapshot predates the mux's
-        # registration, so its traffic arrived plain.
-        groups = ctx.batch_groups(channel) or {}
+        groups = ctx.batch_groups(channel)
         me = ctx.node
         for instance in sorted(slots):
             slot = slots[instance]
@@ -293,11 +250,8 @@ class InstanceMux(Protocol):
             proxy = _MuxInstanceContext(ctx, channel, slot)
             protocol = slot.protocol
             group = groups.get(instance)
-            plain = per_instance.get(instance)
-            if group is not None and plain is not None:
-                group = _merge_plain_into_batch(group, plain)
             if group is None:
-                protocol.on_round(proxy, plain or [])  # type: ignore[arg-type]
+                protocol.on_round(proxy, [])  # type: ignore[arg-type]
             elif getattr(protocol, "supports_batch_inbox", False):
                 protocol.on_round_batch(proxy, group)  # type: ignore[arg-type]
             else:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
-from ..errors import ConfigurationError, ProtocolViolationError
+from ..errors import ConfigurationError, ProtocolViolationError, SimulationError
 from ..types import NodeId, Round, validate_fault_budget
 from .message import Envelope
 
@@ -194,16 +194,24 @@ class NodeContext:
         )
 
     def register_batch_consumer(self, channel: str) -> None:
-        """Declare this node a batch-group consumer for ``channel``: from
-        the next delivery drain on, its traffic on the channel arrives
-        in :meth:`batch_groups` instead of the plain inbox."""
+        """Declare this node a batch-group consumer for ``channel``, in
+        :meth:`Protocol.setup`: its wrapped traffic on the channel then
+        arrives in :meth:`batch_groups`, never the plain inbox.
+
+        :raises SimulationError: once the run has started.
+        """
+        if self._runner._started:
+            raise SimulationError(
+                f"node {self.node} registered as a batch consumer for channel "
+                f"{channel!r} after the run started; consumers join in setup"
+            )
         self._runner.batch_plane.register(channel, self.node)
 
     def batch_groups(self, channel: str):
         """This tick's per-instance batch groups for ``channel``.
 
-        ``None`` when this node is not in the current tick's consumer
-        snapshot — any traffic for it then arrived in the plain inbox.
+        ``None`` when this node is not a consumer of ``channel`` — any
+        traffic for it then arrived in the plain inbox.
         """
         return self._runner.batch_plane.groups_for(channel, self.node)
 

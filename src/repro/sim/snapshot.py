@@ -66,8 +66,10 @@ if TYPE_CHECKING:
 #: file holds live ``random.Random`` link streams); 4 — every kernel owns
 #: a batch plane (a version-3 recording run holds none and would crash at
 #: its first drain); 5 — link outcomes are arrays in flat ``n * n``
-#: tables (a version-4 file keys outcome lists by ``(sender, recipient)``).
-SNAPSHOT_VERSION = 5
+#: tables (a version-4 file keys outcome lists by ``(sender, recipient)``);
+#: 6 — the batch plane keeps no per-tick consumer snapshot (a version-5
+#: plane holds one, in a slot this build's plane lacks).
+SNAPSHOT_VERSION = 6
 
 
 @dataclass(frozen=True)

@@ -42,24 +42,19 @@ from ._reference_mux import ReferenceMux
 ENGINES = (ReferenceMux, InstanceMux)
 
 
+def om_instances(n, t, node):
+    """Node ``node``'s n OM(t) instances, instance k sent by node k."""
+    return {
+        k: OralAgreementProtocol(
+            n, t, value=f"v{k}" if k == node else None, default=None, sender=k
+        )
+        for k in range(n)
+    }
+
+
 def om_mux_protocols(n, t, mux=InstanceMux):
     """One n-instance OM(t) mux per node — the AKD traffic shape."""
-    return [
-        mux(
-            {
-                k: OralAgreementProtocol(
-                    n,
-                    t,
-                    value=f"v{k}" if k == node else None,
-                    default=None,
-                    sender=k,
-                )
-                for k in range(n)
-            },
-            channel="om",
-        )
-        for node in range(n)
-    ]
+    return [mux(om_instances(n, t, node), channel="om") for node in range(n)]
 
 
 def observables(run):
@@ -523,6 +518,111 @@ class TestMaterializedEnvelopes:
         assert decisions[InstanceMux] == decisions[ReferenceMux]
         # Node 4's second tick: rusher 1's tick-0 copy, then honest 0, 2, 3.
         assert [sender for sender, _, _ in decisions[InstanceMux][4][3:7]] == [1, 0, 2, 3]
+
+
+class _FilingProbe(Protocol):
+    """Runs a mux and logs, per tick before stepping it, the wrapped
+    copies in its inbox and the group entries addressed to it, each as
+    ``(sender, round_sent)``."""
+
+    def __init__(self, mux):
+        self.mux = mux
+        self.inbox = {}
+        self.groups = {}
+
+    def setup(self, ctx):
+        self.mux.setup(ctx)
+
+    def on_round(self, ctx, inbox):
+        tick, me = ctx.round, ctx.node
+        self.inbox[tick] = [
+            (env.sender, env.round_sent)
+            for env in inbox
+            if mux_unwrap(env.payload, "om") is not None
+        ]
+        self.groups[tick] = [
+            (env.sender, env.round_sent)
+            for group in ctx.batch_groups("om").values()
+            for env in group.envelopes_for(me)
+        ]
+        self.mux.on_round(ctx, inbox)
+
+
+class TestOneFilingRule:
+    """A wrapped copy addressed to a consumer lands in its group on
+    every path, never in its inbox."""
+
+    def test_plain_wrapped_copy_is_grouped_under_sync(self):
+        """Lock-step: the reference mux at node 0 sends plain wrapped
+        envelopes; the plane mux at node 1 reads them in its group, in
+        sender order with the plane peer's record."""
+        probe = _FilingProbe(InstanceMux({0: _InboxOrderProbe()}, channel="om"))
+        protocols = [
+            ReferenceMux({0: _InboxOrderProbe()}, channel="om"),
+            probe,
+            InstanceMux({0: _InboxOrderProbe()}, channel="om"),
+        ]
+        run_protocols(protocols, seed=5)
+        assert probe.inbox[1] == []
+        assert probe.groups[1] == [(0, 0), (2, 0)]
+
+    def test_rushed_copy_is_grouped(self):
+        """``rush:2``: in tick 0 the honest same-tick copies to the
+        rushing plane mux land in its group, not in its inbox."""
+        probe = _FilingProbe(InstanceMux({0: _InboxOrderProbe()}, channel="om"))
+        protocols = [InstanceMux({0: _InboxOrderProbe()}, channel="om") for _ in range(2)]
+        run_protocols([*protocols, probe], seed=5, delivery=make_delivery("rush:2"))
+        assert probe.inbox[0] == []
+        assert probe.groups[0] == [(0, 0), (1, 0)]
+
+
+#: Deliveries whose calendar is lock-step in effect: each must replay
+#: ``sync`` exactly, though the kernel runs them on its calendar path.
+LOCKSTEP_EQUIVALENTS = ("bounded:1", "loss:0.0", "loss:0.0:1", "partition:0-6@1")
+
+
+def without_deliveries(run):
+    """A run's observables but ``deliveries``, which lock-step leaves at 0."""
+    seen = observables(run)
+    del seen["deliveries"]
+    return seen
+
+
+class TestCrossPathIdentity:
+    """The lock-step drain and the calendar drain file mux traffic by
+    one rule, so a mux run equals its ``sync`` run on every calendar
+    that is lock-step in effect."""
+
+    @pytest.mark.parametrize(
+        "adversary",
+        [None, "6=noise", "6=tamper@0.5", "6=equivocate", "6=silent", "5=crash@1", "6=drop@0.5"],
+    )
+    def test_akd(self, adversary):
+        def akd(delivery):
+            run = run_agreement_key_distribution(
+                7, 2, seed=3, adversary=adversary, delivery=delivery
+            ).run
+            return without_deliveries(run)
+
+        sync = akd(None)
+        for delivery in LOCKSTEP_EQUIVALENTS:
+            assert akd(delivery) == sync, f"delivery={delivery}"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_mux_population(self, seed):
+        def mixed(delivery):
+            rng = random.Random(seed)
+            protocols = [
+                rng.choice(ENGINES)(om_instances(7, 2, node), channel="om")
+                for node in range(7)
+            ]
+            return without_deliveries(
+                run_protocols(protocols, seed=seed, delivery=make_delivery(delivery))
+            )
+
+        sync = mixed("sync")
+        for delivery in LOCKSTEP_EQUIVALENTS:
+            assert mixed(delivery) == sync, f"delivery={delivery}"
 
 
 def filed_records(monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 
 from repro.agreement.oral import OralAgreementProtocol
 from repro.analysis.complexity import om_envelopes
+from repro.errors import SimulationError
 from repro.auth.agreement_based import (
     AgreementKeyDistributionProtocol,
     run_agreement_key_distribution,
@@ -438,7 +439,9 @@ class TestNestedHosts:
         assert run.states[0].halted
 
     def test_instancemux_inside_phasehost(self):
-        """A mux embedded as a phase at offset 0."""
+        """A mux embedded as a phase is set up at the host's first step,
+        after the run started: too late to join the batch plane, and it
+        says so, naming the node and the channel."""
 
         class Outer(Protocol):
             def __init__(self):
@@ -454,9 +457,11 @@ class TestNestedHosts:
                     ctx.decide(self.mux.outcomes[0].decision)
                     ctx.halt()
 
-        protocols = [Outer(), Outer()]
-        run = run_protocols(protocols, seed=2)
-        assert run.states[1].decision == (1, [("echo", "hello")])
+        with pytest.raises(
+            SimulationError,
+            match=r"node 0 registered as a batch consumer for channel 'deep' after the run started",
+        ):
+            run_protocols([Outer(), Outer()], seed=2)
 
     def test_akd_instances_get_one_lens_over_the_node_context(self, monkeypatch):
         # Key distribution drives its mux directly: an OM instance's

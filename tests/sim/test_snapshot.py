@@ -577,14 +577,15 @@ class TestSnapshotMachinery:
         """Version 1 predates the succinct EIG store's run columns,
         version 2 holds live ``random.Random`` link streams where links
         now hold draw-ahead outcomes, a version-3 recording run holds no
-        batch plane, and a version-4 run keys its link outcomes by tuple
-        where the tables are now flat: such a snapshot must be refused up
+        batch plane, a version-4 run keys its link outcomes by tuple
+        where the tables are now flat, and a version-5 batch plane holds a
+        per-tick consumer snapshot: such a snapshot must be refused up
         front with the named version error, not resumed into an
         ``AttributeError``."""
-        assert SNAPSHOT_VERSION == 5
+        assert SNAPSHOT_VERSION == 6
         runner = EventKernel(make_oral_agreement_protocols(7, 2, "v"), seed=0)
         runner.run(until_tick=2)
-        for version in (1, 2, 3, 4):
+        for version in (1, 2, 3, 4, 5):
             stale = dataclasses.replace(capture_kernel(runner), version=version)
             with pytest.raises(ConfigurationError, match=f"snapshot version {version} does not"):
                 restore_kernel(stale)
